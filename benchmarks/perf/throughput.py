@@ -51,17 +51,6 @@ try:  # the trace subsystem arrives with this harness; the baseline tree lacks i
 except ImportError:  # pragma: no cover - only on pre-trace checkouts
     shared_trace_cache = None
 
-try:  # the switchable in-flight record backend arrives with PR 7
-    from repro.ooo.inflight import soa_batch_enabled, soa_enabled
-except ImportError:  # pragma: no cover - only on pre-SoA checkouts
-    soa_enabled = soa_batch_enabled = None
-
-try:  # the multi-config replay engine arrives with PR 8
-    from repro.campaign.executor import simulate_cells
-    from repro.pipeline.multi_replay import multi_replay_enabled
-except ImportError:  # pragma: no cover - only on pre-multi-replay checkouts
-    simulate_cells = multi_replay_enabled = None
-
 GRID_CONFIGS = (
     "Baseline_6_64",
     "Baseline_VP_6_64",
@@ -71,21 +60,6 @@ GRID_CONFIGS = (
 GRID_WORKLOADS = ("wupwise", "bzip2", "gcc", "milc")
 SINGLE_CONFIG = "EOLE_4_64"
 SINGLE_WORKLOAD = "gcc"
-
-#: The design-space sweep (≥8 configs × the grid workloads): the axis the
-#: multi-config replay engine (REPRO_MULTI_REPLAY) collapses into one pass per
-#: workload.  measure_config_sweep times it serial AND multi in the same
-#: session, so the recorded speedup is apples-to-apples.
-SWEEP_CONFIGS = (
-    "Baseline_6_64",
-    "Baseline_8_64",
-    "Baseline_VP_6_64",
-    "Baseline_VP_4_64",
-    "EOLE_6_64",
-    "EOLE_4_64",
-    "EOLE_4_48",
-    "EOLE_4_64_4ports_4banks",
-)
 
 
 def _cell(config_name: str, workload_name: str, max_uops: int, warmup_uops: int) -> CampaignCell:
@@ -145,66 +119,6 @@ def measure_grid(max_uops: int, warmup_uops: int, repeat: int) -> dict:
         "seconds": best,
         "committed_uops_total": total_uops,
         "committed_uops_per_second": total_uops / best,
-    }
-
-
-def measure_config_sweep(max_uops: int, warmup_uops: int, repeat: int) -> dict:
-    """Serial vs single-pass multi-replay over the 8-config × 4-workload sweep.
-
-    Both flavours run in this session with a cold trace cache per repeat, so the
-    recorded ``multi_speedup`` is a same-machine, same-checkout comparison:
-
-    * **serial** — the per-cell reference (`simulate_cell` per configuration,
-      workload-major so the in-process trace cache is reused identically);
-    * **multi** — each workload's configuration row as one
-      :class:`~repro.pipeline.multi_replay.MultiSimulator` pass
-      (`simulate_cells`).
-
-    ``configs_per_second`` is the sweep-shaped throughput number alongside the
-    µops-per-second the other sections report: design-space exploration cares
-    how many *configurations* a wall-clock second buys.
-    """
-    rows = [
-        (
-            workload(workload_name),
-            [
-                _cell(config_name, workload_name, max_uops, warmup_uops)
-                for config_name in SWEEP_CONFIGS
-            ],
-        )
-        for workload_name in GRID_WORKLOADS
-    ]
-    cells = sum(len(row_cells) for _, row_cells in rows)
-
-    def flavour(seconds: float) -> dict:
-        return {
-            "seconds": seconds,
-            "configs_per_second": cells / seconds,
-            "committed_uops_per_second": max_uops * cells / seconds,
-        }
-
-    serial_best = multi_best = float("inf")
-    for _ in range(repeat):
-        _clear_caches()
-        started = time.perf_counter()
-        for wl, row_cells in rows:
-            for cell in row_cells:
-                simulate_cell(cell, wl)
-        serial_best = min(serial_best, time.perf_counter() - started)
-
-        _clear_caches()
-        started = time.perf_counter()
-        for wl, row_cells in rows:
-            simulate_cells(row_cells, wl)
-        multi_best = min(multi_best, time.perf_counter() - started)
-    return {
-        "configs": list(SWEEP_CONFIGS),
-        "workloads": list(GRID_WORKLOADS),
-        "cells": cells,
-        "max_uops_per_cell": max_uops,
-        "serial": flavour(serial_best),
-        "multi": flavour(multi_best),
-        "multi_speedup": serial_best / multi_best,
     }
 
 
@@ -325,18 +239,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     meta = _parse_meta(args.meta)
-    if soa_enabled is not None:
-        # Stamp the in-flight record backend automatically so ladder rungs are
-        # always attributable; an explicit --meta backend=... wins.
-        meta.setdefault("backend", "soa" if soa_enabled() else "object")
-        if soa_enabled() and soa_batch_enabled():
-            meta.setdefault("soa_batch", "1")
-    if multi_replay_enabled is not None:
-        # How the single-cell/grid sections replayed (the config_sweep section
-        # always measures both flavours explicitly, whatever this says).
-        meta.setdefault(
-            "replay_mode", "multi" if multi_replay_enabled() else "serial"
-        )
 
     entry = {
         "label": args.label,
@@ -349,10 +251,6 @@ def main(argv: list[str] | None = None) -> int:
         "single_cell": measure_single_cell(args.max_uops, args.warmup_uops, args.repeat),
         "grid": measure_grid(args.max_uops, args.warmup_uops, args.repeat),
     }
-    if simulate_cells is not None:
-        entry["config_sweep"] = measure_config_sweep(
-            args.max_uops, args.warmup_uops, args.repeat
-        )
     if meta:
         entry["meta"] = meta
     if args.method:
@@ -391,16 +289,6 @@ def main(argv: list[str] | None = None) -> int:
         f"grid {grid['cells']} cells: {grid['seconds']:.2f}s "
         f"({grid['committed_uops_per_second']:,.0f} µops/s)"
     )
-    if "config_sweep" in entry:
-        sweep = entry["config_sweep"]
-        print(
-            f"config sweep {sweep['cells']} cells: "
-            f"serial {sweep['serial']['seconds']:.2f}s "
-            f"({sweep['serial']['configs_per_second']:.1f} configs/s), "
-            f"multi-replay {sweep['multi']['seconds']:.2f}s "
-            f"({sweep['multi']['configs_per_second']:.1f} configs/s) "
-            f"-> {sweep['multi_speedup']:.2f}x"
-        )
     if "grid_speedup" in entry:
         print(
             f"speedup vs {entry.get('baseline_label') or 'previous rung'}: "

@@ -27,9 +27,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repro.ooo.inflight import SOA_BATCH_ENV_VAR, SOA_ENV_VAR  # noqa: E402
 from repro.pipeline.config import NAMED_CONFIGS, named_config  # noqa: E402
-from repro.pipeline.multi_replay import MultiSimulator, PlaneSpec  # noqa: E402
 from repro.pipeline.simulator import EVENT_DRIVEN_ENV_VAR, Simulator, simulate  # noqa: E402
 from repro.trace.cache import shared_trace_cache  # noqa: E402
 from repro.workloads.suite import SUITE_ORDER, workload  # noqa: E402
@@ -60,13 +58,6 @@ class StageTimedSimulator(Simulator):
                 self._train_seconds_in_commit += time.perf_counter() - started
                 self.stage_calls["train"] += 1
             self.predictor.train_commit_group = timed_vp_train
-            inner_vp_cols = self.predictor.train_commit_group_columns
-            def timed_vp_train_cols(pcs, actuals, predictions, batch=False, _inner=inner_vp_cols):
-                started = time.perf_counter()
-                _inner(pcs, actuals, predictions, batch=batch)
-                self._train_seconds_in_commit += time.perf_counter() - started
-                self.stage_calls["train"] += 1
-            self.predictor.train_commit_group_columns = timed_vp_train_cols
         inner_bpu = self.bpu.train_commit_group
         def timed_bpu_train(group, _inner=inner_bpu):
             started = time.perf_counter()
@@ -74,13 +65,6 @@ class StageTimedSimulator(Simulator):
             self._train_seconds_in_commit += time.perf_counter() - started
             self.stage_calls["train"] += 1
         self.bpu.train_commit_group = timed_bpu_train
-        inner_bpu_cols = self.bpu.train_commit_group_columns
-        def timed_bpu_train_cols(pcs, outcomes, _inner=inner_bpu_cols):
-            started = time.perf_counter()
-            _inner(pcs, outcomes)
-            self._train_seconds_in_commit += time.perf_counter() - started
-            self.stage_calls["train"] += 1
-        self.bpu.train_commit_group_columns = timed_bpu_train_cols
 
     def _timed(self, stage, inner):
         started = time.perf_counter()
@@ -88,31 +72,16 @@ class StageTimedSimulator(Simulator):
         self.stage_seconds[stage] += time.perf_counter() - started
         self.stage_calls[stage] += 1
 
-    # The generic stage entry points delegate to the ``_soa`` variants under
-    # REPRO_SOA=1 (which carry their own wrappers below) — time them only when
-    # the object-backend body actually runs, so step mode never double-counts.
     def _fetch(self):
-        if self._soa:
-            super()._fetch()
-            return
         self._timed("fetch", super()._fetch)
 
     def _dispatch(self):
-        if self._soa:
-            super()._dispatch()
-            return
         self._timed("dispatch", super()._dispatch)
 
     def _issue(self):
-        if self._soa and self._wakeup:
-            super()._issue()
-            return
         self._timed("issue", super()._issue)
 
     def _commit(self):
-        if self._soa:
-            super()._commit()
-            return
         before_train = self._train_seconds_in_commit
         started = time.perf_counter()
         super()._commit()
@@ -123,35 +92,7 @@ class StageTimedSimulator(Simulator):
         self.stage_calls["commit"] += 1
 
     def _process_completions(self):
-        if self._soa:
-            super()._process_completions()
-            return
         self._timed("completions", super()._process_completions)
-
-    # SoA variants: the SoA event loop binds these directly (bypassing the
-    # generic stage entry points above), so they need their own wrappers for
-    # the breakdown to stay truthful under REPRO_SOA=1.
-    def _fetch_soa(self):
-        self._timed("fetch", super()._fetch_soa)
-
-    def _dispatch_soa(self):
-        self._timed("dispatch", super()._dispatch_soa)
-
-    def _issue_wakeup_soa(self):
-        self._timed("issue", super()._issue_wakeup_soa)
-
-    def _commit_soa(self):
-        before_train = self._train_seconds_in_commit
-        started = time.perf_counter()
-        super()._commit_soa()
-        elapsed = time.perf_counter() - started
-        train_delta = self._train_seconds_in_commit - before_train
-        self.stage_seconds["commit"] += elapsed - train_delta
-        self.stage_seconds["train"] += train_delta
-        self.stage_calls["commit"] += 1
-
-    def _process_completions_soa(self):
-        self._timed("completions", super()._process_completions_soa)
 
     def report(self) -> str:
         lines = ["per-stage cumulative wall clock (instrumented):"]
@@ -191,11 +132,6 @@ SORT_KEYS = sorted(
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--config", default="EOLE_4_64", choices=sorted(NAMED_CONFIGS))
-    parser.add_argument(
-        "--configs", default=None, metavar="A,B,C",
-        help="comma-separated named configs profiled as ONE single-pass "
-        "multi-replay (repro.pipeline.multi_replay) instead of --config",
-    )
     parser.add_argument("--workload", default="gcc", choices=list(SUITE_ORDER))
     parser.add_argument("--max-uops", type=int, default=12000)
     parser.add_argument("--warmup-uops", type=int, default=3000)
@@ -208,12 +144,6 @@ def main(argv: list[str] | None = None) -> int:
         "--mode", default="event", choices=["event", "step"],
         help="main-loop flavour: the event-wheel scheduler (default) or the "
         "cycle-stepping reference (REPRO_EVENT_DRIVEN=0)",
-    )
-    parser.add_argument(
-        "--backend", default=None, choices=["soa", "object"],
-        help="in-flight record backend: the columnar structure-of-arrays pool "
-        "(REPRO_SOA=1) or the object-record pool (the default); omitting the "
-        "flag keeps whatever the environment selects",
     )
     parser.add_argument(
         "--include-capture", action="store_true",
@@ -234,136 +164,62 @@ def main(argv: list[str] | None = None) -> int:
     if args.format == "json" and not args.stage_times:
         parser.error("--format=json requires --stage-times")
     os.environ[EVENT_DRIVEN_ENV_VAR] = "0" if args.mode == "step" else "1"
-    if args.backend is not None:
-        os.environ[SOA_ENV_VAR] = "1" if args.backend == "soa" else "0"
 
-    if args.configs:
-        config_names = [name.strip() for name in args.configs.split(",") if name.strip()]
-        unknown = sorted(set(config_names) - set(NAMED_CONFIGS))
-        if unknown:
-            parser.error(f"unknown --configs names: {', '.join(unknown)}")
-        configs = [named_config(name) for name in config_names]
-    else:
-        config_names = [args.config]
-        configs = [named_config(args.config)]
+    config = named_config(args.config)
     wl = workload(args.workload)
-
-    def acquire_trace():
-        return shared_trace_cache.trace_for_many(
-            wl, [(args.max_uops, config) for config in configs]
-        )
-
     if not args.include_capture:
-        trace = acquire_trace()
+        trace = shared_trace_cache.trace_for(wl, args.max_uops, config)
         trace.instructions()  # materialise outside the profiled region
-
-    def run_multi(factory):
-        multi = MultiSimulator(
-            [PlaneSpec(config, args.max_uops, args.warmup_uops) for config in configs],
-            wl.program,
-            workload_name=wl.name,
-            trace=trace,
-            simulator_factory=factory,
-        )
-        return multi, multi.run()
 
     if args.stage_times:
         if args.include_capture:
             shared_trace_cache.clear()
-            trace = acquire_trace()
-        multi, results = run_multi(StageTimedSimulator)
-        planes = multi.planes
-        # One breakdown for the whole pass: per-stage seconds/calls summed over
-        # the planes (a single-config run is just the 1-plane special case).
-        stage_seconds = {
-            stage: sum(plane.stage_seconds[stage] for plane in planes)
-            for stage in StageTimedSimulator.STAGES
-        }
-        stage_calls = {
-            stage: sum(plane.stage_calls[stage] for plane in planes)
-            for stage in StageTimedSimulator.STAGES
-        }
-        total = sum(stage_seconds.values())
+            trace = shared_trace_cache.trace_for(wl, args.max_uops, config)
+        simulator = StageTimedSimulator(
+            config,
+            wl.program,
+            max_uops=args.max_uops,
+            warmup_uops=args.warmup_uops,
+            workload_name=wl.name,
+            trace=trace,
+        )
+        result = simulator.run()
         if args.format == "json":
             payload = {
-                "config": args.configs if args.configs else args.config,
-                "configs": config_names,
+                "config": args.config,
                 "workload": args.workload,
                 "max_uops": args.max_uops,
                 "warmup_uops": args.warmup_uops,
                 "mode": args.mode,
-                # The backend the run actually used (the simulator resolves the
-                # env switches at construction; _soa_batch also folds in numpy
-                # availability), so dashboards can split regressions by backend.
-                "backend": "soa" if planes[0]._soa else "object",
-                "soa_batch": bool(planes[0]._soa_batch),
-                # Replay shape, same dashboard-attribution role as backend:
-                # "multi" = one single-pass MultiSimulator over replay_width
-                # config planes, "serial" = the classic one-config profile.
-                "replay_mode": "multi" if args.configs else "serial",
-                "replay_width": len(configs),
-                "ipc": {
-                    name: result.ipc for name, result in zip(config_names, results)
-                }
-                if args.configs
-                else results[0].ipc,
-                "stages": {
-                    stage: {
-                        "seconds": stage_seconds[stage],
-                        "calls": stage_calls[stage],
-                        "share": stage_seconds[stage] / total if total else 0.0,
-                    }
-                    for stage in StageTimedSimulator.STAGES
-                },
-                "total_seconds": total,
+                "ipc": result.ipc,
+                **simulator.report_dict(),
             }
             print(json.dumps(payload, indent=2, sort_keys=True))
         else:
-            if args.configs:
-                lines = [
-                    f"per-stage cumulative wall clock across {len(planes)} "
-                    "multi-replay planes (instrumented):"
-                ]
-                for stage in StageTimedSimulator.STAGES:
-                    share = 100.0 * stage_seconds[stage] / total if total else 0.0
-                    lines.append(
-                        f"  {stage:12s} {stage_seconds[stage]:8.4f}s  {share:5.1f}%  "
-                        f"({stage_calls[stage]} calls)"
-                    )
-                lines.append(f"  {'total':12s} {total:8.4f}s")
-                print("\n".join(lines))
-            else:
-                print(planes[0].report())
-            for result in results:
-                print(result.summary())
+            print(simulator.report())
+            print(result.summary())
         return 0
 
     profiler = cProfile.Profile()
     profiler.enable()
     if args.include_capture:
         shared_trace_cache.clear()
-        trace = acquire_trace()
-    if args.configs:
-        _, results = run_multi(Simulator)
-    else:
-        results = [
-            simulate(
-                configs[0],
-                wl.program,
-                max_uops=args.max_uops,
-                warmup_uops=args.warmup_uops,
-                workload_name=wl.name,
-                trace=trace,
-            )
-        ]
+        trace = shared_trace_cache.trace_for(wl, args.max_uops, config)
+    result = simulate(
+        config,
+        wl.program,
+        max_uops=args.max_uops,
+        warmup_uops=args.warmup_uops,
+        workload_name=wl.name,
+        trace=trace,
+    )
     profiler.disable()
 
     stats = pstats.Stats(profiler)
     if args.dump:
         stats.dump_stats(args.dump)
     stats.sort_stats(args.sort).print_stats(args.limit)
-    for result in results:
-        print(result.summary())
+    print(result.summary())
     return 0
 
 

@@ -25,11 +25,10 @@ import os
 import time
 from collections.abc import Iterable
 
-from repro.campaign.executor import run_campaign, simulate_cell, simulate_cells
+from repro.campaign.executor import run_campaign, simulate_cell
 from repro.campaign.spec import Campaign, CampaignCell
 from repro.campaign.store import ResultStore, default_store
 from repro.pipeline.config import PipelineConfig
-from repro.pipeline.multi_replay import multi_replay_enabled
 from repro.pipeline.stats import SimulationResult
 from repro.workloads.suite import SUITE_ORDER, Workload, all_workloads, workload
 
@@ -220,11 +219,7 @@ def run_grid(
         )
         return outcome.by_config()
     # Ad-hoc workload objects outside the registered suite cannot cross a process
-    # boundary by name — simulate them serially through the single-cell primitive,
-    # or (REPRO_MULTI_REPLAY=1) collapse each workload's config row into one
-    # multi-replay pass.
-    if multi_replay_enabled() and len(configs) > 1:
-        return _run_grid_multi(configs, selected, max_uops, warmup_uops, cache, store)
+    # boundary by name — simulate them serially through the single-cell primitive.
     return {
         config.name: {
             wl.name: run_workload(config, wl, max_uops, warmup_uops, cache, store)
@@ -232,62 +227,6 @@ def run_grid(
         }
         for config in configs
     }
-
-
-def _run_grid_multi(
-    configs: list[PipelineConfig],
-    selected: list[Workload],
-    max_uops: int,
-    warmup_uops: int,
-    cache: ResultCache | None,
-    store: ResultStore | None,
-) -> dict[str, dict[str, SimulationResult]]:
-    """The ad-hoc grid with each workload's config row as one multi-replay pass.
-
-    Same cache → store → simulate ladder as :func:`run_workload`, applied per
-    cell; only the cells that actually reach simulation share a pass (results
-    are byte-identical either way, so a partially cached row stays consistent).
-    """
-    store = store if store is not None else default_store()
-    results: dict[str, dict[str, SimulationResult]] = {
-        config.name: {} for config in configs
-    }
-    for wl in selected:
-        misses: list[tuple[PipelineConfig, CampaignCell]] = []
-        for config in configs:
-            cell = CampaignCell(
-                config=config,
-                workload_name=wl.name,
-                max_uops=max_uops,
-                warmup_uops=warmup_uops,
-            )
-            if cache is not None:
-                cached = cache.get(cell.key)
-                if cached is not None:
-                    results[config.name][wl.name] = cached
-                    continue
-            if store is not None:
-                stored = store.get(cell.fingerprint)
-                if stored is not None:
-                    if cache is not None:
-                        cache.put(cell.key, stored)
-                    results[config.name][wl.name] = stored
-                    continue
-            misses.append((config, cell))
-        if not misses:
-            continue
-        row = (
-            simulate_cells([cell for _, cell in misses], wl)
-            if len(misses) > 1
-            else [simulate_cell(misses[0][1], wl)]
-        )
-        for (config, cell), result in zip(misses, row):
-            if store is not None:
-                store.put(cell, result)
-            if cache is not None:
-                cache.put(cell.key, result)
-            results[config.name][wl.name] = result
-    return results
 
 
 def run_suite(

@@ -41,7 +41,6 @@ from repro.campaign.executor import (
     failure_payload,
     run_campaign,
     simulate_cell,
-    simulate_cells,
 )
 from repro.campaign.progress import ProgressReporter, format_duration
 from repro.campaign.spec import (
@@ -77,6 +76,5 @@ __all__ = [
     "run_campaign",
     "serve",
     "simulate_cell",
-    "simulate_cells",
     "work_loop",
 ]

@@ -60,12 +60,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.campaign.executor import (
-    _replay_groups,
-    _simulate_cell_group,
-    _simulate_one_entry,
-    failure_payload,
-)
+from repro.campaign.executor import _simulate_one_entry, failure_payload
 from repro.faults import active_faults
 from repro.faults.sites import (
     COORD_CLAIM_DELAY,
@@ -76,7 +71,6 @@ from repro.faults.sites import (
     WORKER_DIE_BEFORE_COMPLETE,
     WORKER_DIE_MID_LEASE,
 )
-from repro.pipeline.multi_replay import multi_replay_enabled
 from repro.campaign.progress import ProgressReporter
 from repro.campaign.spec import Campaign, CampaignCell
 from repro.campaign.store import ResultStore
@@ -580,26 +574,8 @@ def process_lease(
         # service's traces/ dir — publishes it for the rest of the fleet.  Each
         # finished cell is appended to the shared store straight away, so a
         # worker dying mid-lease loses only its in-flight cell.
-        if multi_replay_enabled() and len(todo) > 1:
-            for group in _replay_groups(todo):
-                try:
-                    for cell, result, seconds, telemetry in _simulate_cell_group(group):
-                        land(
-                            cell,
-                            {
-                                "fingerprint": cell.fingerprint,
-                                "result": result.to_dict(),
-                                "seconds": seconds,
-                                "telemetry": telemetry,
-                            },
-                        )
-                except Exception:  # noqa: BLE001 — retry the group cell by cell
-                    for cell in group:
-                        if cell.fingerprint not in store:
-                            land(cell, _simulate_one_entry(cell))
-        else:
-            for cell in todo:
-                land(cell, _simulate_one_entry(cell))
+        for cell in todo:
+            land(cell, _simulate_one_entry(cell))
     except Exception as error:  # noqa: BLE001 — lease-level failure, requeued below
         first_error = failure_payload(error, worker=worker_id, attempts=lease.attempts)
     finally:

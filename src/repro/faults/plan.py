@@ -30,7 +30,7 @@ fleet worker parses its own ``REPRO_FAULTS`` and counts its own hits).
 
 With ``REPRO_FAULTS`` unset, :func:`active_faults` returns ``None`` and every hook
 site reduces to one global read plus a ``None`` check — the same zero-overhead
-kill-switch discipline as ``REPRO_EVENT_DRIVEN``/``REPRO_SOA``.
+kill-switch discipline as ``REPRO_EVENT_DRIVEN``/``REPRO_WAKEUP_LISTS``.
 """
 
 from __future__ import annotations

@@ -176,12 +176,8 @@ def unified_metrics(sim) -> dict:
         out["lsq.peak_sq_occupancy"] = lsq.peak_sq_occupancy
     pool = getattr(sim, "pool", None)
     if pool is not None:
-        # Structure occupancy of the in-flight record pool.  For the columnar
-        # (SoA) pool the working-set size is read off a column — every slot owns
-        # one element per column, so ``len(c_seq)`` *is* the arena size; the
-        # object-record pool reports the same number via ``allocated``.
-        columns = getattr(pool, "c_seq", None)
-        out["pool.allocated"] = len(columns) if columns is not None else pool.allocated
+        # Structure occupancy of the in-flight record pool.
+        out["pool.allocated"] = pool.allocated
         out["pool.free"] = pool.free_count
         out["pool.deferred"] = pool.deferred_count
     return out

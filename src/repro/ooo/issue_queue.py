@@ -49,14 +49,6 @@ class IssueQueue:
         #: covered the whole queue, i.e. when the issue width was *not* exhausted —
         #: the simulator only consults it in exactly those cases.
         self.next_immature_cycle: int | None = None
-        #: SoA column access (repro.ooo.inflight.ColumnarInflightOpPool): the
-        #: simulator binds its pool so squash filtering can test the flag column
-        #: instead of one property call per entry.  None under the object backend.
-        self._pool = None
-
-    def bind_pool(self, pool) -> None:
-        """Attach the simulator's record pool; columnar pools enable SoA paths."""
-        self._pool = pool if hasattr(pool, "c_flags") else None
 
     # ------------------------------------------------------------------ capacity
     def __len__(self) -> int:
@@ -93,21 +85,12 @@ class IssueQueue:
 
     def remove_squashed(self) -> None:
         """Drop entries that have been squashed by a pipeline flush."""
-        pool = self._pool
         kept = []
-        if pool is not None:
-            c_flags = pool.c_flags
-            for op in self._entries:
-                if c_flags[op.slot] & 64:  # squashed
-                    self._release_waiters(op)
-                else:
-                    kept.append(op)
-        else:
-            for op in self._entries:
-                if op.squashed:
-                    self._release_waiters(op)
-                else:
-                    kept.append(op)
+        for op in self._entries:
+            if op.squashed:
+                self._release_waiters(op)
+            else:
+                kept.append(op)
         self._entries = kept
 
     # ------------------------------------------------------------------ select
@@ -412,33 +395,6 @@ class WakeupIssueQueue(IssueQueue):
 
     def remove_squashed(self) -> None:
         members = self._members
-        pool = self._pool
-        if pool is not None:
-            c_flags = pool.c_flags
-            c_wake_gen = pool.c_wake_gen
-            squashed = [op for op in members.values() if c_flags[op.slot] & 64]
-            if not squashed:
-                return
-            for op in squashed:
-                del members[op.seq]
-            self._ready = [
-                pair for pair in self._ready if not c_flags[pair[1].slot] & 64
-            ]
-            buckets = self._wake_buckets
-            if buckets:
-                for ready_at in list(buckets):
-                    kept = [
-                        entry
-                        for entry in buckets[ready_at]
-                        if c_wake_gen[entry[0].slot] == entry[1]
-                        and not c_flags[entry[0].slot] & 64
-                    ]
-                    if kept:
-                        buckets[ready_at] = kept
-                    else:
-                        del buckets[ready_at]
-                self._wake_min = min(buckets) if buckets else _NEVER
-            return
         squashed = [op for op in members.values() if op.squashed]
         if not squashed:
             return

@@ -18,15 +18,12 @@ from repro.pipeline.config import (
     named_config,
     ole_4_64,
 )
-from repro.pipeline.multi_replay import MultiSimulator, PlaneSpec
 from repro.pipeline.simulator import Simulator, simulate
 from repro.pipeline.stats import SimStats, SimulationResult
 
 __all__ = [
-    "MultiSimulator",
     "NAMED_CONFIGS",
     "PipelineConfig",
-    "PlaneSpec",
     "SimStats",
     "SimulationResult",
     "Simulator",

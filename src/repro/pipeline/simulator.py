@@ -59,14 +59,7 @@ from repro.mem.hierarchy import MemoryHierarchy
 from repro.obs.metrics import drain_simulator_metrics, maybe_sim_metrics
 from repro.obs.tracer import maybe_tracer
 from repro.ooo.functional_units import FunctionalUnitPool
-from repro.ooo.inflight import (
-    ColumnarInflightOpPool,
-    InflightOp,
-    InflightOpPool,
-    UNKNOWN_CYCLE,
-    soa_batch_enabled,
-    soa_enabled,
-)
+from repro.ooo.inflight import InflightOp, InflightOpPool, UNKNOWN_CYCLE
 from repro.ooo.issue_queue import (
     _NEVER as _SHARED_NEVER,
     WAKEUP_ENV_VAR,
@@ -75,11 +68,6 @@ from repro.ooo.issue_queue import (
     wakeup_lists_enabled,
 )
 from repro.ooo.lsq import LoadStoreQueue
-from repro.ooo.soa_batch import (
-    DRAIN_MIN_BATCH,
-    batch_available,
-    drain_completions_batch,
-)
 from repro.ooo.registers import BankedRegisterFile, PRFPortBudget
 from repro.ooo.rob import ReorderBuffer
 from repro.ooo.store_sets import StoreSets
@@ -225,23 +213,10 @@ class Simulator:
         self._fetch_resume_cycle = 0
         self._fetch_blocked_on: InflightOp | None = None
         self._finished = False
-        self._deadlock_limit = (
-            max_uops * self._DEADLOCK_CYCLES_PER_UOP + self._DEADLOCK_SLACK_CYCLES
-        )
 
         # Pooled µ-op records: fetch acquires, retire/squash give back (retire goes
         # through a barrier — younger IQ entries keep reading their producers).
-        # Structure-of-arrays backend (REPRO_SOA=1, opt-in): the timing/flag
-        # state lives in the pool's parallel columns and the ``_soa`` stage
-        # variants below read/write those columns directly, byte-identical to
-        # the default object-record loops.  ``REPRO_SOA_BATCH=1`` additionally
-        # opts into the numpy batch kernels of :mod:`repro.ooo.soa_batch`
-        # (gracefully ignored when numpy is unavailable).
-        self._soa = soa_enabled()
-        self.pool = ColumnarInflightOpPool() if self._soa else InflightOpPool()
-        self._soa_batch = self._soa and soa_batch_enabled() and batch_available()
-        if self._soa:
-            self.iq.bind_pool(self.pool)
+        self.pool = InflightOpPool()
         self._last_dispatched_seq = -1
 
         # Event-driven scheduling state.  ``_dispatch_stall_reason`` is non-None
@@ -275,6 +250,9 @@ class Simulator:
     # ================================================================== public API
     def run(self) -> SimulationResult:
         """Run the simulation to completion and return its result."""
+        deadlock_limit = (
+            self.max_uops * self._DEADLOCK_CYCLES_PER_UOP + self._DEADLOCK_SLACK_CYCLES
+        )
         # The simulation allocates no reference cycles on its hot paths (records are
         # pooled, prediction/outcome objects are acyclic), so the generational
         # collector's periodic heap walks are pure overhead while it runs.
@@ -282,45 +260,16 @@ class Simulator:
         if gc_was_enabled:
             gc.disable()
         try:
-            self.advance()
+            if self._event_driven:
+                self._run_event_driven(deadlock_limit)
+            else:
+                while not self._finished:
+                    self._step()
+                    if self.cycle > deadlock_limit:
+                        self._raise_deadlock(deadlock_limit)
         finally:
             if gc_was_enabled:
                 gc.enable()
-        return self._build_result()
-
-    def advance(self, stop_cycle: int | None = None) -> bool:
-        """Advance until finished or ``self.cycle >= stop_cycle``; True when done.
-
-        The resumable entry point under the multi-config replay engine
-        (:mod:`repro.pipeline.multi_replay`): every piece of loop state lives on
-        ``self`` and the fused event loops re-hoist their locals on entry, so a
-        sequence of bounded calls walks exactly the state sequence one unbounded
-        call would.  A call may overshoot ``stop_cycle`` by a skipped dead span
-        (the scheduler jumps straight to the next event) — callers that interleave
-        planes must read back ``self.cycle`` rather than assume the bound.
-        Garbage-collection policy belongs to the caller: :meth:`run` disables the
-        collector around a full run, ``MultiSimulator`` once around all planes.
-        """
-        deadlock_limit = self._deadlock_limit
-        # The loops raise before the cycle counter can pass deadlock_limit + 1,
-        # so that horizon doubles as the "no stop" bound.
-        stop = deadlock_limit + 2 if stop_cycle is None else stop_cycle
-        if self._event_driven:
-            if self._soa:
-                self._run_event_driven_soa(deadlock_limit, stop)
-            else:
-                self._run_event_driven(deadlock_limit, stop)
-        else:
-            while not self._finished and self.cycle < stop:
-                self._step()
-                if self.cycle > deadlock_limit:
-                    self._raise_deadlock(deadlock_limit)
-        return self._finished
-
-    def result(self) -> SimulationResult:
-        """The finished run's result (requires :meth:`advance` to have returned True)."""
-        if not self._finished:
-            raise SimulationError("simulation still in flight: advance() it to completion")
         return self._build_result()
 
     def _raise_deadlock(self, deadlock_limit: int) -> None:
@@ -329,13 +278,8 @@ class Simulator:
             f"({self.stats.committed_uops} µ-ops committed): likely deadlock"
         )
 
-    def _run_event_driven(self, deadlock_limit: int, stop: int) -> None:
+    def _run_event_driven(self, deadlock_limit: int) -> None:
         """The event-wheel main loop: step on event cycles, jump over dead spans.
-
-        ``stop`` bounds the walk for resumable multi-plane interleaving
-        (:meth:`advance`); an unbounded run passes the never-reached
-        ``deadlock_limit + 2``, so the extra loop-condition comparison is the
-        entire cost of resumability.
 
         Invariant: a skipped cycle is one where the cycle-stepping loop would only
         have incremented ``stats.cycles`` (and, when dispatch is parked on a
@@ -365,7 +309,7 @@ class Simulator:
         issue = self._issue
         dispatch = self._dispatch
         fetch = self._fetch
-        while not self._finished and self.cycle < stop:
+        while not self._finished:
             # ---- one stepped cycle (the _step reference, guards inlined) ----
             cycle = self.cycle + 1
             self.cycle = cycle
@@ -453,120 +397,6 @@ class Simulator:
             if nxt > deadlock_limit + 1:
                 # No event before the deadlock horizon: step once at the horizon so
                 # the reference loop's failure mode (and cycle accounting) is kept.
-                nxt = deadlock_limit + 1
-            gap = nxt - cycle - 1
-            if gap > 0:
-                self._skip_dead_cycles(gap)
-
-    def _run_event_driven_soa(self, deadlock_limit: int, stop: int) -> None:
-        """:meth:`_run_event_driven` over the SoA columns.
-
-        Same fused body; the per-cycle reads of the ROB head's executed flag and
-        completion deadline and of the front-end head's dispatch maturity come
-        straight from the pool's ``c_flags``/``c_complete``/``c_disp_ready``
-        columns instead of going through the slot-view properties, and the stage
-        calls bind the ``_soa`` variants directly.
-        """
-        stats = self.stats
-        completions = self._completions
-        frontend = self._frontend
-        replay = self._replay
-        rob_entries = self.rob._entries
-        commit_extra = self._commit_extra
-        frontend_capacity = self.config.frontend_capacity
-        never = self._NEVER
-        pool = self.pool
-        c_flags = pool.c_flags
-        c_complete = pool.c_complete
-        c_disp_ready = pool.c_disp_ready
-        process_completions = self._process_completions_soa
-        commit = self._commit_soa
-        issue = self._issue_wakeup_soa if self._wakeup else self._issue
-        dispatch = self._dispatch_soa
-        fetch = self._fetch_soa
-        while not self._finished and self.cycle < stop:
-            # ---- one stepped cycle (the _step reference, guards inlined) ----
-            cycle = self.cycle + 1
-            self.cycle = cycle
-            stats.cycles += 1
-            if completions and cycle in completions:
-                process_completions()
-            if not self._finished:
-                if rob_entries:
-                    slot = rob_entries[0].slot
-                    if c_flags[slot] & 32 and cycle >= c_complete[slot] + commit_extra:
-                        commit()
-                if not self._finished:
-                    if cycle >= self._iq_scan_from:
-                        issue()
-                    if frontend and c_disp_ready[frontend[0].slot] <= cycle:
-                        dispatch()
-                    else:
-                        self._previous_dispatch_group = []
-                        self._dispatch_stall_reason = None
-                    if (
-                        self._fetch_blocked_on is None
-                        and cycle >= self._fetch_resume_cycle
-                        and len(frontend) < frontend_capacity
-                    ):
-                        fetch()
-                    if (
-                        self._trace_exhausted
-                        and not replay
-                        and not frontend
-                        and not rob_entries
-                    ):
-                        self._finished = True
-            if cycle > deadlock_limit:
-                self._raise_deadlock(deadlock_limit)
-            if self._finished:
-                break
-            # ---- event scheduling (the _next_event_cycle reference, inlined) ----
-            if frontend:
-                if (
-                    c_disp_ready[frontend[0].slot] <= cycle
-                    and self._dispatch_stall_reason is None
-                ):
-                    continue
-            elif (
-                self._fetch_blocked_on is None
-                and self._fetch_resume_cycle <= cycle
-                and (replay or not self._trace_exhausted)
-            ):
-                continue
-            nxt = never
-            if completions:
-                nxt = min(completions)
-            if rob_entries:
-                slot = rob_entries[0].slot
-                if c_flags[slot] & 32:
-                    ready = c_complete[slot] + commit_extra
-                    candidate = ready if ready > cycle else cycle + 1
-                    if candidate < nxt:
-                        nxt = candidate
-            scan = self._iq_scan_from
-            if scan != never:
-                candidate = scan if scan > cycle else cycle + 1
-                if candidate < nxt:
-                    nxt = candidate
-            if frontend:
-                ready = c_disp_ready[frontend[0].slot]
-                if ready > cycle:
-                    if ready < nxt:
-                        nxt = ready
-                elif self._dispatch_stall_reason is None:
-                    if cycle + 1 < nxt:
-                        nxt = cycle + 1
-            if (
-                self._fetch_blocked_on is None
-                and (replay or not self._trace_exhausted)
-                and len(frontend) < frontend_capacity
-            ):
-                resume = self._fetch_resume_cycle
-                candidate = resume if resume > cycle else cycle + 1
-                if candidate < nxt:
-                    nxt = candidate
-            if nxt > deadlock_limit + 1:
                 nxt = deadlock_limit + 1
             gap = nxt - cycle - 1
             if gap > 0:
@@ -710,9 +540,6 @@ class Simulator:
 
     # ================================================================== completion
     def _process_completions(self) -> None:
-        if self._soa:
-            self._process_completions_soa()
-            return
         ops = self._completions.pop(self.cycle, None)
         if not ops:
             return
@@ -748,82 +575,6 @@ class Simulator:
                     self.store_sets.train_violation(violator.pc, op.pc)
                     self._squash_from(violator.seq, "memory_order")
 
-    def _process_completions_soa(self) -> None:
-        """:meth:`_process_completions` over the SoA columns.
-
-        The wheel-flag clear and the executed set collapse into single byte
-        stores on the flag columns; with ``REPRO_SOA_BATCH=1`` a store-free,
-        squash-free drain of at least :data:`DRAIN_MIN_BATCH` entries is handed
-        to the numpy kernel instead (which verifies that precondition itself and
-        refuses — mutating nothing — otherwise).  The kernel path is gated on
-        the tracer being off: per-op completion events need the scalar loop.
-        """
-        cycle = self.cycle
-        ops = self._completions.pop(cycle, None)
-        if not ops:
-            return
-        pool = self.pool
-        c_flags = pool.c_flags
-        c_flags2 = pool.c_flags2
-        c_iq_waiters = pool.c_iq_waiters
-        c_hot = pool.c_hot
-        rearm = not self._wakeup
-        tracer = self.tracer
-        if (
-            self._soa_batch
-            and tracer is None
-            and len(ops) >= DRAIN_MIN_BATCH
-            and drain_completions_batch(pool, ops)
-        ):
-            # The kernel handled the flag updates; the remaining per-op effects
-            # are the issue-scan re-arm (scan mode, first op with IQ waiters —
-            # idempotent, so one hit suffices) and the fetch unblock.  Stores
-            # and squashed entries are impossible here by the kernel's own
-            # precondition check.
-            if rearm and cycle < self._iq_scan_from:
-                for op in ops:
-                    if c_iq_waiters[op.slot]:
-                        self._iq_scan_from = cycle
-                        break
-            blocked = self._fetch_blocked_on
-            if blocked is not None:
-                for op in ops:
-                    if op is blocked:
-                        self._resume_fetch_after_resolution()
-                        break
-            return
-        c_seq = pool.c_seq
-        c_pc = pool.c_pc
-        pool_free = pool._free
-        store_sets = self.store_sets
-        lsq = self.lsq
-        stats = self.stats
-        for op in ops:
-            slot = op.slot
-            c_flags2[slot] &= 0xFD  # clear in_completion_wheel
-            flags = c_flags[slot]
-            if rearm and c_iq_waiters[slot] and not flags & 64 and cycle < self._iq_scan_from:
-                self._iq_scan_from = cycle
-            if flags & 64:  # squashed: the stale wheel entry was the last reference
-                if tracer is not None:
-                    tracer.emit_slot(
-                        cycle, "complete", c_seq[slot], c_pc[slot], slot, "squashed"
-                    )
-                pool_free.append(slot)
-                continue
-            c_flags[slot] = flags | 32  # executed
-            if tracer is not None:
-                tracer.emit_slot(cycle, "complete", c_seq[slot], c_pc[slot], slot)
-            if op is self._fetch_blocked_on:
-                self._resume_fetch_after_resolution()
-            if c_hot[slot] & 8:  # store
-                store_sets.store_executed(op)
-                violator = lsq.detect_violation(op)
-                if violator is not None:
-                    stats.memory_order_violations += 1
-                    store_sets.train_violation(violator.pc, op.pc)
-                    self._squash_from(violator.seq, "memory_order")
-
     def _resume_fetch_after_resolution(self) -> None:
         self._fetch_blocked_on = None
         self._fetch_resume_cycle = max(
@@ -852,9 +603,6 @@ class Simulator:
         compares the fetched prediction against the architectural result), so
         deciding before training is equivalent.
         """
-        if self._soa:
-            self._commit_soa()
-            return
         committed = 0
         late_alus_used = 0
         cycle = self.cycle
@@ -1002,178 +750,6 @@ class Simulator:
         if squash_seq >= 0:
             self._squash_from(squash_seq, "value_mispred")
 
-    def _commit_soa(self) -> None:
-        """:meth:`_commit` over the SoA columns.
-
-        The per-µ-op status flags are read with a single ``c_flags`` load and
-        bit-tested (executed / late / early / pred-used / load-forwarded), and
-        the deferred commit-group training is accumulated as parallel columns
-        handed to ``train_commit_group_columns`` (``batch=`` forwards the
-        ``REPRO_SOA_BATCH`` opt-in so the hybrid predictor may tally outcomes
-        with one numpy reduction).  Same deferral-safety argument as the
-        reference: per-item training order is the commit order and the batch is
-        flushed before any value-misprediction squash runs predictor recovery.
-        """
-        committed = 0
-        late_alus_used = 0
-        cycle = self.cycle
-        commit_extra = self._commit_extra
-        late_alu_limit = self.late_block.config.alus
-        commit_width = self.config.commit_width
-        levt_limited = self._levt_ports_limited
-        rob_entries = self.rob._entries
-        stats = self.stats
-        predictor = self.predictor
-        rename_map = self._rename_map
-        prf = self.prf
-        lsq = self.lsq
-        pool = self.pool
-        pool_deferred = pool._deferred
-        c_flags = pool.c_flags
-        c_complete = pool.c_complete
-        c_commit = pool.c_commit
-        c_dest_bank = pool.c_dest_bank
-        hierarchy_store = self.hierarchy.store
-        store_sets = self.store_sets
-        last_dispatched = self._last_dispatched_seq
-        tracer = self.tracer
-        vp_pcs: list[int] = []
-        vp_actuals: list[int] = []
-        vp_predictions: list = []
-        bpu_pcs: list[int] = []
-        bpu_outcomes: list = []
-        squash_seq = -1
-        while committed < commit_width:
-            if not rob_entries:
-                break
-            op = rob_entries[0]
-            slot = op.slot
-            flags = c_flags[slot]
-            if not flags & 32:  # executed
-                break
-            if cycle < c_complete[slot] + commit_extra:
-                break
-            late_executed = flags & 4
-            if late_executed and late_alus_used >= late_alu_limit:
-                stats.late_alu_stalls += 1
-                break
-            if levt_limited:
-                banks = self.late_block.levt_read_banks(op)
-                if not prf.try_levt_reads(banks, cycle):
-                    stats.levt_port_stalls += 1
-                    break
-
-            # The µ-op retires this cycle (inlined _retire).
-            rob_entries.popleft()
-            c_commit[slot] = cycle
-            committed += 1
-            if late_executed:
-                late_alus_used += 1
-            uop = op.uop
-            dyn = op.dyn
-            kind = uop.hot_mask
-            stats.committed_uops += 1
-            if kind & 1:  # branch
-                stats.committed_branches += 1
-                if kind & 2:
-                    stats.committed_cond_branches += 1
-            if kind & 4:  # load
-                stats.committed_loads += 1
-                if flags & 128:  # load_forwarded
-                    stats.forwarded_loads += 1
-            elif kind & 8:  # store
-                stats.committed_stores += 1
-                if dyn.addr is not None:
-                    hierarchy_store(dyn.addr, op.pc, cycle)
-                # Scrub any remaining LFST reference before the record is recycled
-                # (observably a no-op: a retired store already has ``issued`` set).
-                store_sets.store_retired(op)
-            if kind & 32:  # vp-eligible
-                stats.committed_vp_eligible += 1
-            if flags & 2:  # early_executed
-                stats.early_executed += 1
-            elif late_executed:
-                if kind & 2:
-                    stats.late_resolved_branches += 1
-                else:
-                    stats.late_executed_alu += 1
-            if flags & 1:  # pred_used
-                stats.predictions_used += 1
-            if tracer is not None:
-                tracer.emit(cycle, "commit", op)
-
-            # Free the rename mapping and the physical register.
-            for dst in uop.dst_regs:
-                if rename_map.get(dst) is op:
-                    del rename_map[dst]
-            if kind & 64:  # has a destination register
-                prf.release(c_dest_bank[slot])
-            if kind & 16:  # memory
-                lsq.remove(op)
-
-            # Branch predictor training (batched) and late branch resolution.
-            if kind & 1:
-                outcome = op.branch_outcome
-                if kind & 2 and outcome is not None:
-                    bpu_pcs.append(op.pc)
-                    bpu_outcomes.append(outcome)
-                    if outcome.mispredicted:
-                        stats.branch_mispredictions += 1
-                        if outcome.high_confidence:
-                            stats.high_confidence_branch_mispredictions += 1
-                    if op is self._fetch_blocked_on:
-                        # A late-resolved (LE/VT) mispredicted branch unblocks
-                        # fetch at commit.
-                        self._resume_fetch_after_resolution()
-                elif outcome is not None and outcome.mispredicted:
-                    stats.branch_mispredictions += 1
-
-            if not self._warmup_done and stats.committed_uops >= self.warmup_uops:
-                self._warmup_snapshot = stats.copy()
-                self._warmup_done = True
-            if stats.committed_uops >= self.max_uops:
-                self._finished = True
-
-            # Park the record for recycling (inlined pool.retire; see _retire).
-            pool_deferred.append((last_dispatched, op))
-            if self._finished:
-                # The reference returns before validating the run's final µ-op;
-                # mirror it (its value-predictor entry is never appended).
-                break
-
-            # Prediction validation (inlined _validate_and_train; training deferred).
-            if predictor is not None and kind & 32 and dyn.result is not None:
-                actual = dyn.result
-                prediction = op.prediction
-                vp_pcs.append(op.pc)
-                vp_actuals.append(actual)
-                vp_predictions.append(prediction)
-                if flags & 1:  # pred_used
-                    value_correct = prediction.value == actual
-                    flags_ok = True
-                    if kind & 128 and dyn.flags_result is not None:
-                        flags_ok = flags_match_for_validation(
-                            dyn.flags_result, approximate_flags(prediction.value)
-                        )
-                        if value_correct and not flags_ok:
-                            stats.flag_only_mispredictions += 1
-                    if not value_correct or not flags_ok:
-                        # Value misprediction: the offending µ-op retires with the
-                        # architectural value, everything younger is squashed and
-                        # re-fetched (Section 3.1: pipeline squash).
-                        stats.value_mispredictions += 1
-                        squash_seq = op.seq + 1
-                        break
-
-        if bpu_pcs:
-            self.bpu.train_commit_group_columns(bpu_pcs, bpu_outcomes)
-        if vp_pcs:
-            predictor.train_commit_group_columns(
-                vp_pcs, vp_actuals, vp_predictions, batch=self._soa_batch
-            )
-        if squash_seq >= 0:
-            self._squash_from(squash_seq, "value_mispred")
-
     def _retire(self, op: InflightOp) -> None:
         """Bookkeeping common to every retiring µ-op.
 
@@ -1302,10 +878,7 @@ class Simulator:
 
     def _issue(self) -> None:
         if self._wakeup:
-            if self._soa:
-                self._issue_wakeup_soa()
-            else:
-                self._issue_wakeup()
+            self._issue_wakeup()
             return
         cycle = self.cycle
         if cycle < self._iq_scan_from:
@@ -1443,171 +1016,6 @@ class Simulator:
         # selection and its _start_execution wake-ups are already reflected).
         self._iq_scan_from = cycle + 1 if ready else iq._wake_min
 
-    def _issue_wakeup_soa(self) -> None:
-        """:meth:`_issue_wakeup` over the SoA columns.
-
-        Identical selection walk; generation/squash gates read the
-        ``c_wake_gen``/``c_flags`` columns, the issued/in-IQ flag transition is
-        one read-modify-write byte store, and the store-set release recomputes
-        waiter readiness from the cycle columns.
-        """
-        cycle = self.cycle
-        if cycle < self._iq_scan_from:
-            return
-        iq = self.iq
-        ready = iq._ready
-        tracer = self.tracer
-        pool = self.pool
-        c_flags = pool.c_flags
-        c_wake_gen = pool.c_wake_gen
-        if iq._wake_min <= cycle:
-            # Inlined WakeupIssueQueue._surface_ripe (kept as the reference).
-            buckets = iq._wake_buckets
-            added = False
-            while buckets:
-                key = iq._wake_min
-                if key > cycle:
-                    break
-                for op, gen in buckets.pop(key):
-                    slot = op.slot
-                    if c_wake_gen[slot] == gen and not c_flags[slot] & 64:
-                        ready.append((op.seq, op))
-                        added = True
-                        if tracer is not None:
-                            tracer.emit(cycle, "wakeup", op, "wheel")
-                iq._wake_min = min(buckets) if buckets else self._NEVER
-            if added:
-                ready.sort()
-        if ready:
-            fu_pool = self.fu_pool
-            try_issue = fu_pool.try_issue
-            members = iq._members
-            c_issue = pool.c_issue
-            c_flags2 = pool.c_flags2
-            c_unknown = pool.c_unknown
-            c_dispatch = pool.c_dispatch
-            c_avail = pool.c_avail
-            d2i = self._d2i
-            width_left = self.config.issue_width
-            selected: list[tuple] = []
-            selected_append = selected.append
-            index = 0
-            while index < len(ready) and width_left:
-                seq, op = ready[index]
-                uop = op.uop
-                if not try_issue(uop.opclass, cycle, uop.latency):
-                    index += 1
-                    continue
-                del ready[index]
-                del members[seq]
-                slot = op.slot
-                # issued set + in_issue_queue clear in one byte store.
-                c_flags[slot] = (c_flags[slot] | 16) & 0xF7
-                c_issue[slot] = cycle
-                selected_append((op, uop, slot))
-                width_left -= 1
-                if uop.is_store:
-                    waiters = op.mem_waiters
-                    if waiters:
-                        # Store-set release: dependent loads (younger, hence later
-                        # in age order) join this very pass, exactly like the
-                        # reference walk observing ``dependence.issued``.
-                        op.mem_waiters = None
-                        for waiter, gen in waiters:
-                            wslot = waiter.slot
-                            if c_wake_gen[wslot] != gen or c_flags[wslot] & 64:
-                                continue
-                            c_flags2[wslot] &= 0xFE  # mem_blocked cleared
-                            if c_unknown[wslot]:
-                                continue
-                            # Inlined WakeupIssueQueue._ready_cycle.
-                            ready_at = c_dispatch[wslot] + d2i
-                            for producer in waiter.producers:
-                                if producer is not None:
-                                    avail = c_avail[producer.slot]
-                                    if avail > ready_at:
-                                        ready_at = avail
-                            if ready_at <= cycle:
-                                insort(ready, (waiter.seq, waiter))
-                                if tracer is not None:
-                                    tracer.emit(cycle, "wakeup", waiter, "store_release")
-                            else:
-                                iq._park(waiter, gen, ready_at)
-            # Execution start inlined per selected µ-op (the reference keeps
-            # :meth:`_start_execution` as a method; one call frame per issued
-            # µ-op is measurable at this loop's temperature).
-            completions = self._completions
-            lsq_forwarding = self.lsq.forwarding_store
-            hierarchy_load = self.hierarchy.load
-            c_complete = pool.c_complete
-            wheel_all = self._wheel_all
-            blocked_on = self._fetch_blocked_on
-            m_wakeup_depth = self._m_wakeup_depth
-            buckets = iq._wake_buckets
-            for op, uop, slot in selected:
-                if tracer is not None:
-                    tracer.emit(cycle, "issue", op)
-                if uop.is_load:
-                    if lsq_forwarding(op) is not None:
-                        c_flags[slot] |= 128  # load_forwarded
-                        complete = cycle + 3  # 1 + forwarding latency (2)
-                    else:
-                        complete = cycle + 1 + hierarchy_load(op.dyn.addr, op.pc, cycle)
-                elif uop.is_store:
-                    complete = cycle + 1
-                else:
-                    complete = cycle + uop.latency
-                c_complete[slot] = complete
-                if not c_flags[slot] & 1:  # pred_used
-                    # Predicted results stay available from dispatch; everything
-                    # else becomes consumable when execution completes.
-                    c_avail[slot] = complete
-                    consumers = op.wake_consumers
-                    if consumers is not None:
-                        # Wake-up lists: O(consumers) resolution of the now-known
-                        # availability (WakeupIssueQueue.producer_available inlined).
-                        op.wake_consumers = None
-                        if m_wakeup_depth is not None:
-                            m_wakeup_depth.record(len(consumers))
-                        for consumer, gen in consumers:
-                            cslot = consumer.slot
-                            if c_wake_gen[cslot] != gen or c_flags[cslot] & 64:
-                                continue
-                            remaining = c_unknown[cslot] - 1
-                            c_unknown[cslot] = remaining
-                            if remaining or c_flags2[cslot] & 1:  # mem_blocked
-                                continue
-                            ready_at = c_dispatch[cslot] + d2i
-                            for producer in consumer.producers:
-                                if producer is not None:
-                                    avail = c_avail[producer.slot]
-                                    if avail > ready_at:
-                                        ready_at = avail
-                            bucket = buckets.get(ready_at)
-                            if bucket is None:
-                                buckets[ready_at] = [(consumer, gen)]
-                                if ready_at < iq._wake_min:
-                                    iq._wake_min = ready_at
-                            else:
-                                bucket.append((consumer, gen))
-                if uop.is_store or wheel_all or op is blocked_on:
-                    c_flags2[slot] |= 2  # in_completion_wheel
-                    wheel_slot = completions.get(complete)
-                    if wheel_slot is None:
-                        completions[complete] = [op]
-                    else:
-                        wheel_slot.append(op)
-                else:
-                    # Wheel diet (wake-up mode): the completion would only have
-                    # set this flag; every reader also checks the commit deadline,
-                    # so setting it at issue is invisible.  The traced event keeps
-                    # the wheel timestamp.
-                    c_flags[slot] |= 32  # executed
-                    if tracer is not None:
-                        tracer.emit(complete, "complete", op)
-        # Exact re-arm, exactly as in the reference fused path.
-        self._iq_scan_from = cycle + 1 if ready else iq._wake_min
-
     def _start_execution(self, op: InflightOp) -> None:
         uop = op.uop
         cycle = self.cycle
@@ -1690,9 +1098,6 @@ class Simulator:
         observable through ROB/LSQ peak-occupancy statistics and the PRF
         round-robin allocation pointer, which rollback does not rewind).
         """
-        if self._soa:
-            self._dispatch_soa()
-            return
         if self._ee_enabled:
             self._dispatch_eole()
             return
@@ -1882,217 +1287,6 @@ class Simulator:
         if wakeup:
             # One exact re-arm per dispatch group: freshly parked entries carry
             # their precise readiness deadline on the wheel.
-            wake_min = iq._wake_min
-            if wake_min < self._iq_scan_from:
-                self._iq_scan_from = wake_min
-        if group and not overshot:
-            self._last_dispatched_seq = group[-1].seq
-        self._previous_dispatch_group = group
-
-    def _dispatch_soa(self) -> None:
-        """:meth:`_dispatch` over the SoA columns (fused non-EE fast path).
-
-        Same fusion and same overshoot asymmetry; the per-µ-op timing/flag
-        writes (dispatch cycle, destination bank, availability, the bypass
-        executed store) and the wake-up insert's producer-availability walk go
-        straight to the pool columns.  The rare paths — IQ-full overshoot and
-        rollback — stay on the property-based reference helpers.
-        """
-        if self._ee_enabled:
-            self._dispatch_eole_soa()
-            return
-        cycle = self.cycle
-        frontend = self._frontend
-        self._dispatch_stall_reason = None
-        pool = self.pool
-        c_disp_ready = pool.c_disp_ready
-        if not frontend or c_disp_ready[frontend[0].slot] > cycle:
-            self._previous_dispatch_group = []
-            return
-        config = self.config
-        rename_width = config.rename_width
-        multi_bank = self._multi_bank
-        rename_map = self._rename_map
-        rob = self.rob
-        lsq = self.lsq
-        prf = self.prf
-        stats = self.stats
-        rob_entries = rob._entries
-        rob_capacity = rob.capacity
-        lsq_loads = lsq._loads
-        lsq_stores = lsq._stores
-        lq_capacity = lsq.lq_capacity
-        sq_capacity = lsq.sq_capacity
-        prf_allocated = prf._allocated
-        late_enabled = self._late_enabled
-        late_block = self.late_block
-        iq = self.iq
-        wakeup = self._wakeup
-        iq_level = iq._members if wakeup else iq._entries
-        iq_capacity = iq.capacity
-        store_sets = self.store_sets
-        d2i = self._d2i
-        scan_wake = cycle + d2i
-        maturity = scan_wake
-        wake_buckets = iq._wake_buckets if wakeup else None
-        unknown_cycle = UNKNOWN_CYCLE
-        tracer = self.tracer
-        c_flags = pool.c_flags
-        c_flags2 = pool.c_flags2
-        c_dispatch = pool.c_dispatch
-        c_complete = pool.c_complete
-        c_avail = pool.c_avail
-        c_dest_bank = pool.c_dest_bank
-        c_wake_gen = pool.c_wake_gen
-        c_unknown = pool.c_unknown
-        c_wait = pool.c_wait
-        c_iq_waiters = pool.c_iq_waiters
-        group: list[InflightOp] = []
-        overshot = False
-        while len(group) < rename_width and frontend:
-            op = frontend[0]
-            slot = op.slot
-            if c_disp_ready[slot] > cycle:
-                break
-            uop = op.uop
-            kind = uop.hot_mask
-            # Structural space checks (identical to the two-phase reference).
-            if len(rob_entries) >= rob_capacity:
-                stats.rob_full_stalls += 1
-                if not group:
-                    self._dispatch_stall_reason = "rob"
-                break
-            if kind & 16 and (  # memory
-                len(lsq_loads) >= lq_capacity
-                if kind & 4
-                else len(lsq_stores) >= sq_capacity
-            ):
-                stats.lsq_full_stalls += 1
-                if not group:
-                    self._dispatch_stall_reason = "lsq"
-                break
-            if kind & 64 and multi_bank and not prf.can_allocate():
-                stats.prf_bank_stalls += 1
-                prf.record_bank_full_stall()
-                if not group:
-                    self._dispatch_stall_reason = "prf"
-                break
-            frontend.popleft()
-            # Rename (unrolled for the dominant 0/1/2-source shapes).
-            sources = uop.src_regs
-            if not sources:
-                producers: tuple[InflightOp | None, ...] = ()
-            elif len(sources) == 1:
-                producers = (rename_map.get(sources[0]),)
-            elif len(sources) == 2:
-                reg_a, reg_b = sources
-                producers = (rename_map.get(reg_a), rename_map.get(reg_b))
-            else:
-                producers = tuple(rename_map.get(reg) for reg in sources)
-            op.producers = producers
-            for dst in uop.dst_regs:
-                rename_map[dst] = op
-            group.append(op)
-            rob_entries.append(op)
-            if kind & 4:  # load
-                lsq_loads.append(op)
-            elif kind & 8:  # store
-                lsq_stores.append(op)
-            if multi_bank:
-                if kind & 64:
-                    c_dest_bank[slot] = prf.next_bank()
-                    prf.allocate()
-                else:
-                    prf.advance_without_allocation()
-            elif kind & 64:
-                prf_allocated[0] += 1
-            c_dispatch[slot] = cycle
-
-            # Classification + IQ insertion (phase D/E, EE impossible here).
-            pred_used = c_flags[slot] & 1
-            if late_enabled and (pred_used or kind & 2):
-                late_block.classify(op)
-            if pred_used:
-                c_avail[slot] = cycle
-                if kind & 64 and not prf.try_ee_write(c_dest_bank[slot], cycle):
-                    stats.ee_write_port_stalls += 1
-            if c_flags[slot] & 4 or kind & 256:  # late_executed / nop
-                c_complete[slot] = cycle
-                c_flags[slot] |= 32  # executed
-                if kind & 4:
-                    op.mem_dependence = store_sets.dependence_for_load(op)
-                elif kind & 8:
-                    store_sets.register_store(op)
-                if tracer is not None:
-                    tracer.emit(cycle, "dispatch", op, "nop" if kind & 256 else "late")
-                    tracer.emit(cycle, "complete", op, "bypass")
-            else:
-                if len(iq_level) >= iq_capacity:
-                    stats.iq_full_stalls += 1
-                    self._record_dispatch_peaks()
-                    group = self._dispatch_overshoot(group)
-                    overshot = True
-                    break
-                dependence = None
-                if kind & 4:
-                    dependence = store_sets.dependence_for_load(op)
-                    op.mem_dependence = dependence
-                elif kind & 8:
-                    store_sets.register_store(op)
-                if wakeup:
-                    # Inlined WakeupIssueQueue.insert (kept as the reference).
-                    c_flags[slot] |= 8  # in_issue_queue
-                    iq_level[op.seq] = op
-                    gen = c_wake_gen[slot]
-                    unknown = 0
-                    ready_at = maturity
-                    for producer in producers:
-                        if producer is None:
-                            continue
-                        avail = c_avail[producer.slot]
-                        if avail == unknown_cycle:
-                            unknown += 1
-                            consumers = producer.wake_consumers
-                            if consumers is None:
-                                producer.wake_consumers = [(op, gen)]
-                            else:
-                                consumers.append((op, gen))
-                        elif avail > ready_at:
-                            ready_at = avail
-                    c_unknown[slot] = unknown
-                    if dependence is not None:
-                        c_flags2[slot] |= 1  # mem_blocked
-                        waiters = dependence.mem_waiters
-                        if waiters is None:
-                            dependence.mem_waiters = [(op, gen)]
-                        else:
-                            waiters.append((op, gen))
-                    else:
-                        c_flags2[slot] &= 0xFE
-                        if not unknown:
-                            bucket = wake_buckets.get(ready_at)
-                            if bucket is None:
-                                wake_buckets[ready_at] = [(op, gen)]
-                                if ready_at < iq._wake_min:
-                                    iq._wake_min = ready_at
-                            else:
-                                bucket.append((op, gen))
-                else:
-                    c_flags[slot] |= 8  # in_issue_queue
-                    c_wait[slot] = 0
-                    iq_level.append(op)
-                    for producer in producers:
-                        if producer is not None:
-                            c_iq_waiters[producer.slot] += 1
-                    if scan_wake < self._iq_scan_from:
-                        self._iq_scan_from = scan_wake
-                stats.dispatched_to_iq += 1
-                if tracer is not None:
-                    tracer.emit(cycle, "dispatch", op, "iq")
-
-        if not overshot:
-            self._record_dispatch_peaks()
-        if wakeup:
             wake_min = iq._wake_min
             if wake_min < self._iq_scan_from:
                 self._iq_scan_from = wake_min
@@ -2382,246 +1576,6 @@ class Simulator:
                 self._iq_scan_from = wake_min
         self._previous_dispatch_group = group
 
-    def _dispatch_eole_soa(self) -> None:
-        """:meth:`_dispatch_eole` over the SoA columns (two-phase, EE barrier).
-
-        The EE planner and the LE classifier write flags through the record
-        properties mid-dispatch (phase C / phase D), so the flag byte is
-        re-read from the column after each of those calls rather than cached
-        across them.  The rollback path stays on the property-based reference.
-        """
-        cycle = self.cycle
-        frontend = self._frontend
-        self._dispatch_stall_reason = None
-        pool = self.pool
-        c_disp_ready = pool.c_disp_ready
-        if not frontend or c_disp_ready[frontend[0].slot] > cycle:
-            self._previous_dispatch_group = []
-            return
-        config = self.config
-        rename_width = config.rename_width
-        multi_bank = config.prf_banks > 1
-        rename_map = self._rename_map
-        rob = self.rob
-        lsq = self.lsq
-        prf = self.prf
-        stats = self.stats
-        rob_entries = rob._entries
-        rob_capacity = rob.capacity
-        lsq_loads = lsq._loads
-        lsq_stores = lsq._stores
-        lq_capacity = lsq.lq_capacity
-        sq_capacity = lsq.sq_capacity
-        prf_allocated = prf._allocated
-        c_flags = pool.c_flags
-        c_flags2 = pool.c_flags2
-        c_dispatch = pool.c_dispatch
-        c_complete = pool.c_complete
-        c_avail = pool.c_avail
-        c_dest_bank = pool.c_dest_bank
-        c_wake_gen = pool.c_wake_gen
-        c_unknown = pool.c_unknown
-        c_wait = pool.c_wait
-        c_iq_waiters = pool.c_iq_waiters
-        group: list[InflightOp] = []
-        # Phase A/B: pull dispatch-ready µ-ops and rename them (see
-        # _dispatch_eole for the intra-group rename-map note).
-        while len(group) < rename_width and frontend:
-            op = frontend[0]
-            slot = op.slot
-            if c_disp_ready[slot] > cycle:
-                break
-            uop = op.uop
-            kind = uop.hot_mask
-            if len(rob_entries) >= rob_capacity:
-                stats.rob_full_stalls += 1
-                if not group:
-                    self._dispatch_stall_reason = "rob"
-                break
-            if kind & 16 and (  # memory
-                len(lsq_loads) >= lq_capacity
-                if kind & 4
-                else len(lsq_stores) >= sq_capacity
-            ):
-                stats.lsq_full_stalls += 1
-                if not group:
-                    self._dispatch_stall_reason = "lsq"
-                break
-            if kind & 64 and multi_bank and not prf.can_allocate():
-                stats.prf_bank_stalls += 1
-                prf.record_bank_full_stall()
-                if not group:
-                    self._dispatch_stall_reason = "prf"
-                break
-            frontend.popleft()
-            # Rename (unrolled for the dominant 0/1/2-source shapes).
-            sources = uop.src_regs
-            if not sources:
-                producers: tuple[InflightOp | None, ...] = ()
-            elif len(sources) == 1:
-                producers = (rename_map.get(sources[0]),)
-            elif len(sources) == 2:
-                reg_a, reg_b = sources
-                producers = (rename_map.get(reg_a), rename_map.get(reg_b))
-            else:
-                producers = tuple(rename_map.get(reg) for reg in sources)
-            op.producers = producers
-            for dst in uop.dst_regs:
-                rename_map[dst] = op
-            group.append(op)
-            rob_entries.append(op)
-            if kind & 4:  # load
-                lsq_loads.append(op)
-            elif kind & 8:  # store
-                lsq_stores.append(op)
-            if multi_bank:
-                if kind & 64:
-                    c_dest_bank[slot] = prf.next_bank()
-                    prf.allocate()
-                else:
-                    prf.advance_without_allocation()
-            elif kind & 64:
-                prf_allocated[0] += 1
-            c_dispatch[slot] = cycle
-
-        # ROB/LSQ peaks, deferred out of the per-µ-op loop (see _dispatch_eole).
-        occupancy = len(rob_entries)
-        if occupancy > rob.peak_occupancy:
-            rob.peak_occupancy = occupancy
-        occupancy = len(lsq_loads)
-        if occupancy > lsq.peak_lq_occupancy:
-            lsq.peak_lq_occupancy = occupancy
-        occupancy = len(lsq_stores)
-        if occupancy > lsq.peak_sq_occupancy:
-            lsq.peak_sq_occupancy = occupancy
-        if not group:
-            self._previous_dispatch_group = []
-            return
-        self._last_dispatched_seq = group[-1].seq
-
-        # Phase C: Early Execution planning (writes flags via the properties).
-        if config.eole.early.enabled:
-            self.early_block.plan(group, self._previous_dispatch_group)
-
-        # Phase D/E: Late-Execution classification, IQ insertion and port
-        # accounting (see _dispatch_eole for the store-set ordering note).
-        late_enabled = config.eole.late.enabled
-        late_block = self.late_block
-        iq = self.iq
-        wakeup = self._wakeup
-        iq_level = iq._members if wakeup else iq._entries
-        iq_capacity = iq.capacity
-        store_sets = self.store_sets
-        d2i = self._d2i
-        maturity = cycle + d2i
-        wake_buckets = iq._wake_buckets if wakeup else None
-        unknown_cycle = UNKNOWN_CYCLE
-        tracer = self.tracer
-        for op in group:
-            slot = op.slot
-            uop = op.uop
-            kind = uop.hot_mask
-            flags = c_flags[slot]
-            pred_used = flags & 1
-            if late_enabled and (pred_used or kind & 2):
-                late_block.classify(op)
-                flags = c_flags[slot]  # classify may set late_executed
-            if pred_used or flags & 2:  # pred_used / early_executed
-                c_avail[slot] = cycle
-                if kind & 64 and not prf.try_ee_write(c_dest_bank[slot], cycle):
-                    stats.ee_write_port_stalls += 1
-            if flags & 2 or flags & 4 or kind & 256:  # early / late / nop
-                c_complete[slot] = c_dispatch[slot]
-                c_flags[slot] = flags | 32  # executed
-                if kind & 4:
-                    op.mem_dependence = store_sets.dependence_for_load(op)
-                elif kind & 8:
-                    store_sets.register_store(op)
-                if tracer is not None:
-                    if flags & 2:
-                        tracer.emit(cycle, "early_exec", op)
-                        cause = "early"
-                    else:
-                        cause = "nop" if kind & 256 else "late"
-                    tracer.emit(cycle, "dispatch", op, cause)
-                    tracer.emit(cycle, "complete", op, "bypass")
-            else:
-                if len(iq_level) >= iq_capacity:
-                    stats.iq_full_stalls += 1
-                    self._rollback_undispatched(group, group.index(op))
-                    group = group[: group.index(op)]
-                    break
-                dependence = None
-                if kind & 4:
-                    dependence = store_sets.dependence_for_load(op)
-                    op.mem_dependence = dependence
-                elif kind & 8:
-                    store_sets.register_store(op)
-                if wakeup:
-                    # Inlined WakeupIssueQueue.insert (kept as the reference);
-                    # unlike the fused path, insert() owns the IQ peak here.
-                    c_flags[slot] = flags | 8  # in_issue_queue
-                    iq_level[op.seq] = op
-                    if len(iq_level) > iq.peak_occupancy:
-                        iq.peak_occupancy = len(iq_level)
-                    gen = c_wake_gen[slot]
-                    unknown = 0
-                    ready_at = maturity
-                    for producer in op.producers:
-                        if producer is None:
-                            continue
-                        avail = c_avail[producer.slot]
-                        if avail == unknown_cycle:
-                            unknown += 1
-                            consumers = producer.wake_consumers
-                            if consumers is None:
-                                producer.wake_consumers = [(op, gen)]
-                            else:
-                                consumers.append((op, gen))
-                        elif avail > ready_at:
-                            ready_at = avail
-                    c_unknown[slot] = unknown
-                    if dependence is not None:
-                        c_flags2[slot] |= 1  # mem_blocked
-                        waiters = dependence.mem_waiters
-                        if waiters is None:
-                            dependence.mem_waiters = [(op, gen)]
-                        else:
-                            waiters.append((op, gen))
-                    else:
-                        c_flags2[slot] &= 0xFE
-                        if not unknown:
-                            bucket = wake_buckets.get(ready_at)
-                            if bucket is None:
-                                wake_buckets[ready_at] = [(op, gen)]
-                                if ready_at < iq._wake_min:
-                                    iq._wake_min = ready_at
-                            else:
-                                bucket.append((op, gen))
-                else:
-                    c_flags[slot] = flags | 8  # in_issue_queue
-                    c_wait[slot] = 0
-                    iq_level.append(op)
-                    if len(iq_level) > iq.peak_occupancy:
-                        iq.peak_occupancy = len(iq_level)
-                    for producer in op.producers:
-                        if producer is not None:
-                            c_iq_waiters[producer.slot] += 1
-                    if maturity < self._iq_scan_from:
-                        self._iq_scan_from = maturity
-                stats.dispatched_to_iq += 1
-                if tracer is not None:
-                    tracer.emit(cycle, "dispatch", op, "iq")
-
-        if self._m_iq_occupancy is not None:
-            self._m_iq_occupancy.record(len(iq_level))
-        if wakeup:
-            # One exact re-arm per dispatch group (see _dispatch).
-            wake_min = iq._wake_min
-            if wake_min < self._iq_scan_from:
-                self._iq_scan_from = wake_min
-        self._previous_dispatch_group = group
-
     def _structural_space_for_op(self, op: InflightOp) -> str | None:
         if not self.rob.has_space():
             return "rob"
@@ -2693,9 +1647,6 @@ class Simulator:
         self._replay.appendleft(dyn)
 
     def _fetch(self) -> None:
-        if self._soa:
-            self._fetch_soa()
-            return
         config = self.config
         # Recycle retired records whose barrier has drained — fetch is the only
         # acquisition site, so promoting here guarantees no reader between a
@@ -2852,184 +1803,6 @@ class Simulator:
                         tracer.emit(cycle, "vp_lookup", op, "low_confidence")
                     else:
                         tracer.emit(cycle, "vp_lookup", op, "miss")
-            if stop_fetching:
-                break
-        if fetched:
-            stats.fetched_uops += fetched
-
-    def _fetch_soa(self) -> None:
-        """:meth:`_fetch` over the SoA columns.
-
-        The recycle block mirrors :meth:`ColumnarInflightOp._init` field for
-        field (the object-valued slots stay record writes, the timing/flag state
-        becomes column stores — one byte store replaces the reference's eight
-        boolean resets); tracer events are sourced from the seq/pc columns.
-        """
-        config = self.config
-        pool = self.pool
-        deferred = pool._deferred
-        if deferred:
-            # Inlined pool.promote (kept as the reference implementation).
-            rob_entries = self.rob._entries
-            free = pool._free
-            if rob_entries:
-                oldest = rob_entries[0].seq
-                while deferred and deferred[0][0] < oldest:
-                    free.append(deferred.popleft()[1].slot)
-            else:
-                while deferred:
-                    free.append(deferred.popleft()[1].slot)
-        if self._fetch_blocked_on is not None:
-            return
-        cycle = self.cycle
-        if cycle < self._fetch_resume_cycle:
-            return
-        frontend = self._frontend
-        if len(frontend) >= config.frontend_capacity:
-            return
-        fetch_width = config.fetch_width
-        max_taken = config.max_taken_branches_per_cycle
-        l1i_latency = config.memory.l1i_latency
-        ready_cycle = cycle + config.fetch_to_dispatch_latency
-        hierarchy_fetch = self.hierarchy.fetch
-        bpu_predict = self.bpu.predict
-        history = self.history
-        predictor = self.predictor
-        stats = self.stats
-        replay = self._replay
-        pool_free = pool._free
-        pool_arena = pool._arena
-        c_fetch = pool.c_fetch
-        c_disp_ready = pool.c_disp_ready
-        c_seq = pool.c_seq
-        c_pc = pool.c_pc
-        c_hot = pool.c_hot
-        c_wake_gen = pool.c_wake_gen
-        c_avail = pool.c_avail
-        c_iq_waiters = pool.c_iq_waiters
-        c_flags = pool.c_flags
-        c_dest_bank = pool.c_dest_bank
-        # L1I hit fast path (the reference path is hierarchy.fetch): sequential
-        # fetch hits the MRU line of one set almost every µ-op.
-        l1i = self.hierarchy.l1i
-        l1i_sets = l1i._sets
-        l1i_num_sets = l1i.num_sets
-        l1i_line_size = l1i.line_size
-        l1i_stats = l1i.stats
-        trace_list = self._trace_list
-        trace_length = len(trace_list) if trace_list is not None else 0
-        unknown_cycle = UNKNOWN_CYCLE
-        tracer = self.tracer
-        fetched = 0
-        taken_branches = 0
-        while fetched < fetch_width:
-            # Inlined _next_dyninst (kept as the reference implementation).
-            if replay:
-                dyn = replay.popleft()
-            elif trace_list is not None:
-                pos = self._trace_pos
-                if pos >= trace_length:
-                    self._trace_exhausted = True
-                    break
-                dyn = trace_list[pos]
-                self._trace_pos = pos + 1
-            elif self._trace_exhausted:
-                break
-            else:
-                try:
-                    dyn = next(self._trace)
-                except StopIteration:
-                    self._trace_exhausted = True
-                    break
-            uop = dyn.uop
-            kind = uop.hot_mask
-            is_branch = kind & 1
-            if is_branch and dyn.taken and taken_branches >= max_taken:
-                replay.appendleft(dyn)
-                break
-            line = (dyn.pc * 4) // l1i_line_size
-            ways = l1i_sets[line % l1i_num_sets]
-            if ways and ways[0] == line:
-                # MRU hit: same accounting as Cache.access, no latency beyond L1I.
-                l1i_stats.accesses += 1
-                l1i_stats.hits += 1
-            else:
-                icache_latency = hierarchy_fetch(dyn.pc, cycle)
-                if icache_latency > l1i_latency:
-                    # Instruction cache miss: fetch stalls until the line returns.
-                    replay.appendleft(dyn)
-                    self._fetch_resume_cycle = cycle + icache_latency
-                    break
-
-            # Inlined pool.acquire + ColumnarInflightOp._init (both kept as the
-            # reference implementations; the recycle path mirrors _init).
-            if pool_free:
-                op = pool_arena[pool_free.pop()]
-                slot = op.slot
-                op.dyn = dyn
-                seq = dyn.seq
-                pc = dyn.pc
-                op.seq = seq
-                op.pc = pc
-                op.uop = uop
-                c_seq[slot] = seq
-                c_pc[slot] = pc
-                c_hot[slot] = kind
-                c_wake_gen[slot] += 1
-                op.wake_consumers = None
-                op.mem_waiters = None
-                c_avail[slot] = unknown_cycle
-                c_iq_waiters[slot] = 0
-                op.prediction = None
-                c_flags[slot] = 0
-                c_dest_bank[slot] = 0
-            else:
-                op = pool.acquire(dyn)
-                slot = op.slot
-            c_fetch[slot] = cycle
-            c_disp_ready[slot] = ready_cycle
-            # Inlined history.snapshot() memoisation (see _fetch).
-            snapshot = history._snapshot
-            op.history_snapshot = snapshot if snapshot is not None else history.snapshot()
-
-            pred_used = False
-            if predictor is not None and kind & 32:  # vp-eligible
-                prediction = predictor.lookup(dyn.pc, history)
-                op.prediction = prediction
-                if prediction is not None and prediction.confident:
-                    pred_used = True
-                    c_flags[slot] = 1  # pred_used (fresh byte: no other bits yet)
-
-            stop_fetching = False
-            if is_branch:
-                if dyn.taken:
-                    taken_branches += 1
-                outcome = bpu_predict(dyn)
-                op.branch_outcome = outcome
-                if outcome.direction_mispredicted or outcome.target_mispredicted:
-                    self._fetch_blocked_on = op
-                    stop_fetching = True
-                elif outcome.resolved_at_decode:
-                    stats.decode_redirects += 1
-                    self._fetch_resume_cycle = cycle + config.decode_redirect_penalty
-                    stop_fetching = True
-
-            frontend.append(op)
-            fetched += 1
-            if tracer is not None:
-                tracer.emit_slot(cycle, "fetch", c_seq[slot], c_pc[slot], slot, uop.opcode.name)
-                if predictor is not None and kind & 32:
-                    prediction = op.prediction
-                    if pred_used:
-                        tracer.emit_slot(
-                            cycle, "vp_lookup", c_seq[slot], c_pc[slot], slot, prediction.source
-                        )
-                    elif prediction is not None:
-                        tracer.emit_slot(
-                            cycle, "vp_lookup", c_seq[slot], c_pc[slot], slot, "low_confidence"
-                        )
-                    else:
-                        tracer.emit_slot(cycle, "vp_lookup", c_seq[slot], c_pc[slot], slot, "miss")
             if stop_fetching:
                 break
         if fetched:

@@ -57,15 +57,13 @@ class TraceCache:
         """
         return self._acquire(workload, required_length(max_uops, config), max_uops)
 
+    # Kept only because perfbench/spans.py wraps it by name.
     def trace_for_many(self, workload, requests) -> CapturedTrace:
-        """One trace covering every ``(max_uops, config)`` request (multi-replay).
+        """One trace covering every ``(max_uops, config)`` request.
 
-        The one-decode-N-consumers entry point of the multi-config replay engine
-        (:mod:`repro.pipeline.multi_replay`): the required length is the *maximum*
-        fetch-ahead window across the requested configuration planes, so a batch
-        mixing shallow and deep front-ends costs one capture instead of the serial
-        path's re-capture ratchet (capture for the shallow config, throw away,
-        re-capture longer when the deep config arrives).
+        The required length is the *maximum* fetch-ahead window across the
+        requested configurations, so a batch mixing shallow and deep front-ends
+        costs one capture instead of a capture per depth.
         """
         requests = list(requests)
         if not requests:

@@ -78,48 +78,6 @@ class TestRunner:
         assert capsys.readouterr().err == ""
 
 
-class TestMultiReplayGrid:
-    def test_ad_hoc_grid_matches_serial_under_multi_replay(self, monkeypatch):
-        """REPRO_MULTI_REPLAY=1 routes the ad-hoc (custom-Workload) grid through
-        one multi-replay pass per workload row and stays byte-identical to the
-        serial grid — including when part of the row is already cached."""
-        from repro.analysis.runner import run_grid
-        from repro.pipeline.multi_replay import MULTI_REPLAY_ENV_VAR
-        from repro.workloads.suite import Workload
-
-        # Distinct Workload objects sharing suite names force the ad-hoc path
-        # (the campaign path ships cells by name and would lose the objects).
-        twins = [Workload(spec=workload(name).spec) for name in ("gcc", "mcf")]
-        configs = [
-            _fast_config("GridA"),
-            _fast_config("GridB", value_prediction=True),
-            _fast_config("GridC", issue_width=2, iq_size=16),
-        ]
-        monkeypatch.delenv(MULTI_REPLAY_ENV_VAR, raising=False)
-        serial = run_grid(configs, twins, max_uops=500, warmup_uops=100, cache=None)
-        monkeypatch.setenv(MULTI_REPLAY_ENV_VAR, "1")
-        multi = run_grid(configs, twins, max_uops=500, warmup_uops=100, cache=None)
-        assert {
-            c: {w: r.to_dict() for w, r in row.items()} for c, row in multi.items()
-        } == {c: {w: r.to_dict() for w, r in row.items()} for c, row in serial.items()}
-
-    def test_ad_hoc_grid_multi_replay_respects_the_cache(self, monkeypatch):
-        """Cells already in the ResultCache are reused, not re-simulated, when
-        the remainder of a workload row goes through one multi-replay pass."""
-        from repro.analysis.runner import run_grid
-        from repro.pipeline.multi_replay import MULTI_REPLAY_ENV_VAR
-        from repro.workloads.suite import Workload
-
-        twin = Workload(spec=workload("gcc").spec)
-        configs = [_fast_config("GridA"), _fast_config("GridB", value_prediction=True)]
-        cache = ResultCache()
-        warm = run_workload(configs[0], twin, max_uops=500, warmup_uops=100, cache=cache)
-        monkeypatch.setenv(MULTI_REPLAY_ENV_VAR, "1")
-        grid = run_grid(configs, [twin], max_uops=500, warmup_uops=100, cache=cache)
-        assert grid["GridA"]["gcc"] is warm
-        assert grid["GridB"]["gcc"].stats.ipc > 0
-
-
 class TestCustomWorkloads:
     def test_run_suite_simulates_the_object_passed_not_the_registry_twin(self):
         """A caller-supplied Workload sharing a suite name must not be swapped for

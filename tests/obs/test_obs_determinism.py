@@ -10,7 +10,6 @@ from repro.campaign.executor import simulate_cell
 from repro.campaign.spec import CampaignCell
 from repro.obs.metrics import METRICS_ENV_VAR
 from repro.obs.tracer import PIPE_TRACE_ENV_VAR
-from repro.ooo.inflight import SOA_ENV_VAR
 from repro.pipeline.config import named_config
 from repro.trace.cache import shared_trace_cache
 
@@ -64,46 +63,3 @@ def test_metrics_grid_is_byte_identical_modulo_the_payload(monkeypatch):
         assert payload["scalars"]["sim.committed_uops"] > 0
     assert json.dumps(on, sort_keys=True) == json.dumps(off, sort_keys=True)
 
-
-def test_observed_multi_replay_grid_is_byte_identical(monkeypatch):
-    """The hooks stay truthful under the multi-config replay engine: a fully
-    observed (pipe-trace + metrics) grid routed through one ``MultiSimulator``
-    pass per workload — where every plane owns its tracer/metrics registry —
-    matches the observed serial grid byte-for-byte, metrics payload included."""
-    from repro.campaign.executor import simulate_cells
-    from repro.pipeline.multi_replay import MULTI_REPLAY_ENV_VAR
-
-    monkeypatch.setenv(PIPE_TRACE_ENV_VAR, "1")
-    monkeypatch.setenv(METRICS_ENV_VAR, "1")
-    monkeypatch.delenv(MULTI_REPLAY_ENV_VAR, raising=False)
-    reference = _grid_dicts()
-    monkeypatch.setenv(MULTI_REPLAY_ENV_VAR, "1")
-    shared_trace_cache.clear()
-    multi = {}
-    for workload_name in GRID_WORKLOADS:
-        cells = [
-            CampaignCell(
-                config=named_config(config_name),
-                workload_name=workload_name,
-                max_uops=MAX_UOPS,
-                warmup_uops=WARMUP_UOPS,
-            )
-            for config_name in GRID_CONFIGS
-        ]
-        for cell, result in zip(cells, simulate_cells(cells)):
-            multi[cell.describe()] = result.to_dict()
-    assert json.dumps(multi, sort_keys=True) == json.dumps(reference, sort_keys=True)
-
-
-def test_observed_soa_grid_is_byte_identical_to_observed_reference(monkeypatch):
-    """The hooks stay truthful under the columnar backend: a fully observed
-    (pipe-trace + metrics) ``REPRO_SOA=1`` grid — where trace events and
-    occupancy readings source from the SoA columns — matches the observed
-    object-record grid byte-for-byte, metrics payload included."""
-    monkeypatch.setenv(PIPE_TRACE_ENV_VAR, "1")
-    monkeypatch.setenv(METRICS_ENV_VAR, "1")
-    monkeypatch.delenv(SOA_ENV_VAR, raising=False)
-    reference = _grid_dicts()
-    monkeypatch.setenv(SOA_ENV_VAR, "1")
-    columnar = _grid_dicts()
-    assert json.dumps(columnar, sort_keys=True) == json.dumps(reference, sort_keys=True)

@@ -11,31 +11,17 @@ Three hard invariants are enforced here:
   4-configuration × 4-workload grid the throughput harness measures;
 * **dependency-driven wake-up** — the consumer-list issue-queue
   (``REPRO_WAKEUP_LISTS``, default on) must produce results byte-identical to the
-  scan-based reference IQ (``REPRO_WAKEUP_LISTS=0``) across the same full grid;
-* **structure-of-arrays backend** — the columnar pool + SoA stage loops
-  (``REPRO_SOA=1``, opt-in) and the numpy batch kernels on top of them
-  (``REPRO_SOA_BATCH=1``) must produce results byte-identical to the default
-  object-record backend across the same full grid;
-* **multi-config replay** — the single-pass replay engine
-  (``REPRO_MULTI_REPLAY=1``, opt-in) routing each workload's configuration
-  group through one :class:`MultiSimulator` pass must produce results
-  byte-identical to per-cell serial replay across the same full grid, at any
-  ``REPRO_MULTI_REPLAY_WIDTH`` chunking.
+  scan-based reference IQ (``REPRO_WAKEUP_LISTS=0``) across the same full grid.
 """
 
 import json
 
 import pytest
 
-from repro.campaign.executor import simulate_cell, simulate_cells
+from repro.campaign.executor import simulate_cell
 from repro.campaign.spec import CampaignCell
-from repro.ooo.inflight import SOA_BATCH_ENV_VAR, SOA_ENV_VAR
 from repro.ooo.issue_queue import WAKEUP_ENV_VAR
 from repro.pipeline.config import named_config
-from repro.pipeline.multi_replay import (
-    MULTI_REPLAY_ENV_VAR,
-    MULTI_REPLAY_WIDTH_ENV_VAR,
-)
 from repro.pipeline.simulator import EVENT_DRIVEN_ENV_VAR
 from repro.trace.cache import TRACE_CACHE_ENV_VAR, shared_trace_cache
 from repro.trace.capture import capture_workload_trace, required_length
@@ -210,170 +196,6 @@ def test_wakeup_lists_off_under_cycle_stepping_matches_default(monkeypatch):
     monkeypatch.setenv(EVENT_DRIVEN_ENV_VAR, "0")
     reference = simulate_cell(cell).to_dict()
     assert fast == reference
-
-
-def _soa_grid_dicts(monkeypatch, *, soa: bool, batch: bool = False) -> dict[str, dict]:
-    if soa:
-        monkeypatch.setenv(SOA_ENV_VAR, "1")
-    else:
-        monkeypatch.delenv(SOA_ENV_VAR, raising=False)
-    if batch:
-        monkeypatch.setenv(SOA_BATCH_ENV_VAR, "1")
-    else:
-        monkeypatch.delenv(SOA_BATCH_ENV_VAR, raising=False)
-    out = {}
-    for config_name in EVENT_GRID_CONFIGS:
-        for workload_name in EVENT_GRID_WORKLOADS:
-            cell = CampaignCell(
-                config=named_config(config_name),
-                workload_name=workload_name,
-                max_uops=MAX_UOPS,
-                warmup_uops=WARMUP_UOPS,
-            )
-            out[cell.describe()] = simulate_cell(cell).to_dict()
-    return out
-
-
-def test_soa_grid_is_byte_identical_to_object_reference(monkeypatch):
-    """The columnar backend — and its numpy batch kernels — are invisible across
-    the full 4 × 4 grid.
-
-    One reference sweep (object-record pool, the default), then ``REPRO_SOA=1``
-    and ``REPRO_SOA=1`` + ``REPRO_SOA_BATCH=1``: every timing counter, predictor
-    statistic and squash/replay artefact must survive the column round-trip and
-    the vectorised drain/validation kernels byte-for-byte.
-    """
-    monkeypatch.delenv(TRACE_STORE_ENV_VAR, raising=False)
-    reference = json.dumps(_soa_grid_dicts(monkeypatch, soa=False), sort_keys=True)
-    columnar = json.dumps(_soa_grid_dicts(monkeypatch, soa=True), sort_keys=True)
-    assert columnar == reference
-    batched = json.dumps(
-        _soa_grid_dicts(monkeypatch, soa=True, batch=True), sort_keys=True
-    )
-    assert batched == reference
-
-
-def test_soa_under_scan_iq_matches_default(monkeypatch):
-    """SoA composed with the scan-based reference IQ (``REPRO_WAKEUP_LISTS=0``)
-    still lands in the same equivalence class — the columnar stage loops cover
-    both issue disciplines."""
-    monkeypatch.delenv(TRACE_STORE_ENV_VAR, raising=False)
-    cell = CampaignCell(
-        config=named_config("EOLE_4_64"),
-        workload_name="gcc",
-        max_uops=MAX_UOPS,
-        warmup_uops=WARMUP_UOPS,
-    )
-    monkeypatch.delenv(SOA_ENV_VAR, raising=False)
-    monkeypatch.delenv(WAKEUP_ENV_VAR, raising=False)
-    default = simulate_cell(cell).to_dict()
-    monkeypatch.setenv(SOA_ENV_VAR, "1")
-    monkeypatch.setenv(WAKEUP_ENV_VAR, "0")
-    combined = simulate_cell(cell).to_dict()
-    assert combined == default
-
-
-def _multi_grid_dicts(monkeypatch, *, multi: bool, width: str | None = None) -> dict[str, dict]:
-    if multi:
-        monkeypatch.setenv(MULTI_REPLAY_ENV_VAR, "1")
-    else:
-        monkeypatch.delenv(MULTI_REPLAY_ENV_VAR, raising=False)
-    if width is not None:
-        monkeypatch.setenv(MULTI_REPLAY_WIDTH_ENV_VAR, width)
-    else:
-        monkeypatch.delenv(MULTI_REPLAY_WIDTH_ENV_VAR, raising=False)
-    shared_trace_cache.clear()
-    out = {}
-    for workload_name in EVENT_GRID_WORKLOADS:
-        cells = [
-            CampaignCell(
-                config=named_config(config_name),
-                workload_name=workload_name,
-                max_uops=MAX_UOPS,
-                warmup_uops=WARMUP_UOPS,
-            )
-            for config_name in EVENT_GRID_CONFIGS
-        ]
-        if multi:
-            results = simulate_cells(cells)
-        else:
-            results = [simulate_cell(cell) for cell in cells]
-        for cell, result in zip(cells, results):
-            out[cell.describe()] = result.to_dict()
-    return out
-
-
-def test_multi_replay_grid_is_byte_identical_to_serial(monkeypatch):
-    """One MultiSimulator pass per workload is invisible across the full 4 × 4 grid.
-
-    Every ``SimStats`` counter and predictor statistic — VP coverage/accuracy,
-    TAGE misprediction rates, cache miss rates — must match per-cell serial
-    replay exactly, both at full batch width and when
-    ``REPRO_MULTI_REPLAY_WIDTH`` chunks the group into smaller passes.
-    """
-    monkeypatch.delenv(TRACE_STORE_ENV_VAR, raising=False)
-    serial = json.dumps(_multi_grid_dicts(monkeypatch, multi=False), sort_keys=True)
-    multi = json.dumps(_multi_grid_dicts(monkeypatch, multi=True), sort_keys=True)
-    assert multi == serial
-    chunked = json.dumps(
-        _multi_grid_dicts(monkeypatch, multi=True, width="3"), sort_keys=True
-    )
-    assert chunked == serial
-
-
-def test_multi_replay_through_campaign_is_byte_identical(monkeypatch):
-    """The executor's serial path groups cells per workload under
-    ``REPRO_MULTI_REPLAY=1`` and still lands byte-identical results for every
-    cell of the grid (cache/store ladder and result plumbing included)."""
-    from repro.campaign.executor import run_campaign
-    from repro.campaign.spec import Campaign
-
-    monkeypatch.delenv(TRACE_STORE_ENV_VAR, raising=False)
-    campaign = Campaign(
-        name="multi-determinism",
-        configs=tuple(named_config(name) for name in EVENT_GRID_CONFIGS),
-        workload_names=EVENT_GRID_WORKLOADS,
-        max_uops=MAX_UOPS,
-        warmup_uops=WARMUP_UOPS,
-    )
-
-    def outcome_dicts() -> str:
-        shared_trace_cache.clear()
-        outcome = run_campaign(campaign, store=None, workers=1)
-        return json.dumps(
-            {f"{key}": result.to_dict() for key, result in outcome.results.items()},
-            sort_keys=True,
-        )
-
-    monkeypatch.delenv(MULTI_REPLAY_ENV_VAR, raising=False)
-    serial = outcome_dicts()
-    monkeypatch.setenv(MULTI_REPLAY_ENV_VAR, "1")
-    multi = outcome_dicts()
-    assert multi == serial
-
-
-def test_multi_replay_composes_with_reference_loops(monkeypatch):
-    """Multi-replay under the stepping loop + scan IQ (every kill-switch thrown
-    at once) still agrees with the default fast paths — the replay engine sits
-    above the loop flavours, not beside them."""
-    monkeypatch.delenv(TRACE_STORE_ENV_VAR, raising=False)
-    cells = [
-        CampaignCell(
-            config=named_config(config_name),
-            workload_name="gcc",
-            max_uops=MAX_UOPS,
-            warmup_uops=WARMUP_UOPS,
-        )
-        for config_name in EVENT_GRID_CONFIGS
-    ]
-    shared_trace_cache.clear()
-    reference = [simulate_cell(cell).to_dict() for cell in cells]
-    monkeypatch.setenv(MULTI_REPLAY_ENV_VAR, "1")
-    monkeypatch.setenv(EVENT_DRIVEN_ENV_VAR, "0")
-    monkeypatch.setenv(WAKEUP_ENV_VAR, "0")
-    shared_trace_cache.clear()
-    composed = [result.to_dict() for result in simulate_cells(cells)]
-    assert composed == reference
 
 
 def test_fault_arming_never_perturbs_simulation(monkeypatch):
