@@ -12,8 +12,8 @@ control the cost/fidelity trade-off:
 * ``REPRO_RESULT_STORE`` — opt-in persistent result store (a JSON-lines file):
   when set, every simulation lands on disk and repeated benchmark sessions skip
   already-simulated cells entirely (see docs/campaign.md);
-* ``REPRO_CAMPAIGN_WORKERS`` — shard each figure's grid across that many worker
-  processes (default 1, serial).
+* ``REPRO_CAMPAIGN_WORKERS`` — run each figure's grid on a local fleet of that many
+  forked worker processes (default 1, serial; see docs/campaign.md).
 
 Within one pytest session, simulation results are additionally cached in memory across
 benchmark files (the configurations are shared between figures), so the first file

@@ -1,7 +1,7 @@
 """Figure 2: proportion of committed µ-ops early-executable with 1 or 2 ALU stages.
 
 Also serves as the Early-Execution-depth ablation (1/2/3 stages), since the paper's
-conclusion — one stage captures nearly all the benefit — is a design decision DESIGN.md
+conclusion — one stage captures nearly all the benefit — is a design decision DESIGN.md §4
 calls out.
 """
 

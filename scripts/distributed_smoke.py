@@ -10,6 +10,10 @@ subprocesses against it, SIGKILL one mid-run, and verify that
 * every stored result is byte-identical (as sorted JSON) to a serial
   ``run_campaign`` of the same grid in this process.
 
+It then runs the same grid through ``repro-campaign run --workers 2`` (a local
+fleet in a temporary service directory) and diffs every stored row against the
+same serial reference.
+
 Exit code 0 on success, 1 on any violation.  Usage::
 
     PYTHONPATH=src python scripts/distributed_smoke.py [--max-uops 8000]
@@ -32,6 +36,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.campaign.coordinator import CampaignService  # noqa: E402
 from repro.campaign.executor import run_campaign  # noqa: E402
 from repro.campaign.spec import Campaign  # noqa: E402
+from repro.campaign.store import ResultStore  # noqa: E402
 
 CONFIGS = ("Baseline_6_64", "Baseline_VP_6_64", "EOLE_4_64", "EOLE_6_64")
 WORKLOADS = "gcc,mcf,milc,namd"
@@ -136,26 +141,50 @@ def main() -> int:
 
         print("running the serial reference grid in-process…")
         serial = run_campaign(campaign, store=None, workers=1)
-        mismatches = 0
-        for cell in campaign.cells():
-            record = store.get_record(cell.fingerprint)
-            if record is None:
-                print(f"FAIL: missing {cell.describe()}", file=sys.stderr)
-                mismatches += 1
-                continue
-            expected = serial.results[(cell.config.name, cell.workload_name)]
-            if json.dumps(record["result"], sort_keys=True) != json.dumps(
-                expected.to_dict(), sort_keys=True
-            ):
-                print(f"FAIL: result diverges for {cell.describe()}", file=sys.stderr)
-                mismatches += 1
-        if mismatches:
+        if diff_against_serial(campaign, store, serial):
             return 1
         print(
             f"OK: {len(campaign.cells())} cells byte-identical to the serial run "
             f"(workers seen: {sorted(owners)})"
         )
+
+        # The CLI's local fleet (`run --workers 2`) must land the same grid.
+        cli_store = Path(scratch) / "cli.jsonl"
+        completed = subprocess.run(
+            [
+                sys.executable, "-m", "repro.campaign", "run",
+                "--configs", ",".join(CONFIGS), "--workloads", WORKLOADS,
+                "--max-uops", str(args.max_uops), "--warmup-uops", str(args.warmup_uops),
+                "--workers", "2", "--store", str(cli_store), "--quiet",
+            ],
+            env={"PYTHONPATH": str(REPO_ROOT / "src")},
+            timeout=args.timeout_seconds,
+        )
+        if completed.returncode != 0:
+            print(f"FAIL: run --workers 2 exited {completed.returncode}", file=sys.stderr)
+            return 1
+        if diff_against_serial(campaign, ResultStore(cli_store), serial):
+            return 1
+        print(f"OK: run --workers 2 landed {len(campaign.cells())} byte-identical cells")
         return 0
+
+
+def diff_against_serial(campaign: Campaign, store: ResultStore, serial) -> int:
+    """Count the cells whose stored row is missing or differs from ``serial``."""
+    mismatches = 0
+    for cell in campaign.cells():
+        record = store.get_record(cell.fingerprint)
+        if record is None:
+            print(f"FAIL: missing {cell.describe()}", file=sys.stderr)
+            mismatches += 1
+            continue
+        expected = serial.results[(cell.config.name, cell.workload_name)]
+        if json.dumps(record["result"], sort_keys=True) != json.dumps(
+            expected.to_dict(), sort_keys=True
+        ):
+            print(f"FAIL: result diverges for {cell.describe()}", file=sys.stderr)
+            mismatches += 1
+    return mismatches
 
 
 if __name__ == "__main__":

@@ -7,7 +7,6 @@ from repro.analysis.report import ExperimentResult, ExperimentSeries, format_tab
 from repro.analysis.runner import (
     ResultCache,
     default_max_uops,
-    default_suite_workers,
     default_warmup_uops,
     run_grid,
     run_suite,
@@ -24,7 +23,6 @@ __all__ = [
     "ResultCache",
     "arithmetic_mean",
     "default_max_uops",
-    "default_suite_workers",
     "default_warmup_uops",
     "evaluate_predictor",
     "format_table",

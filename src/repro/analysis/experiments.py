@@ -3,12 +3,12 @@
 Each public function regenerates one artefact of the paper's evaluation (Section 5 and
 Section 6) over the synthetic workload suite and returns an
 :class:`~repro.analysis.report.ExperimentResult` that the benchmark harness prints and
-EXPERIMENTS.md records.  The experiment ids match DESIGN.md §4.
+records under ``benchmarks/results/``.  The experiment ids match DESIGN.md §4.
 
 Every figure is a (configuration × workload) grid, so each function submits its whole
 grid — baseline and variants together — to the campaign engine via
 :func:`~repro.analysis.runner.run_grid` in one shot.  With
-``REPRO_CAMPAIGN_WORKERS > 1`` the cells shard across worker processes, and with
+``REPRO_CAMPAIGN_WORKERS > 1`` the cells run on a local fleet of workers, and with
 ``REPRO_RESULT_STORE`` set, previously simulated cells are reloaded from disk instead
 of re-simulated.
 """

@@ -4,7 +4,7 @@ The benchmark harness regenerates each table/figure of the paper as an
 :class:`ExperimentResult`: a set of named series (one per machine configuration or per
 bar group) with one value per workload, plus a summary row (geometric mean for
 speedups, arithmetic mean for coverage ratios).  :func:`format_table` renders it as the
-ASCII table printed by the benchmark suite and recorded in EXPERIMENTS.md.
+ASCII table printed by the benchmark suite and recorded under ``benchmarks/results/``.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ single primitive:
    triples within one process, keeping the full benchmark harness affordable;
 2. the opt-in persistent :class:`~repro.campaign.store.ResultStore` (env
    ``REPRO_RESULT_STORE``) carries results across processes and sessions;
-3. anything left is simulated — serially by default, or sharded across worker
+3. anything left is simulated — serially by default, or on a local fleet of worker
    processes when ``REPRO_CAMPAIGN_WORKERS`` (or an explicit ``workers=``) says so.
 
 Run lengths default to a scaled-down region of interest (the paper uses 50M warm-up +
@@ -41,16 +41,6 @@ def default_max_uops() -> int:
 def default_warmup_uops() -> int:
     """Warm-up µ-ops excluded from the measurement window (env ``REPRO_SIM_WARMUP``)."""
     return int(os.environ.get("REPRO_SIM_WARMUP", "3000"))
-
-
-def default_suite_workers() -> int:
-    """Workers for library-level grid runs (env ``REPRO_CAMPAIGN_WORKERS``, default 1).
-
-    Unlike the campaign CLI (which defaults to every core), the library layers stay
-    serial unless explicitly told otherwise, so unit tests and small interactive runs
-    never pay process-pool start-up costs.
-    """
-    return max(1, int(os.environ.get("REPRO_CAMPAIGN_WORKERS", "1")))
 
 
 #: Environment variable: any value other than ``0``/empty makes library-level grid
@@ -183,8 +173,9 @@ def run_grid(
     """Simulate every (config, workload) pair; returns config name → workload → result.
 
     The whole grid is submitted to the campaign engine at once, so with ``workers > 1``
-    the cells of *different* configurations shard across the pool together — the unit
-    of parallelism is the cell, not the configuration row.
+    the cells of *different* configurations are leased to the local fleet together —
+    the unit of parallelism is the cell, not the configuration row.  ``workers=None``
+    defers to :func:`~repro.campaign.executor.default_workers` (serial by default).
 
     ``progress=None`` defers to the ``REPRO_PROGRESS`` environment variable; when
     enabled, per-cell done-count/ETA lines are printed to stderr, labelled with
@@ -194,10 +185,9 @@ def run_grid(
     selected = list(workloads) if workloads is not None else all_workloads()
     max_uops = max_uops if max_uops is not None else default_max_uops()
     warmup_uops = warmup_uops if warmup_uops is not None else default_warmup_uops()
-    workers = workers if workers is not None else default_suite_workers()
     progress = progress if progress is not None else default_progress()
 
-    # The campaign engine routes cells by workload *name* (they must survive a pickle
+    # The campaign engine routes cells by workload *name* (they must survive a process
     # boundary), so it may only be used when every workload is the registry's own
     # instance — an ad-hoc Workload that merely shares a suite name must not be
     # silently replaced by the registry version.

@@ -7,10 +7,12 @@ of the paper into first-class, resumable jobs:
   SPEC-style named workload sets and content-addressed cell fingerprints;
 * :mod:`repro.campaign.store` — :class:`ResultStore`, an append-only JSON-lines store
   with load/merge/invalidate semantics (env default: ``REPRO_RESULT_STORE``);
-* :mod:`repro.campaign.executor` — :func:`run_campaign`, sharding cells over worker
-  processes (env: ``REPRO_CAMPAIGN_WORKERS``) with per-cell checkpointing and resume;
-* :mod:`repro.campaign.coordinator` — :class:`CampaignService`, the distributed
-  leased work queue over a shared directory (``repro-campaign serve`` / ``work``);
+* :mod:`repro.campaign.executor` — :func:`run_campaign`, simulating cells inline or on
+  a local fleet of forked workers (env: ``REPRO_CAMPAIGN_WORKERS``) with per-cell
+  checkpointing and resume;
+* :mod:`repro.campaign.coordinator` — :class:`CampaignService`, the leased work queue
+  over a shared directory behind every parallel run (``run --workers``,
+  ``repro-campaign serve`` / ``work``);
 * :mod:`repro.campaign.progress` — per-cell progress lines with wall-clock ETA;
 * :mod:`repro.campaign.cli` — the ``python -m repro.campaign`` command line.
 

@@ -3,6 +3,7 @@
 Seven subcommands::
 
     run      simulate a (configs × workloads) grid, persisting results to a store
+             (--workers N > 1 runs a local fleet of N forked workers)
     status   report done/missing cells for a grid against a store (no simulation)
     report   tabulate stored results (IPC by default, speedups with --baseline,
              per-cell execution telemetry with --metrics;
@@ -12,7 +13,7 @@ Seven subcommands::
              the same cap automatically after every append)
     serve    submit a grid to a shared service directory as leased work and stream
              progress/telemetry while a worker fleet completes it (optionally
-             spawning --local-workers N on this host)
+             forking --local-workers N on this host)
     work     run one worker against a service directory: lease cells, heartbeat,
              simulate, append to the shared store; exits when the queue completes
              (SIGTERM/SIGINT release the held lease back to the queue first)
@@ -40,7 +41,6 @@ import argparse
 import csv
 import json
 import os
-import subprocess
 import sys
 
 from repro.campaign.coordinator import (
@@ -49,6 +49,7 @@ from repro.campaign.coordinator import (
     DEFAULT_MAX_ATTEMPTS,
     CampaignService,
     default_worker_id,
+    local_fleet,
     serve,
     work_loop,
 )
@@ -119,9 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--workers",
         type=int,
-        default=None,
-        help=f"worker processes (default: env {'REPRO_CAMPAIGN_WORKERS'} or all cores, "
-        f"currently {default_workers()})",
+        default=default_workers(os.cpu_count() or 1),
+        help="worker processes; more than one runs a local fleet "
+        "(default: env REPRO_CAMPAIGN_WORKERS or all cores, currently %(default)s)",
     )
     run_parser.add_argument(
         "--quiet", action="store_true", help="suppress per-cell progress lines"
@@ -181,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--local-workers",
         type=int,
         default=0,
-        help="spawn N `work` subprocesses on this host (default 0: external fleet)",
+        help="fork N workers on this host (default 0: external fleet)",
     )
     serve_parser.add_argument(
         "--poll-seconds", type=float, default=0.5, help="store/queue poll interval"
@@ -316,33 +317,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     campaign = _campaign_from_args(args)
     service = CampaignService(args.service)
-    workers: list[subprocess.Popen] = []
-    try:
-        # Submit before spawning: workers poll until the queue exists, but an
-        # early submit gives them leases on their first claim.
-        service.submit(
-            campaign,
-            lease_seconds=args.lease_seconds,
-            max_attempts=args.max_attempts,
-            backoff_seconds=args.backoff_seconds,
-            lease_width=args.lease_width,
-        )
-        for index in range(args.local_workers):
-            workers.append(
-                subprocess.Popen(
-                    [
-                        sys.executable,
-                        "-m",
-                        "repro.campaign",
-                        "work",
-                        "--service",
-                        args.service,
-                        "--worker-id",
-                        f"{default_worker_id()}-local{index}",
-                        "--quiet",
-                    ],
-                )
-            )
+    # Submit before forking: a worker's first claim needs the submitted grid.
+    service.submit(
+        campaign,
+        lease_seconds=args.lease_seconds,
+        max_attempts=args.max_attempts,
+        backoff_seconds=args.backoff_seconds,
+        lease_width=args.lease_width,
+    )
+    with local_fleet(service, args.local_workers):
         summary = serve(
             service,
             campaign,
@@ -354,15 +337,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             progress=not args.quiet,
             timeout_seconds=args.timeout_seconds,
         )
-    finally:
-        for worker in workers:
-            if worker.poll() is None:
-                worker.terminate()
-        for worker in workers:
-            try:
-                worker.wait(timeout=10)
-            except subprocess.TimeoutExpired:
-                worker.kill()
     failed = summary["failed"]
     print(
         f"served {summary['campaign']}: {len(summary['results'])}/{summary['cells']} "

@@ -1,9 +1,9 @@
 """Distributed campaign coordination: a leased work queue over a shared directory.
 
-The single-host executor (:mod:`repro.campaign.executor`) shards cells over a
-``ProcessPoolExecutor``; this module promotes the same grid to a *fleet*: any number
-of worker processes — on one machine or many, sharing the service directory over
-NFS — lease cells, simulate them, and append to one shared
+This is the campaign's one parallel path.  A grid becomes a *fleet*: any number
+of worker processes — forked locally by :func:`local_fleet` (``run_campaign(workers>1)``,
+``serve --local-workers``) or started on any machine sharing the service directory
+over NFS — lease cells, simulate them, and append to one shared
 :class:`~repro.campaign.store.ResultStore`.  There is no network daemon: the
 "coordinator" is the directory itself, and every state transition is a file-lock
 protected atomic rewrite of a small JSON lease record, mirroring how the SPEC2006
@@ -50,12 +50,15 @@ NTP-synced clocks and a coherent shared filesystem.
 from __future__ import annotations
 
 import json
+import multiprocessing
+import multiprocessing.connection
 import os
 import signal
 import socket
 import tempfile
 import threading
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -94,6 +97,10 @@ DEFAULT_MAX_ATTEMPTS = 3
 
 #: Default base of the exponential requeue backoff.
 DEFAULT_BACKOFF_SECONDS = 1.0
+
+#: Lease duration of a local fleet (:func:`run_local_fleet`): its workers share one
+#: host, so a dead worker's lease should lapse in seconds, not a minute.
+LOCAL_LEASE_SECONDS = 10.0
 
 
 def default_worker_id() -> str:
@@ -156,6 +163,7 @@ class CampaignService:
         self.campaign_path = self.root / "campaign.json"
         self.store_path = self.root / "results.jsonl"
         self.trace_dir = self.root / "traces"
+        self._payload: dict | None = None
         self._campaign: Campaign | None = None
         self._cells: dict[str, CampaignCell] | None = None
 
@@ -179,15 +187,16 @@ class CampaignService:
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         backoff_seconds: float = DEFAULT_BACKOFF_SECONDS,
         lease_width: int | None = None,
+        cells: list[CampaignCell] | None = None,
     ) -> int:
         """Publish ``campaign`` to the service directory; returns the lease count.
 
         Cells are grouped into one lease per workload (chunked by ``lease_width``)
         so each lease holder captures its workload's trace exactly once and every
-        configuration in the lease replays it — the fleet-level twin of the
-        executor's same-workload batching.  Resubmitting the identical grid is a
-        no-op (a resume); submitting a *different* grid to a non-empty service
-        directory raises.
+        configuration in the lease replays it.  ``cells`` restricts the leases to
+        part of the grid (a local fleet leases only what missed the caller's
+        store).  Resubmitting the identical grid is a no-op (a resume);
+        submitting a *different* grid to a non-empty service directory raises.
         """
         spec = campaign.to_spec_dict()
         payload = {
@@ -200,18 +209,20 @@ class CampaignService:
         }
         with self._queue_locked():
             if self.campaign_path.exists():
-                existing = json.loads(self.campaign_path.read_text(encoding="utf-8"))
+                existing = self._read_payload()
                 if existing["campaign"] != spec:
                     raise CoordinationError(
                         f"service {self.root} already holds a different campaign "
                         f"({existing['campaign'].get('name')!r}); use a fresh directory"
                     )
+                self._campaign = campaign  # the same grid: keep its fingerprinted cells
                 return len(self.leases())
             self.queue_dir.mkdir(parents=True, exist_ok=True)
             self.trace_dir.mkdir(parents=True, exist_ok=True)
             self._write_json(self.campaign_path, payload)
+            self._payload, self._campaign = payload, campaign
             groups: dict[str, list[CampaignCell]] = {}
-            for cell in campaign.cells():
+            for cell in cells if cells is not None else campaign.cells():
                 groups.setdefault(cell.workload_name, []).append(cell)
             count = 0
             for workload_name, group in groups.items():
@@ -229,9 +240,12 @@ class CampaignService:
 
     # ------------------------------------------------------------------ accessors
     def _read_payload(self) -> dict:
-        if not self.campaign_path.exists():
-            raise CoordinationError(f"service {self.root} has no submitted campaign")
-        return json.loads(self.campaign_path.read_text(encoding="utf-8"))
+        """The parsed ``campaign.json``, read once: it never changes after submit."""
+        if self._payload is None:
+            if not self.campaign_path.exists():
+                raise CoordinationError(f"service {self.root} has no submitted campaign")
+            self._payload = json.loads(self.campaign_path.read_text(encoding="utf-8"))
+        return self._payload
 
     def campaign(self) -> Campaign:
         """The submitted grid, rebuilt from the service directory."""
@@ -695,7 +709,8 @@ def serve(
     :class:`CoordinationError` on ``timeout_seconds``.
 
     ``serve`` runs no simulations itself — start one or more ``repro-campaign
-    work`` processes against the same directory (any machine sharing it).
+    work`` processes against the same directory (any machine sharing it), or
+    fork some here with :func:`local_fleet`.
     """
     service.submit(
         campaign,
@@ -708,34 +723,19 @@ def serve(
     reporter = ProgressReporter(
         total=len(cells), enabled=progress, label=campaign.name, stream=stream
     )
-    seen: set[str] = set()
-    store = service.result_store()
     started = time.monotonic()
-    while True:
-        store.reload()
-        for fingerprint, cell in cells.items():
-            if fingerprint in seen:
-                continue
-            if fingerprint in store:
-                record = store.get_record(fingerprint)
-                telemetry = record.get("telemetry") or {}
-                seen.add(fingerprint)
-                reporter.cell_done(
-                    cell, telemetry.get("wall_seconds", 0.0), reused=False
-                )
-            elif store.get_failure(fingerprint) is not None:
-                seen.add(fingerprint)
-                reporter.cell_failed(cell, store.get_failure(fingerprint)["error"])
-        if len(seen) == len(cells) or service.queue_complete():
-            break
-        if timeout_seconds is not None and time.monotonic() - started > timeout_seconds:
-            raise CoordinationError(
-                f"campaign incomplete after {timeout_seconds:.0f}s "
-                f"({len(seen)}/{len(cells)} cells terminal)"
-            )
-        time.sleep(poll_seconds)
+    await_cells(
+        service,
+        cells,
+        on_done=lambda cell, record: reporter.cell_done(
+            cell, (record.get("telemetry") or {}).get("wall_seconds", 0.0), reused=False
+        ),
+        on_failed=lambda cell, row: reporter.cell_failed(cell, row["error"]),
+        poll_seconds=poll_seconds,
+        timeout_seconds=timeout_seconds,
+    )
     reporter.finish()
-    store.reload()
+    store = service.result_store()
     results = {fp: store.get_record(fp) for fp in cells if fp in store}
     failed = {
         fp: store.get_failure(fp)
@@ -751,3 +751,144 @@ def serve(
         "missing": missing,
         "elapsed_seconds": time.monotonic() - started,
     }
+
+
+def await_cells(
+    service: CampaignService,
+    cells: dict[str, CampaignCell],
+    on_done,
+    on_failed,
+    poll_seconds: float = 0.5,
+    timeout_seconds: float | None = None,
+    workers: list | None = None,
+) -> set[str]:
+    """Poll the shared store, calling ``on_done(cell, record)`` or ``on_failed(cell,
+    failure_row)`` once per cell as its row lands; returns the fingerprints seen.
+
+    Stops when every cell is terminal, the queue is complete, or every local
+    ``workers`` process has exited; raises :class:`CoordinationError` after
+    ``timeout_seconds``.
+    """
+    seen: set[str] = set()
+    store = service.result_store()
+    started = time.monotonic()
+    while True:
+        # Sample the stop conditions before scanning, so the scan sees every row
+        # written before the queue completed or the last worker exited.
+        finished = service.queue_complete() or (
+            workers is not None and not any(worker.is_alive() for worker in workers)
+        )
+        store.reload()
+        for fingerprint, cell in cells.items():
+            if fingerprint in seen:
+                continue
+            record = store.get_record(fingerprint)
+            if record is not None:
+                on_done(cell, record)
+            elif store.get_failure(fingerprint) is not None:
+                on_failed(cell, store.get_failure(fingerprint))
+            else:
+                continue
+            seen.add(fingerprint)
+        if finished or len(seen) == len(cells):
+            return seen
+        if timeout_seconds is not None and time.monotonic() - started > timeout_seconds:
+            raise CoordinationError(
+                f"campaign incomplete after {timeout_seconds:.0f}s "
+                f"({len(seen)}/{len(cells)} cells terminal)"
+            )
+        if workers is None:
+            time.sleep(poll_seconds)
+        else:
+            # Wake early when a worker exits: the one that completes the last
+            # lease exits at once, so the end of the grid costs no poll delay.
+            multiprocessing.connection.wait(
+                [worker.sentinel for worker in workers if worker.is_alive()], poll_seconds
+            )
+
+
+# ---------------------------------------------------------------------- local fleets
+def _local_worker(service: CampaignService, worker_id: str, share_traces: bool) -> None:
+    if not share_traces:
+        # An empty setting names no trace store, and work_loop keeps it.
+        os.environ.setdefault(TRACE_STORE_ENV_VAR, "")
+    work_loop(service, worker_id, handle_signals=True)
+
+
+@contextmanager
+def local_fleet(service: CampaignService, workers: int, share_traces: bool = True):
+    """Fork ``workers`` :func:`work_loop` processes on ``service``; yield their handles.
+
+    The one launch-and-reap routine behind ``run_campaign(workers>1)`` and
+    ``serve --local-workers``.  Forking keeps in-process state (a warm trace
+    cache, test monkeypatches) in every worker.  ``share_traces=False`` keeps the
+    workers off the service's trace store.  On exit, live workers get SIGTERM,
+    which releases a held lease, then SIGKILL after a 10 s grace.
+    """
+    context = multiprocessing.get_context("fork")
+    processes = []
+    try:
+        for index in range(workers):
+            process = context.Process(
+                target=_local_worker,
+                args=(service, f"{default_worker_id()}-local{index}", share_traces),
+                daemon=True,
+            )
+            process.start()
+            processes.append(process)
+        yield processes
+    finally:
+        for process in processes:
+            if process.is_alive():
+                process.terminate()
+        for process in processes:
+            process.join(10.0)
+            if process.is_alive():
+                process.kill()
+                process.join()
+
+
+def _lease_width(cells: list[CampaignCell], workers: int) -> int:
+    """One lease per workload (one trace capture, every configuration replays it),
+    split into ``ceil(workers / workloads)`` even chunks when there are fewer
+    workloads than workers, so a one-workload grid still keeps every worker busy.
+    """
+    sizes = Counter(cell.workload_name for cell in cells).values()
+    parts = -(-workers // len(sizes))
+    return max(-(-size // parts) for size in sizes)
+
+
+def run_local_fleet(
+    campaign: Campaign, cells: list[CampaignCell], workers: int, complete, fail
+) -> None:
+    """Lease ``cells`` of ``campaign`` to ``workers`` forked workers via a throwaway
+    service directory, handing each row to ``complete(cell, result, seconds,
+    telemetry)`` or ``fail(cell, error)`` as it lands.  Cells still missing when
+    every worker has died fail with a :class:`CoordinationError` payload.
+    """
+    with tempfile.TemporaryDirectory(prefix="repro-fleet-") as root:
+        service = CampaignService(root)
+        service.submit(
+            campaign,
+            lease_seconds=LOCAL_LEASE_SECONDS,
+            lease_width=_lease_width(cells, workers),
+            cells=cells,
+        )
+        pending = {cell.fingerprint: cell for cell in cells}
+        with local_fleet(service, workers, share_traces=False) as processes:
+            seen = await_cells(
+                service,
+                pending,
+                on_done=lambda cell, record: complete(
+                    cell,
+                    SimulationResult.from_dict(record["result"]),
+                    record["telemetry"]["wall_seconds"],
+                    record["telemetry"],
+                ),
+                on_failed=lambda cell, row: fail(cell, row["error"]),
+                workers=processes,
+            )
+    lost = CoordinationError(f"all {workers} local workers exited before the cell landed")
+    for fingerprint, cell in pending.items():
+        if fingerprint not in seen:
+            fail(cell, failure_payload(lost))

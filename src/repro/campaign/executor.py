@@ -1,4 +1,4 @@
-"""The campaign executor: shard a cell grid across worker processes, checkpointing.
+"""The campaign executor: run a cell grid, checkpointing every finished cell.
 
 The execution order per cell is cache → store → simulate:
 
@@ -6,17 +6,14 @@ The execution order per cell is cache → store → simulate:
    is free;
 2. a persistent-store hit (a previous campaign/process/session) costs one dict →
    :class:`SimulationResult` conversion;
-3. everything else is simulated — inline when ``workers <= 1``, otherwise sharded
-   across a :class:`~concurrent.futures.ProcessPoolExecutor` of at most
-   ``os.cpu_count()`` workers (env ``REPRO_CAMPAIGN_WORKERS`` overrides), with
-   same-workload cells batched onto one worker so its trace cache
-   (:mod:`repro.trace`) emulates each workload once and replays it per
-   configuration.
+3. everything else is simulated — inline when ``workers <= 1``, otherwise on a local
+   fleet (:func:`~repro.campaign.coordinator.run_local_fleet`), the one parallel
+   path: ``workers`` forked workers lease the cells from a temporary service
+   directory, with the fleet's retry-with-backoff-then-failure-row model.
 
-Every finished simulation is appended to the store as its batch lands, so an
-interrupted campaign is resumable: re-running it skips straight to the missing cells
-(step 2).
-Determinism is unaffected by sharding because each cell is self-contained — the
+Every finished simulation is appended to the store as it lands, so an interrupted
+campaign is resumable: re-running it skips straight to the missing cells (step 2).
+Determinism is unaffected by parallelism because each cell is self-contained — the
 simulator derives all randomness from the configuration's ``predictor_seed`` (or the
 campaign-derived per-cell seed, see :class:`~repro.campaign.spec.Campaign`), never
 from scheduling order.
@@ -28,7 +25,6 @@ import os
 import socket
 import time
 import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 
 from repro.campaign.progress import ProgressReporter
@@ -62,12 +58,14 @@ def failure_payload(error: BaseException, worker: str | None = None, attempts: i
     }
 
 
-def default_workers() -> int:
-    """Worker processes for campaign runs (env ``REPRO_CAMPAIGN_WORKERS``, else all cores)."""
+def default_workers(fallback: int = 1) -> int:
+    """Worker processes for a campaign: env ``REPRO_CAMPAIGN_WORKERS``, else ``fallback``.
+
+    The one reader of the variable.  Library calls fall back to serial; the
+    ``run`` command falls back to every core.
+    """
     env = os.environ.get(WORKERS_ENV_VAR)
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    return max(1, int(env)) if env else fallback
 
 
 def simulate_cell(
@@ -101,33 +99,23 @@ def simulate_cell(
 
 
 def _simulate_one_entry(cell: CampaignCell) -> dict:
-    """Simulate one cell into a shippable success/error entry (never raises)."""
+    """Simulate one cell into a success/error entry (never raises).
+
+    Either ``{"result", "seconds", "telemetry"}`` or ``{"error"}`` — a raising
+    cell costs only itself.
+    """
     snapshot = TraceCacheSnapshot()
     started = time.monotonic()
     try:
         result = simulate_cell(cell)
-    except Exception as error:  # noqa: BLE001 — one bad cell must not sink the batch
-        return {"fingerprint": cell.fingerprint, "error": failure_payload(error)}
+    except Exception as error:  # noqa: BLE001 — one bad cell must not sink the grid
+        return {"error": failure_payload(error)}
     seconds = time.monotonic() - started
     return {
-        "fingerprint": cell.fingerprint,
         "result": result.to_dict(),
         "seconds": seconds,
         "telemetry": cell_telemetry(result, seconds, snapshot),
     }
-
-
-def _pool_worker(cells: list[CampaignCell]) -> list[dict]:
-    """Process-pool entry point: simulate a batch of same-workload cells.
-
-    Cells are batched by workload (see :func:`_workload_batches`) so that each worker
-    captures the architectural trace once per workload and replays it for every
-    configuration in the batch.  Each cell ships back as one entry — either
-    ``{"fingerprint", "result", "seconds", "telemetry"}`` or ``{"fingerprint",
-    "error"}`` — so a raising cell costs only itself and everything else in the
-    batch continues.
-    """
-    return [_simulate_one_entry(cell) for cell in cells]
 
 
 @dataclass
@@ -174,6 +162,8 @@ def run_campaign(
     ``cache`` is any object with ``get(key)``/``put(key, result)`` over
     :attr:`CampaignCell.key` tuples (e.g. :class:`repro.analysis.runner.ResultCache`);
     ``store=None`` falls back to the ``REPRO_RESULT_STORE`` default store when set.
+    ``workers=None`` defers to :func:`default_workers` (serial unless the
+    environment says otherwise).
     """
     started = time.monotonic()
     cells = campaign.cells()
@@ -241,64 +231,14 @@ def run_campaign(
                 reporter.cell_started(cell)
                 deliver(cell, _simulate_one_entry(cell))
         else:
-            _run_sharded(pending, workers, deliver)
+            # Imported here: the coordinator builds on this module's cell primitives.
+            from repro.campaign.coordinator import run_local_fleet
+
+            run_local_fleet(campaign, pending, workers, complete, fail)
 
     outcome.elapsed_seconds = time.monotonic() - started
     reporter.finish()
     return outcome
-
-
-def _workload_batches(pending: list, workers: int) -> list[list]:
-    """Group cells by workload, splitting batches only to fill idle workers.
-
-    Keeping same-workload cells on one worker lets its trace cache emulate the
-    workload once and replay it per configuration; when there are fewer workloads than
-    workers the largest batches are halved until the pool is saturated (a split batch
-    costs one extra capture, which the parallelism more than repays).
-    """
-    groups: dict[tuple, list] = {}
-    for cell in pending:
-        groups.setdefault((cell.workload_name, cell.max_uops), []).append(cell)
-    batches = sorted(groups.values(), key=len, reverse=True)
-    target = min(workers, len(pending))
-    while len(batches) < target:
-        batches.sort(key=len, reverse=True)
-        largest = batches[0]
-        if len(largest) <= 1:
-            break
-        middle = len(largest) // 2
-        batches[0] = largest[:middle]
-        batches.append(largest[middle:])
-    return batches
-
-
-def _run_sharded(pending, workers: int, deliver) -> None:
-    """Fan ``pending`` cells out over a process pool, checkpointing as batches land.
-
-    Per-cell exceptions never reach this layer (:func:`_pool_worker` converts them
-    to error entries); what can still raise here is the *pool itself* breaking — a
-    worker SIGKILLed by the OOM killer turns every in-flight future into
-    ``BrokenProcessPool``.  Those batches fall back to in-process per-cell
-    simulation, so the campaign finishes (slower) instead of losing the grid.
-    """
-    by_fingerprint = {cell.fingerprint: cell for cell in pending}
-    batches = _workload_batches(pending, workers)
-    stranded: list[CampaignCell] = []
-    with ProcessPoolExecutor(max_workers=min(workers, len(batches))) as pool:
-        futures = {pool.submit(_pool_worker, batch): batch for batch in batches}
-        remaining = set(futures)
-        while remaining:
-            finished, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-            for future in finished:
-                try:
-                    entries = future.result()
-                except Exception:  # noqa: BLE001 — pool died; batch result lost
-                    stranded.extend(futures[future])
-                    continue
-                for entry in entries:
-                    deliver(by_fingerprint[entry["fingerprint"]], entry)
-    for cell in stranded:
-        deliver(cell, _simulate_one_entry(cell))
 
 
 def campaign_status(campaign: Campaign, store: ResultStore | None) -> dict:

@@ -22,11 +22,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from enum import Enum
+from fractions import Fraction
 from functools import cached_property
+from typing import get_args, get_origin, get_type_hints
 
 from repro.errors import ConfigurationError
-from repro.pipeline.config import NAMED_CONFIGS, PipelineConfig, named_config
+from repro.pipeline.config import PipelineConfig, named_config
 from repro.workloads.suite import FAST_SUBSET, SUITE_ORDER, all_workloads
 
 #: The eight-workload subset exercised by the benchmark harness (``conftest.py``):
@@ -91,6 +94,28 @@ def resolve_config_names(selector: str) -> tuple[str, ...]:
 def config_fingerprint_payload(config: PipelineConfig) -> str:
     """Canonical JSON of every field of ``config`` (enums stringified, keys sorted)."""
     return json.dumps(asdict(config), sort_keys=True, default=str)
+
+
+def config_from_payload(payload: str) -> PipelineConfig:
+    """Rebuild the configuration :func:`config_fingerprint_payload` encoded.
+
+    The exact inverse: the rebuilt config compares equal to the original, so its
+    cells hash to the same fingerprints.  Field annotations drive the decoding —
+    nested dataclasses recurse, enums and ``Fraction``\\ s are rebuilt from their
+    string form, lists become tuples.
+    """
+    return _decode(PipelineConfig, json.loads(payload))
+
+
+def _decode(kind, value):
+    if is_dataclass(kind):
+        hints = get_type_hints(kind)
+        return kind(**{f.name: _decode(hints[f.name], value[f.name]) for f in fields(kind)})
+    if get_origin(kind) is tuple:
+        return tuple(_decode(get_args(kind)[0], item) for item in value)
+    if isinstance(value, str) and isinstance(kind, type) and issubclass(kind, (Enum, Fraction)):
+        return kind(value)
+    return value
 
 
 def derive_seed(base_seed: int, config_name: str, workload_name: str) -> int:
@@ -221,27 +246,16 @@ class Campaign:
     def to_spec_dict(self) -> dict:
         """A JSON-serialisable grid spec for the distributed coordinator.
 
-        Only *named* configurations round-trip (the worker fleet rebuilds each
-        config from the registry by name — shipping arbitrary dataclasses would
-        need a config codec and loses the registry's self-documenting labels), so
-        a campaign built from custom :class:`PipelineConfig` objects is rejected.
-        Seeded campaigns serialise the base configs plus the seed; every worker
+        Each configuration travels as its canonical fingerprint payload
+        (:func:`config_fingerprint_payload`), so any grid — named, derived or
+        hand-built configurations alike — reaches the fleet and rebuilds into
+        cells with identical fingerprints (:func:`config_from_payload`).  Seeded
+        campaigns serialise the base configs plus the seed; every worker
         re-derives identical per-cell seeds (:func:`derive_seed`).
         """
-        for config in self.configs:
-            try:
-                registered = named_config(config.name)
-            except ConfigurationError:
-                registered = None
-            if registered != config:
-                raise ConfigurationError(
-                    f"campaign {self.name!r}: config {config.name!r} is not a named "
-                    f"configuration; the distributed service ships grids by config "
-                    f"name (known: {sorted(NAMED_CONFIGS)})"
-                )
         return {
             "name": self.name,
-            "configs": [config.name for config in self.configs],
+            "configs": [config_fingerprint_payload(config) for config in self.configs],
             "workloads": list(self.workload_names),
             "max_uops": self.max_uops,
             "warmup_uops": self.warmup_uops,
@@ -251,13 +265,13 @@ class Campaign:
     @classmethod
     def from_spec_dict(cls, spec: dict) -> "Campaign":
         """Rebuild a grid submitted with :meth:`to_spec_dict` (the worker side)."""
-        return cls.from_names(
-            config_names=tuple(spec["configs"]),
-            workload_selector=tuple(spec["workloads"]),
+        return cls(
+            name=spec.get("name", "campaign"),
+            configs=tuple(config_from_payload(payload) for payload in spec["configs"]),
+            workload_names=tuple(spec["workloads"]),
             max_uops=spec["max_uops"],
             warmup_uops=spec["warmup_uops"],
             seed=spec.get("seed"),
-            name=spec.get("name", "campaign"),
         )
 
     def cells(self) -> list[CampaignCell]:

@@ -18,7 +18,7 @@ changes, and :meth:`ResultStore.invalidate` handles the explicit cases (a simula
 bug-fix, a retired workload).
 
 **Multi-process sharing.** One store file may be appended to by many processes at
-once (sharded campaigns, the distributed coordinator's worker fleet).  Two
+once (the worker fleets of :mod:`repro.campaign.coordinator`).  Two
 mechanisms keep that safe:
 
 * every mutation — append, compaction, invalidate, merge — runs under an advisory

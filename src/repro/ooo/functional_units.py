@@ -92,9 +92,6 @@ class FunctionalUnitPool:
         }
         self.structural_rejects = 0
 
-    def _group_of(self, opclass: OpClass) -> _GroupState:
-        return self._groups[_CLASS_GROUP[opclass]]
-
     def try_issue(self, opclass: OpClass, cycle: int, latency: int) -> bool:
         """Try to claim a unit of the right kind at ``cycle``; returns success."""
         group, unpipelined = self._issue_info[opclass]

@@ -232,23 +232,6 @@ class IssueQueue:
             self._entries = remaining
         return selected
 
-    def next_maturity_cycle(self, cycle: int, dispatch_to_issue_latency: int) -> int | None:
-        """Earliest future cycle at which a currently-immature entry matures.
-
-        Reference implementation for :attr:`next_immature_cycle`, which
-        :meth:`select_ready` produces as a byproduct of its walk (entries are in
-        dispatch order, so the first immature entry carries the earliest
-        deadline); the simulator's issue-scan gating re-arms on it when a scan
-        leaves no immediately-issuable work behind.  Returns ``None`` when every
-        entry is already past its dispatch-to-issue latency.
-        """
-        next_cycle: int | None = None
-        for op in self._entries:
-            mature_at = op.dispatch_cycle + dispatch_to_issue_latency
-            if mature_at > cycle and (next_cycle is None or mature_at < next_cycle):
-                next_cycle = mature_at
-        return next_cycle
-
     def __iter__(self):
         return iter(self._entries)
 
@@ -501,9 +484,3 @@ class WakeupIssueQueue(IssueQueue):
             self._wake_min = min(buckets) if buckets else _NEVER
         if added:
             ready.sort()
-
-    def next_maturity_cycle(self, cycle: int, dispatch_to_issue_latency: int) -> int | None:  # pragma: no cover - guard rail
-        raise NotImplementedError(
-            "the wake-up IQ schedules by exact wheel deadlines (_wake_min), not "
-            "maturity walks; use the reference IssueQueue for this API"
-        )

@@ -16,6 +16,7 @@ Named configurations reproduce the paper's labels: ``Baseline_6_64``,
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 
 from repro.core.eole import EOLEConfig, EOLEVariant, eole_config
 from repro.errors import ConfigurationError
@@ -73,7 +74,7 @@ class PipelineConfig:
     value_prediction: bool = False
     predictor_name: str = "vtage-2dstride"
     predictor_seed: int = 0xE01E
-    fpc_vector: tuple = SCALED_FPC_VECTOR
+    fpc_vector: tuple[Fraction, ...] = SCALED_FPC_VECTOR
     # EOLE.
     eole: EOLEConfig = field(default_factory=EOLEConfig)
     # Physical register file.

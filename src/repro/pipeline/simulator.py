@@ -582,10 +582,6 @@ class Simulator:
         )
 
     # ================================================================== commit / LE-VT
-    def _minimum_commit_cycle(self, op: InflightOp) -> int:
-        extra = 1 if self.config.has_levt_stage else 0
-        return op.complete_cycle + self.config.writeback_to_commit_latency + extra
-
     def _commit(self) -> None:
         """In-order retirement of up to ``commit_width`` µ-ops (the LE/VT stage).
 
@@ -1643,9 +1639,6 @@ class Simulator:
             self._trace_exhausted = True
             return None
 
-    def _push_back_dyninst(self, dyn: DynInst) -> None:
-        self._replay.appendleft(dyn)
-
     def _fetch(self) -> None:
         config = self.config
         # Recycle retired records whose barrier has drained — fetch is the only
@@ -1867,20 +1860,7 @@ class Simulator:
             if not op.in_completion_wheel:
                 pool.release(op)
 
-    # ================================================================== run end / results
-    def _check_run_end(self) -> None:
-        """Reference implementation of the run-end test inlined at the end of
-        :meth:`_step` (kept in sync with it)."""
-        if self._finished:
-            return
-        if (
-            self._trace_exhausted
-            and not self._replay
-            and not self._frontend
-            and self.rob.is_empty
-        ):
-            self._finished = True
-
+    # ================================================================== results
     def _build_result(self) -> SimulationResult:
         full = self.stats.copy()
         baseline = self._warmup_snapshot if self._warmup_snapshot is not None else SimStats()

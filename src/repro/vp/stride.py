@@ -97,13 +97,6 @@ class StridePredictor(ValuePredictor):
     def _tag(self, pc: int) -> int:
         return pc & self._tag_mask
 
-    def _index_and_tag(self, pc: int) -> tuple[int, int]:
-        cached = self._pc_cache.get(pc)
-        if cached is None:
-            cached = (_mix_pc(pc) & self._index_mask, pc & self._tag_mask)
-            self._pc_cache[pc] = cached
-        return cached
-
     # ------------------------------------------------------------------ interface
     def lookup_parts(self, pc: int, history: GlobalHistory) -> tuple[int, bool] | None:
         """:meth:`predict` without the :class:`VPrediction` wrapper.

@@ -1,4 +1,8 @@
-"""Tests for the campaign executor: parity with the serial path, resume, sharding."""
+"""Tests for the campaign executor: parity with the serial path, resume, local fleets."""
+
+import json
+import os
+import time
 
 import pytest
 
@@ -115,10 +119,20 @@ class TestWorkers:
         assert default_workers() == 3
 
     def test_default_workers_falls_back_to_cpu_count(self, monkeypatch):
+        """The ``run`` command falls back to every core."""
         import os
 
+        from repro.campaign.cli import build_parser
+
         monkeypatch.delenv("REPRO_CAMPAIGN_WORKERS", raising=False)
-        assert default_workers() == (os.cpu_count() or 1)
+        args = build_parser().parse_args(["run", "--configs", "Baseline_6_64"])
+        assert args.workers == (os.cpu_count() or 1)
+
+    def test_library_default_is_serial(self, monkeypatch):
+        """``run_campaign(workers=None)`` is serial unless the environment says
+        otherwise (it used to mean every core)."""
+        monkeypatch.delenv("REPRO_CAMPAIGN_WORKERS", raising=False)
+        assert default_workers() == 1
 
 
 class TestStatus:
@@ -182,8 +196,8 @@ class TestFailureHandling:
             assert reloaded.get_failure(cell.fingerprint) is None  # superseded
 
     def test_sharded_run_survives_a_raising_cell(self, tmp_path, monkeypatch):
-        # ProcessPoolExecutor children are forked after the patch, so the
-        # injected fault reaches the pool workers too.
+        # Local fleet workers are forked after the patch, so the injected fault
+        # reaches them too; the mcf lease is retried with backoff, then failed.
         self._explode_on_mcf(monkeypatch)
         outcome = run_campaign(
             _campaign(), store=ResultStore(tmp_path / "s.jsonl"), workers=2
@@ -202,3 +216,67 @@ class TestFailureHandling:
         assert payload["message"] == "boom"
         assert payload["worker"] == "w1" and payload["attempts"] == 2
         assert "ValueError: boom" in payload["traceback"]
+
+
+class TestLocalFleet:
+    """``workers > 1`` leases the grid to forked ``work_loop`` processes."""
+
+    @staticmethod
+    def _result_json(outcome, cell) -> str:
+        return json.dumps(
+            outcome.results[(cell.config.name, cell.workload_name)].to_dict(),
+            sort_keys=True,
+        )
+
+    def test_one_workload_grid_keeps_both_workers_busy(self, tmp_path):
+        campaign = Campaign(
+            name="row",
+            configs=tuple(
+                _fast_config(name, value_prediction=True) for name in ("A", "B", "C", "D")
+            ),
+            workload_names=("gcc",),
+            max_uops=UOPS,
+            warmup_uops=WARMUP,
+        )
+        store = ResultStore(tmp_path / "s.jsonl")
+        outcome = run_campaign(campaign, store=store, workers=2)
+        assert outcome.simulated == 4 and not outcome.failed
+        workers = {record["telemetry"]["worker"] for record in store.records()}
+        assert len(workers) == 2
+
+    def test_a_worker_dying_mid_lease_is_taken_over(self, tmp_path, monkeypatch):
+        import repro.campaign.coordinator as coordinator
+
+        marker = tmp_path / "died"
+        real = coordinator.process_lease
+
+        def die_once(*args, **kwargs):
+            try:
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                return real(*args, **kwargs)
+            os._exit(1)  # the first lease claimed dies with its worker
+
+        monkeypatch.setattr(coordinator, "LOCAL_LEASE_SECONDS", 1.0)
+        monkeypatch.setattr(coordinator, "process_lease", die_once)
+        outcome = run_campaign(_campaign(), store=ResultStore(tmp_path / "s.jsonl"), workers=2)
+        assert marker.exists()
+        assert outcome.simulated == 4 and not outcome.failed
+        serial = run_campaign(_campaign(), store=None, workers=1)
+        for cell in _campaign().cells():
+            assert self._result_json(outcome, cell) == self._result_json(serial, cell)
+
+    def test_every_worker_dying_fails_the_missing_cells(self, tmp_path, monkeypatch):
+        import repro.campaign.coordinator as coordinator
+
+        monkeypatch.setattr(coordinator, "process_lease", lambda *args: os._exit(1))
+        store = ResultStore(tmp_path / "s.jsonl")
+        started = time.monotonic()
+        outcome = run_campaign(_campaign(), store=store, workers=2)
+        assert time.monotonic() - started < 30
+        assert not outcome.results
+        assert set(outcome.failed) == {
+            ("CfgA", "gcc"), ("CfgA", "mcf"), ("CfgB", "gcc"), ("CfgB", "mcf"),
+        }
+        for cell in _campaign().cells():
+            assert store.get_failure(cell.fingerprint)["error"]["type"] == "CoordinationError"

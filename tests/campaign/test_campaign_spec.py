@@ -1,5 +1,7 @@
 """Tests for campaign grid specs, named workload sets and cell fingerprints."""
 
+import contextlib
+
 import pytest
 
 from repro.campaign.spec import (
@@ -7,12 +9,61 @@ from repro.campaign.spec import (
     WORKLOAD_SETS,
     Campaign,
     CampaignCell,
+    config_fingerprint_payload,
+    config_from_payload,
     derive_seed,
     resolve_workload_names,
 )
 from repro.errors import ConfigurationError
-from repro.pipeline.config import baseline_6_64, baseline_vp_6_64
+from repro.pipeline.config import NAMED_CONFIGS, PipelineConfig, baseline_6_64, baseline_vp_6_64
+from repro.vp.confidence import PAPER_FPC_VECTOR
 from repro.workloads.suite import FAST_SUBSET, SUITE_ORDER
+
+
+def _experiment_configs(monkeypatch) -> list[PipelineConfig]:
+    """Every configuration the experiment registry submits (its grids intercepted)."""
+    import repro.analysis.experiments as experiments
+
+    class Intercepted(Exception):
+        pass
+
+    captured: list[PipelineConfig] = []
+
+    def intercept(configs, *args, **kwargs):
+        captured.extend(configs)
+        raise Intercepted
+
+    monkeypatch.setattr(experiments, "run_grid", intercept)
+    for build in experiments.EXPERIMENTS.values():
+        with contextlib.suppress(Intercepted):
+            build(workloads=[])
+    return captured
+
+
+class TestConfigPayload:
+    """The fleet ships configurations as their canonical fingerprint payload."""
+
+    def test_decode_inverts_encode_for_every_named_and_experiment_config(self, monkeypatch):
+        experiment_configs = _experiment_configs(monkeypatch)
+        assert {"EOLE_4_64_8banks", "EOLE_4_64_2P_4B", "EOLE_6_64_ee2"} <= {
+            config.name for config in experiment_configs
+        }
+        custom = PipelineConfig(
+            name="custom",
+            value_prediction=True,
+            predictor_name="hybrid-small",
+            fpc_vector=PAPER_FPC_VECTOR,
+        )
+        configs = [build() for build in NAMED_CONFIGS.values()] + experiment_configs + [custom]
+        for config in configs:
+            payload = config_fingerprint_payload(config)
+            decoded = config_from_payload(payload)
+            assert decoded == config, config.name
+            assert config_fingerprint_payload(decoded) == payload
+            assert (
+                CampaignCell(decoded, "gcc", 1000, 100).fingerprint
+                == CampaignCell(config, "gcc", 1000, 100).fingerprint
+            )
 
 
 class TestWorkloadSets:

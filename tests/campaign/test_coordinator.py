@@ -20,6 +20,7 @@ import pytest
 from repro.campaign.coordinator import (
     CampaignService,
     CoordinationError,
+    _lease_width,
     process_lease,
     serve,
     work_loop,
@@ -76,19 +77,45 @@ class TestSubmission:
             cell.fingerprint for cell in campaign.cells()
         ]
 
-    def test_custom_configs_are_rejected(self, tmp_path):
-        from repro.errors import ConfigurationError
+    def test_custom_configs_round_trip(self, tmp_path):
         from repro.pipeline.config import PipelineConfig
+        from repro.vp.confidence import PAPER_FPC_VECTOR
 
         campaign = Campaign(
             name="adhoc",
-            configs=(PipelineConfig(name="NotRegistered"),),
+            configs=(
+                PipelineConfig(
+                    name="NotRegistered",
+                    value_prediction=True,
+                    predictor_name="hybrid-small",
+                    fpc_vector=PAPER_FPC_VECTOR,
+                ),
+            ),
             workload_names=("gcc",),
             max_uops=UOPS,
             warmup_uops=WARMUP,
+            seed=5,
         )
-        with pytest.raises(ConfigurationError):
-            _service(tmp_path).submit(campaign)
+        _service(tmp_path, campaign)
+        rebuilt = CampaignService(tmp_path / "svc").campaign()
+        assert rebuilt.configs == campaign.configs
+        assert [cell.fingerprint for cell in rebuilt.cells()] == [
+            cell.fingerprint for cell in campaign.cells()
+        ]
+
+
+class TestLeaseWidth:
+    """A local fleet's lease width: one lease per workload, split to feed idle workers."""
+
+    def test_one_lease_per_workload_when_workloads_outnumber_workers(self):
+        assert _lease_width(_campaign("gcc,mcf,milc").cells(), workers=2) == 2
+
+    def test_a_one_workload_grid_is_split_across_the_workers(self):
+        configs = ("Baseline_6_64", "Baseline_VP_6_64", "EOLE_4_64", "EOLE_6_64")
+        cells = _campaign("gcc", configs=configs).cells()
+        assert _lease_width(cells, workers=2) == 2  # two even leases, not 3 + 1
+        assert _lease_width(cells, workers=4) == 1
+        assert _lease_width(cells, workers=16) == 1
 
 
 class TestLeaseProtocol:
