@@ -8,19 +8,24 @@ commit-time training call per eligible µ-op (keeping branch history up to date)
 reports the predictor's own statistics.  The same methodology underlies Table 2 and the
 confidence discussion of Section 4.2.
 
-The committed stream comes from the shared trace cache (:mod:`repro.trace`), so a
-predictor sweep emulates each workload once and every predictor replays the capture —
+The walk reads the trace's columns, never decoded ``DynInst`` objects: each trace
+yields one list of ``(branch outcomes, pc, result)`` items
+(:meth:`~repro.trace.encoding.CapturedTrace.study_events`), cached on the trace, so a
+sweep over predictor families builds it once per workload.  The trace comes from the
+shared trace cache (:mod:`repro.trace`): a predictor sweep emulates each workload once,
 and with ``REPRO_TRACE_STORE`` set, repeated study sessions skip emulation entirely.
+``REPRO_TRACE_CACHE=0`` is the oracle: the step-wise emulator's output is wrapped in a
+trace and walked by the same loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from itertools import islice
 
 from repro.bpu.history import GlobalHistory
 from repro.isa.emulator import Emulator
 from repro.trace.cache import shared_trace_cache, trace_cache_enabled
+from repro.trace.encoding import CapturedTrace
 from repro.vp.base import ValuePredictor
 from repro.workloads.suite import Workload
 
@@ -46,40 +51,49 @@ def evaluate_predictor(
     predictor: ValuePredictor,
     workload: Workload,
     max_uops: int = 20_000,
-    trace=None,
+    trace: CapturedTrace | None = None,
 ) -> PredictorEvaluation:
-    """Run ``predictor`` over the committed trace of ``workload``.
+    """Run ``predictor`` over the first ``max_uops`` committed µ-ops of ``workload``.
 
     The predictor is looked up at "fetch" (trace order) and trained immediately with the
     architectural result, which is equivalent to commit-time training on a machine with
     no in-flight aliasing — an optimistic but standard trace-level approximation.
 
-    The committed stream is replayed from the shared trace cache (pass ``trace=`` to
-    supply an explicit :class:`~repro.trace.encoding.CapturedTrace`); set
-    ``REPRO_TRACE_CACHE=0`` to emulate inline instead.
+    The committed stream comes from the shared trace cache, or from ``trace`` when
+    given, which must cover ``max_uops`` (:meth:`CapturedTrace.covers`) or a
+    :class:`ValueError` is raised.  With ``REPRO_TRACE_CACHE=0`` the workload is
+    emulated inline instead.
     """
-    history = GlobalHistory()
-    if trace is None and trace_cache_enabled():
-        trace = shared_trace_cache.trace_for_length(workload, max_uops)
     if trace is not None:
-        stream = islice(trace.replay(), max_uops)
+        if not trace.covers(max_uops):
+            raise ValueError(
+                f"trace of {workload.name!r} holds {len(trace)} µ-ops and did not "
+                f"halt; evaluating {max_uops} needs a longer capture"
+            )
+    elif trace_cache_enabled():
+        trace = shared_trace_cache.trace_for_length(workload, max_uops)
     else:
-        stream = Emulator(workload.program, state=workload.make_state()).run(max_uops)
-    eligible = 0
-    for inst in stream:
-        uop = inst.uop
-        if uop.is_conditional_branch:
-            history.push(inst.taken)
-        if not uop.vp_eligible or inst.result is None:
-            continue
-        eligible += 1
-        prediction = predictor.lookup(inst.pc, history)
-        predictor.validate_and_train(inst.pc, inst.result, prediction)
+        emulator = Emulator(workload.program, state=workload.make_state())
+        instructions = tuple(emulator.run(max_uops))
+        trace = CapturedTrace.from_instructions(
+            workload.program, instructions, halted=emulator.halted, budget=max_uops
+        )
+    events = trace.study_events(max_uops)
+    history = GlobalHistory()
+    push = history.push
+    lookup = predictor.lookup
+    validate_and_train = predictor.validate_and_train
+    # Each lookup follows the previous training and precedes its own, so the
+    # FPC draw order is the per-µ-op order of the pipeline.
+    for outcomes, pc, result in events:
+        for taken in outcomes:
+            push(taken)
+        validate_and_train(pc, result, lookup(pc, history))
     stats = predictor.stats
     return PredictorEvaluation(
         predictor_name=predictor.name,
         workload_name=workload.name,
-        eligible_uops=eligible,
+        eligible_uops=len(events),
         coverage=stats.coverage,
         accuracy=stats.accuracy,
         mispredictions=stats.incorrect_used,

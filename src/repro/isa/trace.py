@@ -9,7 +9,9 @@ through front-end refill penalties, see DESIGN.md §5).
 
 from __future__ import annotations
 
+import gc
 from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.isa.microop import MicroOp
@@ -90,6 +92,26 @@ class DynInst:
             f"DynInst(seq={self.seq}, pc={self.pc}, uop={self.uop}, result={self.result}, "
             f"taken={self.taken}, next_pc={self.next_pc})"
         )
+
+
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector for a block of acyclic bulk allocation.
+
+    Capture and decode allocate one ``DynInst`` per µ-op, and the simulator's hot
+    paths allocate records and predictions; none of them form reference cycles, so
+    the generational collector's periodic heap walks are pure overhead there.  The
+    caller's prior state is restored on exit, normal or not: a collector the
+    caller had disabled stays disabled.
+    """
+    was_enabled = gc.isenabled()
+    if was_enabled:
+        gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 @dataclass

@@ -37,7 +37,6 @@ design and its dead-cycle/stat-crediting rules.
 
 from __future__ import annotations
 
-import gc
 import os
 from bisect import insort
 from collections import deque
@@ -54,7 +53,7 @@ from repro.isa.emulator import ArchState, Emulator
 from repro.isa.flags import approximate_flags, flags_match_for_validation
 from repro.isa.opcode import OpClass
 from repro.isa.program import Program
-from repro.isa.trace import DynInst
+from repro.isa.trace import DynInst, gc_paused
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.obs.metrics import drain_simulator_metrics, maybe_sim_metrics
 from repro.obs.tracer import maybe_tracer
@@ -254,12 +253,8 @@ class Simulator:
             self.max_uops * self._DEADLOCK_CYCLES_PER_UOP + self._DEADLOCK_SLACK_CYCLES
         )
         # The simulation allocates no reference cycles on its hot paths (records are
-        # pooled, prediction/outcome objects are acyclic), so the generational
-        # collector's periodic heap walks are pure overhead while it runs.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
+        # pooled, prediction/outcome objects are acyclic).
+        with gc_paused():
             if self._event_driven:
                 self._run_event_driven(deadlock_limit)
             else:
@@ -267,9 +262,6 @@ class Simulator:
                     self._step()
                     if self.cycle > deadlock_limit:
                         self._raise_deadlock(deadlock_limit)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
         return self._build_result()
 
     def _raise_deadlock(self, deadlock_limit: int) -> None:

@@ -6,7 +6,8 @@ cache → result store → simulate layering of :mod:`repro.analysis.runner`:
 1. an in-memory hit (same process) is free — the materialised ``DynInst`` tuple is
    shared by every simulation replaying it;
 2. an on-disk hit (``REPRO_TRACE_STORE``, a previous process/session) costs one
-   columnar decode;
+   columnar decode when replayed by the timing model (the trace-level predictor
+   study reads the columns without decoding);
 3. anything left is captured by running the architectural emulator once.
 
 Entries are keyed by workload name; an entry is reused only when its capture covers

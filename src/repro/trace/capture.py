@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from repro.isa.emulator import ArchState, Emulator
 from repro.isa.program import Program
+from repro.isa.trace import gc_paused
 from repro.trace.encoding import CapturedTrace
 
 #: Default fetch-ahead slack added to the committed-µ-op target at capture time.
@@ -46,10 +47,11 @@ def capture_trace(
     stream at once.
     """
     emulator = Emulator(program, state=state)
-    instructions = emulator.run_batch(budget)
-    return CapturedTrace.from_instructions(
-        program, instructions, halted=emulator.halted, budget=budget
-    )
+    with gc_paused():
+        instructions = emulator.run_batch(budget)
+        return CapturedTrace.from_instructions(
+            program, instructions, halted=emulator.halted, budget=budget
+        )
 
 
 def capture_workload_trace(workload, budget: int) -> CapturedTrace:

@@ -11,6 +11,8 @@ dense value array holding only the present entries.
 Replay is lazy: :meth:`CapturedTrace.instructions` materialises the ``DynInst`` tuple
 once per trace and caches it, so every simulation replaying the same capture shares the
 same (immutable, never-mutated-by-the-pipeline) ``DynInst`` objects with zero copying.
+The trace-level predictor study decodes nothing: :meth:`CapturedTrace.study_events`
+reads the pc, branch-outcome and result columns directly.
 
 The same columns serialise to a flat binary blob (:meth:`CapturedTrace.to_bytes` /
 :meth:`CapturedTrace.from_bytes`) for the on-disk trace store
@@ -25,10 +27,11 @@ import sys
 import zlib
 from array import array
 from collections.abc import Iterable, Iterator
+from itertools import islice
 
 from repro.errors import ReproError
 from repro.isa.program import Program
-from repro.isa.trace import DynInst
+from repro.isa.trace import DynInst, gc_paused
 
 #: Bump whenever the binary layout (or the semantics of a column) changes; stored
 #: traces with a different version are ignored by the store.
@@ -36,6 +39,20 @@ TRACE_FORMAT_VERSION = 1
 
 #: Optional (sparse) DynInst columns, in serialisation order.
 _OPTIONAL_FIELDS = ("result", "flags_result", "flags_in", "addr", "store_value")
+
+#: Bits of the per-program static flag table behind :meth:`CapturedTrace.study_events`.
+_CONDITIONAL_BRANCH = 1
+_VP_ELIGIBLE = 2
+
+#: One trace-level study item: the conditional-branch outcomes to push into the
+#: global history, then the pc and architectural result of an eligible µ-op.
+StudyEvent = tuple[tuple[int, ...], int, int]
+
+
+def _expand(presence: bytearray, values: array) -> Iterator[int | None]:
+    """A sparse column, expanded lazily: the next dense value where present, else None."""
+    next_value = iter(values).__next__
+    return (next_value() if present else None for present in presence)
 
 
 class TraceEncodingError(ReproError):
@@ -126,6 +143,7 @@ class CapturedTrace:
         "_presence",
         "_values",
         "_insts",
+        "_events",
     )
 
     def __init__(
@@ -157,6 +175,7 @@ class CapturedTrace:
         self._presence = presence
         self._values = values
         self._insts: tuple[DynInst, ...] | None = None
+        self._events: tuple[int, list[StudyEvent]] | None = None
 
     # ------------------------------------------------------------------ construction
     @classmethod
@@ -189,6 +208,7 @@ class CapturedTrace:
         trace._presence = None
         trace._values = None
         trace._insts = instructions
+        trace._events = None
         return trace
 
     def _ensure_columns(self) -> None:
@@ -242,7 +262,8 @@ class CapturedTrace:
         shares the same ``DynInst`` objects (the timing pipeline never mutates them).
         """
         if self._insts is None:
-            self._insts = tuple(self._decode())
+            with gc_paused():
+                self._insts = tuple(self._decode())
         return self._insts
 
     def replay(self) -> Iterator[DynInst]:
@@ -250,37 +271,66 @@ class CapturedTrace:
         return iter(self.instructions())
 
     def _decode(self) -> Iterator[DynInst]:
-        uops = self.program.uops
+        """The ``DynInst`` stream, built column by column by one ``map``."""
         pcs = self._pcs
-        next_pcs = self._next_pcs
-        taken = self._taken
-        src_offsets = self._src_offsets
-        src_values = self._src_values
-        presence = [self._presence[name] for name in _OPTIONAL_FIELDS]
-        values = [self._values[name] for name in _OPTIONAL_FIELDS]
-        cursors = [0] * len(_OPTIONAL_FIELDS)
-        for seq in range(self.length):
-            optional: list[int | None] = []
-            for column in range(len(_OPTIONAL_FIELDS)):
-                if presence[column][seq]:
-                    optional.append(values[column][cursors[column]])
-                    cursors[column] += 1
-                else:
-                    optional.append(None)
-            pc = pcs[seq]
-            yield DynInst(
-                seq=seq,
-                pc=pc,
-                uop=uops[pc],
-                src_values=tuple(src_values[src_offsets[seq] : src_offsets[seq + 1]]),
-                result=optional[0],
-                flags_result=optional[1],
-                flags_in=optional[2],
-                addr=optional[3],
-                store_value=optional[4],
-                taken=bool(taken[seq]),
-                next_pc=next_pcs[seq],
-            )
+        offsets = self._src_offsets
+        sources = map(
+            tuple,
+            map(
+                self._src_values.tolist().__getitem__,
+                map(slice, offsets, islice(offsets, 1, None)),
+            ),
+        )
+        return map(
+            DynInst,
+            range(self.length),
+            pcs,
+            map(self.program.uops.__getitem__, pcs),
+            sources,
+            *(_expand(self._presence[name], self._values[name]) for name in _OPTIONAL_FIELDS),
+            map(bool, self._taken),
+            self._next_pcs,
+        )
+
+    def study_events(self, max_uops: int) -> list[StudyEvent]:
+        """The first ``max_uops`` µ-ops as the trace-level predictor study sees them.
+
+        One ``(outcomes, pc, result)`` item per value-prediction-eligible µ-op that
+        produced a result, in trace order.  ``outcomes`` holds the taken flags of the
+        conditional branches since the previous item (the µ-op's own included), which
+        the study pushes into the global history before the lookup.  Branches after
+        the last eligible µ-op are dropped: no lookup observes them.
+
+        Built from the columns without decoding a single ``DynInst`` (an in-process
+        capture builds its columns first) and cached for one ``max_uops`` at a
+        time, so a sweep over predictor families walks one list.
+        """
+        cached = self._events
+        if cached is not None and cached[0] == max_uops:
+            return cached[1]
+        self._ensure_columns()
+        flags = bytes(
+            (_CONDITIONAL_BRANCH if uop.is_conditional_branch else 0)
+            | (_VP_ELIGIBLE if uop.vp_eligible else 0)
+            for uop in self.program.uops
+        )
+        next_result = iter(self._values["result"]).__next__
+        events: list[StudyEvent] = []
+        append = events.append
+        outcomes: list[int] = []
+        for pc, taken, present in zip(
+            islice(self._pcs, max_uops), self._taken, self._presence["result"]
+        ):
+            kind = flags[pc]
+            if kind & _CONDITIONAL_BRANCH:
+                outcomes.append(taken)
+            if present:
+                result = next_result()
+                if kind & _VP_ELIGIBLE:
+                    append((tuple(outcomes), pc, result))
+                    outcomes.clear()
+        self._events = (max_uops, events)
+        return events
 
     def covers(self, required_length: int) -> bool:
         """True if replaying this trace is equivalent to emulating ``required_length``.

@@ -61,10 +61,16 @@ class FCMPredictor(ValuePredictor):
         self._values = [0] * second_level_entries
         self._confidence = [0] * second_level_entries
         self._valid = [False] * second_level_entries
+        # First-level index per static PC — pure memoisation of the hash, consulted
+        # twice per eligible µ-op (predict at fetch, train at commit).
+        self._l1_cache: dict[int, int] = {}
 
     # ------------------------------------------------------------------ indexing
     def _l1_index(self, pc: int) -> int:
-        return _mix(pc) & self._l1_mask
+        l1 = self._l1_cache.get(pc)
+        if l1 is None:
+            l1 = self._l1_cache[pc] = _mix(pc) & self._l1_mask
+        return l1
 
     def _l2_index(self, value_history: tuple[int, ...]) -> int:
         digest = 0

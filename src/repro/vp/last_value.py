@@ -49,25 +49,31 @@ class LastValuePredictor(ValuePredictor):
         self._values = [0] * entries
         self._confidence = [0] * entries
         self._valid = [False] * entries
+        # (index, tag) per static PC — pure memoisation of the two hash formulas,
+        # consulted twice per eligible µ-op (predict at fetch, train at commit).
+        self._pc_cache: dict[int, tuple[int, int]] = {}
 
     # ------------------------------------------------------------------ indexing
-    def _index(self, pc: int) -> int:
-        return _mix_pc(pc) & self._index_mask
-
-    def _tag(self, pc: int) -> int:
-        return (_mix_pc(pc * 31 + 17) >> 7) & self._tag_mask
+    def _index_and_tag(self, pc: int) -> tuple[int, int]:
+        cached = self._pc_cache.get(pc)
+        if cached is None:
+            cached = (
+                _mix_pc(pc) & self._index_mask,
+                (_mix_pc(pc * 31 + 17) >> 7) & self._tag_mask,
+            )
+            self._pc_cache[pc] = cached
+        return cached
 
     # ------------------------------------------------------------------ interface
     def predict(self, pc: int, history: GlobalHistory) -> VPrediction | None:
-        index = self._index(pc)
-        if not self._valid[index] or self._tags[index] != self._tag(pc):
+        index, tag = self._index_and_tag(pc)
+        if not self._valid[index] or self._tags[index] != tag:
             return None
         confident = self._confidence[index] >= self._policy.saturation
         return VPrediction(self._values[index], confident, self.name, meta=index)
 
     def train(self, pc: int, actual: int, prediction: VPrediction | None) -> None:
-        index = self._index(pc)
-        tag = self._tag(pc)
+        index, tag = self._index_and_tag(pc)
         actual &= _MASK64
         if self._valid[index] and self._tags[index] == tag:
             if self._values[index] == actual:

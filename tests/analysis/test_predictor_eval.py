@@ -1,6 +1,9 @@
 """Tests for the offline (trace-level) predictor evaluation harness."""
 
+import pytest
+
 from repro.analysis.predictor_eval import evaluate_predictor
+from repro.trace.capture import capture_workload_trace
 from repro.vp.confidence import DETERMINISTIC_3BIT_VECTOR
 from repro.vp.hybrid import VTAGE2DStrideHybrid
 from repro.vp.last_value import LastValuePredictor
@@ -39,3 +42,12 @@ class TestPredictorEvaluation:
             max_uops=3000,
         )
         assert hybrid.coverage > lvp.coverage
+
+    def test_an_explicit_trace_too_short_for_the_budget_raises(self):
+        wl = workload("bzip2")
+        trace = capture_workload_trace(wl, 1000)
+        assert not trace.halted
+        with pytest.raises(ValueError, match="longer capture"):
+            evaluate_predictor(_small_hybrid(), wl, max_uops=1001, trace=trace)
+        evaluation = evaluate_predictor(_small_hybrid(), wl, max_uops=1000, trace=trace)
+        assert evaluation.eligible_uops > 0

@@ -1,9 +1,13 @@
 """Tests for dynamic-trace records and trace characterisation."""
 
+import gc
+
+import pytest
+
 from repro.isa.builder import ProgramBuilder
 from repro.isa.emulator import collect_trace, generate_trace
 from repro.isa.opcode import OpClass
-from repro.isa.trace import characterize, take
+from repro.isa.trace import characterize, gc_paused, take
 
 
 def _mixed_program():
@@ -67,3 +71,45 @@ class TestTake:
         b = ProgramBuilder()
         b.movi("r1", 1)
         assert len(take(generate_trace(b.build(), 100), 50)) == 1
+
+
+class TestGcPaused:
+    @pytest.fixture(autouse=True)
+    def _restore_gc(self):
+        was_enabled = gc.isenabled()
+        yield
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    def test_pauses_and_restores_an_enabled_collector(self):
+        gc.enable()
+        with gc_paused():
+            assert not gc.isenabled()
+        assert gc.isenabled()
+
+    def test_restores_the_collector_when_the_block_raises(self):
+        gc.enable()
+        with pytest.raises(RuntimeError):
+            with gc_paused():
+                raise RuntimeError("boom")
+        assert gc.isenabled()
+
+    def test_leaves_a_disabled_collector_disabled(self):
+        gc.disable()
+        with gc_paused():
+            assert not gc.isenabled()
+        assert not gc.isenabled()
+        with pytest.raises(RuntimeError):
+            with gc_paused():
+                raise RuntimeError("boom")
+        assert not gc.isenabled()
+
+    def test_nested_pauses_restore_the_outermost_state(self):
+        gc.enable()
+        with gc_paused():
+            with gc_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        assert gc.isenabled()
