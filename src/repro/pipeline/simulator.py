@@ -219,12 +219,20 @@ class Simulator:
         self._last_dispatched_seq = -1
 
         # Event-driven scheduling state.  ``_dispatch_stall_reason`` is non-None
-        # exactly when dispatch ended the cycle stalled on a structural resource with
-        # *zero* progress — a state that provably recurs (and counts one stall per
-        # cycle) until some other pipeline event frees the resource, which is what
-        # lets the scheduler credit those cycles in bulk instead of ticking them.
+        # exactly when dispatch ended the cycle stalled with *zero* progress on a
+        # structural resource ("rob"/"lsq"/"prf") or on a full IQ ("iq") — a cycle
+        # that provably recurs unchanged until some other pipeline event frees the
+        # resource, which is what lets the scheduler credit those cycles in bulk
+        # instead of ticking them.  An "iq" cycle also re-runs the rename
+        # overshoot: ``_iq_stall_blocked`` is the structural stall that ended it
+        # and ``_iq_stall_ee_counts`` the EE planner's per-call counter increments.
+        # It parks only where it repeats identically (see _park_on_full_iq).
         self._event_driven = event_driven_enabled()
         self._dispatch_stall_reason: str | None = None
+        self._iq_stall_blocked: str | None = None
+        self._iq_stall_ee_counts: tuple[int, int, int] | None = None
+        ee_ports = config.ee_write_ports_per_bank
+        self._iq_stall_repeats = not self._multi_bank and (ee_ports is None or ee_ports > 0)
 
         # Observability (repro.obs): both hooks are None unless their env switch
         # opts in, so every hot-path site pays one ``is not None`` check and the
@@ -274,10 +282,12 @@ class Simulator:
         """The event-wheel main loop: step on event cycles, jump over dead spans.
 
         Invariant: a skipped cycle is one where the cycle-stepping loop would only
-        have incremented ``stats.cycles`` (and, when dispatch is parked on a
-        structural stall, one stall counter) — every candidate source in
-        :meth:`_next_event_cycle` is conservative, so any cycle that could mutate
-        other state is stepped normally.
+        have incremented ``stats.cycles`` and, when dispatch is parked on a
+        zero-progress stall (a full ROB, LSQ, PRF bank or IQ), re-run that
+        identical stalled dispatch (see :meth:`_skip_dead_cycles` for what it
+        counts) — every candidate source in :meth:`_next_event_cycle` is
+        conservative, so any cycle that could mutate other state is stepped
+        normally.
 
         This loop is the fused fast path: the per-cycle stage guards of
         :meth:`_step`, the event-candidate computation of
@@ -415,8 +425,10 @@ class Simulator:
           :meth:`_issue` (dispatch-maturity deadline or an event having lowered it);
         * **dispatch** — the front-end head's ``dispatch_ready_cycle``; a head that
           is already dispatch-ready re-arms next cycle *unless* the stage is parked
-          on a recurring structural stall, which only another stage's event can
-          clear (the skipped span is then credited to that stall counter);
+          on a recurring zero-progress stall (full ROB, LSQ, PRF bank or IQ),
+          which only another stage's event can clear — a commit or squash frees
+          ROB/LSQ/PRF space, an issue frees IQ slots (the skipped span is then
+          credited to that stall);
         * **fetch** — the fetch resume point, whenever fetch is unblocked, the trace
           has µ-ops left and the front-end has room (fetch otherwise resumes only as
           a consequence of one of the other events).
@@ -461,28 +473,50 @@ class Simulator:
         """Jump over ``gap`` provably-dead cycles, crediting per-cycle counters.
 
         A dead cycle, stepped by the reference loop, would increment
-        ``stats.cycles``, clear the previous-dispatch bypass group, and — when the
-        front-end head is dispatch-ready but structurally blocked — count exactly one
-        dispatch stall against the blocking resource.  Everything else is untouched
-        by construction (see :meth:`_next_event_cycle`), so those effects are applied
-        in bulk here.
+        ``stats.cycles`` and clear the previous-dispatch bypass group.  When
+        dispatch is parked (the front-end head is dispatch-ready but blocked with
+        zero progress) it would also run the stalled dispatch once:
+
+        * a structural stall counts one stall against the blocking resource;
+        * a full IQ counts one ``iq_full_stalls``, and its rename overshoot the
+          structural stall that ended the group (if any) and, on the two-phase
+          path, the EE planner's per-call counter increments;
+        * either records one ``iq.occupancy`` sample (metrics on), at an
+          occupancy that is constant across the span.
+
+        Everything else is untouched by construction (see
+        :meth:`_next_event_cycle`), so those effects are applied in bulk here.
         """
         self.cycle += gap
-        self.stats.cycles += gap
+        stats = self.stats
+        stats.cycles += gap
         self._previous_dispatch_group = []
         reason = self._dispatch_stall_reason
         if reason is not None:
+            if reason == "iq":
+                stats.iq_full_stalls += gap
+                ee_counts = self._iq_stall_ee_counts
+                if ee_counts is not None:
+                    early_block = self.early_block
+                    early_block.candidates_seen += ee_counts[0] * gap
+                    early_block.executed += ee_counts[1] * gap
+                    early_block.alu_saturation_rejects += ee_counts[2] * gap
+                reason = self._iq_stall_blocked
             # Mirrors _count_dispatch_stall (the per-cycle reference), credited gap
             # cycles at once.
             if reason == "rob":
-                self.stats.rob_full_stalls += gap
+                stats.rob_full_stalls += gap
             elif reason == "lsq":
-                self.stats.lsq_full_stalls += gap
+                stats.lsq_full_stalls += gap
             elif reason == "prf":
-                self.stats.prf_bank_stalls += gap
+                stats.prf_bank_stalls += gap
                 self.prf.record_bank_full_stall(gap)
-            else:  # pragma: no cover - _dispatch only parks on the reasons above
+            elif reason is not None:  # pragma: no cover - dispatch parks on no other
                 raise SimulationError(f"unknown dispatch stall reason {reason!r}")
+            if self._m_iq_occupancy is not None:
+                iq = self.iq
+                occupancy = len(iq._members) if self._wakeup else len(iq._entries)
+                self._m_iq_occupancy.record(occupancy, gap)
         if self._m_skip_distance is not None:
             self._m_skip_distance.record(gap)
 
@@ -1166,8 +1200,6 @@ class Simulator:
             else:
                 producers = tuple(rename_map.get(reg) for reg in sources)
             op.producers = producers
-            for dst in uop.dst_regs:
-                rename_map[dst] = op
             group.append(op)
             rob_entries.append(op)
             if kind & 4:  # load
@@ -1185,6 +1217,9 @@ class Simulator:
             op.dispatch_cycle = cycle
 
             # Classification + IQ insertion (phase D/E, EE impossible here).
+            # The destination renames come last, once the µ-op is dispatched:
+            # an IQ-denied µ-op has overwritten nothing yet, and the overshoot
+            # logs its renames for the rollback (nothing in between reads the map).
             pred_used = op.pred_used
             if late_enabled and (pred_used or kind & 2):
                 late_block.classify(op)
@@ -1265,6 +1300,8 @@ class Simulator:
                 stats.dispatched_to_iq += 1
                 if tracer is not None:
                     tracer.emit(cycle, "dispatch", op, "iq")
+            for dst in uop.dst_regs:
+                rename_map[dst] = op
 
         if not overshot:
             # Peak statistics, deferred out of the per-µ-op loop: within one
@@ -1311,7 +1348,9 @@ class Simulator:
         pointer before the rollback returns every op from the IQ-denied one on
         to the front-end.  This continues phase A/B from where the fused loop
         stopped — structural stall counters included — then performs the same
-        rollback, returning the surviving (truncated) group.
+        rollback, returning the surviving (truncated) group.  The IQ-denied op
+        has not written the rename map yet (the fused loop renames destinations
+        last), so every rename from it on goes through the undo log.
         """
         cycle = self.cycle
         config = self.config
@@ -1324,25 +1363,36 @@ class Simulator:
         prf = self.prf
         stats = self.stats
         first_undispatched = len(group) - 1
+        undo: list[InflightOp | None] = []
+        denied = group[first_undispatched]
+        for dst in denied.uop.dst_regs:
+            undo.append(rename_map.get(dst))
+            rename_map[dst] = denied
+        blocked: str | None = None
         while len(group) < rename_width and frontend:
             op = frontend[0]
             if op.dispatch_ready_cycle > cycle:
+                blocked = "wait"
                 break
             uop = op.uop
             if not rob.has_space():
                 stats.rob_full_stalls += 1
+                blocked = "rob"
                 break
             if uop.is_memory and not lsq.has_space(op):
                 stats.lsq_full_stalls += 1
+                blocked = "lsq"
                 break
             if uop.dst is not None and multi_bank and not prf.can_allocate():
                 stats.prf_bank_stalls += 1
                 prf.record_bank_full_stall()
+                blocked = "prf"
                 break
             frontend.popleft()
             sources = uop.src_regs
             op.producers = tuple(rename_map.get(reg) for reg in sources)
             for dst in uop.dst_regs:
+                undo.append(rename_map.get(dst))
                 rename_map[dst] = op
             group.append(op)
             rob.push_renamed(op)
@@ -1357,11 +1407,37 @@ class Simulator:
             elif uop.dst is not None:
                 prf._allocated[0] += 1
             op.dispatch_cycle = cycle
+        if blocked is None and len(group) < rename_width:
+            blocked = "wait"  # the front-end ran dry: a later fetch extends the group
         # The reference records the dispatch high-water mark over the *renamed*
         # group, overshoot included (rollback does not lower it).
         self._last_dispatched_seq = group[-1].seq
-        self._rollback_undispatched(group, first_undispatched)
+        self._rollback_undispatched(group, first_undispatched, undo)
+        if not first_undispatched:
+            self._park_on_full_iq(blocked, None)
         return group[:first_undispatched]
+
+    def _park_on_full_iq(
+        self, blocked: str | None, ee_counts: tuple[int, int, int] | None
+    ) -> None:
+        """Park dispatch after an IQ-full cycle with zero progress, if it recurs.
+
+        The stalled cycle renames the group, counts ``blocked`` (the structural
+        stall that ended the rename, if any) and rolls everything back, so it
+        repeats identically until another stage's event changes the machine —
+        unless the rename stopped short of ``rename_width`` at a front-end µ-op
+        that is not yet dispatch-ready or at the end of the front-end
+        (``"wait"``: a later cycle renames more, and neither the maturing µ-op
+        nor one fetched after dispatch this cycle is a wheel candidate), or the
+        PRF is banked (the round-robin pointer moves on every rename) or has no
+        EE write port (the denied µ-op's prediction write stalls once a cycle).
+        ``ee_counts`` are the EE planner's per-call counter increments on the
+        two-phase path.  :meth:`_skip_dead_cycles` credits all of it per cycle.
+        """
+        if blocked != "wait" and self._iq_stall_repeats:
+            self._dispatch_stall_reason = "iq"
+            self._iq_stall_blocked = blocked
+            self._iq_stall_ee_counts = ee_counts
 
     def _dispatch_eole(self) -> None:
         """Two-phase rename/dispatch (the reference; EE needs the group barrier)."""
@@ -1371,6 +1447,7 @@ class Simulator:
         if not frontend or frontend[0].dispatch_ready_cycle > cycle:
             self._previous_dispatch_group = []
             return
+        previous_group = self._previous_dispatch_group
         config = self.config
         rename_width = config.rename_width
         multi_bank = config.prf_banks > 1
@@ -1393,10 +1470,14 @@ class Simulator:
         # Phase A/B: pull dispatch-ready µ-ops and rename them.  Intra-group
         # producers are visible through ``rename_map`` itself — every destination is
         # written to it immediately and nothing is deleted mid-group, so a separate
-        # local overlay would always agree with it.
+        # local overlay would always agree with it.  ``undo`` logs what each write
+        # overwrote, for an IQ-full rollback; ``blocked`` is what ended the group.
+        undo: list[InflightOp | None] = []
+        blocked: str | None = None
         while len(group) < rename_width and frontend:
             op = frontend[0]
             if op.dispatch_ready_cycle > cycle:
+                blocked = "wait"
                 break
             uop = op.uop
             kind = uop.hot_mask
@@ -1407,8 +1488,7 @@ class Simulator:
             # event scheduler exploits by crediting skipped spans in bulk.
             if len(rob_entries) >= rob_capacity:
                 stats.rob_full_stalls += 1
-                if not group:
-                    self._dispatch_stall_reason = "rob"
+                blocked = "rob"
                 break
             if kind & 16 and (  # memory
                 len(lsq_loads) >= lq_capacity
@@ -1416,14 +1496,12 @@ class Simulator:
                 else len(lsq_stores) >= sq_capacity
             ):
                 stats.lsq_full_stalls += 1
-                if not group:
-                    self._dispatch_stall_reason = "lsq"
+                blocked = "lsq"
                 break
             if kind & 64 and multi_bank and not prf.can_allocate():
                 stats.prf_bank_stalls += 1
                 prf.record_bank_full_stall()
-                if not group:
-                    self._dispatch_stall_reason = "prf"
+                blocked = "prf"
                 break
             frontend.popleft()
             # Rename (unrolled for the dominant 0/1/2-source shapes).
@@ -1439,6 +1517,7 @@ class Simulator:
                 producers = tuple(rename_map.get(reg) for reg in sources)
             op.producers = producers
             for dst in uop.dst_regs:
+                undo.append(rename_map.get(dst))
                 rename_map[dst] = op
             group.append(op)
             # Structural allocation happens immediately so the next iteration's space
@@ -1459,6 +1538,8 @@ class Simulator:
                 # destination bank is always 0 (the record's reset default).
                 prf_allocated[0] += 1
             op.dispatch_cycle = cycle
+        if blocked is None and len(group) < rename_width:
+            blocked = "wait"  # the front-end ran dry: a later fetch extends the group
 
         # ROB/LSQ peaks, deferred out of the per-µ-op loop (within one dispatch
         # call these structures only grow, so end-of-phase occupancy is the max;
@@ -1472,14 +1553,33 @@ class Simulator:
         occupancy = len(lsq_stores)
         if occupancy > lsq.peak_sq_occupancy:
             lsq.peak_sq_occupancy = occupancy
+        iq = self.iq
+        wakeup = self._wakeup
+        iq_level = iq._members if wakeup else iq._entries
         if not group:
+            # The head is dispatch-ready, so a structural stall ended the group.
+            self._dispatch_stall_reason = blocked
+            if self._m_iq_occupancy is not None:
+                self._m_iq_occupancy.record(len(iq_level))
             self._previous_dispatch_group = []
             return
         self._last_dispatched_seq = group[-1].seq
 
         # Phase C: Early Execution planning (in parallel with rename).
+        early_block = self.early_block
+        iq_capacity = iq.capacity
+        ee_before = None
+        if len(iq_level) >= iq_capacity and not previous_group:
+            # The group may be denied whole, on a cycle that parks dispatch (the
+            # planner sees no previous-group bypass, as on every later stalled
+            # cycle of the span): note the planner's per-call counters.
+            ee_before = (
+                early_block.candidates_seen,
+                early_block.executed,
+                early_block.alu_saturation_rejects,
+            )
         if config.eole.early.enabled:
-            self.early_block.plan(group, self._previous_dispatch_group)
+            early_block.plan(group, previous_group)
 
         # Phase D/E: Late-Execution classification, IQ insertion and port accounting.
         # The store-set hookup runs *before* the IQ insertion (the wake-up insert
@@ -1488,14 +1588,10 @@ class Simulator:
         # precedes both, so a µ-op denied an IQ slot never touches the LFST.
         late_enabled = config.eole.late.enabled
         late_block = self.late_block
-        iq = self.iq
-        wakeup = self._wakeup
-        iq_level = iq._members if wakeup else iq._entries
-        iq_capacity = iq.capacity
         store_sets = self.store_sets
         nop_class = OpClass.NOP
         tracer = self.tracer
-        for op in group:
+        for index, op in enumerate(group):
             uop = op.uop
             kind = uop.hot_mask
             pred_used = op.pred_used
@@ -1530,8 +1626,17 @@ class Simulator:
             else:
                 if len(iq_level) >= iq_capacity:
                     stats.iq_full_stalls += 1
-                    self._rollback_undispatched(group, group.index(op))
-                    group = group[: group.index(op)]
+                    self._rollback_undispatched(group, index, undo)
+                    if not index and ee_before is not None:
+                        self._park_on_full_iq(
+                            blocked,
+                            (
+                                early_block.candidates_seen - ee_before[0],
+                                early_block.executed - ee_before[1],
+                                early_block.alu_saturation_rejects - ee_before[2],
+                            ),
+                        )
+                    group = group[:index]
                     break
                 if kind & 4:
                     op.mem_dependence = store_sets.dependence_for_load(op)
@@ -1582,9 +1687,29 @@ class Simulator:
             self.stats.prf_bank_stalls += 1
             self.prf.record_bank_full_stall()
 
-    def _rollback_undispatched(self, group: list[InflightOp], first_undispatched: int) -> None:
-        """Return µ-ops that could not get an IQ slot to the front-end, youngest first."""
+    def _rollback_undispatched(
+        self,
+        group: list[InflightOp],
+        first_undispatched: int,
+        undo: list[InflightOp | None],
+    ) -> None:
+        """Return µ-ops that could not get an IQ slot to the front-end, youngest first.
+
+        ``undo`` logs, in rename order, the rename-map entry each destination
+        write overwrote (``None``: no entry); it ends with the writes of
+        ``group[first_undispatched:]``, which are popped and restored youngest
+        first.  The restored map equals a rebuild from the surviving ROB: commit
+        deletes an entry only while it still points at the committing µ-op, and
+        nothing iterates the map.
+        """
+        rename_map = self._rename_map
         for op in reversed(group[first_undispatched:]):
+            for dst in reversed(op.uop.dst_regs):
+                previous = undo.pop()
+                if previous is None:
+                    del rename_map[dst]
+                else:
+                    rename_map[dst] = previous
             # Undo the structural allocations performed in phase A/B.
             squashed = self.rob.squash_from(op.seq)
             for undone in squashed:
@@ -1602,8 +1727,6 @@ class Simulator:
             op.avail_cycle = UNKNOWN_CYCLE
             op.wait_until = 0
             self._frontend.appendleft(op)
-        # Rebuild the rename map from the surviving ROB contents.
-        self._rebuild_rename_map()
 
     def _rebuild_rename_map(self) -> None:
         self._rename_map = {}

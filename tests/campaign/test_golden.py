@@ -1,4 +1,5 @@
-"""The parallel path pinned to the committed golden, not just to the serial path.
+"""The serial and parallel paths pinned to the committed golden, not just to
+each other.
 
 Every other parallel test compares one execution flavour against another, so a
 change to shared model code (predictors, FPC, LSQ) moves both sides at once and
@@ -12,6 +13,8 @@ import hashlib
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.campaign.executor import run_campaign
 from repro.campaign.spec import Campaign
 from repro.campaign.store import ResultStore
@@ -24,13 +27,14 @@ def _digest(result) -> str:
     return hashlib.sha256(json.dumps(result.to_dict(), sort_keys=True).encode()).hexdigest()[:16]
 
 
-def test_parallel_campaign_matches_the_committed_golden(tmp_path):
+@pytest.mark.parametrize("workers", [1, 2], ids=["serial", "fleet"])
+def test_campaign_matches_the_committed_golden(tmp_path, workers):
     expected = json.loads(GOLDEN.read_text())["figure_grid"]
     campaign = Campaign.from_names(
         HEADLINE_CONFIGS, "gcc,mcf", max_uops=8000, warmup_uops=2500, seed=0,
         name="figure_grid",
     )
-    outcome = run_campaign(campaign, store=ResultStore(tmp_path / "s.jsonl"), workers=2)
+    outcome = run_campaign(campaign, store=ResultStore(tmp_path / "s.jsonl"), workers=workers)
     assert not outcome.failed
     digests = {
         cell.describe(): _digest(outcome.results[(cell.config.name, cell.workload_name)])

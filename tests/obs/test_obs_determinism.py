@@ -11,6 +11,7 @@ from repro.campaign.spec import CampaignCell
 from repro.obs.metrics import METRICS_ENV_VAR
 from repro.obs.tracer import PIPE_TRACE_ENV_VAR
 from repro.pipeline.config import named_config
+from repro.pipeline.simulator import EVENT_DRIVEN_ENV_VAR
 from repro.trace.cache import shared_trace_cache
 
 GRID_CONFIGS = (
@@ -63,3 +64,29 @@ def test_metrics_grid_is_byte_identical_modulo_the_payload(monkeypatch):
         assert payload["scalars"]["sim.committed_uops"] > 0
     assert json.dumps(on, sort_keys=True) == json.dumps(off, sort_keys=True)
 
+
+def _metrics_payloads(workloads) -> dict[str, dict]:
+    out = {}
+    for config_name in GRID_CONFIGS:
+        for workload_name in workloads:
+            cell = CampaignCell(
+                config=named_config(config_name),
+                workload_name=workload_name,
+                max_uops=MAX_UOPS,
+                warmup_uops=WARMUP_UOPS,
+            )
+            out[cell.describe()] = simulate_cell(cell).to_dict()["extra"]["metrics"]
+    return out
+
+
+def test_metrics_payload_is_the_same_under_both_loops(monkeypatch):
+    """Every metric but the event wheel's own skip distances is loop-independent:
+    ``iq.occupancy`` samples each dispatch cycle, skipped stall spans included."""
+    monkeypatch.setenv(METRICS_ENV_VAR, "1")
+    monkeypatch.delenv(EVENT_DRIVEN_ENV_VAR, raising=False)
+    event = _metrics_payloads(("milc", "mcf"))
+    monkeypatch.setenv(EVENT_DRIVEN_ENV_VAR, "0")
+    stepped = _metrics_payloads(("milc", "mcf"))
+    for payload in (*event.values(), *stepped.values()):
+        payload["histograms"].pop("scheduler.skip_distance")
+    assert event == stepped

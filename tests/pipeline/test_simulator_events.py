@@ -83,6 +83,18 @@ def test_event_driven_matches_stepping(monkeypatch, config_name, workload_name):
     assert event.to_dict() == stepped.to_dict()
 
 
+class _DispatchCountingSimulator(Simulator):
+    """Counts how many cycles ran the dispatch stage."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.dispatch_calls = 0
+
+    def _dispatch(self):
+        self.dispatch_calls += 1
+        super()._dispatch()
+
+
 def test_bulk_stall_crediting_on_tiny_rob(monkeypatch):
     """A machine whose ROB fills constantly exercises the skipped-span crediting:
     per-cycle dispatch-stall counters must match the reference loop exactly."""
@@ -95,3 +107,63 @@ def test_bulk_stall_crediting_on_tiny_rob(monkeypatch):
     assert event.full_stats.rob_full_stalls == stepped.full_stats.rob_full_stalls
     assert event.full_stats.rob_full_stalls > 0
     assert event.to_dict() == stepped.to_dict()
+
+
+class _RollbackCheckingSimulator(_DispatchCountingSimulator):
+    """Checks that every IQ-full rollback leaves the rename map a rebuild from
+    the surviving ROB would give (the undo log replaces that rebuild)."""
+
+    def _rollback_undispatched(self, group, first_undispatched, undo):
+        super()._rollback_undispatched(group, first_undispatched, undo)
+        rebuilt = {}
+        for op in self.rob:
+            for dst in op.uop.dst_regs:
+                rebuilt[dst] = op
+        assert self._rename_map == rebuilt
+
+
+def _ee_counters(simulator):
+    early = simulator.early_block
+    return early.candidates_seen, early.executed, early.alu_saturation_rejects
+
+
+@pytest.mark.parametrize(
+    "config_name, overrides, workload_name",
+    [
+        ("Baseline_VP_6_64", {"iq_size": 8}, "milc"),
+        ("EOLE_4_64", {"iq_size": 8}, "milc"),
+        ("Baseline_VP_6_64", {"iq_size": 8, "lq_size": 6, "sq_size": 6}, "milc"),
+        ("EOLE_4_64", {"iq_size": 8, "lq_size": 6, "sq_size": 6}, "milc"),
+        ("Baseline_VP_6_64", {"iq_size": 8, "rob_size": 16}, "mcf"),
+        ("EOLE_4_64", {"iq_size": 6}, "bzip2"),
+    ],
+    ids=["fused", "ee", "fused-lsq", "ee-lsq", "fused-rob", "ee-short-group"],
+)
+def test_bulk_stall_crediting_on_tiny_iq(monkeypatch, config_name, overrides, workload_name):
+    """A machine whose IQ fills constantly parks dispatch on the full IQ, on the
+    fused and the two-phase (EE) dispatch path.  The skipped spans must credit
+    ``iq_full_stalls``, the ROB/LSQ stalls the rename overshoot hits and the EE
+    planner's counters exactly.  The cases include renames that stop short of
+    the rename width, at a not-yet-ready µ-op or at the end of the front-end,
+    where dispatch must not park."""
+    config = named_config(config_name).derive(**overrides)
+    wl = workload(workload_name)
+    monkeypatch.delenv(EVENT_DRIVEN_ENV_VAR, raising=False)
+    event_sim, event = _run(config, wl, simulator_cls=_RollbackCheckingSimulator)
+    monkeypatch.setenv(EVENT_DRIVEN_ENV_VAR, "0")
+    stepped_sim, stepped = _run(config, wl, simulator_cls=_RollbackCheckingSimulator)
+    assert event.full_stats.iq_full_stalls == stepped.full_stats.iq_full_stalls
+    assert event.full_stats.iq_full_stalls > event_sim.dispatch_calls
+    assert event.to_dict() == stepped.to_dict()
+    assert _ee_counters(event_sim) == _ee_counters(stepped_sim)
+
+
+def test_full_iq_parks_dispatch(monkeypatch):
+    """``Baseline_6_64`` × mcf keeps its IQ full for most of the run; the
+    cycle-stepping loop dispatches on ~16,000 of its ~16,500 cycles, the event
+    wheel skips the stalled ones."""
+    monkeypatch.delenv(EVENT_DRIVEN_ENV_VAR, raising=False)
+    simulator, result = _run(named_config("Baseline_6_64"), workload("mcf"),
+                             simulator_cls=_DispatchCountingSimulator)
+    assert simulator.dispatch_calls < 1_500
+    assert result.full_stats.iq_full_stalls > 10 * simulator.dispatch_calls

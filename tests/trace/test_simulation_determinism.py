@@ -7,8 +7,9 @@ Three hard invariants are enforced here:
   in-process capture, or replays a capture decoded from the on-disk store;
 * **event-driven scheduler** — the cycle-skipping event wheel
   (``REPRO_EVENT_DRIVEN``, default on) must produce results byte-identical to the
-  retained cycle-stepping reference loop (``REPRO_EVENT_DRIVEN=0``) across the full
-  4-configuration × 4-workload grid the throughput harness measures;
+  retained cycle-stepping reference loop (``REPRO_EVENT_DRIVEN=0``) across the
+  throughput harness's 4-configuration × 4-workload grid, plus ``mcf`` (whose IQ
+  stays full) and ``OLE_4_64`` (the banked machine on the fused dispatch path);
 * **dependency-driven wake-up** — the consumer-list issue-queue
   (``REPRO_WAKEUP_LISTS``, default on) must produce results byte-identical to the
   scan-based reference IQ (``REPRO_WAKEUP_LISTS=0``) across the same full grid.
@@ -33,15 +34,17 @@ GRID_CONFIGS = ("Baseline_6_64", "Baseline_VP_6_64", "EOLE_4_64")
 GRID_WORKLOADS = ("gcc", "mcf")
 MAX_UOPS, WARMUP_UOPS = 2500, 500
 
-#: The throughput harness's grid (benchmarks/perf/throughput.py): the event-driven
-#: determinism gate runs the full 4 × 4 cross product.
+#: The throughput harness's grid (benchmarks/perf/throughput.py) plus the
+#: machines and workload where dispatch parks on a full IQ (or must not): the
+#: event-driven determinism gate runs the full 5 × 5 cross product.
 EVENT_GRID_CONFIGS = (
     "Baseline_6_64",
     "Baseline_VP_6_64",
     "EOLE_4_64",
     "EOLE_4_64_4ports_4banks",
+    "OLE_4_64",
 )
-EVENT_GRID_WORKLOADS = ("wupwise", "bzip2", "gcc", "milc")
+EVENT_GRID_WORKLOADS = ("wupwise", "bzip2", "gcc", "milc", "mcf")
 
 
 def _grid_dicts(monkeypatch, *, cache_enabled: bool) -> dict[str, dict]:
@@ -136,7 +139,7 @@ def _event_grid_dicts(monkeypatch, *, event_driven: bool) -> dict[str, dict]:
 
 
 def test_event_driven_grid_is_byte_identical_to_cycle_stepping(monkeypatch):
-    """The cycle-skipping event wheel is invisible across the full 4 × 4 grid.
+    """The cycle-skipping event wheel is invisible across the full 5 × 5 grid.
 
     Every counter — including the per-stalled-cycle dispatch statistics that the
     scheduler credits in bulk for skipped spans — must match the cycle-stepping
@@ -167,7 +170,7 @@ def _wakeup_grid_dicts(monkeypatch, *, wakeup: bool) -> dict[str, dict]:
 
 
 def test_wakeup_lists_grid_is_byte_identical_to_scan_reference(monkeypatch):
-    """The dependency-driven wake-up IQ is invisible across the full 4 × 4 grid.
+    """The dependency-driven wake-up IQ is invisible across the full 5 × 5 grid.
 
     Selection order, issue cycles, functional-unit interactions, squash/replay
     recovery and every derived statistic must match the scan-based reference
