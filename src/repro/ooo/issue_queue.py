@@ -146,9 +146,12 @@ class IssueQueue:
         readiness and latency rules inlined.
 
         Semantically identical to calling :meth:`select` with the simulator's
-        ``_is_ready``/``_execution_latency`` callbacks; inlining the per-entry
-        readiness walk (operand wake-up against producer completion times, store-set
-        memory dependences) avoids several function calls per waiting µ-op per cycle.
+        rules as callbacks: an entry is ready once it is past the dispatch-to-issue
+        latency, every producer's result is available and, for a load, its
+        store-set dependence has issued or been squashed; the latency is the
+        µ-op's own.  Inlining the per-entry readiness walk (operand wake-up against
+        producer completion times, store-set memory dependences) avoids several
+        function calls per waiting µ-op per cycle.
         """
         entries = self._entries
         self.next_immature_cycle = None

@@ -48,14 +48,6 @@ class ReorderBuffer:
             raise SimulationError("ROB overflow: push called without space")
         if self._entries and op.seq <= self._entries[-1].seq:
             raise SimulationError("ROB entries must be pushed in increasing sequence order")
-        self.push_renamed(op)
-
-    def push_renamed(self, op: InflightOp) -> None:
-        """:meth:`push` without the overflow/ordering guards.
-
-        Hot-path variant for the dispatch stage, which checks :meth:`has_space`
-        itself and dispatches in sequence order by construction.
-        """
         entries = self._entries
         entries.append(op)
         if len(entries) > self.peak_occupancy:

@@ -51,7 +51,6 @@ from repro.core.late_execution import LateExecutionBlock
 from repro.errors import SimulationError
 from repro.isa.emulator import ArchState, Emulator
 from repro.isa.flags import approximate_flags, flags_match_for_validation
-from repro.isa.opcode import OpClass
 from repro.isa.program import Program
 from repro.isa.trace import DynInst, gc_paused
 from repro.mem.hierarchy import MemoryHierarchy
@@ -479,8 +478,8 @@ class Simulator:
 
         * a structural stall counts one stall against the blocking resource;
         * a full IQ counts one ``iq_full_stalls``, and its rename overshoot the
-          structural stall that ended the group (if any) and, on the two-phase
-          path, the EE planner's per-call counter increments;
+          structural stall that ended the group (if any) and, on EE machines,
+          the EE planner's per-call counter increments;
         * either records one ``iq.occupancy`` sample (metrics on), at an
           occupancy that is constant across the span.
 
@@ -502,7 +501,7 @@ class Simulator:
                     early_block.executed += ee_counts[1] * gap
                     early_block.alu_saturation_rejects += ee_counts[2] * gap
                 reason = self._iq_stall_blocked
-            # Mirrors _count_dispatch_stall (the per-cycle reference), credited gap
+            # The stall the stepped dispatch counts once a cycle, credited gap
             # cycles at once.
             if reason == "rob":
                 stats.rob_full_stalls += gap
@@ -875,29 +874,6 @@ class Simulator:
         return True
 
     # ================================================================== issue / execute
-    def _operand_ready(self, op: InflightOp, cycle: int) -> bool:
-        for producer in op.producers:
-            if producer is None:
-                continue
-            available = producer.avail_cycle
-            if available == UNKNOWN_CYCLE or available > cycle:
-                return False
-        return True
-
-    def _is_ready(self, op: InflightOp, cycle: int) -> bool:
-        if cycle < op.dispatch_cycle + self.config.dispatch_to_issue_latency:
-            return False
-        if not self._operand_ready(op, cycle):
-            return False
-        if op.uop.is_load:
-            dependence = op.mem_dependence
-            if dependence is not None and not dependence.squashed and not dependence.issued:
-                return False
-        return True
-
-    def _execution_latency(self, op: InflightOp) -> int:
-        return op.uop.latency
-
     def _issue(self) -> None:
         if self._wakeup:
             self._issue_wakeup()
@@ -905,8 +881,10 @@ class Simulator:
         cycle = self.cycle
         if cycle < self._iq_scan_from:
             return
-        # ``select_ready`` inlines the ``_is_ready``/``_execution_latency`` rules
-        # above (kept as the reference implementation) into the IQ walk.
+        # ``select_ready`` walks the IQ with the readiness rule inlined: an entry
+        # issues once it is past the dispatch-to-issue latency, every producer's
+        # result is available and, for a load, its store-set dependence has
+        # issued (or been squashed).
         fu_pool = self.fu_pool
         rejects_before = fu_pool.structural_rejects
         issue_width = self.config.issue_width
@@ -1106,317 +1084,6 @@ class Simulator:
                 self.tracer.emit(complete, "complete", op)
 
     # ================================================================== rename / dispatch
-    def _dispatch(self) -> None:
-        """Rename/dispatch up to ``rename_width`` front-end µ-ops.
-
-        Fused fast path for machines without Early Execution: rename (phase A/B)
-        and classification/IQ insertion (phase D/E) run in one loop per µ-op, so
-        every per-µ-op attribute is read once.  EE machines need the phase C
-        barrier (the EE planner sees the whole rename group at once) and keep the
-        two-phase reference, :meth:`_dispatch_eole`.  The one asymmetric case is
-        an IQ-full rollback: the reference renames the *whole* group before
-        discovering the full IQ, so the fused loop falls into
-        :meth:`_dispatch_overshoot` to replicate that overshoot exactly (it is
-        observable through ROB/LSQ peak-occupancy statistics and the PRF
-        round-robin allocation pointer, which rollback does not rewind).
-        """
-        if self._ee_enabled:
-            self._dispatch_eole()
-            return
-        cycle = self.cycle
-        frontend = self._frontend
-        self._dispatch_stall_reason = None
-        if not frontend or frontend[0].dispatch_ready_cycle > cycle:
-            self._previous_dispatch_group = []
-            return
-        config = self.config
-        rename_width = config.rename_width
-        multi_bank = self._multi_bank
-        rename_map = self._rename_map
-        rob = self.rob
-        lsq = self.lsq
-        prf = self.prf
-        stats = self.stats
-        rob_entries = rob._entries
-        rob_capacity = rob.capacity
-        lsq_loads = lsq._loads
-        lsq_stores = lsq._stores
-        lq_capacity = lsq.lq_capacity
-        sq_capacity = lsq.sq_capacity
-        prf_allocated = prf._allocated
-        late_enabled = self._late_enabled
-        late_block = self.late_block
-        iq = self.iq
-        wakeup = self._wakeup
-        iq_level = iq._members if wakeup else iq._entries
-        iq_capacity = iq.capacity
-        store_sets = self.store_sets
-        nop_class = OpClass.NOP
-        d2i = self._d2i
-        scan_wake = cycle + d2i
-        maturity = scan_wake
-        wake_buckets = iq._wake_buckets if wakeup else None
-        unknown_cycle = UNKNOWN_CYCLE
-        tracer = self.tracer
-        group: list[InflightOp] = []
-        overshot = False
-        while len(group) < rename_width and frontend:
-            op = frontend[0]
-            if op.dispatch_ready_cycle > cycle:
-                break
-            uop = op.uop
-            kind = uop.hot_mask
-            # Structural space checks (identical to the two-phase reference).
-            if len(rob_entries) >= rob_capacity:
-                stats.rob_full_stalls += 1
-                if not group:
-                    self._dispatch_stall_reason = "rob"
-                break
-            if kind & 16 and (  # memory
-                len(lsq_loads) >= lq_capacity
-                if kind & 4
-                else len(lsq_stores) >= sq_capacity
-            ):
-                stats.lsq_full_stalls += 1
-                if not group:
-                    self._dispatch_stall_reason = "lsq"
-                break
-            if kind & 64 and multi_bank and not prf.can_allocate():
-                stats.prf_bank_stalls += 1
-                prf.record_bank_full_stall()
-                if not group:
-                    self._dispatch_stall_reason = "prf"
-                break
-            frontend.popleft()
-            # Rename (unrolled for the dominant 0/1/2-source shapes).
-            sources = uop.src_regs
-            if not sources:
-                producers: tuple[InflightOp | None, ...] = ()
-            elif len(sources) == 1:
-                producers = (rename_map.get(sources[0]),)
-            elif len(sources) == 2:
-                reg_a, reg_b = sources
-                producers = (rename_map.get(reg_a), rename_map.get(reg_b))
-            else:
-                producers = tuple(rename_map.get(reg) for reg in sources)
-            op.producers = producers
-            group.append(op)
-            rob_entries.append(op)
-            if kind & 4:  # load
-                lsq_loads.append(op)
-            elif kind & 8:  # store
-                lsq_stores.append(op)
-            if multi_bank:
-                if kind & 64:
-                    op.dest_bank = prf.next_bank()
-                    prf.allocate()
-                else:
-                    prf.advance_without_allocation()
-            elif kind & 64:
-                prf_allocated[0] += 1
-            op.dispatch_cycle = cycle
-
-            # Classification + IQ insertion (phase D/E, EE impossible here).
-            # The destination renames come last, once the µ-op is dispatched:
-            # an IQ-denied µ-op has overwritten nothing yet, and the overshoot
-            # logs its renames for the rollback (nothing in between reads the map).
-            pred_used = op.pred_used
-            if late_enabled and (pred_used or kind & 2):
-                late_block.classify(op)
-            if pred_used:
-                op.avail_cycle = cycle
-                if kind & 64 and not prf.try_ee_write(op.dest_bank, cycle):
-                    stats.ee_write_port_stalls += 1
-            if op.late_executed or kind & 256:
-                op.complete_cycle = cycle
-                op.executed = True
-                if kind & 4:
-                    op.mem_dependence = store_sets.dependence_for_load(op)
-                elif kind & 8:
-                    store_sets.register_store(op)
-                if tracer is not None:
-                    tracer.emit(cycle, "dispatch", op, "nop" if kind & 256 else "late")
-                    tracer.emit(cycle, "complete", op, "bypass")
-            else:
-                if len(iq_level) >= iq_capacity:
-                    stats.iq_full_stalls += 1
-                    self._record_dispatch_peaks()
-                    group = self._dispatch_overshoot(group)
-                    overshot = True
-                    break
-                dependence = None
-                if kind & 4:
-                    dependence = store_sets.dependence_for_load(op)
-                    op.mem_dependence = dependence
-                elif kind & 8:
-                    store_sets.register_store(op)
-                if wakeup:
-                    # Inlined WakeupIssueQueue.insert (kept as the reference).
-                    op.in_issue_queue = True
-                    iq_level[op.seq] = op
-                    gen = op.wake_gen
-                    unknown = 0
-                    ready_at = maturity
-                    for producer in producers:
-                        if producer is None:
-                            continue
-                        avail = producer.avail_cycle
-                        if avail == unknown_cycle:
-                            unknown += 1
-                            consumers = producer.wake_consumers
-                            if consumers is None:
-                                producer.wake_consumers = [(op, gen)]
-                            else:
-                                consumers.append((op, gen))
-                        elif avail > ready_at:
-                            ready_at = avail
-                    op.unknown_producers = unknown
-                    if dependence is not None:
-                        op.mem_blocked = True
-                        waiters = dependence.mem_waiters
-                        if waiters is None:
-                            dependence.mem_waiters = [(op, gen)]
-                        else:
-                            waiters.append((op, gen))
-                    else:
-                        op.mem_blocked = False
-                        if not unknown:
-                            bucket = wake_buckets.get(ready_at)
-                            if bucket is None:
-                                wake_buckets[ready_at] = [(op, gen)]
-                                if ready_at < iq._wake_min:
-                                    iq._wake_min = ready_at
-                            else:
-                                bucket.append((op, gen))
-                else:
-                    op.in_issue_queue = True
-                    op.wait_until = 0
-                    iq_level.append(op)
-                    for producer in producers:
-                        if producer is not None:
-                            producer.iq_waiters += 1
-                    if scan_wake < self._iq_scan_from:
-                        self._iq_scan_from = scan_wake
-                stats.dispatched_to_iq += 1
-                if tracer is not None:
-                    tracer.emit(cycle, "dispatch", op, "iq")
-            for dst in uop.dst_regs:
-                rename_map[dst] = op
-
-        if not overshot:
-            # Peak statistics, deferred out of the per-µ-op loop: within one
-            # dispatch call these structures only grow, so the end-of-loop
-            # occupancy is the cycle's maximum (identical values to per-append
-            # updates; the overshoot path records them before rolling back).
-            self._record_dispatch_peaks()
-        if wakeup:
-            # One exact re-arm per dispatch group: freshly parked entries carry
-            # their precise readiness deadline on the wheel.
-            wake_min = iq._wake_min
-            if wake_min < self._iq_scan_from:
-                self._iq_scan_from = wake_min
-        if group and not overshot:
-            self._last_dispatched_seq = group[-1].seq
-        self._previous_dispatch_group = group
-
-    def _record_dispatch_peaks(self) -> None:
-        """Fold the current ROB/LSQ/IQ occupancies into their peak statistics."""
-        rob = self.rob
-        occupancy = len(rob._entries)
-        if occupancy > rob.peak_occupancy:
-            rob.peak_occupancy = occupancy
-        lsq = self.lsq
-        occupancy = len(lsq._loads)
-        if occupancy > lsq.peak_lq_occupancy:
-            lsq.peak_lq_occupancy = occupancy
-        occupancy = len(lsq._stores)
-        if occupancy > lsq.peak_sq_occupancy:
-            lsq.peak_sq_occupancy = occupancy
-        iq = self.iq
-        occupancy = len(iq._members) if self._wakeup else len(iq._entries)
-        if occupancy > iq.peak_occupancy:
-            iq.peak_occupancy = occupancy
-        if self._m_iq_occupancy is not None:
-            self._m_iq_occupancy.record(occupancy)
-
-    def _dispatch_overshoot(self, group: list[InflightOp]) -> list[InflightOp]:
-        """Replicate the reference's rename overshoot when the IQ fills mid-group.
-
-        The two-phase reference renames the whole group (phase A/B) before phase
-        D/E discovers the full IQ at ``group[-1]``; the extra renames bump
-        ROB/LSQ peak-occupancy statistics and advance the PRF round-robin
-        pointer before the rollback returns every op from the IQ-denied one on
-        to the front-end.  This continues phase A/B from where the fused loop
-        stopped — structural stall counters included — then performs the same
-        rollback, returning the surviving (truncated) group.  The IQ-denied op
-        has not written the rename map yet (the fused loop renames destinations
-        last), so every rename from it on goes through the undo log.
-        """
-        cycle = self.cycle
-        config = self.config
-        frontend = self._frontend
-        rename_width = config.rename_width
-        multi_bank = self._multi_bank
-        rename_map = self._rename_map
-        rob = self.rob
-        lsq = self.lsq
-        prf = self.prf
-        stats = self.stats
-        first_undispatched = len(group) - 1
-        undo: list[InflightOp | None] = []
-        denied = group[first_undispatched]
-        for dst in denied.uop.dst_regs:
-            undo.append(rename_map.get(dst))
-            rename_map[dst] = denied
-        blocked: str | None = None
-        while len(group) < rename_width and frontend:
-            op = frontend[0]
-            if op.dispatch_ready_cycle > cycle:
-                blocked = "wait"
-                break
-            uop = op.uop
-            if not rob.has_space():
-                stats.rob_full_stalls += 1
-                blocked = "rob"
-                break
-            if uop.is_memory and not lsq.has_space(op):
-                stats.lsq_full_stalls += 1
-                blocked = "lsq"
-                break
-            if uop.dst is not None and multi_bank and not prf.can_allocate():
-                stats.prf_bank_stalls += 1
-                prf.record_bank_full_stall()
-                blocked = "prf"
-                break
-            frontend.popleft()
-            sources = uop.src_regs
-            op.producers = tuple(rename_map.get(reg) for reg in sources)
-            for dst in uop.dst_regs:
-                undo.append(rename_map.get(dst))
-                rename_map[dst] = op
-            group.append(op)
-            rob.push_renamed(op)
-            if uop.is_memory:
-                lsq.insert(op)
-            if multi_bank:
-                if uop.dst is not None:
-                    op.dest_bank = prf.next_bank()
-                    prf.allocate()
-                else:
-                    prf.advance_without_allocation()
-            elif uop.dst is not None:
-                prf._allocated[0] += 1
-            op.dispatch_cycle = cycle
-        if blocked is None and len(group) < rename_width:
-            blocked = "wait"  # the front-end ran dry: a later fetch extends the group
-        # The reference records the dispatch high-water mark over the *renamed*
-        # group, overshoot included (rollback does not lower it).
-        self._last_dispatched_seq = group[-1].seq
-        self._rollback_undispatched(group, first_undispatched, undo)
-        if not first_undispatched:
-            self._park_on_full_iq(blocked, None)
-        return group[:first_undispatched]
-
     def _park_on_full_iq(
         self, blocked: str | None, ee_counts: tuple[int, int, int] | None
     ) -> None:
@@ -1431,16 +1098,24 @@ class Simulator:
         nor one fetched after dispatch this cycle is a wheel candidate), or the
         PRF is banked (the round-robin pointer moves on every rename) or has no
         EE write port (the denied µ-op's prediction write stalls once a cycle).
-        ``ee_counts`` are the EE planner's per-call counter increments on the
-        two-phase path.  :meth:`_skip_dead_cycles` credits all of it per cycle.
+        ``ee_counts`` are the EE planner's per-call counter increments on EE
+        machines (``None`` without EE).  :meth:`_skip_dead_cycles` credits all of
+        it per cycle.
         """
         if blocked != "wait" and self._iq_stall_repeats:
             self._dispatch_stall_reason = "iq"
             self._iq_stall_blocked = blocked
             self._iq_stall_ee_counts = ee_counts
 
-    def _dispatch_eole(self) -> None:
-        """Two-phase rename/dispatch (the reference; EE needs the group barrier)."""
+    def _dispatch(self) -> None:
+        """Rename/dispatch up to ``rename_width`` front-end µ-ops, in two phases.
+
+        Phase A/B renames the whole group and allocates its ROB/LSQ/PRF entries;
+        phase C lets the Early Execution planner see that group at once (the
+        barrier EE needs); phase D/E classifies each µ-op for Late Execution and
+        inserts it into the IQ.  A µ-op denied an IQ slot is rolled back to the
+        front-end with every younger µ-op of the group.
+        """
         cycle = self.cycle
         frontend = self._frontend
         self._dispatch_stall_reason = None
@@ -1450,7 +1125,7 @@ class Simulator:
         previous_group = self._previous_dispatch_group
         config = self.config
         rename_width = config.rename_width
-        multi_bank = config.prf_banks > 1
+        multi_bank = self._multi_bank
         rename_map = self._rename_map
         rob = self.rob
         lsq = self.lsq
@@ -1481,11 +1156,11 @@ class Simulator:
                 break
             uop = op.uop
             kind = uop.hot_mask
-            # Structural space checks (see _structural_space_for_op, kept as the
-            # reference implementation).  A stall hit before *any* progress parks
-            # the stage: the identical check fails every cycle (one stall counted
-            # per cycle) until another stage's event frees the resource, which the
-            # event scheduler exploits by crediting skipped spans in bulk.
+            # Structural space checks (ROB, then LSQ, then PRF bank).  A stall hit
+            # before *any* progress parks the stage: the identical check fails
+            # every cycle (one stall counted per cycle) until another stage's
+            # event frees the resource, which the event scheduler exploits by
+            # crediting skipped spans in bulk.
             if len(rob_entries) >= rob_capacity:
                 stats.rob_full_stalls += 1
                 blocked = "rob"
@@ -1565,20 +1240,23 @@ class Simulator:
             return
         self._last_dispatched_seq = group[-1].seq
 
-        # Phase C: Early Execution planning (in parallel with rename).
+        # Phase C: Early Execution planning (in parallel with rename).  A group
+        # denied whole by a full IQ parks dispatch (see _park_on_full_iq) — with
+        # EE, only when the planner sees no previous-group bypass, as on every
+        # later stalled cycle of the span; the planner's per-call counters are
+        # then noted for the skipped cycles.
         early_block = self.early_block
         iq_capacity = iq.capacity
+        parkable = len(iq_level) >= iq_capacity
         ee_before = None
-        if len(iq_level) >= iq_capacity and not previous_group:
-            # The group may be denied whole, on a cycle that parks dispatch (the
-            # planner sees no previous-group bypass, as on every later stalled
-            # cycle of the span): note the planner's per-call counters.
-            ee_before = (
-                early_block.candidates_seen,
-                early_block.executed,
-                early_block.alu_saturation_rejects,
-            )
-        if config.eole.early.enabled:
+        if self._ee_enabled:
+            parkable = parkable and not previous_group
+            if parkable:
+                ee_before = (
+                    early_block.candidates_seen,
+                    early_block.executed,
+                    early_block.alu_saturation_rejects,
+                )
             early_block.plan(group, previous_group)
 
         # Phase D/E: Late-Execution classification, IQ insertion and port accounting.
@@ -1589,7 +1267,6 @@ class Simulator:
         late_enabled = config.eole.late.enabled
         late_block = self.late_block
         store_sets = self.store_sets
-        nop_class = OpClass.NOP
         tracer = self.tracer
         for index, op in enumerate(group):
             uop = op.uop
@@ -1627,15 +1304,15 @@ class Simulator:
                 if len(iq_level) >= iq_capacity:
                     stats.iq_full_stalls += 1
                     self._rollback_undispatched(group, index, undo)
-                    if not index and ee_before is not None:
-                        self._park_on_full_iq(
-                            blocked,
-                            (
+                    if not index and parkable:
+                        ee_counts = None
+                        if ee_before is not None:
+                            ee_counts = (
                                 early_block.candidates_seen - ee_before[0],
                                 early_block.executed - ee_before[1],
                                 early_block.alu_saturation_rejects - ee_before[2],
-                            ),
-                        )
+                            )
+                        self._park_on_full_iq(blocked, ee_counts)
                     group = group[:index]
                     break
                 if kind & 4:
@@ -1663,29 +1340,12 @@ class Simulator:
         if self._m_iq_occupancy is not None:
             self._m_iq_occupancy.record(len(iq_level))
         if wakeup:
-            # One exact re-arm per dispatch group (see _dispatch).
+            # One exact re-arm per dispatch group: freshly parked entries carry
+            # their precise readiness deadline on the wheel.
             wake_min = iq._wake_min
             if wake_min < self._iq_scan_from:
                 self._iq_scan_from = wake_min
         self._previous_dispatch_group = group
-
-    def _structural_space_for_op(self, op: InflightOp) -> str | None:
-        if not self.rob.has_space():
-            return "rob"
-        if op.uop.is_memory and not self.lsq.has_space(op):
-            return "lsq"
-        if op.uop.dst is not None and self.config.prf_banks > 1 and not self.prf.can_allocate():
-            return "prf"
-        return None
-
-    def _count_dispatch_stall(self, reason: str) -> None:
-        if reason == "rob":
-            self.stats.rob_full_stalls += 1
-        elif reason == "lsq":
-            self.stats.lsq_full_stalls += 1
-        elif reason == "prf":
-            self.stats.prf_bank_stalls += 1
-            self.prf.record_bank_full_stall()
 
     def _rollback_undispatched(
         self,
@@ -1735,25 +1395,6 @@ class Simulator:
                 self._rename_map[dst] = op
 
     # ================================================================== fetch
-    def _next_dyninst(self) -> DynInst | None:
-        if self._replay:
-            return self._replay.popleft()
-        if self._trace_exhausted:
-            return None
-        trace_list = self._trace_list
-        if trace_list is not None:
-            pos = self._trace_pos
-            if pos >= len(trace_list):
-                self._trace_exhausted = True
-                return None
-            self._trace_pos = pos + 1
-            return trace_list[pos]
-        try:
-            return next(self._trace)
-        except StopIteration:
-            self._trace_exhausted = True
-            return None
-
     def _fetch(self) -> None:
         config = self.config
         # Recycle retired records whose barrier has drained — fetch is the only
@@ -1807,9 +1448,10 @@ class Simulator:
         fetched = 0
         taken_branches = 0
         while fetched < fetch_width:
-            # Inlined _next_dyninst (kept below as the reference implementation).
-            # A materialised capture is consumed by plain indexing — no generator
-            # resume, no StopIteration — which is the dominant fetch source.
+            # The next dynamic instruction: a squash's replay queue first, then
+            # the trace.  A materialised capture is consumed by plain indexing —
+            # no generator resume, no StopIteration — which is the dominant
+            # fetch source.
             if replay:
                 dyn = replay.popleft()
             elif trace_list is not None:

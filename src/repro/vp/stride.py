@@ -94,9 +94,6 @@ class StridePredictor(ValuePredictor):
     def _index(self, pc: int) -> int:
         return _mix_pc(pc) & self._index_mask
 
-    def _tag(self, pc: int) -> int:
-        return pc & self._tag_mask
-
     # ------------------------------------------------------------------ interface
     def lookup_parts(self, pc: int, history: GlobalHistory) -> tuple[int, bool] | None:
         """:meth:`predict` without the :class:`VPrediction` wrapper.

@@ -257,11 +257,6 @@ class VTAGEPredictor(ValuePredictor):
         return 0, False, meta
 
     # ------------------------------------------------------------------ training helpers
-    def _bump_confidence(self, current: int) -> int:
-        if current < self._policy.saturation and self._policy.allows_increment(current):
-            return current + 1
-        return current
-
     def _train_base(self, base_index: int, actual: int) -> None:
         if self._base_valid[base_index]:
             if self._base_values[base_index] == actual:
@@ -377,8 +372,8 @@ class VTAGEPredictor(ValuePredictor):
     ) -> None:
         """:meth:`train` taking the lookup flattened to ``(meta, value)``.
 
-        The confidence bump (:meth:`_bump_confidence`, kept as the reference) is
-        inlined on the dominant correct-provider path.
+        A correct provider bumps its confidence (below saturation, when the
+        forward-probabilistic counter policy allows it).
         """
         actual &= _MASK64
         if meta.provider >= 0:

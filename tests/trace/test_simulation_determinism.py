@@ -9,7 +9,7 @@ Three hard invariants are enforced here:
   (``REPRO_EVENT_DRIVEN``, default on) must produce results byte-identical to the
   retained cycle-stepping reference loop (``REPRO_EVENT_DRIVEN=0``) across the
   throughput harness's 4-configuration × 4-workload grid, plus ``mcf`` (whose IQ
-  stays full) and ``OLE_4_64`` (the banked machine on the fused dispatch path);
+  stays full) and ``OLE_4_64`` (the banked machine without Early Execution);
 * **dependency-driven wake-up** — the consumer-list issue-queue
   (``REPRO_WAKEUP_LISTS``, default on) must produce results byte-identical to the
   scan-based reference IQ (``REPRO_WAKEUP_LISTS=0``) across the same full grid.
