@@ -3,7 +3,7 @@
 The timing pipeline interacts with a value predictor in exactly three places, mirroring
 the paper's pipeline (Section 4.2):
 
-* at **fetch**, :meth:`ValuePredictor.predict` is consulted for every eligible µ-op; the
+* at **fetch**, :meth:`ValuePredictor.lookup` is consulted for every eligible µ-op; the
   prediction is *used* (written to the PRF at dispatch, consumed by Early/Late
   Execution) only when the predictor reports high confidence;
 * at **commit** (the LE/VT stage), :meth:`ValuePredictor.train` is called with the
@@ -22,7 +22,7 @@ from repro.bpu.history import GlobalHistory
 
 
 class VPrediction:
-    """A value prediction returned by :meth:`ValuePredictor.predict`.
+    """A value prediction returned by :meth:`ValuePredictor.lookup`.
 
     Attributes
     ----------
@@ -36,7 +36,7 @@ class VPrediction:
         (``"vtage"``, ``"stride"``, ...), used for statistics and debugging.
     meta:
         Opaque component-specific data (table indices, tags, speculative values)
-        carried from :meth:`predict` to :meth:`train` so that training does not need to
+        carried from :meth:`lookup` to :meth:`train` so that training does not need to
         recompute fetch-time state.
     """
 
@@ -80,14 +80,14 @@ class PredictorStatistics:
         return self.correct_used / used if used else 1.0
 
     def record_lookup(self, prediction: VPrediction | None) -> None:
-        """Account one fetch-time lookup."""
+        """Account one fetch-time lookup (reference for the predictors' inline copies)."""
         self.lookups += 1
         if prediction is not None and prediction.confident:
             self.confident_predictions += 1
             self.per_source[prediction.source] = self.per_source.get(prediction.source, 0) + 1
 
     def record_outcome(self, prediction: VPrediction | None, actual: int) -> None:
-        """Account one commit-time validation."""
+        """Account one commit-time validation (reference for the inline copies)."""
         if prediction is None:
             return
         if prediction.confident:
@@ -100,7 +100,15 @@ class PredictorStatistics:
 
 
 class ValuePredictor(ABC):
-    """Abstract base class of all value predictors."""
+    """Abstract base class of all value predictors.
+
+    Each family walks its tables once per side: :meth:`lookup` at fetch and
+    :meth:`train` at commit.  The statistics are accounted inline (the
+    :class:`PredictorStatistics` ``record_*`` methods are their reference).
+    ``perfbench/spans.py`` wraps ``lookup``, ``validate_and_train``,
+    ``train_commit_group``, ``train_commit_group_columns`` and ``recover`` per
+    instance, so none of them calls another through ``self``.
+    """
 
     name = "abstract"
 
@@ -109,8 +117,8 @@ class ValuePredictor(ABC):
 
     # ------------------------------------------------------------------ interface
     @abstractmethod
-    def predict(self, pc: int, history: GlobalHistory) -> VPrediction | None:
-        """Fetch-time lookup for the µ-op at static ``pc``.
+    def lookup(self, pc: int, history: GlobalHistory) -> VPrediction | None:
+        """Fetch-time lookup for the µ-op at static ``pc``, accounted in :attr:`stats`.
 
         Returns ``None`` when the predictor has no opinion at all (e.g. tag miss with no
         base component).  The returned prediction's ``confident`` flag decides whether
@@ -119,7 +127,7 @@ class ValuePredictor(ABC):
 
     @abstractmethod
     def train(self, pc: int, actual: int, prediction: VPrediction | None) -> None:
-        """Commit-time update with the architectural result ``actual``."""
+        """Commit-time table update with the architectural result ``actual``."""
 
     def recover(self) -> None:
         """Discard speculative predictor state after a pipeline squash."""
@@ -133,12 +141,6 @@ class ValuePredictor(ABC):
         """Storage budget in kilobytes, as reported in Table 2 of the paper."""
         return self.storage_bits() / 8 / 1024
 
-    def lookup(self, pc: int, history: GlobalHistory) -> VPrediction | None:
-        """Predict and record statistics in one call (what the pipeline uses)."""
-        prediction = self.predict(pc, history)
-        self.stats.record_lookup(prediction)
-        return prediction
-
     def validate_and_train(
         self, pc: int, actual: int, prediction: VPrediction | None
     ) -> bool:
@@ -147,11 +149,18 @@ class ValuePredictor(ABC):
         Returns True when either no confident prediction was used or the used
         prediction matches ``actual`` (i.e. "no squash needed").
         """
-        self.stats.record_outcome(prediction, actual)
+        correct = True
+        if prediction is not None:
+            if prediction.confident:
+                if prediction.value == actual:
+                    self.stats.correct_used += 1
+                else:
+                    self.stats.incorrect_used += 1
+                    correct = False
+            elif prediction.value == actual:
+                self.stats.unused_correct += 1
         self.train(pc, actual, prediction)
-        if prediction is None or not prediction.confident:
-            return True
-        return prediction.value == actual
+        return correct
 
     def train_commit_group(
         self, group: list[tuple[int, int, "VPrediction | None"]]
@@ -162,14 +171,20 @@ class ValuePredictor(ABC):
         for the whole group) and batches the table updates into one call per
         commit group; the per-item update order — and hence any deterministic
         PRNG draw sequence inside the tables — is exactly the per-µ-op order.
-        Subclasses may override to amortise their per-call overhead.
         """
-        record_outcome = self.stats.record_outcome
+        stats = self.stats
         train = self.train
         for pc, actual, prediction in group:
-            record_outcome(prediction, actual)
+            if prediction is not None:
+                if prediction.confident:
+                    if prediction.value == actual:
+                        stats.correct_used += 1
+                    else:
+                        stats.incorrect_used += 1
+                elif prediction.value == actual:
+                    stats.unused_correct += 1
             train(pc, actual, prediction)
 
     # Kept only because perfbench/spans.py wraps it by name.
     def train_commit_group_columns(self, pcs, actuals, predictions) -> None:
-        self.train_commit_group(zip(pcs, actuals, predictions))
+        type(self).train_commit_group(self, zip(pcs, actuals, predictions))

@@ -85,8 +85,13 @@ class DeterministicRandom:
         return (self.next_u64() >> 32) < threshold
 
     def chance_half(self) -> bool:
-        """Fair coin flip."""
-        return bool(self.next_u64() & 1)
+        """Fair coin flip: bit 0 of :meth:`next_u64`, stepped inline."""
+        x = self._state
+        x ^= x >> 12
+        x ^= (x << 25) & 0xFFFFFFFFFFFFFFFF
+        x ^= x >> 27
+        self._state = x
+        return (x * 0x2545F4914F6CDD1D) & 1 == 1
 
 
 class FPCPolicy:
@@ -128,7 +133,14 @@ class FPCPolicy:
             return True
         if threshold < 0:
             return False
-        return (self._random.next_u64() >> 32) < threshold
+        # One :meth:`DeterministicRandom.next_u64` step, inline on the shared state.
+        random = self._random
+        x = random._state
+        x ^= x >> 12
+        x ^= (x << 25) & 0xFFFFFFFFFFFFFFFF
+        x ^= x >> 27
+        random._state = x
+        return ((x * 0x2545F4914F6CDD1D) & 0xFFFFFFFFFFFFFFFF) >> 32 < threshold
 
 
 class ForwardProbabilisticCounter:

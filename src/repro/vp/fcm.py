@@ -55,56 +55,53 @@ class FCMPredictor(ValuePredictor):
         self._l1_mask = first_level_entries - 1
         self._l2_mask = second_level_entries - 1
         self._policy = FPCPolicy(fpc_vector, seed=seed)
-        # First level: the last ``order`` committed values of each static µ-op.
+        # First level: the last ``order`` committed values of each static µ-op,
+        # and the second-level index they hash to (``None`` until ``order``
+        # values were seen), hashed once per training instead of per access.
         self._histories: list[tuple[int, ...]] = [()] * first_level_entries
+        self._l2_indices: list[int | None] = [None] * first_level_entries
         # Second level: predicted value + confidence.
         self._values = [0] * second_level_entries
         self._confidence = [0] * second_level_entries
         self._valid = [False] * second_level_entries
         # First-level index per static PC — pure memoisation of the hash, consulted
-        # twice per eligible µ-op (predict at fetch, train at commit).
+        # twice per eligible µ-op (lookup at fetch, train at commit).
         self._l1_cache: dict[int, int] = {}
+        self._saturation = self._policy.saturation
 
-    # ------------------------------------------------------------------ indexing
-    def _l1_index(self, pc: int) -> int:
+    # ------------------------------------------------------------------ interface
+    def lookup(self, pc: int, history: GlobalHistory) -> VPrediction | None:
+        stats = self.stats
+        stats.lookups += 1
         l1 = self._l1_cache.get(pc)
         if l1 is None:
             l1 = self._l1_cache[pc] = _mix(pc) & self._l1_mask
-        return l1
-
-    def _l2_index(self, value_history: tuple[int, ...]) -> int:
-        digest = 0
-        for value in value_history:
-            digest = _mix(digest * 3 + value)
-        return digest & self._l2_mask
-
-    # ------------------------------------------------------------------ interface
-    def predict(self, pc: int, history: GlobalHistory) -> VPrediction | None:
-        l1 = self._l1_index(pc)
-        context = self._histories[l1]
-        if len(context) < self.order:
+        l2 = self._l2_indices[l1]
+        if l2 is None or not self._valid[l2]:
             return None
-        l2 = self._l2_index(context)
-        if not self._valid[l2]:
-            return None
-        confident = self._confidence[l2] >= self._policy.saturation
-        return VPrediction(self._values[l2], confident, self.name, meta=(l1, l2))
+        confident = self._confidence[l2] >= self._saturation
+        if confident:
+            stats.confident_predictions += 1
+            stats.per_source[self.name] = stats.per_source.get(self.name, 0) + 1
+        return VPrediction(self._values[l2], confident, self.name, meta=l2)
 
     def train(self, pc: int, actual: int, prediction: VPrediction | None) -> None:
         actual &= _MASK64
-        l1 = self._l1_index(pc)
-        context = self._histories[l1]
+        l1 = self._l1_cache.get(pc)
+        if l1 is None:
+            l1 = self._l1_cache[pc] = _mix(pc) & self._l1_mask
         if prediction is not None and prediction.meta is not None:
-            _, l2 = prediction.meta
+            l2 = prediction.meta
         else:
-            l2 = self._l2_index(context) if len(context) >= self.order else None
+            l2 = self._l2_indices[l1]
         if l2 is not None:
             if self._valid[l2]:
                 if self._values[l2] == actual:
-                    if self._confidence[l2] < self._policy.saturation and self._policy.allows_increment(
-                        self._confidence[l2]
+                    confidence = self._confidence[l2]
+                    if confidence < self._saturation and self._policy.allows_increment(
+                        confidence
                     ):
-                        self._confidence[l2] += 1
+                        self._confidence[l2] = confidence + 1
                 else:
                     self._confidence[l2] = 0
                     self._values[l2] = actual
@@ -113,7 +110,16 @@ class FCMPredictor(ValuePredictor):
                 self._values[l2] = actual
                 self._confidence[l2] = 0
         # Advance the committed value history window of this static µ-op.
-        self._histories[l1] = (context + (actual,))[-self.order :]
+        context = (self._histories[l1] + (actual,))[-self.order :]
+        self._histories[l1] = context
+        if len(context) == self.order:
+            digest = 0
+            for value in context:  # _mix(digest * 3 + value), chained
+                value = (digest * 3 + value) & _MASK64
+                value ^= value >> 33
+                value = (value * 0xFF51AFD7ED558CCD) & _MASK64
+                digest = value ^ (value >> 29)
+            self._l2_indices[l1] = digest & self._l2_mask
 
     def storage_bits(self) -> int:
         first_level = self.first_level_entries * 16  # folded history hash per PC

@@ -13,32 +13,11 @@ component (VTAGE), following Table 2 and Section 4.2:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.bpu.history import GlobalHistory
 from repro.vp.base import ValuePredictor, VPrediction
 from repro.vp.confidence import PAPER_FPC_VECTOR
-from repro.vp.stride import _MASK64, TwoDeltaStridePredictor
+from repro.vp.stride import TwoDeltaStridePredictor
 from repro.vp.vtage import VTAGEPredictor
-
-
-@dataclass(slots=True)
-class _HybridMeta:
-    """Per-prediction context: the component lookups, for separate training.
-
-    The component results are carried *flattened* (value/confidence/meta fields
-    instead of per-component :class:`VPrediction` wrappers): the hybrid performs one
-    lookup per VP-eligible µ-op, so avoiding two wrapper allocations per lookup is
-    measurable on the simulator's fetch path.
-    """
-
-    vtage_value: int
-    vtage_confident: bool
-    vtage_meta: object
-    stride_hit: bool
-    stride_value: int
-    stride_confident: bool
-    chosen: str
 
 
 class VTAGE2DStrideHybrid(ValuePredictor):
@@ -62,154 +41,77 @@ class VTAGE2DStrideHybrid(ValuePredictor):
         )
 
     # ------------------------------------------------------------------ interface
-    def predict(self, pc: int, history: GlobalHistory) -> VPrediction | None:
-        vtage_value, vtage_confident, vtage_meta = self.vtage.lookup_parts(pc, history)
-        stride_parts = self.stride.lookup_parts(pc, history)
+    def lookup(self, pc: int, history: GlobalHistory) -> VPrediction | None:
+        """Both component lookups, the arbitration and the lookup accounting.
+
+        The prediction's ``meta`` is the record ``(chosen, vtage_record,
+        stride_value)``: the arbitration winner (``"vtage"`` or ``"stride"``), the
+        VTAGE lookup record, and the 2D-Stride value (``None`` on a stride miss).
+        """
+        vtage_record = self.vtage.lookup_parts(pc, history)
+        stride_parts = self.stride.lookup_parts(pc)
+        vtage_value = vtage_record[0]
+        vtage_tagged_hit = vtage_record[2] >= 0
         if stride_parts is None:
-            stride_hit = stride_confident = False
-            stride_value = 0
+            stride_value = None
+            stride_confident = False
         else:
-            stride_hit = True
             stride_value, stride_confident = stride_parts
-
-        vtage_tagged_hit = vtage_meta.provider >= 0
-        # Arbitration: a confident context-based (VTAGE) prediction wins, then a
-        # confident computational (2D-Stride) one; with no confident component the
-        # VTAGE tagged hit is preferred for training purposes, then the stride entry.
-        if vtage_tagged_hit and vtage_confident:
-            chosen, value, confident = "vtage", vtage_value, vtage_confident
+        # Arbitration: a confident context-based (VTAGE) prediction wins when it comes
+        # from a tagged hit or the stride is not confident; then a confident
+        # computational (2D-Stride) one.  With no confident component the VTAGE tagged
+        # hit is preferred for training purposes, then the stride entry.
+        if vtage_record[1] and (vtage_tagged_hit or not stride_confident):
+            chosen, value, confident = "vtage", vtage_value, True
         elif stride_confident:
-            chosen, value, confident = "stride", stride_value, stride_confident
-        elif vtage_confident:
-            chosen, value, confident = "vtage", vtage_value, vtage_confident
-        elif vtage_tagged_hit:
-            chosen, value, confident = "vtage", vtage_value, vtage_confident
-        elif stride_hit:
-            chosen, value, confident = "stride", stride_value, stride_confident
+            chosen, value, confident = "stride", stride_value, True
+        elif vtage_tagged_hit or stride_value is None:
+            chosen, value, confident = "vtage", vtage_value, False
         else:
-            chosen, value, confident = "vtage", vtage_value, vtage_confident
-
-        return VPrediction(
-            value,
-            confident,
-            self.name,
-            _HybridMeta(
-                vtage_value,
-                vtage_confident,
-                vtage_meta,
-                stride_hit,
-                stride_value,
-                stride_confident,
-                chosen,
-            ),
-        )
+            chosen, value, confident = "stride", stride_value, False
+        stats = self.stats
+        stats.lookups += 1
+        if confident:
+            stats.confident_predictions += 1
+            stats.per_source[self.name] = stats.per_source.get(self.name, 0) + 1
+        return VPrediction(value, confident, self.name, (chosen, vtage_record, stride_value))
 
     def train(self, pc: int, actual: int, prediction: VPrediction | None) -> None:
-        if prediction is None or prediction.meta is None:
-            self.vtage.train(pc, actual, None)
-            self.stride.train(pc, actual, None)
-            return
-        meta: _HybridMeta = prediction.meta
-        self.vtage.train_parts(pc, actual, meta.vtage_meta, meta.vtage_value)
-        self.stride.train_parts(pc, actual, meta.stride_hit, meta.stride_value)
+        record = None if prediction is None else prediction.meta
+        if record is None:
+            self.vtage.train_parts(pc, actual, None)
+            self.stride.train_parts(pc, actual, None)
+        else:
+            self.vtage.train_parts(pc, actual, record[1])
+            self.stride.train_parts(pc, actual, record[2])
 
     def train_commit_group(
         self, group: list[tuple[int, int, VPrediction | None]]
     ) -> None:
-        """Per-commit-group training with the wrapper layers flattened.
+        """Per-commit-group training calling the component walks directly.
 
-        One call per commit group replaces the per-µ-op
-        ``validate_and_train -> record_outcome -> train -> train_parts`` chain;
-        the outcome accounting is inlined and the component ``train_parts``
-        methods are called directly, in the same per-item order (FPC draw
+        Same per-item order, outcome accounting and component calls as
+        :meth:`validate_and_train` without its :meth:`train` frame (FPC draw
         sequences are unchanged).
         """
         stats = self.stats
         vtage_train = self.vtage.train_parts
         stride_train = self.stride.train_parts
         for pc, actual, prediction in group:
-            if prediction is not None:
-                # Inlined PredictorStatistics.record_outcome.
-                if prediction.confident:
-                    if prediction.value == actual:
-                        stats.correct_used += 1
-                    else:
-                        stats.incorrect_used += 1
-                elif prediction.value == actual:
-                    stats.unused_correct += 1
-                meta: _HybridMeta = prediction.meta
-                if meta is not None:
-                    vtage_train(pc, actual, meta.vtage_meta, meta.vtage_value)
-                    stride_train(pc, actual, meta.stride_hit, meta.stride_value)
-                    continue
-            self.vtage.train(pc, actual, None)
-            self.stride.train(pc, actual, None)
-
-    def lookup(self, pc: int, history: GlobalHistory) -> VPrediction | None:
-        """One-call fetch path: both component lookups, arbitration and the
-        lookup accounting fused (bit-identical to ``predict`` + ``record_lookup``,
-        which remain the reference implementations)."""
-        vtage = self.vtage
-        vtage_value, vtage_confident, vtage_meta = vtage.lookup_parts(pc, history)
-        # Inlined TwoDeltaStridePredictor.lookup_parts (kept as the reference).
-        stride = self.stride
-        cached = stride._pc_cache.get(pc)
-        if cached is None:
-            parts = stride.lookup_parts(pc, history)
-        else:
-            index, tag = cached
-            entry = stride._table[index]
-            if entry is None or not entry.valid or entry.tag != tag:
-                parts = None
-            else:
-                predicted = (entry.spec_last + entry.stride2) & _MASK64
-                parts = (predicted, entry.confidence >= stride._saturation)
-                entry.spec_last = predicted
-                if not entry.spec_dirty:
-                    entry.spec_dirty = True
-                    stride._spec_dirty.append(entry)
-                entry.inflight += 1
-        if parts is None:
-            stride_hit = stride_confident = False
-            stride_value = 0
-        else:
-            stride_hit = True
-            stride_value, stride_confident = parts
-
-        if vtage_confident:
-            if vtage_meta.provider >= 0 or not stride_confident:
-                chosen, value, confident = "vtage", vtage_value, True
-            else:
-                chosen, value, confident = "stride", stride_value, True
-        elif stride_confident:
-            chosen, value, confident = "stride", stride_value, True
-        elif vtage_meta.provider >= 0:
-            chosen, value, confident = "vtage", vtage_value, False
-        elif stride_hit:
-            chosen, value, confident = "stride", stride_value, False
-        else:
-            chosen, value, confident = "vtage", vtage_value, False
-
-        stats = self.stats
-        stats.lookups += 1
-        if confident:
-            stats.confident_predictions += 1
-            per_source = stats.per_source
-            per_source[self.name] = per_source.get(self.name, 0) + 1
-        return VPrediction(
-            value,
-            confident,
-            self.name,
-            _HybridMeta(
-                vtage_value,
-                vtage_confident,
-                vtage_meta,
-                stride_hit,
-                stride_value,
-                stride_confident,
-                chosen,
-            ),
-        )
+            if prediction is None:
+                vtage_train(pc, actual, None)
+                stride_train(pc, actual, None)
+                continue
+            if prediction.confident:
+                if prediction.value == actual:
+                    stats.correct_used += 1
+                else:
+                    stats.incorrect_used += 1
+            elif prediction.value == actual:
+                stats.unused_correct += 1
+            _, vtage_record, stride_value = prediction.meta
+            vtage_train(pc, actual, vtage_record)
+            stride_train(pc, actual, stride_value)
 
     def recover(self) -> None:
         self.vtage.recover()

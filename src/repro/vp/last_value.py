@@ -50,37 +50,48 @@ class LastValuePredictor(ValuePredictor):
         self._confidence = [0] * entries
         self._valid = [False] * entries
         # (index, tag) per static PC — pure memoisation of the two hash formulas,
-        # consulted twice per eligible µ-op (predict at fetch, train at commit).
+        # consulted twice per eligible µ-op (lookup at fetch, train at commit).
         self._pc_cache: dict[int, tuple[int, int]] = {}
+        self._saturation = self._policy.saturation
 
     # ------------------------------------------------------------------ indexing
     def _index_and_tag(self, pc: int) -> tuple[int, int]:
-        cached = self._pc_cache.get(pc)
-        if cached is None:
-            cached = (
-                _mix_pc(pc) & self._index_mask,
-                (_mix_pc(pc * 31 + 17) >> 7) & self._tag_mask,
-            )
-            self._pc_cache[pc] = cached
+        """Hash ``pc`` into ``(index, tag)`` and memoise it in ``_pc_cache``."""
+        cached = self._pc_cache[pc] = (
+            _mix_pc(pc) & self._index_mask,
+            (_mix_pc(pc * 31 + 17) >> 7) & self._tag_mask,
+        )
         return cached
 
     # ------------------------------------------------------------------ interface
-    def predict(self, pc: int, history: GlobalHistory) -> VPrediction | None:
-        index, tag = self._index_and_tag(pc)
+    def lookup(self, pc: int, history: GlobalHistory) -> VPrediction | None:
+        stats = self.stats
+        stats.lookups += 1
+        cached = self._pc_cache.get(pc)
+        if cached is None:
+            cached = self._index_and_tag(pc)
+        index, tag = cached
         if not self._valid[index] or self._tags[index] != tag:
             return None
-        confident = self._confidence[index] >= self._policy.saturation
-        return VPrediction(self._values[index], confident, self.name, meta=index)
+        confident = self._confidence[index] >= self._saturation
+        if confident:
+            stats.confident_predictions += 1
+            stats.per_source[self.name] = stats.per_source.get(self.name, 0) + 1
+        return VPrediction(self._values[index], confident, self.name)
 
     def train(self, pc: int, actual: int, prediction: VPrediction | None) -> None:
-        index, tag = self._index_and_tag(pc)
+        cached = self._pc_cache.get(pc)
+        if cached is None:
+            cached = self._index_and_tag(pc)
+        index, tag = cached
         actual &= _MASK64
         if self._valid[index] and self._tags[index] == tag:
             if self._values[index] == actual:
-                if self._confidence[index] < self._policy.saturation and self._policy.allows_increment(
-                    self._confidence[index]
+                confidence = self._confidence[index]
+                if confidence < self._saturation and self._policy.allows_increment(
+                    confidence
                 ):
-                    self._confidence[index] += 1
+                    self._confidence[index] = confidence + 1
             else:
                 self._confidence[index] = 0
                 self._values[index] = actual

@@ -81,7 +81,7 @@ class StridePredictor(ValuePredictor):
         # construction would dominate predictor set-up time.
         self._table: list[_StrideEntry | None] = [None] * entries
         # (index, tag) per static PC — pure memoisation of the two hash formulas,
-        # consulted twice per eligible µ-op (predict at fetch, train at commit).
+        # consulted twice per eligible µ-op (lookup at fetch, train at commit).
         self._pc_cache: dict[int, tuple[int, int]] = {}
         # Entries whose speculative chain may have advanced past the committed
         # value since the last squash: exactly the entries :meth:`recover` must
@@ -91,65 +91,62 @@ class StridePredictor(ValuePredictor):
         self._saturation = self._policy.saturation
 
     # ------------------------------------------------------------------ indexing
-    def _index(self, pc: int) -> int:
-        return _mix_pc(pc) & self._index_mask
+    def _index_and_tag(self, pc: int) -> tuple[int, int]:
+        """Hash ``pc`` into ``(index, tag)`` and memoise it in ``_pc_cache``."""
+        cached = self._pc_cache[pc] = (_mix_pc(pc) & self._index_mask, pc & self._tag_mask)
+        return cached
 
     # ------------------------------------------------------------------ interface
-    def lookup_parts(self, pc: int, history: GlobalHistory) -> tuple[int, bool] | None:
-        """:meth:`predict` without the :class:`VPrediction` wrapper.
+    def lookup(self, pc: int, history: GlobalHistory) -> VPrediction | None:
+        stats = self.stats
+        stats.lookups += 1
+        parts = self.lookup_parts(pc)
+        if parts is None:
+            return None
+        value, confident = parts
+        if confident:
+            stats.confident_predictions += 1
+            stats.per_source[self.name] = stats.per_source.get(self.name, 0) + 1
+        return VPrediction(value, confident, self.name)
 
-        Returns ``(value, confident)`` on a table hit (advancing the speculative
-        chain exactly like :meth:`predict`), ``None`` on a miss.  Used by the hybrid,
-        which wraps the arbitration winner once.
+    def lookup_parts(self, pc: int) -> tuple[int, bool] | None:
+        """The fetch-side table walk, shared by :meth:`lookup` and the hybrid.
+
+        Returns ``(value, confident)`` on a table hit, advancing the speculative
+        chain, and ``None`` on a miss.  No statistics are accounted.
         """
         cached = self._pc_cache.get(pc)
         if cached is None:
-            cached = (_mix_pc(pc) & self._index_mask, pc & self._tag_mask)
-            self._pc_cache[pc] = cached
+            cached = self._index_and_tag(pc)
         index, tag = cached
         entry = self._table[index]
         if entry is None or not entry.valid or entry.tag != tag:
             return None
         predicted = (entry.spec_last + entry.stride2) & _MASK64
-        confident = entry.confidence >= self._saturation
         # Advance the speculative chain so back-to-back instances predict correctly.
         entry.spec_last = predicted
         if not entry.spec_dirty:
             entry.spec_dirty = True
             self._spec_dirty.append(entry)
         entry.inflight += 1
-        return predicted, confident
-
-    def predict(self, pc: int, history: GlobalHistory) -> VPrediction | None:
-        parts = self.lookup_parts(pc, history)
-        if parts is None:
-            return None
-        return VPrediction(parts[0], parts[1], self.name, meta=None)
+        return predicted, entry.confidence >= self._saturation
 
     def train(self, pc: int, actual: int, prediction: VPrediction | None) -> None:
-        if prediction is None:
-            self.train_parts(pc, actual, False, 0)
-        else:
-            self.train_parts(pc, actual, True, prediction.value)
+        self.train_parts(pc, actual, None if prediction is None else prediction.value)
 
-    def train_parts(
-        self, pc: int, actual: int, had_prediction: bool, predicted_value: int
-    ) -> None:
-        """:meth:`train` taking the prediction flattened to ``(hit, value)``."""
+    def train_parts(self, pc: int, actual: int, predicted: int | None) -> None:
+        """The commit-side table walk; ``predicted`` is the fetched value, ``None`` on a miss."""
         actual &= _MASK64
         cached = self._pc_cache.get(pc)
         if cached is None:
-            cached = (_mix_pc(pc) & self._index_mask, pc & self._tag_mask)
-            self._pc_cache[pc] = cached
+            cached = self._index_and_tag(pc)
         index, tag = cached
         entry = self._table[index]
         if entry is not None and entry.valid and entry.tag == tag:
             delta = (actual - entry.last_value) & _MASK64
-            predicted_from_committed = (entry.last_value + entry.stride2) & _MASK64
-            if had_prediction:
-                correct = predicted_value == actual
-            else:
-                correct = predicted_from_committed == actual
+            if predicted is None:
+                predicted = (entry.last_value + entry.stride2) & _MASK64
+            correct = predicted == actual
             if correct:
                 if entry.confidence < self._saturation and self._policy.allows_increment(
                     entry.confidence

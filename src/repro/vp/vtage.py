@@ -16,8 +16,6 @@ in-flight state to repair on squashes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.bpu.history import FoldedRegisterFile, GlobalHistory, fold_bits
 from repro.errors import ConfigurationError
 from repro.vp.base import ValuePredictor, VPrediction
@@ -51,29 +49,6 @@ def geometric_history_lengths(minimum: int, maximum: int, count: int) -> list[in
             length = lengths[-1] + 1
         lengths.append(length)
     return lengths
-
-
-@dataclass(slots=True)
-class _VTAGEMeta:
-    """Fetch-time lookup context carried to commit-time training.
-
-    Indices and tags of the non-providing components are *not* materialised at
-    lookup time: the meta captures the folded-history registers (``folds``, an
-    immutable snapshot — the live registers advance with every branch) plus the PC,
-    from which commit-time allocation re-derives exactly the indices/tags the lookup
-    would have computed.  Only the provider's index/tag (needed on every correct
-    prediction) are carried directly.
-    """
-
-    pc: int
-    folds: tuple
-    provider: int  # -1 = base component, otherwise tagged component rank (0-based)
-    provider_index: int
-    provider_tag: int
-    base_index: int
-    #: Raw history bits at lookup time; ``None`` holes in ``folds`` (lazily-dormant
-    #: registers) are re-folded from this on demand.
-    bits: int = 0
 
 
 class _TaggedEntry:
@@ -149,9 +124,8 @@ class VTAGEPredictor(ValuePredictor):
         self._component_sizes = [0] * num_components
 
     # ------------------------------------------------------------------ indexing
-    def _base_index(self, pc: int) -> int:
-        return _mix(pc) & self._base_mask
-
+    # Reference formulas; lookups read the same hashes through ``_pc_mix_cache``
+    # and the folded-history registers.
     def _tagged_index(self, pc: int, history: GlobalHistory, rank: int) -> int:
         length = self.history_lengths[rank]
         folded = history.fold(length, self._tagged_mask.bit_length())
@@ -163,49 +137,48 @@ class VTAGEPredictor(ValuePredictor):
         folded = history.fold(length, width)
         return (_mix(pc * 7 + rank * 3 + 1) ^ folded) & ((1 << width) - 1)
 
-    # ------------------------------------------------------------------ memoisation
     def _pc_mixes(self, pc: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-        """The PC-dependent halves of every index/tag hash, plus the base index."""
-        cached = self._pc_mix_cache.get(pc)
-        if cached is None:
-            index_mixes = tuple(_mix(pc * 2 + rank) for rank in range(self.num_components))
-            tag_mixes = tuple(
-                _mix(pc * 7 + rank * 3 + 1) for rank in range(self.num_components)
-            )
-            cached = (index_mixes, tag_mixes, _mix(pc) & self._base_mask)
-            self._pc_mix_cache[pc] = cached
+        """The PC-dependent halves of every index/tag hash, plus the base index.
+
+        Memoised in ``_pc_mix_cache`` (callers read the cache first).
+        """
+        cached = self._pc_mix_cache[pc] = (
+            tuple(_mix(pc * 2 + rank) for rank in range(self.num_components)),
+            tuple(_mix(pc * 7 + rank * 3 + 1) for rank in range(self.num_components)),
+            _mix(pc) & self._base_mask,
+        )
         return cached
 
-    def _folds(self, history: GlobalHistory) -> list[int]:
-        """The incremental folded registers for ``history`` (attached on first use).
-
-        Index folds occupy ``[0, num_components)``, tag folds occupy
-        ``[num_components, 2 * num_components)``.
-        """
-        registers = self._fold_registers
-        if registers is None or registers.history is not history:
-            registers = history.folded_registers(
-                self.history_lengths + self.history_lengths, self._fold_widths,
-                lazy=True,
-            )
-            self._fold_registers = registers
-        return registers.folds
-
     # ------------------------------------------------------------------ interface
-    def predict(self, pc: int, history: GlobalHistory) -> VPrediction | None:
-        value, confident, meta = self.lookup_parts(pc, history)
-        return VPrediction(value, confident, self.name, meta=meta)
+    def lookup(self, pc: int, history: GlobalHistory) -> VPrediction | None:
+        stats = self.stats
+        stats.lookups += 1
+        record = self.lookup_parts(pc, history)
+        confident = record[1]
+        if confident:
+            stats.confident_predictions += 1
+            stats.per_source[self.name] = stats.per_source.get(self.name, 0) + 1
+        return VPrediction(record[0], confident, self.name, meta=record)
 
-    def lookup_parts(self, pc: int, history: GlobalHistory) -> tuple[int, bool, _VTAGEMeta]:
-        """:meth:`predict` without the :class:`VPrediction` wrapper.
+    def lookup_parts(self, pc: int, history: GlobalHistory) -> tuple:
+        """The fetch-side table walk, shared by :meth:`lookup` and the hybrid.
 
-        Returns ``(value, confident, meta)``; used by the hybrid, which wraps the
-        arbitration winner once per lookup.
+        Returns the lookup record carried to :meth:`train_parts`, a plain tuple
+        ``(value, confident, provider, provider_index, provider_tag, mixes,
+        folds, bits)``: ``provider`` is ``-1`` for the base component, otherwise
+        the providing tagged rank (0-based), whose index and tag follow.  The
+        indices and tags of the other components are *not* materialised:
+        ``mixes`` (the ``_pc_mixes`` entry) and ``folds`` (an immutable snapshot
+        of the folded-history registers, index folds first, tag folds second —
+        the live registers advance with every branch) re-derive them at
+        allocation.  A ``None`` fold belongs to a lazily-dormant register and is
+        re-folded from ``bits``, the raw history at lookup time.  No statistics
+        are accounted.
         """
-        cached = self._pc_mix_cache.get(pc)
-        if cached is None:
-            cached = self._pc_mixes(pc)
-        index_mixes, tag_mixes, base_index = cached
+        mixes = self._pc_mix_cache.get(pc)
+        if mixes is None:
+            mixes = self._pc_mixes(pc)
+        index_mixes, tag_mixes, base_index = mixes
         registers = self._fold_registers
         if registers is None or registers.history is not history:
             registers = history.folded_registers(
@@ -213,20 +186,18 @@ class VTAGEPredictor(ValuePredictor):
                 lazy=True,
             )
             self._fold_registers = registers
-        folds = registers.folds
+        folds = registers._tuple_cache
+        if folds is None:
+            folds = registers.folds_tuple()
         num_components = self.num_components
         tagged_mask = self._tagged_mask
         tag_masks = self._tag_masks
         components = self._components
         sizes = self._component_sizes
-        provider = -1
-        provider_index = 0
-        provider_tag = 0
-        provider_entry: _TaggedEntry | None = None
         for rank in self._ranks_desc:
             # Longest history first: the first hit *is* the provider.  Empty
             # components cannot hit; the hash is skipped entirely (allocation
-            # re-derives it from the meta's fold snapshot when needed).  Tags are
+            # re-derives it from the record's fold snapshot when needed).  Tags are
             # only hashed for slots that actually hold an entry.
             if not sizes[rank]:
                 continue
@@ -235,78 +206,39 @@ class VTAGEPredictor(ValuePredictor):
             if entry is not None and entry.valid:
                 tag = (tag_mixes[rank] ^ folds[num_components + rank]) & tag_masks[rank]
                 if entry.tag == tag:
-                    provider = rank
-                    provider_index = index
-                    provider_tag = tag
-                    provider_entry = entry
-                    break
-        meta = _VTAGEMeta(
-            pc,
-            registers.folds_tuple(),
-            provider,
-            provider_index,
-            provider_tag,
-            base_index,
-            history._bits,
-        )
-        if provider_entry is not None:
-            return provider_entry.value, provider_entry.confidence >= self._saturation, meta
+                    return (
+                        entry.value, entry.confidence >= self._saturation,
+                        rank, index, tag, mixes, folds, history._bits,
+                    )
         if self._base_valid[base_index]:
-            confident = self._base_confidence[base_index] >= self._saturation
-            return self._base_values[base_index], confident, meta
-        return 0, False, meta
+            return (
+                self._base_values[base_index],
+                self._base_confidence[base_index] >= self._saturation,
+                -1, 0, 0, mixes, folds, history._bits,
+            )
+        return 0, False, -1, 0, 0, mixes, folds, history._bits
 
-    # ------------------------------------------------------------------ training helpers
-    def _train_base(self, base_index: int, actual: int) -> None:
-        if self._base_valid[base_index]:
-            if self._base_values[base_index] == actual:
-                confidence = self._base_confidence[base_index]
-                if confidence < self._saturation and self._policy.allows_increment(
-                    confidence
-                ):
-                    self._base_confidence[base_index] = confidence + 1
-            elif self._base_confidence[base_index] == 0:
-                self._base_values[base_index] = actual
-            else:
-                self._base_confidence[base_index] = 0
-        else:
-            self._base_valid[base_index] = True
-            self._base_values[base_index] = actual
-            self._base_confidence[base_index] = 0
-
-    def _meta_index(self, meta: _VTAGEMeta, rank: int) -> int:
-        """Re-derive the component index the lookup for ``meta`` would have used."""
-        if rank == meta.provider:
-            return meta.provider_index
-        index_mixes, _, _ = self._pc_mixes(meta.pc)
-        fold = meta.folds[rank]
+    # ------------------------------------------------------------------ training
+    def _record_tag(self, record: tuple, rank: int) -> int:
+        """Re-derive the component-``rank`` tag the lookup for ``record`` would have used."""
+        fold = record[6][self.num_components + rank]
         if fold is None:  # register was dormant at lookup — re-fold from raw bits
-            fold = fold_bits(meta.bits, self.history_lengths[rank], self._index_width)
-        return (index_mixes[rank] ^ fold) & self._tagged_mask
+            fold = fold_bits(record[7], self.history_lengths[rank], self._tag_widths[rank])
+        return (record[5][1][rank] ^ fold) & self._tag_masks[rank]
 
-    def _meta_tag(self, meta: _VTAGEMeta, rank: int) -> int:
-        """Re-derive the component tag the lookup for ``meta`` would have used."""
-        if rank == meta.provider:
-            return meta.provider_tag
-        _, tag_mixes, _ = self._pc_mixes(meta.pc)
-        fold = meta.folds[self.num_components + rank]
-        if fold is None:  # register was dormant at lookup — re-fold from raw bits
-            fold = fold_bits(meta.bits, self.history_lengths[rank], self._tag_widths[rank])
-        return (tag_mixes[rank] ^ fold) & self._tag_masks[rank]
-
-    def _allocate(self, meta: _VTAGEMeta, actual: int) -> None:
+    def _allocate(self, record: tuple, actual: int) -> None:
         """Allocate a new tagged entry on a component with a longer history."""
-        start = meta.provider + 1
+        start = record[2] + 1
         num_components = self.num_components
-        index_mixes, _, _ = self._pc_mixes(meta.pc)
-        folds = meta.folds
+        index_mixes = record[5][0]
+        folds = record[6]
         tagged_mask = self._tagged_mask
         components = self._components
-        bits = meta.bits
+        bits = record[7]
         lengths = self.history_lengths
         index_width = self._index_width
         # One fused probe pass over the longer-history components only, re-deriving
-        # each index from the meta's fold snapshot (identical to the lookup's).
+        # each index from the record's fold snapshot (identical to the lookup's).
         # Only the first two candidates matter (the tie-break picks between them,
         # and the aging path needs only "were there any"), so the probe stops at
         # the second hit.
@@ -354,55 +286,70 @@ class VTAGEPredictor(ValuePredictor):
                     registers.activate(choice)
                     registers.activate(num_components + choice)
         choice_entry.valid = True
-        choice_entry.tag = self._meta_tag(meta, choice)
+        choice_entry.tag = self._record_tag(record, choice)
         choice_entry.value = actual
         choice_entry.confidence = 0
         choice_entry.useful = 0
 
     def train(self, pc: int, actual: int, prediction: VPrediction | None) -> None:
-        if prediction is None or prediction.meta is None:
-            # Should not happen in the pipeline (every eligible µ-op is looked up), but
-            # keep the base component learning for robustness.
-            self._train_base(self._base_index(pc), actual & _MASK64)
-            return
-        self.train_parts(pc, actual, prediction.meta, prediction.value)
+        self.train_parts(pc, actual, None if prediction is None else prediction.meta)
 
-    def train_parts(
-        self, pc: int, actual: int, meta: _VTAGEMeta, predicted_value: int
-    ) -> None:
-        """:meth:`train` taking the lookup flattened to ``(meta, value)``.
+    def train_parts(self, pc: int, actual: int, record: tuple | None) -> None:
+        """The commit-side table walk for a :meth:`lookup_parts` record.
 
         A correct provider bumps its confidence (below saturation, when the
-        forward-probabilistic counter policy allows it).
+        forward-probabilistic counter policy allows it); a wrong one allocates on
+        a longer history.  The base component always trains.  Without a record
+        (not looked up — never the case in the pipeline) only the base trains.
         """
         actual &= _MASK64
-        if meta.provider >= 0:
-            entry = self._components[meta.provider][meta.provider_index]
-            if entry is not None and entry.valid and entry.tag == meta.provider_tag:
-                if entry.value == actual:
-                    confidence = entry.confidence
-                    saturation = self._saturation
-                    if confidence < saturation and self._policy.allows_increment(
-                        confidence
-                    ):
-                        confidence += 1
-                        entry.confidence = confidence
-                    if confidence >= saturation:
-                        entry.useful = 1
-                else:
-                    if entry.confidence == 0:
-                        entry.value = actual
-                        entry.useful = 0
-                    else:
-                        entry.confidence = 0
-                    self._allocate(meta, actual)
-            else:
-                # The entry was replaced between fetch and commit; treat as a miss.
-                self._allocate(meta, actual)
+        base_valid = self._base_valid
+        if record is None:
+            base_index = _mix(pc) & self._base_mask
         else:
-            if not (self._base_valid[meta.base_index] and predicted_value == actual):
-                self._allocate(meta, actual)
-        self._train_base(meta.base_index, actual)
+            value, _, provider, provider_index, provider_tag, mixes, _, _ = record
+            base_index = mixes[2]
+            if provider >= 0:
+                entry = self._components[provider][provider_index]
+                if entry is not None and entry.valid and entry.tag == provider_tag:
+                    if entry.value == actual:
+                        confidence = entry.confidence
+                        saturation = self._saturation
+                        if confidence < saturation and self._policy.allows_increment(
+                            confidence
+                        ):
+                            confidence += 1
+                            entry.confidence = confidence
+                        if confidence >= saturation:
+                            entry.useful = 1
+                    else:
+                        if entry.confidence == 0:
+                            entry.value = actual
+                            entry.useful = 0
+                        else:
+                            entry.confidence = 0
+                        self._allocate(record, actual)
+                else:
+                    # The entry was replaced between fetch and commit; treat as a miss.
+                    self._allocate(record, actual)
+            elif not (base_valid[base_index] and value == actual):
+                self._allocate(record, actual)
+        if base_valid[base_index]:
+            base_confidence = self._base_confidence
+            if self._base_values[base_index] == actual:
+                confidence = base_confidence[base_index]
+                if confidence < self._saturation and self._policy.allows_increment(
+                    confidence
+                ):
+                    base_confidence[base_index] = confidence + 1
+            elif base_confidence[base_index] == 0:
+                self._base_values[base_index] = actual
+            else:
+                base_confidence[base_index] = 0
+        else:
+            base_valid[base_index] = True
+            self._base_values[base_index] = actual
+            self._base_confidence[base_index] = 0
 
     def storage_bits(self) -> int:
         base = self.base_entries * (self.value_bits + 3)

@@ -125,3 +125,47 @@ class TestDeterministicRandom:
         rng = DeterministicRandom(1)
         assert rng.chance(Fraction(1))
         assert not rng.chance(Fraction(0))
+
+
+class TestInlineDrawsMatchNextU64:
+    """The policy and coin flip step the xorshift64* state inline; ``next_u64`` is the
+    reference.  Results and the final state must agree draw for draw, so a level that
+    must not draw (saturated, p = 1 or p = 0) cannot silently consume one."""
+
+    DRAWS = 10_000
+
+    @pytest.mark.parametrize(
+        "vector",
+        [
+            PAPER_FPC_VECTOR,
+            SCALED_FPC_VECTOR,
+            (Fraction(1), Fraction(1, 3), Fraction(0), Fraction(1, 2), Fraction(1), Fraction(0)),
+        ],
+        ids=["paper", "scaled", "with-p1-and-p0"],
+    )
+    def test_allows_increment_matches_reference(self, vector):
+        policy = FPCPolicy(vector, seed=0x5EED)
+        reference = DeterministicRandom(0x5EED)
+
+        def expected(level):
+            if level >= len(vector):
+                return False
+            probability = vector[level]
+            if probability >= 1:
+                return True
+            if probability <= 0:
+                return False
+            return (reference.next_u64() >> 32) < int(probability * (1 << 32))
+
+        for level in range(len(vector) + 1):  # the last level is saturated
+            got = [policy.allows_increment(level) for _ in range(self.DRAWS)]
+            assert got == [expected(level) for _ in range(self.DRAWS)], level
+            assert policy._random._state == reference._state, level
+        assert reference._state != DeterministicRandom(0x5EED)._state
+
+    def test_chance_half_matches_reference(self):
+        rng = DeterministicRandom(0x5EED)
+        reference = DeterministicRandom(0x5EED)
+        got = [rng.chance_half() for _ in range(self.DRAWS)]
+        assert got == [bool(reference.next_u64() & 1) for _ in range(self.DRAWS)]
+        assert rng._state == reference._state

@@ -25,7 +25,7 @@ class TestFCM:
             FCMPredictor(order=0)
 
     def test_cold_lookup_returns_none(self):
-        assert _make().predict(PC, GlobalHistory()) is None
+        assert _make().lookup(PC, GlobalHistory()) is None
 
     def test_repeating_value_pattern_learned(self):
         """FCM's strength: periodic patterns that last-value/stride predictors miss."""
@@ -36,7 +36,7 @@ class TestFCM:
         total_late = 0
         for index in range(600):
             value = pattern[index % len(pattern)]
-            prediction = predictor.predict(PC, history)
+            prediction = predictor.lookup(PC, history)
             if index >= 400:
                 total_late += 1
                 if prediction is not None and prediction.value == value:
@@ -48,8 +48,8 @@ class TestFCM:
         predictor = _make()
         history = GlobalHistory()
         for _ in range(30):
-            predictor.train(PC, 7, predictor.predict(PC, history))
-        prediction = predictor.predict(PC, history)
+            predictor.train(PC, 7, predictor.lookup(PC, history))
+        prediction = predictor.lookup(PC, history)
         assert prediction is not None and prediction.value == 7
 
     def test_storage_accounting(self):

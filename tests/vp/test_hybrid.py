@@ -28,20 +28,20 @@ class TestArbitration:
         history = GlobalHistory()
         value = 0
         for _ in range(40):
-            prediction = predictor.predict(PC, history)
+            prediction = predictor.lookup(PC, history)
             predictor.train(PC, value, prediction)
             value += 9
-        prediction = predictor.predict(PC, history)
+        prediction = predictor.lookup(PC, history)
         assert prediction.confident
         assert prediction.value == value
-        assert prediction.meta.chosen == "stride"
+        assert prediction.meta[0] == "stride"  # the record's arbitration winner
 
     def test_constant_values_predicted_confidently(self):
         predictor = _make()
         history = GlobalHistory()
         for _ in range(20):
-            predictor.train(PC, 1234, predictor.predict(PC, history))
-        prediction = predictor.predict(PC, history)
+            predictor.train(PC, 1234, predictor.lookup(PC, history))
+        prediction = predictor.lookup(PC, history)
         assert prediction.confident and prediction.value == 1234
 
     def test_history_correlated_values_use_vtage(self):
@@ -51,15 +51,15 @@ class TestArbitration:
         for index in range(200):
             taken, value = patterns[index % 2]
             history.push(taken)
-            predictor.train(PC, value, predictor.predict(PC, history))
+            predictor.train(PC, value, predictor.lookup(PC, history))
         taken, value = patterns[0]
         history.push(taken)
-        prediction = predictor.predict(PC, history)
+        prediction = predictor.lookup(PC, history)
         assert prediction.value == value
-        assert prediction.meta.chosen == "vtage"
+        assert prediction.meta[0] == "vtage"
 
     def test_cold_prediction_is_not_confident(self):
-        prediction = _make().predict(PC, GlobalHistory())
+        prediction = _make().lookup(PC, GlobalHistory())
         assert prediction is not None
         assert not prediction.confident
 
@@ -70,17 +70,17 @@ class TestTrainingAndRecovery:
         history = GlobalHistory()
         for _ in range(20):
             predictor.train(PC, 5, None)
-        assert predictor.predict(PC, history).value == 5
+        assert predictor.lookup(PC, history).value == 5
 
     def test_recover_delegates_to_stride_component(self):
         predictor = _make()
         history = GlobalHistory()
         for value in range(0, 200, 4):
-            predictor.train(PC, value, predictor.predict(PC, history))
-        predictor.predict(PC, history)
-        predictor.predict(PC, history)
+            predictor.train(PC, value, predictor.lookup(PC, history))
+        predictor.lookup(PC, history)
+        predictor.lookup(PC, history)
         predictor.recover()
-        assert predictor.predict(PC, history).value == 200
+        assert predictor.lookup(PC, history).value == 200
 
     def test_storage_is_sum_of_components(self):
         predictor = _make()

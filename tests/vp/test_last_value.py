@@ -22,15 +22,15 @@ class TestLastValue:
             LastValuePredictor(entries=300)
 
     def test_cold_lookup_returns_none(self):
-        assert _make().predict(PC, GlobalHistory()) is None
+        assert _make().lookup(PC, GlobalHistory()) is None
 
     def test_repeated_value_becomes_confident(self):
         predictor = _make()
         history = GlobalHistory()
         for _ in range(10):
-            prediction = predictor.predict(PC, history)
+            prediction = predictor.lookup(PC, history)
             predictor.train(PC, 42, prediction)
-        prediction = predictor.predict(PC, history)
+        prediction = predictor.lookup(PC, history)
         assert prediction.value == 42
         assert prediction.confident
 
@@ -38,9 +38,9 @@ class TestLastValue:
         predictor = _make()
         history = GlobalHistory()
         for _ in range(10):
-            predictor.train(PC, 42, predictor.predict(PC, history))
-        predictor.train(PC, 43, predictor.predict(PC, history))
-        prediction = predictor.predict(PC, history)
+            predictor.train(PC, 42, predictor.lookup(PC, history))
+        predictor.train(PC, 43, predictor.lookup(PC, history))
+        prediction = predictor.lookup(PC, history)
         assert not prediction.confident
         assert prediction.value == 43
 
@@ -48,18 +48,18 @@ class TestLastValue:
         predictor = _make()
         history = GlobalHistory()
         for value in range(0, 500, 7):
-            predictor.train(PC, value, predictor.predict(PC, history))
-        prediction = predictor.predict(PC, history)
+            predictor.train(PC, value, predictor.lookup(PC, history))
+        prediction = predictor.lookup(PC, history)
         assert prediction is None or not prediction.confident
 
     def test_distinct_pcs_do_not_interfere(self):
         predictor = _make()
         history = GlobalHistory()
         for _ in range(10):
-            predictor.train(0x10, 1, predictor.predict(0x10, history))
-            predictor.train(0x11, 2, predictor.predict(0x11, history))
-        assert predictor.predict(0x10, history).value == 1
-        assert predictor.predict(0x11, history).value == 2
+            predictor.train(0x10, 1, predictor.lookup(0x10, history))
+            predictor.train(0x11, 2, predictor.lookup(0x11, history))
+        assert predictor.lookup(0x10, history).value == 1
+        assert predictor.lookup(0x11, history).value == 2
 
     def test_storage_accounting(self):
         predictor = _make(entries=256, tag_bits=12)

@@ -22,7 +22,7 @@ def _train_sequence(predictor, values, pc=PC):
     history = GlobalHistory()
     predictions = []
     for value in values:
-        predictions.append(predictor.predict(pc, history))
+        predictions.append(predictor.lookup(pc, history))
         predictor.train(pc, value, predictions[-1])
     return predictions
 
@@ -34,12 +34,12 @@ class TestBasics:
 
     def test_first_encounter_gives_no_prediction(self):
         predictor = _make()
-        assert predictor.predict(PC, GlobalHistory()) is None
+        assert predictor.lookup(PC, GlobalHistory()) is None
 
     def test_constant_sequence_predicted_with_confidence(self):
         predictor = _make()
         _train_sequence(predictor, [7] * 20)
-        prediction = predictor.predict(PC, GlobalHistory())
+        prediction = predictor.lookup(PC, GlobalHistory())
         assert prediction is not None
         assert prediction.value == 7
         assert prediction.confident
@@ -47,7 +47,7 @@ class TestBasics:
     def test_strided_sequence_predicted(self):
         predictor = _make()
         _train_sequence(predictor, list(range(0, 200, 5)))
-        prediction = predictor.predict(PC, GlobalHistory())
+        prediction = predictor.lookup(PC, GlobalHistory())
         assert prediction.value == 200
         assert prediction.confident
 
@@ -65,20 +65,20 @@ class TestTwoDeltaFiltering:
         # Regular stride of 4, then a single glitch, then stride of 4 again.
         values = [0, 4, 8, 12, 16, 100, 104, 108, 112]
         _train_sequence(predictor, values)
-        entry = predictor._table[predictor._index(PC)]
+        entry = predictor._table[predictor._index_and_tag(PC)[0]]
         assert entry.stride2 == 4
 
     def test_single_delta_follows_every_change(self):
         predictor = _make(two_delta=False)
         values = [0, 4, 8, 100]
         _train_sequence(predictor, values)
-        entry = predictor._table[predictor._index(PC)]
+        entry = predictor._table[predictor._index_and_tag(PC)[0]]
         assert entry.stride2 == (100 - 8)
 
     def test_repeated_new_stride_is_adopted(self):
         predictor = _make(two_delta=True)
         _train_sequence(predictor, [0, 4, 8, 12, 20, 28, 36, 44])
-        entry = predictor._table[predictor._index(PC)]
+        entry = predictor._table[predictor._index_and_tag(PC)[0]]
         assert entry.stride2 == 8
 
 
@@ -87,8 +87,8 @@ class TestSpeculativeChain:
         predictor = _make()
         _train_sequence(predictor, list(range(0, 120, 3)))  # stride 3, last value 117
         history = GlobalHistory()
-        first = predictor.predict(PC, history)
-        second = predictor.predict(PC, history)
+        first = predictor.lookup(PC, history)
+        second = predictor.lookup(PC, history)
         assert first.value == 120
         assert second.value == 123
 
@@ -96,16 +96,16 @@ class TestSpeculativeChain:
         predictor = _make()
         _train_sequence(predictor, list(range(0, 120, 3)))
         history = GlobalHistory()
-        predictor.predict(PC, history)
-        predictor.predict(PC, history)
+        predictor.lookup(PC, history)
+        predictor.lookup(PC, history)
         predictor.recover()
-        assert predictor.predict(PC, history).value == 120
+        assert predictor.lookup(PC, history).value == 120
 
     def test_misprediction_repairs_speculative_chain(self):
         predictor = _make()
         history = GlobalHistory()
         # Build up several stale in-flight predictions before any training.
-        stale = [predictor.predict(PC, history) for _ in range(4)]
+        stale = [predictor.lookup(PC, history) for _ in range(4)]
         actuals = [10, 20, 30, 40, 50, 60, 70, 80, 90, 100]
         for actual, prediction in zip(actuals[:4], stale):
             predictor.train(PC, actual, prediction)
@@ -113,7 +113,7 @@ class TestSpeculativeChain:
         # eventually produce correct, confident predictions.
         correct = 0
         for actual in actuals[4:]:
-            prediction = predictor.predict(PC, history)
+            prediction = predictor.lookup(PC, history)
             if prediction is not None and prediction.value == actual:
                 correct += 1
             predictor.train(PC, actual, prediction)
@@ -124,9 +124,9 @@ class TestSpeculativeChain:
         history = GlobalHistory()
         predictor.train(PC, 5, None)
         predictor.train(PC, 10, None)
-        entry = predictor._table[predictor._index(PC)]
+        entry = predictor._table[predictor._index_and_tag(PC)[0]]
         assert entry.inflight == 0
-        predictor.predict(PC, history)
+        predictor.lookup(PC, history)
         assert entry.inflight == 1
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bpu.history import GlobalHistory
+from repro.bpu.history import GlobalHistory, fold_bits
 from repro.errors import ConfigurationError
 from repro.vp.confidence import DETERMINISTIC_3BIT_VECTOR
 from repro.vp.vtage import VTAGEPredictor, geometric_history_lengths
@@ -47,9 +47,9 @@ class TestVTAGE:
         predictor = _make()
         history = GlobalHistory()
         for _ in range(12):
-            prediction = predictor.predict(PC, history)
+            prediction = predictor.lookup(PC, history)
             predictor.train(PC, 99, prediction)
-        prediction = predictor.predict(PC, history)
+        prediction = predictor.lookup(PC, history)
         assert prediction.value == 99
         assert prediction.confident
 
@@ -63,7 +63,7 @@ class TestVTAGE:
         for index in range(rounds):
             taken, value = patterns[index % 2]
             history.push(taken)
-            prediction = predictor.predict(PC, history)
+            prediction = predictor.lookup(PC, history)
             if index > rounds - 40 and prediction is not None and prediction.value == value:
                 correct_late += 1
             predictor.train(PC, value, prediction)
@@ -75,7 +75,7 @@ class TestVTAGE:
         confident_wrong = 0
         value = 0
         for _ in range(200):
-            prediction = predictor.predict(PC, history)
+            prediction = predictor.lookup(PC, history)
             if prediction is not None and prediction.confident and prediction.value != value:
                 confident_wrong += 1
             predictor.train(PC, value, prediction)
@@ -86,10 +86,10 @@ class TestVTAGE:
         predictor = _make()
         history = GlobalHistory()
         for _ in range(5):
-            predictor.train(PC, 5, predictor.predict(PC, history))
-        before = predictor.predict(PC, history).value
+            predictor.train(PC, 5, predictor.lookup(PC, history))
+        before = predictor.lookup(PC, history).value
         predictor.recover()
-        assert predictor.predict(PC, history).value == before
+        assert predictor.lookup(PC, history).value == before
 
     def test_storage_accounting_scales_with_components(self):
         small = _make(num_components=2)
@@ -106,19 +106,24 @@ class TestVTAGE:
     def test_meta_carries_provider_information(self):
         predictor = _make()
         history = GlobalHistory()
-        prediction = predictor.predict(PC, history)
+        prediction = predictor.lookup(PC, history)
         assert prediction.meta is not None
-        assert prediction.meta.provider == -1  # cold: base component provides
-        # The meta's fold snapshot re-derives exactly the lookup's indices/tags.
+        value, confident, provider, _, _, mixes, folds, bits = prediction.meta
+        assert (value, confident) == (prediction.value, prediction.confident)
+        assert provider == -1  # cold: base component provides
+        # The record's fold snapshot re-derives exactly the lookup's indices/tags.
         # Folds are lazily activated: a dormant register snapshots as None and the
-        # re-derivation falls back to folding the meta's raw history bits.
-        assert len(prediction.meta.folds) == 2 * predictor.num_components
+        # re-derivation falls back to folding the record's raw history bits.
+        assert len(folds) == 2 * predictor.num_components
         for rank in range(predictor.num_components):
-            assert prediction.meta.folds[rank] in (
+            assert folds[rank] in (
                 None,
                 history.fold(predictor.history_lengths[rank], predictor._index_width),
             )
-            index = predictor._meta_index(prediction.meta, rank)
-            tag = predictor._meta_tag(prediction.meta, rank)
+            fold = folds[rank]
+            if fold is None:
+                fold = fold_bits(bits, predictor.history_lengths[rank], predictor._index_width)
+            index = (mixes[0][rank] ^ fold) & predictor._tagged_mask
+            tag = predictor._record_tag(prediction.meta, rank)
             assert index == predictor._tagged_index(PC, history, rank)
             assert tag == predictor._tagged_tag(PC, history, rank)
