@@ -3,14 +3,27 @@
 The baseline uses a unified, centralised 64-entry IQ (Table 1); entries are released at
 issue.  Selection is age-ordered (oldest ready first), which is the behaviour the
 paper's gem5 baseline models.  Wakeup is modelled by evaluating operand readiness
-against producer completion times (see :meth:`IssueQueue.select`).
+against producer completion times.
+
+The queue owns every issue decision of the pipeline.  The simulator makes the
+same calls whichever flavour it built:
+
+* dispatch: :meth:`IssueQueue.insert`, then the next scan cycle is lowered to
+  :attr:`IssueQueue.wake_min`;
+* issue: :meth:`IssueQueue.select_ready` picks and removes the µ-ops, and
+  :meth:`IssueQueue.next_scan_cycle` gives the earliest cycle a later select
+  could find work;
+* wake-up: a started producer with registered consumers calls
+  :meth:`WakeupIssueQueue.producer_available` (only that flavour registers any).
+
+:class:`WakeupIssueQueue` is the default; the scan-based :class:`IssueQueue` is
+its byte-identical differential oracle (``REPRO_WAKEUP_LISTS=0``).
 """
 
 from __future__ import annotations
 
 import os
 from bisect import insort
-from collections.abc import Callable
 
 from repro.errors import ConfigurationError
 from repro.ooo.functional_units import FunctionalUnitPool
@@ -30,38 +43,49 @@ def wakeup_lists_enabled() -> bool:
 
 
 class IssueQueue:
-    """Bounded, age-ordered instruction queue with issue-width-limited select."""
+    """Bounded, age-ordered instruction queue with issue-width-limited select.
 
-    def __init__(self, capacity: int = 64) -> None:
+    The scan-based reference: every select walks the whole queue and re-derives
+    each entry's readiness from its producers, and the next scan cycle comes from
+    conservative re-arm heuristics (:meth:`next_scan_cycle`).
+    """
+
+    #: The scan re-arms on completions of producers with waiting consumers
+    #: (``InflightOp.iq_waiters``, counted at insert), so every completion must
+    #: reach the simulator's completion wheel.
+    needs_completions = True
+
+    def __init__(self, capacity: int = 64, dispatch_to_issue_latency: int = 1) -> None:
         if capacity <= 0:
             raise ConfigurationError("IQ capacity must be positive")
         self.capacity = capacity
+        self._d2i = dispatch_to_issue_latency
         self._entries: list[InflightOp] = []
+        #: Current number of waiting µ-ops (maintained, read once per dispatched µ-op).
+        self.occupancy = 0
         self.peak_occupancy = 0
-        self.full_stall_events = 0
         #: Optional pipeline event tracer (repro.obs); the simulator attaches it
         #: when ``REPRO_PIPE_TRACE`` is enabled, otherwise every hook site is one
         #: ``is not None`` check.
         self.tracer = None
-        #: Byproduct of the last :meth:`select_ready` walk: the earliest future
-        #: dispatch-maturity deadline among the entries it examined (``None`` when
-        #: every examined entry was already mature).  Only meaningful when the walk
-        #: covered the whole queue, i.e. when the issue width was *not* exhausted —
-        #: the simulator only consults it in exactly those cases.
-        self.next_immature_cycle: int | None = None
+        #: Earliest cycle at which an entry inserted since the last select could
+        #: issue (its dispatch-maturity deadline); dispatch lowers the next scan
+        #: cycle to it.
+        self.wake_min = _NEVER
+        # Byproduct of the last walk: the earliest future dispatch-maturity
+        # deadline it saw (only complete when the walk covered the whole queue).
+        self._next_immature = _NEVER
 
     # ------------------------------------------------------------------ capacity
     def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def occupancy(self) -> int:
-        """Current number of waiting µ-ops."""
-        return len(self._entries)
+        return self.occupancy
 
     def has_space(self, count: int = 1) -> bool:
         """True if ``count`` more µ-ops fit."""
-        return len(self._entries) + count <= self.capacity
+        return self.occupancy + count <= self.capacity
+
+    def __iter__(self):
+        return iter(self._entries)
 
     # ------------------------------------------------------------------ mutation
     def insert(self, op: InflightOp) -> None:
@@ -71,11 +95,16 @@ class IssueQueue:
         # is the last writer before the scan reads it.
         op.wait_until = 0
         self._entries.append(op)
-        if len(self._entries) > self.peak_occupancy:
-            self.peak_occupancy = len(self._entries)
+        occupancy = self.occupancy + 1
+        self.occupancy = occupancy
+        if occupancy > self.peak_occupancy:
+            self.peak_occupancy = occupancy
         for producer in op.producers:
             if producer is not None:
                 producer.iq_waiters += 1
+        deadline = op.dispatch_cycle + self._d2i
+        if deadline < self.wake_min:
+            self.wake_min = deadline
 
     def _release_waiters(self, op: InflightOp) -> None:
         """Undo the producer waiter accounting of an entry leaving the queue."""
@@ -92,69 +121,24 @@ class IssueQueue:
             else:
                 kept.append(op)
         self._entries = kept
+        self.occupancy = len(kept)
 
     # ------------------------------------------------------------------ select
-    def select(
-        self,
-        cycle: int,
-        issue_width: int,
-        fu_pool: FunctionalUnitPool,
-        is_ready: Callable[[InflightOp, int], bool],
-        latency_of: Callable[[InflightOp], int],
+    def select_ready(
+        self, cycle: int, issue_width: int, fu_pool: FunctionalUnitPool
     ) -> list[InflightOp]:
         """Select up to ``issue_width`` ready µ-ops, oldest first.
 
-        ``is_ready`` decides operand/memory-dependence readiness at ``cycle``;
-        ``latency_of`` supplies the execution latency used to reserve unpipelined units.
-        Selected entries are removed from the queue (entries are released at issue, as
-        in the baseline machine).
-        """
-        if not self._entries or issue_width <= 0:
-            return []
-        selected: list[InflightOp] = []
-        remaining: list[InflightOp] = []
-        # Entries are kept in dispatch order, so a single pass is age-ordered select.
-        for op in self._entries:
-            if len(selected) >= issue_width:
-                remaining.append(op)
-                continue
-            if op.squashed:
-                self._release_waiters(op)
-                continue
-            if not is_ready(op, cycle):
-                remaining.append(op)
-                continue
-            if not fu_pool.try_issue(op.uop.opclass, cycle, latency_of(op)):
-                remaining.append(op)
-                continue
-            op.issued = True
-            op.issue_cycle = cycle
-            op.in_issue_queue = False
-            self._release_waiters(op)
-            selected.append(op)
-        self._entries = remaining
-        return selected
-
-    def select_ready(
-        self,
-        cycle: int,
-        issue_width: int,
-        fu_pool: FunctionalUnitPool,
-        dispatch_to_issue_latency: int,
-    ) -> list[InflightOp]:
-        """The pipeline's hot-path select: :meth:`select` with the simulator's
-        readiness and latency rules inlined.
-
-        Semantically identical to calling :meth:`select` with the simulator's
-        rules as callbacks: an entry is ready once it is past the dispatch-to-issue
-        latency, every producer's result is available and, for a load, its
-        store-set dependence has issued or been squashed; the latency is the
-        µ-op's own.  Inlining the per-entry readiness walk (operand wake-up against
-        producer completion times, store-set memory dependences) avoids several
-        function calls per waiting µ-op per cycle.
+        An entry is ready once it is past the dispatch-to-issue latency, every
+        producer's result is available and, for a load, its store-set dependence
+        has issued or been squashed; it then issues if ``fu_pool`` grants its
+        opclass a unit for its own latency.  Selected entries are removed from the
+        queue (entries are released at issue, as in the baseline machine);
+        squashed entries met by the walk are dropped.
         """
         entries = self._entries
-        self.next_immature_cycle = None
+        self.wake_min = _NEVER
+        self._next_immature = _NEVER
         if not entries or issue_width <= 0:
             return []
         selected: list[InflightOp] = []
@@ -163,11 +147,12 @@ class IssueQueue:
         # at all, and the queue object is left as-is.
         remaining: list[InflightOp] | None = None
         try_issue = fu_pool.try_issue
+        d2i = self._d2i
         width_left = issue_width
         for position, op in enumerate(entries):
             if width_left == 0:
-                # Width exhausted: the untouched tail (squashed entries included,
-                # matching select()) stays in dispatch order.
+                # Width exhausted: the untouched tail (squashed entries included)
+                # stays in dispatch order.
                 remaining.extend(entries[position:])
                 break
             if op.squashed:
@@ -175,11 +160,11 @@ class IssueQueue:
                 if remaining is None:
                     remaining = entries[:position]
                 continue
-            if cycle < op.dispatch_cycle + dispatch_to_issue_latency:
+            if cycle < op.dispatch_cycle + d2i:
                 # Entries are in dispatch order, so the first immature entry
                 # carries the earliest maturity deadline — and everything after it
                 # is immature too: stop the walk wholesale.
-                self.next_immature_cycle = op.dispatch_cycle + dispatch_to_issue_latency
+                self._next_immature = op.dispatch_cycle + d2i
                 if remaining is not None:
                     remaining.extend(entries[position:])
                 break
@@ -233,10 +218,30 @@ class IssueQueue:
             width_left -= 1
         if remaining is not None:
             self._entries = remaining
+            self.occupancy = len(remaining)
         return selected
 
-    def __iter__(self):
-        return iter(self._entries)
+    def next_scan_cycle(
+        self, cycle: int, selected: list[InflightOp], issue_width: int, rejected: bool
+    ) -> int:
+        """The earliest cycle after ``cycle``'s select that could find new work.
+
+        ``rejected`` says a ready µ-op lost its functional unit during that
+        select.  A rescan next cycle is needed when the select could have left
+        newly-issuable work behind: the width ran out (unexamined entries may be
+        ready), a unit was refused (retry when the pool resets), or an issued
+        store released a store-set dependence (dependent loads become ready at
+        once).  Otherwise nothing can issue until an event the simulator
+        announces (a completion of a producer with waiters, a dispatch, a squash)
+        — except entries still inside the dispatch-to-issue latency, whose
+        maturity is a known deadline no event announces: the walk's byproduct.
+        """
+        if rejected or len(selected) == issue_width:
+            return cycle + 1
+        for op in selected:
+            if op.uop.is_store:
+                return cycle + 1
+        return self._next_immature
 
 
 class WakeupIssueQueue(IssueQueue):
@@ -249,7 +254,8 @@ class WakeupIssueQueue(IssueQueue):
 
     * each entry counts its producers with unknown availability
       (``unknown_producers``) and registers itself in their ``wake_consumers``
-      lists; the **producer's issue** resolves all of them in O(consumers);
+      lists; the **producer's issue** resolves all of them in O(consumers)
+      (:meth:`producer_available`);
     * a load blocked on a store-set dependence (``mem_blocked``) registers in the
       store's ``mem_waiters`` list; the **store's issue** releases them — within
       the same selection pass, exactly like the reference walk, where a younger
@@ -260,48 +266,38 @@ class WakeupIssueQueue(IssueQueue):
     * ``select_ready`` surfaces ripe buckets onto an age-ordered ready list and
       walks only that list, so selection is O(ready entries + woken entries).
 
+    Scan scheduling uses exact deadlines rather than the reference's re-arm
+    heuristics (:meth:`next_scan_cycle`): a scan before :attr:`wake_min` with an
+    empty ready list is provably empty, and an empty scan is observably a no-op,
+    so skipping it is invisible even where the reference would have walked.  For
+    the same reason no completion needs to re-arm the scan
+    (:attr:`needs_completions` is false) and no insert counts ``iq_waiters``.
+
     Squash safety: registrations carry the consumer's ``wake_gen`` token, bumped
     whenever a (possibly pooled and recycled) record is reinitialised, so a stale
     registration can never wake a record's next incarnation; squash additionally
-    rebuilds the ready/wheel/maturity structures (:meth:`remove_squashed` was
-    O(occupancy) already).
+    rebuilds the ready/wheel structures (:meth:`remove_squashed` was O(occupancy)
+    already).
 
     Byte-identity with the reference is structural: the ready list reproduces, in
     age order, exactly the set of entries the reference walk would have found
-    ready, so the ``fu_pool.try_issue`` call sequence, the selected µ-ops, the
-    ``iq_waiters`` accounting and the :attr:`next_immature_cycle` byproduct are
-    all identical (``tests/ooo/test_wakeup_issue_queue.py`` drives randomized
-    dependence graphs with squashes/replays against the reference, and the
-    determinism suite compares full-grid simulations).
+    ready, so the ``fu_pool.try_issue`` call sequence, the selected µ-ops and
+    every issue cycle are identical (``tests/ooo/test_wakeup_issue_queue.py``
+    drives randomized dependence graphs with squashes/replays against the
+    reference, and the determinism suite compares full-grid simulations).
     """
 
+    needs_completions = False
+
     def __init__(self, capacity: int = 64, dispatch_to_issue_latency: int = 1) -> None:
-        super().__init__(capacity)
-        self._d2i = dispatch_to_issue_latency
+        super().__init__(capacity, dispatch_to_issue_latency)
         # Authoritative membership: seq -> entry, in dispatch (insertion) order.
         self._members: dict[int, InflightOp] = {}
         # Age-ordered ``(seq, op)`` pairs whose every issue gate is open now.
         self._ready: list[tuple[int, InflightOp]] = []
-        # Time wheel: readiness cycle -> [(op, wake_gen), ...].  ``_wake_min``
-        # caches the earliest bucket; together with the ready list it replaces
-        # the reference's conservative scan re-arm heuristics (maturity
-        # deadlines, completion ``iq_waiters`` re-arms) with exact deadlines:
-        # a scan before ``_wake_min`` with an empty ready list is provably
-        # empty, and an empty scan is observably a no-op, so skipping it is
-        # invisible even where the reference would have walked.
+        # Time wheel: readiness cycle -> [(op, wake_gen), ...]; ``wake_min`` is
+        # its earliest bucket.
         self._wake_buckets: dict[int, list] = {}
-        self._wake_min = _NEVER
-
-    # ------------------------------------------------------------------ capacity
-    def __len__(self) -> int:
-        return len(self._members)
-
-    @property
-    def occupancy(self) -> int:
-        return len(self._members)
-
-    def has_space(self, count: int = 1) -> bool:
-        return len(self._members) + count <= self.capacity
 
     def __iter__(self):
         return iter(self._members.values())
@@ -310,10 +306,11 @@ class WakeupIssueQueue(IssueQueue):
     def insert(self, op: InflightOp) -> None:
         """Dispatch ``op``: register with unresolved producers, park by deadline."""
         op.in_issue_queue = True
-        members = self._members
-        members[op.seq] = op
-        if len(members) > self.peak_occupancy:
-            self.peak_occupancy = len(members)
+        self._members[op.seq] = op
+        occupancy = self.occupancy + 1
+        self.occupancy = occupancy
+        if occupancy > self.peak_occupancy:
+            self.peak_occupancy = occupancy
         gen = op.wake_gen
         unknown = 0
         ready_at = op.dispatch_cycle + self._d2i
@@ -352,8 +349,8 @@ class WakeupIssueQueue(IssueQueue):
         bucket = buckets.get(ready_at)
         if bucket is None:
             buckets[ready_at] = [(op, gen)]
-            if ready_at < self._wake_min:
-                self._wake_min = ready_at
+            if ready_at < self.wake_min:
+                self.wake_min = ready_at
         else:
             bucket.append((op, gen))
 
@@ -366,18 +363,36 @@ class WakeupIssueQueue(IssueQueue):
         return ready_at
 
     def producer_available(self, producer: InflightOp) -> None:
-        """O(consumers) wake-up: ``producer``'s availability cycle became known."""
+        """O(consumers) wake-up: ``producer``'s availability cycle became known.
+
+        Called once per issued producer with registered consumers, so the
+        readiness cycle (:meth:`_ready_cycle`) and the park (:meth:`_park`) are
+        inlined here.
+        """
         consumers = producer.wake_consumers
         if not consumers:
             return
         producer.wake_consumers = None
+        d2i = self._d2i
+        buckets = self._wake_buckets
         for op, gen in consumers:
             if op.wake_gen != gen or op.squashed:
                 continue
             remaining = op.unknown_producers - 1
             op.unknown_producers = remaining
-            if not remaining and not op.mem_blocked:
-                self._park(op, gen, self._ready_cycle(op))
+            if remaining or op.mem_blocked:
+                continue
+            ready_at = op.dispatch_cycle + d2i
+            for other in op.producers:
+                if other is not None and other.avail_cycle > ready_at:
+                    ready_at = other.avail_cycle
+            bucket = buckets.get(ready_at)
+            if bucket is None:
+                buckets[ready_at] = [(op, gen)]
+                if ready_at < self.wake_min:
+                    self.wake_min = ready_at
+            else:
+                bucket.append((op, gen))
 
     def remove_squashed(self) -> None:
         members = self._members
@@ -386,6 +401,7 @@ class WakeupIssueQueue(IssueQueue):
             return
         for op in squashed:
             del members[op.seq]
+        self.occupancy = len(members)
         self._ready = [pair for pair in self._ready if not pair[1].squashed]
         buckets = self._wake_buckets
         if buckets:
@@ -399,32 +415,15 @@ class WakeupIssueQueue(IssueQueue):
                     buckets[ready_at] = kept
                 else:
                     del buckets[ready_at]
-            self._wake_min = min(buckets) if buckets else _NEVER
+            self.wake_min = min(buckets) if buckets else _NEVER
 
     # ------------------------------------------------------------------ select
-    def select(self, *args, **kwargs):  # pragma: no cover - guard rail
-        raise NotImplementedError(
-            "WakeupIssueQueue only implements the pipeline's select_ready walk; "
-            "use the reference IssueQueue for callback-driven selection"
-        )
-
     def select_ready(
-        self,
-        cycle: int,
-        issue_width: int,
-        fu_pool: FunctionalUnitPool,
-        dispatch_to_issue_latency: int,
+        self, cycle: int, issue_width: int, fu_pool: FunctionalUnitPool
     ) -> list[InflightOp]:
-        """Age-ordered select over the maintained ready list (O(ready + woken)).
-
-        The wake-up IQ schedules by exact deadlines (``_wake_min`` plus a
-        non-empty ready list), so the reference's ``next_immature_cycle``
-        byproduct is meaningless here and always ``None``.
-        """
-        # Surface entries whose readiness deadline has passed.
-        if self._wake_min <= cycle:
+        """Age-ordered select over the maintained ready list (O(ready + woken))."""
+        if self.wake_min <= cycle:
             self._surface_ripe(cycle)
-        self.next_immature_cycle = None
         ready = self._ready
         if not ready or issue_width <= 0:
             return []
@@ -466,6 +465,7 @@ class WakeupIssueQueue(IssueQueue):
                                 self.tracer.emit(cycle, "wakeup", waiter, "store_release")
                         else:
                             self._park(waiter, gen, ready_at)
+        self.occupancy -= issue_width - width_left
         return selected
 
     def _surface_ripe(self, cycle: int) -> None:
@@ -475,7 +475,7 @@ class WakeupIssueQueue(IssueQueue):
         tracer = self.tracer
         added = False
         while buckets:
-            key = self._wake_min
+            key = self.wake_min
             if key > cycle:
                 break
             for op, gen in buckets.pop(key):
@@ -484,6 +484,17 @@ class WakeupIssueQueue(IssueQueue):
                     added = True
                     if tracer is not None:
                         tracer.emit(cycle, "wakeup", op, "wheel")
-            self._wake_min = min(buckets) if buckets else _NEVER
+            self.wake_min = min(buckets) if buckets else _NEVER
         if added:
             ready.sort()
+
+    def next_scan_cycle(
+        self, cycle: int, selected: list[InflightOp], issue_width: int, rejected: bool
+    ) -> int:
+        """Exact re-arm: leftovers retry next cycle, else the earliest wheel deadline.
+
+        Leftover ready entries mean a refused unit or an exhausted width, exactly
+        when the reference rescans.  Parks made by the select and by the wake-ups
+        of the selected µ-ops' consumers are already in :attr:`wake_min`.
+        """
+        return cycle + 1 if self._ready else self.wake_min

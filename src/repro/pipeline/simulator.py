@@ -38,7 +38,6 @@ design and its dead-cycle/stat-crediting rules.
 from __future__ import annotations
 
 import os
-from bisect import insort
 from collections import deque
 from collections.abc import Iterable, Iterator
 
@@ -60,7 +59,6 @@ from repro.ooo.functional_units import FunctionalUnitPool
 from repro.ooo.inflight import InflightOp, InflightOpPool, UNKNOWN_CYCLE
 from repro.ooo.issue_queue import (
     _NEVER as _SHARED_NEVER,
-    WAKEUP_ENV_VAR,
     IssueQueue,
     WakeupIssueQueue,
     wakeup_lists_enabled,
@@ -148,13 +146,10 @@ class Simulator:
         # Dependency-driven wake-up (REPRO_WAKEUP_LISTS, default on): producers keep
         # explicit consumer lists and the IQ maintains an age-ordered ready list, so
         # wake-up is O(woken) and select O(ready) instead of O(occupancy) walks.
-        # The scan-based IssueQueue remains the byte-identical reference.
-        self._wakeup = wakeup_lists_enabled()
-        self.iq = (
-            WakeupIssueQueue(config.iq_size, config.dispatch_to_issue_latency)
-            if self._wakeup
-            else IssueQueue(config.iq_size)
-        )
+        # The scan-based IssueQueue remains the byte-identical reference.  This is
+        # the only place the flavour is chosen: the issue stage calls the queue.
+        queue_class = WakeupIssueQueue if wakeup_lists_enabled() else IssueQueue
+        self.iq = queue_class(config.iq_size, config.dispatch_to_issue_latency)
         self.lsq = LoadStoreQueue(config.lq_size, config.sq_size)
         self.store_sets = StoreSets(config.store_sets_ssit, config.store_sets_lfst)
         self.fu_pool = FunctionalUnitPool(config.functional_units)
@@ -179,14 +174,13 @@ class Simulator:
         self._ee_enabled = config.eole.early.enabled
         self._late_enabled = config.eole.late.enabled
         self._multi_bank = config.prf_banks > 1
-        self._d2i = config.dispatch_to_issue_latency
-        # Completion-wheel diet (wake-up mode): a completion's only effect for
+        # Completion-wheel diet (wake-up IQ): a completion's only effect for
         # µ-ops that are neither stores nor blocking fetch is ``executed = True``,
         # and every reader of that flag also compares against the commit deadline
         # ``complete_cycle + _commit_extra`` — so those µ-ops set the flag at
         # issue and skip the wheel entirely.  The reference scan IQ *does* need
         # every completion on the wheel (its issue-scan re-arm listens to them).
-        self._wheel_all = not self._wakeup
+        self._wheel_all = self.iq.needs_completions
 
         # Issue-scan gating: IQ readiness only changes on discrete events — a
         # completion firing, a dispatched entry maturing past dispatch_to_issue
@@ -284,18 +278,17 @@ class Simulator:
         have incremented ``stats.cycles`` and, when dispatch is parked on a
         zero-progress stall (a full ROB, LSQ, PRF bank or IQ), re-run that
         identical stalled dispatch (see :meth:`_skip_dead_cycles` for what it
-        counts) — every candidate source in :meth:`_next_event_cycle` is
-        conservative, so any cycle that could mutate other state is stepped
-        normally.
-
-        This loop is the fused fast path: the per-cycle stage guards of
-        :meth:`_step`, the event-candidate computation of
-        :meth:`_next_event_cycle` and the bulk crediting of
-        :meth:`_skip_dead_cycles` are inlined into one body with the stable
-        pipeline structures hoisted into locals, so the common stepped cycle pays
-        no per-stage method indirection beyond the stages that actually run.
-        Those three methods remain the cycle-stepping reference implementation
-        (``REPRO_EVENT_DRIVEN=0``), and the determinism suite compares the two.
+        counts).  After each stepped cycle the loop jumps to the earliest cycle
+        at which any stage could act: the minimum of conservative candidates
+        taken from the completion wheel, the executed ROB head's commit
+        deadline, ``_iq_scan_from`` (the re-arm cycle the issue queue gives
+        :meth:`_issue`), the front-end head's dispatch deadline and the fetch
+        resume point (docs/performance.md, "The event-wheel scheduler").
+        Any cycle that could mutate other state is therefore stepped normally.
+        The per-cycle stage guards of :meth:`_step` are inlined here with the
+        stable pipeline structures hoisted into locals; :meth:`_step` remains the
+        cycle-stepping reference (``REPRO_EVENT_DRIVEN=0``), and the determinism
+        suite compares the two.
         """
         stats = self.stats
         completions = self._completions
@@ -347,7 +340,7 @@ class Simulator:
                 self._raise_deadlock(deadlock_limit)
             if self._finished:
                 break
-            # ---- event scheduling (the _next_event_cycle reference, inlined) ----
+            # ---- event scheduling: jump to the earliest candidate cycle ----
             # Fast path: when dispatch or fetch is guaranteed to act next cycle,
             # the minimum candidate is cycle + 1 and the gap is zero — skip the
             # full candidate scan (identical behaviour, nothing to credit).
@@ -404,69 +397,10 @@ class Simulator:
                 self._skip_dead_cycles(gap)
 
     #: Sentinel for "no known future event" (also used by the issue-scan gating).
-    # Shared with the wake-up IQ's wheel sentinel: the fused issue path copies
-    # ``iq._wake_min`` straight into ``_iq_scan_from``, so the two "no known
-    # future cycle" values must be the same object of comparison.
+    # Shared with the issue queue's sentinel: ``next_scan_cycle`` and
+    # ``wake_min`` flow straight into ``_iq_scan_from``, so the two "no known
+    # future cycle" values must compare equal.
     _NEVER = _SHARED_NEVER
-
-    def _next_event_cycle(self) -> int:
-        """Earliest future cycle at which any pipeline stage could make progress.
-
-        Candidate sources, mirroring the stage order of :meth:`_step`:
-
-        * **completions** — the earliest pending entry of the completion wheel;
-        * **commit** — if the ROB head has executed, its minimum commit cycle
-          (``complete_cycle`` plus the writeback/LE-VT latency); a head already past
-          it is stalled on per-cycle-counted width/port/ALU limits and re-arms next
-          cycle.  A head that has *not* executed needs a completion or an issue
-          first, which the other candidates cover;
-        * **issue** — ``_iq_scan_from``, the scan re-arm cycle maintained by
-          :meth:`_issue` (dispatch-maturity deadline or an event having lowered it);
-        * **dispatch** — the front-end head's ``dispatch_ready_cycle``; a head that
-          is already dispatch-ready re-arms next cycle *unless* the stage is parked
-          on a recurring zero-progress stall (full ROB, LSQ, PRF bank or IQ),
-          which only another stage's event can clear — a commit or squash frees
-          ROB/LSQ/PRF space, an issue frees IQ slots (the skipped span is then
-          credited to that stall);
-        * **fetch** — the fetch resume point, whenever fetch is unblocked, the trace
-          has µ-ops left and the front-end has room (fetch otherwise resumes only as
-          a consequence of one of the other events).
-        """
-        cycle = self.cycle
-        nxt = self._NEVER
-        completions = self._completions
-        if completions:
-            nxt = min(completions)
-        head = self.rob.head()
-        if head is not None and head.executed:
-            ready = head.complete_cycle + self._commit_extra
-            candidate = ready if ready > cycle else cycle + 1
-            if candidate < nxt:
-                nxt = candidate
-        scan = self._iq_scan_from
-        if scan != self._NEVER:
-            candidate = scan if scan > cycle else cycle + 1
-            if candidate < nxt:
-                nxt = candidate
-        frontend = self._frontend
-        if frontend:
-            ready = frontend[0].dispatch_ready_cycle
-            if ready > cycle:
-                if ready < nxt:
-                    nxt = ready
-            elif self._dispatch_stall_reason is None:
-                if cycle + 1 < nxt:
-                    nxt = cycle + 1
-        if (
-            self._fetch_blocked_on is None
-            and (self._replay or not self._trace_exhausted)
-            and len(frontend) < self.config.frontend_capacity
-        ):
-            resume = self._fetch_resume_cycle
-            candidate = resume if resume > cycle else cycle + 1
-            if candidate < nxt:
-                nxt = candidate
-        return nxt
 
     def _skip_dead_cycles(self, gap: int) -> None:
         """Jump over ``gap`` provably-dead cycles, crediting per-cycle counters.
@@ -484,7 +418,7 @@ class Simulator:
           occupancy that is constant across the span.
 
         Everything else is untouched by construction (see
-        :meth:`_next_event_cycle`), so those effects are applied in bulk here.
+        :meth:`_run_event_driven`), so those effects are applied in bulk here.
         """
         self.cycle += gap
         stats = self.stats
@@ -513,9 +447,7 @@ class Simulator:
             elif reason is not None:  # pragma: no cover - dispatch parks on no other
                 raise SimulationError(f"unknown dispatch stall reason {reason!r}")
             if self._m_iq_occupancy is not None:
-                iq = self.iq
-                occupancy = len(iq._members) if self._wakeup else len(iq._entries)
-                self._m_iq_occupancy.record(occupancy, gap)
+                self._m_iq_occupancy.record(self.iq.occupancy, gap)
         if self._m_skip_distance is not None:
             self._m_skip_distance.record(gap)
 
@@ -568,17 +500,16 @@ class Simulator:
         ops = self._completions.pop(self.cycle, None)
         if not ops:
             return
-        rearm = not self._wakeup
         tracer = self.tracer
         for op in ops:
             op.in_completion_wheel = False
-            if rearm and op.iq_waiters and not op.squashed and self.cycle < self._iq_scan_from:
-                # The completed producer has waiting IQ consumers: they may wake
-                # this very cycle.  (Completions nobody renamed against — stores,
-                # branches, dead values — never need to re-arm the scan: store-set
-                # dependences release at store *issue*, not completion.  The
-                # wake-up IQ needs no completion re-arm at all: a waking
-                # consumer's exact deadline is already on its wheel.)
+            if op.iq_waiters and not op.squashed and self.cycle < self._iq_scan_from:
+                # The completed producer has waiting scan-IQ consumers: they may
+                # wake this very cycle.  (Completions nobody renamed against —
+                # stores, branches, dead values — never need to re-arm the scan:
+                # store-set dependences release at store *issue*, not completion.
+                # The wake-up IQ counts no waiters: a waking consumer's exact
+                # deadline is already on its wheel.)
                 self._iq_scan_from = self.cycle
             if op.squashed:
                 # A squashed µ-op's stale wheel entry was its last reference; its
@@ -875,146 +806,30 @@ class Simulator:
 
     # ================================================================== issue / execute
     def _issue(self) -> None:
-        if self._wakeup:
-            self._issue_wakeup()
-            return
-        cycle = self.cycle
-        if cycle < self._iq_scan_from:
-            return
-        # ``select_ready`` walks the IQ with the readiness rule inlined: an entry
-        # issues once it is past the dispatch-to-issue latency, every producer's
-        # result is available and, for a load, its store-set dependence has
-        # issued (or been squashed).
-        fu_pool = self.fu_pool
-        rejects_before = fu_pool.structural_rejects
-        issue_width = self.config.issue_width
-        selected = self.iq.select_ready(
-            cycle,
-            issue_width,
-            fu_pool,
-            self.config.dispatch_to_issue_latency,
-        )
-        if selected:
-            for op in selected:
-                self._start_execution(op)
-            # A rescan next cycle is only needed when this select could have left
-            # newly-issuable work behind: the width ran out (unexamined entries may
-            # be ready), a ready µ-op lost its functional unit, or an issued store
-            # released a store-set dependence (dependent loads become ready at
-            # once).  Otherwise every remaining entry is immature or waiting on a
-            # completion/dispatch/squash event, exactly as in the empty-scan case.
-            rescan_next = (
-                len(selected) == issue_width
-                or fu_pool.structural_rejects != rejects_before
-            )
-            if not rescan_next:
-                for op in selected:
-                    if op.uop.is_store:
-                        rescan_next = True
-                        break
-            if rescan_next:
-                self._iq_scan_from = cycle + 1
-            else:
-                # The width was not exhausted, so the walk covered the whole queue:
-                # its observed earliest maturity deadline is the next scan cycle.
-                mature_at = self.iq.next_immature_cycle
-                self._iq_scan_from = mature_at if mature_at is not None else self._NEVER
-        elif fu_pool.structural_rejects != rejects_before:
-            # A ready µ-op lost its functional unit; retry when the pool resets.
-            self._iq_scan_from = cycle + 1
-        else:
-            # Nothing can issue until an event (completion/dispatch/squash) fires —
-            # except entries still inside the dispatch-to-issue latency, whose
-            # maturity is a known deadline no event announces.  Re-arm on it
-            # (tracked as a byproduct of the walk that just found nothing).
-            mature_at = self.iq.next_immature_cycle
-            self._iq_scan_from = mature_at if mature_at is not None else self._NEVER
+        """Issue up to ``issue_width`` ready µ-ops and re-arm the issue scan.
 
-    def _issue_wakeup(self) -> None:
-        """:meth:`_issue` fused with :meth:`WakeupIssueQueue.select_ready`.
-
-        The scan-based ``_issue`` with the wake-up IQ's maintained ready list
-        substituted for the queue walk: the ready set at any scanned cycle — and
-        hence the age-ordered selection and every issue cycle — is identical to
-        the reference walk's.  Scan scheduling, however, uses the IQ's *exact*
-        deadlines rather than the reference's conservative re-arm heuristics:
-        ``_iq_scan_from`` becomes ``cycle + 1`` while ready entries remain
-        (functional-unit rejects or width exhaustion, exactly when the reference
-        rescans) and the earliest wheel deadline otherwise.  Any scan skipped
-        relative to the reference is one with an empty ready list, which walks
-        nothing, selects nothing and mutates nothing — observably a no-op.
+        The queue decides everything: which entries are ready and win a
+        functional unit (``select_ready``, oldest first) and the earliest cycle
+        a later select could find new work (``next_scan_cycle``, asked after the
+        selected µ-ops started, so the wake-ups they caused count).  Scans before
+        ``_iq_scan_from`` are provably empty and are skipped: an empty scan
+        mutates no state and counts no statistics.
         """
         cycle = self.cycle
         if cycle < self._iq_scan_from:
             return
         iq = self.iq
-        ready = iq._ready
-        tracer = self.tracer
-        if iq._wake_min <= cycle:
-            # Inlined WakeupIssueQueue._surface_ripe (kept as the reference).
-            buckets = iq._wake_buckets
-            added = False
-            while buckets:
-                key = iq._wake_min
-                if key > cycle:
-                    break
-                for op, gen in buckets.pop(key):
-                    if op.wake_gen == gen and not op.squashed:
-                        ready.append((op.seq, op))
-                        added = True
-                        if tracer is not None:
-                            tracer.emit(cycle, "wakeup", op, "wheel")
-                iq._wake_min = min(buckets) if buckets else self._NEVER
-            if added:
-                ready.sort()
-        if ready:
-            fu_pool = self.fu_pool
-            try_issue = fu_pool.try_issue
-            members = iq._members
-            width_left = self.config.issue_width
-            selected: list[InflightOp] = []
-            selected_append = selected.append
-            index = 0
-            while index < len(ready) and width_left:
-                seq, op = ready[index]
-                uop = op.uop
-                if not try_issue(uop.opclass, cycle, uop.latency):
-                    index += 1
-                    continue
-                del ready[index]
-                del members[seq]
-                op.issued = True
-                op.issue_cycle = cycle
-                op.in_issue_queue = False
-                selected_append(op)
-                width_left -= 1
-                if uop.is_store:
-                    waiters = op.mem_waiters
-                    if waiters:
-                        # Store-set release: dependent loads (younger, hence later
-                        # in age order) join this very pass, exactly like the
-                        # reference walk observing ``dependence.issued`` mid-scan.
-                        op.mem_waiters = None
-                        for waiter, gen in waiters:
-                            if waiter.wake_gen != gen or waiter.squashed:
-                                continue
-                            waiter.mem_blocked = False
-                            if waiter.unknown_producers:
-                                continue
-                            ready_at = iq._ready_cycle(waiter)
-                            if ready_at <= cycle:
-                                insort(ready, (waiter.seq, waiter))
-                                if tracer is not None:
-                                    tracer.emit(cycle, "wakeup", waiter, "store_release")
-                            else:
-                                iq._park(waiter, gen, ready_at)
+        fu_pool = self.fu_pool
+        rejects_before = fu_pool.structural_rejects
+        issue_width = self.config.issue_width
+        selected = iq.select_ready(cycle, issue_width, fu_pool)
+        if selected:
             start_execution = self._start_execution
             for op in selected:
                 start_execution(op)
-        # Exact re-arm: leftovers retry next cycle, otherwise the next entry to
-        # become ready is the earliest wheel deadline (parks performed by the
-        # selection and its _start_execution wake-ups are already reflected).
-        self._iq_scan_from = cycle + 1 if ready else iq._wake_min
+        self._iq_scan_from = iq.next_scan_cycle(
+            cycle, selected, issue_width, fu_pool.structural_rejects != rejects_before
+        )
 
     def _start_execution(self, op: InflightOp) -> None:
         uop = op.uop
@@ -1040,33 +855,11 @@ class Simulator:
             op.avail_cycle = complete
             consumers = op.wake_consumers
             if consumers is not None:
-                # Wake-up lists: O(consumers) resolution of the now-known
-                # availability (registrations only exist in wake-up mode;
-                # WakeupIssueQueue.producer_available inlined).
-                op.wake_consumers = None
+                # Consumers registered on this producer (only the wake-up IQ
+                # registers any) resolve now that its availability is known.
                 if self._m_wakeup_depth is not None:
                     self._m_wakeup_depth.record(len(consumers))
-                iq = self.iq
-                d2i = self._d2i
-                buckets = iq._wake_buckets
-                for consumer, gen in consumers:
-                    if consumer.wake_gen != gen or consumer.squashed:
-                        continue
-                    remaining = consumer.unknown_producers - 1
-                    consumer.unknown_producers = remaining
-                    if remaining or consumer.mem_blocked:
-                        continue
-                    ready_at = consumer.dispatch_cycle + d2i
-                    for producer in consumer.producers:
-                        if producer is not None and producer.avail_cycle > ready_at:
-                            ready_at = producer.avail_cycle
-                    bucket = buckets.get(ready_at)
-                    if bucket is None:
-                        buckets[ready_at] = [(consumer, gen)]
-                        if ready_at < iq._wake_min:
-                            iq._wake_min = ready_at
-                    else:
-                        bucket.append((consumer, gen))
+                self.iq.producer_available(op)
         if uop.is_store or self._wheel_all or op is self._fetch_blocked_on:
             op.in_completion_wheel = True
             completions = self._completions
@@ -1076,7 +869,7 @@ class Simulator:
             else:
                 wheel_slot.append(op)
         else:
-            # Wheel diet (wake-up mode): the completion would only have set this
+            # Wheel diet (wake-up IQ): the completion would only have set this
             # flag; every reader also checks the commit deadline, so setting it
             # at issue is invisible.  The traced event keeps the wheel timestamp.
             op.executed = True
@@ -1229,13 +1022,11 @@ class Simulator:
         if occupancy > lsq.peak_sq_occupancy:
             lsq.peak_sq_occupancy = occupancy
         iq = self.iq
-        wakeup = self._wakeup
-        iq_level = iq._members if wakeup else iq._entries
         if not group:
             # The head is dispatch-ready, so a structural stall ended the group.
             self._dispatch_stall_reason = blocked
             if self._m_iq_occupancy is not None:
-                self._m_iq_occupancy.record(len(iq_level))
+                self._m_iq_occupancy.record(iq.occupancy)
             self._previous_dispatch_group = []
             return
         self._last_dispatched_seq = group[-1].seq
@@ -1247,7 +1038,7 @@ class Simulator:
         # then noted for the skipped cycles.
         early_block = self.early_block
         iq_capacity = iq.capacity
-        parkable = len(iq_level) >= iq_capacity
+        parkable = iq.occupancy >= iq_capacity
         ee_before = None
         if self._ee_enabled:
             parkable = parkable and not previous_group
@@ -1301,7 +1092,7 @@ class Simulator:
                     tracer.emit(cycle, "dispatch", op, cause)
                     tracer.emit(cycle, "complete", op, "bypass")
             else:
-                if len(iq_level) >= iq_capacity:
+                if iq.occupancy >= iq_capacity:
                     stats.iq_full_stalls += 1
                     self._rollback_undispatched(group, index, undo)
                     if not index and parkable:
@@ -1319,32 +1110,18 @@ class Simulator:
                     op.mem_dependence = store_sets.dependence_for_load(op)
                 elif kind & 8:
                     store_sets.register_store(op)
-                if wakeup:
-                    iq.insert(op)
-                else:
-                    op.in_issue_queue = True
-                    op.wait_until = 0
-                    iq_level.append(op)
-                    if len(iq_level) > iq.peak_occupancy:
-                        iq.peak_occupancy = len(iq_level)
-                    for producer in op.producers:
-                        if producer is not None:
-                            producer.iq_waiters += 1
-                    wake = cycle + config.dispatch_to_issue_latency
-                    if wake < self._iq_scan_from:
-                        self._iq_scan_from = wake
+                iq.insert(op)
                 stats.dispatched_to_iq += 1
                 if tracer is not None:
                     tracer.emit(cycle, "dispatch", op, "iq")
 
         if self._m_iq_occupancy is not None:
-            self._m_iq_occupancy.record(len(iq_level))
-        if wakeup:
-            # One exact re-arm per dispatch group: freshly parked entries carry
-            # their precise readiness deadline on the wheel.
-            wake_min = iq._wake_min
-            if wake_min < self._iq_scan_from:
-                self._iq_scan_from = wake_min
+            self._m_iq_occupancy.record(iq.occupancy)
+        # One re-arm per dispatch group: the queue's earliest deadline covers
+        # every entry this group inserted.
+        wake_min = iq.wake_min
+        if wake_min < self._iq_scan_from:
+            self._iq_scan_from = wake_min
         self._previous_dispatch_group = group
 
     def _rollback_undispatched(

@@ -19,12 +19,10 @@ def _op(seq: int, opcode: Opcode = Opcode.ADD) -> InflightOp:
     return op
 
 
-def _always_ready(op, cycle):
-    return True
-
-
-def _latency(op):
-    return op.uop.latency
+def _blocked(op: InflightOp) -> InflightOp:
+    """Give ``op`` a producer whose result time is still unknown (not ready)."""
+    op.producers = (_op(100 + op.seq),)
+    return op
 
 
 class TestCapacity:
@@ -48,7 +46,7 @@ class TestSelect:
         for seq in range(10):
             iq.insert(_op(seq))
         pool = FunctionalUnitPool()
-        selected = iq.select(5, 4, pool, _always_ready, _latency)
+        selected = iq.select_ready(5, 4, pool)
         assert len(selected) == 4
         assert iq.occupancy == 6  # entries released at issue
 
@@ -57,16 +55,15 @@ class TestSelect:
         ops = [_op(seq) for seq in range(6)]
         for op in ops:
             iq.insert(op)
-        selected = iq.select(1, 3, FunctionalUnitPool(), _always_ready, _latency)
+        selected = iq.select_ready(1, 3, FunctionalUnitPool())
         assert [op.seq for op in selected] == [0, 1, 2]
 
     def test_not_ready_entries_are_skipped_but_kept(self):
         iq = IssueQueue(capacity=16)
-        ops = [_op(seq) for seq in range(4)]
+        ops = [_blocked(_op(seq)) if seq % 2 == 0 else _op(seq) for seq in range(4)]
         for op in ops:
             iq.insert(op)
-        ready = lambda op, cycle: op.seq % 2 == 1
-        selected = iq.select(1, 4, FunctionalUnitPool(), ready, _latency)
+        selected = iq.select_ready(1, 4, FunctionalUnitPool())
         assert [op.seq for op in selected] == [1, 3]
         assert [op.seq for op in iq] == [0, 2]
 
@@ -75,14 +72,14 @@ class TestSelect:
         for seq in range(6):
             iq.insert(_op(seq, Opcode.MUL))
         pool = FunctionalUnitPool(FunctionalUnitConfig(mul_div=2))
-        selected = iq.select(1, 6, pool, _always_ready, _latency)
+        selected = iq.select_ready(1, 6, pool)
         assert len(selected) == 2
 
     def test_issue_marks_timing_fields(self):
         iq = IssueQueue(capacity=4)
         op = _op(0)
         iq.insert(op)
-        iq.select(7, 1, FunctionalUnitPool(), _always_ready, _latency)
+        iq.select_ready(7, 1, FunctionalUnitPool())
         assert op.issued
         assert op.issue_cycle == 7
         assert not op.in_issue_queue
@@ -93,7 +90,7 @@ class TestSelect:
         squash.squashed = True
         iq.insert(keep)
         iq.insert(squash)
-        selected = iq.select(1, 4, FunctionalUnitPool(), _always_ready, _latency)
+        selected = iq.select_ready(1, 4, FunctionalUnitPool())
         assert selected == [keep]
         assert iq.occupancy == 0
 
@@ -109,4 +106,4 @@ class TestSelect:
 
     def test_empty_select(self):
         iq = IssueQueue(capacity=8)
-        assert iq.select(1, 4, FunctionalUnitPool(), _always_ready, _latency) == []
+        assert iq.select_ready(1, 4, FunctionalUnitPool()) == []

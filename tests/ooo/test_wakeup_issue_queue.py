@@ -10,7 +10,9 @@ re-fetched incarnation, which is exactly what the ``wake_gen`` token guards).
 The driver replays one randomly generated scenario twice — once against each
 queue implementation — mirroring the simulator's responsibilities (producer
 availability resolution at issue, record recycling on squash/replay) and
-compares the complete issue trace.
+compares the complete issue trace.  It selects on every cycle, and also replays
+the simulator's scan-from bookkeeping for the wake-up queue: the exact re-arm is
+only sound if a select before that cycle never finds anything.
 """
 
 from __future__ import annotations
@@ -81,13 +83,19 @@ def scenarios(draw):
     return d2i, capacity, issue_width, events
 
 
-def _replay(queue, d2i: int, issue_width: int, events) -> list[tuple[int, int, int]]:
+def _replay(queue, issue_width: int, events) -> list[tuple[int, int, int]]:
     """Drive one queue implementation through the scenario; return the issue trace.
 
     The driver mirrors the simulator: records recycle through a free list on
     squash (same object, `_init` bumps ``wake_gen``), producers resolve their
     availability at issue, and squashed seqs are re-dispatched (replayed) with
     fresh timing, exactly like a post-squash re-fetch.
+
+    For the wake-up queue it also keeps the simulator's ``scan_from``: the
+    queue's ``next_scan_cycle`` after each scan the simulator would run, lowered
+    to the queue's ``wake_min`` after each insert and wake-up and to the cycle of
+    a squash.  Every select at an earlier cycle — one the simulator skips — must
+    select nothing.
     """
     wake = isinstance(queue, WakeupIssueQueue)
     fu_pool = FunctionalUnitPool()
@@ -95,18 +103,35 @@ def _replay(queue, d2i: int, issue_width: int, events) -> list[tuple[int, int, i
     free: list[InflightOp] = []
     pending: list[tuple[int, Opcode, tuple, int | None, bool]] = []
     trace: list[tuple[int, int, int]] = []
-    cycle = 0
-    for group, squash_from in events:
-        cycle += 1
-        # Issue stage first, as in the pipeline.
-        selected = queue.select_ready(cycle, issue_width, fu_pool, d2i)
+    scan_from = 0
+
+    def issue(cycle: int) -> None:
+        nonlocal scan_from
+        rejects_before = fu_pool.structural_rejects
+        selected = queue.select_ready(cycle, issue_width, fu_pool)
+        skipped = wake and cycle < scan_from
+        assert not (skipped and selected), (
+            f"selected {[op.seq for op in selected]} at cycle {cycle}, "
+            f"before the scan-from cycle {scan_from}"
+        )
         for op in selected:
             op.complete_cycle = cycle + op.uop.latency
             if not op.pred_used:
                 op.avail_cycle = op.complete_cycle
                 if wake and op.wake_consumers is not None:
                     queue.producer_available(op)
+                    scan_from = min(scan_from, queue.wake_min)
             trace.append((op.seq, op.issue_cycle, op.complete_cycle))
+        if wake and not skipped:
+            scan_from = queue.next_scan_cycle(
+                cycle, selected, issue_width, fu_pool.structural_rejects != rejects_before
+            )
+
+    cycle = 0
+    for group, squash_from in events:
+        cycle += 1
+        # Issue stage first, as in the pipeline.
+        issue(cycle)
         # Dispatch stage: replayed (squashed) µ-ops first, then the new group.
         dispatchable = [item for item in pending if item[0] not in records] + list(group)
         pending = [item for item in pending if item[0] in records]
@@ -143,6 +168,7 @@ def _replay(queue, d2i: int, issue_width: int, events) -> list[tuple[int, int, i
                 record.mem_dependence = None
             records[item_seq] = record
             queue.insert(record)
+            scan_from = min(scan_from, queue.wake_min)
         # Optional squash: a seq-suffix dies and is replayed later.
         if squash_from is not None:
             replayed = []
@@ -163,6 +189,7 @@ def _replay(queue, d2i: int, issue_width: int, events) -> list[tuple[int, int, i
                     )
                 free.append(record)
             queue.remove_squashed()
+            scan_from = min(scan_from, cycle)
             # Replays re-enter the front of the pending stream, oldest first.
             pending = replayed + pending
     # Drain: keep scanning until nothing is left or progress stops.
@@ -170,14 +197,7 @@ def _replay(queue, d2i: int, issue_width: int, events) -> list[tuple[int, int, i
         if not len(queue):
             break
         cycle += 1
-        selected = queue.select_ready(cycle, issue_width, fu_pool, d2i)
-        for op in selected:
-            op.complete_cycle = cycle + op.uop.latency
-            if not op.pred_used:
-                op.avail_cycle = op.complete_cycle
-                if wake and op.wake_consumers is not None:
-                    queue.producer_available(op)
-            trace.append((op.seq, op.issue_cycle, op.complete_cycle))
+        issue(cycle)
     trace.append(("peak", queue.peak_occupancy, len(queue)))
     trace.append(("rejects", fu_pool.structural_rejects, 0))
     return trace
@@ -187,8 +207,8 @@ def _replay(queue, d2i: int, issue_width: int, events) -> list[tuple[int, int, i
 @settings(max_examples=120, deadline=None)
 def test_wakeup_selection_equals_reference_scan(scenario):
     d2i, capacity, issue_width, events = scenario
-    reference = _replay(IssueQueue(capacity), d2i, issue_width, events)
-    wakeup = _replay(WakeupIssueQueue(capacity, d2i), d2i, issue_width, events)
+    reference = _replay(IssueQueue(capacity, d2i), issue_width, events)
+    wakeup = _replay(WakeupIssueQueue(capacity, d2i), issue_width, events)
     assert wakeup == reference
 
 
