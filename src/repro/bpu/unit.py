@@ -24,6 +24,13 @@ from repro.bpu.tage import TAGEBranchPredictor, TAGEPrediction
 from repro.isa.opcode import OpClass
 from repro.isa.trace import DynInst
 
+# The classes predict() dispatches on, bound once: loading an enum member costs
+# a few hundred ns per use, and predict() runs once per fetched branch.
+_BR_COND = OpClass.BR_COND
+_BR_DIRECT = OpClass.BR_DIRECT
+_CALL = OpClass.CALL
+_RET = OpClass.RET
+
 
 @dataclass(slots=True)
 class BranchOutcome:
@@ -69,11 +76,11 @@ class BranchPredictionUnit:
         actual_taken = inst.taken
         actual_target = inst.next_pc
 
-        if opclass is OpClass.BR_COND:
+        if opclass is _BR_COND:
             return self._predict_conditional(inst, actual_taken, actual_target)
-        if opclass in (OpClass.BR_DIRECT, OpClass.CALL):
-            return self._predict_direct(inst, actual_target, is_call=opclass is OpClass.CALL)
-        if opclass is OpClass.RET:
+        if opclass is _BR_DIRECT or opclass is _CALL:
+            return self._predict_direct(inst, actual_target, is_call=opclass is _CALL)
+        if opclass is _RET:
             return self._predict_return(actual_target)
         return self._predict_indirect(inst, actual_target)
 

@@ -16,6 +16,8 @@ workload:
 
 from __future__ import annotations
 
+from itertools import chain, repeat
+
 from repro.isa.builder import ProgramBuilder
 from repro.isa.emulator import ArchState
 from repro.isa.program import Program
@@ -380,27 +382,47 @@ def build_program(spec: WorkloadSpec) -> tuple[Program, list[str]]:
     return _KernelEmitter(spec).build()
 
 
+def _chase_successor_runs(words: int, multiplier: int, increment: int) -> list[range]:
+    """Successor addresses of the pointer-chase permutation, as arithmetic runs.
+
+    Word ``i`` points at word ``(multiplier * i + increment) % words``.  Between
+    two wrap-arounds the successors ascend by ``multiplier`` words, so the whole
+    array is about ``multiplier`` ``range`` objects that iterate in C.
+    """
+    runs = []
+    start = increment % words
+    remaining = words
+    while remaining:
+        length = min(remaining, -(-(words - start) // multiplier))
+        runs.append(
+            range(
+                CHASE_BASE + 8 * start,
+                CHASE_BASE + 8 * (start + multiplier * length),
+                8 * multiplier,
+            )
+        )
+        remaining -= length
+        start = (start + multiplier * length) % words
+    return runs
+
+
 def make_arch_state(spec: WorkloadSpec, program: Program, case_labels: list[str]) -> ArchState:
     """Fresh architectural state with the memory arrays of ``spec`` initialised."""
     state = ArchState()
     if spec.strided_loads and spec.strided_values_predictable:
-        values = [1000 + 7 * index for index in range(spec.strided_footprint_words)]
-        state.initialise_array(STRIDED_BASE, values)
+        words = spec.strided_footprint_words
+        state.initialise_array(STRIDED_BASE, range(1000, 1000 + 7 * words, 7))
     if spec.chain_loads and spec.chain_values_predictable:
-        values = [CHAIN_CONSTANT_VALUE] * spec.chain_footprint_words
-        state.initialise_array(CHAIN_BASE, values)
+        state.initialise_array(CHAIN_BASE, repeat(CHAIN_CONSTANT_VALUE, spec.chain_footprint_words))
     if spec.pointer_chase_loads:
-        words = spec.chase_footprint_words
         # Full-period affine (LCG) permutation: successor = a*i + c (mod words) with
         # a ≡ 1 (mod 4) and c odd.  Successive pointers are spread irregularly across
         # the array, so neither the stride prefetcher nor the value predictor can learn
         # the walk — the behaviour that makes mcf-style codes memory-latency bound.
-        multiplier = 5
-        increment = (words // 3) | 1
-        for index in range(words):
-            successor = (multiplier * index + increment) % words
-            state.write_mem(CHASE_BASE + 8 * index, CHASE_BASE + 8 * successor)
+        words = spec.chase_footprint_words
+        runs = _chase_successor_runs(words, multiplier=5, increment=(words // 3) | 1)
+        state.initialise_array(CHASE_BASE, chain.from_iterable(runs))
     if case_labels:
-        for slot, label in enumerate(case_labels[: spec.indirect_jump_targets]):
-            state.write_mem(JUMP_TABLE_BASE + 8 * slot, program.pc_of(label))
+        targets = case_labels[: spec.indirect_jump_targets]
+        state.initialise_array(JUMP_TABLE_BASE, map(program.pc_of, targets))
     return state

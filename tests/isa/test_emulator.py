@@ -1,12 +1,17 @@
 """Tests for the architectural emulator."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.isa.builder import ProgramBuilder
+from repro.isa import emulator as emulator_module
+from repro.isa.builder import ProgramBuilder, _reg
 from repro.isa.emulator import ArchState, Emulator, collect_trace, _default_memory_value
-from repro.isa.flags import MASK64
+from repro.isa.flags import ALL_FLAGS, MASK64, SIGN_BIT
+from repro.isa.microop import MicroOp
+from repro.isa.opcode import Opcode, is_conditional_branch
 from repro.isa.registers import FLAGS_REG
 from repro.workloads.generator import RandomProgramGenerator
 
@@ -103,6 +108,16 @@ class TestMemory:
         state.initialise_array(0x100, [1, 2, 3])
         assert state.read_mem(0x100) == 1
         assert state.read_mem(0x110) == 3
+
+    @pytest.mark.parametrize("stride", [8, 16, 0, -8])
+    def test_initialise_array_equals_one_write_per_word(self, stride):
+        values = [5, MASK64 + 9, -1, 7]
+        reference = ArchState()
+        for index, value in enumerate(values):
+            reference.write_mem(0x400 + index * stride, value)
+        bulk = ArchState()
+        bulk.initialise_array(0x400, iter(values), stride)
+        assert list(bulk.memory.items()) == list(reference.memory.items())
 
 
 class TestControlFlow:
@@ -262,6 +277,34 @@ class TestRunBatch:
         program = RandomProgramGenerator(seed).generate(body_ops=20)
         self._assert_equivalent(program, None, None, 400)
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32))
+    def test_matches_step_on_every_opcode(self, seed):
+        program = _every_opcode_program(random.Random(seed))
+        self._assert_equivalent(program, None, None, 600)
+
+    def test_every_opcode_has_an_arm(self):
+        assert set(emulator_module._DISPATCH_KIND) == set(Opcode)
+        conditional = {opcode for opcode in Opcode if is_conditional_branch(opcode)}
+        assert set(emulator_module._BRANCH_TAKEN) == conditional
+
+    def test_branch_tables_agree_with_step(self):
+        b = ProgramBuilder()
+        b.nop()
+        reference = Emulator(b.build())
+        for opcode, taken_by_flags in emulator_module._BRANCH_TAKEN.items():
+            assert len(taken_by_flags) == ALL_FLAGS + 1
+            for flags in range(ALL_FLAGS + 1):
+                assert taken_by_flags[flags] is reference._branch_condition(opcode, flags)
+
+    def test_zero_budget_leaves_the_emulator_untouched(self):
+        b = ProgramBuilder()
+        b.nop()
+        emulator = Emulator(b.build())
+        emulator.pc = 5  # out of range: only an executed step would notice
+        assert emulator.run_batch(0) == []
+        assert not emulator.halted
+
     def test_resumes_after_partial_batch(self):
         b = ProgramBuilder()
         b.movi("r1", 0)
@@ -274,3 +317,84 @@ class TestRunBatch:
         split = Emulator(program)
         got = split.run_batch(20) + split.run_batch(30)
         assert self._records(got) == self._records(expected)
+
+
+_INT_OPS = (
+    Opcode.ADD, Opcode.SUB, Opcode.AND, Opcode.OR, Opcode.XOR, Opcode.SHL, Opcode.SHR,
+    Opcode.MIN, Opcode.MAX, Opcode.MUL, Opcode.DIV, Opcode.MOD,
+)
+_INT_UNARY_OPS = (Opcode.MOV, Opcode.NOT, Opcode.NEG)
+_FP_OPS = (Opcode.FADD, Opcode.FSUB, Opcode.FMUL, Opcode.FDIV)
+_FP_UNARY_OPS = (Opcode.FMOV, Opcode.FCVT, Opcode.FSQRT)
+_CONDITIONAL_BRANCHES = (
+    Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.BGE,
+    Opcode.BGT, Opcode.BLE, Opcode.BCS, Opcode.BVS,
+)
+_EDGE_VALUES = (0, 1, 2, 63, 64, SIGN_BIT, SIGN_BIT - 1, MASK64, MASK64 - 1)
+
+
+def _every_opcode_program(rng: random.Random):
+    """A loop over every opcode, flag-setting or not, each followed by a branch.
+
+    Registers start at edge values (zero, the sign bit, all ones, ...), so the
+    branches see every flag combination the arithmetic can produce.
+    """
+    b = ProgramBuilder()
+    ints = [f"r{index}" for index in range(8, 16)]
+    fps = [f"f{index}" for index in range(0, 6)]
+    for reg in ints + fps:
+        b.movi(reg, rng.choice(_EDGE_VALUES + (rng.getrandbits(64), -rng.randrange(1, 100))))
+    b.movi("r2", 0x8000)
+    b.jmp("loop")
+    b.label("leaf")
+    b.add(rng.choice(ints), rng.choice(ints), rng.choice(ints), sets_flags=True)
+    b.ret()
+    b.label("loop")
+    body = [*_INT_OPS, *_INT_UNARY_OPS, *_FP_OPS, *_FP_UNARY_OPS, Opcode.MOVI, Opcode.CMP,
+            Opcode.FMA, Opcode.LD, Opcode.FLD, Opcode.ST, Opcode.FST, Opcode.NOP,
+            Opcode.CALL, Opcode.JMPI]
+    rng.shuffle(body)
+    for step, opcode in enumerate(body):
+        flags = rng.random() < 0.5
+        if opcode in _INT_OPS:
+            dst, a = _reg(rng.choice(ints)), _reg(rng.choice(ints))
+            if rng.random() < 0.7:
+                uop = MicroOp(opcode, dst=dst, srcs=(a, _reg(rng.choice(ints))), sets_flags=flags)
+            else:
+                uop = MicroOp(opcode, dst=dst, srcs=(a,), imm=rng.randrange(-70, 70),
+                              sets_flags=flags)
+            b.emit(uop)
+        elif opcode in _INT_UNARY_OPS:
+            b.emit(MicroOp(opcode, dst=_reg(rng.choice(ints)), srcs=(_reg(rng.choice(ints)),),
+                           sets_flags=flags))
+        elif opcode in _FP_OPS:
+            b.emit(MicroOp(opcode, dst=_reg(rng.choice(fps)),
+                           srcs=(_reg(rng.choice(fps)), _reg(rng.choice(fps)))))
+        elif opcode in _FP_UNARY_OPS:
+            b.emit(MicroOp(opcode, dst=_reg(rng.choice(fps)), srcs=(_reg(rng.choice(fps + ints)),)))
+        elif opcode is Opcode.MOVI:
+            b.emit(MicroOp(opcode, dst=_reg(rng.choice(ints)), imm=rng.choice(_EDGE_VALUES),
+                           sets_flags=flags))
+        elif opcode is Opcode.CMP:
+            b.cmp(rng.choice(ints), rng.choice(ints))
+        elif opcode is Opcode.FMA:
+            b.fma(rng.choice(fps), rng.choice(fps), rng.choice(fps), rng.choice(fps))
+        elif opcode in (Opcode.LD, Opcode.FLD):
+            getattr(b, opcode.value)(rng.choice(ints + fps), "r2", 8 * rng.randrange(4))
+        elif opcode in (Opcode.ST, Opcode.FST):
+            getattr(b, opcode.value)("r2", rng.choice(ints + fps), 8 * rng.randrange(4))
+        elif opcode is Opcode.NOP:
+            b.nop()
+        elif opcode is Opcode.CALL:
+            b.call("leaf")
+        else:
+            b.la("r3", f"landing_{step}")
+            b.jmpi("r3")
+            b.nop()
+            b.label(f"landing_{step}")
+        skip = f"skip_{step}"
+        b._branch(rng.choice(_CONDITIONAL_BRANCHES), skip)
+        b.addi("r4", "r4", 1)
+        b.label(skip)
+    b.jmp("loop")
+    return b.build()

@@ -1,16 +1,20 @@
 """Tests for the kernel generator: programs build, execute and honour their spec."""
 
-from repro.isa.emulator import Emulator, collect_trace
+import pytest
+
+from repro.isa.emulator import ArchState, Emulator, collect_trace
 from repro.isa.trace import characterize
 from repro.workloads.kernels import (
     CHAIN_BASE,
     CHAIN_CONSTANT_VALUE,
     CHASE_BASE,
     JUMP_TABLE_BASE,
+    STRIDED_BASE,
     build_program,
     make_arch_state,
 )
 from repro.workloads.spec import WorkloadSpec
+from repro.workloads.suite import SUITE_ORDER, workload
 
 
 def _build(spec):
@@ -89,3 +93,40 @@ class TestGeneratedPrograms:
         emulator = Emulator(program, state=state)
         count = sum(1 for _ in emulator.run(20_000))
         assert count == 20_000
+
+
+def _memory_word_by_word(spec, program, case_labels):
+    """The kernels' memory image, one ``write_mem`` per word in layout order."""
+    state = ArchState()
+    if spec.strided_loads and spec.strided_values_predictable:
+        for index in range(spec.strided_footprint_words):
+            state.write_mem(STRIDED_BASE + 8 * index, 1000 + 7 * index)
+    if spec.chain_loads and spec.chain_values_predictable:
+        for index in range(spec.chain_footprint_words):
+            state.write_mem(CHAIN_BASE + 8 * index, CHAIN_CONSTANT_VALUE)
+    if spec.pointer_chase_loads:
+        words = spec.chase_footprint_words
+        increment = (words // 3) | 1
+        for index in range(words):
+            successor = (5 * index + increment) % words
+            state.write_mem(CHASE_BASE + 8 * index, CHASE_BASE + 8 * successor)
+    for slot, label in enumerate(case_labels[: spec.indirect_jump_targets]):
+        state.write_mem(JUMP_TABLE_BASE + 8 * slot, program.pc_of(label))
+    return state.memory
+
+
+@pytest.mark.parametrize("name", SUITE_ORDER)
+def test_bulk_memory_set_up_matches_word_by_word_writes(name):
+    spec = workload(name).spec
+    program, case_labels = build_program(spec)
+    memory = make_arch_state(spec, program, case_labels).memory
+    # Items and insertion order alike: the order is the capture's dict layout.
+    assert list(memory.items()) == list(_memory_word_by_word(spec, program, case_labels).items())
+
+
+@pytest.mark.parametrize("words", [1, 2, 4, 8, 16, 64, 1024])
+def test_bulk_chase_permutation_matches_word_by_word_writes_at_every_size(words):
+    spec = WorkloadSpec(name="chase", pointer_chase_loads=1, chase_footprint_words=words)
+    program, case_labels = build_program(spec)
+    memory = make_arch_state(spec, program, case_labels).memory
+    assert list(memory.items()) == list(_memory_word_by_word(spec, program, case_labels).items())
