@@ -15,7 +15,7 @@ explicitly initialised arrays behave as the kernel dictates.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from itertools import count
+from itertools import accumulate, chain, count, islice
 
 from repro.errors import EmulationError
 from repro.isa import registers as regs
@@ -35,7 +35,7 @@ from repro.isa.flags import (
 )
 from repro.isa.opcode import Opcode
 from repro.isa.program import Program
-from repro.isa.trace import DynInst
+from repro.isa.trace import OPTIONAL_FIELDS, DynInst
 
 #: Multiplier used to synthesise the contents of untouched memory locations.
 _UNINITIALISED_MEMORY_MIX = 0x9E3779B97F4A7C15
@@ -119,6 +119,38 @@ _DISPATCH_KIND: dict[Opcode, int] = {
 }
 
 
+#: Loop arms whose µ-op always produces a ``result``.
+_RESULT_ARMS = frozenset(
+    {
+        _ADD, _AND, _LOAD, _XOR, _MOVI, _SHL, _MUL, _SHR, _MOV, _SUB, _OR, _NOT,
+        _NEG, _MIN, _MAX, _DIV, _MOD, _FMA, _FSQRT,
+    }
+)
+
+#: Loop arms that write the flags when the µ-op ``sets_flags`` (CMP always does).
+_FLAG_SETTING_ARMS = frozenset(
+    {
+        _ADD, _AND, _XOR, _MOVI, _SHL, _MUL, _SHR, _MOV, _SUB, _OR, _NOT, _NEG,
+        _MIN, _MAX, _DIV, _MOD,
+    }
+)
+
+
+def _present_fields(kind: int, sets_flags: bool) -> tuple[bool, ...]:
+    """Which optional ``DynInst`` fields a µ-op sets, in :data:`OPTIONAL_FIELDS` order.
+
+    Static per µ-op: it follows from the loop arm and ``sets_flags`` alone, so
+    a columnar capture expands the presence columns from the pcs after the loop.
+    """
+    return (
+        kind in _RESULT_ARMS,
+        kind == _CMP or (sets_flags and kind in _FLAG_SETTING_ARMS),
+        kind == _COND_BRANCH,
+        kind == _LOAD or kind == _STORE,
+        kind == _STORE,
+    )
+
+
 def _default_memory_value(address: int) -> int:
     """Deterministic pseudo-random content of an untouched memory word.
 
@@ -173,17 +205,11 @@ class ArchState:
 class Emulator:
     """Step-wise architectural emulator producing the committed µ-op trace."""
 
-    def __init__(
-        self, program: Program, state: ArchState | None = None, on_inst=None
-    ) -> None:
+    def __init__(self, program: Program, state: ArchState | None = None) -> None:
         if not program.resolved:
             program.resolve()
         self.program = program
         self.state = state if state is not None else ArchState()
-        #: Optional per-µ-op observer (repro.obs): called with every committed
-        #: ``DynInst``.  None (the default) keeps both execution loops hook-free
-        #: beyond one ``is not None`` check.
-        self.on_inst = on_inst
         self.pc = 0
         self.seq = 0
         self.halted = False
@@ -197,6 +223,9 @@ class Emulator:
         # PC of the µ-op's loop arm and the static fields step() reads, so the
         # capture loop performs a single list index + tuple unpack per µ-op.
         self._decode_table: list[tuple] | None = None
+        # Per-pc signature codes and column translation tables for columnar
+        # capture, built on first use (see _build_column_tables).
+        self._column_tables: tuple[list[int], list[bytes]] | None = None
 
     # ------------------------------------------------------------------ helpers
     def _branch_condition(self, opcode: Opcode, flags: int) -> bool:
@@ -396,8 +425,6 @@ class Emulator:
             self.pc = HALT_PC
         else:
             self.pc = next_pc
-        if self.on_inst is not None:
-            self.on_inst(inst)
         return inst
 
     def run(self, max_uops: int) -> Iterator[DynInst]:
@@ -443,7 +470,35 @@ class Emulator:
         self._decode_table = table
         return table
 
-    def run_batch(self, max_uops: int) -> list[DynInst]:
+    def _build_column_tables(self) -> tuple[list[int], list[bytes]]:
+        """Per-pc signature codes and, per column, a code → byte translation.
+
+        A µ-op's source count and optional-field presence are static: the
+        distinct ``(arity, *present)`` signatures are numbered, each pc maps to
+        its signature's number, and one 256-byte ``bytes.translate`` table per
+        column (arity first, then :data:`OPTIONAL_FIELDS`) turns a batch's codes
+        into that column.
+        """
+        decode = self._decode_table
+        if decode is None:
+            decode = self._build_decode_table()
+        signatures = [
+            (arity, *_present_fields(kind, sets_flags))
+            for _, kind, _, arity, _, sets_flags, *_ in decode
+        ]
+        distinct = sorted(set(signatures))
+        number = {signature: code for code, signature in enumerate(distinct)}
+        tables = (
+            [number[signature] for signature in signatures],
+            [
+                bytes(signature[column] for signature in distinct).ljust(256, b"\0")
+                for column in range(1 + len(OPTIONAL_FIELDS))
+            ],
+        )
+        self._column_tables = tables
+        return tables
+
+    def run_batch(self, max_uops: int, columns: tuple | None = None) -> list[DynInst]:
         """Execute up to ``max_uops`` µ-ops and return their dynamic records.
 
         The capture fast path: one specialised loop over the batched-decode
@@ -452,6 +507,16 @@ class Emulator:
         reference implementation and the unit suite compares the two).  The arms
         test the pre-resolved integer ``kind`` in the order of the measured
         dynamic mix, so no µ-op pays an enum member load.
+
+        ``columns`` asks for the committed stream as columns instead of
+        ``DynInst`` records: the ``(pcs, next_pcs, taken, src_offsets,
+        src_values, presence, values)`` arrays a
+        :class:`~repro.trace.encoding.CapturedTrace` is built from, ``presence``
+        and ``values`` keyed by :data:`~repro.isa.trace.OPTIONAL_FIELDS`.  The
+        loop's tail then appends each µ-op's pc, taken bit, source values and
+        present optional values.  After the loop, the next pcs are the pcs
+        shifted by one, and the source offsets and presence bits, static per pc,
+        are expanded from the pcs.  The returned list is empty in that mode.
         """
         out: list[DynInst] = []
         if self.halted or max_uops <= 0:
@@ -464,6 +529,24 @@ class Emulator:
         decode = self._decode_table
         if decode is None:
             decode = self._build_decode_table()
+        if columns is not None:
+            pcs, next_pcs, taken_column, src_offsets, src_values_column, presence, values = (
+                columns
+            )
+            start = len(pcs)
+            append_pc = pcs.append
+            append_taken = taken_column.append
+            # Flattened into src_values after the loop: a list append per µ-op
+            # costs a sixth of an array extend by a tuple.
+            operand_tuples: list[tuple[int, ...]] = []
+            append_operands = operand_tuples.append
+            (
+                append_result,
+                append_flags_result,
+                append_flags_in,
+                append_addr,
+                append_store_value,
+            ) = [values[name].append for name in OPTIONAL_FIELDS]
         state = self.state
         arch_regs = state.regs
         memory = state.memory
@@ -474,7 +557,6 @@ class Emulator:
         seq = self.seq
         append = out.append
         halt_pc = HALT_PC
-        on_inst = self.on_inst
         for _ in range(max_uops):
             (
                 uop,
@@ -636,22 +718,36 @@ class Emulator:
             if flags_result is not None:
                 arch_regs[flags_index] = flags_result & mask64
 
-            inst = DynInst(
-                seq,
-                pc,
-                uop,
-                src_values,
-                result,
-                flags_result,
-                flags_in,
-                addr,
-                store_value,
-                taken,
-                next_pc,
-            )
-            append(inst)
-            if on_inst is not None:
-                on_inst(inst)
+            if columns is None:
+                append(
+                    DynInst(
+                        seq,
+                        pc,
+                        uop,
+                        src_values,
+                        result,
+                        flags_result,
+                        flags_in,
+                        addr,
+                        store_value,
+                        taken,
+                        next_pc,
+                    )
+                )
+            else:
+                append_pc(pc)
+                append_taken(taken)
+                append_operands(src_values)
+                if result is not None:
+                    append_result(result)
+                if flags_result is not None:
+                    append_flags_result(flags_result)
+                if flags_in is not None:
+                    append_flags_in(flags_in)
+                if addr is not None:
+                    append_addr(addr)
+                if store_value is not None:
+                    append_store_value(store_value)
             seq += 1
             if not 0 <= next_pc < length:  # HALT_PC is negative
                 self.halted = True
@@ -660,6 +756,19 @@ class Emulator:
             pc = next_pc
         self.pc = pc
         self.seq = seq
+        if columns is not None:
+            signature_codes, (arity_table, *presence_tables) = (
+                self._column_tables or self._build_column_tables()
+            )
+            batch_pcs = pcs[start:]
+            next_pcs.extend(batch_pcs[1:])
+            next_pcs.append(next_pc)
+            src_values_column.extend(chain.from_iterable(operand_tuples))
+            codes = bytes(map(signature_codes.__getitem__, batch_pcs))
+            offsets = accumulate(codes.translate(arity_table), initial=src_offsets[-1])
+            src_offsets.extend(islice(offsets, 1, None))
+            for name, table in zip(OPTIONAL_FIELDS, presence_tables):
+                presence[name] += codes.translate(table)
         return out
 
 

@@ -18,6 +18,11 @@ from repro.isa.microop import MicroOp
 from repro.isa.opcode import OpClass
 
 
+#: The ``DynInst`` fields that are ``None`` unless the µ-op's kind produces them,
+#: in the column order of a serialised trace (:mod:`repro.trace.encoding`).
+OPTIONAL_FIELDS = ("result", "flags_result", "flags_in", "addr", "store_value")
+
+
 class DynInst:
     """One dynamic (committed) instance of a static µ-op.
 

@@ -10,6 +10,13 @@ cache → result store → simulate layering of :mod:`repro.analysis.runner`:
    study reads the columns without decoding);
 3. anything left is captured by running the architectural emulator once.
 
+A capture takes the form its entry point's consumer reads: :meth:`TraceCache.trace_for`
+(timing replay) has the emulator build ``DynInst`` records, and
+:meth:`TraceCache.trace_for_length` (trace-level studies) has it write the columns
+directly, so neither saving it to the store nor walking it in the study encodes
+anything.  A later consumer of the other kind converts the cached trace once: a
+replay decodes a study capture's columns, a study encodes a replay capture's.
+
 Entries are keyed by workload name; an entry is reused only when its capture covers
 the requested replay length (:meth:`CapturedTrace.covers`), so a configuration with an
 unusually deep fetch-ahead window transparently triggers a longer re-capture.
@@ -56,7 +63,9 @@ class TraceCache:
         (:func:`repro.trace.capture.required_length`); reuse order is
         memory → disk → capture.
         """
-        return self._acquire(workload, required_length(max_uops, config), max_uops)
+        return self._acquire(
+            workload, required_length(max_uops, config), max_uops, columnar=False
+        )
 
     # Kept only because perfbench/spans.py wraps it by name.
     def trace_for_many(self, workload, requests) -> CapturedTrace:
@@ -70,19 +79,23 @@ class TraceCache:
         if not requests:
             raise ValueError("trace_for_many needs at least one (max_uops, config)")
         needed = max(required_length(m, config) for m, config in requests)
-        return self._acquire(workload, needed, max(m for m, _ in requests))
+        return self._acquire(workload, needed, max(m for m, _ in requests), columnar=False)
 
     def trace_for_length(self, workload, length: int) -> CapturedTrace:
         """A trace of at least ``length`` committed µ-ops (trace-level studies).
 
         Used by consumers that walk the committed stream directly (offline predictor
         evaluation, workload characterisation) rather than replaying it through the
-        timing model.
+        timing model, so a capture writes columns and builds no ``DynInst``.
         """
-        return self._acquire(workload, length, length)
+        return self._acquire(workload, length, length, columnar=True)
 
-    def _acquire(self, workload, needed: int, max_uops: int) -> CapturedTrace:
+    def _acquire(self, workload, needed: int, max_uops: int, columnar: bool) -> CapturedTrace:
         """Memory → disk → capture, re-capturing when a cached trace is too short.
+
+        ``columnar`` picks the form of a fresh capture
+        (:func:`~repro.trace.capture.capture_trace`); a hit is returned in
+        whatever form it was cached or stored in.
 
         Entries are keyed by the *program object*, not the workload name: an ad-hoc
         workload sharing a registry name (a different program) must never replay the
@@ -102,7 +115,9 @@ class TraceCache:
                 self.store_hits += 1
                 self._traces[key] = stored
                 return stored
-        trace = capture_workload_trace(workload, capture_budget(max_uops, needed))
+        trace = capture_workload_trace(
+            workload, capture_budget(max_uops, needed), columnar=columnar
+        )
         self.captures += 1
         self._traces[key] = trace
         if store is not None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from repro.isa.emulator import ArchState, Emulator
 from repro.isa.program import Program
 from repro.isa.trace import gc_paused
-from repro.trace.encoding import CapturedTrace
+from repro.trace.encoding import CapturedTrace, empty_columns
 
 #: Default fetch-ahead slack added to the committed-µ-op target at capture time.
 #: Must cover ``rob_size + frontend_capacity + 64`` of any configuration replaying the
@@ -38,22 +38,31 @@ def capture_budget(max_uops: int, minimum: int = 0) -> int:
 
 
 def capture_trace(
-    program: Program, budget: int, state: ArchState | None = None
+    program: Program, budget: int, state: ArchState | None = None, *, columnar: bool = False
 ) -> CapturedTrace:
     """Emulate ``program`` for up to ``budget`` µ-ops and encode the committed stream.
 
     Uses the emulator's batched fast path (:meth:`Emulator.run_batch`, bit-identical
     to the step-wise reference) — capture is the one place that materialises a whole
-    stream at once.
+    stream at once.  By default the loop builds the ``DynInst`` records a timing
+    replay shares; ``columnar=True`` has it write the trace columns instead, for a
+    consumer that reads only columns (the predictor study, the trace store).  Both
+    forms serialise to the same blob and each converts to the other on demand.
     """
     emulator = Emulator(program, state=state)
     with gc_paused():
+        if columnar:
+            columns = empty_columns()
+            emulator.run_batch(budget, columns)
+            return CapturedTrace(program, *columns, halted=emulator.halted, budget=budget)
         instructions = emulator.run_batch(budget)
         return CapturedTrace.from_instructions(
             program, instructions, halted=emulator.halted, budget=budget
         )
 
 
-def capture_workload_trace(workload, budget: int) -> CapturedTrace:
+def capture_workload_trace(workload, budget: int, *, columnar: bool = False) -> CapturedTrace:
     """Capture a workload's committed trace from a fresh architectural state."""
-    return capture_trace(workload.program, budget, state=workload.make_state())
+    return capture_trace(
+        workload.program, budget, state=workload.make_state(), columnar=columnar
+    )

@@ -8,9 +8,19 @@ record stores only its static PC, and the µ-op itself is recovered from the own
 address, store value) are stored sparsely — a one-byte presence flag per µ-op plus a
 dense value array holding only the present entries.
 
-Replay is lazy: :meth:`CapturedTrace.instructions` materialises the ``DynInst`` tuple
-once per trace and caches it, so every simulation replaying the same capture shares the
-same (immutable, never-mutated-by-the-pipeline) ``DynInst`` objects with zero copying.
+A capture holds one of two forms, chosen by its consumer
+(:func:`repro.trace.capture.capture_trace`):
+
+- a *replay* capture holds the ``DynInst`` tuple the emulator built
+  (:meth:`CapturedTrace.from_instructions`); every simulation replaying it shares
+  those (immutable, never-mutated-by-the-pipeline) objects with zero copying, and
+  its columns are encoded only when it is serialised or studied
+  (:meth:`CapturedTrace._ensure_columns`);
+- a *study* capture holds the columns the emulator wrote directly
+  (:meth:`Emulator.run_batch <repro.isa.emulator.Emulator.run_batch>` with
+  :func:`empty_columns`), as does a trace loaded from the store; its ``DynInst``
+  tuple is decoded once, on the first :meth:`CapturedTrace.instructions` call.
+
 The trace-level predictor study decodes nothing: :meth:`CapturedTrace.study_events`
 reads the pc, branch-outcome and result columns directly.
 
@@ -31,14 +41,11 @@ from itertools import islice
 
 from repro.errors import ReproError
 from repro.isa.program import Program
-from repro.isa.trace import DynInst, gc_paused
+from repro.isa.trace import OPTIONAL_FIELDS, DynInst, gc_paused
 
 #: Bump whenever the binary layout (or the semantics of a column) changes; stored
 #: traces with a different version are ignored by the store.
 TRACE_FORMAT_VERSION = 1
-
-#: Optional (sparse) DynInst columns, in serialisation order.
-_OPTIONAL_FIELDS = ("result", "flags_result", "flags_in", "addr", "store_value")
 
 #: Bits of the per-program static flag table behind :meth:`CapturedTrace.study_events`.
 _CONDITIONAL_BRANCH = 1
@@ -53,6 +60,23 @@ def _expand(presence: bytearray, values: array) -> Iterator[int | None]:
     """A sparse column, expanded lazily: the next dense value where present, else None."""
     next_value = iter(values).__next__
     return (next_value() if present else None for present in presence)
+
+
+def empty_columns() -> tuple[array, array, bytearray, array, array, dict, dict]:
+    """Empty ``(pcs, next_pcs, taken, src_offsets, src_values, presence, values)``.
+
+    The columns in :class:`CapturedTrace`'s constructor order, ready to be
+    appended to µ-op by µ-op.
+    """
+    return (
+        array("i"),
+        array("i"),
+        bytearray(),
+        array("I", [0]),
+        array("Q"),
+        {name: bytearray() for name in OPTIONAL_FIELDS},
+        {name: array("Q") for name in OPTIONAL_FIELDS},
+    )
 
 
 class TraceEncodingError(ReproError):
@@ -186,12 +210,12 @@ class CapturedTrace:
         halted: bool,
         budget: int,
     ) -> "CapturedTrace":
-        """Capture a committed ``DynInst`` stream.
+        """Capture a committed ``DynInst`` stream (a replay capture).
 
-        The columnar encoding is built *lazily* (:meth:`_ensure_columns`): an
-        in-process capture already holds the materialised stream, which replay
-        shares directly, so the columns are only needed if the trace is
-        serialised to the on-disk store.
+        The columnar encoding is built *lazily* (:meth:`_ensure_columns`): the
+        trace already holds the materialised stream, which replay shares
+        directly, so the columns are only needed if the trace is serialised to
+        the on-disk store or walked by the predictor study.
         """
         trace = cls.__new__(cls)
         trace.program = program
@@ -216,13 +240,7 @@ class CapturedTrace:
         if self._pcs is not None:
             return
         instructions = self._insts
-        pcs = array("i")
-        next_pcs = array("i")
-        taken = bytearray()
-        src_offsets = array("I", [0])
-        src_values = array("Q")
-        presence = {name: bytearray() for name in _OPTIONAL_FIELDS}
-        values = {name: array("Q") for name in _OPTIONAL_FIELDS}
+        pcs, next_pcs, taken, src_offsets, src_values, presence, values = empty_columns()
         # One bound-method tuple per column, hoisted out of the per-µ-op loop.
         pcs_append = pcs.append
         next_pcs_append = next_pcs.append
@@ -231,7 +249,7 @@ class CapturedTrace:
         src_offsets_append = src_offsets.append
         optional = [
             (name, presence[name].append, values[name].append)
-            for name in _OPTIONAL_FIELDS
+            for name in OPTIONAL_FIELDS
         ]
         for inst in instructions:
             pcs_append(inst.pc)
@@ -287,7 +305,7 @@ class CapturedTrace:
             pcs,
             map(self.program.uops.__getitem__, pcs),
             sources,
-            *(_expand(self._presence[name], self._values[name]) for name in _OPTIONAL_FIELDS),
+            *(_expand(self._presence[name], self._values[name]) for name in OPTIONAL_FIELDS),
             map(bool, self._taken),
             self._next_pcs,
         )
@@ -301,8 +319,8 @@ class CapturedTrace:
         the study pushes into the global history before the lookup.  Branches after
         the last eligible µ-op are dropped: no lookup observes them.
 
-        Built from the columns without decoding a single ``DynInst`` (an in-process
-        capture builds its columns first) and cached for one ``max_uops`` at a
+        Built from the columns without decoding a single ``DynInst`` (a replay
+        capture encodes its columns first) and cached for one ``max_uops`` at a
         time, so a sweep over predictor families walks one list.
         """
         cached = self._events
@@ -354,7 +372,7 @@ class CapturedTrace:
             self._src_offsets.tobytes(),
             self._src_values.tobytes(),
         ]
-        for name in _OPTIONAL_FIELDS:
+        for name in OPTIONAL_FIELDS:
             columns.append(bytes(self._presence[name]))
             columns.append(self._values[name].tobytes())
         payload = b"".join(columns)
@@ -410,7 +428,7 @@ class CapturedTrace:
         src_values = as_array("Q", chunks[4])
         presence: dict[str, bytearray] = {}
         values: dict[str, array] = {}
-        for index, name in enumerate(_OPTIONAL_FIELDS):
+        for index, name in enumerate(OPTIONAL_FIELDS):
             presence[name] = bytearray(chunks[5 + 2 * index])
             values[name] = as_array("Q", chunks[6 + 2 * index])
         return cls(

@@ -8,8 +8,10 @@ the first 16 hex digits of the SHA-256 of the sorted-JSON
 goldens (see perfbench/README.md).
 
 Each trace source the study can walk is covered: a trace loaded from the on-disk
-store (columns only), an in-process capture (decoded objects only), and
-``REPRO_TRACE_CACHE=0`` (the step-wise emulator, the oracle).
+store (columns only), an in-process replay capture (decoded objects only), the
+shared trace cache's own capture (columns written by the emulator, no
+``DynInst`` at all), and ``REPRO_TRACE_CACHE=0`` (the step-wise emulator, the
+oracle).
 """
 
 import hashlib
@@ -22,9 +24,11 @@ import pytest
 from repro.analysis.predictor_eval import PredictorEvaluation, evaluate_predictor
 from repro.bpu.history import GlobalHistory
 from repro.campaign.spec import derive_seed
+from repro.isa import emulator as emulator_module
 from repro.isa.builder import ProgramBuilder
 from repro.pipeline.config import PREDICTOR_FACTORIES
-from repro.trace.cache import TRACE_CACHE_ENV_VAR
+from repro.trace import encoding as encoding_module
+from repro.trace.cache import TRACE_CACHE_ENV_VAR, shared_trace_cache
 from repro.trace.capture import capture_budget, capture_trace, capture_workload_trace
 from repro.trace.store import TraceStore
 from repro.vp.confidence import SCALED_FPC_VECTOR
@@ -48,8 +52,8 @@ def _predictor(family: str, name: str):
 
 
 def _trace(source: str, tmp_path, wl):
-    """The explicit trace for ``source``; ``None`` lets the study emulate inline."""
-    if source == "emulated":
+    """The explicit trace for ``source``; ``None`` lets the study capture or emulate."""
+    if source in ("emulated", "column-captured"):
         return None
     trace = capture_workload_trace(wl, capture_budget(MAX_UOPS))
     if source == "stored":
@@ -66,13 +70,21 @@ def golden():
     return expected
 
 
-@pytest.mark.parametrize("source", ["stored", "captured", "emulated"])
+def _no_dyninst(*args):
+    raise AssertionError("the column capture built a DynInst")
+
+
+@pytest.mark.parametrize("source", ["stored", "captured", "emulated", "column-captured"])
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_study_matches_the_committed_golden(golden, tmp_path, monkeypatch, source, name):
     wl = workload(name)
     trace = _trace(source, tmp_path, wl)
-    if trace is None:
+    if source == "emulated":
         monkeypatch.setenv(TRACE_CACHE_ENV_VAR, "0")
+    if source == "column-captured":
+        shared_trace_cache.clear()
+        monkeypatch.setattr(emulator_module, "DynInst", _no_dyninst)
+        monkeypatch.setattr(encoding_module, "DynInst", _no_dyninst)
     digests = {
         f"{family}/{name}": _digest(
             evaluate_predictor(_predictor(family, name), wl, MAX_UOPS, trace=trace)
@@ -81,6 +93,12 @@ def test_study_matches_the_committed_golden(golden, tmp_path, monkeypatch, sourc
     }
     assert digests == {cell_id: golden[cell_id] for cell_id in digests}
     if source == "stored":
+        assert trace._insts is None, "the study decoded DynInst objects"
+    if source == "column-captured":
+        captures = shared_trace_cache.captures
+        trace = shared_trace_cache.trace_for_length(wl, MAX_UOPS)
+        shared_trace_cache.clear()
+        assert shared_trace_cache.captures == captures, "every family re-used one capture"
         assert trace._insts is None, "the study decoded DynInst objects"
 
 

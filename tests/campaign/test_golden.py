@@ -18,6 +18,8 @@ import pytest
 from repro.campaign.executor import run_campaign
 from repro.campaign.spec import Campaign
 from repro.campaign.store import ResultStore
+from repro.trace.cache import shared_trace_cache
+from repro.workloads.suite import workload
 
 GOLDEN = Path(__file__).resolve().parents[2] / "perfbench" / "golden" / "seed-0.json"
 HEADLINE_CONFIGS = ("Baseline_6_64", "Baseline_VP_6_64", "EOLE_4_64", "EOLE_4_64_4ports_4banks")
@@ -27,17 +29,45 @@ def _digest(result) -> str:
     return hashlib.sha256(json.dumps(result.to_dict(), sort_keys=True).encode()).hexdigest()[:16]
 
 
-@pytest.mark.parametrize("workers", [1, 2], ids=["serial", "fleet"])
-def test_campaign_matches_the_committed_golden(tmp_path, workers):
-    expected = json.loads(GOLDEN.read_text())["figure_grid"]
-    campaign = Campaign.from_names(
+def _figure_grid_campaign() -> Campaign:
+    return Campaign.from_names(
         HEADLINE_CONFIGS, "gcc,mcf", max_uops=8000, warmup_uops=2500, seed=0,
         name="figure_grid",
     )
-    outcome = run_campaign(campaign, store=ResultStore(tmp_path / "s.jsonl"), workers=workers)
+
+
+def _assert_matches_golden(campaign, outcome) -> None:
+    expected = json.loads(GOLDEN.read_text())["figure_grid"]
     assert not outcome.failed
     digests = {
         cell.describe(): _digest(outcome.results[(cell.config.name, cell.workload_name)])
         for cell in campaign.cells()
     }
     assert digests == {cell_id: expected[cell_id] for cell_id in digests}
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=["serial", "fleet"])
+def test_campaign_matches_the_committed_golden(tmp_path, workers):
+    campaign = _figure_grid_campaign()
+    outcome = run_campaign(campaign, store=ResultStore(tmp_path / "s.jsonl"), workers=workers)
+    _assert_matches_golden(campaign, outcome)
+
+
+def test_replaying_study_captures_matches_the_committed_golden(tmp_path):
+    """Cells replaying traces first captured for a trace-level study.
+
+    ``trace_for_length`` captures columns without ``DynInst`` objects; the
+    timing replay then decodes them, the crossing from the study form.
+    """
+    campaign = _figure_grid_campaign()
+    shared_trace_cache.clear()
+    try:
+        for name in ("gcc", "mcf"):
+            assert shared_trace_cache.trace_for_length(workload(name), 20000)._insts is None
+        captures, hits = shared_trace_cache.captures, shared_trace_cache.hits
+        outcome = run_campaign(campaign, store=ResultStore(tmp_path / "s.jsonl"), workers=1)
+        assert shared_trace_cache.captures == captures, "a cell re-captured its trace"
+        assert shared_trace_cache.hits - hits == len(campaign.cells())
+    finally:
+        shared_trace_cache.clear()
+    _assert_matches_golden(campaign, outcome)

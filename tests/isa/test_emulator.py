@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ProgramError
 from repro.isa import emulator as emulator_module
 from repro.isa.builder import ProgramBuilder, _reg
 from repro.isa.emulator import ArchState, Emulator, collect_trace, _default_memory_value
@@ -13,6 +14,8 @@ from repro.isa.flags import ALL_FLAGS, MASK64, SIGN_BIT
 from repro.isa.microop import MicroOp
 from repro.isa.opcode import Opcode, is_conditional_branch
 from repro.isa.registers import FLAGS_REG
+from repro.isa.trace import OPTIONAL_FIELDS
+from repro.trace.encoding import CapturedTrace, empty_columns
 from repro.workloads.generator import RandomProgramGenerator
 
 
@@ -252,7 +255,7 @@ class TestRunBatch:
             for i in insts
         ]
 
-    def _assert_equivalent(self, program, state_a, state_b, budget):
+    def _assert_equivalent(self, program, state_a, state_b, budget, state_c=None):
         reference = Emulator(program, state=state_a)
         batched = Emulator(program, state=state_b)
         expected = list(reference.run(budget))
@@ -263,13 +266,39 @@ class TestRunBatch:
         assert batched.seq == reference.seq
         assert batched.state.regs == reference.state.regs
         assert batched.state.memory == reference.state.memory
+        # The columnar tail of the same loop: same machine state, and the
+        # columns decode to the same records.  The columns hold unsigned 64-bit
+        # words, so a stream with a negative value (OR/XOR/MIN of a negative
+        # immediate leave one in ``result``) is rejected by both trace forms.
+        columnar = Emulator(program, state=state_c)
+        columns = empty_columns()
+        if any(
+            getattr(inst, name) is not None and getattr(inst, name) < 0
+            for inst in expected
+            for name in OPTIONAL_FIELDS
+        ):
+            with pytest.raises(OverflowError):
+                columnar.run_batch(budget, columns)
+            with pytest.raises(OverflowError):
+                CapturedTrace.from_instructions(program, got, False, budget).to_bytes()
+            return
+        assert columnar.run_batch(budget, columns) == []
+        trace = CapturedTrace(program, *columns, halted=columnar.halted, budget=budget)
+        assert self._records(trace.instructions()) == self._records(expected)
+        assert (columnar.halted, columnar.pc, columnar.seq) == (
+            reference.halted, reference.pc, reference.seq,
+        )
+        assert columnar.state.regs == reference.state.regs
+        assert columnar.state.memory == reference.state.memory
 
     def test_matches_step_on_every_suite_workload(self):
         from repro.workloads.suite import SUITE_ORDER, workload
 
         for name in SUITE_ORDER:
             wl = workload(name)
-            self._assert_equivalent(wl.program, wl.make_state(), wl.make_state(), 3000)
+            self._assert_equivalent(
+                wl.program, wl.make_state(), wl.make_state(), 3000, wl.make_state()
+            )
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32))
@@ -317,6 +346,62 @@ class TestRunBatch:
         split = Emulator(program)
         got = split.run_batch(20) + split.run_batch(30)
         assert self._records(got) == self._records(expected)
+
+
+def _single_uop(opcode: Opcode, sets_flags: bool) -> MicroOp:
+    """One valid µ-op of ``opcode``; raises ProgramError where ``sets_flags`` is refused."""
+    if opcode in (Opcode.JMP, Opcode.CALL) or is_conditional_branch(opcode):
+        return MicroOp(opcode, target="end", sets_flags=sets_flags)
+    if opcode is Opcode.JMPI:
+        return MicroOp(opcode, srcs=(_reg("r3"),), sets_flags=sets_flags)
+    if opcode in (Opcode.RET, Opcode.NOP):
+        return MicroOp(opcode, sets_flags=sets_flags)
+    if opcode in (Opcode.ST, Opcode.FST):
+        return MicroOp(opcode, srcs=(_reg("r2"), _reg("r1")), imm=8, sets_flags=sets_flags)
+    if opcode in (Opcode.LD, Opcode.FLD):
+        return MicroOp(opcode, dst=_reg("r1"), srcs=(_reg("r2"),), imm=8, sets_flags=sets_flags)
+    if opcode is Opcode.CMP:
+        return MicroOp(opcode, srcs=(_reg("r1"), _reg("r2")), sets_flags=sets_flags)
+    if opcode is Opcode.MOVI:
+        return MicroOp(opcode, dst=_reg("r1"), imm=-3, sets_flags=sets_flags)
+    srcs = (_reg("r1"), _reg("r2"), _reg("r4"))[: 3 if opcode is Opcode.FMA else 2]
+    return MicroOp(opcode, dst=_reg("r1"), srcs=srcs, sets_flags=sets_flags)
+
+
+def _every_single_uop():
+    """One µ-op per opcode, with and without ``sets_flags`` where MicroOp allows it."""
+    for opcode in Opcode:
+        for sets_flags in (False, True):
+            try:
+                uop = _single_uop(opcode, sets_flags)
+            except ProgramError:
+                continue
+            yield pytest.param(uop, id=f"{opcode.value}{'-flags' if sets_flags else ''}")
+
+
+class TestColumnTables:
+    """The per-pc tables a columnar capture expands its static columns from."""
+
+    @pytest.mark.parametrize("uop", _every_single_uop())
+    def test_presence_bits_match_step(self, uop):
+        b = ProgramBuilder()
+        b.movi("r1", 7)
+        b.movi("r2", 0x4000)
+        b.la("r3", "end")
+        tested_pc = len(b)
+        b.emit(uop)
+        b.label("end")
+        b.nop()
+        emulator = Emulator(b.build())
+        codes, (arities, *presence) = emulator._build_column_tables()
+        code = codes[tested_pc]
+        insts = [emulator.step() for _ in range(tested_pc + 1)]
+        inst = insts[tested_pc]
+        assert inst.pc == tested_pc and inst.uop is uop
+        assert tuple(bool(table[code]) for table in presence) == tuple(
+            getattr(inst, name) is not None for name in OPTIONAL_FIELDS
+        )
+        assert arities[code] == len(inst.src_values)
 
 
 _INT_OPS = (

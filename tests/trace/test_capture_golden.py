@@ -5,6 +5,8 @@ to what both share (the flags helpers, the workload programs, the arch-state
 set-up, the blob encoding) moves them together and passes.  These digests were
 recorded before the batched loop dispatched on pre-resolved arms and before
 memory arrays were written in bulk; a change to them is a change to every trace.
+A columnar capture (the emulator writing the columns, no ``DynInst``) must give
+the same digests.
 """
 
 import hashlib
@@ -46,3 +48,13 @@ def test_golden_covers_the_suite():
 def test_trace_blob_matches_golden(name):
     blob = capture_workload_trace(workload(name), capture_budget(2000)).to_bytes()
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_SHA256[name]
+
+
+@pytest.mark.parametrize("name", SUITE_ORDER)
+def test_columnar_blob_matches_golden_and_replay_capture(name):
+    budget = capture_budget(2000)
+    columnar = capture_workload_trace(workload(name), budget, columnar=True)
+    assert columnar._insts is None, "the columnar capture built DynInst objects"
+    blob = columnar.to_bytes()
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_SHA256[name]
+    assert blob == capture_workload_trace(workload(name), budget).to_bytes()
