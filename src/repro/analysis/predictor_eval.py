@@ -14,8 +14,8 @@ yields one list of ``(branch outcomes, pc, result)`` items
 sweep over predictor families builds it once per workload.  The trace comes from the
 shared trace cache (:mod:`repro.trace`): a predictor sweep emulates each workload once,
 and with ``REPRO_TRACE_STORE`` set, repeated study sessions skip emulation entirely.
-``REPRO_TRACE_CACHE=0`` is the oracle: the step-wise emulator's output is wrapped in a
-trace and walked by the same loop.
+With ``REPRO_TRACE_CACHE=0`` the cache hands out the step-wise reference trace
+(:func:`~repro.trace.capture.reference_trace`), walked by the same loop.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from repro.bpu.history import GlobalHistory
-from repro.isa.emulator import Emulator
-from repro.trace.cache import shared_trace_cache, trace_cache_enabled
+from repro.trace.cache import shared_trace_cache
 from repro.trace.encoding import CapturedTrace
 from repro.vp.base import ValuePredictor
 from repro.workloads.suite import Workload
@@ -59,10 +58,10 @@ def evaluate_predictor(
     architectural result, which is equivalent to commit-time training on a machine with
     no in-flight aliasing — an optimistic but standard trace-level approximation.
 
-    The committed stream comes from the shared trace cache, or from ``trace`` when
-    given, which must cover ``max_uops`` (:meth:`CapturedTrace.covers`) or a
-    :class:`ValueError` is raised.  With ``REPRO_TRACE_CACHE=0`` the workload is
-    emulated inline instead.
+    The committed stream comes from the shared trace cache (the step-wise reference
+    trace with ``REPRO_TRACE_CACHE=0``), or from ``trace`` when given, which must
+    cover ``max_uops`` (:meth:`CapturedTrace.covers`) or a :class:`ValueError` is
+    raised.
     """
     if trace is not None:
         if not trace.covers(max_uops):
@@ -70,14 +69,8 @@ def evaluate_predictor(
                 f"trace of {workload.name!r} holds {len(trace)} µ-ops and did not "
                 f"halt; evaluating {max_uops} needs a longer capture"
             )
-    elif trace_cache_enabled():
-        trace = shared_trace_cache.trace_for_length(workload, max_uops)
     else:
-        emulator = Emulator(workload.program, state=workload.make_state())
-        instructions = tuple(emulator.run(max_uops))
-        trace = CapturedTrace.from_instructions(
-            workload.program, instructions, halted=emulator.halted, budget=max_uops
-        )
+        trace = shared_trace_cache.trace_for_length(workload, max_uops)
     events = trace.study_events(max_uops)
     history = GlobalHistory()
     push = history.push

@@ -33,7 +33,7 @@ from repro.campaign.store import ResultStore, default_store
 from repro.obs.telemetry import TraceCacheSnapshot, cell_telemetry
 from repro.pipeline.simulator import Simulator
 from repro.pipeline.stats import SimulationResult
-from repro.trace.cache import shared_trace_cache, trace_cache_enabled
+from repro.trace.cache import shared_trace_cache
 from repro.workloads.suite import Workload, workload
 
 #: Environment variable overriding the worker-process count.
@@ -79,19 +79,17 @@ def simulate_cell(
 
     The workload's committed µ-op stream comes from the shared trace cache
     (:mod:`repro.trace`): the architectural emulator runs once per workload and every
-    configuration replays the captured trace.  ``REPRO_TRACE_CACHE=0`` restores the
-    inline-emulation path (bit-identical, just slower).
+    configuration replays the captured trace.  With ``REPRO_TRACE_CACHE=0`` the cache
+    hands out the step-wise reference trace instead (bit-identical, just slower).
     """
     wl = wl if wl is not None else workload(cell.workload_name)
-    if trace is None and trace_cache_enabled():
+    if trace is None:
         trace = shared_trace_cache.trace_for(wl, cell.max_uops, cell.config)
-    arch_state = wl.make_state() if trace is None else None
     simulator = Simulator(
         cell.config,
         wl.program,
         max_uops=cell.max_uops,
         warmup_uops=cell.warmup_uops,
-        arch_state=arch_state,
         workload_name=wl.name,
         trace=trace,
     )

@@ -290,11 +290,11 @@ class Emulator:
             if uop.sets_flags:
                 flags_result = logic_flags(result)
         elif opcode is Opcode.OR:
-            result = a | b
+            result = (a | b) & MASK64
             if uop.sets_flags:
                 flags_result = logic_flags(result)
         elif opcode is Opcode.XOR:
-            result = a ^ b
+            result = (a ^ b) & MASK64
             if uop.sets_flags:
                 flags_result = logic_flags(result)
         elif opcode is Opcode.SHL:
@@ -324,7 +324,7 @@ class Emulator:
             if uop.sets_flags:
                 flags_result = sub_flags(0, a)
         elif opcode is Opcode.MIN:
-            result = min(a, b)
+            result = min(a, b) & MASK64
             if uop.sets_flags:
                 flags_result = flags_from_result(result)
         elif opcode is Opcode.MAX:
@@ -620,7 +620,7 @@ class Emulator:
             elif kind == _CMP:
                 flags_result = sub_flags(a, b)
             elif kind == _XOR:
-                result = a ^ b
+                result = (a ^ b) & mask64
                 if sets_flags:
                     flags_result = logic_flags(result)
             elif kind == _MOVI:
@@ -676,7 +676,7 @@ class Emulator:
                 if sets_flags:
                     flags_result = sub_flags(a, b)
             elif kind == _OR:
-                result = a | b
+                result = (a | b) & mask64
                 if sets_flags:
                     flags_result = logic_flags(result)
             elif kind == _NOT:
@@ -688,7 +688,7 @@ class Emulator:
                 if sets_flags:
                     flags_result = sub_flags(0, a)
             elif kind == _MIN:
-                result = min(a, b)
+                result = min(a, b) & mask64
                 if sets_flags:
                     flags_result = flags_from_result(result)
             elif kind == _MAX:

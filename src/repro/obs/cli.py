@@ -63,24 +63,18 @@ def _simulate(args) -> "tuple":
     """
     from repro.pipeline.config import named_config
     from repro.pipeline.simulator import Simulator
-    from repro.trace.cache import shared_trace_cache, trace_cache_enabled
+    from repro.trace.cache import shared_trace_cache
     from repro.workloads.suite import workload
 
     config = named_config(args.config)
     wl = workload(args.workload)
-    trace = (
-        shared_trace_cache.trace_for(wl, args.max_uops, config)
-        if trace_cache_enabled()
-        else None
-    )
     simulator = Simulator(
         config,
         wl.program,
         max_uops=args.max_uops,
         warmup_uops=args.warmup_uops,
-        arch_state=wl.make_state() if trace is None else None,
         workload_name=wl.name,
-        trace=trace,
+        trace=shared_trace_cache.trace_for(wl, args.max_uops, config),
     )
     result = simulator.run()
     return simulator, result

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from collections.abc import Iterable, Iterator
 
 from repro.bpu.btb import BranchTargetBuffer, ReturnAddressStack
 from repro.bpu.history import GlobalHistory
@@ -48,7 +47,7 @@ from repro.bpu.unit import BranchPredictionUnit
 from repro.core.early_execution import EarlyExecutionBlock
 from repro.core.late_execution import LateExecutionBlock
 from repro.errors import SimulationError
-from repro.isa.emulator import ArchState, Emulator
+from repro.isa.emulator import ArchState
 from repro.isa.flags import approximate_flags, flags_match_for_validation
 from repro.isa.program import Program
 from repro.isa.trace import DynInst, gc_paused
@@ -69,6 +68,7 @@ from repro.ooo.rob import ReorderBuffer
 from repro.ooo.store_sets import StoreSets
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.stats import SimStats, SimulationResult
+from repro.trace.capture import reference_trace, required_length
 from repro.trace.encoding import CapturedTrace
 
 #: Environment variable: ``0`` selects the cycle-stepping reference loop instead of
@@ -96,7 +96,7 @@ class Simulator:
         warmup_uops: int = 0,
         arch_state: ArchState | None = None,
         workload_name: str | None = None,
-        trace: "CapturedTrace | Iterable[DynInst] | None" = None,
+        trace: CapturedTrace | None = None,
     ) -> None:
         if warmup_uops >= max_uops:
             raise SimulationError("warmup_uops must be smaller than max_uops")
@@ -106,25 +106,14 @@ class Simulator:
         self.warmup_uops = warmup_uops
         self.workload_name = workload_name if workload_name is not None else program.name
 
-        # Architectural trace source.  Fetch runs ahead of commit by at most the ROB
-        # plus the front-end, so a bounded-slack emulator limit is sufficient.  A
-        # pre-captured trace (repro.trace) replaces the inline emulator entirely; it
-        # must cover at least the same bounded-slack window to be bit-equivalent.
-        # ``_trace_list`` is the fetch fast path: a materialised capture is consumed
-        # by plain list indexing (one bounds check + one index per µ-op) instead of
-        # a generator resume; ``_trace`` remains the uniform iterator interface for
-        # the inline-emulation and ad-hoc-iterable paths.
-        self._trace_list: tuple[DynInst, ...] | None = None
+        # The committed stream, one tuple fetch indexes.  Fetch runs ahead of commit
+        # by at most the ROB plus the front-end (``required_length``), so a trace
+        # covering that window replays bit-exactly.  Without one, the step-wise
+        # reference trace of ``program`` from ``arch_state`` is emulated here.
+        if trace is None:
+            trace = reference_trace(program, required_length(max_uops, config), arch_state)
+        self._trace_list: tuple[DynInst, ...] = trace.instructions()
         self._trace_pos = 0
-        if trace is not None:
-            if isinstance(trace, CapturedTrace):
-                self._trace_list = trace.instructions()
-                self._trace: Iterator[DynInst] = iter(())
-            else:
-                self._trace = iter(trace)
-        else:
-            emulator_budget = max_uops + config.rob_size + config.frontend_capacity + 64
-            self._trace = Emulator(program, state=arch_state).run(emulator_budget)
         self._trace_exhausted = False
         self._replay: deque[DynInst] = deque()
 
@@ -541,19 +530,19 @@ class Simulator:
     def _commit(self) -> None:
         """In-order retirement of up to ``commit_width`` µ-ops (the LE/VT stage).
 
-        Fused fast path: the per-µ-op :meth:`_retire` bookkeeping and the
-        :meth:`_validate_and_train` correctness decision are inlined (both are
-        kept below as the reference implementations), and the commit-side table
-        training is batched into one ``train_commit_group`` call per commit
-        group for the branch predictor and the value predictor each.  The
-        deferral is invisible: the deferred updates touch only predictor tables
-        and predictor-local statistics (read at result-build time), never
-        ``SimStats``; their per-item order is the commit order; and on a value
-        misprediction the batch — offender included, which trains exactly like
-        the reference — is flushed *before* :meth:`_squash_from` runs predictor
-        recovery.  The correctness decision itself needs no table state (it
-        compares the fetched prediction against the architectural result), so
-        deciding before training is equivalent.
+        Fused fast path: the per-µ-op retire bookkeeping and the prediction
+        correctness decision are inlined (their unfused reference methods live in
+        ``tests/pipeline/test_commit_reference.py``, which compares whole runs),
+        and the commit-side table training is batched into one
+        ``train_commit_group`` call per commit group for the branch predictor and
+        the value predictor each.  The deferral is invisible: the deferred
+        updates touch only predictor tables and predictor-local statistics (read
+        at result-build time), never ``SimStats``; their per-item order is the
+        commit order; and on a value misprediction the batch — offender
+        included, which trains exactly like the reference — is flushed *before*
+        :meth:`_squash_from` runs predictor recovery.  The correctness decision
+        itself needs no table state (it compares the fetched prediction against
+        the architectural result), so deciding before training is equivalent.
         """
         committed = 0
         late_alus_used = 0
@@ -596,7 +585,7 @@ class Simulator:
                     stats.levt_port_stalls += 1
                     break
 
-            # The µ-op retires this cycle (inlined _retire).
+            # The µ-op retires this cycle.
             rob_entries.popleft()
             op.commit_cycle = cycle
             committed += 1
@@ -666,14 +655,14 @@ class Simulator:
             if stats.committed_uops >= self.max_uops:
                 self._finished = True
 
-            # Park the record for recycling (inlined pool.retire; see _retire).
+            # Park the record for recycling (inlined pool.retire).
             pool_deferred.append((last_dispatched, op))
             if self._finished:
                 # The reference returns before validating the run's final µ-op;
                 # mirror it (its value-predictor entry is never appended).
                 break
 
-            # Prediction validation (inlined _validate_and_train; training deferred).
+            # Prediction validation (training deferred).
             if predictor is not None and kind & 32 and dyn.result is not None:
                 actual = dyn.result
                 prediction = op.prediction
@@ -701,108 +690,6 @@ class Simulator:
             predictor.train_commit_group(vp_group)
         if squash_seq >= 0:
             self._squash_from(squash_seq, "value_mispred")
-
-    def _retire(self, op: InflightOp) -> None:
-        """Bookkeeping common to every retiring µ-op.
-
-        Reference implementation: :meth:`_commit` inlines this per-µ-op body on
-        its fast path (kept in sync; the only intentional difference is that the
-        fast path defers ``bpu.train`` into a per-commit-group batch)."""
-        uop = op.uop
-        stats = self.stats
-        stats.committed_uops += 1
-        if uop.is_branch:
-            stats.committed_branches += 1
-            if uop.is_conditional_branch:
-                stats.committed_cond_branches += 1
-        if uop.is_load:
-            stats.committed_loads += 1
-            if op.load_forwarded:
-                stats.forwarded_loads += 1
-        if uop.is_store:
-            stats.committed_stores += 1
-            if op.dyn.addr is not None:
-                self.hierarchy.store(op.dyn.addr, op.pc, self.cycle)
-            # Scrub any remaining LFST reference before the record is recycled
-            # (observably a no-op: a retired store already has ``issued`` set).
-            self.store_sets.store_retired(op)
-        if uop.vp_eligible:
-            stats.committed_vp_eligible += 1
-        if op.early_executed:
-            stats.early_executed += 1
-        elif op.late_executed:
-            if uop.is_conditional_branch:
-                stats.late_resolved_branches += 1
-            else:
-                stats.late_executed_alu += 1
-        if op.pred_used:
-            stats.predictions_used += 1
-        if self.tracer is not None:
-            self.tracer.emit(self.cycle, "commit", op)
-
-        # Free the rename mapping and the physical register.
-        for dst in uop.dst_regs:
-            if self._rename_map.get(dst) is op:
-                del self._rename_map[dst]
-        if uop.dst is not None:
-            self.prf.release(op.dest_bank)
-        if uop.is_memory:
-            self.lsq.remove(op)
-
-        # Branch predictor training and late branch resolution.
-        if uop.is_conditional_branch and op.branch_outcome is not None:
-            self.bpu.train(op.dyn, op.branch_outcome)
-            if op.branch_outcome.mispredicted:
-                stats.branch_mispredictions += 1
-                if op.branch_outcome.high_confidence:
-                    stats.high_confidence_branch_mispredictions += 1
-            if op is self._fetch_blocked_on:
-                # A late-resolved (LE/VT) mispredicted branch unblocks fetch at commit.
-                self._resume_fetch_after_resolution()
-        elif (
-            uop.is_branch
-            and op.branch_outcome is not None
-            and op.branch_outcome.mispredicted
-        ):
-            stats.branch_mispredictions += 1
-
-        if not self._warmup_done and stats.committed_uops >= self.warmup_uops:
-            self._warmup_snapshot = stats.copy()
-            self._warmup_done = True
-        if stats.committed_uops >= self.max_uops:
-            self._finished = True
-
-        # Park the record for recycling.  Younger IQ entries renamed against this
-        # µ-op keep reading its timing fields until they issue, and the LE/VT port
-        # model reads its destination bank when they commit — all of them were
-        # dispatched by now, so the current dispatch high-water mark is the barrier.
-        self.pool.retire(op, self._last_dispatched_seq)
-
-    def _validate_and_train(self, op: InflightOp) -> bool:
-        """Prediction validation + predictor training; returns True if a squash occurred.
-
-        Reference implementation: :meth:`_commit` inlines the correctness decision
-        and defers the training into a per-commit-group batch (kept in sync)."""
-        if self.predictor is None or not op.uop.vp_eligible or op.dyn.result is None:
-            return False
-        actual = op.dyn.result
-        value_correct = self.predictor.validate_and_train(op.pc, actual, op.prediction)
-        if not op.pred_used:
-            return False
-        flags_ok = True
-        if op.uop.sets_flags and op.dyn.flags_result is not None and op.prediction is not None:
-            flags_ok = flags_match_for_validation(
-                op.dyn.flags_result, approximate_flags(op.prediction.value)
-            )
-            if value_correct and not flags_ok:
-                self.stats.flag_only_mispredictions += 1
-        if value_correct and flags_ok:
-            return False
-        # Value misprediction: the offending µ-op retires with the architectural value,
-        # everything younger is squashed and re-fetched (Section 3.1: pipeline squash).
-        self.stats.value_mispredictions += 1
-        self._squash_from(op.seq + 1, "value_mispred")
-        return True
 
     # ================================================================== issue / execute
     def _issue(self) -> None:
@@ -1219,33 +1106,23 @@ class Simulator:
         l1i_line_size = l1i.line_size
         l1i_stats = l1i.stats
         trace_list = self._trace_list
-        trace_length = len(trace_list) if trace_list is not None else 0
+        trace_length = len(trace_list)
         unknown_cycle = UNKNOWN_CYCLE
         tracer = self.tracer
         fetched = 0
         taken_branches = 0
         while fetched < fetch_width:
             # The next dynamic instruction: a squash's replay queue first, then
-            # the trace.  A materialised capture is consumed by plain indexing —
-            # no generator resume, no StopIteration — which is the dominant
-            # fetch source.
+            # the trace tuple.
             if replay:
                 dyn = replay.popleft()
-            elif trace_list is not None:
+            else:
                 pos = self._trace_pos
                 if pos >= trace_length:
                     self._trace_exhausted = True
                     break
                 dyn = trace_list[pos]
                 self._trace_pos = pos + 1
-            elif self._trace_exhausted:
-                break
-            else:
-                try:
-                    dyn = next(self._trace)
-                except StopIteration:
-                    self._trace_exhausted = True
-                    break
             uop = dyn.uop
             kind = uop.hot_mask
             is_branch = kind & 1
@@ -1435,7 +1312,7 @@ def simulate(
     warmup_uops: int = 0,
     arch_state: ArchState | None = None,
     workload_name: str | None = None,
-    trace: "CapturedTrace | Iterable[DynInst] | None" = None,
+    trace: CapturedTrace | None = None,
 ) -> SimulationResult:
     """Convenience wrapper: build a :class:`Simulator` and run it."""
     simulator = Simulator(

@@ -21,16 +21,22 @@ Entries are keyed by workload name; an entry is reused only when its capture cov
 the requested replay length (:meth:`CapturedTrace.covers`), so a configuration with an
 unusually deep fetch-ahead window transparently triggers a longer re-capture.
 
-``REPRO_TRACE_CACHE=0`` disables the cache globally (every simulation then emulates
-inline, the pre-trace behaviour) — useful for the determinism tests and for A/B
-benchmarking.
+``REPRO_TRACE_CACHE=0`` disables the cache globally: every request then returns a
+fresh step-wise reference trace (:func:`~repro.trace.capture.reference_trace`),
+nothing cached or stored — the oracle the determinism tests compare against.  This
+module is the only reader of the switch.
 """
 
 from __future__ import annotations
 
 import os
 
-from repro.trace.capture import capture_budget, capture_workload_trace, required_length
+from repro.trace.capture import (
+    capture_budget,
+    capture_workload_trace,
+    reference_trace,
+    required_length,
+)
 from repro.trace.encoding import CapturedTrace
 from repro.trace.store import TraceStore, default_trace_store
 
@@ -93,6 +99,9 @@ class TraceCache:
     def _acquire(self, workload, needed: int, max_uops: int, columnar: bool) -> CapturedTrace:
         """Memory → disk → capture, re-capturing when a cached trace is too short.
 
+        With ``REPRO_TRACE_CACHE=0`` it returns a fresh step-wise reference trace of
+        ``needed`` µ-ops instead, touching no entry, store or counter.
+
         ``columnar`` picks the form of a fresh capture
         (:func:`~repro.trace.capture.capture_trace`); a hit is returned in
         whatever form it was cached or stored in.
@@ -103,6 +112,8 @@ class TraceCache:
         be recycled while the entry exists; the identity check makes that explicit.
         """
         program = workload.program
+        if not trace_cache_enabled():
+            return reference_trace(program, needed, workload.make_state())
         key = (workload.name, id(program))
         trace = self._traces.get(key)
         if trace is not None and trace.program is program and trace.covers(needed):

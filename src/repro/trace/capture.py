@@ -4,9 +4,12 @@ Capture is keyed by ``(workload, capture budget)``: the emulator is deterministi
 given the workload's program and initial architectural state, so a captured trace can
 be replayed by any number of timing-model configurations.  The capture budget includes
 slack over the committed-µ-op target because the pipeline fetches ahead of commit (by
-at most the ROB plus the front-end, see ``Simulator.__init__``); replay is bit-exact
-as long as the captured trace is at least as long as the lazily-bounded emulation the
-simulator would otherwise run.
+at most the ROB plus the front-end, :func:`required_length`); replay is bit-exact as
+long as the captured trace covers that window.
+
+This module is also where the stream's source is chosen: :func:`capture_trace` runs
+the emulator's batched fast path, :func:`reference_trace` its step-wise reference
+(the oracle behind ``REPRO_TRACE_CACHE=0`` and a simulator built without a trace).
 """
 
 from __future__ import annotations
@@ -26,8 +29,9 @@ DEFAULT_TRACE_SLACK = 512
 def required_length(max_uops: int, config) -> int:
     """Trace length needed to replay ``config`` for ``max_uops`` committed µ-ops.
 
-    Mirrors the simulator's bounded-slack emulator budget: fetch runs ahead of commit
-    by at most the ROB plus the front-end.
+    Fetch runs ahead of commit by at most the ROB plus the front-end, so the
+    simulator never reads past this many µ-ops; it is also the budget of the
+    reference trace a simulator built without a trace emulates.
     """
     return max_uops + config.rob_size + config.frontend_capacity + 64
 
@@ -59,6 +63,22 @@ def capture_trace(
         return CapturedTrace.from_instructions(
             program, instructions, halted=emulator.halted, budget=budget
         )
+
+
+def reference_trace(
+    program: Program, budget: int, state: ArchState | None = None
+) -> CapturedTrace:
+    """The step-wise oracle: :meth:`Emulator.run` for up to ``budget`` µ-ops, as a trace.
+
+    :meth:`CapturedTrace.from_instructions` wraps the records and encodes nothing;
+    the trace is never cached or stored.
+    """
+    emulator = Emulator(program, state=state)
+    with gc_paused():
+        instructions = tuple(emulator.run(budget))
+    return CapturedTrace.from_instructions(
+        program, instructions, halted=emulator.halted, budget=budget
+    )
 
 
 def capture_workload_trace(workload, budget: int, *, columnar: bool = False) -> CapturedTrace:

@@ -82,6 +82,8 @@ def test_study_matches_the_committed_golden(golden, tmp_path, monkeypatch, sourc
     if source == "emulated":
         monkeypatch.setenv(TRACE_CACHE_ENV_VAR, "0")
     if source == "column-captured":
+        # The cache's own capture, whatever the environment says.
+        monkeypatch.delenv(TRACE_CACHE_ENV_VAR, raising=False)
         shared_trace_cache.clear()
         monkeypatch.setattr(emulator_module, "DynInst", _no_dyninst)
         monkeypatch.setattr(encoding_module, "DynInst", _no_dyninst)

@@ -176,10 +176,13 @@ class TestCompaction:
 
         store = ResultStore(tmp_path / "store.jsonl")
         self._put_grid(store, count=4)
-        line_size = store.size_bytes() // 4
-        outcome = store.compact(max_bytes=line_size * 2 + 2)
+        # Rows differ in length (the ``saved_unix`` repr varies), so the cap is
+        # exactly the two newest lines as written, not twice an average row.
+        newest_two = (tmp_path / "store.jsonl").read_bytes().splitlines(keepends=True)[-2:]
+        budget = sum(map(len, newest_two))
+        outcome = store.compact(max_bytes=budget)
         assert outcome["evicted"] == 2
-        assert store.size_bytes() <= line_size * 2 + 2
+        assert store.size_bytes() <= budget
         # The two newest records survive (eviction is oldest-saved first).
         kept = {record["max_uops"] for record in store.records()}
         assert kept == {1002, 1003}

@@ -1,5 +1,5 @@
-"""The serial and parallel paths pinned to the committed golden, not just to
-each other.
+"""The serial, parallel and step-wise reference paths pinned to the committed
+golden, not just to each other.
 
 Every other parallel test compares one execution flavour against another, so a
 change to shared model code (predictors, FPC, LSQ) moves both sides at once and
@@ -18,7 +18,7 @@ import pytest
 from repro.campaign.executor import run_campaign
 from repro.campaign.spec import Campaign
 from repro.campaign.store import ResultStore
-from repro.trace.cache import shared_trace_cache
+from repro.trace.cache import TRACE_CACHE_ENV_VAR, shared_trace_cache
 from repro.workloads.suite import workload
 
 GOLDEN = Path(__file__).resolve().parents[2] / "perfbench" / "golden" / "seed-0.json"
@@ -46,19 +46,30 @@ def _assert_matches_golden(campaign, outcome) -> None:
     assert digests == {cell_id: expected[cell_id] for cell_id in digests}
 
 
-@pytest.mark.parametrize("workers", [1, 2], ids=["serial", "fleet"])
-def test_campaign_matches_the_committed_golden(tmp_path, workers):
+@pytest.mark.parametrize(
+    "workers, env",
+    [(1, {}), (2, {}), (1, {TRACE_CACHE_ENV_VAR: "0"})],
+    ids=["serial", "fleet", "serial-stepwise"],
+)
+def test_campaign_matches_the_committed_golden(tmp_path, monkeypatch, workers, env):
+    """``serial-stepwise`` replays the step-wise emulator's reference trace, the
+    oracle for the batched capture the other two replay."""
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
     campaign = _figure_grid_campaign()
     outcome = run_campaign(campaign, store=ResultStore(tmp_path / "s.jsonl"), workers=workers)
     _assert_matches_golden(campaign, outcome)
 
 
-def test_replaying_study_captures_matches_the_committed_golden(tmp_path):
+def test_replaying_study_captures_matches_the_committed_golden(tmp_path, monkeypatch):
     """Cells replaying traces first captured for a trace-level study.
 
     ``trace_for_length`` captures columns without ``DynInst`` objects; the
-    timing replay then decodes them, the crossing from the study form.
+    timing replay then decodes them, the crossing from the study form.  The
+    test is about the cache, so it runs with the cache on whatever the
+    environment says (``REPRO_TRACE_CACHE=0`` has its own case above).
     """
+    monkeypatch.delenv(TRACE_CACHE_ENV_VAR, raising=False)
     campaign = _figure_grid_campaign()
     shared_trace_cache.clear()
     try:

@@ -10,7 +10,7 @@ from repro.errors import ProgramError
 from repro.isa import emulator as emulator_module
 from repro.isa.builder import ProgramBuilder, _reg
 from repro.isa.emulator import ArchState, Emulator, collect_trace, _default_memory_value
-from repro.isa.flags import ALL_FLAGS, MASK64, SIGN_BIT
+from repro.isa.flags import ALL_FLAGS, MASK64, SF, SIGN_BIT, flags_from_result
 from repro.isa.microop import MicroOp
 from repro.isa.opcode import Opcode, is_conditional_branch
 from repro.isa.registers import FLAGS_REG
@@ -84,6 +84,29 @@ class TestArithmetic:
         assert trace[3].result == 9
         assert trace[4].result == (-4) & MASK64
         assert trace[5].result == (~4) & MASK64
+
+    @pytest.mark.parametrize(
+        "opcode, expected",
+        [
+            (Opcode.OR, 0b1100 | -3),
+            (Opcode.XOR, 0b1100 ^ -3),
+            (Opcode.MIN, -3),
+        ],
+        ids=["or", "xor", "min"],
+    )
+    def test_negative_immediate_leaves_a_64_bit_record(self, opcode, expected):
+        # The record holds what the register receives: the 64-bit wrap of the
+        # negative result, with the flags of that (masked) value.
+        b = ProgramBuilder()
+        b.movi("r1", 0b1100)
+        b.emit(MicroOp(opcode, dst=_reg("r2"), srcs=(_reg("r1"),), imm=-3, sets_flags=True))
+        emulator = Emulator(b.build())
+        emulator.step()
+        inst = emulator.step()
+        assert inst.result == expected & MASK64
+        assert emulator.state.regs[_reg("r2")] == inst.result
+        assert inst.flags_result == flags_from_result(expected)
+        assert inst.flags_result & SF
 
 
 class TestMemory:
@@ -267,24 +290,18 @@ class TestRunBatch:
         assert batched.state.regs == reference.state.regs
         assert batched.state.memory == reference.state.memory
         # The columnar tail of the same loop: same machine state, and the
-        # columns decode to the same records.  The columns hold unsigned 64-bit
-        # words, so a stream with a negative value (OR/XOR/MIN of a negative
-        # immediate leave one in ``result``) is rejected by both trace forms.
+        # columns decode to the same records.  Both trace forms serialise to
+        # the same blob, which decodes to the same records again.
         columnar = Emulator(program, state=state_c)
         columns = empty_columns()
-        if any(
-            getattr(inst, name) is not None and getattr(inst, name) < 0
-            for inst in expected
-            for name in OPTIONAL_FIELDS
-        ):
-            with pytest.raises(OverflowError):
-                columnar.run_batch(budget, columns)
-            with pytest.raises(OverflowError):
-                CapturedTrace.from_instructions(program, got, False, budget).to_bytes()
-            return
         assert columnar.run_batch(budget, columns) == []
         trace = CapturedTrace(program, *columns, halted=columnar.halted, budget=budget)
         assert self._records(trace.instructions()) == self._records(expected)
+        blob = trace.to_bytes()
+        replayed = CapturedTrace.from_instructions(program, got, columnar.halted, budget)
+        assert replayed.to_bytes() == blob
+        decoded = CapturedTrace.from_bytes(blob, program)
+        assert self._records(decoded.instructions()) == self._records(expected)
         assert (columnar.halted, columnar.pc, columnar.seq) == (
             reference.halted, reference.pc, reference.seq,
         )

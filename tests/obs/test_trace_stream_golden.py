@@ -4,7 +4,9 @@
 nothing else compares the emitted events: a dropped, extra or reordered
 ``wakeup``/``issue`` event would pass it.  These digests are the exact
 ``repro-obs trace`` exports (Perfetto JSON and Konata text, as CI writes them)
-of two cells under both issue-queue flavours.  The flavours emit different
+of two cells under both issue-queue flavours, and of one cell replaying the
+step-wise reference trace (``REPRO_TRACE_CACHE=0``), which must emit the same
+stream as the batched capture.  The flavours emit different
 ``wakeup`` causes (``scan`` against ``wheel``/``store_release``), so each has
 its own pair.  A change that moves any event must say why and re-record them::
 
@@ -19,7 +21,7 @@ import pytest
 
 from repro.obs.cli import main
 from repro.ooo.issue_queue import WAKEUP_ENV_VAR
-from repro.trace.cache import shared_trace_cache
+from repro.trace.cache import TRACE_CACHE_ENV_VAR, shared_trace_cache
 
 MAX_UOPS, WARMUP_UOPS = 4000, 1000
 
@@ -63,6 +65,23 @@ def test_trace_exports_match_the_recorded_stream(
     config_name, workload_name, wakeup, tmp_path, monkeypatch, capsys
 ):
     monkeypatch.setenv(WAKEUP_ENV_VAR, wakeup)
+    assert _export_digests(config_name, workload_name, tmp_path, capsys) == GOLDEN[
+        (config_name, workload_name, wakeup)
+    ]
+
+
+def test_the_step_wise_reference_trace_exports_the_recorded_stream(
+    tmp_path, monkeypatch, capsys
+):
+    """``REPRO_TRACE_CACHE=0`` replays the step-wise emulator's reference trace."""
+    monkeypatch.setenv(WAKEUP_ENV_VAR, "1")
+    monkeypatch.setenv(TRACE_CACHE_ENV_VAR, "0")
+    assert _export_digests("EOLE_4_64", "gcc", tmp_path, capsys) == GOLDEN[
+        ("EOLE_4_64", "gcc", "1")
+    ]
+
+
+def _export_digests(config_name, workload_name, tmp_path, capsys) -> tuple[str, str]:
     perfetto = tmp_path / "trace.json"
     konata = tmp_path / "trace.konata.txt"
     code = main(
@@ -74,6 +93,4 @@ def test_trace_exports_match_the_recorded_stream(
     )
     assert code == 0
     capsys.readouterr()
-    assert (_sha256(perfetto), _sha256(konata)) == GOLDEN[
-        (config_name, workload_name, wakeup)
-    ]
+    return _sha256(perfetto), _sha256(konata)

@@ -229,10 +229,16 @@ def test_simulator_constructs_requested_queue(monkeypatch):
     from repro.pipeline.simulator import Simulator
     from repro.workloads.suite import workload
 
+    # A simulator built without a trace emulates its reference trace at
+    # construction, so it needs the workload's initial state.
     wl = workload("gcc")
     monkeypatch.setenv(WAKEUP_ENV_VAR, "0")
-    sim = Simulator(named_config("Baseline_6_64"), wl.program, max_uops=10)
+    sim = Simulator(
+        named_config("Baseline_6_64"), wl.program, max_uops=10, arch_state=wl.make_state()
+    )
     assert type(sim.iq) is IssueQueue
     monkeypatch.delenv(WAKEUP_ENV_VAR, raising=False)
-    sim = Simulator(named_config("Baseline_6_64"), wl.program, max_uops=10)
+    sim = Simulator(
+        named_config("Baseline_6_64"), wl.program, max_uops=10, arch_state=wl.make_state()
+    )
     assert type(sim.iq) is WakeupIssueQueue

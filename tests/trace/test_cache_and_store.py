@@ -23,6 +23,13 @@ class _NoStore:
 _NO_STORE = _NoStore()
 
 
+@pytest.fixture(autouse=True)
+def _cache_enabled(monkeypatch):
+    """These tests are about the cache, so it is on whatever the environment says
+    (``REPRO_TRACE_CACHE=0`` returns the uncached reference trace instead)."""
+    monkeypatch.delenv(TRACE_CACHE_ENV_VAR, raising=False)
+
+
 class TestTraceCache:
     def test_capture_happens_once_per_workload(self):
         cache = TraceCache(store=_NO_STORE)

@@ -3,8 +3,8 @@
 Three hard invariants are enforced here:
 
 * **trace subsystem** — every ``SimulationResult`` must be *byte identical* whether
-  the simulator emulates inline (``REPRO_TRACE_CACHE=0``), replays a shared
-  in-process capture, or replays a capture decoded from the on-disk store;
+  the simulator replays the step-wise reference trace (``REPRO_TRACE_CACHE=0``), a
+  shared in-process capture, or a capture decoded from the on-disk store;
 * **event-driven scheduler** — the cycle-skipping event wheel
   (``REPRO_EVENT_DRIVEN``, default on) must produce results byte-identical to the
   retained cycle-stepping reference loop (``REPRO_EVENT_DRIVEN=0``) across the
@@ -106,7 +106,8 @@ def test_disk_store_replay_is_byte_identical(monkeypatch, tmp_path):
     assert from_disk == in_memory
 
 
-def test_shared_cache_counts_replays():
+def test_shared_cache_counts_replays(monkeypatch):
+    monkeypatch.delenv(TRACE_CACHE_ENV_VAR, raising=False)
     shared_trace_cache.clear()
     before = shared_trace_cache.captures
     for config_name in ("Baseline_6_64", "EOLE_4_64"):
