@@ -6,16 +6,18 @@ architectural level and produces the committed µ-op stream as
 wrap-around semantics; "floating-point" µ-ops operate on the same value domain but use
 distinct arithmetic so that FP-heavy kernels exhibit their own value locality patterns.
 
-Memory is a sparse word-granular store.  Addresses not written before being read return
-a deterministic pseudo-random value derived from the address, so that loads from
-untouched memory carry low value-predictability (mirroring pointer-chasing codes) while
-explicitly initialised arrays behave as the kernel dictates.
+Memory is a sparse word-granular store.  A word not written before being read takes
+its initial value from the address: inside one of the state's closed-form regions (a
+workload's initialised arrays) the region's value for that word, elsewhere a
+deterministic pseudo-random value, so that loads from untouched memory carry low
+value-predictability (mirroring pointer-chasing codes) while the arrays behave as the
+kernel dictates.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
-from itertools import accumulate, chain, count, islice
+from collections.abc import Callable, Iterator
+from itertools import accumulate, chain, islice
 
 from repro.errors import EmulationError
 from repro.isa import registers as regs
@@ -163,15 +165,33 @@ def _default_memory_value(address: int) -> int:
     return (z ^ (z >> 31)) & MASK64
 
 
-class ArchState:
-    """Architectural machine state: registers, memory and the shadow call stack."""
+def _invalid_indirect_target(pc: int, target: int) -> EmulationError:
+    """The error of an indirect jump to ``target``, naming its usual cause."""
+    return EmulationError(
+        f"indirect jump at pc={pc} targets invalid pc {target}; a suite workload "
+        "started from an empty ArchState has no jump table: run it from "
+        "workload.make_state()"
+    )
 
-    __slots__ = ("regs", "memory", "call_stack")
+
+class ArchState:
+    """Architectural machine state: registers, memory and the shadow call stack.
+
+    ``memory`` holds every word written or read so far.  ``regions`` describes
+    the initial memory image as ``(base, limit, value_of_index)`` triples: the
+    word at ``base + 8 * i`` below ``limit`` starts as ``value_of_index(i)``.
+    Regions do not overlap.  A word's initial value is computed on its first
+    read (:meth:`initial_value`), so a state costs nothing per word that is
+    never touched.
+    """
+
+    __slots__ = ("regs", "memory", "call_stack", "regions")
 
     def __init__(self) -> None:
         self.regs: list[int] = [0] * regs.NUM_ARCH_REGS
         self.memory: dict[int, int] = {}
         self.call_stack: list[int] = []
+        self.regions: tuple[tuple[int, int, Callable[[int], int]], ...] = ()
 
     def read_reg(self, reg: int) -> int:
         """Architectural value of register ``reg``."""
@@ -182,24 +202,31 @@ class ArchState:
         self.regs[reg] = value & MASK64
 
     def read_mem(self, address: int) -> int:
-        """Word-granular memory read (untouched words return a deterministic pattern)."""
+        """Word-granular memory read (the written value, else the initial image)."""
         value = self.memory.get(address)
         if value is None:
-            return _default_memory_value(address)
+            return self.initial_value(address)
         return value
 
     def write_mem(self, address: int, value: int) -> None:
         """Word-granular memory write."""
         self.memory[address] = value & MASK64
 
-    def initialise_array(self, base: int, values: Iterable[int], stride: int = 8) -> None:
-        """Store ``values`` at ``base``, ``base + stride``, ... in one bulk update.
+    def initial_value(self, address: int) -> int:
+        """Content of ``address`` before any write to it, memoised in ``memory``.
 
-        The same words, wrapped to 64 bits and inserted in the same order, as one
-        :meth:`write_mem` per value.  ``values`` is consumed lazily, so a range
-        or an iterator initialises an array without a footprint-sized temporary.
+        A word of a region takes the region's value, wrapped to 64 bits; any
+        other address (a misaligned one inside a region included) takes
+        :func:`_default_memory_value`.
         """
-        self.memory.update(zip(count(base, stride), map(MASK64.__and__, values)))
+        for base, limit, value_of_index in self.regions:
+            if base <= address < limit and not (address - base) & 7:
+                value = value_of_index((address - base) >> 3) & MASK64
+                break
+        else:
+            value = _default_memory_value(address)
+        self.memory[address] = value
+        return value
 
 
 class Emulator:
@@ -382,7 +409,7 @@ class Emulator:
             taken = True
             next_pc = a & MASK64
             if not 0 <= next_pc < len(program):
-                raise EmulationError(f"indirect jump at pc={pc} targets invalid pc {next_pc}")
+                raise _invalid_indirect_target(pc, next_pc)
         elif opcode is Opcode.CALL:
             target = program.target_of(pc)
             if target is None:
@@ -550,6 +577,7 @@ class Emulator:
         state = self.state
         arch_regs = state.regs
         memory = state.memory
+        initial_value = state.initial_value
         call_stack = state.call_stack
         flags_index = regs.FLAGS_REG
         flag_bits = ALL_FLAGS
@@ -609,7 +637,7 @@ class Emulator:
                 addr = (a + imm_or_zero) & mask64
                 result = memory.get(addr)
                 if result is None:
-                    result = _default_memory_value(addr)
+                    result = initial_value(addr)
             elif kind == _COND_BRANCH:
                 flags_in = arch_regs[flags_index]
                 taken = taken_by_flags[flags_in & flag_bits]
@@ -664,9 +692,7 @@ class Emulator:
                 taken = True
                 next_pc = a & mask64
                 if not 0 <= next_pc < length:
-                    raise EmulationError(
-                        f"indirect jump at pc={pc} targets invalid pc {next_pc}"
-                    )
+                    raise _invalid_indirect_target(pc, next_pc)
             elif kind == _MOV:
                 result = a
                 if sets_flags:

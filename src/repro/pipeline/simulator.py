@@ -98,6 +98,14 @@ class Simulator:
         workload_name: str | None = None,
         trace: CapturedTrace | None = None,
     ) -> None:
+        """Set up the machine for ``max_uops`` committed µ-ops of ``program``.
+
+        ``trace`` is the committed stream to replay.  Without one, the stream is
+        emulated from ``arch_state`` (an all-zero state if ``None``).  A suite
+        workload then needs ``arch_state=wl.make_state()``: its loads read the
+        workload's memory image, and gcc, for one, jumps through a jump table
+        that an empty state does not hold.
+        """
         if warmup_uops >= max_uops:
             raise SimulationError("warmup_uops must be smaller than max_uops")
         self.config = config
@@ -1314,7 +1322,11 @@ def simulate(
     workload_name: str | None = None,
     trace: CapturedTrace | None = None,
 ) -> SimulationResult:
-    """Convenience wrapper: build a :class:`Simulator` and run it."""
+    """Convenience wrapper: build a :class:`Simulator` and run it.
+
+    Without ``trace``, a suite workload needs ``arch_state=wl.make_state()``
+    (see :class:`Simulator`).
+    """
     simulator = Simulator(
         config,
         program,

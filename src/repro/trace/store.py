@@ -5,7 +5,9 @@ and every trace capture lands on disk, so later processes (e.g. repeated benchma
 sessions, CI runs restoring a cache) skip the emulation entirely.  Files are
 content-addressed by the program fingerprint — a workload whose kernel changes gets a
 new file automatically, and a stored trace is only reused when its blob round-trips
-against the *current* program (see :meth:`CapturedTrace.from_bytes`).
+against the *current* program (see :meth:`CapturedTrace.from_bytes`).  The fingerprint
+does not cover a workload's initial memory image or the emulator's semantics: a change
+to either needs an empty store.
 
 A trace file is rewritten when a longer capture of the same program supersedes it (a
 configuration with a larger fetch-ahead window asked for more slack); the store keeps

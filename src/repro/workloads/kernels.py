@@ -16,8 +16,6 @@ workload:
 
 from __future__ import annotations
 
-from itertools import chain, repeat
-
 from repro.isa.builder import ProgramBuilder
 from repro.isa.emulator import ArchState
 from repro.isa.program import Program
@@ -382,47 +380,35 @@ def build_program(spec: WorkloadSpec) -> tuple[Program, list[str]]:
     return _KernelEmitter(spec).build()
 
 
-def _chase_successor_runs(words: int, multiplier: int, increment: int) -> list[range]:
-    """Successor addresses of the pointer-chase permutation, as arithmetic runs.
-
-    Word ``i`` points at word ``(multiplier * i + increment) % words``.  Between
-    two wrap-arounds the successors ascend by ``multiplier`` words, so the whole
-    array is about ``multiplier`` ``range`` objects that iterate in C.
-    """
-    runs = []
-    start = increment % words
-    remaining = words
-    while remaining:
-        length = min(remaining, -(-(words - start) // multiplier))
-        runs.append(
-            range(
-                CHASE_BASE + 8 * start,
-                CHASE_BASE + 8 * (start + multiplier * length),
-                8 * multiplier,
-            )
-        )
-        remaining -= length
-        start = (start + multiplier * length) % words
-    return runs
-
-
 def make_arch_state(spec: WorkloadSpec, program: Program, case_labels: list[str]) -> ArchState:
-    """Fresh architectural state with the memory arrays of ``spec`` initialised."""
-    state = ArchState()
+    """Fresh architectural state whose memory image holds the arrays of ``spec``.
+
+    Each array is a closed-form region of the state (see
+    :class:`~repro.isa.emulator.ArchState`), computed word by word as the
+    program first reads it, so building a state is O(1) in the footprint.
+    """
+    regions = []
     if spec.strided_loads and spec.strided_values_predictable:
         words = spec.strided_footprint_words
-        state.initialise_array(STRIDED_BASE, range(1000, 1000 + 7 * words, 7))
+        regions.append((STRIDED_BASE, STRIDED_BASE + 8 * words, lambda index: 1000 + 7 * index))
     if spec.chain_loads and spec.chain_values_predictable:
-        state.initialise_array(CHAIN_BASE, repeat(CHAIN_CONSTANT_VALUE, spec.chain_footprint_words))
+        words = spec.chain_footprint_words
+        regions.append((CHAIN_BASE, CHAIN_BASE + 8 * words, lambda index: CHAIN_CONSTANT_VALUE))
     if spec.pointer_chase_loads:
         # Full-period affine (LCG) permutation: successor = a*i + c (mod words) with
         # a ≡ 1 (mod 4) and c odd.  Successive pointers are spread irregularly across
         # the array, so neither the stride prefetcher nor the value predictor can learn
         # the walk — the behaviour that makes mcf-style codes memory-latency bound.
-        words = spec.chase_footprint_words
-        runs = _chase_successor_runs(words, multiplier=5, increment=(words // 3) | 1)
-        state.initialise_array(CHASE_BASE, chain.from_iterable(runs))
+        chase_words = spec.chase_footprint_words
+        increment = (chase_words // 3) | 1
+        regions.append((
+            CHASE_BASE,
+            CHASE_BASE + 8 * chase_words,
+            lambda index: CHASE_BASE + 8 * ((5 * index + increment) % chase_words),
+        ))
     if case_labels:
-        targets = case_labels[: spec.indirect_jump_targets]
-        state.initialise_array(JUMP_TABLE_BASE, map(program.pc_of, targets))
+        targets = tuple(map(program.pc_of, case_labels[: spec.indirect_jump_targets]))
+        regions.append((JUMP_TABLE_BASE, JUMP_TABLE_BASE + 8 * len(targets), targets.__getitem__))
+    state = ArchState()
+    state.regions = tuple(regions)
     return state

@@ -46,8 +46,9 @@ class Workload:
         return self._program
 
     def make_state(self) -> ArchState:
-        """A fresh architectural state with the workload's memory arrays initialised.
+        """A fresh architectural state whose memory image holds the workload's arrays.
 
+        The arrays are closed-form regions computed on first read, so this is O(1).
         A new state must be used for every simulation run, because the emulator mutates
         memory and registers.
         """

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ProgramError
+from repro.errors import EmulationError, ProgramError
 from repro.isa import emulator as emulator_module
 from repro.isa.builder import ProgramBuilder, _reg
 from repro.isa.emulator import ArchState, Emulator, collect_trace, _default_memory_value
@@ -129,24 +129,76 @@ class TestMemory:
         second = _run(b)[1].result
         assert first == second == _default_memory_value(0x2000)
 
-    def test_initialise_array_helper(self):
+    def test_region_words_read_their_image_and_nothing_else(self):
         state = ArchState()
-        state.initialise_array(0x100, [1, 2, 3])
-        assert state.read_mem(0x100) == 1
-        assert state.read_mem(0x110) == 3
+        state.regions = ((0x100, 0x118, lambda index: MASK64 + 1 + index),)
+        assert [state.read_mem(0x100 + 8 * index) for index in range(3)] == [0, 1, 2]
+        for outside in (0xF8, 0x118, 0x104):  # either side, and misaligned inside
+            assert state.read_mem(outside) == _default_memory_value(outside)
 
-    @pytest.mark.parametrize("stride", [8, 16, 0, -8])
-    def test_initialise_array_equals_one_write_per_word(self, stride):
-        values = [5, MASK64 + 9, -1, 7]
-        reference = ArchState()
-        for index, value in enumerate(values):
-            reference.write_mem(0x400 + index * stride, value)
-        bulk = ArchState()
-        bulk.initialise_array(0x400, iter(values), stride)
-        assert list(bulk.memory.items()) == list(reference.memory.items())
+    def test_store_to_a_region_word_overrides_the_image(self):
+        b = ProgramBuilder()
+        b.movi("r1", 0x100)
+        b.movi("r2", 777)
+        b.st("r1", "r2", 8)
+        b.ld("r3", "r1", 8)
+        b.ld("r4", "r1", 16)
+        state = ArchState()
+        state.regions = ((0x100, 0x120, lambda index: 10 + index),)
+        trace = collect_trace(b.build(), 100, state=state)
+        assert trace[3].result == 777
+        assert trace[4].result == 12
+
+    def test_first_read_is_memoised(self):
+        calls = []
+
+        def value_of_index(index):
+            calls.append(index)
+            return 40 + index
+
+        state = ArchState()
+        state.regions = ((0x100, 0x140, value_of_index),)
+        assert state.read_mem(0x108) == state.read_mem(0x108) == 41
+        assert calls == [1]
+        assert state.read_mem(0x200) == _default_memory_value(0x200)
+        assert state.memory == {0x108: 41, 0x200: _default_memory_value(0x200)}
+
+    def test_step_and_run_batch_end_with_equal_memory_on_a_chase_program(self):
+        words = 16
+        b = ProgramBuilder()
+        b.movi("r1", 0x1000)
+        b.label("loop")
+        b.ld("r1", "r1", 0)
+        b.st("r1", "r1", 8)  # overrides the next region word with a pointer
+        b.jmp("loop")
+        program = b.build()
+
+        def state():
+            fresh = ArchState()
+            fresh.regions = (
+                (0x1000, 0x1000 + 8 * words, lambda i: 0x1000 + 8 * ((5 * i + 3) % words)),
+            )
+            return fresh
+
+        stepped = Emulator(program, state=state())
+        expected = [inst.result for inst in stepped.run(200)]
+        batched = Emulator(program, state=state())
+        assert [inst.result for inst in batched.run_batch(200)] == expected
+        assert batched.state.memory == stepped.state.memory
+        assert stepped.state.memory[0x1000] == 0x1000 + 8 * 3  # read, never written
 
 
 class TestControlFlow:
+    @pytest.mark.parametrize("loop", ["step", "run_batch"])
+    def test_invalid_indirect_target_names_the_missing_memory_image(self, loop):
+        from repro.workloads.suite import workload
+
+        # gcc's switch jumps through a jump table an empty state does not hold.
+        emulator = Emulator(workload("gcc").program)
+        run = emulator.run_batch if loop == "run_batch" else lambda n: list(emulator.run(n))
+        with pytest.raises(EmulationError, match=r"invalid pc .*workload\.make_state\(\)"):
+            run(1000)
+
     def test_counted_loop_executes_expected_iterations(self):
         b = ProgramBuilder()
         b.movi("r1", 0)

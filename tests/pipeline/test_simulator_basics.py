@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import EmulationError, SimulationError
 from repro.isa.builder import ProgramBuilder
+from repro.pipeline.config import named_config
 from repro.pipeline.simulator import Simulator
 from tests.conftest import build_counted_loop, predictable_chain_loop, run_simulation, small_config
 
@@ -46,6 +47,13 @@ class TestTermination:
     def test_warmup_must_be_smaller_than_run(self, simple_loop):
         with pytest.raises(SimulationError):
             Simulator(small_config(), simple_loop, max_uops=100, warmup_uops=100)
+
+    def test_suite_workload_without_its_state_names_make_state(self):
+        from repro.workloads.suite import workload
+
+        # Without a trace the simulator emulates gcc from an all-zero state.
+        with pytest.raises(EmulationError, match=r"workload\.make_state\(\)"):
+            Simulator(named_config("Baseline_6_64"), workload("gcc").program, max_uops=10)
 
 
 class TestDeterminism:

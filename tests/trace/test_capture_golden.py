@@ -4,16 +4,17 @@ The step-vs-batch tests compare two emulator loops with each other, so a change
 to what both share (the flags helpers, the workload programs, the arch-state
 set-up, the blob encoding) moves them together and passes.  These digests were
 recorded before the batched loop dispatched on pre-resolved arms and before
-memory arrays were written in bulk; a change to them is a change to every trace.
-A columnar capture (the emulator writing the columns, no ``DynInst``) must give
-the same digests.
+memory arrays were written in bulk or computed on read; a change to them is a
+change to every trace.  A columnar capture (the emulator writing the columns, no
+``DynInst``) and the step-wise reference (``Emulator.run``, whose loads go
+through ``ArchState.read_mem``) must give the same digests.
 """
 
 import hashlib
 
 import pytest
 
-from repro.trace.capture import capture_budget, capture_workload_trace
+from repro.trace.capture import capture_budget, capture_workload_trace, reference_trace
 from repro.workloads.suite import SUITE_ORDER, workload
 
 #: ``capture_budget(2000)`` µ-ops of each workload from a fresh arch state.
@@ -58,3 +59,10 @@ def test_columnar_blob_matches_golden_and_replay_capture(name):
     blob = columnar.to_bytes()
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_SHA256[name]
     assert blob == capture_workload_trace(workload(name), budget).to_bytes()
+
+
+@pytest.mark.parametrize("name", SUITE_ORDER)
+def test_step_wise_reference_blob_matches_golden(name):
+    wl = workload(name)
+    blob = reference_trace(wl.program, capture_budget(2000), wl.make_state()).to_bytes()
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_SHA256[name]

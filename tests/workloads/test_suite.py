@@ -3,8 +3,9 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.isa.emulator import collect_trace
+from repro.isa.emulator import Emulator, collect_trace
 from repro.isa.trace import characterize
+from repro.trace.capture import capture_budget
 from repro.workloads.suite import (
     FAST_SUBSET,
     SUITE_ORDER,
@@ -67,12 +68,28 @@ class TestSuiteStructure:
         assert wl.make_state() is not wl.make_state()
 
     def test_states_are_independent_across_calls(self):
-        wl = workload("gzip")
+        wl = workload("mcf")
         first, second = wl.make_state(), wl.make_state()
-        address = next(iter(first.memory)) if first.memory else 0
-        original = second.memory.get(address, 0)
-        first.memory[address] = original + 12345
-        assert second.memory.get(address, 0) == original
+        address = first.regions[0][0]  # a word of the pointer-chase array
+        original = second.read_mem(address)
+        first.write_mem(address, original + 12345)
+        assert first.read_mem(address) == original + 12345
+        assert second.read_mem(address) == original
+
+
+class TestMemoryImage:
+    """The initial memory image costs memory only for the words a run touches."""
+
+    @pytest.mark.parametrize("name", SUITE_ORDER)
+    def test_fresh_state_holds_no_words(self, name):
+        assert workload(name).make_state().memory == {}
+
+    def test_capture_stores_only_the_words_it_touches(self):
+        wl = workload("mcf")
+        state = wl.make_state()
+        insts = Emulator(wl.program, state=state).run_batch(capture_budget(2000))
+        touched = {inst.addr for inst in insts if inst.addr is not None}
+        assert set(state.memory) == touched
 
 
 class TestSuiteBehaviouralDiversity:
