@@ -5,6 +5,7 @@ from repro.analysis.metrics import arithmetic_mean, geometric_mean, relative_cha
 from repro.analysis.predictor_eval import PredictorEvaluation, evaluate_predictor
 from repro.analysis.report import ExperimentResult, ExperimentSeries, format_table
 from repro.analysis.runner import (
+    CellFailed,
     ResultCache,
     default_max_uops,
     default_warmup_uops,
@@ -16,6 +17,7 @@ from repro.analysis.runner import (
 )
 
 __all__ = [
+    "CellFailed",
     "EXPERIMENTS",
     "ExperimentResult",
     "ExperimentSeries",

@@ -2,9 +2,10 @@
 
 Every figure of the paper compares several machine configurations over the same
 workload suite, and several figures share configurations (``Baseline_VP_6_64`` is the
-normalisation baseline of Figs. 7, 8, 12 and 13).  Grid execution is routed through
-the campaign engine (:mod:`repro.campaign`), which layers three reuse levels under a
-single primitive:
+normalisation baseline of Figs. 7, 8, 12 and 13).  :func:`run_grid` submits a grid
+to the campaign engine (:mod:`repro.campaign`); :func:`run_suite` and
+:func:`run_workload` are its one-configuration and one-cell cases.  Every cell goes
+down the engine's one cell ladder (:func:`~repro.campaign.executor.run_cell`):
 
 1. the module-level :class:`ResultCache` memoises (configuration, workload, length)
    triples within one process, keeping the full benchmark harness affordable;
@@ -12,6 +13,11 @@ single primitive:
    ``REPRO_RESULT_STORE``) carries results across processes and sessions;
 3. anything left is simulated — serially by default, or on a local fleet of worker
    processes when ``REPRO_CAMPAIGN_WORKERS`` (or an explicit ``workers=``) says so.
+
+The cache and the store key a cell by workload name, so a caller's own
+:class:`~repro.workloads.suite.Workload` objects bypass both.  A raising cell never
+stops its grid; once the grid has finished, :class:`CellFailed` names every failed
+cell.
 
 Run lengths default to a scaled-down region of interest (the paper uses 50M warm-up +
 100M instructions; see DESIGN.md §5 for why a few thousand µ-ops of these steady-state
@@ -22,12 +28,12 @@ kernels are representative).  They can be overridden globally through the
 from __future__ import annotations
 
 import os
-import time
 from collections.abc import Iterable
 
-from repro.campaign.executor import run_campaign, simulate_cell
+from repro.campaign.executor import CellFailed, run_campaign, run_cell
+from repro.campaign.progress import ProgressReporter
 from repro.campaign.spec import Campaign, CampaignCell
-from repro.campaign.store import ResultStore, default_store
+from repro.campaign.store import ResultStore
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.stats import SimulationResult
 from repro.workloads.suite import SUITE_ORDER, Workload, all_workloads, workload
@@ -90,73 +96,17 @@ def run_workload(
     warmup_uops: int | None = None,
     cache: ResultCache | None = shared_cache,
     store: ResultStore | None = None,
-    trace=None,
     progress: bool | None = None,
 ) -> SimulationResult:
-    """Simulate ``workload`` on ``config`` (cached by configuration name and lengths).
+    """Simulate ``workload`` on ``config``: a one-cell :func:`run_grid`.
 
-    Reuse order is cache → store → simulate; ``store=None`` falls back to the
-    ``REPRO_RESULT_STORE`` default store when that variable is set.  Simulation
-    replays the workload's committed stream from the shared trace cache
-    (:mod:`repro.trace`); pass ``trace=`` to replay an explicit pre-captured trace
-    instead.  An explicit trace bypasses the result cache and store entirely — their
-    keys identify the *canonical* workload stream, which a caller-supplied trace
-    need not match.
-
-    ``progress=None`` defers to ``REPRO_PROGRESS``, exactly like :func:`run_grid`:
-    a single-cell run (predictor_eval, the examples) then reports the same
-    per-cell done/reused line a campaign grid would.
+    Raises :class:`~repro.campaign.executor.CellFailed` when the simulation raised.
     """
-    max_uops = max_uops if max_uops is not None else default_max_uops()
-    warmup_uops = warmup_uops if warmup_uops is not None else default_warmup_uops()
-    progress = progress if progress is not None else default_progress()
-    cell = CampaignCell(
-        config=config, workload_name=workload.name, max_uops=max_uops, warmup_uops=warmup_uops
+    grid = run_grid(
+        [config], [workload], max_uops, warmup_uops, cache, store,
+        workers=1, progress=progress, label=f"{config.name}/{workload.name}",
     )
-    if not progress:
-        return _run_workload_cell(cell, workload, cache, store, trace)[0]
-    from repro.campaign.progress import ProgressReporter
-
-    reporter = ProgressReporter(total=1, enabled=True, label=cell.describe())
-    reporter.cell_started(cell)
-    started = time.perf_counter()
-    result, reused = _run_workload_cell(cell, workload, cache, store, trace)
-    reporter.cell_done(cell, time.perf_counter() - started, reused=reused)
-    reporter.finish()
-    return result
-
-
-def _run_workload_cell(
-    cell: CampaignCell,
-    workload: Workload,
-    cache: ResultCache | None,
-    store: ResultStore | None,
-    trace,
-) -> tuple[SimulationResult, bool]:
-    """The cache → store → simulate ladder behind :func:`run_workload`.
-
-    Returns ``(result, reused)`` — ``reused`` mirrors the campaign reporter's
-    notion (cache or store hit, no simulation run).
-    """
-    if trace is not None:
-        return simulate_cell(cell, workload, trace=trace), False
-    if cache is not None:
-        cached = cache.get(cell.key)
-        if cached is not None:
-            return cached, True
-    store = store if store is not None else default_store()
-    if store is not None:
-        stored = store.get(cell.fingerprint)
-        if stored is not None:
-            if cache is not None:
-                cache.put(cell.key, stored)
-            return stored, True
-    result = simulate_cell(cell, workload)
-    if store is not None:
-        store.put(cell, result)
-    if cache is not None:
-        cache.put(cell.key, result)
-    return result, False
+    return grid[config.name][workload.name]
 
 
 def run_grid(
@@ -180,43 +130,54 @@ def run_grid(
     ``progress=None`` defers to the ``REPRO_PROGRESS`` environment variable; when
     enabled, per-cell done-count/ETA lines are printed to stderr, labelled with
     ``label`` (e.g. the figure id the benchmark harness is regenerating).
+
+    A raising cell never stops the grid: once every other cell has its row, a
+    :class:`~repro.campaign.executor.CellFailed` names every failed cell.
     """
     configs = list(configs)
     selected = list(workloads) if workloads is not None else all_workloads()
     max_uops = max_uops if max_uops is not None else default_max_uops()
     warmup_uops = warmup_uops if warmup_uops is not None else default_warmup_uops()
     progress = progress if progress is not None else default_progress()
+    label = label if label else "grid"
 
-    # The campaign engine routes cells by workload *name* (they must survive a process
-    # boundary), so it may only be used when every workload is the registry's own
-    # instance — an ad-hoc Workload that merely shares a suite name must not be
-    # silently replaced by the registry version.
-    registry_members = [
-        wl for wl in selected if wl.name in SUITE_ORDER and workload(wl.name) is wl
-    ]
-    if len(registry_members) == len(selected) and len(
-        {wl.name for wl in selected}
-    ) == len(selected):
+    # The campaign engine, its cache and its store key cells by workload *name*, so
+    # they may only see the registry's own instances: an ad-hoc Workload that
+    # merely shares a suite name must never read or write its twin's results.
+    names = [wl.name for wl in selected]
+    if len(set(names)) == len(names) and all(
+        name in SUITE_ORDER and workload(name) is wl for name, wl in zip(names, selected)
+    ):
         campaign = Campaign(
-            name=label if label else "grid",
+            name=label,
             configs=tuple(configs),
-            workload_names=tuple(wl.name for wl in selected),
+            workload_names=tuple(names),
             max_uops=max_uops,
             warmup_uops=warmup_uops,
         )
         outcome = run_campaign(
             campaign, store=store, workers=workers, cache=cache, progress=progress
         )
-        return outcome.by_config()
-    # Ad-hoc workload objects outside the registered suite cannot cross a process
-    # boundary by name — simulate them serially through the single-cell primitive.
-    return {
-        config.name: {
-            wl.name: run_workload(config, wl, max_uops, warmup_uops, cache, store)
-            for wl in selected
-        }
-        for config in configs
-    }
+        grid, failed = outcome.by_config(), outcome.failed
+    else:
+        # Ad-hoc workloads run in this process, through the same cell ladder with
+        # the cache and the store off.
+        grid, failed = {}, {}
+        reporter = ProgressReporter(
+            total=len(configs) * len(selected), enabled=progress, label=label
+        )
+        for config in configs:
+            for wl in selected:
+                cell = CampaignCell(config, wl.name, max_uops, warmup_uops)
+                run = run_cell(cell, wl, reporter=reporter)
+                if run.error is not None:
+                    failed[(config.name, wl.name)] = run.error
+                else:
+                    grid.setdefault(config.name, {})[wl.name] = run.result
+        reporter.finish()
+    if failed:
+        raise CellFailed(failed)
+    return grid
 
 
 def run_suite(
@@ -229,10 +190,7 @@ def run_suite(
     workers: int | None = None,
 ) -> dict[str, SimulationResult]:
     """Simulate every workload on ``config``; returns results keyed by workload name."""
-    grid = run_grid(
-        [config], workloads, max_uops, warmup_uops, cache, store, workers
-    )
-    return grid[config.name]
+    return run_grid([config], workloads, max_uops, warmup_uops, cache, store, workers)[config.name]
 
 
 def suite_ipcs(results: dict[str, SimulationResult]) -> dict[str, float]:

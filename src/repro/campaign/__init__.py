@@ -7,9 +7,9 @@ of the paper into first-class, resumable jobs:
   SPEC-style named workload sets and content-addressed cell fingerprints;
 * :mod:`repro.campaign.store` — :class:`ResultStore`, an append-only JSON-lines store
   with load/merge/invalidate semantics (env default: ``REPRO_RESULT_STORE``);
-* :mod:`repro.campaign.executor` — :func:`run_campaign`, simulating cells inline or on
-  a local fleet of forked workers (env: ``REPRO_CAMPAIGN_WORKERS``) with per-cell
-  checkpointing and resume;
+* :mod:`repro.campaign.executor` — the one cell ladder and :func:`run_campaign`,
+  running it inline or on a local fleet of forked workers (env:
+  ``REPRO_CAMPAIGN_WORKERS``) with per-cell checkpointing and resume;
 * :mod:`repro.campaign.coordinator` — :class:`CampaignService`, the leased work queue
   over a shared directory behind every parallel run (``run --workers``,
   ``repro-campaign serve`` / ``work``);
@@ -38,6 +38,7 @@ from repro.campaign.coordinator import (
 )
 from repro.campaign.executor import (
     CampaignOutcome,
+    CellFailed,
     campaign_status,
     default_workers,
     failure_payload,
@@ -61,6 +62,7 @@ __all__ = [
     "CampaignCell",
     "CampaignOutcome",
     "CampaignService",
+    "CellFailed",
     "CoordinationError",
     "Lease",
     "ProgressReporter",

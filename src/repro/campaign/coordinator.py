@@ -63,7 +63,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.campaign.executor import _simulate_one_entry, failure_payload
+from repro.campaign.executor import CellRun, failure_payload, run_cell
 from repro.faults import active_faults
 from repro.faults.sites import (
     COORD_CLAIM_DELAY,
@@ -557,39 +557,27 @@ def process_lease(
     )
     heartbeat.start()
     first_error: dict | None = None
-
-    def land(cell: CampaignCell, entry: dict) -> None:
-        """Checkpoint one finished cell immediately (or note its error)."""
-        nonlocal first_error
-        if "error" in entry:
-            entry["error"]["worker"] = worker_id
-            entry["error"]["attempts"] = lease.attempts
-            if first_error is None:
-                first_error = entry["error"]
-            return
-        telemetry = entry["telemetry"]
-        telemetry["worker"] = worker_id
-        telemetry["lease_id"] = lease.lease_id
-        store.put(cell, SimulationResult.from_dict(entry["result"]), telemetry)
-        faults = active_faults()
-        if faults is not None:
-            # Death right after a cell landed in the shared store: the takeover
-            # worker must skip the stored cell and finish only what is missing.
-            faults.die_if(WORKER_DIE_MID_LEASE)
-
+    telemetry = {"worker": worker_id, "lease_id": lease.lease_id}
+    faults = active_faults()
     try:
         store.reload()
         cells = service.cells_by_fingerprint()
-        todo = [
-            cells[fp] for fp in lease.fingerprints if fp in cells and fp not in store
-        ]
         # Same-workload batching through the shared trace cache: the first cell
         # captures the workload once and — with REPRO_TRACE_STORE pointed at the
         # service's traces/ dir — publishes it for the rest of the fleet.  Each
         # finished cell is appended to the shared store straight away, so a
         # worker dying mid-lease loses only its in-flight cell.
-        for cell in todo:
-            land(cell, _simulate_one_entry(cell))
+        for fingerprint in lease.fingerprints:
+            if fingerprint not in cells:
+                continue
+            run = run_cell(cells[fingerprint], store=store, telemetry=telemetry, requeued=True)
+            if run.error is not None:
+                run.error.update(worker=worker_id, attempts=lease.attempts)
+                first_error = first_error or run.error
+            elif run.source == "simulated" and faults is not None:
+                # Death right after a cell landed in the shared store: the takeover
+                # worker must skip the stored cell and finish only what is missing.
+                faults.die_if(WORKER_DIE_MID_LEASE)
     except Exception as error:  # noqa: BLE001 — lease-level failure, requeued below
         first_error = failure_payload(error, worker=worker_id, attempts=lease.attempts)
     finally:
@@ -859,12 +847,12 @@ def _lease_width(cells: list[CampaignCell], workers: int) -> int:
 
 
 def run_local_fleet(
-    campaign: Campaign, cells: list[CampaignCell], workers: int, complete, fail
+    campaign: Campaign, cells: list[CampaignCell], workers: int, land
 ) -> None:
     """Lease ``cells`` of ``campaign`` to ``workers`` forked workers via a throwaway
-    service directory, handing each row to ``complete(cell, result, seconds,
-    telemetry)`` or ``fail(cell, error)`` as it lands.  Cells still missing when
-    every worker has died fail with a :class:`CoordinationError` payload.
+    service directory, handing each row to ``land(cell, run)`` as a
+    :class:`~repro.campaign.executor.CellRun` as it lands.  Cells still missing
+    when every worker has died fail with a :class:`CoordinationError` payload.
     """
     with tempfile.TemporaryDirectory(prefix="repro-fleet-") as root:
         service = CampaignService(root)
@@ -879,16 +867,15 @@ def run_local_fleet(
             seen = await_cells(
                 service,
                 pending,
-                on_done=lambda cell, record: complete(
-                    cell,
+                on_done=lambda cell, record: land(cell, CellRun(
+                    "simulated",
                     SimulationResult.from_dict(record["result"]),
-                    record["telemetry"]["wall_seconds"],
-                    record["telemetry"],
-                ),
-                on_failed=lambda cell, row: fail(cell, row["error"]),
+                    telemetry=record["telemetry"],
+                )),
+                on_failed=lambda cell, row: land(cell, CellRun("failed", error=row["error"])),
                 workers=processes,
             )
     lost = CoordinationError(f"all {workers} local workers exited before the cell landed")
     for fingerprint, cell in pending.items():
         if fingerprint not in seen:
-            fail(cell, failure_payload(lost))
+            land(cell, CellRun("failed", error=failure_payload(lost)))

@@ -1,18 +1,17 @@
 """The campaign executor: run a cell grid, checkpointing every finished cell.
 
-The execution order per cell is cache → store → simulate:
+:func:`run_cell` is the one cell ladder — the serial loop, fleet workers and the
+library's ad-hoc workloads all go down it:
 
 1. an in-memory cache hit (same process, e.g. a previous figure sharing the baseline)
    is free;
 2. a persistent-store hit (a previous campaign/process/session) costs one dict →
    :class:`SimulationResult` conversion;
-3. everything else is simulated — inline when ``workers <= 1``, otherwise on a local
-   fleet (:func:`~repro.campaign.coordinator.run_local_fleet`), the one parallel
-   path: ``workers`` forked workers lease the cells from a temporary service
-   directory, with the fleet's retry-with-backoff-then-failure-row model.
+3. everything else is simulated and appended as it lands — a result row with its
+   telemetry, or a failure row — so an interrupted campaign resumes at step 2.
 
-Every finished simulation is appended to the store as it lands, so an interrupted
-campaign is resumable: re-running it skips straight to the missing cells (step 2).
+:func:`run_campaign` runs the ladder inline when ``workers <= 1``, else on a local
+fleet (:func:`~repro.campaign.coordinator.run_local_fleet`), the one parallel path.
 Determinism is unaffected by parallelism because each cell is self-contained — the
 simulator derives all randomness from the configuration's ``predictor_seed`` (or the
 campaign-derived per-cell seed, see :class:`~repro.campaign.spec.Campaign`), never
@@ -30,6 +29,7 @@ from dataclasses import dataclass, field
 from repro.campaign.progress import ProgressReporter
 from repro.campaign.spec import Campaign, CampaignCell
 from repro.campaign.store import ResultStore, default_store
+from repro.errors import ReproError
 from repro.obs.telemetry import TraceCacheSnapshot, cell_telemetry
 from repro.pipeline.simulator import Simulator
 from repro.pipeline.stats import SimulationResult
@@ -71,11 +71,11 @@ def default_workers(fallback: int = 1) -> int:
 def simulate_cell(
     cell: CampaignCell, wl: Workload | None = None, trace=None
 ) -> SimulationResult:
-    """Simulate one cell (the single primitive shared by every execution path).
+    """Simulate one cell; inside the library its one caller is :func:`run_cell`.
 
-    ``wl`` short-circuits the suite lookup when the caller already holds the workload
-    object (the serial :func:`repro.analysis.runner.run_workload` path); worker
-    processes pass only the cell and re-derive the workload from its name.
+    ``wl`` short-circuits the suite lookup when the caller owns the workload
+    object (:func:`repro.analysis.runner.run_grid`'s ad-hoc workloads); every
+    other cell re-derives its workload from its name.
 
     The workload's committed µ-op stream comes from the shared trace cache
     (:mod:`repro.trace`): the architectural emulator runs once per workload and every
@@ -96,24 +96,98 @@ def simulate_cell(
     return simulator.run()
 
 
-def _simulate_one_entry(cell: CampaignCell) -> dict:
-    """Simulate one cell into a success/error entry (never raises).
+class CellFailed(ReproError):
+    """Raised by the library API once a grid has finished with failed cells.
 
-    Either ``{"result", "seconds", "telemetry"}`` or ``{"error"}`` — a raising
-    cell costs only itself.
+    ``failed`` maps ``(config_name, workload_name)`` to each cell's error dict
+    (see :func:`failure_payload`); every other cell of the grid has its row.
     """
+
+    def __init__(self, failed: dict[tuple[str, str], dict]) -> None:
+        self.failed = failed
+        super().__init__("failed cells: " + "; ".join(
+            f"{config}/{name} ({error.get('type')}: {error.get('message')})"
+            for (config, name), error in failed.items()
+        ))
+
+
+@dataclass
+class CellRun:
+    """One cell's way down :func:`run_cell`."""
+
+    #: ``"cache"``, ``"store"``, ``"simulated"`` or ``"failed"``.
+    source: str
+    result: SimulationResult | None = None
+    #: The :func:`failure_payload` of a failed cell.
+    error: dict | None = None
+    #: The :func:`cell_telemetry` row of a simulated cell.
+    telemetry: dict | None = None
+
+
+def _reuse(cell: CampaignCell, store, cache, reporter) -> CellRun | None:
+    """Ladder steps 1–2: the cache, then the store, whose hit refills the cache."""
+    result = cache.get(cell.key) if cache is not None else None
+    source = "cache"
+    if result is None and store is not None:
+        result, source = store.get(cell.fingerprint), "store"
+        if result is not None and cache is not None:
+            cache.put(cell.key, result)
+    if result is None:
+        return None
+    if reporter is not None:
+        reporter.cell_done(cell, 0.0, reused=True)
+    return CellRun(source, result)
+
+
+def _land(cell: CampaignCell, run: CellRun, store, cache, reporter) -> CellRun:
+    """Ladder steps 4–6: append the result or failure row, fill the cache, report."""
+    if run.error is not None:
+        if store is not None:
+            store.put_failure(cell, run.error)
+        if reporter is not None:
+            reporter.cell_failed(cell, run.error)
+        return run
+    if store is not None:
+        store.put(cell, run.result, run.telemetry)
+    if cache is not None:
+        cache.put(cell.key, run.result)
+    if reporter is not None:
+        reporter.cell_done(cell, run.telemetry["wall_seconds"], reused=False)
+    return run
+
+
+def run_cell(
+    cell: CampaignCell,
+    wl: Workload | None = None,
+    store: ResultStore | None = None,
+    cache=None,
+    reporter: ProgressReporter | None = None,
+    telemetry: dict | None = None,
+    requeued: bool = False,
+) -> CellRun:
+    """The one in-process cell ladder: cache → store → simulate → append → cache → report.
+
+    A simulated cell is appended to ``store`` with its :func:`cell_telemetry` row,
+    extended by ``telemetry`` (a fleet worker's ``worker``/``lease_id``).  A cell
+    whose simulation raises never raises here: it returns a ``"failed"`` run
+    carrying its :func:`failure_payload` and, unless ``requeued`` (a fleet lease,
+    which retries the cell itself), appends a failure row.
+    """
+    run = _reuse(cell, store, cache, reporter)
+    if run is not None:
+        return run
+    if reporter is not None:
+        reporter.cell_started(cell)
     snapshot = TraceCacheSnapshot()
     started = time.monotonic()
     try:
-        result = simulate_cell(cell)
+        result = simulate_cell(cell, wl)
     except Exception as error:  # noqa: BLE001 — one bad cell must not sink the grid
-        return {"error": failure_payload(error)}
-    seconds = time.monotonic() - started
-    return {
-        "result": result.to_dict(),
-        "seconds": seconds,
-        "telemetry": cell_telemetry(result, seconds, snapshot),
-    }
+        run = CellRun("failed", error=failure_payload(error))
+        return run if requeued else _land(cell, run, store, cache, reporter)
+    row = cell_telemetry(result, time.monotonic() - started, snapshot)
+    row.update(telemetry or {})
+    return _land(cell, CellRun("simulated", result, telemetry=row), store, cache, reporter)
 
 
 @dataclass
@@ -135,6 +209,20 @@ class CampaignOutcome:
     def failures(self) -> int:
         """Cells whose simulation raised (recorded in :attr:`failed`)."""
         return len(self.failed)
+
+    def record(self, cell: CampaignCell, run: CellRun) -> None:
+        """File one cell's :class:`CellRun` under its result or its failure."""
+        key = (cell.config.name, cell.workload_name)
+        if run.error is not None:
+            self.failed[key] = run.error
+            return
+        self.results[key] = run.result
+        if run.source == "cache":
+            self.from_cache += 1
+        elif run.source == "store":
+            self.from_store += 1
+        else:
+            self.simulated += 1
 
     def by_config(self) -> dict[str, dict[str, SimulationResult]]:
         """Results regrouped as config name → workload name → result."""
@@ -161,7 +249,8 @@ def run_campaign(
     :attr:`CampaignCell.key` tuples (e.g. :class:`repro.analysis.runner.ResultCache`);
     ``store=None`` falls back to the ``REPRO_RESULT_STORE`` default store when set.
     ``workers=None`` defers to :func:`default_workers` (serial unless the
-    environment says otherwise).
+    environment says otherwise).  A raising cell ends as a failure row in
+    :attr:`CampaignOutcome.failed`; the rest of the grid still runs.
     """
     started = time.monotonic()
     cells = campaign.cells()
@@ -173,66 +262,26 @@ def run_campaign(
     )
     outcome = CampaignOutcome(campaign=campaign)
 
-    pending: list[CampaignCell] = []
-    for cell in cells:
-        cached = cache.get(cell.key) if cache is not None else None
-        if cached is not None:
-            outcome.results[(cell.config.name, cell.workload_name)] = cached
-            outcome.from_cache += 1
-            reporter.cell_done(cell, 0.0, reused=True)
-            continue
-        stored = store.get(cell.fingerprint) if store is not None else None
-        if stored is not None:
-            outcome.results[(cell.config.name, cell.workload_name)] = stored
-            outcome.from_store += 1
-            if cache is not None:
-                cache.put(cell.key, stored)
-            reporter.cell_done(cell, 0.0, reused=True)
-            continue
-        pending.append(cell)
+    if workers > 1:
+        pending = []
+        for cell in cells:
+            run = _reuse(cell, store, cache, reporter)
+            if run is None:
+                pending.append(cell)
+            else:
+                outcome.record(cell, run)
+        cells = pending
+    if workers <= 1 or len(cells) == 1:
+        for cell in cells:
+            outcome.record(cell, run_cell(cell, store=store, cache=cache, reporter=reporter))
+    elif cells:
+        # Imported here: the coordinator builds on this module's cell ladder.
+        from repro.campaign.coordinator import run_local_fleet
 
-    def complete(
-        cell: CampaignCell,
-        result: SimulationResult,
-        seconds: float,
-        telemetry: dict | None = None,
-    ) -> None:
-        outcome.results[(cell.config.name, cell.workload_name)] = result
-        outcome.simulated += 1
-        if store is not None:
-            store.put(cell, result, telemetry)
-        if cache is not None:
-            cache.put(cell.key, result)
-        reporter.cell_done(cell, seconds, reused=False)
-
-    def fail(cell: CampaignCell, error: dict) -> None:
-        outcome.failed[(cell.config.name, cell.workload_name)] = error
-        if store is not None:
-            store.put_failure(cell, error)
-        reporter.cell_failed(cell, error)
-
-    def deliver(cell: CampaignCell, entry: dict) -> None:
-        """Route one worker entry (success or error) into the outcome/store."""
-        if "error" in entry:
-            fail(cell, entry["error"])
-        else:
-            complete(
-                cell,
-                SimulationResult.from_dict(entry["result"]),
-                entry["seconds"],
-                entry["telemetry"],
-            )
-
-    if pending:
-        if workers <= 1 or len(pending) == 1:
-            for cell in pending:
-                reporter.cell_started(cell)
-                deliver(cell, _simulate_one_entry(cell))
-        else:
-            # Imported here: the coordinator builds on this module's cell primitives.
-            from repro.campaign.coordinator import run_local_fleet
-
-            run_local_fleet(campaign, pending, workers, complete, fail)
+        run_local_fleet(
+            campaign, cells, workers,
+            lambda cell, run: outcome.record(cell, _land(cell, run, store, cache, reporter)),
+        )
 
     outcome.elapsed_seconds = time.monotonic() - started
     reporter.finish()

@@ -8,8 +8,10 @@ from repro.analysis.runner import (
     run_workload,
     suite_ipcs,
 )
+from repro.campaign.store import ResultStore
 from repro.pipeline.config import PipelineConfig
-from repro.workloads.suite import workload
+from repro.workloads.spec import WorkloadSpec
+from repro.workloads.suite import Workload, workload
 
 
 def _fast_config(name="runner_test", **kw) -> PipelineConfig:
@@ -78,14 +80,16 @@ class TestRunner:
         assert capsys.readouterr().err == ""
 
 
+def _impostor() -> Workload:
+    """A caller-built workload sharing the suite name ``gcc`` (default-knob program)."""
+    return Workload(WorkloadSpec(name="gcc", paper_benchmark="403.gcc"))
+
+
 class TestCustomWorkloads:
     def test_run_suite_simulates_the_object_passed_not_the_registry_twin(self):
         """A caller-supplied Workload sharing a suite name must not be swapped for
         the registry's instance by the campaign routing (which ships cells by name)."""
-        from repro.workloads.spec import WorkloadSpec
-        from repro.workloads.suite import Workload, workload
-
-        impostor = Workload(WorkloadSpec(name="gcc", paper_benchmark="403.gcc"))
+        impostor = _impostor()
         assert impostor is not workload("gcc")
         custom = run_suite(_fast_config(), [impostor], max_uops=400, warmup_uops=0, cache=None)
         registry = run_suite(
@@ -93,3 +97,22 @@ class TestCustomWorkloads:
         )
         # The impostor's default-knob program behaves differently from real gcc.
         assert custom["gcc"].stats != registry["gcc"].stats
+
+    def test_an_impostor_is_not_served_its_twins_cache_entry(self):
+        """The result cache keys cells by suite name, so an ad-hoc workload must
+        bypass it: the suite gcc's entry is not the impostor's result."""
+        config = _fast_config("runner_impostor_cache")
+        registry = run_workload(config, workload("gcc"), max_uops=400, warmup_uops=0)
+        custom = run_workload(config, _impostor(), max_uops=400, warmup_uops=0)
+        assert custom.stats != registry.stats
+
+    def test_an_impostor_writes_no_row_its_twin_would_be_served(self, tmp_path):
+        """The store keys cells by suite name too: after an impostor ran with
+        ``store=``, a fresh store over the same file must still simulate gcc."""
+        config = _fast_config()
+        store = ResultStore(tmp_path / "s.jsonl")
+        custom = run_workload(config, _impostor(), 400, 0, cache=None, store=store)
+        reopened = ResultStore(store.path)
+        registry = run_workload(config, workload("gcc"), 400, 0, cache=None, store=reopened)
+        assert registry.stats != custom.stats
+        assert [row["workload"] for row in ResultStore(store.path).records()] == ["gcc"]

@@ -6,11 +6,13 @@ import time
 
 import pytest
 
-from repro.analysis.runner import ResultCache, run_suite
-from repro.campaign.executor import campaign_status, default_workers, run_campaign
+from repro.analysis.runner import ResultCache, run_grid, run_suite, run_workload
+from repro.campaign.executor import CellFailed, campaign_status, default_workers, run_campaign
 from repro.campaign.spec import Campaign
 from repro.campaign.store import ResultStore
 from repro.pipeline.config import PipelineConfig
+from repro.workloads.spec import WorkloadSpec
+from repro.workloads.suite import Workload, workload
 
 UOPS, WARMUP = 500, 100
 
@@ -204,6 +206,50 @@ class TestFailureHandling:
         )
         assert set(outcome.failed) == {("CfgA", "mcf"), ("CfgB", "mcf")}
         assert set(outcome.results) == {("CfgA", "gcc"), ("CfgB", "gcc")}
+
+    def test_run_workload_raises_cell_failed_and_leaves_a_failure_row(
+        self, tmp_path, monkeypatch
+    ):
+        self._explode_on_mcf(monkeypatch)
+        store = ResultStore(tmp_path / "s.jsonl")
+        with pytest.raises(CellFailed) as raised:
+            run_workload(_fast_config("CfgA"), workload("mcf"), UOPS, WARMUP, None, store)
+        assert list(raised.value.failed) == [("CfgA", "mcf")]
+        [row] = ResultStore(store.path).failures()
+        assert row["workload"] == "mcf" and row["error"]["type"] == "RuntimeError"
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "fleet"])
+    def test_run_grid_finishes_the_grid_then_raises_cell_failed(
+        self, tmp_path, monkeypatch, workers
+    ):
+        self._explode_on_mcf(monkeypatch)
+        campaign = _campaign()
+        store = ResultStore(tmp_path / "s.jsonl")
+        with pytest.raises(CellFailed) as raised:
+            run_grid(
+                campaign.configs, [workload("gcc"), workload("mcf")], UOPS, WARMUP,
+                cache=None, store=store, workers=workers,
+            )
+        assert set(raised.value.failed) == {("CfgA", "mcf"), ("CfgB", "mcf")}
+        assert "CfgA/mcf (RuntimeError: injected fault)" in str(raised.value)
+        reloaded = ResultStore(store.path)
+        for cell in campaign.cells():
+            if cell.workload_name == "gcc":
+                assert cell.fingerprint in reloaded
+            else:
+                assert reloaded.get_failure(cell.fingerprint)["error"]["type"] == "RuntimeError"
+
+    def test_an_ad_hoc_grid_runs_every_cell_before_raising(self, monkeypatch, capsys):
+        self._explode_on_mcf(monkeypatch)
+        ad_hoc = [
+            Workload(WorkloadSpec(name=name, paper_benchmark=name)) for name in ("mcf", "gcc")
+        ]
+        with pytest.raises(CellFailed) as raised:
+            run_grid([_fast_config("CfgA")], ad_hoc, UOPS, WARMUP, progress=True)
+        assert list(raised.value.failed) == [("CfgA", "mcf")]
+        err = capsys.readouterr().err
+        assert "CfgA/mcf FAILED: RuntimeError: injected fault" in err
+        assert "CfgA/gcc simulated in" in err
 
     def test_failure_payload_shape(self):
         from repro.campaign.executor import failure_payload
