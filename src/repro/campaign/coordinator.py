@@ -40,6 +40,12 @@ Lease protocol (all transitions under ``queue.lock``):
   are skipped on retry via the store.  After ``max_attempts`` the lease is marked
   *failed* and the missing cells get structured failure rows in the store.
 
+Events: each claim, requeue and polite interrupt is an event of the campaign's
+one stream (:mod:`repro.campaign.progress`), emitted through a reporter labelled
+with the worker id: a stderr line when the worker runs with ``progress``, and a
+row in the ``REPRO_HEARTBEAT_LOG`` log, which forked and ``repro-campaign work``
+workers inherit.  The process awaiting the grid emits the cell events.
+
 Determinism: cells are self-contained and seed-derived, so a fleet run — whatever
 the interleaving, crashes and retries — produces results byte-identical to a
 serial :func:`~repro.campaign.executor.run_campaign` of the same grid.  Clocks
@@ -60,7 +66,7 @@ import threading
 import time
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from repro.campaign.executor import CellRun, failure_payload, run_cell
@@ -127,17 +133,7 @@ class Lease:
     errors: list[dict] | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "lease_id": self.lease_id,
-            "workload": self.workload,
-            "fingerprints": list(self.fingerprints),
-            "state": self.state,
-            "owner": self.owner,
-            "deadline_unix": self.deadline_unix,
-            "not_before_unix": self.not_before_unix,
-            "attempts": self.attempts,
-            "errors": list(self.errors or []),
-        }
+        return asdict(self) | {"errors": list(self.errors or [])}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Lease":
@@ -166,6 +162,8 @@ class CampaignService:
         self._payload: dict | None = None
         self._campaign: Campaign | None = None
         self._cells: dict[str, CampaignCell] | None = None
+        #: Fingerprints stored when this handle first submitted (``serve``'s reused cells).
+        self.stored_at_submit: set[str] | None = None
 
     # ------------------------------------------------------------------ locking
     @contextmanager
@@ -197,6 +195,7 @@ class CampaignService:
         part of the grid (a local fleet leases only what missed the caller's
         store).  Resubmitting the identical grid is a no-op (a resume);
         submitting a *different* grid to a non-empty service directory raises.
+        The first call on this handle snapshots :attr:`stored_at_submit`.
         """
         spec = campaign.to_spec_dict()
         payload = {
@@ -208,6 +207,10 @@ class CampaignService:
             },
         }
         with self._queue_locked():
+            if self.stored_at_submit is None:
+                store = self.result_store()
+                fingerprints = (cell.fingerprint for cell in campaign.cells())
+                self.stored_at_submit = {fp for fp in fingerprints if fp in store}
             if self.campaign_path.exists():
                 existing = self._read_payload()
                 if existing["campaign"] != spec:
@@ -289,9 +292,7 @@ class CampaignService:
     def status(self) -> dict:
         """Queue + store accounting for ``serve`` streaming and CLI status."""
         leases = self.leases()
-        by_state: dict[str, int] = {}
-        for lease in leases:
-            by_state[lease.state] = by_state.get(lease.state, 0) + 1
+        by_state = dict(Counter(lease.state for lease in leases))
         store = self.result_store()
         fingerprints = set(self.cells_by_fingerprint())
         return {
@@ -613,6 +614,8 @@ def work_loop(
     os.environ.setdefault(TRACE_STORE_ENV_VAR, str(service.trace_dir))
     store = service.result_store()
     counts = {"processed": 0, "requeued": 0, "lost": 0, "released": 0}
+    # Worker events count no cells: the process running the grid counts them.
+    events = ProgressReporter(total=0, enabled=progress, label=worker_id)
 
     def _interrupt(signum, frame):  # noqa: ARG001 — signal-handler signature
         raise WorkerInterrupted(signal.Signals(signum).name)
@@ -633,12 +636,10 @@ def work_loop(
                 continue
             if faults is not None:
                 faults.die_if(WORKER_DIE_AFTER_CLAIM)
-            if progress:
-                print(
-                    f"[{worker_id}] claimed {lease.lease_id} "
-                    f"({len(lease.fingerprints)} cells, attempt {lease.attempts})",
-                    flush=True,
-                )
+            events.emit(
+                "lease_claimed", worker=worker_id, lease=lease.lease_id,
+                cells=len(lease.fingerprints), attempt=lease.attempts,
+            )
             error = process_lease(service, lease, worker_id, store)
             if error is None:
                 if faults is not None:
@@ -652,22 +653,21 @@ def work_loop(
             else:
                 state = service.requeue(lease, worker_id, error)
                 counts["requeued" if state == "pending" else "lost"] += 1
-                if progress:
-                    print(
-                        f"[{worker_id}] {lease.lease_id} -> {state}: "
-                        f"{error.get('type')}: {error.get('message')}",
-                        flush=True,
-                    )
+                events.emit(
+                    "lease_requeued", worker=worker_id, lease=lease.lease_id, state=state,
+                    error_type=error.get("type"), error_message=error.get("message"),
+                )
             lease = None
             if once:
                 return counts
     except WorkerInterrupted as stop:
-        if lease is not None and service.release(lease, worker_id):
-            counts["released"] += 1
+        released = lease is not None and service.release(lease, worker_id)
+        counts["released"] += released
         counts["interrupted"] = str(stop)
-        if progress:
-            released = " (lease released)" if counts["released"] else ""
-            print(f"[{worker_id}] interrupted by {stop}{released}", flush=True)
+        events.emit(
+            "worker_interrupted", worker=worker_id, signal=str(stop), released=released,
+            lease=lease.lease_id if lease is not None else None,
+        )
         return counts
     finally:
         for signum, handler in previous_handlers.items():
@@ -690,9 +690,9 @@ def serve(
     """Submit ``campaign`` and stream progress until the fleet finishes the grid.
 
     The front-end of the distributed service: publishes the grid as leases,
-    then polls the shared store/queue, emitting one progress line (plus the
-    standard heartbeat-log events) per newly finished cell with its telemetry —
-    wall-clock, µops/s, which worker ran it.  Returns a summary dict with
+    then polls the shared store/queue, emitting one ``cell_done`` or
+    ``cell_failed`` event per cell as its row lands; cells the store held at
+    submission count as reused.  Returns a summary dict with
     ``results`` (fingerprint → record) and ``failed`` rows; raises
     :class:`CoordinationError` on ``timeout_seconds``.
 
@@ -708,6 +708,7 @@ def serve(
         lease_width=lease_width,
     )
     cells = service.cells_by_fingerprint()
+    stored = service.stored_at_submit
     reporter = ProgressReporter(
         total=len(cells), enabled=progress, label=campaign.name, stream=stream
     )
@@ -716,7 +717,10 @@ def serve(
         service,
         cells,
         on_done=lambda cell, record: reporter.cell_done(
-            cell, (record.get("telemetry") or {}).get("wall_seconds", 0.0), reused=False
+            cell,
+            0.0 if cell.fingerprint in stored
+            else (record.get("telemetry") or {}).get("wall_seconds", 0.0),
+            reused=cell.fingerprint in stored,
         ),
         on_failed=lambda cell, row: reporter.cell_failed(cell, row["error"]),
         poll_seconds=poll_seconds,

@@ -1,18 +1,18 @@
-"""Wall-clock progress and ETA reporting for campaign runs.
+"""The campaign's one event stream: progress lines and the JSONL event log.
 
-The reporter distinguishes *simulated* cells from *reused* ones (in-memory cache or
-persistent store hits): the ETA extrapolates from the mean wall-clock of simulated
-cells only, so a resumed campaign that fast-forwards through stored results does not
+:meth:`ProgressReporter.emit` builds one row per event — the fixed keys of
+:data:`ROW_KEYS` plus the event's own fields — and hands that same row to two
+sinks: the JSONL *event log* named by ``heartbeat_path`` or
+``REPRO_HEARTBEAT_LOG`` (written whatever ``enabled`` says; I/O errors are
+swallowed but counted in ``heartbeat_errors`` and carried by ``finish``, since
+telemetry must never take a campaign down), and, when ``enabled``, a human line
+on stderr rendered by the per-event template table :data:`LINES`.  The process
+running the grid emits the cell events and ``finish``; fleet workers emit lease
+events through a reporter labelled with the worker id, whose counters stay zero.
+
+The ETA extrapolates from the mean wall-clock of *simulated* cells only, so a
+resumed campaign that fast-forwards through reused (cache/store) cells does not
 report an absurdly optimistic finish time for the remaining real work.
-
-Besides the human progress lines (``enabled=True``), the reporter can append a
-*structured heartbeat log* — one JSON object per event (``cell_started``,
-``cell_done``, ``finish``) — to the path given by ``heartbeat_path`` or the
-``REPRO_HEARTBEAT_LOG`` environment variable.  The heartbeat is written regardless
-of ``enabled`` and swallows I/O errors: telemetry must never take a campaign down.
-Swallowed write failures are counted (``heartbeat_errors``) and surfaced in both
-the human finish line and the structured ``finish`` record, so lost telemetry is
-at least visible after the fact.
 """
 
 from __future__ import annotations
@@ -26,8 +26,14 @@ from typing import TextIO
 
 from repro.campaign.spec import CampaignCell
 
-#: Environment variable: path of the structured JSONL heartbeat log (optional).
+#: Environment variable: path of the structured JSONL event log (optional).
 HEARTBEAT_ENV_VAR = "REPRO_HEARTBEAT_LOG"
+
+#: The keys every event row carries; an event adds its own fields after them.
+ROW_KEYS = (
+    "unix_time", "event", "label", "worker", "lease", "cell", "done", "total",
+    "simulated", "reused", "failed", "elapsed_seconds", "eta_seconds", "workers",
+)
 
 
 def format_duration(seconds: float) -> str:
@@ -43,8 +49,45 @@ def format_duration(seconds: float) -> str:
     return f"{hours}h{minutes:02d}m"
 
 
+#: The human line of each event, filled in by :func:`render_line` (which adds
+#: the ``[label]`` prefix and the derived ``{head}``/``{elapsed}``/… fields).
+LINES = {
+    "cell_started": "{head} running — elapsed {elapsed}, ETA {eta_or_unknown}",
+    "cell_done": "{head} {outcome} — elapsed {elapsed}, ETA {eta}",
+    "cell_failed": "{head} FAILED{reason} — elapsed {elapsed}",
+    "finish": "done: {simulated} simulated, {reused} reused{failed_note}, "
+    "{total} cells in {elapsed}{pool_note}{lost_note}",
+    "lease_claimed": "claimed {lease} ({cells} cells, attempt {attempt})",
+    "lease_requeued": "{lease} -> {state}: {error_type}: {error_message}",
+    "worker_interrupted": "interrupted by {signal}{released_note}",
+}
+
+
+def render_line(row: dict) -> str:
+    """The human line of one event row."""
+    percent = 100.0 * row["done"] / row["total"] if row["total"] else 100.0
+    eta = format_duration(row["eta_seconds"])
+    error = row.get("error_type") or row.get("error_message")
+    lost = row.get("heartbeat_write_errors")
+    return f"[{row['label']}] " + LINES[row["event"]].format_map(dict(
+        row,
+        head=f"{row['done']}/{row['total']} ({percent:3.0f}%) {row['cell']}",
+        elapsed=format_duration(row["elapsed_seconds"]),
+        eta=eta,
+        eta_or_unknown=eta if row["simulated"] else "unknown",
+        outcome=f"simulated in {format_duration(row['seconds'])}"
+        if row.get("source") == "simulated" else "reused",
+        reason=f": {row['error_type']}: {row['error_message']}" if error else "",
+        failed_note=f", {row['failed']} FAILED" if row["failed"] else "",
+        pool_note=f" ({row['workers']} workers, {row.get('utilization', 0.0):.0%} "
+        "utilisation)" if row["workers"] > 1 else "",
+        lost_note=f", {lost} heartbeat-log writes failed" if lost else "",
+        released_note=" (lease released)" if row.get("released") else "",
+    ))
+
+
 class ProgressReporter:
-    """Prints one line per finished cell plus a final summary."""
+    """Counts a campaign's cells and emits each event to the log and the stream."""
 
     def __init__(
         self,
@@ -66,8 +109,7 @@ class ProgressReporter:
         self.failed = 0
         self._started = time.monotonic()
         self._simulated_seconds = 0.0
-        #: Swallowed heartbeat-log write failures (full disk, bad path, …).
-        #: Surfaced in the finish summary so silently-lost telemetry is visible.
+        #: Swallowed event-log write failures, surfaced by ``finish``.
         self.heartbeat_errors = 0
         if heartbeat_path is None:
             heartbeat_path = os.environ.get(HEARTBEAT_ENV_VAR) or None
@@ -76,15 +118,7 @@ class ProgressReporter:
     # ------------------------------------------------------------------ events
     def cell_started(self, cell: CampaignCell) -> None:
         """Announce one cell entering simulation (serial path / single-cell runs)."""
-        self._heartbeat("cell_started", cell=cell.describe())
-        if not self.enabled:
-            return
-        percent = 100.0 * self.done / self.total if self.total else 100.0
-        eta = format_duration(self.eta) if self.simulated else "unknown"
-        self._emit(
-            f"{self.done}/{self.total} ({percent:3.0f}%) {cell.describe()} running"
-            f" — elapsed {format_duration(self.elapsed)}, ETA {eta}"
-        )
+        self.emit("cell_started", cell=cell.describe())
 
     def cell_done(self, cell: CampaignCell, seconds: float, reused: bool) -> None:
         """Record one finished cell (``reused`` = served from cache/store)."""
@@ -94,59 +128,45 @@ class ProgressReporter:
         else:
             self.simulated += 1
             self._simulated_seconds += seconds
-        self._heartbeat("cell_done", cell=cell.describe(), seconds=seconds, reused=reused)
-        if not self.enabled:
-            return
-        source = "reused" if reused else f"simulated in {format_duration(seconds)}"
-        percent = 100.0 * self.done / self.total if self.total else 100.0
-        self._emit(
-            f"{self.done}/{self.total} ({percent:3.0f}%) {cell.describe()} {source}"
-            f" — elapsed {format_duration(self.elapsed)}, ETA {format_duration(self.eta)}"
-        )
+        source = "reused" if reused else "simulated"
+        self.emit("cell_done", cell=cell.describe(), seconds=seconds, source=source)
 
     def cell_failed(self, cell: CampaignCell, error: dict | None = None) -> None:
         """Record one cell whose simulation raised (the campaign continues)."""
         self.done += 1
         self.failed += 1
-        detail = {}
-        if error is not None:
-            detail = {"error_type": error.get("type"), "error_message": error.get("message")}
-        self._heartbeat("cell_failed", cell=cell.describe(), **detail)
-        if not self.enabled:
-            return
-        percent = 100.0 * self.done / self.total if self.total else 100.0
-        reason = f": {error.get('type')}: {error.get('message')}" if error else ""
-        self._emit(
-            f"{self.done}/{self.total} ({percent:3.0f}%) {cell.describe()} FAILED{reason}"
-            f" — elapsed {format_duration(self.elapsed)}"
-        )
+        error = error or {}
+        self.emit("cell_failed", cell=cell.describe(), error_type=error.get("type"),
+                  error_message=error.get("message"))
 
     def finish(self) -> None:
-        """Print the closing summary line."""
-        # The finish record carries the swallowed-error count: a reader tailing
+        """Emit the closing summary."""
+        # The finish row carries the swallowed-error count: a reader tailing
         # the log can tell how many events a sick disk silently dropped (the
         # finish write itself may add one more, uncountable by definition).
-        self._heartbeat("finish", utilization=self.utilization,
-                        heartbeat_write_errors=self.heartbeat_errors)
-        if not self.enabled:
-            return
-        workers_note = (
-            f" ({self.workers} workers, {self.utilization:.0%} utilisation)"
-            if self.workers > 1
-            else ""
+        self.emit("finish", utilization=self.utilization,
+                  heartbeat_write_errors=self.heartbeat_errors)
+
+    def emit(self, event: str, **fields) -> None:
+        """Build one row for ``event`` and hand it to the event log and the stream."""
+        row = dict.fromkeys(ROW_KEYS)  # worker, lease and cell stay None unless given
+        row.update(
+            unix_time=time.time(), event=event, label=self.label, done=self.done,
+            total=self.total, simulated=self.simulated, reused=self.reused,
+            failed=self.failed, elapsed_seconds=self.elapsed, eta_seconds=self.eta,
+            workers=self.workers, **fields,
         )
-        failed_note = f", {self.failed} FAILED" if self.failed else ""
-        heartbeat_note = (
-            f", {self.heartbeat_errors} heartbeat-log writes failed"
-            if self.heartbeat_errors
-            else ""
-        )
-        self._emit(
-            f"done: {self.simulated} simulated, {self.reused} reused{failed_note}, "
-            f"{self.total} cells in {format_duration(self.elapsed)}"
-            + workers_note
-            + heartbeat_note
-        )
+        if self._heartbeat_path is not None:
+            try:
+                self._heartbeat_path.parent.mkdir(parents=True, exist_ok=True)
+                with self._heartbeat_path.open("a", encoding="utf-8") as handle:
+                    handle.write(json.dumps(row, sort_keys=True) + "\n")
+            except OSError:
+                # Telemetry must never take a campaign down (full disk, bad path, …)
+                # — but a swallowed write is still a lost event, so count it.
+                self.heartbeat_errors += 1
+        if self.enabled:
+            print(render_line(row), file=self.stream, flush=True)
 
     # ------------------------------------------------------------------ derived
     @property
@@ -179,34 +199,3 @@ class ProgressReporter:
         if available <= 0:
             return 0.0
         return min(1.0, self._simulated_seconds / available)
-
-    def _emit(self, message: str) -> None:
-        print(f"[{self.label}] {message}", file=self.stream, flush=True)
-
-    def _heartbeat(self, event: str, **extra) -> None:
-        """Append one structured event row to the heartbeat log (best effort)."""
-        path = self._heartbeat_path
-        if path is None:
-            return
-        row = {
-            "unix_time": time.time(),
-            "event": event,
-            "label": self.label,
-            "done": self.done,
-            "total": self.total,
-            "simulated": self.simulated,
-            "reused": self.reused,
-            "failed": self.failed,
-            "elapsed_seconds": self.elapsed,
-            "eta_seconds": self.eta,
-            "workers": self.workers,
-        }
-        row.update(extra)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with path.open("a", encoding="utf-8") as handle:
-                handle.write(json.dumps(row, sort_keys=True) + "\n")
-        except OSError:
-            # Telemetry must never take a campaign down (full disk, bad path, …)
-            # — but a swallowed write is still a lost event, so count it.
-            self.heartbeat_errors += 1
