@@ -15,9 +15,10 @@ control the cost/fidelity trade-off:
 * ``REPRO_CAMPAIGN_WORKERS`` — run each figure's grid on a local fleet of that many
   forked worker processes (default 1, serial; see docs/campaign.md).
 
-Within one pytest session, simulation results are additionally cached in memory across
-benchmark files (the configurations are shared between figures), so the first file
-pays most of the cost.
+Within one pytest session, every simulated cell is also kept in the library's
+in-process memo (a file-less result store keyed by cell fingerprint) across benchmark
+files (the configurations are shared between figures), so the first file pays most
+of the cost.
 """
 
 from __future__ import annotations

@@ -16,7 +16,6 @@ import sys
 
 from repro.analysis.experiments import fig7_issue_width
 from repro.analysis.report import format_table
-from repro.analysis.runner import ResultCache
 from repro.workloads import fast_workloads, workload
 
 
@@ -27,7 +26,7 @@ def main() -> None:
         selected = fast_workloads()
     print("workloads:", ", ".join(wl.name for wl in selected))
     print("regenerating Figure 7 (this simulates 4 machine configurations)...\n")
-    result = fig7_issue_width(selected, max_uops=10_000, warmup_uops=3_000, cache=ResultCache())
+    result = fig7_issue_width(selected, max_uops=10_000, warmup_uops=3_000)
     print(format_table(result))
     print()
     eole4 = result.series_by_label("EOLE_4_64")

@@ -32,8 +32,8 @@ def main() -> None:
     print(f"simulating {max_uops} µ-ops ({warmup} warm-up) per configuration\n")
 
     # run_workload routes through the campaign engine: the three configurations
-    # replay one captured trace, results land in the in-process cache, and with
-    # REPRO_RESULT_STORE set they persist across sessions (docs/campaign.md).
+    # replay one captured trace, results land in the in-process memo store, and
+    # with REPRO_RESULT_STORE set they persist across sessions (docs/campaign.md).
     results = {}
     for config in (baseline_6_64(), baseline_vp_6_64(), eole_4_64()):
         result = run_workload(config, selected, max_uops, warmup)

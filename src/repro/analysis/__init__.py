@@ -6,13 +6,11 @@ from repro.analysis.predictor_eval import PredictorEvaluation, evaluate_predicto
 from repro.analysis.report import ExperimentResult, ExperimentSeries, format_table
 from repro.analysis.runner import (
     CellFailed,
-    ResultCache,
     default_max_uops,
     default_warmup_uops,
     run_grid,
     run_suite,
     run_workload,
-    shared_cache,
     suite_ipcs,
 )
 
@@ -22,7 +20,6 @@ __all__ = [
     "ExperimentResult",
     "ExperimentSeries",
     "PredictorEvaluation",
-    "ResultCache",
     "arithmetic_mean",
     "default_max_uops",
     "default_warmup_uops",
@@ -33,7 +30,6 @@ __all__ = [
     "run_grid",
     "run_suite",
     "run_workload",
-    "shared_cache",
     "speedups",
     "suite_ipcs",
 ]

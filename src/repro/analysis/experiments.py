@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from repro.analysis.report import ExperimentResult, ExperimentSeries
-from repro.analysis.runner import ResultCache, run_grid, shared_cache
+from repro.analysis.runner import run_grid
 from repro.core.eole import EOLEVariant, eole_config
 from repro.pipeline.config import (
     PipelineConfig,
@@ -66,13 +66,12 @@ def _comparison_figure(
     workloads: Iterable[Workload] | None,
     max_uops: int | None,
     warmup_uops: int | None,
-    cache: ResultCache | None,
 ) -> ExperimentResult:
     """Run one grid (baseline + variants) and append one speedup series per variant."""
     selected = _suite(workloads)
     configs = [baseline_config] + [config for _, config in labelled_configs]
     grid = run_grid(
-        configs, selected, max_uops, warmup_uops, cache, label=result.experiment_id
+        configs, selected, max_uops, warmup_uops, label=result.experiment_id
     )
     baseline = grid[baseline_config.name]
     for label, config in labelled_configs:
@@ -85,7 +84,6 @@ def fig2_early_execution_share(
     workloads: Iterable[Workload] | None = None,
     max_uops: int | None = None,
     warmup_uops: int | None = None,
-    cache: ResultCache | None = shared_cache,
     depths: tuple[int, ...] = (1, 2),
 ) -> ExperimentResult:
     """Fig. 2: fraction of committed µ-ops early-executed, for 1 and 2 ALU stages."""
@@ -104,7 +102,7 @@ def fig2_early_execution_share(
         for depth in depths
     ]
     grid = run_grid(
-        configs, selected, max_uops, warmup_uops, cache, label=result.experiment_id
+        configs, selected, max_uops, warmup_uops, label=result.experiment_id
     )
     for depth, config in zip(depths, configs):
         runs = grid[config.name]
@@ -122,13 +120,12 @@ def fig4_late_execution_share(
     workloads: Iterable[Workload] | None = None,
     max_uops: int | None = None,
     warmup_uops: int | None = None,
-    cache: ResultCache | None = shared_cache,
 ) -> ExperimentResult:
     """Fig. 4: fraction of committed µ-ops late-executed (disjoint from Fig. 2)."""
     selected = _suite(workloads)
     config = eole_6_64()
     runs = run_grid(
-        [config], selected, max_uops, warmup_uops, cache, label="fig4_late_exec_share"
+        [config], selected, max_uops, warmup_uops, label="fig4_late_exec_share"
     )[config.name]
     result = ExperimentResult(
         experiment_id="fig4_late_exec_share",
@@ -172,13 +169,12 @@ def table3_baseline_ipc(
     workloads: Iterable[Workload] | None = None,
     max_uops: int | None = None,
     warmup_uops: int | None = None,
-    cache: ResultCache | None = shared_cache,
 ) -> ExperimentResult:
     """Table 3: per-benchmark IPC of the 6-issue, 64-entry-IQ baseline (no VP)."""
     selected = _suite(workloads)
     config = baseline_6_64()
     runs = run_grid(
-        [config], selected, max_uops, warmup_uops, cache, label="table3_baseline_ipc"
+        [config], selected, max_uops, warmup_uops, label="table3_baseline_ipc"
     )[config.name]
     result = ExperimentResult(
         experiment_id="table3_baseline_ipc",
@@ -206,7 +202,6 @@ def fig6_vp_speedup(
     workloads: Iterable[Workload] | None = None,
     max_uops: int | None = None,
     warmup_uops: int | None = None,
-    cache: ResultCache | None = shared_cache,
 ) -> ExperimentResult:
     """Fig. 6: speedup of Baseline_VP_6_64 (VTAGE-2DStride) over Baseline_6_64."""
     result = ExperimentResult(
@@ -223,7 +218,6 @@ def fig6_vp_speedup(
         workloads,
         max_uops,
         warmup_uops,
-        cache,
     )
 
 
@@ -232,7 +226,6 @@ def fig7_issue_width(
     workloads: Iterable[Workload] | None = None,
     max_uops: int | None = None,
     warmup_uops: int | None = None,
-    cache: ResultCache | None = shared_cache,
 ) -> ExperimentResult:
     """Fig. 7: issue-width impact on EOLE vs the VP baseline (normalised to VP_6_64)."""
     result = ExperimentResult(
@@ -253,7 +246,6 @@ def fig7_issue_width(
         workloads,
         max_uops,
         warmup_uops,
-        cache,
     )
 
 
@@ -262,7 +254,6 @@ def fig8_iq_size(
     workloads: Iterable[Workload] | None = None,
     max_uops: int | None = None,
     warmup_uops: int | None = None,
-    cache: ResultCache | None = shared_cache,
 ) -> ExperimentResult:
     """Fig. 8: IQ-size impact on EOLE vs the VP baseline (normalised to VP_6_64)."""
     result = ExperimentResult(
@@ -283,7 +274,6 @@ def fig8_iq_size(
         workloads,
         max_uops,
         warmup_uops,
-        cache,
     )
 
 
@@ -292,7 +282,6 @@ def fig10_prf_banks(
     workloads: Iterable[Workload] | None = None,
     max_uops: int | None = None,
     warmup_uops: int | None = None,
-    cache: ResultCache | None = shared_cache,
     bank_counts: tuple[int, ...] = (2, 4, 8),
 ) -> ExperimentResult:
     """Fig. 10: EOLE_4_64 with a banked PRF, normalised to the single-bank EOLE_4_64."""
@@ -313,7 +302,7 @@ def fig10_prf_banks(
         for banks in bank_counts
     )
     return _comparison_figure(
-        result, eole_4_64(), labelled, workloads, max_uops, warmup_uops, cache
+        result, eole_4_64(), labelled, workloads, max_uops, warmup_uops
     )
 
 
@@ -322,7 +311,6 @@ def fig11_levt_ports(
     workloads: Iterable[Workload] | None = None,
     max_uops: int | None = None,
     warmup_uops: int | None = None,
-    cache: ResultCache | None = shared_cache,
     port_counts: tuple[int, ...] = (2, 3, 4),
 ) -> ExperimentResult:
     """Fig. 11: limiting LE/VT read ports per bank on a 4-banked EOLE_4_64."""
@@ -343,7 +331,7 @@ def fig11_levt_ports(
         for ports in port_counts
     )
     return _comparison_figure(
-        result, eole_4_64(), labelled, workloads, max_uops, warmup_uops, cache
+        result, eole_4_64(), labelled, workloads, max_uops, warmup_uops
     )
 
 
@@ -352,7 +340,6 @@ def fig12_overall(
     workloads: Iterable[Workload] | None = None,
     max_uops: int | None = None,
     warmup_uops: int | None = None,
-    cache: ResultCache | None = shared_cache,
 ) -> ExperimentResult:
     """Fig. 12: the realistic EOLE design point vs the VP baseline and the no-VP baseline."""
     result = ExperimentResult(
@@ -373,7 +360,6 @@ def fig12_overall(
         workloads,
         max_uops,
         warmup_uops,
-        cache,
     )
 
 
@@ -382,7 +368,6 @@ def fig13_variants(
     workloads: Iterable[Workload] | None = None,
     max_uops: int | None = None,
     warmup_uops: int | None = None,
-    cache: ResultCache | None = shared_cache,
 ) -> ExperimentResult:
     """Fig. 13: EOLE vs OLE (Late only) vs EOE (Early only), all 4-issue, banked PRF."""
     result = ExperimentResult(
@@ -398,13 +383,12 @@ def fig13_variants(
         baseline_vp_6_64(),
         (
             ("EOLE_4_64_4ports_4banks", eole_4_64_banked(banks=4, levt_ports_per_bank=4)),
-            ("OLE_4_64_4ports_4banks", ole_4_64(banked=True)),
-            ("EOE_4_64_4ports_4banks", eoe_4_64(banked=True)),
+            ("OLE_4_64_4ports_4banks", ole_4_64()),
+            ("EOE_4_64_4ports_4banks", eoe_4_64()),
         ),
         workloads,
         max_uops,
         warmup_uops,
-        cache,
     )
 
 

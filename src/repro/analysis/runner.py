@@ -1,4 +1,4 @@
-"""Experiment runner: simulate (configuration × workload) grids with result caching.
+"""Experiment runner: simulate (configuration × workload) grids with result reuse.
 
 Every figure of the paper compares several machine configurations over the same
 workload suite, and several figures share configurations (``Baseline_VP_6_64`` is the
@@ -7,15 +7,17 @@ to the campaign engine (:mod:`repro.campaign`); :func:`run_suite` and
 :func:`run_workload` are its one-configuration and one-cell cases.  Every cell goes
 down the engine's one cell ladder (:func:`~repro.campaign.executor.run_cell`):
 
-1. the module-level :class:`ResultCache` memoises (configuration, workload, length)
-   triples within one process, keeping the full benchmark harness affordable;
-2. the opt-in persistent :class:`~repro.campaign.store.ResultStore` (env
-   ``REPRO_RESULT_STORE``) carries results across processes and sessions;
-3. anything left is simulated — serially by default, or on a local fleet of worker
+1. one :class:`~repro.campaign.store.ResultStore` serves cells already simulated:
+   the caller's ``store=``, else the opt-in persistent store (env
+   ``REPRO_RESULT_STORE``) that carries results across processes and sessions,
+   else a file-less store memoising results within this process, which keeps the
+   full benchmark harness affordable;
+2. anything left is simulated — serially by default, or on a local fleet of worker
    processes when ``REPRO_CAMPAIGN_WORKERS`` (or an explicit ``workers=``) says so.
 
-The cache and the store key a cell by workload name, so a caller's own
-:class:`~repro.workloads.suite.Workload` objects bypass both.  A raising cell never
+The store keys a cell by its fingerprint, which hashes the whole configuration and
+the workload *name*, so a caller's own :class:`~repro.workloads.suite.Workload`
+objects bypass it.  A raising cell never
 stops its grid; once the grid has finished, :class:`CellFailed` names every failed
 cell.
 
@@ -33,7 +35,7 @@ from collections.abc import Iterable
 from repro.campaign.executor import CellFailed, run_campaign, run_cell
 from repro.campaign.progress import ProgressReporter
 from repro.campaign.spec import Campaign, CampaignCell
-from repro.campaign.store import ResultStore
+from repro.campaign.store import ResultStore, default_store
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.stats import SimulationResult
 from repro.workloads.suite import SUITE_ORDER, Workload, all_workloads, workload
@@ -60,33 +62,9 @@ def default_progress() -> bool:
     return os.environ.get(PROGRESS_ENV_VAR, "0") not in ("", "0")
 
 
-class ResultCache:
-    """In-process memoisation of simulation results.
-
-    Keys are :attr:`~repro.campaign.spec.CampaignCell.key` tuples
-    ``(config_name, workload_name, max_uops, warmup_uops, predictor_seed)``, which
-    makes the cache directly pluggable into
-    :func:`repro.campaign.executor.run_campaign`.
-    """
-
-    def __init__(self) -> None:
-        self._results: dict[tuple, SimulationResult] = {}
-
-    def get(self, key: tuple) -> SimulationResult | None:
-        return self._results.get(key)
-
-    def put(self, key: tuple, result: SimulationResult) -> None:
-        self._results[key] = result
-
-    def clear(self) -> None:
-        self._results.clear()
-
-    def __len__(self) -> int:
-        return len(self._results)
-
-
-#: Shared cache used by the experiment harness (clear with ``shared_cache.clear()``).
-shared_cache = ResultCache()
+#: The in-process memo: every library grid run without a store of its own, when
+#: ``REPRO_RESULT_STORE`` names none, reuses its cells through this file-less store.
+_memo = ResultStore(None)
 
 
 def run_workload(
@@ -94,7 +72,6 @@ def run_workload(
     workload: Workload,
     max_uops: int | None = None,
     warmup_uops: int | None = None,
-    cache: ResultCache | None = shared_cache,
     store: ResultStore | None = None,
     progress: bool | None = None,
 ) -> SimulationResult:
@@ -103,7 +80,7 @@ def run_workload(
     Raises :class:`~repro.campaign.executor.CellFailed` when the simulation raised.
     """
     grid = run_grid(
-        [config], [workload], max_uops, warmup_uops, cache, store,
+        [config], [workload], max_uops, warmup_uops, store,
         workers=1, progress=progress, label=f"{config.name}/{workload.name}",
     )
     return grid[config.name][workload.name]
@@ -114,7 +91,6 @@ def run_grid(
     workloads: Iterable[Workload] | None = None,
     max_uops: int | None = None,
     warmup_uops: int | None = None,
-    cache: ResultCache | None = shared_cache,
     store: ResultStore | None = None,
     workers: int | None = None,
     progress: bool | None = None,
@@ -126,6 +102,8 @@ def run_grid(
     the cells of *different* configurations are leased to the local fleet together —
     the unit of parallelism is the cell, not the configuration row.  ``workers=None``
     defers to :func:`~repro.campaign.executor.default_workers` (serial by default).
+    ``store=None`` reuses cells through the ``REPRO_RESULT_STORE`` store when it is
+    set, else through this process's file-less memo.
 
     ``progress=None`` defers to the ``REPRO_PROGRESS`` environment variable; when
     enabled, per-cell done-count/ETA lines are printed to stderr, labelled with
@@ -141,13 +119,17 @@ def run_grid(
     progress = progress if progress is not None else default_progress()
     label = label if label else "grid"
 
-    # The campaign engine, its cache and its store key cells by workload *name*, so
-    # they may only see the registry's own instances: an ad-hoc Workload that
-    # merely shares a suite name must never read or write its twin's results.
+    # The campaign engine and its store key cells by workload *name*, so they may
+    # only see the registry's own instances: an ad-hoc Workload that merely
+    # shares a suite name must never read or write its twin's results.
     names = [wl.name for wl in selected]
     if len(set(names)) == len(names) and all(
         name in SUITE_ORDER and workload(name) is wl for name, wl in zip(names, selected)
     ):
+        if store is None:
+            store = default_store()
+        if store is None:
+            store = _memo
         campaign = Campaign(
             name=label,
             configs=tuple(configs),
@@ -155,13 +137,11 @@ def run_grid(
             max_uops=max_uops,
             warmup_uops=warmup_uops,
         )
-        outcome = run_campaign(
-            campaign, store=store, workers=workers, cache=cache, progress=progress
-        )
+        outcome = run_campaign(campaign, store=store, workers=workers, progress=progress)
         grid, failed = outcome.by_config(), outcome.failed
     else:
         # Ad-hoc workloads run in this process, through the same cell ladder with
-        # the cache and the store off.
+        # the store off.
         grid, failed = {}, {}
         reporter = ProgressReporter(
             total=len(configs) * len(selected), enabled=progress, label=label
@@ -185,12 +165,11 @@ def run_suite(
     workloads: Iterable[Workload] | None = None,
     max_uops: int | None = None,
     warmup_uops: int | None = None,
-    cache: ResultCache | None = shared_cache,
     store: ResultStore | None = None,
     workers: int | None = None,
 ) -> dict[str, SimulationResult]:
     """Simulate every workload on ``config``; returns results keyed by workload name."""
-    return run_grid([config], workloads, max_uops, warmup_uops, cache, store, workers)[config.name]
+    return run_grid([config], workloads, max_uops, warmup_uops, store, workers)[config.name]
 
 
 def suite_ipcs(results: dict[str, SimulationResult]) -> dict[str, float]:

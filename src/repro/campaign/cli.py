@@ -306,8 +306,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 )
     failed_note = f", {outcome.failures} FAILED" if outcome.failed else ""
     print(
-        f"\n{outcome.simulated} simulated, {outcome.from_store} from store, "
-        f"{outcome.from_cache} from cache{failed_note}, "
+        f"\n{outcome.simulated} simulated, {outcome.from_store} from store{failed_note}, "
         f"{outcome.elapsed_seconds:.1f}s elapsed"
         + (f", store: {store.path}" if store is not None else ", no store (transient)")
     )

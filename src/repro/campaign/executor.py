@@ -3,12 +3,15 @@
 :func:`run_cell` is the one cell ladder — the serial loop, fleet workers and the
 library's ad-hoc workloads all go down it:
 
-1. an in-memory cache hit (same process, e.g. a previous figure sharing the baseline)
-   is free;
-2. a persistent-store hit (a previous campaign/process/session) costs one dict →
-   :class:`SimulationResult` conversion;
-3. everything else is simulated and appended as it lands — a result row with its
-   telemetry, or a failure row — so an interrupted campaign resumes at step 2.
+1. a hit in the :class:`~repro.campaign.store.ResultStore` (a file-backed store
+   from a previous campaign/process/session, or the library's file-less
+   in-process memo) costs one dict → :class:`SimulationResult` conversion;
+2. everything else is simulated and appended as it lands — a result row with its
+   telemetry, or a failure row — so an interrupted campaign resumes at step 1.
+
+The store keys a cell by its :attr:`~repro.campaign.spec.CampaignCell.fingerprint`,
+a hash of the whole configuration, so two machines that share a display name never
+share a result.
 
 :func:`run_campaign` runs the ladder inline when ``workers <= 1``, else on a local
 fleet (:func:`~repro.campaign.coordinator.run_local_fleet`), the one parallel path.
@@ -115,7 +118,7 @@ class CellFailed(ReproError):
 class CellRun:
     """One cell's way down :func:`run_cell`."""
 
-    #: ``"cache"``, ``"store"``, ``"simulated"`` or ``"failed"``.
+    #: ``"store"``, ``"simulated"`` or ``"failed"``.
     source: str
     result: SimulationResult | None = None
     #: The :func:`failure_payload` of a failed cell.
@@ -124,23 +127,18 @@ class CellRun:
     telemetry: dict | None = None
 
 
-def _reuse(cell: CampaignCell, store, cache, reporter) -> CellRun | None:
-    """Ladder steps 1–2: the cache, then the store, whose hit refills the cache."""
-    result = cache.get(cell.key) if cache is not None else None
-    source = "cache"
-    if result is None and store is not None:
-        result, source = store.get(cell.fingerprint), "store"
-        if result is not None and cache is not None:
-            cache.put(cell.key, result)
+def _reuse(cell: CampaignCell, store, reporter) -> CellRun | None:
+    """Ladder step 1: a store hit, reported as reused."""
+    result = store.get(cell.fingerprint) if store is not None else None
     if result is None:
         return None
     if reporter is not None:
         reporter.cell_done(cell, 0.0, reused=True)
-    return CellRun(source, result)
+    return CellRun("store", result)
 
 
-def _land(cell: CampaignCell, run: CellRun, store, cache, reporter) -> CellRun:
-    """Ladder steps 4–6: append the result or failure row, fill the cache, report."""
+def _land(cell: CampaignCell, run: CellRun, store, reporter) -> CellRun:
+    """Ladder steps 3–4: append the result or failure row, report."""
     if run.error is not None:
         if store is not None:
             store.put_failure(cell, run.error)
@@ -149,8 +147,6 @@ def _land(cell: CampaignCell, run: CellRun, store, cache, reporter) -> CellRun:
         return run
     if store is not None:
         store.put(cell, run.result, run.telemetry)
-    if cache is not None:
-        cache.put(cell.key, run.result)
     if reporter is not None:
         reporter.cell_done(cell, run.telemetry["wall_seconds"], reused=False)
     return run
@@ -160,12 +156,11 @@ def run_cell(
     cell: CampaignCell,
     wl: Workload | None = None,
     store: ResultStore | None = None,
-    cache=None,
     reporter: ProgressReporter | None = None,
     telemetry: dict | None = None,
     requeued: bool = False,
 ) -> CellRun:
-    """The one in-process cell ladder: cache → store → simulate → append → cache → report.
+    """The one in-process cell ladder: store → simulate → append → report.
 
     A simulated cell is appended to ``store`` with its :func:`cell_telemetry` row,
     extended by ``telemetry`` (a fleet worker's ``worker``/``lease_id``).  A cell
@@ -173,7 +168,7 @@ def run_cell(
     carrying its :func:`failure_payload` and, unless ``requeued`` (a fleet lease,
     which retries the cell itself), appends a failure row.
     """
-    run = _reuse(cell, store, cache, reporter)
+    run = _reuse(cell, store, reporter)
     if run is not None:
         return run
     if reporter is not None:
@@ -184,10 +179,10 @@ def run_cell(
         result = simulate_cell(cell, wl)
     except Exception as error:  # noqa: BLE001 — one bad cell must not sink the grid
         run = CellRun("failed", error=failure_payload(error))
-        return run if requeued else _land(cell, run, store, cache, reporter)
+        return run if requeued else _land(cell, run, store, reporter)
     row = cell_telemetry(result, time.monotonic() - started, snapshot)
     row.update(telemetry or {})
-    return _land(cell, CellRun("simulated", result, telemetry=row), store, cache, reporter)
+    return _land(cell, CellRun("simulated", result, telemetry=row), store, reporter)
 
 
 @dataclass
@@ -202,7 +197,6 @@ class CampaignOutcome:
     failed: dict[tuple[str, str], dict] = field(default_factory=dict)
     simulated: int = 0
     from_store: int = 0
-    from_cache: int = 0
     elapsed_seconds: float = 0.0
 
     @property
@@ -217,9 +211,7 @@ class CampaignOutcome:
             self.failed[key] = run.error
             return
         self.results[key] = run.result
-        if run.source == "cache":
-            self.from_cache += 1
-        elif run.source == "store":
+        if run.source == "store":
             self.from_store += 1
         else:
             self.simulated += 1
@@ -240,13 +232,10 @@ def run_campaign(
     campaign: Campaign,
     store: ResultStore | None = None,
     workers: int | None = None,
-    cache=None,
     progress: bool = False,
 ) -> CampaignOutcome:
-    """Execute ``campaign``, reusing cached/stored cells and persisting new ones.
+    """Execute ``campaign``, reusing stored cells and persisting new ones.
 
-    ``cache`` is any object with ``get(key)``/``put(key, result)`` over
-    :attr:`CampaignCell.key` tuples (e.g. :class:`repro.analysis.runner.ResultCache`);
     ``store=None`` falls back to the ``REPRO_RESULT_STORE`` default store when set.
     ``workers=None`` defers to :func:`default_workers` (serial unless the
     environment says otherwise).  A raising cell ends as a failure row in
@@ -265,7 +254,7 @@ def run_campaign(
     if workers > 1:
         pending = []
         for cell in cells:
-            run = _reuse(cell, store, cache, reporter)
+            run = _reuse(cell, store, reporter)
             if run is None:
                 pending.append(cell)
             else:
@@ -273,14 +262,14 @@ def run_campaign(
         cells = pending
     if workers <= 1 or len(cells) == 1:
         for cell in cells:
-            outcome.record(cell, run_cell(cell, store=store, cache=cache, reporter=reporter))
+            outcome.record(cell, run_cell(cell, store=store, reporter=reporter))
     elif cells:
         # Imported here: the coordinator builds on this module's cell ladder.
         from repro.campaign.coordinator import run_local_fleet
 
         run_local_fleet(
             campaign, cells, workers,
-            lambda cell, run: outcome.record(cell, _land(cell, run, store, cache, reporter)),
+            lambda cell, run: outcome.record(cell, _land(cell, run, store, reporter)),
         )
 
     outcome.elapsed_seconds = time.monotonic() - started

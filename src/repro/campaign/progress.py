@@ -121,7 +121,7 @@ class ProgressReporter:
         self.emit("cell_started", cell=cell.describe())
 
     def cell_done(self, cell: CampaignCell, seconds: float, reused: bool) -> None:
-        """Record one finished cell (``reused`` = served from cache/store)."""
+        """Record one finished cell (``reused`` = served from the store)."""
         self.done += 1
         if reused:
             self.reused += 1

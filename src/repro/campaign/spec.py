@@ -13,7 +13,7 @@ are accepted wherever a set name is.
 
 Every cell carries a *fingerprint*: a SHA-256 digest over the complete configuration
 dataclass, the workload name and the run lengths.  Two cells share a fingerprint iff
-re-running one would reproduce the other, so the fingerprint is the cache/store key —
+re-running one would reproduce the other, so the fingerprint is the result store's key —
 changing any machine parameter (not just the configuration's display name) invalidates
 the stored result automatically.
 """
@@ -132,22 +132,6 @@ class CampaignCell:
     workload_name: str
     max_uops: int
     warmup_uops: int
-
-    @property
-    def key(self) -> tuple[str, str, int, int, int]:
-        """In-memory cache key (configuration name, workload, lengths, predictor seed).
-
-        The seed is part of the key because the campaign engine itself derives per-cell
-        seeds (``Campaign(seed=...)``) without renaming the configuration — a seeded and
-        an unseeded run of the same grid must not share cache entries.
-        """
-        return (
-            self.config.name,
-            self.workload_name,
-            self.max_uops,
-            self.warmup_uops,
-            self.config.predictor_seed,
-        )
 
     @cached_property
     def fingerprint(self) -> str:

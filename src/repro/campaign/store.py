@@ -118,10 +118,16 @@ def default_max_bytes() -> int | None:
 
 
 class ResultStore:
-    """A persistent map from cell fingerprint to :class:`SimulationResult`."""
+    """A map from cell fingerprint to :class:`SimulationResult`, persisted to ``path``.
 
-    def __init__(self, path: str | os.PathLike, max_bytes: int | None = None) -> None:
-        self.path = Path(path)
+    ``ResultStore(None)`` has no file: the same rows live in memory only, which
+    makes it the process-local memo of :mod:`repro.analysis.runner`.  Only
+    loading and appending skip the file; the maintenance methods (``compact``,
+    ``merge``, ``invalidate``) need one.
+    """
+
+    def __init__(self, path: str | os.PathLike | None, max_bytes: int | None = None) -> None:
+        self.path = Path(path) if path is not None else None
         self.max_bytes = max_bytes if max_bytes is not None else default_max_bytes()
         self._records: dict[str, dict] = {}
         self._failures: dict[str, dict] = {}
@@ -190,7 +196,7 @@ class ResultStore:
         self._superseded_lines = 0
         self._unstamped_lines = 0
         self._quarantined = []
-        if not self.path.exists():
+        if self.path is None or not self.path.exists():
             return
         with self.path.open("r", encoding="utf-8") as handle:
             for line_no, line in enumerate(handle, start=1):
@@ -352,6 +358,8 @@ class ResultStore:
             return False
 
     def _append(self, record: dict) -> None:
+        if self.path is None:
+            return
         with self._locked():
             self.path.parent.mkdir(parents=True, exist_ok=True)
             # Heal a torn trailing line (crash mid-append) by starting this row on

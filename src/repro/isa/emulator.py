@@ -193,14 +193,6 @@ class ArchState:
         self.call_stack: list[int] = []
         self.regions: tuple[tuple[int, int, Callable[[int], int]], ...] = ()
 
-    def read_reg(self, reg: int) -> int:
-        """Architectural value of register ``reg``."""
-        return self.regs[reg]
-
-    def write_reg(self, reg: int, value: int) -> None:
-        """Write ``value`` (wrapped to 64 bits) to register ``reg``."""
-        self.regs[reg] = value & MASK64
-
     def read_mem(self, address: int) -> int:
         """Word-granular memory read (the written value, else the initial image)."""
         value = self.memory.get(address)

@@ -199,24 +199,18 @@ def eole_4_64_4ports_4banks() -> PipelineConfig:
     return eole_4_64_banked(banks=4, levt_ports_per_bank=4, ee_write_ports_per_bank=2)
 
 
-def ole_4_64(banked: bool = True) -> PipelineConfig:
+def ole_4_64() -> PipelineConfig:
     """``OLE_4_64``: Late Execution only (Fig. 13), 4-bank PRF with 4 LE/VT ports."""
-    config = _eole("OLE_4_64", issue_width=4, iq_size=64, variant=EOLEVariant.OLE)
-    if banked:
-        config = config.derive(
-            prf_banks=4, levt_read_ports_per_bank=4, ee_write_ports_per_bank=2
-        )
-    return config
+    return _eole(
+        "OLE_4_64", issue_width=4, iq_size=64, variant=EOLEVariant.OLE
+    ).derive(prf_banks=4, levt_read_ports_per_bank=4, ee_write_ports_per_bank=2)
 
 
-def eoe_4_64(banked: bool = True) -> PipelineConfig:
+def eoe_4_64() -> PipelineConfig:
     """``EOE_4_64``: Early Execution only (Fig. 13), 4-bank PRF with 4 LE/VT ports."""
-    config = _eole("EOE_4_64", issue_width=4, iq_size=64, variant=EOLEVariant.EOE)
-    if banked:
-        config = config.derive(
-            prf_banks=4, levt_read_ports_per_bank=4, ee_write_ports_per_bank=2
-        )
-    return config
+    return _eole(
+        "EOE_4_64", issue_width=4, iq_size=64, variant=EOLEVariant.EOE
+    ).derive(prf_banks=4, levt_read_ports_per_bank=4, ee_write_ports_per_bank=2)
 
 
 def baseline_8_64() -> PipelineConfig:

@@ -12,7 +12,6 @@ from repro.analysis.experiments import (
     table3_baseline_ipc,
 )
 from repro.analysis.report import format_table
-from repro.analysis.runner import ResultCache
 from repro.workloads.suite import workload
 
 #: Two contrasting workloads keep these end-to-end experiment tests quick.
@@ -24,11 +23,6 @@ WARMUP = 4000
 @pytest.fixture(scope="module")
 def subset():
     return [workload("bzip2"), workload("hmmer")]
-
-
-@pytest.fixture(scope="module")
-def cache():
-    return ResultCache()
 
 
 class TestExperimentRegistry:
@@ -50,8 +44,8 @@ class TestExperimentRegistry:
 
 
 class TestSelectedExperiments:
-    def test_fig2_reports_per_depth_ratios(self, subset, cache):
-        result = fig2_early_execution_share(subset, UOPS, WARMUP, cache, depths=(1, 2))
+    def test_fig2_reports_per_depth_ratios(self, subset):
+        result = fig2_early_execution_share(subset, UOPS, WARMUP, depths=(1, 2))
         assert len(result.series) == 2
         for series in result.series:
             for value in series.values.values():
@@ -60,35 +54,35 @@ class TestSelectedExperiments:
         for name in one.values:
             assert two.values[name] >= one.values[name] - 1e-9
 
-    def test_fig4_series_are_disjoint_shares(self, subset, cache):
-        result = fig4_late_execution_share(subset, UOPS, WARMUP, cache)
+    def test_fig4_series_are_disjoint_shares(self, subset):
+        result = fig4_late_execution_share(subset, UOPS, WARMUP)
         branches = result.series_by_label("High-confidence branches")
         values = result.series_by_label("Value-predicted")
         for name in branches.values:
             assert 0.0 <= branches.values[name] + values.values[name] <= 1.0
 
-    def test_table3_reports_measured_and_paper_ipc(self, subset, cache):
-        result = table3_baseline_ipc(subset, UOPS, WARMUP, cache)
+    def test_table3_reports_measured_and_paper_ipc(self, subset):
+        result = table3_baseline_ipc(subset, UOPS, WARMUP)
         measured = result.series_by_label("Measured IPC")
         paper = result.series_by_label("Paper IPC")
         assert all(value > 0 for value in measured.values.values())
         assert paper.values["hmmer"] == pytest.approx(2.477)
 
-    def test_fig6_vp_speedup_on_predictable_workload(self, subset, cache):
-        result = fig6_vp_speedup(subset, UOPS, WARMUP, cache)
+    def test_fig6_vp_speedup_on_predictable_workload(self, subset):
+        result = fig6_vp_speedup(subset, UOPS, WARMUP)
         series = result.series[0]
         assert series.values["bzip2"] > 1.05
         assert series.values["hmmer"] > 0.9
 
-    def test_fig7_shapes(self, subset, cache):
-        result = fig7_issue_width(subset, UOPS, WARMUP, cache)
+    def test_fig7_shapes(self, subset):
+        result = fig7_issue_width(subset, UOPS, WARMUP)
         eole4 = result.series_by_label("EOLE_4_64")
         vp4 = result.series_by_label("Baseline_VP_4_64")
         for name in eole4.values:
             assert eole4.values[name] >= vp4.values[name] - 0.05
 
-    def test_results_render_as_tables(self, subset, cache):
-        result = fig6_vp_speedup(subset, UOPS, WARMUP, cache)
+    def test_results_render_as_tables(self, subset):
+        result = fig6_vp_speedup(subset, UOPS, WARMUP)
         text = format_table(result)
         assert "bzip2" in text and "geomean" in text
 

@@ -47,7 +47,7 @@ class TestRunCommand:
         # Per-cell IPC parity with the serial library path.
         for config_name in CONFIGS.split(","):
             serial = run_suite(
-                named_config(config_name), fast_workloads(), UOPS, WARMUP, cache=None
+                named_config(config_name), fast_workloads(), UOPS, WARMUP, store=ResultStore(None)
             )
             stored = {
                 record["workload"]: record

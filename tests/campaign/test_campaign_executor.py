@@ -6,11 +6,17 @@ import time
 
 import pytest
 
-from repro.analysis.runner import ResultCache, run_grid, run_suite, run_workload
-from repro.campaign.executor import CellFailed, campaign_status, default_workers, run_campaign
-from repro.campaign.spec import Campaign
+from repro.analysis.runner import run_grid, run_suite, run_workload
+from repro.campaign.executor import (
+    CellFailed,
+    campaign_status,
+    default_workers,
+    run_campaign,
+    simulate_cell,
+)
+from repro.campaign.spec import Campaign, CampaignCell
 from repro.campaign.store import ResultStore
-from repro.pipeline.config import PipelineConfig
+from repro.pipeline.config import PipelineConfig, baseline_6_64
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.suite import Workload, workload
 
@@ -30,6 +36,26 @@ def _campaign(workloads=("gcc", "mcf"), seed=None) -> Campaign:
         warmup_uops=WARMUP,
         seed=seed,
     )
+
+
+def _same_name_pair() -> tuple[PipelineConfig, PipelineConfig]:
+    """``Baseline_6_64`` and a 2-wide derivative that keeps its name."""
+    wide = baseline_6_64()
+    return wide, wide.derive(issue_width=2, fetch_width=2, commit_width=2, rename_width=2)
+
+
+def _pair_campaign(config: PipelineConfig) -> Campaign:
+    return Campaign(
+        name="pair",
+        configs=(config,),
+        workload_names=("gcc",),
+        max_uops=3000,
+        warmup_uops=1000,
+    )
+
+
+def _fresh_ipc(config: PipelineConfig) -> float:
+    return simulate_cell(CampaignCell(config, "gcc", 3000, 1000)).ipc
 
 
 class TestRunCampaign:
@@ -63,12 +89,15 @@ class TestRunCampaign:
         assert campaign_status(campaign, store)["missing"] == 0
 
     def test_in_memory_cache_short_circuits_the_store(self, tmp_path):
+        """A store with no file serves a repeated campaign and writes nothing."""
         campaign = _campaign(workloads=("gcc",))
-        cache = ResultCache()
-        first = run_campaign(campaign, store=None, workers=1, cache=cache)
-        second = run_campaign(campaign, store=None, workers=1, cache=cache)
+        memo = ResultStore(None)
+        first = run_campaign(campaign, store=memo, workers=1)
+        second = run_campaign(campaign, store=memo, workers=1)
         assert first.simulated == 2 and second.simulated == 0
-        assert second.from_cache == 2
+        assert second.from_store == 2
+        assert second.ipcs() == first.ipcs()
+        assert list(tmp_path.iterdir()) == []
 
     def test_sharded_run_matches_serial_ipcs(self, tmp_path):
         campaign = _campaign()
@@ -91,19 +120,38 @@ class TestRunCampaign:
                 [workload(name) for name in campaign.workload_names],
                 UOPS,
                 WARMUP,
-                cache=None,
+                store=ResultStore(None),
             )
             for name, result in expected.items():
                 assert outcome.results[(config.name, name)].ipc == result.ipc
                 assert outcome.results[(config.name, name)].stats == result.stats
 
     def test_seeded_campaign_does_not_reuse_unseeded_cache_entries(self):
-        cache = ResultCache()
-        unseeded = run_campaign(_campaign(workloads=("gcc",)), workers=1, cache=cache)
-        seeded = run_campaign(_campaign(workloads=("gcc",), seed=7), workers=1, cache=cache)
+        memo = ResultStore(None)
+        unseeded = run_campaign(_campaign(workloads=("gcc",)), store=memo, workers=1)
+        seeded = run_campaign(_campaign(workloads=("gcc",), seed=7), store=memo, workers=1)
         assert unseeded.simulated == 2
-        assert seeded.simulated == 2  # different predictor seeds → no cache hits
-        assert seeded.from_cache == 0
+        assert seeded.simulated == 2  # different predictor seeds → no store hits
+        assert seeded.from_store == 0
+
+    def test_same_name_machines_sharing_a_memo_get_their_own_results(self):
+        """Two campaigns over one file-less store: a 2-wide machine that keeps the
+        name ``Baseline_6_64`` is simulated, not served the 6-wide result."""
+        wide, narrow = _same_name_pair()
+        memo = ResultStore(None)
+        first = run_campaign(_pair_campaign(wide), store=memo, workers=1)
+        second = run_campaign(_pair_campaign(narrow), store=memo, workers=1)
+        assert second.simulated == 1 and second.from_store == 0
+        assert second.ipcs() == {("Baseline_6_64", "gcc"): _fresh_ipc(narrow)}
+        assert second.ipcs() != first.ipcs()
+
+    def test_same_name_machines_through_run_grid_get_their_own_results(self):
+        """Two library grids with no store of their own share the process memo."""
+        wide, narrow = _same_name_pair()
+        first = run_grid([wide], [workload("gcc")], 3000, 1000)
+        second = run_grid([narrow], [workload("gcc")], 3000, 1000)
+        assert second["Baseline_6_64"]["gcc"].ipc == _fresh_ipc(narrow)
+        assert second["Baseline_6_64"]["gcc"].ipc != first["Baseline_6_64"]["gcc"].ipc
 
     def test_campaign_seed_is_deterministic_across_runs(self):
         seeded_a = run_campaign(_campaign(workloads=("gcc",), seed=3), workers=1)
@@ -213,7 +261,7 @@ class TestFailureHandling:
         self._explode_on_mcf(monkeypatch)
         store = ResultStore(tmp_path / "s.jsonl")
         with pytest.raises(CellFailed) as raised:
-            run_workload(_fast_config("CfgA"), workload("mcf"), UOPS, WARMUP, None, store)
+            run_workload(_fast_config("CfgA"), workload("mcf"), UOPS, WARMUP, store=store)
         assert list(raised.value.failed) == [("CfgA", "mcf")]
         [row] = ResultStore(store.path).failures()
         assert row["workload"] == "mcf" and row["error"]["type"] == "RuntimeError"
@@ -228,7 +276,7 @@ class TestFailureHandling:
         with pytest.raises(CellFailed) as raised:
             run_grid(
                 campaign.configs, [workload("gcc"), workload("mcf")], UOPS, WARMUP,
-                cache=None, store=store, workers=workers,
+                store=store, workers=workers,
             )
         assert set(raised.value.failed) == {("CfgA", "mcf"), ("CfgB", "mcf")}
         assert "CfgA/mcf (RuntimeError: injected fault)" in str(raised.value)

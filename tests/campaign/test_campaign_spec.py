@@ -156,7 +156,7 @@ class TestFingerprints:
         renamed = baseline_vp_6_64().derive(name="Baseline_6_64")
         a = CampaignCell(baseline_6_64(), "mcf", 1000, 200)
         b = CampaignCell(renamed, "mcf", 1000, 200)
-        assert a.key == b.key  # same display name and lengths…
+        assert a.config.name == b.config.name  # same display name and lengths…
         assert a.fingerprint != b.fingerprint  # …but different machines
 
 

@@ -8,7 +8,7 @@ to Baseline_VP_6_64 while Baseline_VP_4_64 does not always do so.
 import pytest
 
 from repro.analysis.metrics import geometric_mean
-from repro.analysis.runner import ResultCache, run_suite
+from repro.analysis.runner import run_suite
 from repro.pipeline.config import (
     baseline_6_64,
     baseline_vp_4_64,
@@ -25,7 +25,6 @@ WARMUP = 4000
 @pytest.fixture(scope="module")
 def results():
     """Simulate a contrasting subset on the main configurations once for all tests."""
-    cache = ResultCache()
     subset = [workload(name) for name in ("wupwise", "bzip2", "crafty", "hmmer", "gcc")]
     configs = {
         "base": baseline_6_64(),
@@ -35,7 +34,7 @@ def results():
         "eole4_banked": eole_4_64_4ports_4banks(),
     }
     return {
-        key: run_suite(config, subset, UOPS, WARMUP, cache) for key, config in configs.items()
+        key: run_suite(config, subset, UOPS, WARMUP) for key, config in configs.items()
     }
 
 
@@ -83,9 +82,10 @@ class TestPaperHeadlines:
 
     def test_memory_bound_workload_is_insensitive_to_everything(self):
         from repro.analysis.runner import run_workload
+        from repro.campaign.store import ResultStore
 
         mcf = workload("mcf")
-        base = run_workload(baseline_6_64(), mcf, max_uops=2500, warmup_uops=500, cache=None)
-        eole = run_workload(eole_4_64(), mcf, max_uops=2500, warmup_uops=500, cache=None)
+        base = run_workload(baseline_6_64(), mcf, 2500, 500, store=ResultStore(None))
+        eole = run_workload(eole_4_64(), mcf, 2500, 500, store=ResultStore(None))
         assert base.ipc < 0.6
         assert abs(eole.ipc - base.ipc) / base.ipc < 0.1
