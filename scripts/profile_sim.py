@@ -175,14 +175,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.include_capture:
             shared_trace_cache.clear()
             trace = shared_trace_cache.trace_for(wl, args.max_uops, config)
-        simulator = StageTimedSimulator(
-            config,
-            wl.program,
-            max_uops=args.max_uops,
-            warmup_uops=args.warmup_uops,
-            workload_name=wl.name,
-            trace=trace,
-        )
+        simulator = StageTimedSimulator(config, trace, args.max_uops, args.warmup_uops)
         result = simulator.run()
         if args.format == "json":
             payload = {
@@ -205,14 +198,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.include_capture:
         shared_trace_cache.clear()
         trace = shared_trace_cache.trace_for(wl, args.max_uops, config)
-    result = simulate(
-        config,
-        wl.program,
-        max_uops=args.max_uops,
-        warmup_uops=args.warmup_uops,
-        workload_name=wl.name,
-        trace=trace,
-    )
+    result = simulate(config, wl, args.max_uops, args.warmup_uops, trace)
     profiler.disable()
 
     stats = pstats.Stats(profiler)

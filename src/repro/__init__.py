@@ -18,11 +18,8 @@ Quickstart::
     from repro.pipeline import baseline_vp_6_64, eole_4_64, simulate
     from repro.workloads import workload
 
-    wl = workload("namd")
-    base = simulate(baseline_vp_6_64(), wl.program, max_uops=8000,
-                    arch_state=wl.make_state(), workload_name=wl.name)
-    eole = simulate(eole_4_64(), wl.program, max_uops=8000,
-                    arch_state=wl.make_state(), workload_name=wl.name)
+    base = simulate(baseline_vp_6_64(), workload("namd"), max_uops=8000)
+    eole = simulate(eole_4_64(), workload("namd"), max_uops=8000)
     print(base.ipc, eole.ipc, eole.ipc / base.ipc)
 """
 

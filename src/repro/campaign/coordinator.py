@@ -104,6 +104,9 @@ DEFAULT_MAX_ATTEMPTS = 3
 #: Default base of the exponential requeue backoff.
 DEFAULT_BACKOFF_SECONDS = 1.0
 
+#: Default interval between a worker's claim polls and the server's store polls.
+DEFAULT_POLL_SECONDS = 0.5
+
 #: Lease duration of a local fleet (:func:`run_local_fleet`): its workers share one
 #: host, so a dead worker's lease should lapse in seconds, not a minute.
 LOCAL_LEASE_SECONDS = 10.0
@@ -589,7 +592,7 @@ def process_lease(
 def work_loop(
     service: CampaignService,
     worker_id: str | None = None,
-    poll_seconds: float = 0.5,
+    poll_seconds: float = DEFAULT_POLL_SECONDS,
     once: bool = False,
     progress: bool = False,
     handle_signals: bool = False,
@@ -682,7 +685,7 @@ def serve(
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     backoff_seconds: float = DEFAULT_BACKOFF_SECONDS,
     lease_width: int | None = None,
-    poll_seconds: float = 0.5,
+    poll_seconds: float = DEFAULT_POLL_SECONDS,
     progress: bool = True,
     timeout_seconds: float | None = None,
     stream=None,
@@ -750,7 +753,7 @@ def await_cells(
     cells: dict[str, CampaignCell],
     on_done,
     on_failed,
-    poll_seconds: float = 0.5,
+    poll_seconds: float = DEFAULT_POLL_SECONDS,
     timeout_seconds: float | None = None,
     workers: list | None = None,
 ) -> set[str]:
@@ -814,8 +817,10 @@ def local_fleet(service: CampaignService, workers: int, share_traces: bool = Tru
     The one launch-and-reap routine behind ``run_campaign(workers>1)`` and
     ``serve --local-workers``.  Forking keeps in-process state (a warm trace
     cache, test monkeypatches) in every worker.  ``share_traces=False`` keeps the
-    workers off the service's trace store.  On exit, live workers get SIGTERM,
-    which releases a held lease, then SIGKILL after a 10 s grace.
+    workers off the service's trace store.  On a clean exit the workers are
+    joined first: once the grid is done, each exits at its next claim poll.
+    Workers still alive after a few polls (or at once, when the body raised)
+    get SIGTERM, which releases a held lease, then SIGKILL after a 10 s grace.
     """
     context = multiprocessing.get_context("fork")
     processes = []
@@ -829,6 +834,11 @@ def local_fleet(service: CampaignService, workers: int, share_traces: bool = Tru
             process.start()
             processes.append(process)
         yield processes
+        # A worker still completing its last lease when the grid's last row
+        # landed is joined, not interrupted.
+        deadline = time.monotonic() + 4 * DEFAULT_POLL_SECONDS
+        for process in processes:
+            process.join(max(0.0, deadline - time.monotonic()))
     finally:
         for process in processes:
             if process.is_alive():

@@ -34,9 +34,8 @@ from repro.campaign.spec import Campaign, CampaignCell
 from repro.campaign.store import ResultStore, default_store
 from repro.errors import ReproError
 from repro.obs.telemetry import TraceCacheSnapshot, cell_telemetry
-from repro.pipeline.simulator import Simulator
+from repro.pipeline.simulator import simulate
 from repro.pipeline.stats import SimulationResult
-from repro.trace.cache import shared_trace_cache
 from repro.workloads.suite import Workload, workload
 
 #: Environment variable overriding the worker-process count.
@@ -78,25 +77,16 @@ def simulate_cell(
 
     ``wl`` short-circuits the suite lookup when the caller owns the workload
     object (:func:`repro.analysis.runner.run_grid`'s ad-hoc workloads); every
-    other cell re-derives its workload from its name.
-
-    The workload's committed µ-op stream comes from the shared trace cache
-    (:mod:`repro.trace`): the architectural emulator runs once per workload and every
-    configuration replays the captured trace.  With ``REPRO_TRACE_CACHE=0`` the cache
-    hands out the step-wise reference trace instead (bit-identical, just slower).
+    other cell re-derives its workload from its name.  Without ``trace``,
+    :func:`~repro.pipeline.simulator.simulate` replays the shared trace cache's.
     """
-    wl = wl if wl is not None else workload(cell.workload_name)
-    if trace is None:
-        trace = shared_trace_cache.trace_for(wl, cell.max_uops, cell.config)
-    simulator = Simulator(
+    return simulate(
         cell.config,
-        wl.program,
-        max_uops=cell.max_uops,
-        warmup_uops=cell.warmup_uops,
-        workload_name=wl.name,
-        trace=trace,
+        wl if wl is not None else workload(cell.workload_name),
+        cell.max_uops,
+        cell.warmup_uops,
+        trace,
     )
-    return simulator.run()
 
 
 class CellFailed(ReproError):

@@ -70,11 +70,9 @@ def _simulate(args) -> "tuple":
     wl = workload(args.workload)
     simulator = Simulator(
         config,
-        wl.program,
-        max_uops=args.max_uops,
-        warmup_uops=args.warmup_uops,
-        workload_name=wl.name,
-        trace=shared_trace_cache.trace_for(wl, args.max_uops, config),
+        shared_trace_cache.trace_for(wl, args.max_uops, config),
+        args.max_uops,
+        args.warmup_uops,
     )
     result = simulator.run()
     return simulator, result

@@ -42,8 +42,9 @@ class InflightOp:
         "complete_cycle",
         "commit_cycle",
         # Wake-up shortcut: the cycle from which dependents may consume this µ-op's
-        # result (= result_available_cycle(), maintained eagerly at dispatch/issue so
-        # the issue scan reads one field per producer).
+        # result (the dispatch cycle for a used prediction or an early-executed
+        # µ-op, else the completion cycle), maintained eagerly at dispatch/issue so
+        # the issue scan reads one field per producer.
         "avail_cycle",
         # Issue-scan skip cache: the earliest cycle a known-unavailable producer
         # becomes readable; scans before it skip this entry with one compare.
@@ -120,8 +121,9 @@ class InflightOp:
         """(Re)initialise the per-µ-op fields shared by ``__init__`` and the pool.
 
         A recycled record must be indistinguishable from a freshly constructed one
-        on every path that can read it — the bit-identical determinism suite
-        compares pooled and unpooled simulations.  Fields listed in ``__init__``
+        on every path that can read it — ``tests/campaign/test_golden.py::
+        test_unpooled_records_match_the_committed_golden`` holds simulations that
+        never recycle to the pooled runs' golden.  Fields listed in ``__init__``
         are exempt only because fetch overwrites them before any read; a second
         group of fields is exempt because a *later* stage overwrites them before
         any read (see the end of this method).
@@ -163,22 +165,6 @@ class InflightOp:
         #   guarded by ``uop.is_branch``/``is_conditional_branch``;
         # * ``wait_until``/``unknown_producers``/``mem_blocked`` — assigned by
         #   the (reference / wake-up) issue-queue insert before any read.
-
-    # ------------------------------------------------------------------ dataflow helpers
-    def result_available_cycle(self) -> int:
-        """Cycle from which dependents may consume this µ-op's register result.
-
-        Predicted (used) and early-executed results are written to the PRF at dispatch,
-        so they are available from the dispatch cycle; everything else becomes available
-        when execution completes.  Returns :data:`UNKNOWN_CYCLE` if not yet known.
-        """
-        if self.pred_used or self.early_executed:
-            return self.dispatch_cycle
-        return self.complete_cycle
-
-    def bypasses_ooo_engine(self) -> bool:
-        """True if this µ-op never enters the out-of-order engine (EOLE's offload)."""
-        return self.early_executed or self.late_executed
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

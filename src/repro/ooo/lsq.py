@@ -38,16 +38,6 @@ class LoadStoreQueue:
         self.peak_sq_occupancy = 0
 
     # ------------------------------------------------------------------ capacity
-    @property
-    def load_occupancy(self) -> int:
-        """Number of in-flight loads."""
-        return len(self._loads)
-
-    @property
-    def store_occupancy(self) -> int:
-        """Number of in-flight stores."""
-        return len(self._stores)
-
     def has_space(self, op: InflightOp) -> bool:
         """True if the memory µ-op ``op`` fits in its queue."""
         if op.uop.is_load:
@@ -105,19 +95,6 @@ class LoadStoreQueue:
             if store.issued and store.dyn.addr == load.dyn.addr:
                 best = store
         return best
-
-    def oldest_conflicting_unissued_store(self, load: InflightOp) -> InflightOp | None:
-        """Oldest older store whose address will conflict and has not executed yet.
-
-        Used only for statistics/diagnostics; the speculative scheduling decision is
-        taken by the Store Sets predictor, not by an oracle.
-        """
-        for store in self._stores:
-            if store.seq >= load.seq:
-                break
-            if not store.issued and store.dyn.addr == load.dyn.addr:
-                return store
-        return None
 
     def detect_violation(self, store: InflightOp) -> InflightOp | None:
         """Oldest younger load to the same address that executed before ``store``.

@@ -36,11 +36,6 @@ class ReorderBuffer:
         """True if ``count`` more µ-ops fit."""
         return len(self._entries) + count <= self.capacity
 
-    @property
-    def is_empty(self) -> bool:
-        """True when no µ-op is in flight."""
-        return not self._entries
-
     # ------------------------------------------------------------------ mutation
     def push(self, op: InflightOp) -> None:
         """Insert ``op`` at the tail (dispatch order)."""
@@ -56,12 +51,6 @@ class ReorderBuffer:
     def head(self) -> InflightOp | None:
         """Oldest in-flight µ-op, or ``None`` when empty."""
         return self._entries[0] if self._entries else None
-
-    def pop_head(self) -> InflightOp:
-        """Remove and return the oldest µ-op (commit)."""
-        if not self._entries:
-            raise SimulationError("ROB underflow: pop_head on empty ROB")
-        return self._entries.popleft()
 
     def squash_from(self, seq: int) -> list[InflightOp]:
         """Remove every µ-op with sequence number >= ``seq`` (youngest first in the ROB tail).

@@ -47,9 +47,7 @@ from repro.bpu.unit import BranchPredictionUnit
 from repro.core.early_execution import EarlyExecutionBlock
 from repro.core.late_execution import LateExecutionBlock
 from repro.errors import SimulationError
-from repro.isa.emulator import ArchState
 from repro.isa.flags import approximate_flags, flags_match_for_validation
-from repro.isa.program import Program
 from repro.isa.trace import DynInst, gc_paused
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.obs.metrics import drain_simulator_metrics, maybe_sim_metrics
@@ -68,8 +66,10 @@ from repro.ooo.rob import ReorderBuffer
 from repro.ooo.store_sets import StoreSets
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.stats import SimStats, SimulationResult
-from repro.trace.capture import reference_trace, required_length
+from repro.trace.cache import shared_trace_cache
+from repro.trace.capture import required_length
 from repro.trace.encoding import CapturedTrace
+from repro.workloads.suite import Workload
 
 #: Environment variable: ``0`` selects the cycle-stepping reference loop instead of
 #: the event-driven scheduler (both produce byte-identical results).
@@ -91,35 +91,30 @@ class Simulator:
     def __init__(
         self,
         config: PipelineConfig,
-        program: Program,
+        trace: CapturedTrace,
         max_uops: int = 20_000,
         warmup_uops: int = 0,
-        arch_state: ArchState | None = None,
-        workload_name: str | None = None,
-        trace: CapturedTrace | None = None,
     ) -> None:
-        """Set up the machine for ``max_uops`` committed µ-ops of ``program``.
+        """Set up the machine to replay ``max_uops`` committed µ-ops of ``trace``.
 
-        ``trace`` is the committed stream to replay.  Without one, the stream is
-        emulated from ``arch_state`` (an all-zero state if ``None``).  A suite
-        workload then needs ``arch_state=wl.make_state()``: its loads read the
-        workload's memory image, and gcc, for one, jumps through a jump table
-        that an empty state does not hold.
+        Fetch runs ahead of commit by at most the ROB plus the front-end, so the
+        trace must cover :func:`~repro.trace.capture.required_length` µ-ops (or
+        hold the whole run of a program that halts sooner).
         """
         if warmup_uops >= max_uops:
             raise SimulationError("warmup_uops must be smaller than max_uops")
+        needed = required_length(max_uops, config)
+        if not trace.covers(needed):
+            raise SimulationError(
+                f"trace of {trace.program.name} holds {trace.length} µ-ops; "
+                f"{config.name} needs {needed} for {max_uops} committed µ-ops"
+            )
         self.config = config
-        self.program = program
         self.max_uops = max_uops
         self.warmup_uops = warmup_uops
-        self.workload_name = workload_name if workload_name is not None else program.name
+        self.workload_name = trace.program.name
 
-        # The committed stream, one tuple fetch indexes.  Fetch runs ahead of commit
-        # by at most the ROB plus the front-end (``required_length``), so a trace
-        # covering that window replays bit-exactly.  Without one, the step-wise
-        # reference trace of ``program`` from ``arch_state`` is emulated here.
-        if trace is None:
-            trace = reference_trace(program, required_length(max_uops, config), arch_state)
+        # The committed stream, one tuple fetch indexes.
         self._trace_list: tuple[DynInst, ...] = trace.instructions()
         self._trace_pos = 0
         self._trace_exhausted = False
@@ -559,8 +554,8 @@ class Simulator:
         late_alu_limit = self.late_block.config.alus
         commit_width = self.config.commit_width
         levt_limited = self._levt_ports_limited
-        # The head peek/pop pair runs once per committed µ-op: the deque is read
-        # directly (same entries ReorderBuffer.head/pop_head expose).
+        # The head peek/pop pair runs once per committed µ-op: the ROB's deque is
+        # read and popped directly.
         rob_entries = self.rob._entries
         stats = self.stats
         predictor = self.predictor
@@ -964,7 +959,7 @@ class Simulator:
                 late_block.classify(op)
             if pred_used or op.early_executed:
                 # The result is written to the PRF at dispatch: dependents may
-                # consume it from this cycle on (mirrors result_available_cycle).
+                # consume it from this cycle on.
                 op.avail_cycle = cycle
                 if kind & 64 and not prf.try_ee_write(op.dest_bank, cycle):
                     # Port pressure delays the write by a cycle; modelled as a slight
@@ -1315,25 +1310,12 @@ class Simulator:
 
 def simulate(
     config: PipelineConfig,
-    program: Program,
+    workload: Workload,
     max_uops: int = 20_000,
     warmup_uops: int = 0,
-    arch_state: ArchState | None = None,
-    workload_name: str | None = None,
     trace: CapturedTrace | None = None,
 ) -> SimulationResult:
-    """Convenience wrapper: build a :class:`Simulator` and run it.
-
-    Without ``trace``, a suite workload needs ``arch_state=wl.make_state()``
-    (see :class:`Simulator`).
-    """
-    simulator = Simulator(
-        config,
-        program,
-        max_uops=max_uops,
-        warmup_uops=warmup_uops,
-        arch_state=arch_state,
-        workload_name=workload_name,
-        trace=trace,
-    )
-    return simulator.run()
+    """Run ``workload`` on ``config``: replay ``trace``, or the shared trace cache's."""
+    if trace is None:
+        trace = shared_trace_cache.trace_for(workload, max_uops, config)
+    return Simulator(config, trace, max_uops, warmup_uops).run()

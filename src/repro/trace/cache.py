@@ -1,7 +1,7 @@
 """In-process trace cache: capture each workload's committed stream at most once.
 
-The cache sits between the execution layers and the emulator, mirroring the result
-cache → result store → simulate layering of :mod:`repro.analysis.runner`:
+The cache sits between the execution layers and the emulator, mirroring the
+result store → simulate ladder of :mod:`repro.campaign.executor`:
 
 1. an in-memory hit (same process) is free — the materialised ``DynInst`` tuple is
    shared by every simulation replaying it;

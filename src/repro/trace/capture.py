@@ -7,9 +7,10 @@ slack over the committed-µ-op target because the pipeline fetches ahead of comm
 at most the ROB plus the front-end, :func:`required_length`); replay is bit-exact as
 long as the captured trace covers that window.
 
-This module is also where the stream's source is chosen: :func:`capture_trace` runs
-the emulator's batched fast path, :func:`reference_trace` its step-wise reference
-(the oracle behind ``REPRO_TRACE_CACHE=0`` and a simulator built without a trace).
+This module holds both of the stream's sources: :func:`capture_trace` runs the
+emulator's batched fast path, :func:`reference_trace` its step-wise reference (the
+oracle behind ``REPRO_TRACE_CACHE=0``).  :class:`~repro.trace.cache.TraceCache` is
+the one place that picks between them.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ def required_length(max_uops: int, config) -> int:
     """Trace length needed to replay ``config`` for ``max_uops`` committed µ-ops.
 
     Fetch runs ahead of commit by at most the ROB plus the front-end, so the
-    simulator never reads past this many µ-ops; it is also the budget of the
-    reference trace a simulator built without a trace emulates.
+    simulator never reads past this many µ-ops, and it rejects a trace that
+    covers fewer (:meth:`CapturedTrace.covers`).
     """
     return max_uops + config.rob_size + config.frontend_capacity + 64
 

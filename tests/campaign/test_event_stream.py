@@ -4,6 +4,7 @@ import io
 import json
 import signal
 import threading
+import time
 
 import pytest
 
@@ -160,6 +161,24 @@ class TestFleetEventsInTheLog:
         terminal = [row["cell"] for row in rows if row["event"] in ("cell_done", "cell_failed")]
         assert sorted(terminal) == sorted(cell.describe() for cell in campaign.cells())
         assert [row["event"] for row in rows].count("finish") == 1
+
+    def test_a_clean_fleet_run_interrupts_no_worker(self, tmp_path, monkeypatch):
+        """A worker still completing its lease when the grid's last row lands is
+        joined, not sent SIGTERM."""
+        log = tmp_path / "events.jsonl"
+        monkeypatch.setenv(HEARTBEAT_ENV_VAR, str(log))
+        complete = CampaignService.complete
+
+        def slow_complete(self, *args, **kwargs):
+            time.sleep(0.3)  # every row of the lease is stored; it is still running
+            return complete(self, *args, **kwargs)
+
+        monkeypatch.setattr(CampaignService, "complete", slow_complete)
+        run_campaign(_campaign(), store=None, workers=2)
+        events = [row["event"] for row in _rows(log)]
+        assert events.count("lease_claimed") == 2
+        assert "worker_interrupted" not in events
+        assert events.count("finish") == 1
 
     def test_a_raising_cell_logs_lease_requeues(self, tmp_path, monkeypatch):
         log = tmp_path / "events.jsonl"

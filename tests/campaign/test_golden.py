@@ -18,6 +18,7 @@ import pytest
 from repro.campaign.executor import run_campaign
 from repro.campaign.spec import Campaign
 from repro.campaign.store import ResultStore
+from repro.pipeline.simulator import Simulator
 from repro.trace.cache import TRACE_CACHE_ENV_VAR, shared_trace_cache
 from repro.workloads.suite import workload
 
@@ -82,3 +83,29 @@ def test_replaying_study_captures_matches_the_committed_golden(tmp_path, monkeyp
     finally:
         shared_trace_cache.clear()
     _assert_matches_golden(campaign, outcome)
+
+
+class _NeverFree(list):
+    """A pool free list that drops every slot, so no record is ever recycled."""
+
+    def append(self, slot):
+        pass
+
+
+def test_unpooled_records_match_the_committed_golden():
+    """Every fetch builds a fresh ``InflightOp`` through ``pool.acquire``; the
+    results must not tell a recycled record from a new one.  The Perfetto and
+    Konata exports are not compared: their lanes are pool slots."""
+    expected = json.loads(GOLDEN.read_text())["figure_grid"]
+    try:
+        for cell in _figure_grid_campaign().cells():
+            trace = shared_trace_cache.trace_for(
+                workload(cell.workload_name), cell.max_uops, cell.config
+            )
+            simulator = Simulator(cell.config, trace, cell.max_uops, cell.warmup_uops)
+            simulator.pool._free = _NeverFree()
+            result = simulator.run()
+            assert simulator.pool.allocated == result.full_stats.fetched_uops
+            assert _digest(result) == expected[cell.describe()], cell.describe()
+    finally:
+        shared_trace_cache.clear()

@@ -36,6 +36,8 @@ from repro.isa.program import Program
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.simulator import Simulator
 from repro.pipeline.stats import SimulationResult
+from repro.trace.capture import reference_trace, required_length
+from repro.trace.encoding import CapturedTrace
 
 
 def build_counted_loop(
@@ -66,22 +68,24 @@ def predictable_chain_loop(chain_ops: int = 6, fillers: int = 6) -> Program:
     return build_counted_loop(body, name="predictable_chain")
 
 
+def replay_trace(
+    config: PipelineConfig, program: Program, max_uops: int, state: ArchState | None = None
+) -> CapturedTrace:
+    """The step-wise reference trace of ``program`` from ``state`` (all-zero if
+    ``None``), exactly as long as a ``max_uops`` run of ``config`` reads."""
+    return reference_trace(program, required_length(max_uops, config), state)
+
+
 def run_simulation(
     config: PipelineConfig,
     program: Program,
     max_uops: int = 2000,
     warmup_uops: int = 0,
-    arch_state: ArchState | None = None,
+    state: ArchState | None = None,
 ) -> SimulationResult:
-    """Run a small simulation and return its result."""
-    simulator = Simulator(
-        config,
-        program,
-        max_uops=max_uops,
-        warmup_uops=warmup_uops,
-        arch_state=arch_state,
-    )
-    return simulator.run()
+    """Run a small simulation of ``program`` from ``state`` and return its result."""
+    trace = replay_trace(config, program, max_uops, state)
+    return Simulator(config, trace, max_uops, warmup_uops).run()
 
 
 def small_config(**overrides) -> PipelineConfig:

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from repro.core.eole import EOLEVariant, eole_config
 from repro.pipeline.config import PipelineConfig
-from repro.pipeline.simulator import Simulator
 from repro.workloads.generator import RandomProgramGenerator
+from tests.conftest import run_simulation
 
 SEEDS = st.integers(min_value=0, max_value=10_000)
 
@@ -20,8 +20,7 @@ SEEDS = st.integers(min_value=0, max_value=10_000)
 def _simulate(program, **config_overrides):
     defaults = dict(name="prop", predictor_name="hybrid-small")
     defaults.update(config_overrides)
-    simulator = Simulator(PipelineConfig(**defaults), program, max_uops=600)
-    return simulator.run()
+    return run_simulation(PipelineConfig(**defaults), program, max_uops=600)
 
 
 @settings(max_examples=8, deadline=None)

@@ -15,6 +15,7 @@ from repro.pipeline.config import named_config
 from repro.pipeline.simulator import Simulator
 from repro.trace.cache import shared_trace_cache
 from repro.workloads.suite import workload
+from tests.conftest import replay_trace
 
 
 class _Op:
@@ -80,15 +81,9 @@ class TestEnvironmentSwitch:
 
 
 def _run_simulator(max_uops=1200):
-    wl = workload("gcc")
-    simulator = Simulator(
-        named_config("EOLE_4_64"),
-        wl.program,
-        max_uops=max_uops,
-        warmup_uops=0,
-        arch_state=wl.make_state(),
-        workload_name=wl.name,
-    )
+    config, wl = named_config("EOLE_4_64"), workload("gcc")
+    trace = replay_trace(config, wl.program, max_uops, wl.make_state())
+    simulator = Simulator(config, trace, max_uops)
     simulator.run()
     return simulator
 

@@ -4,7 +4,6 @@ from repro.isa.microop import MicroOp
 from repro.isa.opcode import Opcode
 from repro.isa.trace import DynInst
 from repro.ooo.inflight import InflightOp, UNKNOWN_CYCLE
-from repro.vp.base import VPrediction
 
 
 def _op(opcode: Opcode = Opcode.ADD) -> InflightOp:
@@ -20,35 +19,6 @@ class TestInflightOp:
         assert op.issue_cycle == UNKNOWN_CYCLE
         assert op.complete_cycle == UNKNOWN_CYCLE
         assert not op.issued and not op.executed and not op.squashed
-
-    def test_result_availability_for_normal_execution(self):
-        op = _op()
-        assert op.result_available_cycle() == UNKNOWN_CYCLE
-        op.dispatch_cycle = 5
-        op.complete_cycle = 12
-        assert op.result_available_cycle() == 12
-
-    def test_result_availability_for_predicted_op(self):
-        op = _op()
-        op.dispatch_cycle = 5
-        op.pred_used = True
-        op.prediction = VPrediction(42, True, "test")
-        assert op.result_available_cycle() == 5
-
-    def test_result_availability_for_early_executed_op(self):
-        op = _op()
-        op.dispatch_cycle = 7
-        op.early_executed = True
-        assert op.result_available_cycle() == 7
-
-    def test_bypasses_ooo_engine(self):
-        op = _op()
-        assert not op.bypasses_ooo_engine()
-        op.early_executed = True
-        assert op.bypasses_ooo_engine()
-        op.early_executed = False
-        op.late_executed = True
-        assert op.bypasses_ooo_engine()
 
     def test_wraps_dynamic_instruction_fields(self):
         op = _op(Opcode.NOP)
@@ -136,15 +106,11 @@ class TestInflightOpPool:
         from repro.pipeline.config import named_config
         from repro.pipeline.simulator import Simulator
         from repro.workloads.suite import workload
+        from tests.conftest import replay_trace
 
-        wl = workload("gcc")
-        simulator = Simulator(
-            named_config("EOLE_4_64"),
-            wl.program,
-            max_uops=2000,
-            arch_state=wl.make_state(),
-            workload_name=wl.name,
-        )
+        config, wl = named_config("EOLE_4_64"), workload("gcc")
+        trace = replay_trace(config, wl.program, 2000, wl.make_state())
+        simulator = Simulator(config, trace, max_uops=2000)
         result = simulator.run()
         assert isinstance(simulator.pool, InflightOpPool)
         # Far more µ-ops were fetched than records ever created: the pool recycles.

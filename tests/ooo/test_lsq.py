@@ -36,23 +36,23 @@ class TestCapacity:
         assert not lsq.has_space(_store(3, 0x40))
 
     def test_remove_and_occupancy(self):
-        lsq = LoadStoreQueue()
+        lsq = LoadStoreQueue(lq_capacity=1)
         load = _load(0, 0x10)
         lsq.insert(load)
-        assert lsq.load_occupancy == 1
+        assert not lsq.has_space(_load(1, 0x20))
         lsq.remove(load)
-        assert lsq.load_occupancy == 0
+        assert lsq.has_space(_load(1, 0x20))
         lsq.remove(load)  # idempotent
 
     def test_remove_squashed(self):
-        lsq = LoadStoreQueue()
+        lsq = LoadStoreQueue(lq_capacity=1, sq_capacity=1)
         a, b = _load(0, 0x10), _store(1, 0x20)
         lsq.insert(a)
         lsq.insert(b)
         a.squashed = True
         b.squashed = True
         lsq.remove_squashed()
-        assert lsq.load_occupancy == 0 and lsq.store_occupancy == 0
+        assert lsq.has_space(_load(2, 0x30)) and lsq.has_space(_store(3, 0x40))
 
 
 class TestForwarding:
@@ -72,7 +72,6 @@ class TestForwarding:
         lsq.insert(store)
         lsq.insert(load)
         assert lsq.forwarding_store(load) is None
-        assert lsq.oldest_conflicting_unissued_store(load) is store
 
     def test_younger_store_never_forwards(self):
         lsq = LoadStoreQueue()

@@ -27,7 +27,7 @@ class TestROB:
             rob.push(op)
         assert rob.occupancy == 3
         assert rob.head() is ops[0]
-        assert rob.pop_head() is ops[0]
+        assert rob._entries.popleft() is ops[0]  # commit pops the deque directly
         assert rob.head() is ops[1]
 
     def test_has_space(self):
@@ -50,10 +50,6 @@ class TestROB:
         with pytest.raises(SimulationError):
             rob.push(_op(3))
 
-    def test_pop_empty_raises(self):
-        with pytest.raises(SimulationError):
-            ReorderBuffer().pop_head()
-
     def test_squash_from_removes_youngest_tail(self):
         rob = ReorderBuffer(capacity=8)
         ops = [_op(i) for i in range(6)]
@@ -75,11 +71,5 @@ class TestROB:
         rob = ReorderBuffer(capacity=4)
         for index in range(3):
             rob.push(_op(index))
-        rob.pop_head()
+        rob.squash_from(1)
         assert rob.peak_occupancy == 3
-
-    def test_is_empty(self):
-        rob = ReorderBuffer(capacity=2)
-        assert rob.is_empty
-        rob.push(_op(0))
-        assert not rob.is_empty

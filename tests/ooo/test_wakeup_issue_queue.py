@@ -228,17 +228,13 @@ def test_simulator_constructs_requested_queue(monkeypatch):
     from repro.pipeline.config import named_config
     from repro.pipeline.simulator import Simulator
     from repro.workloads.suite import workload
+    from tests.conftest import replay_trace
 
-    # A simulator built without a trace emulates its reference trace at
-    # construction, so it needs the workload's initial state.
-    wl = workload("gcc")
+    config, wl = named_config("Baseline_6_64"), workload("gcc")
+    trace = replay_trace(config, wl.program, 10, wl.make_state())
     monkeypatch.setenv(WAKEUP_ENV_VAR, "0")
-    sim = Simulator(
-        named_config("Baseline_6_64"), wl.program, max_uops=10, arch_state=wl.make_state()
-    )
+    sim = Simulator(config, trace, max_uops=10)
     assert type(sim.iq) is IssueQueue
     monkeypatch.delenv(WAKEUP_ENV_VAR, raising=False)
-    sim = Simulator(
-        named_config("Baseline_6_64"), wl.program, max_uops=10, arch_state=wl.make_state()
-    )
+    sim = Simulator(config, trace, max_uops=10)
     assert type(sim.iq) is WakeupIssueQueue

@@ -16,6 +16,7 @@ from repro.ooo.inflight import InflightOp
 from repro.pipeline.config import named_config
 from repro.pipeline.simulator import Simulator
 from repro.workloads.suite import workload
+from tests.conftest import replay_trace
 
 MAX_UOPS, WARMUP = 2000, 400
 
@@ -162,15 +163,8 @@ class _ReferenceCommitSimulator(Simulator):
 def _run(simulator_cls, config_name, workload_name):
     config = named_config(config_name)
     wl = workload(workload_name)
-    simulator = simulator_cls(
-        config,
-        wl.program,
-        max_uops=MAX_UOPS,
-        warmup_uops=WARMUP,
-        arch_state=wl.make_state(),
-        workload_name=wl.name,
-    )
-    return simulator.run()
+    trace = replay_trace(config, wl.program, MAX_UOPS, wl.make_state())
+    return simulator_cls(config, trace, MAX_UOPS, WARMUP).run()
 
 
 @pytest.mark.parametrize(

@@ -20,6 +20,7 @@ from repro.ooo.issue_queue import WAKEUP_ENV_VAR, IssueQueue, WakeupIssueQueue
 from repro.pipeline.config import named_config
 from repro.pipeline.simulator import Simulator
 from repro.workloads.suite import workload
+from tests.conftest import replay_trace
 
 #: REPRO_WAKEUP_LISTS value -> (queue class, methods the issue stage must call).
 FLAVOURS = {
@@ -42,15 +43,9 @@ def test_simulator_drives_the_queue_it_builds(config_name, wakeup, monkeypatch):
             return _original(self, *args)
 
         monkeypatch.setattr(queue_class, name, counted)
-    wl = workload("gcc")
-    simulator = Simulator(
-        named_config(config_name),
-        wl.program,
-        max_uops=1500,
-        warmup_uops=300,
-        arch_state=wl.make_state(),
-        workload_name=wl.name,
-    )
+    config, wl = named_config(config_name), workload("gcc")
+    trace = replay_trace(config, wl.program, 1500, wl.make_state())
+    simulator = Simulator(config, trace, max_uops=1500, warmup_uops=300)
     assert type(simulator.iq) is queue_class
     simulator.run()
     assert all(calls.values()), calls

@@ -2,11 +2,19 @@
 
 import pytest
 
-from repro.errors import EmulationError, SimulationError
+from repro.errors import SimulationError
 from repro.isa.builder import ProgramBuilder
 from repro.pipeline.config import named_config
 from repro.pipeline.simulator import Simulator
-from tests.conftest import build_counted_loop, predictable_chain_loop, run_simulation, small_config
+from repro.trace.capture import capture_trace, required_length
+from repro.workloads.suite import workload
+from tests.conftest import (
+    build_counted_loop,
+    predictable_chain_loop,
+    replay_trace,
+    run_simulation,
+    small_config,
+)
 
 
 def _serial_chain_loop(chain_ops: int = 8):
@@ -45,15 +53,18 @@ class TestTermination:
         assert windowed.stats.cycles < full.stats.cycles
 
     def test_warmup_must_be_smaller_than_run(self, simple_loop):
+        config = small_config()
         with pytest.raises(SimulationError):
-            Simulator(small_config(), simple_loop, max_uops=100, warmup_uops=100)
+            Simulator(config, replay_trace(config, simple_loop, 100), 100, warmup_uops=100)
 
-    def test_suite_workload_without_its_state_names_make_state(self):
-        from repro.workloads.suite import workload
-
-        # Without a trace the simulator emulates gcc from an all-zero state.
-        with pytest.raises(EmulationError, match=r"workload\.make_state\(\)"):
-            Simulator(named_config("Baseline_6_64"), workload("gcc").program, max_uops=10)
+    def test_a_trace_shorter_than_the_fetch_window_is_rejected(self):
+        config, wl = named_config("Baseline_6_64"), workload("gcc")
+        needed = required_length(3000, config)
+        short = capture_trace(wl.program, needed - 1, wl.make_state())
+        with pytest.raises(SimulationError, match=f"needs {needed}"):
+            Simulator(config, short, max_uops=3000, warmup_uops=1000)
+        exact = capture_trace(wl.program, needed, wl.make_state())
+        assert Simulator(config, exact, max_uops=3000, warmup_uops=1000).max_uops == 3000
 
 
 class TestDeterminism:

@@ -16,6 +16,7 @@ from repro.pipeline.simulator import (
     event_driven_enabled,
 )
 from repro.workloads.suite import workload
+from tests.conftest import replay_trace
 
 MAX_UOPS, WARMUP = 1500, 300
 
@@ -32,16 +33,9 @@ class _CountingSimulator(Simulator):
         super()._step()
 
 
-def _run(config, wl, simulator_cls=Simulator, **kwargs):
-    simulator = simulator_cls(
-        config,
-        wl.program,
-        max_uops=MAX_UOPS,
-        warmup_uops=WARMUP,
-        arch_state=wl.make_state(),
-        workload_name=wl.name,
-        **kwargs,
-    )
+def _run(config, wl, simulator_cls=Simulator):
+    trace = replay_trace(config, wl.program, MAX_UOPS, wl.make_state())
+    simulator = simulator_cls(config, trace, MAX_UOPS, WARMUP)
     return simulator, simulator.run()
 
 

@@ -11,6 +11,7 @@ import pytest
 from repro.pipeline.config import named_config
 from repro.pipeline.simulator import Simulator
 from repro.workloads.suite import workload
+from tests.conftest import replay_trace
 
 MAX_UOPS, WARMUP = 1500, 300
 
@@ -24,14 +25,8 @@ class _UngatedSimulator(Simulator):
 
 
 def _run(simulator_cls, config, wl):
-    return simulator_cls(
-        config,
-        wl.program,
-        max_uops=MAX_UOPS,
-        warmup_uops=WARMUP,
-        arch_state=wl.make_state(),
-        workload_name=wl.name,
-    ).run()
+    trace = replay_trace(config, wl.program, MAX_UOPS, wl.make_state())
+    return simulator_cls(config, trace, MAX_UOPS, WARMUP).run()
 
 
 @pytest.mark.parametrize("dispatch_to_issue_latency", [1, 2, 3, 5])

@@ -56,7 +56,7 @@ class TestCacheLatency:
     def test_dram_chase_is_memory_latency_bound(self):
         program, state = _dram_pointer_chase()
         result = run_simulation(
-            small_config(), program, max_uops=800, arch_state=state
+            small_config(), program, max_uops=800, state=state
         )
         assert result.ipc < 0.25
         assert result.l2_miss_rate > 0.5
