@@ -418,19 +418,23 @@ def ablation_fpc_vector(
         ("3-bit accuracy", DETERMINISTIC_3BIT_VECTOR, "accuracy"),
         ("3-bit coverage", DETERMINISTIC_3BIT_VECTOR, "coverage"),
     )
-    evaluations: dict[tuple[str, int], object] = {}
+    # Workload-major, so both vectors walk one workload's study events before the
+    # next workload's are built (evaluate_predictor keeps only the last list).
+    evaluations = {}
+    for workload in selected:
+        for vector in (PAPER_FPC_VECTOR, DETERMINISTIC_3BIT_VECTOR):
+            predictor = VTAGE2DStrideHybrid(
+                vtage=VTAGEPredictor(fpc_vector=vector, seed=0x11),
+                stride=TwoDeltaStridePredictor(fpc_vector=vector, seed=0x22),
+            )
+            evaluations[vector, id(workload)] = evaluate_predictor(
+                predictor, workload, max_uops=max_uops
+            )
     for label, vector, metric in schemes:
-        values = {}
-        for workload in selected:
-            key = (str(vector), id(workload))
-            if key not in evaluations:
-                predictor = VTAGE2DStrideHybrid(
-                    vtage=VTAGEPredictor(fpc_vector=vector, seed=0x11),
-                    stride=TwoDeltaStridePredictor(fpc_vector=vector, seed=0x22),
-                )
-                evaluations[key] = evaluate_predictor(predictor, workload, max_uops=max_uops)
-            evaluation = evaluations[key]
-            values[workload.name] = getattr(evaluation, metric)
+        values = {
+            workload.name: getattr(evaluations[vector, id(workload)], metric)
+            for workload in selected
+        }
         result.series.append(ExperimentSeries(label=label, values=values))
     return result
 

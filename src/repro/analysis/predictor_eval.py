@@ -10,10 +10,13 @@ confidence discussion of Section 4.2.
 
 The walk reads the trace's columns, never decoded ``DynInst`` objects: each trace
 yields one list of ``(branch outcomes, pc, result)`` items
-(:meth:`~repro.trace.encoding.CapturedTrace.study_events`), cached on the trace, so a
-sweep over predictor families builds it once per workload.  The trace comes from the
-shared trace cache (:mod:`repro.trace`): a predictor sweep emulates each workload once,
-and with ``REPRO_TRACE_STORE`` set, repeated study sessions skip emulation entirely.
+(:meth:`~repro.trace.encoding.CapturedTrace.study_events`).  This module keeps the
+last list it built, keyed by the trace object and ``max_uops``, so a sweep that
+evaluates every predictor family on one workload before moving to the next builds
+each workload's list once, and only one list is alive at a time.  The trace comes
+from the shared trace cache (:mod:`repro.trace`): a predictor sweep emulates each
+workload once, and with ``REPRO_TRACE_STORE`` set, repeated study sessions skip
+emulation entirely.
 With ``REPRO_TRACE_CACHE=0`` the cache hands out the step-wise reference trace
 (:func:`~repro.trace.capture.reference_trace`), walked by the same loop.
 """
@@ -24,9 +27,22 @@ from dataclasses import asdict, dataclass
 
 from repro.bpu.history import GlobalHistory
 from repro.trace.cache import shared_trace_cache
-from repro.trace.encoding import CapturedTrace
+from repro.trace.encoding import CapturedTrace, StudyEvent
 from repro.vp.base import ValuePredictor
 from repro.workloads.suite import Workload
+
+
+#: ``(trace, max_uops, events)`` of the last :func:`evaluate_predictor` call: holding
+#: the trace object keeps its identity from being reused while the entry stands.
+_last_events: tuple[CapturedTrace, int, list[StudyEvent]] | None = None
+
+
+def _study_events(trace: CapturedTrace, max_uops: int) -> list[StudyEvent]:
+    """``trace.study_events(max_uops)``, rebuilt only when the trace or length changes."""
+    global _last_events
+    if _last_events is None or _last_events[0] is not trace or _last_events[1] != max_uops:
+        _last_events = (trace, max_uops, trace.study_events(max_uops))
+    return _last_events[2]
 
 
 @dataclass
@@ -71,7 +87,7 @@ def evaluate_predictor(
             )
     else:
         trace = shared_trace_cache.trace_for_length(workload, max_uops)
-    events = trace.study_events(max_uops)
+    events = _study_events(trace, max_uops)
     history = GlobalHistory()
     push = history.push
     lookup = predictor.lookup

@@ -85,6 +85,7 @@ from repro.campaign.spec import Campaign, CampaignCell
 from repro.campaign.store import ResultStore
 from repro.errors import ReproError
 from repro.pipeline.stats import SimulationResult
+from repro.trace.cache import shared_trace_cache
 from repro.trace.store import TRACE_STORE_ENV_VAR
 
 try:  # POSIX-only; the queue degrades to lock-free on other platforms.
@@ -610,6 +611,11 @@ def work_loop(
     and SIGINT unwind to a polite exit: the currently held lease is released back
     to the queue immediately — owner-fenced, attempt refunded — so a drained or
     redeployed worker never forces the fleet to wait out a full lease timeout.
+
+    Claiming a lease for another workload releases the previous lease's workload
+    from the shared trace cache: claims go in lease-id order, which groups each
+    workload's leases, so the worker will not replay that trace again.  Traces it
+    inherited from a forking parent stay until their own leases are done.
     """
     worker_id = worker_id or default_worker_id()
     # Route this process's trace cache at the fleet-shared trace store so each
@@ -628,6 +634,7 @@ def work_loop(
         for signum in (signal.SIGTERM, signal.SIGINT):
             previous_handlers[signum] = signal.signal(signum, _interrupt)
     lease: Lease | None = None
+    last_workload: str | None = None
     faults = active_faults()
     try:
         while True:
@@ -637,6 +644,9 @@ def work_loop(
                     return counts
                 time.sleep(poll_seconds)
                 continue
+            if last_workload is not None and lease.workload != last_workload:
+                shared_trace_cache.release(last_workload)
+            last_workload = lease.workload
             if faults is not None:
                 faults.die_if(WORKER_DIE_AFTER_CLAIM)
             events.emit(

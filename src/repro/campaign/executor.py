@@ -15,6 +15,10 @@ share a result.
 
 :func:`run_campaign` runs the ladder inline when ``workers <= 1``, else on a local
 fleet (:func:`~repro.campaign.coordinator.run_local_fleet`), the one parallel path.
+Inline, the cells run workload-major — every configuration of one workload, then the
+next workload, as the fleet groups its leases — so each workload's trace is captured
+once and released from the shared trace cache once its last cell has run; the
+outcome still lists its results in :meth:`~repro.campaign.spec.Campaign.cells` order.
 Determinism is unaffected by parallelism because each cell is self-contained — the
 simulator derives all randomness from the configuration's ``predictor_seed`` (or the
 campaign-derived per-cell seed, see :class:`~repro.campaign.spec.Campaign`), never
@@ -36,6 +40,7 @@ from repro.errors import ReproError
 from repro.obs.telemetry import TraceCacheSnapshot, cell_telemetry
 from repro.pipeline.simulator import simulate
 from repro.pipeline.stats import SimulationResult
+from repro.trace.cache import shared_trace_cache
 from repro.workloads.suite import Workload, workload
 
 #: Environment variable overriding the worker-process count.
@@ -180,7 +185,8 @@ class CampaignOutcome:
     """Everything :func:`run_campaign` learned: results plus provenance counters."""
 
     campaign: Campaign
-    #: (config_name, workload_name) → result, covering every *completed* cell.
+    #: (config_name, workload_name) → result, covering every *completed* cell, in
+    #: :meth:`Campaign.cells` order.
     results: dict[tuple[str, str], SimulationResult] = field(default_factory=dict)
     #: (config_name, workload_name) → structured error dict for cells whose
     #: simulation raised (see :func:`failure_payload`); absent from ``results``.
@@ -230,6 +236,12 @@ def run_campaign(
     ``workers=None`` defers to :func:`default_workers` (serial unless the
     environment says otherwise).  A raising cell ends as a failure row in
     :attr:`CampaignOutcome.failed`; the rest of the grid still runs.
+
+    Serial cells run workload-major, and each workload's traces are released from
+    the shared trace cache after its last cell, so the cache holds one workload's
+    traces at a time.  Progress events follow that execution order; the outcome's
+    :attr:`~CampaignOutcome.results` and :attr:`~CampaignOutcome.failed` follow
+    :meth:`Campaign.cells` order whatever the path.
     """
     started = time.monotonic()
     cells = campaign.cells()
@@ -251,8 +263,13 @@ def run_campaign(
                 outcome.record(cell, run)
         cells = pending
     if workers <= 1 or len(cells) == 1:
+        by_workload: dict[str, list[CampaignCell]] = {}
         for cell in cells:
-            outcome.record(cell, run_cell(cell, store=store, reporter=reporter))
+            by_workload.setdefault(cell.workload_name, []).append(cell)
+        for name, group in by_workload.items():
+            for cell in group:
+                outcome.record(cell, run_cell(cell, store=store, reporter=reporter))
+            shared_trace_cache.release(name)
     elif cells:
         # Imported here: the coordinator builds on this module's cell ladder.
         from repro.campaign.coordinator import run_local_fleet
@@ -262,6 +279,9 @@ def run_campaign(
             lambda cell, run: outcome.record(cell, _land(cell, run, store, reporter)),
         )
 
+    keys = [(cell.config.name, cell.workload_name) for cell in campaign.cells()]
+    outcome.results = {key: outcome.results[key] for key in keys if key in outcome.results}
+    outcome.failed = {key: outcome.failed[key] for key in keys if key in outcome.failed}
     outcome.elapsed_seconds = time.monotonic() - started
     reporter.finish()
     return outcome

@@ -17,9 +17,18 @@ directly, so neither saving it to the store nor walking it in the study encodes
 anything.  A later consumer of the other kind converts the cached trace once: a
 replay decodes a study capture's columns, a study encodes a replay capture's.
 
-Entries are keyed by workload name; an entry is reused only when its capture covers
-the requested replay length (:meth:`CapturedTrace.covers`), so a configuration with an
-unusually deep fetch-ahead window transparently triggers a longer re-capture.
+Entries are keyed by ``(workload name, id(program))``; an entry is reused only when its
+capture covers the requested replay length (:meth:`CapturedTrace.covers`), so a
+configuration with an unusually deep fetch-ahead window transparently triggers a longer
+re-capture.
+
+An entry lives until its grid's schedule says no cell will replay it again:
+:func:`~repro.campaign.executor.run_campaign` runs its serial cells workload-major and
+releases each workload (:meth:`TraceCache.release`) after its last cell, and a fleet worker
+(:func:`~repro.campaign.coordinator.work_loop`) releases a lease's workload when it
+claims a lease for another one.  Direct :func:`~repro.pipeline.simulator.simulate`
+callers and trace-level studies release nothing: their entries live until
+:meth:`TraceCache.clear`.
 
 ``REPRO_TRACE_CACHE=0`` disables the cache globally: every request then returns a
 fresh step-wise reference trace (:func:`~repro.trace.capture.reference_trace`),
@@ -134,6 +143,11 @@ class TraceCache:
         if store is not None:
             store.save(trace)
         return trace
+
+    def release(self, name: str) -> None:
+        """Drop every cached trace of the workload called ``name`` (the counters survive)."""
+        for key in [key for key in self._traces if key[0] == name]:
+            del self._traces[key]
 
     def clear(self) -> None:
         """Drop every cached trace (the counters survive)."""

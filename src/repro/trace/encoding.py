@@ -167,7 +167,6 @@ class CapturedTrace:
         "_presence",
         "_values",
         "_insts",
-        "_events",
     )
 
     def __init__(
@@ -199,7 +198,6 @@ class CapturedTrace:
         self._presence = presence
         self._values = values
         self._insts: tuple[DynInst, ...] | None = None
-        self._events: tuple[int, list[StudyEvent]] | None = None
 
     # ------------------------------------------------------------------ construction
     @classmethod
@@ -232,7 +230,6 @@ class CapturedTrace:
         trace._presence = None
         trace._values = None
         trace._insts = instructions
-        trace._events = None
         return trace
 
     def _ensure_columns(self) -> None:
@@ -320,12 +317,11 @@ class CapturedTrace:
         the last eligible µ-op are dropped: no lookup observes them.
 
         Built from the columns without decoding a single ``DynInst`` (a replay
-        capture encodes its columns first) and cached for one ``max_uops`` at a
-        time, so a sweep over predictor families walks one list.
+        capture encodes its columns first) on every call: the trace keeps no copy,
+        so a cached trace costs only its columns.  The caller that sweeps predictor
+        families over one trace keeps the list
+        (:func:`~repro.analysis.predictor_eval.evaluate_predictor`).
         """
-        cached = self._events
-        if cached is not None and cached[0] == max_uops:
-            return cached[1]
         self._ensure_columns()
         flags = bytes(
             (_CONDITIONAL_BRANCH if uop.is_conditional_branch else 0)
@@ -347,7 +343,6 @@ class CapturedTrace:
                 if kind & _VP_ELIGIBLE:
                     append((tuple(outcomes), pc, result))
                     outcomes.clear()
-        self._events = (max_uops, events)
         return events
 
     def covers(self, required_length: int) -> bool:

@@ -104,6 +104,32 @@ def test_study_matches_the_committed_golden(golden, tmp_path, monkeypatch, sourc
         assert trace._insts is None, "the study decoded DynInst objects"
 
 
+def test_a_family_sweep_builds_each_workloads_events_once(golden, monkeypatch):
+    """Every family on one workload before the next: one events list per workload."""
+    monkeypatch.delenv(TRACE_CACHE_ENV_VAR, raising=False)
+    real = encoding_module.CapturedTrace.study_events
+    built = []
+
+    def counting(trace, max_uops):
+        built.append(trace.program.name)
+        return real(trace, max_uops)
+
+    monkeypatch.setattr(encoding_module.CapturedTrace, "study_events", counting)
+    shared_trace_cache.clear()
+    try:
+        digests = {
+            f"{family}/{name}": _digest(
+                evaluate_predictor(_predictor(family, name), workload(name), MAX_UOPS)
+            )
+            for name in WORKLOADS
+            for family in FAMILIES
+        }
+    finally:
+        shared_trace_cache.clear()
+    assert built == list(WORKLOADS)
+    assert digests == {cell_id: golden[cell_id] for cell_id in digests}
+
+
 def _reference_walk(predictor, wl, max_uops, trace) -> PredictorEvaluation:
     """The study's definition, over decoded ``DynInst`` objects."""
     history = GlobalHistory()

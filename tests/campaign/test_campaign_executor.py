@@ -163,6 +163,54 @@ class TestRunCampaign:
         }
 
 
+class TestTraceWorkingSet:
+    """A serial grid holds one workload's traces at a time."""
+
+    def test_a_cold_serial_grid_holds_one_workload_at_a_time(self, monkeypatch):
+        import repro.campaign.executor as executor
+        from repro.trace.cache import TRACE_CACHE_ENV_VAR, shared_trace_cache
+
+        monkeypatch.delenv(TRACE_CACHE_ENV_VAR, raising=False)
+        campaign = Campaign(
+            name="working-set",
+            configs=(
+                _fast_config("CfgA"),
+                _fast_config("CfgB", value_prediction=True),
+                _fast_config("CfgC", value_prediction=True, issue_width=4),
+            ),
+            workload_names=("gcc", "mcf", "namd"),
+            max_uops=UOPS,
+            warmup_uops=WARMUP,
+        )
+        real = executor.simulate_cell
+        held = []
+
+        def counting(cell, wl=None, trace=None):
+            held.append(len(shared_trace_cache))
+            result = real(cell, wl, trace)
+            held.append(len(shared_trace_cache))
+            return result
+
+        monkeypatch.setattr(executor, "simulate_cell", counting)
+        shared_trace_cache.clear()
+        captures = shared_trace_cache.captures
+        try:
+            outcome = run_campaign(campaign, store=ResultStore(None), workers=1)
+            remaining = len(shared_trace_cache)
+        finally:
+            shared_trace_cache.clear()
+        assert outcome.simulated == 9 and not outcome.failed
+        assert len(held) == 18 and max(held) <= 1
+        assert shared_trace_cache.captures - captures == 3
+        assert remaining == 0
+        grid = outcome.by_config()
+        assert list(grid) == ["CfgA", "CfgB", "CfgC"]
+        assert all(list(row) == ["gcc", "mcf", "namd"] for row in grid.values())
+        assert list(outcome.ipcs()) == [
+            (cell.config.name, cell.workload_name) for cell in campaign.cells()
+        ]
+
+
 class TestWorkers:
     def test_default_workers_reads_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_CAMPAIGN_WORKERS", "3")

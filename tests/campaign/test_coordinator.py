@@ -263,6 +263,37 @@ class TestWorkLoop:
         assert error["type"] == "RuntimeError"
         assert error["attempts"] == 2
 
+    def test_claiming_another_workload_releases_the_previous_trace(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.campaign.executor as executor
+        from repro.trace.cache import TRACE_CACHE_ENV_VAR, shared_trace_cache
+        from repro.trace.store import TRACE_STORE_ENV_VAR
+
+        monkeypatch.delenv(TRACE_CACHE_ENV_VAR, raising=False)
+        # No trace store: a second acquisition of a workload would be a capture.
+        monkeypatch.setenv(TRACE_STORE_ENV_VAR, "")
+        service = _service(tmp_path, _campaign("gcc,mcf"), lease_width=1)
+        real = executor.simulate_cell
+        cached = []
+
+        def recording(cell, wl=None, trace=None):
+            cached.append(
+                (cell.workload_name, sorted({key[0] for key in shared_trace_cache._traces}))
+            )
+            return real(cell, wl, trace)
+
+        monkeypatch.setattr(executor, "simulate_cell", recording)
+        shared_trace_cache.clear()
+        captures = shared_trace_cache.captures
+        try:
+            counts = work_loop(service, worker_id="w1")
+        finally:
+            shared_trace_cache.clear()
+        assert counts["processed"] == 4
+        assert cached == [("gcc", []), ("gcc", ["gcc"]), ("mcf", []), ("mcf", ["mcf"])]
+        assert shared_trace_cache.captures - captures == 2
+
     def test_process_lease_reports_first_error(self, tmp_path, monkeypatch):
         import repro.campaign.executor as executor
 

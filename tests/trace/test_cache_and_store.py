@@ -40,6 +40,17 @@ class TestTraceCache:
         assert cache.captures == 1
         assert cache.hits == 1
 
+    def test_release_drops_only_the_named_workload(self):
+        cache = TraceCache(store=_NO_STORE)
+        config = baseline_6_64()
+        cache.trace_for(workload("gcc"), 500, config)
+        kept = cache.trace_for(workload("mcf"), 500, config)
+        cache.release("gcc")
+        assert len(cache) == 1
+        assert cache.trace_for(workload("mcf"), 500, config) is kept
+        cache.trace_for(workload("gcc"), 500, config)
+        assert cache.captures == 3 and cache.hits == 1
+
     def test_longer_requirement_triggers_recapture(self):
         cache = TraceCache(store=_NO_STORE)
         config = baseline_6_64()
