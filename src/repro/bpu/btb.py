@@ -70,8 +70,6 @@ class ReturnAddressStack:
             raise ConfigurationError("RAS must have at least one entry")
         self.entries = entries
         self._stack: list[int] = []
-        self.overflows = 0
-        self.underflows = 0
 
     def push(self, return_pc: int) -> None:
         """Record the return address of a call."""
@@ -79,12 +77,10 @@ class ReturnAddressStack:
         if len(self._stack) > self.entries:
             # Oldest entry is lost, like a hardware circular stack wrapping around.
             self._stack.pop(0)
-            self.overflows += 1
 
     def pop(self) -> int | None:
         """Predicted return target (``None`` if the stack has underflowed)."""
         if not self._stack:
-            self.underflows += 1
             return None
         return self._stack.pop()
 

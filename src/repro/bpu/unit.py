@@ -66,8 +66,6 @@ class BranchPredictionUnit:
         self.btb = btb if btb is not None else BranchTargetBuffer()
         self.ras = ras if ras is not None else ReturnAddressStack()
         self.history = history if history is not None else GlobalHistory()
-        self.conditional_branches = 0
-        self.unconditional_branches = 0
 
     # ------------------------------------------------------------------ prediction
     def predict(self, inst: DynInst) -> BranchOutcome:
@@ -87,7 +85,6 @@ class BranchPredictionUnit:
     def _predict_conditional(
         self, inst: DynInst, actual_taken: bool, actual_target: int
     ) -> BranchOutcome:
-        self.conditional_branches += 1
         tage_prediction = self.tage.predict(inst.pc, self.history)
         predicted_taken = tage_prediction.taken
         predicted_target: int | None = None
@@ -122,7 +119,6 @@ class BranchPredictionUnit:
     def _predict_direct(
         self, inst: DynInst, actual_target: int, is_call: bool
     ) -> BranchOutcome:
-        self.unconditional_branches += 1
         predicted_target = self.btb.lookup(inst.pc)
         resolved_at_decode = predicted_target is None or predicted_target != actual_target
         self.btb.update(inst.pc, actual_target)
@@ -140,7 +136,6 @@ class BranchPredictionUnit:
         )
 
     def _predict_return(self, actual_target: int) -> BranchOutcome:
-        self.unconditional_branches += 1
         predicted_target = self.ras.pop()
         target_mispredicted = predicted_target != actual_target
         return BranchOutcome(
@@ -155,7 +150,6 @@ class BranchPredictionUnit:
         )
 
     def _predict_indirect(self, inst: DynInst, actual_target: int) -> BranchOutcome:
-        self.unconditional_branches += 1
         predicted_target = self.btb.lookup(inst.pc)
         target_mispredicted = predicted_target != actual_target
         self.btb.update(inst.pc, actual_target)

@@ -48,7 +48,6 @@ class LateExecutionBlock:
         self.config = config if config is not None else LateExecutionConfig()
         self.late_executed_alu = 0
         self.late_resolved_branches = 0
-        self.alu_saturation_stalls = 0
 
     # ------------------------------------------------------------------ eligibility
     def is_late_executable(self, op: InflightOp) -> bool:

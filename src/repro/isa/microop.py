@@ -137,16 +137,14 @@ class MicroOp:
         set_attr(self, "reads_flags", self.is_conditional_branch)
         set_attr(self, "writes_flags", self.sets_flags)
         set_attr(self, "vp_eligible", self.dst is not None)
+        # Every architectural register read and written, implicit flags included,
+        # precomputed for the simulator's rename loop.
         sources = self.srcs + (regs.FLAGS_REG,) if self.reads_flags else self.srcs
-        set_attr(self, "_source_registers", sources)
         destinations: tuple[int, ...] = ()
         if self.dst is not None:
             destinations += (self.dst,)
         if self.writes_flags:
             destinations += (regs.FLAGS_REG,)
-        set_attr(self, "_destination_registers", destinations)
-        # Public precomputed aliases for the simulator's hot loops (one attribute
-        # load instead of a method call per dynamic use).
         set_attr(self, "src_regs", sources)
         set_attr(self, "dst_regs", destinations)
         # One-read classification bitmask for the per-committed-µ-op paths (see
@@ -172,15 +170,6 @@ class MicroOp:
         if opclass is OpClass.NOP:
             mask |= HOT_NOP
         set_attr(self, "hot_mask", mask)
-
-    # ------------------------------------------------------------------ helpers
-    def source_registers(self) -> tuple[int, ...]:
-        """All architectural registers read by this µ-op, including implicit flags."""
-        return self._source_registers
-
-    def destination_registers(self) -> tuple[int, ...]:
-        """All architectural registers written by this µ-op, including implicit flags."""
-        return self._destination_registers
 
     def __str__(self) -> str:
         parts = [self.opcode.value]

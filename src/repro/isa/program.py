@@ -8,12 +8,11 @@ branch-target table used by the emulator and by the branch-prediction structures
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from repro.errors import ProgramError
 from repro.isa.microop import MicroOp
-from repro.isa.opcode import Opcode
 
 
 @dataclass
@@ -99,42 +98,9 @@ class Program:
         self._require_resolved()
         return self._targets[pc]
 
-    def immediate_of(self, pc: int) -> int | None:
-        """Resolved immediate of the µ-op at ``pc`` (label immediates become PCs)."""
-        self._require_resolved()
-        return self._imm_values[pc]
-
     def pc_of(self, label: str) -> int:
         """Static PC of ``label``."""
         if label not in self.labels:
             raise ProgramError(f"undefined label {label!r}")
         return self.labels[label]
 
-    # ------------------------------------------------------------------ statistics
-    def static_mix(self) -> dict[str, int]:
-        """Static instruction mix: number of µ-ops per operation class name."""
-        mix: dict[str, int] = {}
-        for uop in self.uops:
-            key = uop.opclass.name
-            mix[key] = mix.get(key, 0) + 1
-        return mix
-
-    def branch_pcs(self) -> Sequence[int]:
-        """Static PCs of all control-flow µ-ops."""
-        return [pc for pc, uop in enumerate(self.uops) if uop.is_branch]
-
-    def uses_opcode(self, opcode: Opcode) -> bool:
-        """True if the program contains at least one µ-op with ``opcode``."""
-        return any(uop.opcode is opcode for uop in self.uops)
-
-    def listing(self) -> str:
-        """Pretty assembly-like listing, mainly for debugging and documentation."""
-        label_at: dict[int, list[str]] = {}
-        for label, pc in self.labels.items():
-            label_at.setdefault(pc, []).append(label)
-        lines: list[str] = []
-        for pc, uop in enumerate(self.uops):
-            for label in sorted(label_at.get(pc, [])):
-                lines.append(f"{label}:")
-            lines.append(f"  {pc:5d}: {uop}")
-        return "\n".join(lines)

@@ -179,12 +179,3 @@ def characterize(trace: Iterable[DynInst]) -> TraceStatistics:
     stats.distinct_load_addresses = len(load_addrs)
     return stats
 
-
-def take(trace: Iterator[DynInst], count: int) -> list[DynInst]:
-    """Materialise up to ``count`` dynamic instructions from ``trace``."""
-    out: list[DynInst] = []
-    for inst in trace:
-        out.append(inst)
-        if len(out) >= count:
-            break
-    return out

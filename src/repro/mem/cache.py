@@ -13,16 +13,14 @@ from repro.errors import ConfigurationError
 
 
 class CacheStatistics:
-    """Hit/miss/prefetch counters of one cache level."""
+    """Demand hit/miss counters of one cache level."""
 
-    __slots__ = ("accesses", "hits", "misses", "prefetches", "mshr_stall_cycles")
+    __slots__ = ("accesses", "hits", "misses")
 
     def __init__(self) -> None:
         self.accesses = 0
         self.hits = 0
         self.misses = 0
-        self.prefetches = 0
-        self.mshr_stall_cycles = 0
 
     @property
     def hit_rate(self) -> float:
@@ -64,20 +62,7 @@ class Cache:
         self._outstanding: list[int] = []
         self.stats = CacheStatistics()
 
-    # ------------------------------------------------------------------ geometry
-    def line_address(self, address: int) -> int:
-        """Line-aligned address of ``address``."""
-        return address // self.line_size
-
-    def _set_index(self, line: int) -> int:
-        return line % self.num_sets
-
     # ------------------------------------------------------------------ access
-    def probe(self, address: int) -> bool:
-        """True if ``address`` currently hits, without updating any state."""
-        line = self.line_address(address)
-        return line in self._sets[self._set_index(line)]
-
     def access(self, address: int, *, is_prefetch: bool = False) -> bool:
         """Access ``address``; returns hit/miss and updates LRU + contents.
 
@@ -86,9 +71,7 @@ class Cache:
         """
         line = address // self.line_size
         ways = self._sets[line % self.num_sets]
-        if is_prefetch:
-            self.stats.prefetches += 1
-        else:
+        if not is_prefetch:
             self.stats.accesses += 1
         if ways and ways[0] == line:
             # Already most-recently-used (the dominant case for sequential
@@ -121,6 +104,5 @@ class Cache:
         if len(self._outstanding) >= self.mshrs:
             earliest = min(self._outstanding)
             delay = max(0, earliest - cycle)
-            self.stats.mshr_stall_cycles += delay
         self._outstanding.append(completion_cycle + delay)
         return delay

@@ -26,11 +26,6 @@ class DRAMStatistics:
         self.row_conflicts = 0
         self.queueing_cycles = 0
 
-    @property
-    def row_hit_rate(self) -> float:
-        """Fraction of reads that hit an open row."""
-        return self.row_hits / self.reads if self.reads else 0.0
-
 
 class DRAMModel:
     """Bank-aware open-page DRAM latency model."""

@@ -11,16 +11,6 @@ from __future__ import annotations
 from repro.errors import ConfigurationError
 
 
-class StridePrefetcherStatistics:
-    """Counters for prefetch training and issue."""
-
-    __slots__ = ("trained", "issued")
-
-    def __init__(self) -> None:
-        self.trained = 0
-        self.issued = 0
-
-
 class StridePrefetcher:
     """Per-PC stride detector issuing ``degree`` prefetches at ``distance`` strides ahead."""
 
@@ -32,7 +22,6 @@ class StridePrefetcher:
         self.table_entries = table_entries
         # pc -> (last_address, last_stride, confidence)
         self._table: dict[int, tuple[int, int, int]] = {}
-        self.stats = StridePrefetcherStatistics()
 
     def observe(self, pc: int, address: int) -> list[int]:
         """Record a demand access and return the addresses to prefetch (possibly empty)."""
@@ -51,9 +40,7 @@ class StridePrefetcher:
         elif stride != 0:
             confidence = 0
         if confidence >= 1 and stride != 0:
-            self.stats.trained += 1
             for step in range(self.distance, self.distance + self.degree):
                 prefetches.append(address + stride * step)
-            self.stats.issued += len(prefetches)
         self._table[pc] = (address, stride if stride != 0 else last_stride, confidence)
         return prefetches

@@ -24,17 +24,6 @@ class FunctionalUnitConfig:
     fp_mul_div: int = 4
     mem_ports: int = 4
 
-    def units_for(self, opclass: OpClass) -> int:
-        """Number of units able to execute ``opclass``."""
-        group = _CLASS_GROUP[opclass]
-        return {
-            "alu": self.alu,
-            "mul_div": self.mul_div,
-            "fp": self.fp,
-            "fp_mul_div": self.fp_mul_div,
-            "mem": self.mem_ports,
-        }[group]
-
 
 #: Which pool an operation class draws from.
 _CLASS_GROUP: dict[OpClass, str] = {

@@ -11,7 +11,10 @@ free-list column, so a steady-state simulation allocates a bounded working set o
 records once and then reuses them.  Recycling is only safe once nothing can read a
 record any more — the pipeline enforces that with a retirement barrier (see
 :meth:`InflightOpPool.retire`), because younger issue-queue entries keep reading their
-producers' timing fields until they issue.
+producers' timing fields until they issue.  The simulator inlines acquire, ``_init``
+and the barrier drain in its fetch stage; ``tests/campaign/test_golden.py::
+test_unpooled_records_match_the_committed_golden`` holds runs that never recycle to
+the pooled runs' golden.
 """
 
 from __future__ import annotations
@@ -35,12 +38,10 @@ class InflightOp:
         "pc",
         "uop",
         # Timing.
-        "fetch_cycle",
         "dispatch_ready_cycle",
         "dispatch_cycle",
         "issue_cycle",
         "complete_cycle",
-        "commit_cycle",
         # Wake-up shortcut: the cycle from which dependents may consume this µ-op's
         # result (the dispatch cycle for a used prediction or an early-executed
         # µ-op, else the completion cycle), maintained eagerly at dispatch/issue so
@@ -65,7 +66,6 @@ class InflightOp:
         # Branch prediction.
         "branch_outcome",
         # Bookkeeping.
-        "in_issue_queue",
         "issued",
         "executed",
         "squashed",
@@ -94,7 +94,6 @@ class InflightOp:
         # Fields the fetch stage overwrites before anything reads them — reset here
         # for directly-constructed records, skipped by the pool's recycle path (the
         # only acquire site is fetch, which assigns all of them immediately).
-        self.fetch_cycle = UNKNOWN_CYCLE
         self.dispatch_ready_cycle = UNKNOWN_CYCLE
         self.history_snapshot = 0
         # Fields only ever read after a later stage wrote them (or by debugging /
@@ -102,7 +101,6 @@ class InflightOp:
         # record on the free list (it is cleared when the stale entry pops, before
         # the release).
         self.issue_cycle = UNKNOWN_CYCLE
-        self.commit_cycle = UNKNOWN_CYCLE
         self.in_completion_wheel = False
         # One-time defaults for the fields ``_init`` deliberately does not reset
         # (a recycled record carries its previous incarnation's values there; see
@@ -145,7 +143,6 @@ class InflightOp:
         self.pred_used = False
         self.early_executed = False
         self.late_executed = False
-        self.in_issue_queue = False
         self.issued = False
         self.executed = False
         self.squashed = False
@@ -196,8 +193,8 @@ class InflightOpPool:
       ``dispatch_cycle``; the LE/VT port model reads ``dest_bank`` at their commit).
       :meth:`retire` therefore parks the record behind a barrier: the largest sequence
       number dispatched so far.  Once the ROB's oldest entry is younger than the
-      barrier, every possible reader has itself retired or squashed, and
-      :meth:`promote` moves the record to the free list.
+      barrier, every possible reader has itself retired or squashed, and the fetch
+      stage moves the record to the free list.
     """
 
     __slots__ = ("_arena", "_free", "_deferred")
@@ -206,9 +203,6 @@ class InflightOpPool:
         self._arena: list[InflightOp] = []
         self._free: list[int] = []
         self._deferred: deque[tuple[int, InflightOp]] = deque()
-
-    def __len__(self) -> int:
-        return len(self._arena)
 
     @property
     def allocated(self) -> int:
@@ -249,20 +243,3 @@ class InflightOpPool:
         barriers are therefore non-decreasing and the deferred queue stays sorted.
         """
         self._deferred.append((barrier_seq, op))
-
-    def promote(self, oldest_inflight_seq: int | None) -> None:
-        """Move deferred records whose barrier has drained onto the free list.
-
-        ``oldest_inflight_seq`` is the ROB head's sequence number, or ``None`` when
-        the ROB is empty (every deferred record is then promotable).
-        """
-        deferred = self._deferred
-        if not deferred:
-            return
-        free = self._free
-        if oldest_inflight_seq is None:
-            while deferred:
-                free.append(deferred.popleft()[1].slot)
-            return
-        while deferred and deferred[0][0] < oldest_inflight_seq:
-            free.append(deferred.popleft()[1].slot)

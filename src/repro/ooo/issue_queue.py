@@ -77,20 +77,12 @@ class IssueQueue:
         self._next_immature = _NEVER
 
     # ------------------------------------------------------------------ capacity
-    def __len__(self) -> int:
-        return self.occupancy
-
-    def has_space(self, count: int = 1) -> bool:
-        """True if ``count`` more µ-ops fit."""
-        return self.occupancy + count <= self.capacity
-
     def __iter__(self):
         return iter(self._entries)
 
     # ------------------------------------------------------------------ mutation
     def insert(self, op: InflightOp) -> None:
         """Dispatch ``op`` into the queue."""
-        op.in_issue_queue = True
         # Recycled records skip the ``wait_until`` reset in ``_init``; the insert
         # is the last writer before the scan reads it.
         op.wait_until = 0
@@ -206,7 +198,6 @@ class IssueQueue:
                 continue
             op.issued = True
             op.issue_cycle = cycle
-            op.in_issue_queue = False
             if self.tracer is not None:
                 self.tracer.emit(cycle, "wakeup", op, "scan")
             for producer in op.producers:
@@ -305,7 +296,6 @@ class WakeupIssueQueue(IssueQueue):
     # ------------------------------------------------------------------ mutation
     def insert(self, op: InflightOp) -> None:
         """Dispatch ``op``: register with unresolved producers, park by deadline."""
-        op.in_issue_queue = True
         self._members[op.seq] = op
         occupancy = self.occupancy + 1
         self.occupancy = occupancy
@@ -442,7 +432,6 @@ class WakeupIssueQueue(IssueQueue):
             del members[seq]
             op.issued = True
             op.issue_cycle = cycle
-            op.in_issue_queue = False
             selected.append(op)
             width_left -= 1
             if uop.is_store:

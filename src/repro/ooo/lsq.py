@@ -21,8 +21,9 @@ from repro.ooo.inflight import InflightOp
 class LoadStoreQueue:
     """Combined model of the load queue and store queue.
 
-    Both queues are deques in dispatch (= commit) order: the common commit-time
-    removal pops the oldest entry in O(1) instead of shifting the whole queue.
+    Both queues are deques in dispatch (= commit) order: dispatch appends to
+    ``_loads``/``_stores`` against their capacities (inlined in the simulator), and
+    the common commit-time removal pops the oldest entry in O(1).
     """
 
     def __init__(self, lq_capacity: int = 48, sq_capacity: int = 48) -> None:
@@ -32,30 +33,10 @@ class LoadStoreQueue:
         self.sq_capacity = sq_capacity
         self._loads: deque[InflightOp] = deque()
         self._stores: deque[InflightOp] = deque()
-        self.forwarded_loads = 0
-        self.violations = 0
         self.peak_lq_occupancy = 0
         self.peak_sq_occupancy = 0
 
-    # ------------------------------------------------------------------ capacity
-    def has_space(self, op: InflightOp) -> bool:
-        """True if the memory µ-op ``op`` fits in its queue."""
-        if op.uop.is_load:
-            return len(self._loads) < self.lq_capacity
-        if op.uop.is_store:
-            return len(self._stores) < self.sq_capacity
-        return True
-
     # ------------------------------------------------------------------ mutation
-    def insert(self, op: InflightOp) -> None:
-        """Dispatch a memory µ-op into its queue."""
-        if op.uop.is_load:
-            self._loads.append(op)
-            self.peak_lq_occupancy = max(self.peak_lq_occupancy, len(self._loads))
-        elif op.uop.is_store:
-            self._stores.append(op)
-            self.peak_sq_occupancy = max(self.peak_sq_occupancy, len(self._stores))
-
     def remove(self, op: InflightOp) -> None:
         """Remove a memory µ-op at commit time.
 
@@ -115,6 +96,4 @@ class LoadStoreQueue:
                 continue
             if violating is None or load.seq < violating.seq:
                 violating = load
-        if violating is not None:
-            self.violations += 1
         return violating

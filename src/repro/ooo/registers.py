@@ -66,10 +66,6 @@ class BankedRegisterFile:
         self._port_cycle = -1
         self._ee_writes_used = [0] * num_banks
         self._levt_reads_used = [0] * num_banks
-        # Statistics.
-        self.bank_full_stalls = 0
-        self.ee_write_port_stalls = 0
-        self.levt_read_port_stalls = 0
 
     # ------------------------------------------------------------------ allocation
     def next_bank(self) -> int:
@@ -98,18 +94,6 @@ class BankedRegisterFile:
         if self._allocated[bank] > 0:
             self._allocated[bank] -= 1
 
-    def record_bank_full_stall(self, cycles: int = 1) -> None:
-        """Account rename stalls caused by an exhausted bank (Fig. 10's unbalancing).
-
-        ``cycles`` lets the event-driven scheduler credit a whole skipped stall span
-        at once (the reference loop counts one per stalled cycle).
-        """
-        self.bank_full_stalls += cycles
-
-    def occupancy(self, bank: int) -> int:
-        """Physical registers currently in use in ``bank`` (including architectural)."""
-        return self._reserved[bank] + self._allocated[bank]
-
     # ------------------------------------------------------------------ port accounting
     def _roll_cycle(self, cycle: int) -> None:
         if cycle != self._port_cycle:
@@ -124,7 +108,6 @@ class BankedRegisterFile:
             return True
         self._roll_cycle(cycle)
         if self._ee_writes_used[bank] >= limit:
-            self.ee_write_port_stalls += 1
             return False
         self._ee_writes_used[bank] += 1
         return True
@@ -145,7 +128,6 @@ class BankedRegisterFile:
             bank = banks[0]
             used = self._levt_reads_used[bank]
             if used + 1 > limit and not (limit < 1 and used == 0):
-                self.levt_read_port_stalls += 1
                 return False
             self._levt_reads_used[bank] = min(self.registers_per_bank, used + 1)
             return True
@@ -159,7 +141,6 @@ class BankedRegisterFile:
                 # over multiple cycles); anything else must retry next cycle.
                 if count > limit and self._levt_reads_used[bank] == 0:
                     continue
-                self.levt_read_port_stalls += 1
                 return False
         for bank, count in needed.items():
             self._levt_reads_used[bank] = min(

@@ -8,12 +8,17 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.ooo.inflight import InflightOp
 
 
 class ReorderBuffer:
-    """A bounded, in-order buffer of in-flight µ-ops."""
+    """A bounded, in-order buffer of in-flight µ-ops.
+
+    Dispatch appends to ``_entries`` against ``capacity`` (and raises
+    ``peak_occupancy``) and commit pops its head; both are inlined in the
+    simulator's per-µ-op loops.
+    """
 
     def __init__(self, capacity: int = 192) -> None:
         if capacity <= 0:
@@ -21,36 +26,6 @@ class ReorderBuffer:
         self.capacity = capacity
         self._entries: deque[InflightOp] = deque()
         self.peak_occupancy = 0
-        self.full_stall_cycles = 0
-
-    # ------------------------------------------------------------------ capacity
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def occupancy(self) -> int:
-        """Current number of in-flight µ-ops."""
-        return len(self._entries)
-
-    def has_space(self, count: int = 1) -> bool:
-        """True if ``count`` more µ-ops fit."""
-        return len(self._entries) + count <= self.capacity
-
-    # ------------------------------------------------------------------ mutation
-    def push(self, op: InflightOp) -> None:
-        """Insert ``op`` at the tail (dispatch order)."""
-        if not self.has_space():
-            raise SimulationError("ROB overflow: push called without space")
-        if self._entries and op.seq <= self._entries[-1].seq:
-            raise SimulationError("ROB entries must be pushed in increasing sequence order")
-        entries = self._entries
-        entries.append(op)
-        if len(entries) > self.peak_occupancy:
-            self.peak_occupancy = len(entries)
-
-    def head(self) -> InflightOp | None:
-        """Oldest in-flight µ-op, or ``None`` when empty."""
-        return self._entries[0] if self._entries else None
 
     def squash_from(self, seq: int) -> list[InflightOp]:
         """Remove every µ-op with sequence number >= ``seq`` (youngest first in the ROB tail).

@@ -29,8 +29,6 @@ class StoreSets:
         # Last Fetched Store Table: store set id -> most recent in-flight store µ-op.
         self._lfst: list[InflightOp | None] = [None] * lfst_entries
         self._next_set_id = 0
-        self.predicted_dependences = 0
-        self.trained_violations = 0
 
     # ------------------------------------------------------------------ indexing
     def _ssit_index(self, pc: int) -> int:
@@ -48,7 +46,6 @@ class StoreSets:
         store = self._lfst[self._lfst_index(set_id)]
         if store is None or store.squashed or store.issued:
             return None
-        self.predicted_dependences += 1
         return store
 
     def register_store(self, store: InflightOp) -> None:
@@ -85,7 +82,6 @@ class StoreSets:
     # ------------------------------------------------------------------ training
     def train_violation(self, load_pc: int, store_pc: int) -> None:
         """Assign the violating load and store to a common store set."""
-        self.trained_violations += 1
         load_index = self._ssit_index(load_pc)
         store_index = self._ssit_index(store_pc)
         load_set = self._ssit[load_index]

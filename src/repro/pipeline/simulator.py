@@ -164,7 +164,6 @@ class Simulator:
             config.has_levt_stage and config.levt_read_ports_per_bank is not None
         )
         self._ee_enabled = config.eole.early.enabled
-        self._late_enabled = config.eole.late.enabled
         self._multi_bank = config.prf_banks > 1
         # Completion-wheel diet (wake-up IQ): a completion's only effect for
         # µ-ops that are neither stores nor blocking fetch is ``executed = True``,
@@ -435,7 +434,6 @@ class Simulator:
                 stats.lsq_full_stalls += gap
             elif reason == "prf":
                 stats.prf_bank_stalls += gap
-                self.prf.record_bank_full_stall(gap)
             elif reason is not None:  # pragma: no cover - dispatch parks on no other
                 raise SimulationError(f"unknown dispatch stall reason {reason!r}")
             if self._m_iq_occupancy is not None:
@@ -590,7 +588,6 @@ class Simulator:
 
             # The µ-op retires this cycle.
             rob_entries.popleft()
-            op.commit_cycle = cycle
             committed += 1
             if late_executed:
                 late_alus_used += 1
@@ -814,9 +811,8 @@ class Simulator:
         lsq = self.lsq
         prf = self.prf
         stats = self.stats
-        # Hot-path views of the structural resources (the methods on ReorderBuffer /
-        # LoadStoreQueue / BankedRegisterFile remain the reference implementations;
-        # phase A/B runs once per dispatched µ-op and inlines them).
+        # Hot-path views of the structural resources: phase A/B runs once per
+        # dispatched µ-op and appends to the ROB/LSQ deques itself.
         rob_entries = rob._entries
         rob_capacity = rob.capacity
         lsq_loads = lsq._loads
@@ -858,7 +854,6 @@ class Simulator:
                 break
             if kind & 64 and multi_bank and not prf.can_allocate():
                 stats.prf_bank_stalls += 1
-                prf.record_bank_full_stall()
                 blocked = "prf"
                 break
             frontend.popleft()
@@ -1071,7 +1066,6 @@ class Simulator:
         pool = self.pool
         deferred = pool._deferred
         if deferred:
-            # Inlined pool.promote (kept as the reference implementation).
             rob_entries = self.rob._entries
             free = pool._free
             if rob_entries:
@@ -1101,7 +1095,8 @@ class Simulator:
         replay = self._replay
         pool_free = pool._free
         pool_arena = pool._arena
-        # L1I hit fast path (the reference path is hierarchy.fetch): sequential
+        # L1I hit fast path (the reference path is hierarchy.fetch, which
+        # test_general_l1i_path_matches_the_committed_golden forces): sequential
         # fetch hits the MRU line of one set almost every µ-op.
         l1i = self.hierarchy.l1i
         l1i_sets = l1i._sets
@@ -1146,9 +1141,10 @@ class Simulator:
                     self._fetch_resume_cycle = cycle + icache_latency
                     break
 
-            # Inlined pool.acquire + InflightOp._init (both kept as the
-            # reference implementations; the recycle path below must mirror
-            # _init field for field).
+            # Inlined pool.acquire + InflightOp._init: the recycle path below
+            # must mirror _init field for field, which
+            # test_unpooled_records_match_the_committed_golden checks by holding
+            # runs that never recycle to the pooled golden.
             if pool_free:
                 op = pool_arena[pool_free.pop()]
                 op.dyn = dyn
@@ -1164,7 +1160,6 @@ class Simulator:
                 op.pred_used = False
                 op.early_executed = False
                 op.late_executed = False
-                op.in_issue_queue = False
                 op.issued = False
                 op.executed = False
                 op.squashed = False
@@ -1172,7 +1167,6 @@ class Simulator:
                 op.load_forwarded = False
             else:
                 op = pool.acquire(dyn)
-            op.fetch_cycle = cycle
             op.dispatch_ready_cycle = cycle + fetch_to_dispatch
             # Inlined history.snapshot() memoisation (one attribute read on the
             # common no-new-branch path).

@@ -100,13 +100,6 @@ class SimStats:
         """Fraction of committed µ-ops whose result was taken from the value predictor."""
         return self.predictions_used / self.committed_uops if self.committed_uops else 0.0
 
-    @property
-    def branch_mpki(self) -> float:
-        """Branch mispredictions per kilo committed µ-ops."""
-        if not self.committed_uops:
-            return 0.0
-        return 1000.0 * self.branch_mispredictions / self.committed_uops
-
 
 @dataclass
 class SimulationResult:
@@ -129,12 +122,6 @@ class SimulationResult:
     def ipc(self) -> float:
         """IPC over the measurement window."""
         return self.stats.ipc
-
-    def speedup_over(self, baseline: "SimulationResult") -> float:
-        """IPC ratio of this run over ``baseline`` (the paper's speedup metric)."""
-        if baseline.ipc == 0:
-            return 0.0
-        return self.ipc / baseline.ipc
 
     def to_dict(self) -> dict:
         """JSON-safe dict form, so results survive pickling boundaries and sessions.

@@ -7,15 +7,15 @@ Public entry points:
 * the individual predictors (:class:`LastValuePredictor`, :class:`StridePredictor`,
   :class:`TwoDeltaStridePredictor`, :class:`FCMPredictor`, :class:`VTAGEPredictor`) for
   comparison studies;
-* :class:`FPCPolicy` / :class:`ForwardProbabilisticCounter` — the Forward Probabilistic
-  Counter confidence mechanism that makes commit-time validation viable.
+* :class:`FPCPolicy` — the Forward Probabilistic Counter confidence mechanism that
+  makes commit-time validation viable (predictors keep each counter's level as an
+  ``int`` and draw its forward transitions from the policy).
 """
 
 from repro.vp.base import PredictorStatistics, ValuePredictor, VPrediction
 from repro.vp.confidence import (
     DETERMINISTIC_3BIT_VECTOR,
     FPCPolicy,
-    ForwardProbabilisticCounter,
     PAPER_FPC_VECTOR,
 )
 from repro.vp.fcm import FCMPredictor
@@ -28,7 +28,6 @@ __all__ = [
     "DETERMINISTIC_3BIT_VECTOR",
     "FCMPredictor",
     "FPCPolicy",
-    "ForwardProbabilisticCounter",
     "LastValuePredictor",
     "PAPER_FPC_VECTOR",
     "PredictorStatistics",

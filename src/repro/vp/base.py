@@ -103,8 +103,9 @@ class ValuePredictor(ABC):
     """Abstract base class of all value predictors.
 
     Each family walks its tables once per side: :meth:`lookup` at fetch and
-    :meth:`train` at commit.  The statistics are accounted inline (the
-    :class:`PredictorStatistics` ``record_*`` methods are their reference).
+    :meth:`train` at commit.  The statistics are accounted inline; the
+    :class:`PredictorStatistics` ``record_*`` methods are their reference, which
+    ``tests/vp/test_training_entry_points.py`` compares with them.
     ``perfbench/spans.py`` wraps ``lookup``, ``validate_and_train``,
     ``train_commit_group``, ``train_commit_group_columns`` and ``recover`` per
     instance, so none of them calls another through ``self``.

@@ -5,9 +5,11 @@ predictor only supplies a prediction when it is almost certainly right, which ma
 commit-time validation plus pipeline squashing a viable recovery mechanism — the
 property EOLE depends on (Section 3.1 of the EOLE paper).
 
-A :class:`ForwardProbabilisticCounter` is a small saturating counter whose *forward*
-transitions only happen with a configurable probability per level; any misprediction
-resets it.  The EOLE paper uses 3-bit counters controlled by the probability vector
+An FPC is a small saturating counter whose *forward* transitions only happen with a
+configurable probability per level; any misprediction resets it.  Predictors keep each
+counter's level as an ``int`` in their entries and ask
+:meth:`FPCPolicy.allows_increment` whether a correct prediction may move it forward.
+The EOLE paper uses 3-bit counters controlled by the probability vector
 ``{1, 1/32, 1/32, 1/32, 1/32, 1/64, 1/64}`` (Section 4.2).
 """
 
@@ -142,30 +144,3 @@ class FPCPolicy:
         random._state = x
         return ((x * 0x2545F4914F6CDD1D) & 0xFFFFFFFFFFFFFFFF) >> 32 < threshold
 
-
-class ForwardProbabilisticCounter:
-    """One FPC confidence counter."""
-
-    __slots__ = ("policy", "value")
-
-    def __init__(self, policy: FPCPolicy, value: int = 0) -> None:
-        self.policy = policy
-        self.value = value
-
-    @property
-    def saturated(self) -> bool:
-        """True when the counter has reached its maximum: the prediction may be used."""
-        return self.value >= self.policy.saturation
-
-    def on_correct(self) -> None:
-        """Record a correct prediction (probabilistic forward transition)."""
-        if self.value < self.policy.saturation and self.policy.allows_increment(self.value):
-            self.value += 1
-
-    def on_incorrect(self) -> None:
-        """Record an incorrect prediction (reset, as in the paper)."""
-        self.value = 0
-
-    def reset(self) -> None:
-        """Explicitly reset the counter (entry replacement)."""
-        self.value = 0

@@ -1,6 +1,5 @@
-"""Synthetic workloads: the 19 SPEC-analogue kernels and a random program generator."""
+"""Synthetic workloads: the 19 SPEC-analogue kernels."""
 
-from repro.workloads.generator import RandomProgramGenerator
 from repro.workloads.kernels import (
     CHASE_BASE,
     JUMP_TABLE_BASE,
@@ -28,7 +27,6 @@ __all__ = [
     "JUMP_TABLE_BASE",
     "OUTER_ITERATIONS",
     "RANDOM_BASE",
-    "RandomProgramGenerator",
     "STORE_BASE",
     "STRIDED_BASE",
     "SUITE_ORDER",

@@ -65,14 +65,16 @@ class TestRAS:
     def test_underflow_returns_none(self):
         ras = ReturnAddressStack(entries=4)
         assert ras.pop() is None
-        assert ras.underflows == 1
+        assert ras.depth == 0
+        ras.push(7)  # an underflow leaves no stale entry behind
+        assert ras.pop() == 7 and ras.pop() is None
 
     def test_overflow_drops_oldest(self):
         ras = ReturnAddressStack(entries=2)
         ras.push(1)
         ras.push(2)
         ras.push(3)
-        assert ras.overflows == 1
+        assert ras.depth == 2
         assert ras.pop() == 3
         assert ras.pop() == 2
         assert ras.pop() is None

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bpu.history import GlobalHistory
+from repro.bpu.history import GlobalHistory, fold_bits
 from repro.bpu.tage import TAGEBranchPredictor
 from repro.errors import ConfigurationError
 
@@ -112,3 +112,34 @@ class TestConfidence:
 
     def test_storage_accounting(self):
         assert _make().storage_bits() > 0
+
+
+class TestHashReferences:
+    def test_prediction_folds_rederive_the_reference_hashes(self):
+        """Lookup and allocation hash from incremental fold registers (or, for a
+        dormant register, from the snapshot's raw bits); ``_tagged_index`` and
+        ``_tagged_tag`` fold the whole history at once and are their reference."""
+        predictor = _make()
+        history = GlobalHistory()
+        pattern = [True, True, False, True, False, False, True]
+        _run_pattern(predictor, pattern, rounds=300, history=history)
+        folds_seen = set()
+        for pc in (0x400, 0x404, 0x1234):
+            prediction = predictor.predict(pc, history)
+            index_mixes, _, _ = predictor._pc_mixes(pc)
+            for rank in range(predictor.num_components):
+                fold = prediction.folds[rank]
+                folds_seen.add(fold is None)
+                if fold is None:
+                    fold = fold_bits(
+                        prediction.bits, predictor.history_lengths[rank], predictor._index_width
+                    )
+                index = (index_mixes[rank] ^ fold) & predictor._tagged_mask
+                assert index == predictor._tagged_index(pc, history, rank)
+                tag = predictor._prediction_tag(prediction, rank)
+                assert tag == predictor._tagged_tag(pc, history, rank)
+            if prediction.provider >= 0:
+                assert prediction.provider_index == predictor._tagged_index(
+                    pc, history, prediction.provider
+                )
+        assert folds_seen == {True, False}  # live and dormant registers both checked

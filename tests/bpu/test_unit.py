@@ -92,6 +92,18 @@ class TestCallsAndReturns:
         assert rets > 10
         assert ret_mispredictions == 0
 
+    def test_counters_track_branch_kinds(self):
+        """Only conditional branches consult the direction predictor."""
+        unit = BranchPredictionUnit()
+        conditional = unconditional = 0
+        for inst in _call_ret_trace(200):
+            if inst.uop.is_branch:
+                unit.predict(inst)
+                conditional += inst.uop.is_conditional_branch
+                unconditional += not inst.uop.is_conditional_branch
+        assert unconditional > 0
+        assert unit.tage.lookups == conditional > 0
+
     def test_direct_jumps_and_calls_are_never_direction_mispredicted(self):
         unit = BranchPredictionUnit()
         for inst in _call_ret_trace(200):
@@ -99,14 +111,6 @@ class TestCallsAndReturns:
                 outcome = unit.predict(inst)
                 assert not outcome.direction_mispredicted
                 assert outcome.predicted_taken
-
-    def test_counters_track_branch_kinds(self):
-        unit = BranchPredictionUnit()
-        for inst in _call_ret_trace(200):
-            if inst.uop.is_branch:
-                unit.predict(inst)
-        assert unit.conditional_branches > 0
-        assert unit.unconditional_branches > 0
 
 
 class TestIndirectBranches:

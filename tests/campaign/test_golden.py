@@ -18,7 +18,8 @@ import pytest
 from repro.campaign.executor import run_campaign
 from repro.campaign.spec import Campaign
 from repro.campaign.store import ResultStore
-from repro.pipeline.simulator import Simulator
+from repro.ooo.issue_queue import WAKEUP_ENV_VAR
+from repro.pipeline.simulator import EVENT_DRIVEN_ENV_VAR, Simulator
 from repro.trace.cache import TRACE_CACHE_ENV_VAR, shared_trace_cache
 from repro.workloads.suite import workload
 
@@ -49,12 +50,20 @@ def _assert_matches_golden(campaign, outcome) -> None:
 
 @pytest.mark.parametrize(
     "workers, env",
-    [(1, {}), (2, {}), (1, {TRACE_CACHE_ENV_VAR: "0"})],
-    ids=["serial", "fleet", "serial-stepwise"],
+    [
+        (1, {}),
+        (2, {}),
+        (1, {TRACE_CACHE_ENV_VAR: "0"}),
+        (1, {EVENT_DRIVEN_ENV_VAR: "0"}),
+        (1, {WAKEUP_ENV_VAR: "0"}),
+    ],
+    ids=["serial", "fleet", "serial-stepwise", "serial-cycle-stepping", "serial-scan-iq"],
 )
 def test_campaign_matches_the_committed_golden(tmp_path, monkeypatch, workers, env):
-    """``serial-stepwise`` replays the step-wise emulator's reference trace, the
-    oracle for the batched capture the other two replay."""
+    """The last three ids run the oracles: ``serial-stepwise`` replays the
+    step-wise emulator's reference trace (the batched capture's oracle),
+    ``serial-cycle-stepping`` steps every cycle (the event wheel's) and
+    ``serial-scan-iq`` walks the scan issue queue (the wake-up lists')."""
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     campaign = _figure_grid_campaign()
@@ -107,5 +116,48 @@ def test_unpooled_records_match_the_committed_golden():
             result = simulator.run()
             assert simulator.pool.allocated == result.full_stats.fetched_uops
             assert _digest(result) == expected[cell.describe()], cell.describe()
+    finally:
+        shared_trace_cache.clear()
+
+
+class _NoMRU(list):
+    """An L1I set whose ``[0]`` never equals a line: ``_fetch``'s MRU shortcut and
+    ``Cache.access``'s MRU branch both miss it and take the general ``line in ways``
+    path, which keeps the same LRU order and counts."""
+
+    def __getitem__(self, index):
+        return -1 if index == 0 else super().__getitem__(index)
+
+
+def test_general_l1i_path_matches_the_committed_golden():
+    """``_fetch`` serves an MRU L1I hit inline; ``MemoryHierarchy.fetch`` is its
+    reference.  Forcing every fetch through the reference must leave the results
+    and the L1I counters unchanged."""
+    expected = json.loads(GOLDEN.read_text())["figure_grid"]
+    try:
+        for cell in _figure_grid_campaign().cells():
+            trace = shared_trace_cache.trace_for(
+                workload(cell.workload_name), cell.max_uops, cell.config
+            )
+            runs = []
+            for force_general in (False, True):
+                simulator = Simulator(cell.config, trace, cell.max_uops, cell.warmup_uops)
+                hierarchy = simulator.hierarchy
+                reference_calls = []
+                if force_general:
+                    hierarchy.l1i._sets[:] = [_NoMRU(ways) for ways in hierarchy.l1i._sets]
+                    reference = hierarchy.fetch
+
+                    def counted_fetch(pc, cycle, reference=reference, calls=reference_calls):
+                        calls.append(pc)
+                        return reference(pc, cycle)
+
+                    hierarchy.fetch = counted_fetch
+                result = simulator.run()
+                stats = hierarchy.l1i.stats
+                runs.append((_digest(result), stats.accesses, stats.hits, stats.misses))
+            assert len(reference_calls) == stats.accesses  # no fetch took the shortcut
+            assert runs[1] == runs[0], cell.describe()
+            assert runs[1][0] == expected[cell.describe()], cell.describe()
     finally:
         shared_trace_cache.clear()

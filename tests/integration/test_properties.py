@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.core.eole import EOLEVariant, eole_config
 from repro.pipeline.config import PipelineConfig
-from repro.workloads.generator import RandomProgramGenerator
+from tests.random_programs import RandomProgramGenerator
 from tests.conftest import run_simulation
 
 SEEDS = st.integers(min_value=0, max_value=10_000)

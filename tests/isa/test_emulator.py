@@ -16,7 +16,7 @@ from repro.isa.opcode import Opcode, is_conditional_branch
 from repro.isa.registers import FLAGS_REG
 from repro.isa.trace import OPTIONAL_FIELDS
 from repro.trace.encoding import CapturedTrace, empty_columns
-from repro.workloads.generator import RandomProgramGenerator
+from tests.random_programs import RandomProgramGenerator
 
 
 def _run(builder: ProgramBuilder, max_uops: int = 1000):

@@ -53,17 +53,17 @@ class TestClassification:
     def test_conditional_branch_reads_flags_implicitly(self):
         uop = MicroOp(Opcode.BNE, srcs=(FLAGS_REG,), target="loop")
         assert uop.reads_flags
-        assert FLAGS_REG in uop.source_registers()
+        assert FLAGS_REG in uop.src_regs
 
     def test_flag_setting_op_writes_flags_register(self):
         uop = MicroOp(Opcode.SUB, dst=1, srcs=(2, 3), sets_flags=True)
-        assert FLAGS_REG in uop.destination_registers()
-        assert 1 in uop.destination_registers()
+        assert FLAGS_REG in uop.dst_regs
+        assert 1 in uop.dst_regs
 
     def test_store_sources(self):
         uop = MicroOp(Opcode.ST, srcs=(4, 5), imm=8)
         assert uop.is_store and uop.is_memory
-        assert uop.destination_registers() == ()
+        assert uop.dst_regs == ()
 
     def test_string_rendering_mentions_opcode_and_registers(self):
         uop = MicroOp(Opcode.ADD, dst=1, srcs=(2,), imm=7)

@@ -5,9 +5,9 @@ import gc
 import pytest
 
 from repro.isa.builder import ProgramBuilder
-from repro.isa.emulator import collect_trace, generate_trace
+from repro.isa.emulator import collect_trace
 from repro.isa.opcode import OpClass
-from repro.isa.trace import characterize, gc_paused, take
+from repro.isa.trace import characterize, gc_paused
 
 
 def _mixed_program():
@@ -58,19 +58,6 @@ class TestCharacterize:
         assert stats.total == 0
         assert stats.branch_ratio == 0.0
         assert stats.vp_eligible_ratio == 0.0
-
-
-class TestTake:
-    def test_take_limits_count(self):
-        stream = generate_trace(_mixed_program(), 1000)
-        first = take(stream, 10)
-        assert len(first) == 10
-        assert [i.seq for i in first] == list(range(10))
-
-    def test_take_handles_short_streams(self):
-        b = ProgramBuilder()
-        b.movi("r1", 1)
-        assert len(take(generate_trace(b.build(), 100), 50)) == 1
 
 
 class TestGcPaused:

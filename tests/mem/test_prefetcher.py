@@ -59,10 +59,3 @@ class TestStridePrefetcher:
         for pc in range(10):
             prefetcher.observe(pc, pc * 0x1000)
         assert len(prefetcher._table) <= 4
-
-    def test_statistics(self):
-        prefetcher = StridePrefetcher(degree=4)
-        for address in (0, 8, 16, 24):
-            prefetcher.observe(0x10, address)
-        assert prefetcher.stats.trained >= 1
-        assert prefetcher.stats.issued >= 4

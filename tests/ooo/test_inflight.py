@@ -54,7 +54,7 @@ class TestInflightOpPool:
         op.wait_until = 5
         op.iq_waiters = 3
         op.pred_used = op.early_executed = op.late_executed = True
-        op.in_issue_queue = op.issued = op.executed = op.squashed = True
+        op.issued = op.executed = op.squashed = True
         op.dest_bank = 2
         op.load_forwarded = True
         op.producers = (op,)
@@ -64,8 +64,7 @@ class TestInflightOpPool:
         recycled = pool.acquire(dyn)
         fresh = InflightOp(dyn)
         for name in InflightOp.__slots__:
-            if name in ("slot", "fetch_cycle", "dispatch_ready_cycle",
-                        "history_snapshot", "issue_cycle", "commit_cycle"):
+            if name in ("slot", "dispatch_ready_cycle", "history_snapshot", "issue_cycle"):
                 continue  # pool-owned / fetch-assigned before any read
             if name in ("dispatch_cycle", "complete_cycle", "wait_until",
                         "unknown_producers", "mem_blocked", "producers",
@@ -80,26 +79,37 @@ class TestInflightOpPool:
                 continue
             assert getattr(recycled, name) == getattr(fresh, name), name
 
-    def test_retire_defers_until_barrier_drains(self):
-        from repro.ooo.inflight import InflightOpPool
+    def _simulator(self):
+        """A fresh simulator; its first fetch misses the cold L1I and takes no record,
+        so the pool's free list shows only what the fetch stage's barrier drain did."""
+        from repro.pipeline.config import named_config
+        from repro.pipeline.simulator import Simulator
+        from repro.workloads.suite import workload
+        from tests.conftest import replay_trace
 
-        pool = InflightOpPool()
-        op = pool.acquire(self._dyn(0))
-        pool.retire(op, barrier_seq=7)
+        config, wl = named_config("EOLE_4_64"), workload("gcc")
+        return Simulator(config, replay_trace(config, wl.program, 200, wl.make_state()), 200)
+
+    def test_retire_defers_until_barrier_drains(self):
+        simulator = self._simulator()
+        pool, rob_entries = simulator.pool, simulator.rob._entries
+        pool.retire(pool.acquire(self._dyn(0)), barrier_seq=7)
+        rob_entries.append(InflightOp(self._dyn(5)))  # ops <= 7 may still read the record
+        simulator._fetch()
         assert pool.deferred_count == 1 and pool.free_count == 0
-        pool.promote(oldest_inflight_seq=5)  # ops <= 7 may still read the record
-        assert pool.deferred_count == 1 and pool.free_count == 0
-        pool.promote(oldest_inflight_seq=8)  # everything <= 7 has drained
+        rob_entries[0] = InflightOp(self._dyn(8))  # everything <= 7 has drained
+        simulator._fetch()
         assert pool.deferred_count == 0 and pool.free_count == 1
+        assert not simulator._frontend
 
     def test_promote_with_empty_rob_releases_everything(self):
-        from repro.ooo.inflight import InflightOpPool
-
-        pool = InflightOpPool()
+        simulator = self._simulator()
+        pool = simulator.pool
         for seq in range(3):
             pool.retire(pool.acquire(self._dyn(seq)), barrier_seq=seq)
-        pool.promote(oldest_inflight_seq=None)
+        simulator._fetch()
         assert pool.deferred_count == 0 and pool.free_count == 3
+        assert not simulator._frontend
 
     def test_simulation_working_set_is_bounded(self):
         from repro.ooo.inflight import InflightOpPool

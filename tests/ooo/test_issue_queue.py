@@ -33,10 +33,9 @@ class TestCapacity:
     def test_has_space_and_occupancy(self):
         iq = IssueQueue(capacity=2)
         iq.insert(_op(0))
-        assert iq.occupancy == 1
-        assert iq.has_space()
+        assert iq.occupancy == 1 < iq.capacity  # dispatch's space check
         iq.insert(_op(1))
-        assert not iq.has_space()
+        assert iq.occupancy == iq.capacity
         assert iq.peak_occupancy == 2
 
 
@@ -82,7 +81,7 @@ class TestSelect:
         iq.select_ready(7, 1, FunctionalUnitPool())
         assert op.issued
         assert op.issue_cycle == 7
-        assert not op.in_issue_queue
+        assert list(iq) == []
 
     def test_squashed_entries_dropped_during_select(self):
         iq = IssueQueue(capacity=8)

@@ -20,39 +20,49 @@ def _store(seq: int, addr: int) -> InflightOp:
     return InflightOp(DynInst(seq=seq, pc=seq, uop=uop, addr=addr))
 
 
+def _dispatch(lsq: LoadStoreQueue, *ops: InflightOp) -> None:
+    """Append memory µ-ops to their queues, as the simulator's dispatch stage does."""
+    for op in ops:
+        (lsq._loads if op.uop.is_load else lsq._stores).append(op)
+
+
 class TestCapacity:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             LoadStoreQueue(lq_capacity=0)
 
     def test_space_accounting_per_queue(self):
-        lsq = LoadStoreQueue(lq_capacity=1, sq_capacity=1)
-        load, store = _load(0, 0x10), _store(1, 0x20)
-        assert lsq.has_space(load)
-        lsq.insert(load)
-        assert not lsq.has_space(_load(2, 0x30))
-        assert lsq.has_space(store)  # store queue is separate
-        lsq.insert(store)
-        assert not lsq.has_space(_store(3, 0x40))
+        """Dispatch fills each queue up to its own capacity and stalls, never past it."""
+        from repro.pipeline.config import named_config
+        from repro.pipeline.simulator import Simulator
+        from repro.workloads.suite import workload
+        from tests.conftest import replay_trace
+
+        config = named_config("Baseline_VP_6_64").derive(lq_size=4, sq_size=2)
+        wl = workload("milc")
+        simulator = Simulator(config, replay_trace(config, wl.program, 1500, wl.make_state()), 1500)
+        assert simulator.run().full_stats.lsq_full_stalls > 0
+        assert (simulator.lsq.peak_lq_occupancy, simulator.lsq.peak_sq_occupancy) == (4, 2)
 
     def test_remove_and_occupancy(self):
         lsq = LoadStoreQueue(lq_capacity=1)
-        load = _load(0, 0x10)
-        lsq.insert(load)
-        assert not lsq.has_space(_load(1, 0x20))
+        load, store = _load(0, 0x10), _store(1, 0x20)
+        _dispatch(lsq, load, store)
         lsq.remove(load)
-        assert lsq.has_space(_load(1, 0x20))
+        assert list(lsq._loads) == [] and list(lsq._stores) == [store]
         lsq.remove(load)  # idempotent
+        lsq.remove(store)
+        assert list(lsq._stores) == []
 
     def test_remove_squashed(self):
-        lsq = LoadStoreQueue(lq_capacity=1, sq_capacity=1)
+        lsq = LoadStoreQueue()
         a, b = _load(0, 0x10), _store(1, 0x20)
-        lsq.insert(a)
-        lsq.insert(b)
+        kept = _load(2, 0x30)
+        _dispatch(lsq, a, b, kept)
         a.squashed = True
         b.squashed = True
         lsq.remove_squashed()
-        assert lsq.has_space(_load(2, 0x30)) and lsq.has_space(_store(3, 0x40))
+        assert list(lsq._loads) == [kept] and list(lsq._stores) == []
 
 
 class TestForwarding:
@@ -61,16 +71,14 @@ class TestForwarding:
         store = _store(1, 0x100)
         store.issued = True
         load = _load(2, 0x100)
-        lsq.insert(store)
-        lsq.insert(load)
+        _dispatch(lsq, store, load)
         assert lsq.forwarding_store(load) is store
 
     def test_unexecuted_store_does_not_forward(self):
         lsq = LoadStoreQueue()
         store = _store(1, 0x100)
         load = _load(2, 0x100)
-        lsq.insert(store)
-        lsq.insert(load)
+        _dispatch(lsq, store, load)
         assert lsq.forwarding_store(load) is None
 
     def test_younger_store_never_forwards(self):
@@ -78,8 +86,7 @@ class TestForwarding:
         load = _load(1, 0x100)
         store = _store(2, 0x100)
         store.issued = True
-        lsq.insert(load)
-        lsq.insert(store)
+        _dispatch(lsq, load, store)
         assert lsq.forwarding_store(load) is None
 
     def test_youngest_older_matching_store_wins(self):
@@ -87,8 +94,7 @@ class TestForwarding:
         old, newer = _store(1, 0x100), _store(2, 0x100)
         old.issued = newer.issued = True
         load = _load(3, 0x100)
-        for op in (old, newer, load):
-            lsq.insert(op)
+        _dispatch(lsq, old, newer, load)
         assert lsq.forwarding_store(load) is newer
 
     def test_different_address_does_not_forward(self):
@@ -96,8 +102,7 @@ class TestForwarding:
         store = _store(1, 0x200)
         store.issued = True
         load = _load(2, 0x100)
-        lsq.insert(store)
-        lsq.insert(load)
+        _dispatch(lsq, store, load)
         assert lsq.forwarding_store(load) is None
 
 
@@ -107,17 +112,14 @@ class TestViolations:
         store = _store(1, 0x300)
         load = _load(2, 0x300)
         load.issued = True
-        lsq.insert(store)
-        lsq.insert(load)
+        _dispatch(lsq, store, load)
         assert lsq.detect_violation(store) is load
-        assert lsq.violations == 1
 
     def test_unexecuted_younger_load_is_safe(self):
         lsq = LoadStoreQueue()
         store = _store(1, 0x300)
         load = _load(2, 0x300)
-        lsq.insert(store)
-        lsq.insert(load)
+        _dispatch(lsq, store, load)
         assert lsq.detect_violation(store) is None
 
     def test_forwarded_load_is_not_a_violation(self):
@@ -126,8 +128,7 @@ class TestViolations:
         load = _load(2, 0x300)
         load.issued = True
         load.load_forwarded = True
-        lsq.insert(store)
-        lsq.insert(load)
+        _dispatch(lsq, store, load)
         assert lsq.detect_violation(store) is None
 
     def test_oldest_violating_load_returned(self):
@@ -135,8 +136,7 @@ class TestViolations:
         store = _store(1, 0x300)
         first, second = _load(2, 0x300), _load(3, 0x300)
         first.issued = second.issued = True
-        for op in (store, first, second):
-            lsq.insert(op)
+        _dispatch(lsq, store, first, second)
         assert lsq.detect_violation(store) is first
 
     def test_older_load_is_not_flagged(self):
@@ -144,6 +144,5 @@ class TestViolations:
         load = _load(1, 0x300)
         load.issued = True
         store = _store(2, 0x300)
-        lsq.insert(load)
-        lsq.insert(store)
+        _dispatch(lsq, load, store)
         assert lsq.detect_violation(store) is None

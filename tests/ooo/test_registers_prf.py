@@ -40,21 +40,19 @@ class TestAllocation:
     def test_release_frees_bank_register(self):
         prf = BankedRegisterFile(num_banks=2, total_registers=128)
         bank = prf.allocate()
-        occupancy = prf.occupancy(bank)
+        assert prf._allocated[bank] == 1
         prf.release(bank)
-        assert prf.occupancy(bank) == occupancy - 1
+        assert prf._allocated[bank] == 0
 
     def test_bank_exhaustion_detected(self):
         prf = BankedRegisterFile(num_banks=2, total_registers=72, architectural_registers=65)
         # Bank 0 reserves 33 architectural entries out of 36; 3 free registers.
-        free_in_bank0 = prf.registers_per_bank - prf.occupancy(0)
+        free_in_bank0 = prf.registers_per_bank - prf._reserved[0]
         for _ in range(free_in_bank0):
             assert prf.can_allocate()
             prf.allocate()
             prf.advance_without_allocation()  # come back to bank 0
         assert not prf.can_allocate()
-        prf.record_bank_full_stall()
-        assert prf.bank_full_stalls == 1
 
 
 class TestPortBudgets:
@@ -71,7 +69,6 @@ class TestPortBudgets:
         assert not prf.try_ee_write(0, cycle=5)
         assert prf.try_ee_write(1, cycle=5)  # other bank unaffected
         assert prf.try_ee_write(0, cycle=6)  # next cycle resets
-        assert prf.ee_write_port_stalls == 1
 
     def test_levt_reads_are_all_or_nothing(self):
         budget = PRFPortBudget(levt_read_ports_per_bank=2)
@@ -80,7 +77,6 @@ class TestPortBudgets:
         # A request needing one more port on bank 0 must not partially consume bank 1.
         assert not prf.try_levt_reads([0, 1], cycle=3)
         assert prf.try_levt_reads([1, 1], cycle=3)
-        assert prf.levt_read_port_stalls == 1
 
     def test_levt_reads_empty_request_granted(self):
         budget = PRFPortBudget(levt_read_ports_per_bank=1)

@@ -37,7 +37,6 @@ class TestStoreSets:
         sets.register_store(store)
         dependence = sets.dependence_for_load(_load(6))
         assert dependence is store
-        assert sets.predicted_dependences == 1
 
     def test_dependence_cleared_once_store_executes(self):
         sets = StoreSets()
@@ -87,9 +86,3 @@ class TestStoreSets:
         sets.register_store(_store(5))
         sets.flush_lfst()
         assert sets.dependence_for_load(_load(6)) is None
-
-    def test_trained_violation_counter(self):
-        sets = StoreSets()
-        sets.train_violation(LOAD_PC, STORE_PC)
-        sets.train_violation(LOAD_PC, STORE_PC)
-        assert sets.trained_violations == 2

@@ -137,7 +137,7 @@ def _replay(queue, issue_width: int, events) -> list[tuple[int, int, int]]:
         pending = [item for item in pending if item[0] in records]
         for item in dispatchable:
             item_seq, opcode, producer_seqs, mem_dep, pred_used = item
-            if not queue.has_space():
+            if queue.occupancy >= queue.capacity:
                 pending.append(item)
                 continue
             record = free.pop() if free else None
@@ -177,7 +177,7 @@ def _replay(queue, issue_width: int, events) -> list[tuple[int, int, int]]:
                     continue
                 record = records.pop(item_seq)
                 record.squashed = True
-                if record.in_issue_queue:
+                if not record.issued:
                     replayed.append(
                         (
                             item_seq,
@@ -194,11 +194,11 @@ def _replay(queue, issue_width: int, events) -> list[tuple[int, int, int]]:
             pending = replayed + pending
     # Drain: keep scanning until nothing is left or progress stops.
     for _ in range(600):
-        if not len(queue):
+        if not queue.occupancy:
             break
         cycle += 1
         issue(cycle)
-    trace.append(("peak", queue.peak_occupancy, len(queue)))
+    trace.append(("peak", queue.peak_occupancy, queue.occupancy))
     trace.append(("rejects", fu_pool.structural_rejects, 0))
     return trace
 

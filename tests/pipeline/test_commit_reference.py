@@ -48,7 +48,6 @@ class _ReferenceCommitSimulator(Simulator):
                     self.stats.levt_port_stalls += 1
                     break
             rob_entries.popleft()
-            op.commit_cycle = cycle
             committed += 1
             if op.late_executed:
                 late_alus_used += 1

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.metrics import speedups
 from repro.pipeline.stats import SimStats, SimulationResult
 
 
@@ -31,7 +32,6 @@ class TestSimStats:
     def test_prediction_ratio_and_mpki(self):
         stats = _stats(committed_uops=1000, predictions_used=300, branch_mispredictions=5)
         assert stats.prediction_used_ratio == pytest.approx(0.3)
-        assert stats.branch_mpki == pytest.approx(5.0)
 
     def test_delta_subtracts_counterwise(self):
         early = _stats(cycles=100, committed_uops=200, early_executed=50)
@@ -50,7 +50,6 @@ class TestSimStats:
     def test_empty_ratios_are_zero(self):
         stats = SimStats()
         assert stats.offload_ratio == 0.0
-        assert stats.branch_mpki == 0.0
 
 
 class TestSimulationResult:
@@ -64,10 +63,10 @@ class TestSimulationResult:
         fast = self._result(2.0)
         slow = self._result(1.0)
         assert fast.ipc == pytest.approx(2.0)
-        assert fast.speedup_over(slow) == pytest.approx(2.0)
+        assert speedups({"w": fast.ipc}, {"w": slow.ipc}) == {"w": pytest.approx(2.0)}
 
     def test_speedup_over_zero_baseline(self):
-        assert self._result(2.0).speedup_over(self._result(0.0)) == 0.0
+        assert speedups({"w": self._result(2.0).ipc}, {"w": self._result(0.0).ipc}) == {}
 
     def test_summary_mentions_key_fields(self):
         text = self._result(1.5, name="EOLE_4_64").summary()

@@ -1,4 +1,4 @@
-"""Random program generator, used by property-based tests and robustness studies.
+"""Random program generator for the property-based tests.
 
 The generator produces syntactically valid, terminating programs with a random mix of
 ALU, memory and control-flow µ-ops.  It is intentionally independent from the curated

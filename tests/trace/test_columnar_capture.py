@@ -16,8 +16,8 @@ from repro.isa.emulator import Emulator
 from repro.isa.trace import OPTIONAL_FIELDS
 from repro.trace.capture import capture_trace, capture_workload_trace
 from repro.trace.encoding import CapturedTrace, empty_columns
-from repro.workloads.generator import RandomProgramGenerator
 from repro.workloads.suite import workload
+from tests.random_programs import RandomProgramGenerator
 
 FIELDS = ("seq", "pc", "uop", "src_values", *OPTIONAL_FIELDS, "taken", "next_pc")
 

@@ -1,4 +1,4 @@
-"""Tests for Forward Probabilistic Counters and the deterministic PRNG."""
+"""Tests for Forward Probabilistic Counter policies and the deterministic PRNG."""
 
 from fractions import Fraction
 
@@ -11,7 +11,6 @@ from repro.vp.confidence import (
     DETERMINISTIC_3BIT_VECTOR,
     DeterministicRandom,
     FPCPolicy,
-    ForwardProbabilisticCounter,
     PAPER_FPC_VECTOR,
     SCALED_FPC_VECTOR,
 )
@@ -61,37 +60,26 @@ class TestPolicy:
         assert not policy.allows_increment(7)
 
 
-class TestCounter:
-    def test_deterministic_counter_saturates_in_seven_steps(self):
-        counter = ForwardProbabilisticCounter(FPCPolicy(DETERMINISTIC_3BIT_VECTOR))
-        for _ in range(7):
-            assert not counter.saturated
-            counter.on_correct()
-        assert counter.saturated
+def _draws_to_saturate(policy: FPCPolicy, limit: int = 10_000) -> int:
+    """Correct outcomes a counter at level 0 needs to saturate, as predictors step it."""
+    level = steps = 0
+    while level < policy.saturation and steps < limit:
+        if policy.allows_increment(level):
+            level += 1
+        steps += 1
+    return steps
 
-    def test_incorrect_resets(self):
-        counter = ForwardProbabilisticCounter(FPCPolicy(DETERMINISTIC_3BIT_VECTOR))
-        for _ in range(7):
-            counter.on_correct()
-        counter.on_incorrect()
-        assert counter.value == 0
-        assert not counter.saturated
+
+class TestCounter:
+    """Predictors keep each FPC's level as an ``int`` and step it through the policy."""
+
+    def test_deterministic_counter_saturates_in_seven_steps(self):
+        assert _draws_to_saturate(FPCPolicy(DETERMINISTIC_3BIT_VECTOR)) == 7
 
     def test_probabilistic_counter_needs_many_correct_outcomes(self):
-        policy = FPCPolicy(PAPER_FPC_VECTOR, seed=0x1234)
-        counter = ForwardProbabilisticCounter(policy)
-        steps = 0
-        while not counter.saturated and steps < 10_000:
-            counter.on_correct()
-            steps += 1
-        assert counter.saturated
+        steps = _draws_to_saturate(FPCPolicy(PAPER_FPC_VECTOR, seed=0x1234))
         # Expected number of correct outcomes is 1 + 4*32 + 2*64 = 257; allow slack.
-        assert steps > 50
-
-    def test_reset(self):
-        counter = ForwardProbabilisticCounter(FPCPolicy(DETERMINISTIC_3BIT_VECTOR), value=5)
-        counter.reset()
-        assert counter.value == 0
+        assert 50 < steps < 10_000
 
 
 class TestDeterministicRandom:
@@ -128,8 +116,8 @@ class TestDeterministicRandom:
 
 
 class TestInlineDrawsMatchNextU64:
-    """The policy and coin flip step the xorshift64* state inline; ``next_u64`` is the
-    reference.  Results and the final state must agree draw for draw, so a level that
+    """The policy and coin flip step the xorshift64* state inline; ``chance`` and
+    ``next_u64`` are the references.  Results and the final state must agree draw for draw, so a level that
     must not draw (saturated, p = 1 or p = 0) cannot silently consume one."""
 
     DRAWS = 10_000
@@ -148,14 +136,7 @@ class TestInlineDrawsMatchNextU64:
         reference = DeterministicRandom(0x5EED)
 
         def expected(level):
-            if level >= len(vector):
-                return False
-            probability = vector[level]
-            if probability >= 1:
-                return True
-            if probability <= 0:
-                return False
-            return (reference.next_u64() >> 32) < int(probability * (1 << 32))
+            return level < len(vector) and reference.chance(vector[level])
 
         for level in range(len(vector) + 1):  # the last level is saturated
             got = [policy.allows_increment(level) for _ in range(self.DRAWS)]

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from repro.isa.emulator import collect_trace
 from repro.isa.trace import characterize
-from repro.workloads.generator import RandomProgramGenerator
+from tests.random_programs import RandomProgramGenerator
 
 
 class TestRandomProgramGenerator:
