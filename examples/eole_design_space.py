@@ -19,14 +19,14 @@ from __future__ import annotations
 import sys
 
 from repro.analysis.runner import run_workload
-from repro.pipeline import (
+from repro.pipeline.config import (
     baseline_vp_6_64,
     eoe_4_64,
     eole_4_64,
     eole_4_64_banked,
     ole_4_64,
 )
-from repro.workloads import workload
+from repro.workloads.suite import workload
 
 
 def main() -> None:

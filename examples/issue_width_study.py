@@ -16,7 +16,7 @@ import sys
 
 from repro.analysis.experiments import fig7_issue_width
 from repro.analysis.report import format_table
-from repro.workloads import fast_workloads, workload
+from repro.workloads.suite import fast_workloads, workload
 
 
 def main() -> None:

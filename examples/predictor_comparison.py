@@ -19,16 +19,13 @@ from __future__ import annotations
 import sys
 
 from repro.analysis.predictor_eval import evaluate_predictor
-from repro.vp import (
-    FCMPredictor,
-    LastValuePredictor,
-    StridePredictor,
-    TwoDeltaStridePredictor,
-    VTAGEPredictor,
-    default_paper_predictor,
-)
 from repro.vp.confidence import SCALED_FPC_VECTOR
-from repro.workloads import workload
+from repro.vp.fcm import FCMPredictor
+from repro.vp.hybrid import default_paper_predictor
+from repro.vp.last_value import LastValuePredictor
+from repro.vp.stride import StridePredictor, TwoDeltaStridePredictor
+from repro.vp.vtage import VTAGEPredictor
+from repro.workloads.suite import workload
 
 DEFAULT_WORKLOADS = ("bzip2", "wupwise", "hmmer", "milc")
 

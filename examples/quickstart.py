@@ -18,8 +18,8 @@ from __future__ import annotations
 import sys
 
 from repro.analysis.runner import run_workload
-from repro.pipeline import baseline_6_64, baseline_vp_6_64, eole_4_64
-from repro.workloads import workload
+from repro.pipeline.config import baseline_6_64, baseline_vp_6_64, eole_4_64
+from repro.workloads.suite import workload
 
 
 def main() -> None:

@@ -15,10 +15,10 @@ from __future__ import annotations
 import sys
 from itertools import islice
 
-from repro.isa import characterize
 from repro.isa.opcode import OpClass
-from repro.trace import shared_trace_cache
-from repro.workloads import all_workloads
+from repro.isa.trace import characterize
+from repro.trace.cache import shared_trace_cache
+from repro.workloads.suite import all_workloads
 
 
 def main() -> None:

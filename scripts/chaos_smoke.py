@@ -51,7 +51,7 @@ from repro.campaign.coordinator import CampaignService  # noqa: E402
 from repro.campaign.executor import run_campaign  # noqa: E402
 from repro.campaign.fsck import fsck_service, render_table  # noqa: E402
 from repro.campaign.spec import Campaign  # noqa: E402
-from repro.faults import DIE_EXIT_CODE, FAULTS_ENV_VAR  # noqa: E402
+from repro.faults.plan import DIE_EXIT_CODE, FAULTS_ENV_VAR  # noqa: E402
 from repro.trace.store import TRACE_STORE_ENV_VAR  # noqa: E402
 
 CONFIGS = ("Baseline_6_64", "Baseline_VP_6_64", "EOLE_4_64", "EOLE_6_64")

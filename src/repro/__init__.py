@@ -13,48 +13,16 @@ The package is organised bottom-up:
 * :mod:`repro.workloads` — the 19 synthetic SPEC-analogue kernels;
 * :mod:`repro.analysis` — experiment harness regenerating every table and figure.
 
+Each name is imported from the module that defines it; the package ``__init__``
+files hold only their docstrings.
+
 Quickstart::
 
-    from repro.pipeline import baseline_vp_6_64, eole_4_64, simulate
-    from repro.workloads import workload
+    from repro.pipeline.config import baseline_vp_6_64, eole_4_64
+    from repro.pipeline.simulator import simulate
+    from repro.workloads.suite import workload
 
     base = simulate(baseline_vp_6_64(), workload("namd"), max_uops=8000)
     eole = simulate(eole_4_64(), workload("namd"), max_uops=8000)
     print(base.ipc, eole.ipc, eole.ipc / base.ipc)
 """
-
-from repro.core import EOLEConfig, EOLEVariant, eole_config
-from repro.pipeline import (
-    PipelineConfig,
-    SimulationResult,
-    Simulator,
-    baseline_6_64,
-    baseline_vp_6_64,
-    eole_4_64,
-    eole_6_64,
-    named_config,
-    simulate,
-)
-from repro.workloads import Workload, WorkloadSpec, all_workloads, workload
-
-__version__ = "1.0.0"
-
-__all__ = [
-    "EOLEConfig",
-    "EOLEVariant",
-    "PipelineConfig",
-    "SimulationResult",
-    "Simulator",
-    "Workload",
-    "WorkloadSpec",
-    "all_workloads",
-    "baseline_6_64",
-    "baseline_vp_6_64",
-    "eole_4_64",
-    "eole_6_64",
-    "eole_config",
-    "named_config",
-    "simulate",
-    "workload",
-    "__version__",
-]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
+from repro.analysis.metrics import speedups
 from repro.analysis.report import ExperimentResult, ExperimentSeries
 from repro.analysis.runner import run_grid
 from repro.core.eole import EOLEVariant, eole_config
@@ -51,11 +52,10 @@ def _speedup_series(
     results: dict[str, SimulationResult],
     baseline_results: dict[str, SimulationResult],
 ) -> ExperimentSeries:
-    values = {
-        name: results[name].ipc / baseline_results[name].ipc
-        for name in results
-        if baseline_results[name].ipc > 0
-    }
+    values = speedups(
+        {name: result.ipc for name, result in results.items()},
+        {name: result.ipc for name, result in baseline_results.items()},
+    )
     return ExperimentSeries(label=label, values=values)
 
 

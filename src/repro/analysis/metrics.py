@@ -32,10 +32,3 @@ def speedups(
         if baseline:
             result[name] = ipc / baseline
     return result
-
-
-def relative_change(value: float, reference: float) -> float:
-    """Signed relative change ``(value - reference) / reference`` (0 when reference is 0)."""
-    if reference == 0:
-        return 0.0
-    return (value - reference) / reference

@@ -170,8 +170,3 @@ def run_suite(
 ) -> dict[str, SimulationResult]:
     """Simulate every workload on ``config``; returns results keyed by workload name."""
     return run_grid([config], workloads, max_uops, warmup_uops, store, workers)[config.name]
-
-
-def suite_ipcs(results: dict[str, SimulationResult]) -> dict[str, float]:
-    """Extract the per-workload IPCs from a suite result dictionary."""
-    return {name: result.ipc for name, result in results.items()}

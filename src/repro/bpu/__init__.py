@@ -1,17 +1,1 @@
 """Branch prediction unit: TAGE, BTB, return-address stack and global history."""
-
-from repro.bpu.btb import BranchTargetBuffer, ReturnAddressStack
-from repro.bpu.history import GlobalHistory, fold_bits
-from repro.bpu.tage import TAGEBranchPredictor, TAGEPrediction
-from repro.bpu.unit import BranchOutcome, BranchPredictionUnit
-
-__all__ = [
-    "BranchOutcome",
-    "BranchPredictionUnit",
-    "BranchTargetBuffer",
-    "GlobalHistory",
-    "ReturnAddressStack",
-    "TAGEBranchPredictor",
-    "TAGEPrediction",
-    "fold_bits",
-]

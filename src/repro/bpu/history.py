@@ -58,7 +58,7 @@ class FoldedRegisterFile:
         "_tuple_cache",
     )
 
-    def __init__(self, history: "GlobalHistory", lengths, widths, lazy: bool = False) -> None:
+    def __init__(self, history: "GlobalHistory", lengths, widths) -> None:
         self.history = history
         self.lengths = tuple(lengths)
         self.widths = tuple(widths)
@@ -77,12 +77,12 @@ class FoldedRegisterFile:
                 self._params.append(
                     (length - 1, length % width, width - 1, (1 << width) - 1)
                 )
-        # A lazy file starts with every register dormant: pushes skip it (``_push``
-        # iterates ``_active``) and its fold reads as ``None`` until :meth:`activate`
+        # Every register starts dormant: pushes skip it (``_push`` iterates
+        # ``_active``) and its fold reads as ``None`` until :meth:`activate`
         # back-fills it from the raw history.  Consumers of possibly-dormant folds
         # must fall back to ``fold_bits`` on ``None`` (TAGE/VTAGE carry the raw
-        # lookup-time bits for exactly that).  An eager file is fully active forever.
-        self._active: list = [None] * len(self._params) if lazy else list(self._params)
+        # lookup-time bits for exactly that).
+        self._active: list = [None] * len(self._params)
         self._activations = 0
         self.folds: list = []
         self._refold(history._bits)
@@ -116,11 +116,6 @@ class FoldedRegisterFile:
         )
         self._tuple_cache = None
         self._activations += 1
-
-    def activate_all(self) -> None:
-        """Promote the file to fully-eager (every register active)."""
-        for index in range(len(self._params)):
-            self.activate(index)
 
     def _restore_patch(self, saved: tuple, bits: int) -> None:
         """Restore from a snapshot older than the latest activation.
@@ -260,30 +255,20 @@ class GlobalHistory:
                 registers._refold(self._bits)
         self._snapshot = snapshot if isinstance(snapshot, HistorySnapshot) and folds is not None and len(folds) == len(self._registers) else None
 
-    def clear(self) -> None:
-        """Reset the history register to all-not-taken."""
-        self._bits = 0
-        for registers in self._registers:
-            registers._refold(0)
-        self._snapshot = None
-
     # ------------------------------------------------------------------ folded registers
-    def folded_registers(self, lengths, widths, lazy: bool = False) -> FoldedRegisterFile:
+    def folded_registers(self, lengths, widths) -> FoldedRegisterFile:
         """Attach (or reuse) an incremental folded-register file for given pairs.
 
         Register files are deduplicated by their (lengths, widths) signature, so two
-        predictors with identical geometry share one set of registers.  With
-        ``lazy=True`` the registers start dormant and are woken individually via
-        :meth:`FoldedRegisterFile.activate`; an eager request for an existing lazy
-        file promotes it (active registers are always valid, just never dormant).
+        predictors with identical geometry share one set of registers.  The
+        registers start dormant and are woken individually via
+        :meth:`FoldedRegisterFile.activate`.
         """
         key = (tuple(lengths), tuple(widths))
         for registers in self._registers:
             if (registers.lengths, registers.widths) == key:
-                if not lazy:
-                    registers.activate_all()
                 return registers
-        registers = FoldedRegisterFile(self, key[0], key[1], lazy=lazy)
+        registers = FoldedRegisterFile(self, key[0], key[1])
         self._registers.append(registers)
         self._snapshot = None
         return registers

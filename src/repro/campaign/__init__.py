@@ -18,7 +18,9 @@ of the paper into first-class, resumable jobs:
 
 Quickstart::
 
-    from repro.campaign import Campaign, ResultStore, run_campaign
+    from repro.campaign.executor import run_campaign
+    from repro.campaign.spec import Campaign
+    from repro.campaign.store import ResultStore
 
     campaign = Campaign.from_names(["Baseline_6_64", "EOLE_4_64"], "subset",
                                    max_uops=8000, warmup_uops=2000)
@@ -27,58 +29,3 @@ Quickstart::
     outcome = run_campaign(campaign, store=ResultStore("results.jsonl"))
     print(outcome.simulated)       # 0 — everything came from the store
 """
-
-from repro.campaign.coordinator import (
-    CampaignService,
-    CoordinationError,
-    Lease,
-    default_worker_id,
-    serve,
-    work_loop,
-)
-from repro.campaign.executor import (
-    CampaignOutcome,
-    CellFailed,
-    campaign_status,
-    default_workers,
-    failure_payload,
-    run_campaign,
-    simulate_cell,
-)
-from repro.campaign.progress import ProgressReporter, format_duration
-from repro.campaign.spec import (
-    BENCH_SUBSET,
-    WORKLOAD_SETS,
-    Campaign,
-    CampaignCell,
-    derive_seed,
-    resolve_workload_names,
-)
-from repro.campaign.store import STORE_ENV_VAR, ResultStore, default_store
-
-__all__ = [
-    "BENCH_SUBSET",
-    "Campaign",
-    "CampaignCell",
-    "CampaignOutcome",
-    "CampaignService",
-    "CellFailed",
-    "CoordinationError",
-    "Lease",
-    "ProgressReporter",
-    "ResultStore",
-    "STORE_ENV_VAR",
-    "WORKLOAD_SETS",
-    "campaign_status",
-    "default_store",
-    "default_worker_id",
-    "default_workers",
-    "derive_seed",
-    "failure_payload",
-    "format_duration",
-    "resolve_workload_names",
-    "run_campaign",
-    "serve",
-    "simulate_cell",
-    "work_loop",
-]

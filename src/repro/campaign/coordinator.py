@@ -70,7 +70,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from repro.campaign.executor import CellRun, failure_payload, run_cell
-from repro.faults import active_faults
+from repro.faults.plan import active_faults
 from repro.faults.sites import (
     COORD_CLAIM_DELAY,
     COORD_CLOCK_SKEW,
@@ -527,13 +527,11 @@ class _HeartbeatThread(threading.Thread):
         self._interval = interval
         # Not named _stop: threading.Thread has a private _stop method.
         self._halt = threading.Event()
-        self.lost = False
 
     def run(self) -> None:
         while not self._halt.wait(self._interval):
             try:
                 if not self._service.heartbeat(self._lease, self._worker_id):
-                    self.lost = True
                     return
             except OSError:
                 # A transient shared-filesystem error must not kill the worker;

@@ -75,22 +75,19 @@ def default_workers(fallback: int = 1) -> int:
     return max(1, int(env)) if env else fallback
 
 
-def simulate_cell(
-    cell: CampaignCell, wl: Workload | None = None, trace=None
-) -> SimulationResult:
+def simulate_cell(cell: CampaignCell, wl: Workload | None = None) -> SimulationResult:
     """Simulate one cell; inside the library its one caller is :func:`run_cell`.
 
     ``wl`` short-circuits the suite lookup when the caller owns the workload
     object (:func:`repro.analysis.runner.run_grid`'s ad-hoc workloads); every
-    other cell re-derives its workload from its name.  Without ``trace``,
-    :func:`~repro.pipeline.simulator.simulate` replays the shared trace cache's.
+    other cell re-derives its workload from its name.
+    :func:`~repro.pipeline.simulator.simulate` replays the shared trace cache's trace.
     """
     return simulate(
         cell.config,
         wl if wl is not None else workload(cell.workload_name),
         cell.max_uops,
         cell.warmup_uops,
-        trace,
     )
 
 

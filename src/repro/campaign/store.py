@@ -63,7 +63,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None  # type: ignore[assignment]
 
 from repro.campaign.spec import CampaignCell
-from repro.faults import InjectedFault, active_faults
+from repro.faults.plan import InjectedFault, active_faults
 from repro.faults.sites import (
     STORE_APPEND_CORRUPT,
     STORE_APPEND_TORN,
@@ -287,10 +287,6 @@ class ResultStore:
     def get_failure(self, fingerprint: str) -> dict | None:
         """The failure row for ``fingerprint``, or ``None``."""
         return self._failures.get(fingerprint)
-
-    def fingerprints(self) -> set[str]:
-        """The set of stored result fingerprints."""
-        return set(self._records)
 
     # ------------------------------------------------------------------ writing
     def put(

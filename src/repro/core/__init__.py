@@ -1,15 +1,1 @@
 """The paper's contribution: Early Execution, Late Execution and the EOLE variants."""
-
-from repro.core.early_execution import EarlyExecutionBlock, EarlyExecutionConfig
-from repro.core.eole import EOLEConfig, EOLEVariant, eole_config
-from repro.core.late_execution import LateExecutionBlock, LateExecutionConfig
-
-__all__ = [
-    "EOLEConfig",
-    "EOLEVariant",
-    "EarlyExecutionBlock",
-    "EarlyExecutionConfig",
-    "LateExecutionBlock",
-    "LateExecutionConfig",
-    "eole_config",
-]

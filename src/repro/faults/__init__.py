@@ -6,35 +6,7 @@ the lease coordinator — so crash-safety claims can be *tested* instead of assu
 (see ``docs/robustness.md``; ``scripts/chaos_smoke.py`` is the acceptance harness).
 
 The package follows the repo's kill-switch discipline: with ``REPRO_FAULTS``
-unset, :func:`active_faults` returns ``None`` and every hook site is a single
-``None`` check; results are byte-identical to a build without the package.
+unset, :func:`~repro.faults.plan.active_faults` returns ``None`` and every hook
+site is a single ``None`` check; results are byte-identical to a build without
+the package.
 """
-
-from repro.faults.plan import (
-    DIE_EXIT_CODE,
-    FAULTS_ENV_VAR,
-    FaultInjector,
-    FaultPlan,
-    FaultRule,
-    FaultSpecError,
-    InjectedFault,
-    active_faults,
-    faults_enabled,
-    reset_faults,
-)
-from repro.faults.sites import ALL_SITES, SITE_CATALOG
-
-__all__ = [
-    "ALL_SITES",
-    "DIE_EXIT_CODE",
-    "FAULTS_ENV_VAR",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultRule",
-    "FaultSpecError",
-    "InjectedFault",
-    "SITE_CATALOG",
-    "active_faults",
-    "faults_enabled",
-    "reset_faults",
-]

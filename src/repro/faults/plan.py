@@ -210,15 +210,3 @@ def active_faults() -> FaultInjector | None:
         _active = FaultInjector(FaultPlan.parse(spec))
         _active_spec = spec
     return _active
-
-
-def reset_faults() -> None:
-    """Drop the cached injector (tests re-arming the same spec need fresh counters)."""
-    global _active, _active_spec
-    _active = None
-    _active_spec = None
-
-
-def faults_enabled() -> bool:
-    """True when a fault plan is armed in this process."""
-    return active_faults() is not None

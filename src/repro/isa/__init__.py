@@ -4,30 +4,3 @@ This package is the lowest layer of the EOLE reproduction.  Everything above it 
 predictors, the branch predictor, the out-of-order engine and the EOLE pipeline model —
 operates on the µ-op classes and dynamic traces defined here.
 """
-
-from repro.isa.builder import ProgramBuilder
-from repro.isa.emulator import ArchState, Emulator, collect_trace, generate_trace
-from repro.isa.microop import MicroOp
-from repro.isa.opcode import OpClass, Opcode
-from repro.isa.program import Program
-from repro.isa.registers import FLAGS_REG, fp_reg, int_reg, reg_name
-from repro.isa.trace import DynInst, TraceStatistics, characterize
-
-__all__ = [
-    "ArchState",
-    "DynInst",
-    "Emulator",
-    "FLAGS_REG",
-    "MicroOp",
-    "OpClass",
-    "Opcode",
-    "Program",
-    "ProgramBuilder",
-    "TraceStatistics",
-    "characterize",
-    "collect_trace",
-    "fp_reg",
-    "generate_trace",
-    "int_reg",
-    "reg_name",
-]

@@ -788,17 +788,3 @@ class Emulator:
             for name, table in zip(OPTIONAL_FIELDS, presence_tables):
                 presence[name] += codes.translate(table)
         return out
-
-
-def generate_trace(
-    program: Program, max_uops: int, state: ArchState | None = None
-) -> Iterator[DynInst]:
-    """Convenience wrapper: lazily emit the committed trace of ``program``."""
-    return Emulator(program, state=state).run(max_uops)
-
-
-def collect_trace(
-    program: Program, max_uops: int, state: ArchState | None = None
-) -> list[DynInst]:
-    """Materialise the committed trace of ``program`` (at most ``max_uops`` µ-ops)."""
-    return list(generate_trace(program, max_uops, state=state))

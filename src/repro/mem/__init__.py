@@ -1,16 +1,1 @@
 """Memory hierarchy substrate: caches, MSHRs, stride prefetcher and DRAM model."""
-
-from repro.mem.cache import Cache, CacheStatistics
-from repro.mem.dram import DRAMModel, DRAMStatistics
-from repro.mem.hierarchy import MemoryHierarchy, MemoryHierarchyConfig
-from repro.mem.prefetcher import StridePrefetcher
-
-__all__ = [
-    "Cache",
-    "CacheStatistics",
-    "DRAMModel",
-    "DRAMStatistics",
-    "MemoryHierarchy",
-    "MemoryHierarchyConfig",
-    "StridePrefetcher",
-]

@@ -10,51 +10,6 @@ Three tiers, each zero-overhead when disabled (see ``docs/observability.md``):
 * :mod:`repro.obs.telemetry` — per-cell wall-clock / µops-per-second /
   trace-cache rows stored through the campaign's JSONL ResultStore.
 
-The CLI lives in :mod:`repro.obs.cli` (``repro-obs`` / ``python -m repro.obs``)
-and is *not* imported here — it pulls in the campaign layer.
+The CLI lives in :mod:`repro.obs.cli` (``repro-obs`` / ``python -m repro.obs``);
+it pulls in the campaign layer, so the tiers above do not import it.
 """
-
-from repro.obs.metrics import (
-    METRICS_ENV_VAR,
-    MetricsRegistry,
-    drain_simulator_metrics,
-    maybe_sim_metrics,
-    metrics_enabled,
-    metrics_report,
-    unified_metrics,
-)
-from repro.obs.telemetry import TraceCacheSnapshot, cell_telemetry
-from repro.obs.tracer import (
-    PIPE_TRACE_BUFFER_ENV_VAR,
-    PIPE_TRACE_ENV_VAR,
-    PipeTracer,
-    maybe_tracer,
-    pipe_trace_enabled,
-    to_konata,
-    to_trace_events,
-    validate_trace_events,
-    write_konata,
-    write_trace_events,
-)
-
-__all__ = [
-    "METRICS_ENV_VAR",
-    "MetricsRegistry",
-    "PIPE_TRACE_BUFFER_ENV_VAR",
-    "PIPE_TRACE_ENV_VAR",
-    "PipeTracer",
-    "TraceCacheSnapshot",
-    "cell_telemetry",
-    "drain_simulator_metrics",
-    "maybe_sim_metrics",
-    "maybe_tracer",
-    "metrics_enabled",
-    "metrics_report",
-    "pipe_trace_enabled",
-    "to_konata",
-    "to_trace_events",
-    "unified_metrics",
-    "validate_trace_events",
-    "write_konata",
-    "write_trace_events",
-]

@@ -23,9 +23,8 @@ from repro.obs.metrics import METRICS_ENV_VAR, metrics_report
 from repro.obs.tracer import (
     PIPE_TRACE_BUFFER_ENV_VAR,
     PIPE_TRACE_ENV_VAR,
-    to_konata,
-    to_trace_events,
-    validate_trace_events,
+    write_konata,
+    write_trace_events,
 )
 
 
@@ -118,15 +117,10 @@ def _cmd_trace(args) -> int:
         f"(buffer {tracer.capacity})"
     )
     if args.perfetto:
-        payload = to_trace_events(tracer, metadata)
-        validate_trace_events(payload)
-        with open(args.perfetto, "w") as fh:
-            json.dump(payload, fh, separators=(",", ":"))
+        payload = write_trace_events(tracer, args.perfetto, metadata)
         print(f"perfetto: {args.perfetto} ({len(payload['traceEvents'])} trace events)")
     if args.konata:
-        text = to_konata(tracer)
-        with open(args.konata, "w") as fh:
-            fh.write(text)
+        text = write_konata(tracer, args.konata)
         print(f"konata: {args.konata} ({text.count(chr(10))} lines)")
     return 0
 

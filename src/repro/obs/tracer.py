@@ -102,10 +102,6 @@ class PipeTracer:
         """The retained events, oldest first."""
         return list(self._events)
 
-    def clear(self) -> None:
-        self._events.clear()
-        self.emitted = 0
-
 
 # --------------------------------------------------------------------- lifecycles
 def _lifecycles(events) -> list[dict]:
@@ -233,10 +229,15 @@ def to_trace_events(tracer: PipeTracer, metadata: dict | None = None) -> dict:
 
 
 def write_trace_events(tracer: PipeTracer, path, metadata: dict | None = None) -> dict:
-    """Export + write the Perfetto JSON to ``path``; returns the payload."""
+    """Export, validate and write the Perfetto JSON to ``path``; returns the payload.
+
+    :func:`validate_trace_events` runs first, so a payload that breaks the schema
+    raises :class:`ValueError` and leaves ``path`` unwritten.
+    """
     payload = to_trace_events(tracer, metadata)
+    validate_trace_events(payload)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=None, separators=(",", ":"))
+        json.dump(payload, fh, separators=(",", ":"))
     return payload
 
 

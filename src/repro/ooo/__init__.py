@@ -1,23 +1,1 @@
 """Out-of-order engine substrate: ROB, IQ, LSQ, Store Sets, FU pool and banked PRF."""
-
-from repro.ooo.functional_units import FunctionalUnitConfig, FunctionalUnitPool
-from repro.ooo.inflight import InflightOp, UNKNOWN_CYCLE
-from repro.ooo.issue_queue import IssueQueue
-from repro.ooo.lsq import LoadStoreQueue
-from repro.ooo.registers import BankedRegisterFile, PRFPortBudget, register_file_area_cost
-from repro.ooo.rob import ReorderBuffer
-from repro.ooo.store_sets import StoreSets
-
-__all__ = [
-    "BankedRegisterFile",
-    "FunctionalUnitConfig",
-    "FunctionalUnitPool",
-    "InflightOp",
-    "IssueQueue",
-    "LoadStoreQueue",
-    "PRFPortBudget",
-    "ReorderBuffer",
-    "StoreSets",
-    "UNKNOWN_CYCLE",
-    "register_file_area_cost",
-]

@@ -1,4 +1,4 @@
-"""Physical Register File (PRF) model: banking, port budgets and area accounting.
+"""Physical Register File (PRF) model: banking and port budgets.
 
 EOLE's hardware argument (Section 6) revolves around PRF ports:
 
@@ -11,9 +11,7 @@ EOLE's hardware argument (Section 6) revolves around PRF ports:
 
 This module models exactly those mechanisms: round-robin bank allocation, per-bank
 free-register accounting (the "load unbalancing" stall of Fig. 10), and per-cycle
-per-bank port budgets for Early-Execution/prediction writes and LE/VT reads.  It also
-implements the paper's area-cost proportionality formula ``(R + W) * (R + 2W)``
-(Zyuban & Kogge) used in Section 6.2.
+per-bank port budgets for Early-Execution/prediction writes and LE/VT reads.
 """
 
 from __future__ import annotations
@@ -21,11 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-
-
-def register_file_area_cost(read_ports: int, write_ports: int) -> int:
-    """Relative area cost of a register file: ``(R + W) * (R + 2W)`` (Section 6.2)."""
-    return (read_ports + write_ports) * (read_ports + 2 * write_ports)
 
 
 @dataclass

@@ -4,43 +4,3 @@ Captures a workload's committed µ-op stream once per (workload, budget) into a 
 columnar encoding, caches it in process (and optionally on disk), and replays it into
 any number of timing-model configurations — see docs/performance.md.
 """
-
-from repro.trace.cache import (
-    TRACE_CACHE_ENV_VAR,
-    TraceCache,
-    shared_trace_cache,
-    trace_cache_enabled,
-)
-from repro.trace.capture import (
-    DEFAULT_TRACE_SLACK,
-    capture_budget,
-    capture_trace,
-    capture_workload_trace,
-    required_length,
-)
-from repro.trace.encoding import (
-    TRACE_FORMAT_VERSION,
-    CapturedTrace,
-    TraceEncodingError,
-    program_fingerprint,
-)
-from repro.trace.store import TRACE_STORE_ENV_VAR, TraceStore, default_trace_store
-
-__all__ = [
-    "TRACE_CACHE_ENV_VAR",
-    "TRACE_FORMAT_VERSION",
-    "TRACE_STORE_ENV_VAR",
-    "DEFAULT_TRACE_SLACK",
-    "CapturedTrace",
-    "TraceCache",
-    "TraceEncodingError",
-    "TraceStore",
-    "capture_budget",
-    "capture_trace",
-    "capture_workload_trace",
-    "default_trace_store",
-    "program_fingerprint",
-    "required_length",
-    "shared_trace_cache",
-    "trace_cache_enabled",
-]

@@ -20,7 +20,7 @@ import os
 import tempfile
 from pathlib import Path
 
-from repro.faults import InjectedFault, active_faults
+from repro.faults.plan import InjectedFault, active_faults
 from repro.faults.sites import (
     TRACE_SAVE_CORRUPT,
     TRACE_SAVE_CRASH,

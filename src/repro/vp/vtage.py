@@ -182,8 +182,7 @@ class VTAGEPredictor(ValuePredictor):
         registers = self._fold_registers
         if registers is None or registers.history is not history:
             registers = history.folded_registers(
-                self.history_lengths + self.history_lengths, self._fold_widths,
-                lazy=True,
+                self.history_lengths + self.history_lengths, self._fold_widths
             )
             self._fold_registers = registers
         folds = registers._tuple_cache

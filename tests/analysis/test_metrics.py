@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.analysis.metrics import arithmetic_mean, geometric_mean, relative_change, speedups
+from repro.analysis.metrics import arithmetic_mean, geometric_mean, speedups
 
 
 class TestMeans:
@@ -40,8 +40,3 @@ class TestSpeedups:
     def test_missing_or_zero_baselines_skipped(self):
         result = speedups({"a": 2.0, "b": 1.0}, {"a": 0.0})
         assert result == {}
-
-    def test_relative_change(self):
-        assert relative_change(1.1, 1.0) == pytest.approx(0.1)
-        assert relative_change(0.9, 1.0) == pytest.approx(-0.1)
-        assert relative_change(5.0, 0.0) == 0.0

@@ -5,7 +5,6 @@ from repro.analysis.runner import (
     default_warmup_uops,
     run_suite,
     run_workload,
-    suite_ipcs,
 )
 from repro.campaign.executor import simulate_cell
 from repro.campaign.spec import CampaignCell
@@ -67,8 +66,7 @@ class TestRunner:
         selected = [workload("mcf"), workload("namd")]
         results = run_suite(_fast_config(), selected, 400, 0, store=ResultStore(None))
         assert set(results) == {"mcf", "namd"}
-        ipcs = suite_ipcs(results)
-        assert all(ipc > 0 for ipc in ipcs.values())
+        assert all(result.ipc > 0 for result in results.values())
 
     def test_defaults_read_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_UOPS", "777")

@@ -32,12 +32,6 @@ class TestGlobalHistory:
         history.restore(saved)
         assert history.bits == saved
 
-    def test_clear(self):
-        history = GlobalHistory()
-        history.push(True)
-        history.clear()
-        assert history.bits == 0
-
     def test_slice_returns_youngest_bits(self):
         history = GlobalHistory()
         for outcome in (True, True, False, True):  # bits = 0b1101 (youngest last push)
@@ -93,6 +87,9 @@ class TestIncrementalFoldedRegisters:
     def _attach(self, history: GlobalHistory):
         tage = history.folded_registers(self.TAGE_LENGTHS * 2, self.TAGE_WIDTHS)
         vtage = history.folded_registers(self.VTAGE_LENGTHS * 2, self.VTAGE_WIDTHS)
+        for registers in (tage, vtage):
+            for index in range(len(registers.lengths)):
+                registers.activate(index)
         return tage, vtage
 
     def _check(self, history: GlobalHistory, registers) -> None:

@@ -2,7 +2,7 @@
 
 from repro.bpu.unit import BranchPredictionUnit
 from repro.isa.builder import ProgramBuilder
-from repro.isa.emulator import collect_trace
+from repro.isa.emulator import Emulator
 
 
 def _loop_trace(iterations_uops=400):
@@ -12,7 +12,7 @@ def _loop_trace(iterations_uops=400):
     b.addi("r1", "r1", 1)
     b.cmp("r1", imm=1 << 30)
     b.bne("loop")
-    return collect_trace(b.build(), iterations_uops)
+    return list(Emulator(b.build()).run(iterations_uops))
 
 
 def _call_ret_trace(uops=200):
@@ -28,7 +28,7 @@ def _call_ret_trace(uops=200):
     b.addi("r1", "r1", 1)
     b.cmp("r1", imm=1 << 30)
     b.bne("loop")
-    return collect_trace(b.build(), uops)
+    return list(Emulator(b.build()).run(uops))
 
 
 class TestConditionalBranches:
@@ -124,7 +124,7 @@ class TestIndirectBranches:
         b.addi("r1", "r1", 1)
         b.cmp("r1", imm=1 << 30)
         b.bne("loop")
-        trace = collect_trace(b.build(), 300)
+        trace = list(Emulator(b.build()).run(300))
         unit = BranchPredictionUnit()
         indirect_mispredictions = 0
         indirects = 0

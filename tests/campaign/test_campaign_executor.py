@@ -185,9 +185,9 @@ class TestTraceWorkingSet:
         real = executor.simulate_cell
         held = []
 
-        def counting(cell, wl=None, trace=None):
+        def counting(cell, wl=None):
             held.append(len(shared_trace_cache))
-            result = real(cell, wl, trace)
+            result = real(cell, wl)
             held.append(len(shared_trace_cache))
             return result
 
@@ -250,10 +250,10 @@ class TestFailureHandling:
 
         real = executor.simulate_cell
 
-        def explode(cell, wl=None, trace=None):
+        def explode(cell, wl=None):
             if cell.workload_name == "mcf":
                 raise RuntimeError("injected fault")
-            return real(cell, wl, trace)
+            return real(cell, wl)
 
         monkeypatch.setattr(executor, "simulate_cell", explode)
         return real

@@ -245,10 +245,10 @@ class TestWorkLoop:
         )
         real = executor.simulate_cell
 
-        def explode_on_mcf(cell, wl=None, trace=None):
+        def explode_on_mcf(cell, wl=None):
             if cell.workload_name == "mcf":
                 raise RuntimeError("injected fault")
-            return real(cell, wl, trace)
+            return real(cell, wl)
 
         monkeypatch.setattr(executor, "simulate_cell", explode_on_mcf)
         counts = work_loop(service, worker_id="w1", poll_seconds=0.01)
@@ -277,11 +277,11 @@ class TestWorkLoop:
         real = executor.simulate_cell
         cached = []
 
-        def recording(cell, wl=None, trace=None):
+        def recording(cell, wl=None):
             cached.append(
                 (cell.workload_name, sorted({key[0] for key in shared_trace_cache._traces}))
             )
-            return real(cell, wl, trace)
+            return real(cell, wl)
 
         monkeypatch.setattr(executor, "simulate_cell", recording)
         shared_trace_cache.clear()
@@ -303,7 +303,7 @@ class TestWorkLoop:
         monkeypatch.setattr(
             executor,
             "simulate_cell",
-            lambda cell, wl=None, trace=None: (_ for _ in ()).throw(
+            lambda cell, wl=None: (_ for _ in ()).throw(
                 ValueError("bad cell")
             ),
         )
@@ -450,16 +450,10 @@ class TestKillAWorker:
 class TestFaultSitesAndPoliteKill:
     """Coordinator fault-injection sites plus the SIGTERM polite-release path."""
 
-    def _armed(self, monkeypatch, spec: str) -> None:
-        from repro.faults import reset_faults
-
-        monkeypatch.setenv("REPRO_FAULTS", spec)
-        reset_faults()
-
     def test_dropped_heartbeats_lapse_the_lease(self, tmp_path, monkeypatch):
         service = _service(tmp_path, _campaign(), lease_seconds=0.2)
         lease = service.claim("sick-worker")
-        self._armed(monkeypatch, "coord.heartbeat.drop:every=1:n=0")
+        monkeypatch.setenv("REPRO_FAULTS", "coord.heartbeat.drop:every=1:n=0")
         deadline_before = service._read_lease(lease.lease_id).deadline_unix
         # The worker believes every beat lands, but none extend the deadline.
         assert service.heartbeat(lease, "sick-worker") is True
@@ -475,7 +469,7 @@ class TestFaultSitesAndPoliteKill:
         assert held is not None
         # A claimant whose clock runs far ahead sees live leases as lapsed and
         # steals them — exactly the NTP-drift hazard the site exists to model.
-        self._armed(monkeypatch, "coord.clock.skew:every=1:n=0:skew=120")
+        monkeypatch.setenv("REPRO_FAULTS", "coord.clock.skew:every=1:n=0:skew=120")
         stolen = service.claim("fast-clock")
         assert stolen is not None
         assert stolen.owner == "fast-clock"

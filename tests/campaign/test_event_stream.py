@@ -44,7 +44,7 @@ def _rows(path) -> list[dict]:
     return [json.loads(line) for line in path.read_text().splitlines()]
 
 
-def _boom(cell, wl=None, trace=None):
+def _boom(cell, wl=None):
     raise ValueError("boom")
 
 

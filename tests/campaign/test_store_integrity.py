@@ -13,7 +13,7 @@ import pytest
 from repro.campaign.executor import run_campaign, simulate_cell
 from repro.campaign.spec import Campaign, CampaignCell
 from repro.campaign.store import ROW_VERSION, ResultStore, row_crc, stamp_row
-from repro.faults import FAULTS_ENV_VAR, InjectedFault, reset_faults
+from repro.faults.plan import FAULTS_ENV_VAR, InjectedFault
 from repro.faults.sites import (
     STORE_APPEND_CORRUPT,
     STORE_APPEND_TORN,
@@ -174,14 +174,12 @@ class TestTornTail:
 class TestInjectedStoreFaults:
     def test_torn_append_site_tears_and_raises(self, tmp_path, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV_VAR, STORE_APPEND_TORN)
-        reset_faults()
         path = tmp_path / "s.jsonl"
         cell = _cell()
         store = ResultStore(path)
         with pytest.raises(InjectedFault):
             store.put(cell, simulate_cell(cell))
         monkeypatch.delenv(FAULTS_ENV_VAR)
-        reset_faults()
         # The file ends mid-row; a fresh store quarantines the fragment.
         assert not path.read_text().endswith("\n")
         reopened = ResultStore(path)
@@ -196,13 +194,11 @@ class TestInjectedStoreFaults:
         self, tmp_path, monkeypatch
     ):
         monkeypatch.setenv(FAULTS_ENV_VAR, STORE_APPEND_CORRUPT)
-        reset_faults()
         path = tmp_path / "s.jsonl"
         cell = _cell()
         store = ResultStore(path)
         store.put(cell, simulate_cell(cell))  # no exception: the worker is fooled
         monkeypatch.delenv(FAULTS_ENV_VAR)
-        reset_faults()
         reopened = ResultStore(path)
         assert cell.fingerprint not in reopened
         (entry,) = reopened.quarantined()
@@ -216,11 +212,9 @@ class TestInjectedStoreFaults:
         _filled_store(path, [cell])
         before = path.read_text()
         monkeypatch.setenv(FAULTS_ENV_VAR, STORE_REWRITE_CRASH)
-        reset_faults()
         with pytest.raises(InjectedFault):
             ResultStore(path).compact()
         monkeypatch.delenv(FAULTS_ENV_VAR)
-        reset_faults()
         # The data file is untouched (the rename never ran) and the staged tmp
         # survives, SIGKILL-faithfully, for fsck to sweep.
         assert path.read_text() == before

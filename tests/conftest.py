@@ -26,11 +26,11 @@ def _hermetic_stores(monkeypatch):
     monkeypatch.delenv("REPRO_TRACE_STORE", raising=False)
     # Fault injection must never leak between tests: the injector is cached per
     # spec string, so two tests arming the *same* spec would share hit counters
-    # without the reset.
+    # unless the cache is dropped, which ``active_faults`` does with the variable unset.
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
-    from repro.faults import reset_faults
+    from repro.faults.plan import active_faults
 
-    reset_faults()
+    active_faults()
 from repro.isa.emulator import ArchState
 from repro.isa.program import Program
 from repro.pipeline.config import PipelineConfig

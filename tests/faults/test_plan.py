@@ -2,19 +2,17 @@
 
 import pytest
 
-from repro.faults import (
+from repro.faults.plan import (
     FAULTS_ENV_VAR,
     FaultInjector,
     FaultPlan,
     FaultSpecError,
     InjectedFault,
-    SITE_CATALOG,
     active_faults,
-    faults_enabled,
-    reset_faults,
 )
 from repro.faults.sites import (
     COORD_HEARTBEAT_DROP,
+    SITE_CATALOG,
     STORE_APPEND_TORN,
     TRACE_SAVE_CORRUPT,
     WORKER_DIE_MID_LEASE,
@@ -123,14 +121,15 @@ class TestActivePlan:
     def test_off_by_default(self, monkeypatch):
         monkeypatch.delenv(FAULTS_ENV_VAR, raising=False)
         assert active_faults() is None
-        assert not faults_enabled()
 
     def test_cached_per_spec_and_reset(self, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV_VAR, f"{STORE_APPEND_TORN}:at=2")
         first = active_faults()
         assert first is active_faults()  # same injector: counters accumulate
         first.fires(STORE_APPEND_TORN)
-        reset_faults()
+        monkeypatch.delenv(FAULTS_ENV_VAR)
+        assert active_faults() is None  # unset drops the cached injector
+        monkeypatch.setenv(FAULTS_ENV_VAR, f"{STORE_APPEND_TORN}:at=2")
         fresh = active_faults()
         assert fresh is not first
         assert fresh.report()[STORE_APPEND_TORN]["hits"] == 0

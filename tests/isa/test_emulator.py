@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.errors import EmulationError, ProgramError
 from repro.isa import emulator as emulator_module
 from repro.isa.builder import ProgramBuilder, _reg
-from repro.isa.emulator import ArchState, Emulator, collect_trace, _default_memory_value
+from repro.isa.emulator import ArchState, Emulator, _default_memory_value
 from repro.isa.flags import ALL_FLAGS, MASK64, SF, SIGN_BIT, flags_from_result
 from repro.isa.microop import MicroOp
 from repro.isa.opcode import Opcode, is_conditional_branch
@@ -20,7 +20,7 @@ from tests.random_programs import RandomProgramGenerator
 
 
 def _run(builder: ProgramBuilder, max_uops: int = 1000):
-    return collect_trace(builder.build(), max_uops)
+    return list(Emulator(builder.build()).run(max_uops))
 
 
 class TestArithmetic:
@@ -145,7 +145,7 @@ class TestMemory:
         b.ld("r4", "r1", 16)
         state = ArchState()
         state.regions = ((0x100, 0x120, lambda index: 10 + index),)
-        trace = collect_trace(b.build(), 100, state=state)
+        trace = list(Emulator(b.build(), state=state).run(100))
         assert trace[3].result == 777
         assert trace[4].result == 12
 
@@ -207,7 +207,7 @@ class TestControlFlow:
         b.cmp("r1", imm=3)
         b.bne("loop")
         b.movi("r2", 99)
-        trace = collect_trace(b.build(), 100)
+        trace = list(Emulator(b.build()).run(100))
         # 3 iterations of (add, cmp, bne) plus movi r1 and the trailing movi.
         assert len(trace) == 1 + 3 * 3 + 1
         assert trace[-1].result == 99
@@ -220,7 +220,7 @@ class TestControlFlow:
         b.movi("r2", 123)
         b.label("skip")
         b.movi("r3", 5)
-        trace = collect_trace(b.build(), 10)
+        trace = list(Emulator(b.build()).run(10))
         branch = trace[2]
         assert branch.taken
         assert branch.next_pc == 4
@@ -235,7 +235,7 @@ class TestControlFlow:
         b.label("main")
         b.call("func")
         b.movi("r6", 2)
-        trace = collect_trace(b.build(), 20)
+        trace = list(Emulator(b.build()).run(20))
         opcodes = [t.uop.opcode.value for t in trace]
         assert opcodes == ["jmp", "call", "movi", "ret", "movi"]
         assert trace[3].next_pc == 4  # returns to the µ-op after the call
@@ -245,7 +245,7 @@ class TestControlFlow:
         b.movi("r1", 1)
         b.ret()
         b.movi("r2", 2)
-        trace = collect_trace(b.build(), 10)
+        trace = list(Emulator(b.build()).run(10))
         assert len(trace) == 2
 
     def test_indirect_jump(self):
@@ -255,7 +255,7 @@ class TestControlFlow:
         b.movi("r2", 1)
         b.label("target")
         b.movi("r3", 2)
-        trace = collect_trace(b.build(), 10)
+        trace = list(Emulator(b.build()).run(10))
         assert trace[1].next_pc == 3
         assert trace[2].result == 2
 
@@ -267,7 +267,7 @@ class TestControlFlow:
         b.movi("r2", 0)
         b.label("less")
         b.movi("r3", 1)
-        trace = collect_trace(b.build(), 10)
+        trace = list(Emulator(b.build()).run(10))
         assert trace[2].taken
         assert trace[2].flags_in is not None
 
@@ -275,7 +275,7 @@ class TestControlFlow:
         b = ProgramBuilder()
         b.movi("r1", 1)
         b.movi("r2", 2)
-        trace = collect_trace(b.build(), 100)
+        trace = list(Emulator(b.build()).run(100))
         assert len(trace) == 2
 
 
@@ -286,7 +286,7 @@ class TestRunControl:
         b.label("loop")
         b.addi("r1", "r1", 1)
         b.jmp("loop")
-        trace = collect_trace(b.build(), 50)
+        trace = list(Emulator(b.build()).run(50))
         assert len(trace) == 50
 
     def test_step_returns_none_after_halt(self):
@@ -303,14 +303,14 @@ class TestRunControl:
         b.label("loop")
         b.addi("r1", "r1", 1)
         b.jmp("loop")
-        trace = collect_trace(b.build(), 30)
+        trace = list(Emulator(b.build()).run(30))
         assert [t.seq for t in trace] == list(range(30))
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32))
     def test_random_programs_always_execute(self, seed):
         program = RandomProgramGenerator(seed).generate(body_ops=20)
-        trace = collect_trace(program, 300)
+        trace = list(Emulator(program).run(300))
         assert len(trace) == 300
         for inst in trace:
             if inst.result is not None:

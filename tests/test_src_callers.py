@@ -4,8 +4,10 @@ Each fast path may keep one reference, and a test must compare the two; code tha
 only its own unit tests call, and state that nothing reads, leaves ``src/``.  This
 test walks the AST of every ``src/repro`` module.  A *reference* to a name is an
 attribute read (``x.name``), a name load (``name``) or an identifier-shaped string
-constant (``getattr(x, "name")``, ``__all__``); docstrings, comments and
-``__slots__`` entries are not.  Two checks:
+constant (``getattr(x, "name")``); docstrings, comments, ``__slots__`` entries and
+``__all__`` entries are not.  Each name has one import path, its defining module:
+every package ``__init__.py`` holds only its docstring, so no re-export can stand
+in for a reader.  Two checks:
 
 1. every function and method is referenced somewhere in ``src/`` outside its own
    body (dunders, ``@abstractmethod``s and the ``EXEMPT_CLASSES`` are exempt);
@@ -67,6 +69,9 @@ _VTAGE = "reference: tests/vp/test_vtage.py::TestVTAGE::test_meta_carries_provid
 #: Qualified name (module path under ``repro``, then class and member) → why it stays.
 ALLOWED = {
     "analysis.report.ExperimentResult.series_by_label": "caller: examples/issue_width_study.py",
+    "analysis.report.format_table": "caller: examples/issue_width_study.py",
+    "analysis.runner.run_suite": "documented: docs/campaign.md",
+    "analysis.runner.run_workload": "caller: examples/quickstart.py",
     "bpu.tage.TAGEBranchPredictor._tagged_index": _TAGE,
     "bpu.tage.TAGEBranchPredictor._tagged_tag": _TAGE,
     "bpu.unit.BranchPredictionUnit.train_commit_group_columns": "perfbench",
@@ -76,6 +81,7 @@ ALLOWED = {
     "isa.trace.TraceStatistics.class_ratio": _GALLERY,
     "isa.trace.TraceStatistics.memory_ratio": _GALLERY,
     "isa.trace.TraceStatistics.vp_eligible_ratio": _GALLERY,
+    "isa.trace.characterize": _GALLERY,
     "ooo.inflight.InflightOpPool.retire": (
         "reference: tests/pipeline/test_commit_reference.py::"
         "test_fused_commit_matches_reference_methods"
@@ -91,6 +97,7 @@ ALLOWED = {
     "vp.vtage.VTAGEPredictor._tagged_index": _VTAGE,
     "vp.vtage.VTAGEPredictor._tagged_tag": _VTAGE,
     "workloads.suite.Workload.paper_benchmark": "caller: examples/quickstart.py",
+    "workloads.suite.fast_workloads": "caller: examples/issue_width_study.py",
 }
 
 
@@ -109,9 +116,9 @@ def _docstrings(tree: ast.Module) -> set[int]:
     return docstrings
 
 
-def _is_slots(node: ast.AST) -> bool:
+def _assigns(node: ast.AST, name: str) -> bool:
     return isinstance(node, ast.Assign) and any(
-        isinstance(target, ast.Name) and target.id == "__slots__" for target in node.targets
+        isinstance(target, ast.Name) and target.id == name for target in node.targets
     )
 
 
@@ -142,11 +149,14 @@ class Index:
                 self.classes.add(qual)
                 self._visit(child, qual, qual, function, docstrings)
                 continue
-            if cls and _is_slots(child):
+            if cls and _assigns(child, "__slots__"):
                 # Declarations, not references.
                 for slot in ast.walk(child.value):
                     if _is_str(slot):
                         self.attributes[f"{cls}.{slot.value}"] = slot.value
+                continue
+            if _assigns(child, "__all__"):
+                # A re-export list names what it exports; it reads nothing.
                 continue
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qual = f"{scope}.{child.name}"
@@ -272,6 +282,23 @@ def test_every_attribute_is_read_in_src():
     assert sorted(_src_index().unread_attributes() - ALLOWED.keys()) == []
 
 
+def test_package_inits_hold_only_a_docstring():
+    for path in sorted(SRC.rglob("__init__.py")):
+        text = path.read_text()
+        body = ast.parse(text).body
+        assert len(body) == 1 and isinstance(body[0], ast.Expr) and _is_str(body[0].value), (
+            f"{path} holds code"
+        )
+        assert (body[0].lineno, body[0].end_lineno) == (1, len(text.rstrip("\n").splitlines())), (
+            f"{path} holds more than its docstring"
+        )
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        assert not any(_assigns(node, "__all__") for node in ast.walk(tree)), (
+            f"{path} assigns __all__"
+        )
+
+
 def test_exempt_classes_exist():
     assert set(EXEMPT_CLASSES) <= _src_index().classes
 
@@ -311,7 +338,7 @@ def test_detector_sees_unread_code():
             "        return self.bump(), self.read\n"
         ),
     )
-    assert index.unreferenced_functions() == {"m.recursive", "m.C.uses"}
+    assert index.unreferenced_functions() == {"m.exported", "m.recursive", "m.C.uses"}
     assert index.unread_attributes() == {"m.C.slot_only", "m.C.count"}
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.isa.emulator import collect_trace
+from repro.isa.emulator import Emulator
 from repro.trace.capture import capture_trace, capture_workload_trace, required_length
 from repro.trace.encoding import CapturedTrace, program_fingerprint
 from repro.workloads.suite import workload
@@ -37,7 +37,7 @@ def test_capture_replay_matches_direct_emulation(name):
     wl = workload(name)
     budget = 3000
     trace = capture_workload_trace(wl, budget)
-    emulated = collect_trace(wl.program, budget, state=wl.make_state())
+    emulated = list(Emulator(wl.program, state=wl.make_state()).run(budget))
     _assert_streams_equal(list(trace.replay()), emulated)
 
 
@@ -49,7 +49,7 @@ def test_columnar_roundtrip_through_bytes():
     assert decoded.length == trace.length
     assert decoded.halted == trace.halted
     assert decoded.budget == trace.budget
-    emulated = collect_trace(wl.program, 2000, state=wl.make_state())
+    emulated = list(Emulator(wl.program, state=wl.make_state()).run(2000))
     _assert_streams_equal(list(decoded.replay()), emulated)
 
 

@@ -23,7 +23,7 @@ from repro.campaign.executor import simulate_cell
 from repro.campaign.spec import CampaignCell
 from repro.ooo.issue_queue import WAKEUP_ENV_VAR
 from repro.pipeline.config import named_config
-from repro.pipeline.simulator import EVENT_DRIVEN_ENV_VAR
+from repro.pipeline.simulator import EVENT_DRIVEN_ENV_VAR, simulate
 from repro.trace.cache import TRACE_CACHE_ENV_VAR, shared_trace_cache
 from repro.trace.capture import capture_workload_trace, required_length
 from repro.trace.encoding import CapturedTrace
@@ -77,12 +77,9 @@ def test_explicit_trace_matches_inline_emulation():
     config = named_config("Baseline_VP_6_64")
     wl = workload("gcc")
     trace = capture_workload_trace(wl, required_length(MAX_UOPS, config))
-    cell = CampaignCell(
-        config=config, workload_name=wl.name, max_uops=MAX_UOPS, warmup_uops=WARMUP_UOPS
-    )
-    from_trace = simulate_cell(cell, wl, trace=trace)
-    from_decoded = simulate_cell(
-        cell, wl, trace=CapturedTrace.from_bytes(trace.to_bytes(), wl.program)
+    from_trace = simulate(config, wl, MAX_UOPS, WARMUP_UOPS, trace)
+    from_decoded = simulate(
+        config, wl, MAX_UOPS, WARMUP_UOPS, CapturedTrace.from_bytes(trace.to_bytes(), wl.program)
     )
     assert from_trace.to_dict() == from_decoded.to_dict()
 
@@ -207,7 +204,7 @@ def test_fault_arming_never_perturbs_simulation(monkeypatch):
     plan — even one whose sites fire on every hit — leaves every simulation
     counter byte-identical to the faults-off run (the sites live in store/trace
     I/O and lease transitions, never in simulator loops)."""
-    from repro.faults import FAULTS_ENV_VAR, active_faults, reset_faults
+    from repro.faults.plan import FAULTS_ENV_VAR, active_faults
 
     cell = CampaignCell(
         config=named_config("EOLE_4_64"),
@@ -216,7 +213,6 @@ def test_fault_arming_never_perturbs_simulation(monkeypatch):
         warmup_uops=WARMUP_UOPS,
     )
     monkeypatch.delenv(FAULTS_ENV_VAR, raising=False)
-    reset_faults()
     assert active_faults() is None  # the kill switch: off means off
     shared_trace_cache.clear()
     baseline = simulate_cell(cell).to_dict()
@@ -225,11 +221,9 @@ def test_fault_arming_never_perturbs_simulation(monkeypatch):
         FAULTS_ENV_VAR,
         "coord.heartbeat.drop:every=1:n=0;coord.claim.delay:every=1:n=0:delay=0",
     )
-    reset_faults()
     shared_trace_cache.clear()
     armed = simulate_cell(cell).to_dict()
     monkeypatch.delenv(FAULTS_ENV_VAR)
-    reset_faults()
     assert json.dumps(armed, sort_keys=True) == json.dumps(baseline, sort_keys=True)
 
 
@@ -240,7 +234,7 @@ def test_fleet_under_injected_faults_is_byte_identical(monkeypatch, tmp_path):
     from repro.campaign.coordinator import CampaignService, work_loop
     from repro.campaign.executor import run_campaign
     from repro.campaign.spec import Campaign
-    from repro.faults import FAULTS_ENV_VAR, reset_faults
+    from repro.faults.plan import FAULTS_ENV_VAR
 
     campaign = Campaign.from_names(
         GRID_CONFIGS[:2],
@@ -256,11 +250,9 @@ def test_fleet_under_injected_faults_is_byte_identical(monkeypatch, tmp_path):
         FAULTS_ENV_VAR,
         "store.append.torn:at=2;coord.heartbeat.drop:every=2:n=0",
     )
-    reset_faults()
     shared_trace_cache.clear()
     counts = work_loop(service, worker_id="w1", poll_seconds=0.05)
     monkeypatch.delenv(FAULTS_ENV_VAR)
-    reset_faults()
     assert counts["requeued"] >= 1  # the torn append really did cost a retry
 
     store = service.result_store()

@@ -5,7 +5,7 @@ import zlib
 
 import pytest
 
-from repro.faults import FAULTS_ENV_VAR, InjectedFault, reset_faults
+from repro.faults.plan import FAULTS_ENV_VAR, InjectedFault
 from repro.faults.sites import (
     TRACE_SAVE_CORRUPT,
     TRACE_SAVE_CRASH,
@@ -67,32 +67,26 @@ class TestInjectedTraceFaults:
         self, tmp_path, monkeypatch, gcc_trace
     ):
         monkeypatch.setenv(FAULTS_ENV_VAR, TRACE_SAVE_CORRUPT)
-        reset_faults()
         store = TraceStore(tmp_path)
         store.save(gcc_trace)  # the writer believes the save succeeded
         monkeypatch.delenv(FAULTS_ENV_VAR)
-        reset_faults()
         assert store.load(workload("gcc").program) is None  # checksum catches it
 
     def test_truncated_save_is_rejected_on_load(self, tmp_path, monkeypatch, gcc_trace):
         monkeypatch.setenv(FAULTS_ENV_VAR, TRACE_SAVE_TRUNCATED)
-        reset_faults()
         store = TraceStore(tmp_path)
         store.save(gcc_trace)
         monkeypatch.delenv(FAULTS_ENV_VAR)
-        reset_faults()
         assert store.load(workload("gcc").program) is None
 
     def test_save_crash_leaves_tmp_orphan_and_no_blob(
         self, tmp_path, monkeypatch, gcc_trace
     ):
         monkeypatch.setenv(FAULTS_ENV_VAR, TRACE_SAVE_CRASH)
-        reset_faults()
         store = TraceStore(tmp_path)
         with pytest.raises(InjectedFault):
             store.save(gcc_trace)
         monkeypatch.delenv(FAULTS_ENV_VAR)
-        reset_faults()
         assert len(store) == 0  # nothing was published
         assert list(tmp_path.glob(".*.tmp"))  # the SIGKILL-faithful orphan
         # A clean retry publishes normally over the residue.

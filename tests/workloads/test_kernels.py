@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.isa.emulator import ArchState, Emulator, _default_memory_value, collect_trace
+from repro.isa.emulator import ArchState, Emulator, _default_memory_value
 from repro.isa.trace import characterize
 from repro.workloads.kernels import (
     CHAIN_BASE,
@@ -27,34 +27,34 @@ class TestGeneratedPrograms:
     def test_minimal_spec_builds_and_runs(self):
         spec = WorkloadSpec(name="tiny")
         program, state = _build(spec)
-        trace = collect_trace(program, 500, state=state)
+        trace = list(Emulator(program, state=state).run(500))
         assert len(trace) == 500  # the outer loop is effectively infinite
 
     def test_memory_blocks_emit_loads_and_stores(self):
         spec = WorkloadSpec(name="memory", strided_loads=2, random_loads=1, stores=2)
         program, state = _build(spec)
-        stats = characterize(collect_trace(program, 2000, state=state))
+        stats = characterize(Emulator(program, state=state).run(2000))
         assert stats.loads > 0
         assert stats.stores > 0
 
     def test_branchy_spec_has_branches(self):
         spec = WorkloadSpec(name="branchy", data_dep_branches=2, pred_branches=2)
         program, state = _build(spec)
-        stats = characterize(collect_trace(program, 2000, state=state))
+        stats = characterize(Emulator(program, state=state).run(2000))
         assert stats.branch_ratio > 0.1
 
     def test_inner_loop_increases_dynamic_branch_count(self):
         flat = WorkloadSpec(name="flat", inner_loop_trip=0)
         nested = WorkloadSpec(name="nested", inner_loop_trip=4)
-        flat_stats = characterize(collect_trace(*(_build(flat)[0],), 2000))
+        flat_stats = characterize(Emulator(_build(flat)[0]).run(2000))
         nested_program, nested_state = _build(nested)
-        nested_stats = characterize(collect_trace(nested_program, 2000, state=nested_state))
+        nested_stats = characterize(Emulator(nested_program, state=nested_state).run(2000))
         assert nested_stats.branches > flat_stats.branches * 0.8
 
     def test_calls_and_indirect_jumps_present_when_requested(self):
         spec = WorkloadSpec(name="cfgy", calls=2, indirect_jump_targets=4)
         program, state = _build(spec)
-        trace = collect_trace(program, 3000, state=state)
+        trace = list(Emulator(program, state=state).run(3000))
         opcodes = {inst.uop.opcode.value for inst in trace}
         assert "call" in opcodes and "ret" in opcodes and "jmpi" in opcodes
 
@@ -81,7 +81,7 @@ class TestGeneratedPrograms:
     def test_fp_blocks_emit_fp_ops(self):
         spec = WorkloadSpec(name="fp", fp_chains=2, fp_chain_ops=2, fp_mul_ops=1, chain_fp_ops=2)
         program, state = _build(spec)
-        stats = characterize(collect_trace(program, 1500, state=state))
+        stats = characterize(Emulator(program, state=state).run(1500))
         from repro.isa.opcode import OpClass
 
         assert stats.class_ratio(OpClass.FP_ALU) > 0

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.isa.emulator import Emulator, collect_trace
+from repro.isa.emulator import Emulator
 from repro.isa.trace import characterize
 from repro.trace.capture import capture_budget
 from repro.workloads.suite import (
@@ -12,7 +12,6 @@ from repro.workloads.suite import (
     all_workloads,
     fast_workloads,
     workload,
-    workload_names,
 )
 
 
@@ -57,7 +56,7 @@ class TestSuiteStructure:
         assert len(set(BENCH_SUBSET)) == len(BENCH_SUBSET)
 
     def test_workload_names_order(self):
-        assert workload_names() == list(SUITE_ORDER)
+        assert [wl.name for wl in all_workloads()] == list(SUITE_ORDER)
 
     def test_programs_are_cached(self):
         wl = workload("gcc")
@@ -95,17 +94,18 @@ class TestMemoryImage:
 class TestSuiteBehaviouralDiversity:
     def test_all_programs_build_and_execute(self):
         for wl in all_workloads():
-            trace = collect_trace(wl.program, 300, state=wl.make_state())
+            trace = list(Emulator(wl.program, state=wl.make_state()).run(300))
             assert len(trace) == 300, wl.name
 
     def test_memory_bound_workloads_chase_pointers(self):
-        stats = characterize(collect_trace(workload("mcf").program, 1500, state=workload("mcf").make_state()))
+        wl = workload("mcf")
+        stats = characterize(Emulator(wl.program, state=wl.make_state()).run(1500))
         assert stats.memory_ratio > 0.05
 
     def test_branchy_workloads_have_more_branches_than_streaming_ones(self):
         def branch_ratio(name):
             wl = workload(name)
-            return characterize(collect_trace(wl.program, 2000, state=wl.make_state())).branch_ratio
+            return characterize(Emulator(wl.program, state=wl.make_state()).run(2000)).branch_ratio
 
         assert branch_ratio("gobmk") > branch_ratio("lbm")
 
@@ -113,7 +113,7 @@ class TestSuiteBehaviouralDiversity:
         from repro.isa.opcode import OpClass
 
         wl = workload("wupwise")
-        stats = characterize(collect_trace(wl.program, 2000, state=wl.make_state()))
+        stats = characterize(Emulator(wl.program, state=wl.make_state()).run(2000))
         assert stats.class_ratio(OpClass.FP_ALU) > 0.03
 
     def test_footprints_differ_between_cache_and_dram_bound_workloads(self):
