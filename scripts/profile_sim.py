@@ -169,7 +169,7 @@ def main(argv: list[str] | None = None) -> int:
     wl = workload(args.workload)
     if not args.include_capture:
         trace = shared_trace_cache.trace_for(wl, args.max_uops, config)
-        trace.instructions()  # materialise outside the profiled region
+        trace.replay_view()  # expand outside the profiled region
 
     if args.stage_times:
         if args.include_capture:

@@ -58,13 +58,12 @@ class TAGEPrediction:
 
 
 class _TageEntry:
-    __slots__ = ("tag", "counter", "useful", "valid")
+    __slots__ = ("tag", "counter", "useful")
 
     def __init__(self) -> None:
         self.tag = 0
         self.counter = 4  # weakly taken (3-bit counter, 0..7)
         self.useful = 0
-        self.valid = False
 
 
 class TAGEBranchPredictor:
@@ -108,8 +107,8 @@ class TAGEBranchPredictor:
         self._fold_widths = [self._index_width] * num_components + [tag_bits] * num_components
         self._fold_registers: FoldedRegisterFile | None = None
         self._bimodal = [2] * bimodal_entries  # 2-bit counters, 0..3, weakly not-taken=1
-        # Entries are allocated lazily on first allocation: a ``None`` slot behaves
-        # exactly like a never-allocated entry (``valid`` False, ``useful`` 0).  The
+        # Entries are allocated lazily on first allocation: a ``None`` slot is the
+        # only invalid entry (and reads as ``useful`` 0).  The
         # per-component entry counts let lookups skip entirely-empty components.
         self._components: list[list[_TageEntry | None]] = [
             [None] * tagged_entries for _ in range(num_components)
@@ -185,7 +184,7 @@ class TAGEBranchPredictor:
                 continue
             index = (index_mixes[rank] ^ folds[rank]) & tagged_mask
             entry = components[rank][index]
-            if entry is not None and entry.valid:
+            if entry is not None:
                 tag = (tag_mixes[rank] ^ folds[num_components + rank]) & tag_mask
                 if entry.tag == tag:
                     alt_entry = provider_entry
@@ -321,7 +320,6 @@ class TAGEBranchPredictor:
                 if registers is not None:
                     registers.activate(choice)
                     registers.activate(self.num_components + choice)
-        choice_entry.valid = True
         choice_entry.tag = self._prediction_tag(prediction, choice)
         choice_entry.counter = 4 if taken else 3
         choice_entry.useful = 0

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from repro.bpu.btb import BranchTargetBuffer, ReturnAddressStack
 from repro.bpu.history import GlobalHistory
 from repro.bpu.tage import TAGEBranchPredictor, TAGEPrediction
+from repro.isa.microop import MicroOp
 from repro.isa.opcode import OpClass
-from repro.isa.trace import DynInst
 
 # The classes predict() dispatches on, bound once: loading an enum member costs
 # a few hundred ns per use, and predict() runs once per fetched branch.
@@ -68,29 +68,30 @@ class BranchPredictionUnit:
         self.history = history if history is not None else GlobalHistory()
 
     # ------------------------------------------------------------------ prediction
-    def predict(self, inst: DynInst) -> BranchOutcome:
-        """Predict the control-flow µ-op ``inst`` and update front-end state."""
-        opclass = inst.uop.opclass
-        actual_taken = inst.taken
-        actual_target = inst.next_pc
+    def predict(self, pc: int, uop: MicroOp, taken: int, next_pc: int) -> BranchOutcome:
+        """Predict the control-flow µ-op ``uop`` at ``pc`` and update front-end state.
 
+        ``taken`` (a truth value) and ``next_pc`` are the branch's outcome in the
+        committed trace.
+        """
+        opclass = uop.opclass
         if opclass is _BR_COND:
-            return self._predict_conditional(inst, actual_taken, actual_target)
+            return self._predict_conditional(pc, taken, next_pc)
         if opclass is _BR_DIRECT or opclass is _CALL:
-            return self._predict_direct(inst, actual_target, is_call=opclass is _CALL)
+            return self._predict_direct(pc, next_pc, is_call=opclass is _CALL)
         if opclass is _RET:
-            return self._predict_return(actual_target)
-        return self._predict_indirect(inst, actual_target)
+            return self._predict_return(next_pc)
+        return self._predict_indirect(pc, next_pc)
 
     def _predict_conditional(
-        self, inst: DynInst, actual_taken: bool, actual_target: int
+        self, pc: int, actual_taken: int, actual_target: int
     ) -> BranchOutcome:
-        tage_prediction = self.tage.predict(inst.pc, self.history)
+        tage_prediction = self.tage.predict(pc, self.history)
         predicted_taken = tage_prediction.taken
         predicted_target: int | None = None
         resolved_at_decode = False
         if predicted_taken:
-            predicted_target = self.btb.lookup(inst.pc)
+            predicted_target = self.btb.lookup(pc)
             if predicted_target is None and actual_taken:
                 # Direct branch: the target becomes known at decode.
                 resolved_at_decode = True
@@ -102,7 +103,7 @@ class BranchPredictionUnit:
             and predicted_target != actual_target
         )
         if actual_taken:
-            self.btb.update(inst.pc, actual_target)
+            self.btb.update(pc, actual_target)
         self.history.push(actual_taken)
         return BranchOutcome(
             predicted_taken=predicted_taken,
@@ -116,14 +117,12 @@ class BranchPredictionUnit:
             tage=tage_prediction,
         )
 
-    def _predict_direct(
-        self, inst: DynInst, actual_target: int, is_call: bool
-    ) -> BranchOutcome:
-        predicted_target = self.btb.lookup(inst.pc)
+    def _predict_direct(self, pc: int, actual_target: int, is_call: bool) -> BranchOutcome:
+        predicted_target = self.btb.lookup(pc)
         resolved_at_decode = predicted_target is None or predicted_target != actual_target
-        self.btb.update(inst.pc, actual_target)
+        self.btb.update(pc, actual_target)
         if is_call:
-            self.ras.push(inst.pc + 1)
+            self.ras.push(pc + 1)
         return BranchOutcome(
             predicted_taken=True,
             predicted_target=predicted_target,
@@ -149,10 +148,10 @@ class BranchPredictionUnit:
             resolved_at_decode=False,
         )
 
-    def _predict_indirect(self, inst: DynInst, actual_target: int) -> BranchOutcome:
-        predicted_target = self.btb.lookup(inst.pc)
+    def _predict_indirect(self, pc: int, actual_target: int) -> BranchOutcome:
+        predicted_target = self.btb.lookup(pc)
         target_mispredicted = predicted_target != actual_target
-        self.btb.update(inst.pc, actual_target)
+        self.btb.update(pc, actual_target)
         return BranchOutcome(
             predicted_taken=True,
             predicted_target=predicted_target,
@@ -165,10 +164,10 @@ class BranchPredictionUnit:
         )
 
     # ------------------------------------------------------------------ training
-    def train(self, inst: DynInst, outcome: BranchOutcome) -> None:
+    def train(self, pc: int, outcome: BranchOutcome) -> None:
         """Commit-time training of the conditional-branch predictor."""
         if outcome.tage is not None:
-            self.tage.update(inst.pc, outcome.actual_taken, outcome.tage)
+            self.tage.update(pc, outcome.actual_taken, outcome.tage)
 
     def train_commit_group(self, group: list[tuple[int, "BranchOutcome"]]) -> None:
         """Train one commit group of ``(pc, outcome)`` conditional branches.

@@ -1,8 +1,10 @@
 """Architectural (functional) emulator.
 
 The emulator executes a resolved :class:`~repro.isa.program.Program` at the
-architectural level and produces the committed µ-op stream as
-:class:`~repro.isa.trace.DynInst` records.  All values are 64-bit unsigned integers with
+architectural level and produces the committed µ-op stream: step by step as
+:class:`~repro.isa.trace.DynInst` records (:meth:`Emulator.step`/:meth:`Emulator.run`,
+the reference), or in one batch as trace columns (:meth:`Emulator.run_batch`, the
+capture path).  All values are 64-bit unsigned integers with
 wrap-around semantics; "floating-point" µ-ops operate on the same value domain but use
 distinct arithmetic so that FP-heavy kernels exhibit their own value locality patterns.
 
@@ -24,10 +26,8 @@ from repro.isa import registers as regs
 from repro.isa.flags import (
     ALL_FLAGS,
     MASK64,
-    SIGN_BIT,
     ZF,
     SF,
-    PF,
     CF,
     OF,
     add_flags,
@@ -517,55 +517,52 @@ class Emulator:
         self._column_tables = tables
         return tables
 
-    def run_batch(self, max_uops: int, columns: tuple | None = None) -> list[DynInst]:
-        """Execute up to ``max_uops`` µ-ops and return their dynamic records.
+    def run_batch(self, max_uops: int, columns: tuple) -> None:
+        """Execute up to ``max_uops`` µ-ops, appending them to the trace ``columns``.
 
         The capture fast path: one specialised loop over the batched-decode
         table with the hot machine state (pc, seq, registers, memory) in locals,
-        bit-identical to ``list(self.run(max_uops))`` (``step`` remains the
-        reference implementation and the unit suite compares the two).  The arms
-        test the pre-resolved integer ``kind`` in the order of the measured
-        dynamic mix, so no µ-op pays an enum member load.
+        bit-identical to ``self.run(max_uops)`` (``step`` remains the reference
+        implementation and the unit suite compares the two).  The arms test the
+        pre-resolved integer ``kind`` in the order of the measured dynamic mix,
+        so no µ-op pays an enum member load.
 
-        ``columns`` asks for the committed stream as columns instead of
-        ``DynInst`` records: the ``(pcs, next_pcs, taken, src_offsets,
-        src_values, presence, values)`` arrays a
-        :class:`~repro.trace.encoding.CapturedTrace` is built from, ``presence``
+        ``columns`` are the ``(pcs, next_pcs, taken, src_offsets, src_values,
+        presence, values)`` arrays a :class:`~repro.trace.encoding.CapturedTrace`
+        is built from (:func:`~repro.trace.encoding.empty_columns`), ``presence``
         and ``values`` keyed by :data:`~repro.isa.trace.OPTIONAL_FIELDS`.  The
-        loop's tail then appends each µ-op's pc, taken bit, source values and
-        present optional values.  After the loop, the next pcs are the pcs
-        shifted by one, and the source offsets and presence bits, static per pc,
-        are expanded from the pcs.  The returned list is empty in that mode.
+        loop's tail appends each µ-op's pc, taken bit, source values and present
+        optional values.  After the loop, the next pcs are the pcs shifted by
+        one, and the source offsets and presence bits, static per pc, are
+        expanded from the pcs.
         """
-        out: list[DynInst] = []
         if self.halted or max_uops <= 0:
-            return out
+            return
         pc = self.pc
         length = self._length
         if not 0 <= pc < length:
             self.halted = True
-            return out
+            return
         decode = self._decode_table
         if decode is None:
             decode = self._build_decode_table()
-        if columns is not None:
-            pcs, next_pcs, taken_column, src_offsets, src_values_column, presence, values = (
-                columns
-            )
-            start = len(pcs)
-            append_pc = pcs.append
-            append_taken = taken_column.append
-            # Flattened into src_values after the loop: a list append per µ-op
-            # costs a sixth of an array extend by a tuple.
-            operand_tuples: list[tuple[int, ...]] = []
-            append_operands = operand_tuples.append
-            (
-                append_result,
-                append_flags_result,
-                append_flags_in,
-                append_addr,
-                append_store_value,
-            ) = [values[name].append for name in OPTIONAL_FIELDS]
+        pcs, next_pcs, taken_column, src_offsets, src_values_column, presence, values = (
+            columns
+        )
+        start = len(pcs)
+        append_pc = pcs.append
+        append_taken = taken_column.append
+        # Flattened into src_values after the loop: a list append per µ-op
+        # costs a sixth of an array extend by a tuple.
+        operand_tuples: list[tuple[int, ...]] = []
+        append_operands = operand_tuples.append
+        (
+            append_result,
+            append_flags_result,
+            append_flags_in,
+            append_addr,
+            append_store_value,
+        ) = [values[name].append for name in OPTIONAL_FIELDS]
         state = self.state
         arch_regs = state.regs
         memory = state.memory
@@ -575,7 +572,6 @@ class Emulator:
         flag_bits = ALL_FLAGS
         mask64 = MASK64
         seq = self.seq
-        append = out.append
         halt_pc = HALT_PC
         for _ in range(max_uops):
             (
@@ -736,36 +732,19 @@ class Emulator:
             if flags_result is not None:
                 arch_regs[flags_index] = flags_result & mask64
 
-            if columns is None:
-                append(
-                    DynInst(
-                        seq,
-                        pc,
-                        uop,
-                        src_values,
-                        result,
-                        flags_result,
-                        flags_in,
-                        addr,
-                        store_value,
-                        taken,
-                        next_pc,
-                    )
-                )
-            else:
-                append_pc(pc)
-                append_taken(taken)
-                append_operands(src_values)
-                if result is not None:
-                    append_result(result)
-                if flags_result is not None:
-                    append_flags_result(flags_result)
-                if flags_in is not None:
-                    append_flags_in(flags_in)
-                if addr is not None:
-                    append_addr(addr)
-                if store_value is not None:
-                    append_store_value(store_value)
+            append_pc(pc)
+            append_taken(taken)
+            append_operands(src_values)
+            if result is not None:
+                append_result(result)
+            if flags_result is not None:
+                append_flags_result(flags_result)
+            if flags_in is not None:
+                append_flags_in(flags_in)
+            if addr is not None:
+                append_addr(addr)
+            if store_value is not None:
+                append_store_value(store_value)
             seq += 1
             if not 0 <= next_pc < length:  # HALT_PC is negative
                 self.halted = True
@@ -774,17 +753,15 @@ class Emulator:
             pc = next_pc
         self.pc = pc
         self.seq = seq
-        if columns is not None:
-            signature_codes, (arity_table, *presence_tables) = (
-                self._column_tables or self._build_column_tables()
-            )
-            batch_pcs = pcs[start:]
-            next_pcs.extend(batch_pcs[1:])
-            next_pcs.append(next_pc)
-            src_values_column.extend(chain.from_iterable(operand_tuples))
-            codes = bytes(map(signature_codes.__getitem__, batch_pcs))
-            offsets = accumulate(codes.translate(arity_table), initial=src_offsets[-1])
-            src_offsets.extend(islice(offsets, 1, None))
-            for name, table in zip(OPTIONAL_FIELDS, presence_tables):
-                presence[name] += codes.translate(table)
-        return out
+        signature_codes, (arity_table, *presence_tables) = (
+            self._column_tables or self._build_column_tables()
+        )
+        batch_pcs = pcs[start:]
+        next_pcs.extend(batch_pcs[1:])
+        next_pcs.append(next_pc)
+        src_values_column.extend(chain.from_iterable(operand_tuples))
+        codes = bytes(map(signature_codes.__getitem__, batch_pcs))
+        offsets = accumulate(codes.translate(arity_table), initial=src_offsets[-1])
+        src_offsets.extend(islice(offsets, 1, None))
+        for name, table in zip(OPTIONAL_FIELDS, presence_tables):
+            presence[name] += codes.translate(table)

@@ -1,8 +1,9 @@
 """In-flight instruction records used by the timing pipeline.
 
-An :class:`InflightOp` wraps one :class:`~repro.isa.trace.DynInst` while it lives in the
-machine, carrying the timing fields that the fetch, rename/dispatch, issue, execute and
-commit models fill in.  It is deliberately a plain ``__slots__`` record (not a
+An :class:`InflightOp` carries one trace position's µ-op while it lives in the machine:
+its sequence number (its position in the committed trace), static PC and µ-op, its
+memory address, and the timing fields that the fetch, rename/dispatch, issue, execute
+and commit models fill in.  It is deliberately a plain ``__slots__`` record (not a
 dataclass) because hundreds of thousands of them are created per simulation.
 
 :class:`InflightOpPool` removes even that churn: records live in an append-only arena
@@ -22,7 +23,7 @@ from __future__ import annotations
 from collections import deque
 
 from repro.bpu.unit import BranchOutcome
-from repro.isa.trace import DynInst
+from repro.isa.microop import MicroOp
 from repro.vp.base import VPrediction
 
 #: Sentinel used for "not yet known" cycle fields.
@@ -33,10 +34,12 @@ class InflightOp:
     """One µ-op in flight between fetch and commit."""
 
     __slots__ = (
-        "dyn",
         "seq",
         "pc",
         "uop",
+        # The effective address of a load or store (None for other µ-ops), which
+        # the LSQ matches and the memory hierarchy accesses.
+        "addr",
         # Timing.
         "dispatch_ready_cycle",
         "dispatch_cycle",
@@ -88,7 +91,7 @@ class InflightOp:
         "in_completion_wheel",
     )
 
-    def __init__(self, dyn: DynInst) -> None:
+    def __init__(self, seq: int, pc: int, uop: MicroOp, addr: int | None = None) -> None:
         self.slot = -1
         self.wake_gen = 0
         # Fields the fetch stage overwrites before anything reads them — reset here
@@ -113,9 +116,9 @@ class InflightOp:
         self.producers: tuple[InflightOp | None, ...] = ()
         self.mem_dependence: InflightOp | None = None
         self.branch_outcome: BranchOutcome | None = None
-        self._init(dyn)
+        self._init(seq, pc, uop, addr)
 
-    def _init(self, dyn: DynInst) -> None:
+    def _init(self, seq: int, pc: int, uop: MicroOp, addr: int | None) -> None:
         """(Re)initialise the per-µ-op fields shared by ``__init__`` and the pool.
 
         A recycled record must be indistinguishable from a freshly constructed one
@@ -126,10 +129,10 @@ class InflightOp:
         group of fields is exempt because a *later* stage overwrites them before
         any read (see the end of this method).
         """
-        self.dyn = dyn
-        self.seq = dyn.seq
-        self.pc = dyn.pc
-        self.uop = dyn.uop
+        self.seq = seq
+        self.pc = pc
+        self.uop = uop
+        self.addr = addr
         # A recycled record must never satisfy a wake-up registered against its
         # previous incarnation: the generation token invalidates them all at once.
         self.wake_gen += 1
@@ -220,14 +223,14 @@ class InflightOpPool:
         return len(self._deferred)
 
     # ------------------------------------------------------------------ acquire / release
-    def acquire(self, dyn: DynInst) -> InflightOp:
-        """A fresh record for ``dyn`` — recycled when possible, arena-grown otherwise."""
+    def acquire(self, seq: int, pc: int, uop: MicroOp, addr: int | None = None) -> InflightOp:
+        """A record for trace position ``seq``: recycled when possible, else arena-grown."""
         free = self._free
         if free:
             op = self._arena[free.pop()]
-            op._init(dyn)
+            op._init(seq, pc, uop, addr)
             return op
-        op = InflightOp(dyn)
+        op = InflightOp(seq, pc, uop, addr)
         op.slot = len(self._arena)
         self._arena.append(op)
         return op

@@ -73,7 +73,7 @@ class LoadStoreQueue:
         for store in self._stores:
             if store.seq >= load.seq:
                 break
-            if store.issued and store.dyn.addr == load.dyn.addr:
+            if store.issued and store.addr == load.addr:
                 best = store
         return best
 
@@ -90,7 +90,7 @@ class LoadStoreQueue:
                 continue
             if not load.issued:
                 continue
-            if load.dyn.addr != store.dyn.addr:
+            if load.addr != store.addr:
                 continue
             if load.load_forwarded:
                 continue

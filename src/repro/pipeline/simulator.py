@@ -48,7 +48,7 @@ from repro.core.early_execution import EarlyExecutionBlock
 from repro.core.late_execution import LateExecutionBlock
 from repro.errors import SimulationError
 from repro.isa.flags import approximate_flags, flags_match_for_validation
-from repro.isa.trace import DynInst, gc_paused
+from repro.isa.trace import gc_paused
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.obs.metrics import drain_simulator_metrics, maybe_sim_metrics
 from repro.obs.tracer import maybe_tracer
@@ -114,11 +114,21 @@ class Simulator:
         self.warmup_uops = warmup_uops
         self.workload_name = trace.program.name
 
-        # The committed stream, one tuple fetch indexes.
-        self._trace_list: tuple[DynInst, ...] = trace.instructions()
+        # The committed stream, replayed by position (a position is also the
+        # µ-op's sequence number): fetch reads the pc, taken and next-pc columns
+        # and each µ-op's address, commit the dense result and flags lists.
+        view = trace.replay_view()
+        self._uops = trace.program.uops
+        self._trace_pcs = view.pcs
+        self._trace_taken = view.taken
+        self._trace_next_pcs = view.next_pcs
+        self._trace_results = view.result
+        self._trace_flags = view.flags_result
+        self._trace_addrs = view.addr
         self._trace_pos = 0
         self._trace_exhausted = False
-        self._replay: deque[DynInst] = deque()
+        # Positions a squash (or a fetch stall) hands back to fetch, oldest first.
+        self._replay: deque[int] = deque()
 
         # Substrates.
         self.history = GlobalHistory()
@@ -565,6 +575,7 @@ class Simulator:
         store_sets = self.store_sets
         last_dispatched = self._last_dispatched_seq
         tracer = self.tracer
+        results = self._trace_results
         vp_group: list = []
         bpu_group: list = []
         squash_seq = -1
@@ -592,7 +603,6 @@ class Simulator:
             if late_executed:
                 late_alus_used += 1
             uop = op.uop
-            dyn = op.dyn
             kind = uop.hot_mask
             stats.committed_uops += 1
             if kind & 1:  # branch
@@ -605,8 +615,7 @@ class Simulator:
                     stats.forwarded_loads += 1
             elif kind & 8:  # store
                 stats.committed_stores += 1
-                if dyn.addr is not None:
-                    hierarchy_store(dyn.addr, op.pc, cycle)
+                hierarchy_store(op.addr, op.pc, cycle)
                 # Scrub any remaining LFST reference before the record is recycled
                 # (observably a no-op: a retired store already has ``issued`` set).
                 store_sets.store_retired(op)
@@ -663,16 +672,20 @@ class Simulator:
                 break
 
             # Prediction validation (training deferred).
-            if predictor is not None and kind & 32 and dyn.result is not None:
-                actual = dyn.result
+            if (
+                predictor is not None
+                and kind & 32
+                and (actual := results[op.seq]) is not None
+            ):
                 prediction = op.prediction
                 vp_group.append((op.pc, actual, prediction))
                 if op.pred_used:
                     value_correct = prediction.value == actual
                     flags_ok = True
-                    if kind & 128 and dyn.flags_result is not None:
+                    flags_result = self._trace_flags[op.seq] if kind & 128 else None
+                    if flags_result is not None:
                         flags_ok = flags_match_for_validation(
-                            dyn.flags_result, approximate_flags(prediction.value)
+                            flags_result, approximate_flags(prediction.value)
                         )
                         if value_correct and not flags_ok:
                             stats.flag_only_mispredictions += 1
@@ -729,7 +742,7 @@ class Simulator:
                 op.load_forwarded = True
                 memory_latency = 2
             else:
-                memory_latency = self.hierarchy.load(op.dyn.addr, op.pc, cycle)
+                memory_latency = self.hierarchy.load(op.addr, op.pc, cycle)
             complete = cycle + 1 + memory_latency
         elif uop.is_store:
             complete = cycle + 1
@@ -1103,41 +1116,47 @@ class Simulator:
         l1i_num_sets = l1i.num_sets
         l1i_line_size = l1i.line_size
         l1i_stats = l1i.stats
-        trace_list = self._trace_list
-        trace_length = len(trace_list)
+        uops = self._uops
+        pcs = self._trace_pcs
+        taken_column = self._trace_taken
+        next_pcs = self._trace_next_pcs
+        addrs = self._trace_addrs
+        trace_length = len(pcs)
         unknown_cycle = UNKNOWN_CYCLE
         tracer = self.tracer
         fetched = 0
         taken_branches = 0
         while fetched < fetch_width:
-            # The next dynamic instruction: a squash's replay queue first, then
-            # the trace tuple.
+            # The next trace position: a squash's replay queue first, then the
+            # trace's next one.
             if replay:
-                dyn = replay.popleft()
+                pos = replay.popleft()
             else:
                 pos = self._trace_pos
                 if pos >= trace_length:
                     self._trace_exhausted = True
                     break
-                dyn = trace_list[pos]
                 self._trace_pos = pos + 1
-            uop = dyn.uop
+            pc = pcs[pos]
+            uop = uops[pc]
             kind = uop.hot_mask
             is_branch = kind & 1
-            if is_branch and dyn.taken and taken_branches >= max_taken:
-                replay.appendleft(dyn)
-                break
-            line = (dyn.pc * 4) // l1i_line_size
+            if is_branch:
+                taken = taken_column[pos]
+                if taken and taken_branches >= max_taken:
+                    replay.appendleft(pos)
+                    break
+            line = (pc * 4) // l1i_line_size
             ways = l1i_sets[line % l1i_num_sets]
             if ways and ways[0] == line:
                 # MRU hit: same accounting as Cache.access, no latency beyond L1I.
                 l1i_stats.accesses += 1
                 l1i_stats.hits += 1
             else:
-                icache_latency = hierarchy_fetch(dyn.pc, cycle)
+                icache_latency = hierarchy_fetch(pc, cycle)
                 if icache_latency > l1i_latency:
                     # Instruction cache miss: fetch stalls until the line returns.
-                    replay.appendleft(dyn)
+                    replay.appendleft(pos)
                     self._fetch_resume_cycle = cycle + icache_latency
                     break
 
@@ -1147,10 +1166,10 @@ class Simulator:
             # runs that never recycle to the pooled golden.
             if pool_free:
                 op = pool_arena[pool_free.pop()]
-                op.dyn = dyn
-                op.seq = dyn.seq
-                op.pc = dyn.pc
+                op.seq = pos
+                op.pc = pc
                 op.uop = uop
+                op.addr = addrs[pos]
                 op.wake_gen += 1
                 op.wake_consumers = None
                 op.mem_waiters = None
@@ -1166,7 +1185,7 @@ class Simulator:
                 op.dest_bank = 0
                 op.load_forwarded = False
             else:
-                op = pool.acquire(dyn)
+                op = pool.acquire(pos, pc, uop, addrs[pos])
             op.dispatch_ready_cycle = cycle + fetch_to_dispatch
             # Inlined history.snapshot() memoisation (one attribute read on the
             # common no-new-branch path).
@@ -1174,15 +1193,15 @@ class Simulator:
             op.history_snapshot = snapshot if snapshot is not None else history.snapshot()
 
             if predictor is not None and kind & 32:  # vp-eligible
-                prediction = predictor.lookup(dyn.pc, history)
+                prediction = predictor.lookup(pc, history)
                 op.prediction = prediction
                 op.pred_used = prediction is not None and prediction.confident
 
             stop_fetching = False
             if is_branch:
-                if dyn.taken:
+                if taken:
                     taken_branches += 1
-                outcome = bpu_predict(dyn)
+                outcome = bpu_predict(pc, uop, taken, next_pcs[pos])
                 op.branch_outcome = outcome
                 if outcome.direction_mispredicted or outcome.target_mispredicted:
                     self._fetch_blocked_on = op
@@ -1245,9 +1264,9 @@ class Simulator:
         if self.cycle < self._iq_scan_from:
             self._iq_scan_from = self.cycle
 
-        # Re-feed the squashed µ-ops to fetch, oldest first.
+        # Re-feed the squashed positions to fetch, oldest first.
         for op in reversed(squashed):
-            self._replay.appendleft(op.dyn)
+            self._replay.appendleft(op.seq)
 
         # Recover speculative predictor and history state.
         if self.predictor is not None:

@@ -3,19 +3,15 @@
 The cache sits between the execution layers and the emulator, mirroring the
 result store → simulate ladder of :mod:`repro.campaign.executor`:
 
-1. an in-memory hit (same process) is free — the materialised ``DynInst`` tuple is
-   shared by every simulation replaying it;
+1. an in-memory hit (same process) is free — the trace, and the replay view the
+   timing model builds on it once, are shared by every simulation replaying it;
 2. an on-disk hit (``REPRO_TRACE_STORE``, a previous process/session) costs one
-   columnar decode when replayed by the timing model (the trace-level predictor
-   study reads the columns without decoding);
+   blob read and checksum; the loaded columns are the same form a capture writes;
 3. anything left is captured by running the architectural emulator once.
 
-A capture takes the form its entry point's consumer reads: :meth:`TraceCache.trace_for`
-(timing replay) has the emulator build ``DynInst`` records, and
-:meth:`TraceCache.trace_for_length` (trace-level studies) has it write the columns
-directly, so neither saving it to the store nor walking it in the study encodes
-anything.  A later consumer of the other kind converts the cached trace once: a
-replay decodes a study capture's columns, a study encodes a replay capture's.
+Every trace is columnar (:mod:`repro.trace.encoding`): the emulator writes the
+columns, the store saves them as they are, and neither the timing replay nor the
+trace-level study decodes a ``DynInst``.
 
 Entries are keyed by ``(workload name, id(program))``; an entry is reused only when its
 capture covers the requested replay length (:meth:`CapturedTrace.covers`), so a
@@ -78,9 +74,7 @@ class TraceCache:
         (:func:`repro.trace.capture.required_length`); reuse order is
         memory → disk → capture.
         """
-        return self._acquire(
-            workload, required_length(max_uops, config), max_uops, columnar=False
-        )
+        return self._acquire(workload, required_length(max_uops, config), max_uops)
 
     # Kept only because perfbench/spans.py wraps it by name.
     def trace_for_many(self, workload, requests) -> CapturedTrace:
@@ -94,26 +88,22 @@ class TraceCache:
         if not requests:
             raise ValueError("trace_for_many needs at least one (max_uops, config)")
         needed = max(required_length(m, config) for m, config in requests)
-        return self._acquire(workload, needed, max(m for m, _ in requests), columnar=False)
+        return self._acquire(workload, needed, max(m for m, _ in requests))
 
     def trace_for_length(self, workload, length: int) -> CapturedTrace:
         """A trace of at least ``length`` committed µ-ops (trace-level studies).
 
         Used by consumers that walk the committed stream directly (offline predictor
         evaluation, workload characterisation) rather than replaying it through the
-        timing model, so a capture writes columns and builds no ``DynInst``.
+        timing model.
         """
-        return self._acquire(workload, length, length, columnar=True)
+        return self._acquire(workload, length, length)
 
-    def _acquire(self, workload, needed: int, max_uops: int, columnar: bool) -> CapturedTrace:
+    def _acquire(self, workload, needed: int, max_uops: int) -> CapturedTrace:
         """Memory → disk → capture, re-capturing when a cached trace is too short.
 
         With ``REPRO_TRACE_CACHE=0`` it returns a fresh step-wise reference trace of
         ``needed`` µ-ops instead, touching no entry, store or counter.
-
-        ``columnar`` picks the form of a fresh capture
-        (:func:`~repro.trace.capture.capture_trace`); a hit is returned in
-        whatever form it was cached or stored in.
 
         Entries are keyed by the *program object*, not the workload name: an ad-hoc
         workload sharing a registry name (a different program) must never replay the
@@ -135,9 +125,7 @@ class TraceCache:
                 self.store_hits += 1
                 self._traces[key] = stored
                 return stored
-        trace = capture_workload_trace(
-            workload, capture_budget(max_uops, needed), columnar=columnar
-        )
+        trace = capture_workload_trace(workload, capture_budget(max_uops, needed))
         self.captures += 1
         self._traces[key] = trace
         if store is not None:

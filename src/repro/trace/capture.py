@@ -43,27 +43,20 @@ def capture_budget(max_uops: int, minimum: int = 0) -> int:
 
 
 def capture_trace(
-    program: Program, budget: int, state: ArchState | None = None, *, columnar: bool = False
+    program: Program, budget: int, state: ArchState | None = None
 ) -> CapturedTrace:
-    """Emulate ``program`` for up to ``budget`` µ-ops and encode the committed stream.
+    """Emulate ``program`` for up to ``budget`` µ-ops and keep the committed stream.
 
     Uses the emulator's batched fast path (:meth:`Emulator.run_batch`, bit-identical
-    to the step-wise reference) — capture is the one place that materialises a whole
-    stream at once.  By default the loop builds the ``DynInst`` records a timing
-    replay shares; ``columnar=True`` has it write the trace columns instead, for a
-    consumer that reads only columns (the predictor study, the trace store).  Both
-    forms serialise to the same blob and each converts to the other on demand.
+    to the step-wise reference), which writes the trace columns directly — capture is
+    the one place that materialises a whole stream at once, and it builds no
+    ``DynInst``.
     """
     emulator = Emulator(program, state=state)
+    columns = empty_columns()
     with gc_paused():
-        if columnar:
-            columns = empty_columns()
-            emulator.run_batch(budget, columns)
-            return CapturedTrace(program, *columns, halted=emulator.halted, budget=budget)
-        instructions = emulator.run_batch(budget)
-        return CapturedTrace.from_instructions(
-            program, instructions, halted=emulator.halted, budget=budget
-        )
+        emulator.run_batch(budget, columns)
+    return CapturedTrace(program, *columns, halted=emulator.halted, budget=budget)
 
 
 def reference_trace(
@@ -71,8 +64,8 @@ def reference_trace(
 ) -> CapturedTrace:
     """The step-wise oracle: :meth:`Emulator.run` for up to ``budget`` µ-ops, as a trace.
 
-    :meth:`CapturedTrace.from_instructions` wraps the records and encodes nothing;
-    the trace is never cached or stored.
+    :meth:`CapturedTrace.from_instructions` encodes the records as columns, the one
+    form every trace holds; the trace is never cached or stored.
     """
     emulator = Emulator(program, state=state)
     with gc_paused():
@@ -82,8 +75,6 @@ def reference_trace(
     )
 
 
-def capture_workload_trace(workload, budget: int, *, columnar: bool = False) -> CapturedTrace:
+def capture_workload_trace(workload, budget: int) -> CapturedTrace:
     """Capture a workload's committed trace from a fresh architectural state."""
-    return capture_trace(
-        workload.program, budget, state=workload.make_state(), columnar=columnar
-    )
+    return capture_trace(workload.program, budget, state=workload.make_state())

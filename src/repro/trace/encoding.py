@@ -1,28 +1,28 @@
 """Compact columnar encoding of a committed µ-op trace.
 
-A :class:`CapturedTrace` stores the dynamic fields of a committed
-:class:`~repro.isa.trace.DynInst` stream as parallel typed arrays (one column per
-field) instead of one Python object per µ-op.  Static fields are *interned*: a dynamic
-record stores only its static PC, and the µ-op itself is recovered from the owning
-:class:`~repro.isa.program.Program` at replay time.  Optional columns (result, flags,
-address, store value) are stored sparsely — a one-byte presence flag per µ-op plus a
-dense value array holding only the present entries.
+A :class:`CapturedTrace` stores the dynamic fields of a committed µ-op stream as
+parallel typed arrays (one column per field) instead of one Python object per µ-op.
+Static fields are *interned*: a position stores only its static PC, and the µ-op itself
+is recovered from the owning :class:`~repro.isa.program.Program`.  Optional columns
+(result, flags, address, store value) are stored sparsely — a one-byte presence flag
+per µ-op plus a dense value array holding only the present entries.
 
-A capture holds one of two forms, chosen by its consumer
-(:func:`repro.trace.capture.capture_trace`):
+Every trace holds this one form, whatever made it: the emulator's batched capture
+writes the columns directly (:meth:`Emulator.run_batch
+<repro.isa.emulator.Emulator.run_batch>` with :func:`empty_columns`), a store load
+reads them from a blob, and :meth:`CapturedTrace.from_instructions` encodes the
+step-wise oracle's :class:`~repro.isa.trace.DynInst` records at construction.
 
-- a *replay* capture holds the ``DynInst`` tuple the emulator built
-  (:meth:`CapturedTrace.from_instructions`); every simulation replaying it shares
-  those (immutable, never-mutated-by-the-pipeline) objects with zero copying, and
-  its columns are encoded only when it is serialised or studied
-  (:meth:`CapturedTrace._ensure_columns`);
-- a *study* capture holds the columns the emulator wrote directly
-  (:meth:`Emulator.run_batch <repro.isa.emulator.Emulator.run_batch>` with
-  :func:`empty_columns`), as does a trace loaded from the store; its ``DynInst``
-  tuple is decoded once, on the first :meth:`CapturedTrace.instructions` call.
+Neither consumer decodes a record:
 
-The trace-level predictor study decodes nothing: :meth:`CapturedTrace.study_events`
-reads the pc, branch-outcome and result columns directly.
+- the timing model replays :meth:`CapturedTrace.replay_view` — the pc, taken and
+  next-pc columns plus dense per-position result, flags and address lists, expanded
+  once per trace and cached on it;
+- the trace-level predictor study walks :meth:`CapturedTrace.study_events`.
+
+:meth:`CapturedTrace.instructions` and :meth:`CapturedTrace.replay` decode
+``DynInst`` records on demand, for tools that want whole records (workload
+characterisation, profiling, tests).
 
 The same columns serialise to a flat binary blob (:meth:`CapturedTrace.to_bytes` /
 :meth:`CapturedTrace.from_bytes`) for the on-disk trace store
@@ -38,6 +38,7 @@ import zlib
 from array import array
 from collections.abc import Iterable, Iterator
 from itertools import islice
+from typing import NamedTuple
 
 from repro.errors import ReproError
 from repro.isa.program import Program
@@ -60,6 +61,23 @@ def _expand(presence: bytearray, values: array) -> Iterator[int | None]:
     """A sparse column, expanded lazily: the next dense value where present, else None."""
     next_value = iter(values).__next__
     return (next_value() if present else None for present in presence)
+
+
+class ReplayView(NamedTuple):
+    """What the timing model reads of a trace, each column indexed by trace position.
+
+    A position is also the µ-op's sequence number.  ``pcs``, ``taken`` and
+    ``next_pcs`` are the trace's own columns; ``result``, ``flags_result`` and
+    ``addr`` are their sparse columns expanded to one entry per position (``None``
+    where the µ-op produces no such value).
+    """
+
+    pcs: array
+    taken: bytearray
+    next_pcs: array
+    result: list[int | None]
+    flags_result: list[int | None]
+    addr: list[int | None]
 
 
 def empty_columns() -> tuple[array, array, bytearray, array, array, dict, dict]:
@@ -166,7 +184,7 @@ class CapturedTrace:
         "_src_values",
         "_presence",
         "_values",
-        "_insts",
+        "_view",
     )
 
     def __init__(
@@ -197,7 +215,7 @@ class CapturedTrace:
         self._src_values = src_values
         self._presence = presence
         self._values = values
-        self._insts: tuple[DynInst, ...] | None = None
+        self._view: ReplayView | None = None
 
     # ------------------------------------------------------------------ construction
     @classmethod
@@ -208,36 +226,9 @@ class CapturedTrace:
         halted: bool,
         budget: int,
     ) -> "CapturedTrace":
-        """Capture a committed ``DynInst`` stream (a replay capture).
-
-        The columnar encoding is built *lazily* (:meth:`_ensure_columns`): the
-        trace already holds the materialised stream, which replay shares
-        directly, so the columns are only needed if the trace is serialised to
-        the on-disk store or walked by the predictor study.
-        """
-        trace = cls.__new__(cls)
-        trace.program = program
-        instructions = tuple(instructions)
-        trace.length = len(instructions)
-        trace.halted = halted
-        trace.budget = budget
-        trace.fingerprint = program_fingerprint(program)
-        trace._pcs = None
-        trace._next_pcs = None
-        trace._taken = None
-        trace._src_offsets = None
-        trace._src_values = None
-        trace._presence = None
-        trace._values = None
-        trace._insts = instructions
-        return trace
-
-    def _ensure_columns(self) -> None:
-        """Build the columnar encoding from the captured stream (serialisation)."""
-        if self._pcs is not None:
-            return
-        instructions = self._insts
-        pcs, next_pcs, taken, src_offsets, src_values, presence, values = empty_columns()
+        """Encode a committed ``DynInst`` stream (the step-wise oracle's records)."""
+        columns = empty_columns()
+        pcs, next_pcs, taken, src_offsets, src_values, presence, values = columns
         # One bound-method tuple per column, hoisted out of the per-µ-op loop.
         pcs_append = pcs.append
         next_pcs_append = next_pcs.append
@@ -261,29 +252,38 @@ class CapturedTrace:
                 else:
                     presence_append(1)
                     values_append(value)
-        self._pcs = pcs
-        self._next_pcs = next_pcs
-        self._taken = taken
-        self._src_offsets = src_offsets
-        self._src_values = src_values
-        self._presence = presence
-        self._values = values
+        return cls(program, *columns, halted=halted, budget=budget)
 
     # ------------------------------------------------------------------ replay
-    def instructions(self) -> tuple[DynInst, ...]:
-        """Materialise (once) and return the decoded ``DynInst`` stream.
+    def replay_view(self) -> ReplayView:
+        """The columns the timing model replays, built on the first call and cached.
 
-        The tuple is cached on the trace: every simulation replaying this capture
-        shares the same ``DynInst`` objects (the timing pipeline never mutates them).
+        Expanding a sparse column costs tens of nanoseconds per µ-op, once per
+        trace; every simulation replaying the trace shares the view.
         """
-        if self._insts is None:
-            with gc_paused():
-                self._insts = tuple(self._decode())
-        return self._insts
+        view = self._view
+        if view is None:
+            presence = self._presence
+            values = self._values
+            view = self._view = ReplayView(
+                self._pcs,
+                self._taken,
+                self._next_pcs,
+                *(
+                    list(_expand(presence[name], values[name]))
+                    for name in ("result", "flags_result", "addr")
+                ),
+            )
+        return view
+
+    def instructions(self) -> tuple[DynInst, ...]:
+        """The committed stream decoded into ``DynInst`` records, afresh on each call."""
+        with gc_paused():
+            return tuple(self._decode())
 
     def replay(self) -> Iterator[DynInst]:
-        """A fresh iterator over the committed stream (what the simulator consumes)."""
-        return iter(self.instructions())
+        """The committed stream as ``DynInst`` records, decoded lazily."""
+        return self._decode()
 
     def _decode(self) -> Iterator[DynInst]:
         """The ``DynInst`` stream, built column by column by one ``map``."""
@@ -316,13 +316,11 @@ class CapturedTrace:
         the study pushes into the global history before the lookup.  Branches after
         the last eligible µ-op are dropped: no lookup observes them.
 
-        Built from the columns without decoding a single ``DynInst`` (a replay
-        capture encodes its columns first) on every call: the trace keeps no copy,
-        so a cached trace costs only its columns.  The caller that sweeps predictor
+        Built from the columns without decoding a single ``DynInst``, on every
+        call: the trace keeps no copy, so a cached trace costs only its columns.  The caller that sweeps predictor
         families over one trace keeps the list
         (:func:`~repro.analysis.predictor_eval.evaluate_predictor`).
         """
-        self._ensure_columns()
         flags = bytes(
             (_CONDITIONAL_BRANCH if uop.is_conditional_branch else 0)
             | (_VP_ELIGIBLE if uop.vp_eligible else 0)
@@ -359,7 +357,6 @@ class CapturedTrace:
     # ------------------------------------------------------------------ serialisation
     def to_bytes(self) -> bytes:
         """Serialise header + columns into one binary blob (for the on-disk store)."""
-        self._ensure_columns()
         columns: list[bytes] = [
             self._pcs.tobytes(),
             self._next_pcs.tobytes(),

@@ -32,12 +32,11 @@ def _mix_pc(pc: int) -> int:
 class _StrideEntry:
     """One stride-table entry (committed state plus the speculative chain)."""
 
-    __slots__ = ("tag", "valid", "last_value", "stride1", "stride2", "confidence",
+    __slots__ = ("tag", "last_value", "stride1", "stride2", "confidence",
                  "spec_last", "inflight", "spec_dirty")
 
     def __init__(self) -> None:
         self.tag = 0
-        self.valid = False
         self.last_value = 0
         self.stride1 = 0  # most recently observed delta
         self.stride2 = 0  # confirmed delta used for prediction
@@ -75,8 +74,8 @@ class StridePredictor(ValuePredictor):
         self._index_mask = entries - 1
         self._tag_mask = (1 << tag_bits) - 1
         self._policy = FPCPolicy(fpc_vector, seed=seed)
-        # Entries are allocated lazily on first training: a fresh ``None`` slot
-        # behaves exactly like a never-written entry (``valid`` False), and the
+        # Entries are allocated lazily on first training: a ``None`` slot is the
+        # only invalid entry (the valid bit ``storage_bits`` counts), and the
         # synthetic kernels touch a small fraction of the 8K-entry table, so eager
         # construction would dominate predictor set-up time.
         self._table: list[_StrideEntry | None] = [None] * entries
@@ -120,7 +119,7 @@ class StridePredictor(ValuePredictor):
             cached = self._index_and_tag(pc)
         index, tag = cached
         entry = self._table[index]
-        if entry is None or not entry.valid or entry.tag != tag:
+        if entry is None or entry.tag != tag:
             return None
         predicted = (entry.spec_last + entry.stride2) & _MASK64
         # Advance the speculative chain so back-to-back instances predict correctly.
@@ -142,7 +141,7 @@ class StridePredictor(ValuePredictor):
             cached = self._index_and_tag(pc)
         index, tag = cached
         entry = self._table[index]
-        if entry is not None and entry.valid and entry.tag == tag:
+        if entry is not None and entry.tag == tag:
             delta = (actual - entry.last_value) & _MASK64
             if predicted is None:
                 predicted = (entry.last_value + entry.stride2) & _MASK64
@@ -177,7 +176,6 @@ class StridePredictor(ValuePredictor):
             if entry is None:
                 entry = _StrideEntry()
                 self._table[index] = entry
-            entry.valid = True
             entry.tag = tag
             entry.last_value = actual
             entry.spec_last = actual

@@ -52,14 +52,13 @@ def geometric_history_lengths(minimum: int, maximum: int, count: int) -> list[in
 
 
 class _TaggedEntry:
-    __slots__ = ("tag", "value", "confidence", "useful", "valid")
+    __slots__ = ("tag", "value", "confidence", "useful")
 
     def __init__(self) -> None:
         self.tag = 0
         self.value = 0
         self.confidence = 0
         self.useful = 0
-        self.valid = False
 
 
 class VTAGEPredictor(ValuePredictor):
@@ -114,7 +113,7 @@ class VTAGEPredictor(ValuePredictor):
         self._base_confidence = [0] * base_entries
         self._base_valid = [False] * base_entries
         # Tagged components.  Entries are allocated lazily on first use: a ``None``
-        # slot behaves exactly like a never-allocated entry (``valid`` False), and
+        # slot is the only invalid entry (the valid bit ``storage_bits`` counts), and
         # only a small fraction of each 1K-entry component is ever touched.  The
         # per-component entry counts let lookups skip probing (and hashing into)
         # entirely-empty components.
@@ -202,7 +201,7 @@ class VTAGEPredictor(ValuePredictor):
                 continue
             index = (index_mixes[rank] ^ folds[rank]) & tagged_mask
             entry = components[rank][index]
-            if entry is not None and entry.valid:
+            if entry is not None:
                 tag = (tag_mixes[rank] ^ folds[num_components + rank]) & tag_masks[rank]
                 if entry.tag == tag:
                     return (
@@ -249,7 +248,7 @@ class VTAGEPredictor(ValuePredictor):
                 fold = fold_bits(bits, lengths[rank], index_width)
             index = (index_mixes[rank] ^ fold) & tagged_mask
             entry = components[rank][index]
-            if entry is None or not entry.valid or entry.useful == 0:
+            if entry is None or entry.useful == 0:
                 if candidate_count == 0:
                     candidate_count = 1
                     first = (rank, index, entry)
@@ -284,7 +283,6 @@ class VTAGEPredictor(ValuePredictor):
                 if registers is not None:
                     registers.activate(choice)
                     registers.activate(num_components + choice)
-        choice_entry.valid = True
         choice_entry.tag = self._record_tag(record, choice)
         choice_entry.value = actual
         choice_entry.confidence = 0
@@ -310,7 +308,7 @@ class VTAGEPredictor(ValuePredictor):
             base_index = mixes[2]
             if provider >= 0:
                 entry = self._components[provider][provider_index]
-                if entry is not None and entry.valid and entry.tag == provider_tag:
+                if entry is not None and entry.tag == provider_tag:
                     if entry.value == actual:
                         confidence = entry.confidence
                         saturation = self._saturation

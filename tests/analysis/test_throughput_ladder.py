@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -65,9 +66,23 @@ class TestLadder:
 
 class TestEntryProvenance:
     def test_git_sha_points_at_head(self):
+        """HEAD's sha inside a git work tree; ``None`` in a copy outside one."""
+
+        def git(*args: str) -> str | None:
+            try:
+                out = subprocess.run(
+                    ["git", *args], cwd=REPO_ROOT, capture_output=True, text=True, timeout=10
+                )
+            except (OSError, subprocess.SubprocessError):
+                return None
+            return out.stdout.strip() if out.returncode == 0 else None
+
         sha = throughput._git_sha()
-        assert sha is not None and len(sha) == 40
-        assert all(c in "0123456789abcdef" for c in sha)
+        if git("rev-parse", "--is-inside-work-tree") == "true":
+            assert sha == git("rev-parse", "HEAD")
+            assert len(sha) == 40 and all(c in "0123456789abcdef" for c in sha)
+        else:
+            assert sha is None
 
     def test_host_info_shape(self):
         host = throughput._host_info()

@@ -1,8 +1,21 @@
-"""Tests for the combined branch prediction unit (TAGE + BTB + RAS)."""
+"""Tests for the combined branch prediction unit (TAGE + BTB + RAS).
+
+The unit is fed the way the simulator's fetch stage feeds it: from a captured
+trace's replay columns, one ``(pc, uop, taken, next_pc)`` per control-flow µ-op.
+"""
 
 from repro.bpu.unit import BranchPredictionUnit
 from repro.isa.builder import ProgramBuilder
-from repro.isa.emulator import Emulator
+from repro.trace.capture import capture_trace
+
+
+def _branches(program, uops):
+    """``(pc, uop, taken, next_pc)`` of each control-flow µ-op among ``uops`` committed."""
+    view = capture_trace(program, uops).replay_view()
+    for pos, pc in enumerate(view.pcs):
+        uop = program.uops[pc]
+        if uop.is_branch:
+            yield pc, uop, view.taken[pos], view.next_pcs[pos]
 
 
 def _loop_trace(iterations_uops=400):
@@ -12,7 +25,7 @@ def _loop_trace(iterations_uops=400):
     b.addi("r1", "r1", 1)
     b.cmp("r1", imm=1 << 30)
     b.bne("loop")
-    return list(Emulator(b.build()).run(iterations_uops))
+    return list(_branches(b.build(), iterations_uops))
 
 
 def _call_ret_trace(uops=200):
@@ -28,50 +41,46 @@ def _call_ret_trace(uops=200):
     b.addi("r1", "r1", 1)
     b.cmp("r1", imm=1 << 30)
     b.bne("loop")
-    return list(Emulator(b.build()).run(uops))
+    return list(_branches(b.build(), uops))
 
 
 class TestConditionalBranches:
     def test_backward_loop_branch_quickly_predicted(self):
         unit = BranchPredictionUnit()
         mispredictions = 0
-        for inst in _loop_trace():
-            if not inst.uop.is_branch:
-                continue
-            outcome = unit.predict(inst)
+        for branch in _loop_trace():
+            outcome = unit.predict(*branch)
             if outcome.mispredicted:
                 mispredictions += 1
-            unit.train(inst, outcome)
+            unit.train(branch[0], outcome)
         assert mispredictions < 10
 
     def test_history_updated_with_actual_outcomes(self):
         unit = BranchPredictionUnit()
-        trace = _loop_trace(40)
-        for inst in trace:
-            if inst.uop.is_branch:
-                unit.predict(inst)
+        for branch in _loop_trace(40):
+            unit.predict(*branch)
         assert unit.history.bits != 0
 
     def test_high_confidence_emerges_for_stable_branches(self):
         unit = BranchPredictionUnit()
         saw_high_confidence = False
-        for inst in _loop_trace(600):
-            if not inst.uop.is_conditional_branch:
+        for branch in _loop_trace(600):
+            if not branch[1].is_conditional_branch:
                 continue
-            outcome = unit.predict(inst)
+            outcome = unit.predict(*branch)
             saw_high_confidence |= outcome.high_confidence
-            unit.train(inst, outcome)
+            unit.train(branch[0], outcome)
         assert saw_high_confidence
 
     def test_btb_miss_on_first_taken_encounter_resolves_at_decode(self):
         unit = BranchPredictionUnit()
         decode_redirects = 0
-        for inst in _loop_trace(60):
-            if not inst.uop.is_conditional_branch:
+        for branch in _loop_trace(60):
+            if not branch[1].is_conditional_branch:
                 continue
-            outcome = unit.predict(inst)
+            outcome = unit.predict(*branch)
             decode_redirects += outcome.resolved_at_decode
-            unit.train(inst, outcome)
+            unit.train(branch[0], outcome)
         # Only the very first taken encounter should miss the BTB.
         assert decode_redirects <= 2
 
@@ -81,14 +90,12 @@ class TestCallsAndReturns:
         unit = BranchPredictionUnit()
         ret_mispredictions = 0
         rets = 0
-        for inst in _call_ret_trace(400):
-            if not inst.uop.is_branch:
-                continue
-            outcome = unit.predict(inst)
-            if inst.uop.opcode.value == "ret":
+        for branch in _call_ret_trace(400):
+            outcome = unit.predict(*branch)
+            if branch[1].opcode.value == "ret":
                 rets += 1
                 ret_mispredictions += outcome.mispredicted
-            unit.train(inst, outcome)
+            unit.train(branch[0], outcome)
         assert rets > 10
         assert ret_mispredictions == 0
 
@@ -96,19 +103,18 @@ class TestCallsAndReturns:
         """Only conditional branches consult the direction predictor."""
         unit = BranchPredictionUnit()
         conditional = unconditional = 0
-        for inst in _call_ret_trace(200):
-            if inst.uop.is_branch:
-                unit.predict(inst)
-                conditional += inst.uop.is_conditional_branch
-                unconditional += not inst.uop.is_conditional_branch
+        for branch in _call_ret_trace(200):
+            unit.predict(*branch)
+            conditional += branch[1].is_conditional_branch
+            unconditional += not branch[1].is_conditional_branch
         assert unconditional > 0
         assert unit.tage.lookups == conditional > 0
 
     def test_direct_jumps_and_calls_are_never_direction_mispredicted(self):
         unit = BranchPredictionUnit()
-        for inst in _call_ret_trace(200):
-            if inst.uop.is_branch and not inst.uop.is_conditional_branch:
-                outcome = unit.predict(inst)
+        for branch in _call_ret_trace(200):
+            if not branch[1].is_conditional_branch:
+                outcome = unit.predict(*branch)
                 assert not outcome.direction_mispredicted
                 assert outcome.predicted_taken
 
@@ -124,17 +130,14 @@ class TestIndirectBranches:
         b.addi("r1", "r1", 1)
         b.cmp("r1", imm=1 << 30)
         b.bne("loop")
-        trace = list(Emulator(b.build()).run(300))
         unit = BranchPredictionUnit()
         indirect_mispredictions = 0
         indirects = 0
-        for inst in trace:
-            if not inst.uop.is_branch:
-                continue
-            outcome = unit.predict(inst)
-            if inst.uop.opcode.value == "jmpi":
+        for branch in _branches(b.build(), 300):
+            outcome = unit.predict(*branch)
+            if branch[1].opcode.value == "jmpi":
                 indirects += 1
                 indirect_mispredictions += outcome.mispredicted
-            unit.train(inst, outcome)
+            unit.train(branch[0], outcome)
         assert indirects > 10
         assert indirect_mispredictions <= 1

@@ -15,12 +15,17 @@ from pathlib import Path
 
 import pytest
 
+import repro.isa.emulator as emulator_module
+import repro.pipeline.simulator as simulator_module
+import repro.trace.capture as capture_module
+import repro.trace.encoding as encoding_module
 from repro.campaign.executor import run_campaign
 from repro.campaign.spec import Campaign
 from repro.campaign.store import ResultStore
 from repro.ooo.issue_queue import WAKEUP_ENV_VAR
 from repro.pipeline.simulator import EVENT_DRIVEN_ENV_VAR, Simulator
 from repro.trace.cache import TRACE_CACHE_ENV_VAR, shared_trace_cache
+from repro.trace.store import TRACE_STORE_ENV_VAR
 from repro.workloads.suite import workload
 
 GOLDEN = Path(__file__).resolve().parents[2] / "perfbench" / "golden" / "seed-0.json"
@@ -74,17 +79,17 @@ def test_campaign_matches_the_committed_golden(tmp_path, monkeypatch, workers, e
 def test_replaying_study_captures_matches_the_committed_golden(tmp_path, monkeypatch):
     """Cells replaying traces first captured for a trace-level study.
 
-    ``trace_for_length`` captures columns without ``DynInst`` objects; the
-    timing replay then decodes them, the crossing from the study form.  The
-    test is about the cache, so it runs with the cache on whatever the
-    environment says (``REPRO_TRACE_CACHE=0`` has its own case above).
+    ``trace_for_length`` and ``trace_for`` share one capture form, so the
+    cells replay the study's captures as they are.  The test is about the
+    cache, so it runs with the cache on whatever the environment says
+    (``REPRO_TRACE_CACHE=0`` has its own case above).
     """
     monkeypatch.delenv(TRACE_CACHE_ENV_VAR, raising=False)
     campaign = _figure_grid_campaign()
     shared_trace_cache.clear()
     try:
         for name in ("gcc", "mcf"):
-            assert shared_trace_cache.trace_for_length(workload(name), 20000)._insts is None
+            shared_trace_cache.trace_for_length(workload(name), 20000)
         captures, hits = shared_trace_cache.captures, shared_trace_cache.hits
         outcome = run_campaign(campaign, store=ResultStore(tmp_path / "s.jsonl"), workers=1)
         assert shared_trace_cache.captures == captures, "a cell re-captured its trace"
@@ -92,6 +97,37 @@ def test_replaying_study_captures_matches_the_committed_golden(tmp_path, monkeyp
     finally:
         shared_trace_cache.clear()
     _assert_matches_golden(campaign, outcome)
+
+
+def _no_dyninst(*args, **kwargs):
+    raise AssertionError("the timing replay built a DynInst")
+
+
+def test_replay_builds_no_dyninst(tmp_path, monkeypatch):
+    """Captured and store-loaded traces replay from their columns alone.
+
+    ``DynInst`` raises wherever the capture, the encoding, the emulator or the
+    simulator could build one; a first campaign captures its traces and saves
+    them to a trace store, and a second, on a cold cache, loads them.  Both
+    must match the golden.
+    """
+    monkeypatch.delenv(TRACE_CACHE_ENV_VAR, raising=False)
+    monkeypatch.setenv(TRACE_STORE_ENV_VAR, str(tmp_path / "traces"))
+    for module in (simulator_module, encoding_module, capture_module, emulator_module):
+        monkeypatch.setattr(module, "DynInst", _no_dyninst, raising=False)
+    campaign = _figure_grid_campaign()
+    try:
+        for run in ("captured", "store-loaded"):
+            shared_trace_cache.clear()
+            store_hits = shared_trace_cache.store_hits
+            outcome = run_campaign(
+                campaign, store=ResultStore(tmp_path / f"{run}.jsonl"), workers=1
+            )
+            _assert_matches_golden(campaign, outcome)
+            loaded = shared_trace_cache.store_hits - store_hits
+            assert loaded == (2 if run == "store-loaded" else 0), run
+    finally:
+        shared_trace_cache.clear()
 
 
 class _NeverFree(list):

@@ -6,13 +6,12 @@ from repro.core.early_execution import EarlyExecutionBlock, EarlyExecutionConfig
 from repro.errors import ConfigurationError
 from repro.isa.microop import MicroOp
 from repro.isa.opcode import Opcode
-from repro.isa.trace import DynInst
 from repro.ooo.inflight import InflightOp
 from repro.vp.base import VPrediction
 
 
 def _op(opcode=Opcode.ADD, dst=1, srcs=(), imm=None, seq=0):
-    return InflightOp(DynInst(seq=seq, pc=seq, uop=MicroOp(opcode, dst=dst, srcs=srcs, imm=imm)))
+    return InflightOp(seq, seq, MicroOp(opcode, dst=dst, srcs=srcs, imm=imm))
 
 
 def _predicted(op: InflightOp) -> InflightOp:

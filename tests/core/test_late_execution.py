@@ -8,14 +8,13 @@ from repro.errors import ConfigurationError
 from repro.isa.microop import MicroOp
 from repro.isa.opcode import Opcode
 from repro.isa.registers import FLAGS_REG
-from repro.isa.trace import DynInst
 from repro.ooo.inflight import InflightOp
 from repro.vp.base import VPrediction
 
 
 def _op(opcode=Opcode.ADD, dst=1, srcs=(), target=None, seq=0):
     uop = MicroOp(opcode, dst=dst, srcs=srcs, target=target, imm=0 if dst else None)
-    return InflightOp(DynInst(seq=seq, pc=seq, uop=uop))
+    return InflightOp(seq, seq, uop)
 
 
 def _predicted(op):

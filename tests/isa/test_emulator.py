@@ -13,7 +13,6 @@ from repro.isa.emulator import ArchState, Emulator, _default_memory_value
 from repro.isa.flags import ALL_FLAGS, MASK64, SF, SIGN_BIT, flags_from_result
 from repro.isa.microop import MicroOp
 from repro.isa.opcode import Opcode, is_conditional_branch
-from repro.isa.registers import FLAGS_REG
 from repro.isa.trace import OPTIONAL_FIELDS
 from repro.trace.encoding import CapturedTrace, empty_columns
 from tests.random_programs import RandomProgramGenerator
@@ -183,7 +182,10 @@ class TestMemory:
         stepped = Emulator(program, state=state())
         expected = [inst.result for inst in stepped.run(200)]
         batched = Emulator(program, state=state())
-        assert [inst.result for inst in batched.run_batch(200)] == expected
+        columns = empty_columns()
+        batched.run_batch(200, columns)
+        trace = CapturedTrace(program, *columns, halted=batched.halted, budget=200)
+        assert [inst.result for inst in trace.replay()] == expected
         assert batched.state.memory == stepped.state.memory
         assert stepped.state.memory[0x1000] == 0x1000 + 8 * 3  # read, never written
 
@@ -195,9 +197,11 @@ class TestControlFlow:
 
         # gcc's switch jumps through a jump table an empty state does not hold.
         emulator = Emulator(workload("gcc").program)
-        run = emulator.run_batch if loop == "run_batch" else lambda n: list(emulator.run(n))
         with pytest.raises(EmulationError, match=r"invalid pc .*workload\.make_state\(\)"):
-            run(1000)
+            if loop == "run_batch":
+                emulator.run_batch(1000, empty_columns())
+            else:
+                list(emulator.run(1000))
 
     def test_counted_loop_executes_expected_iterations(self):
         b = ProgramBuilder()
@@ -330,44 +334,33 @@ class TestRunBatch:
             for i in insts
         ]
 
-    def _assert_equivalent(self, program, state_a, state_b, budget, state_c=None):
+    def _assert_equivalent(self, program, state_a, state_b, budget):
         reference = Emulator(program, state=state_a)
         batched = Emulator(program, state=state_b)
         expected = list(reference.run(budget))
-        got = batched.run_batch(budget)
-        assert self._records(got) == self._records(expected)
+        columns = empty_columns()
+        assert batched.run_batch(budget, columns) is None
+        trace = CapturedTrace(program, *columns, halted=batched.halted, budget=budget)
+        assert self._records(trace.instructions()) == self._records(expected)
         assert batched.halted == reference.halted
         assert batched.pc == reference.pc
         assert batched.seq == reference.seq
         assert batched.state.regs == reference.state.regs
         assert batched.state.memory == reference.state.memory
-        # The columnar tail of the same loop: same machine state, and the
-        # columns decode to the same records.  Both trace forms serialise to
-        # the same blob, which decodes to the same records again.
-        columnar = Emulator(program, state=state_c)
-        columns = empty_columns()
-        assert columnar.run_batch(budget, columns) == []
-        trace = CapturedTrace(program, *columns, halted=columnar.halted, budget=budget)
-        assert self._records(trace.instructions()) == self._records(expected)
+        # The reference's records encode to the same blob, which decodes to the
+        # same records again.
         blob = trace.to_bytes()
-        replayed = CapturedTrace.from_instructions(program, got, columnar.halted, budget)
-        assert replayed.to_bytes() == blob
+        encoded = CapturedTrace.from_instructions(program, expected, reference.halted, budget)
+        assert encoded.to_bytes() == blob
         decoded = CapturedTrace.from_bytes(blob, program)
         assert self._records(decoded.instructions()) == self._records(expected)
-        assert (columnar.halted, columnar.pc, columnar.seq) == (
-            reference.halted, reference.pc, reference.seq,
-        )
-        assert columnar.state.regs == reference.state.regs
-        assert columnar.state.memory == reference.state.memory
 
     def test_matches_step_on_every_suite_workload(self):
         from repro.workloads.suite import SUITE_ORDER, workload
 
         for name in SUITE_ORDER:
             wl = workload(name)
-            self._assert_equivalent(
-                wl.program, wl.make_state(), wl.make_state(), 3000, wl.make_state()
-            )
+            self._assert_equivalent(wl.program, wl.make_state(), wl.make_state(), 3000)
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32))
@@ -400,8 +393,10 @@ class TestRunBatch:
         b.nop()
         emulator = Emulator(b.build())
         emulator.pc = 5  # out of range: only an executed step would notice
-        assert emulator.run_batch(0) == []
+        columns = empty_columns()
+        assert emulator.run_batch(0, columns) is None
         assert not emulator.halted
+        assert columns == empty_columns()
 
     def test_resumes_after_partial_batch(self):
         b = ProgramBuilder()
@@ -413,8 +408,11 @@ class TestRunBatch:
         reference = Emulator(program)
         expected = list(reference.run(50))
         split = Emulator(program)
-        got = split.run_batch(20) + split.run_batch(30)
-        assert self._records(got) == self._records(expected)
+        columns = empty_columns()
+        split.run_batch(20, columns)
+        split.run_batch(30, columns)
+        trace = CapturedTrace(program, *columns, halted=split.halted, budget=50)
+        assert self._records(trace.instructions()) == self._records(expected)
 
 
 def _single_uop(opcode: Opcode, sets_flags: bool) -> MicroOp:

@@ -2,14 +2,13 @@
 
 from repro.isa.microop import MicroOp
 from repro.isa.opcode import Opcode
-from repro.isa.trace import DynInst
 from repro.ooo.inflight import InflightOp, UNKNOWN_CYCLE
 
 
 def _op(opcode: Opcode = Opcode.ADD) -> InflightOp:
     dst = 1 if opcode is Opcode.ADD else None
     srcs = (2, 3) if opcode is Opcode.ADD else ()
-    return InflightOp(DynInst(seq=0, pc=0, uop=MicroOp(opcode, dst=dst, srcs=srcs)))
+    return InflightOp(0, 0, MicroOp(opcode, dst=dst, srcs=srcs))
 
 
 class TestInflightOp:
@@ -28,19 +27,19 @@ class TestInflightOp:
 
 
 class TestInflightOpPool:
-    def _dyn(self, seq: int = 0) -> DynInst:
-        return DynInst(seq=seq, pc=seq, uop=MicroOp(Opcode.ADD, dst=1, srcs=(2, 3)))
+    def _fields(self, seq: int = 0) -> tuple:
+        return seq, seq, MicroOp(Opcode.ADD, dst=1, srcs=(2, 3))
 
     def test_acquire_grows_arena_then_recycles(self):
         from repro.ooo.inflight import InflightOpPool
 
         pool = InflightOpPool()
-        first = pool.acquire(self._dyn(0))
-        second = pool.acquire(self._dyn(1))
+        first = pool.acquire(*self._fields(0))
+        second = pool.acquire(*self._fields(1))
         assert pool.allocated == 2 and first.slot == 0 and second.slot == 1
         pool.release(first)
         assert pool.free_count == 1
-        recycled = pool.acquire(self._dyn(2))
+        recycled = pool.acquire(*self._fields(2))
         assert recycled is first  # LIFO reuse of the released record
         assert pool.allocated == 2 and pool.free_count == 0
 
@@ -48,7 +47,7 @@ class TestInflightOpPool:
         from repro.ooo.inflight import InflightOpPool
 
         pool = InflightOpPool()
-        op = pool.acquire(self._dyn(0))
+        op = pool.acquire(*self._fields(0))
         # Dirty every mutable field a pipeline stage touches.
         op.dispatch_cycle = op.complete_cycle = op.avail_cycle = 9
         op.wait_until = 5
@@ -57,12 +56,13 @@ class TestInflightOpPool:
         op.issued = op.executed = op.squashed = True
         op.dest_bank = 2
         op.load_forwarded = True
+        op.addr = 0x40
         op.producers = (op,)
         op.mem_dependence = op
         pool.release(op)
-        dyn = self._dyn(1)
-        recycled = pool.acquire(dyn)
-        fresh = InflightOp(dyn)
+        fields = self._fields(1)
+        recycled = pool.acquire(*fields)
+        fresh = InflightOp(*fields)
         for name in InflightOp.__slots__:
             if name in ("slot", "dispatch_ready_cycle", "history_snapshot", "issue_cycle"):
                 continue  # pool-owned / fetch-assigned before any read
@@ -93,11 +93,11 @@ class TestInflightOpPool:
     def test_retire_defers_until_barrier_drains(self):
         simulator = self._simulator()
         pool, rob_entries = simulator.pool, simulator.rob._entries
-        pool.retire(pool.acquire(self._dyn(0)), barrier_seq=7)
-        rob_entries.append(InflightOp(self._dyn(5)))  # ops <= 7 may still read the record
+        pool.retire(pool.acquire(*self._fields(0)), barrier_seq=7)
+        rob_entries.append(InflightOp(*self._fields(5)))  # ops <= 7 may still read the record
         simulator._fetch()
         assert pool.deferred_count == 1 and pool.free_count == 0
-        rob_entries[0] = InflightOp(self._dyn(8))  # everything <= 7 has drained
+        rob_entries[0] = InflightOp(*self._fields(8))  # everything <= 7 has drained
         simulator._fetch()
         assert pool.deferred_count == 0 and pool.free_count == 1
         assert not simulator._frontend
@@ -106,7 +106,7 @@ class TestInflightOpPool:
         simulator = self._simulator()
         pool = simulator.pool
         for seq in range(3):
-            pool.retire(pool.acquire(self._dyn(seq)), barrier_seq=seq)
+            pool.retire(pool.acquire(*self._fields(seq)), barrier_seq=seq)
         simulator._fetch()
         assert pool.deferred_count == 0 and pool.free_count == 3
         assert not simulator._frontend

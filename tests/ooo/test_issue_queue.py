@@ -5,7 +5,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.isa.microop import MicroOp
 from repro.isa.opcode import Opcode
-from repro.isa.trace import DynInst
 from repro.ooo.functional_units import FunctionalUnitConfig, FunctionalUnitPool
 from repro.ooo.inflight import InflightOp
 from repro.ooo.issue_queue import IssueQueue
@@ -14,7 +13,7 @@ from repro.ooo.issue_queue import IssueQueue
 def _op(seq: int, opcode: Opcode = Opcode.ADD) -> InflightOp:
     dst = 1 if opcode not in (Opcode.ST,) else None
     uop = MicroOp(opcode, dst=dst, srcs=(2,) if opcode is not Opcode.ST else (2, 3), imm=0)
-    op = InflightOp(DynInst(seq=seq, pc=seq, uop=uop))
+    op = InflightOp(seq, seq, uop)
     op.dispatch_cycle = 0
     return op
 

@@ -5,19 +5,18 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.isa.microop import MicroOp
 from repro.isa.opcode import Opcode
-from repro.isa.trace import DynInst
 from repro.ooo.inflight import InflightOp
 from repro.ooo.lsq import LoadStoreQueue
 
 
 def _load(seq: int, addr: int) -> InflightOp:
     uop = MicroOp(Opcode.LD, dst=1, srcs=(2,), imm=0)
-    return InflightOp(DynInst(seq=seq, pc=seq, uop=uop, addr=addr))
+    return InflightOp(seq, seq, uop, addr)
 
 
 def _store(seq: int, addr: int) -> InflightOp:
     uop = MicroOp(Opcode.ST, srcs=(2, 3), imm=0)
-    return InflightOp(DynInst(seq=seq, pc=seq, uop=uop, addr=addr))
+    return InflightOp(seq, seq, uop, addr)
 
 
 def _dispatch(lsq: LoadStoreQueue, *ops: InflightOp) -> None:

@@ -5,7 +5,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.isa.microop import MicroOp
 from repro.isa.opcode import Opcode
-from repro.isa.trace import DynInst
 from repro.ooo.inflight import InflightOp
 from repro.ooo.rob import ReorderBuffer
 
@@ -15,7 +14,7 @@ TINY_ROB = 12
 
 def _op(seq: int) -> InflightOp:
     uop = MicroOp(Opcode.ADD, dst=1, srcs=(2, 3))
-    return InflightOp(DynInst(seq=seq, pc=seq, uop=uop))
+    return InflightOp(seq, seq, uop)
 
 
 def _dispatch(rob: ReorderBuffer, seqs) -> list[InflightOp]:

@@ -5,7 +5,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.isa.microop import MicroOp
 from repro.isa.opcode import Opcode
-from repro.isa.trace import DynInst
 from repro.ooo.inflight import InflightOp
 from repro.ooo.store_sets import StoreSets
 
@@ -14,11 +13,11 @@ STORE_PC = 0x200
 
 
 def _load(seq: int, pc: int = LOAD_PC) -> InflightOp:
-    return InflightOp(DynInst(seq=seq, pc=pc, uop=MicroOp(Opcode.LD, dst=1, srcs=(2,), imm=0)))
+    return InflightOp(seq, pc, MicroOp(Opcode.LD, dst=1, srcs=(2,), imm=0))
 
 
 def _store(seq: int, pc: int = STORE_PC) -> InflightOp:
-    return InflightOp(DynInst(seq=seq, pc=pc, uop=MicroOp(Opcode.ST, srcs=(2, 3), imm=0)))
+    return InflightOp(seq, pc, MicroOp(Opcode.ST, srcs=(2, 3), imm=0))
 
 
 class TestStoreSets:

@@ -21,9 +21,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.isa.microop import MicroOp
 from repro.isa.opcode import Opcode
-from repro.isa.trace import DynInst
 from repro.ooo.functional_units import FunctionalUnitPool
-from repro.ooo.inflight import InflightOp, UNKNOWN_CYCLE
+from repro.ooo.inflight import InflightOp
 from repro.ooo.issue_queue import IssueQueue, WakeupIssueQueue
 
 #: Opcodes used by generated µ-ops: plain ALU, an unpipelined one (exercises the
@@ -141,11 +140,11 @@ def _replay(queue, issue_width: int, events) -> list[tuple[int, int, int]]:
                 pending.append(item)
                 continue
             record = free.pop() if free else None
-            dyn = DynInst(seq=item_seq, pc=item_seq % 7, uop=_uop_for(opcode))
+            fields = (item_seq, item_seq % 7, _uop_for(opcode), None)
             if record is None:
-                record = InflightOp(dyn)
+                record = InflightOp(*fields)
             else:
-                record._init(dyn)  # recycled: same object, bumped wake_gen
+                record._init(*fields)  # recycled: same object, bumped wake_gen
             record.dispatch_cycle = cycle
             record.producers = tuple(
                 records[p] for p in producer_seqs if p in records

@@ -75,8 +75,8 @@ class _ReferenceCommitSimulator(Simulator):
                 stats.forwarded_loads += 1
         if uop.is_store:
             stats.committed_stores += 1
-            if op.dyn.addr is not None:
-                self.hierarchy.store(op.dyn.addr, op.pc, self.cycle)
+            if op.addr is not None:
+                self.hierarchy.store(op.addr, op.pc, self.cycle)
             # Scrub any remaining LFST reference before the record is recycled
             # (observably a no-op: a retired store already has ``issued`` set).
             self.store_sets.store_retired(op)
@@ -105,7 +105,7 @@ class _ReferenceCommitSimulator(Simulator):
 
         # Branch predictor training and late branch resolution.
         if uop.is_conditional_branch and op.branch_outcome is not None:
-            self.bpu.train(op.dyn, op.branch_outcome)
+            self.bpu.train(op.pc, op.branch_outcome)
             if op.branch_outcome.mispredicted:
                 stats.branch_mispredictions += 1
                 if op.branch_outcome.high_confidence:
@@ -137,16 +137,17 @@ class _ReferenceCommitSimulator(Simulator):
 
         ``Simulator._commit`` inlines the correctness decision and defers the
         training into a per-commit-group batch."""
-        if self.predictor is None or not op.uop.vp_eligible or op.dyn.result is None:
+        actual = self._trace_results[op.seq]
+        if self.predictor is None or not op.uop.vp_eligible or actual is None:
             return False
-        actual = op.dyn.result
         value_correct = self.predictor.validate_and_train(op.pc, actual, op.prediction)
         if not op.pred_used:
             return False
         flags_ok = True
-        if op.uop.sets_flags and op.dyn.flags_result is not None and op.prediction is not None:
+        flags_result = self._trace_flags[op.seq]
+        if op.uop.sets_flags and flags_result is not None and op.prediction is not None:
             flags_ok = flags_match_for_validation(
-                op.dyn.flags_result, approximate_flags(op.prediction.value)
+                flags_result, approximate_flags(op.prediction.value)
             )
             if value_correct and not flags_ok:
                 self.stats.flag_only_mispredictions += 1

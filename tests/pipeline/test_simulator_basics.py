@@ -10,7 +10,6 @@ from repro.trace.capture import capture_trace, required_length
 from repro.workloads.suite import workload
 from tests.conftest import (
     build_counted_loop,
-    predictable_chain_loop,
     replay_trace,
     run_simulation,
     small_config,

@@ -1,7 +1,5 @@
 """EOLE behaviour in the pipeline: offload, issue-width reduction, port constraints."""
 
-import pytest
-
 from repro.core.eole import EOLEVariant, eole_config
 from repro.isa.builder import ProgramBuilder
 from tests.conftest import build_counted_loop, run_simulation, small_config

@@ -14,6 +14,9 @@ in for a reader.  Two checks:
 2. every attribute stored on ``self`` or declared in ``__slots__`` is read
    somewhere in ``src/`` (``self.count += 1`` stores; it does not read).
 
+A third check covers ``tests/`` too: every name a module in ``src/`` or ``tests/``
+imports is loaded somewhere in that module.
+
 What stays without a reader is listed in ``ALLOWED`` with a reason, and the test
 checks the reason:
 
@@ -44,6 +47,7 @@ import pytest
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src" / "repro"
+TESTS = REPO / "tests"
 
 _IDENTIFIER = re.compile(r"[A-Za-z_]\w*\Z")
 
@@ -299,6 +303,31 @@ def test_package_inits_hold_only_a_docstring():
         )
 
 
+def unused_imports(tree: ast.Module) -> set[str]:
+    """Names ``tree`` imports (``__future__`` features aside) and never loads."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    loaded = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return imported - loaded
+
+
+def test_every_import_is_used():
+    unused = {
+        f"{path.relative_to(REPO)}: {name}"
+        for path in [*SRC.rglob("*.py"), *TESTS.rglob("*.py")]
+        for name in unused_imports(ast.parse(path.read_text()))
+    }
+    assert sorted(unused) == []
+
+
 def test_exempt_classes_exist():
     assert set(EXEMPT_CLASSES) <= _src_index().classes
 
@@ -340,6 +369,20 @@ def test_detector_sees_unread_code():
     )
     assert index.unreferenced_functions() == {"m.exported", "m.recursive", "m.C.uses"}
     assert index.unread_attributes() == {"m.C.slot_only", "m.C.count"}
+
+
+def test_detector_sees_unused_imports():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json as codec\n"
+        "from array import array\n"
+        "from itertools import chain, islice as take\n"
+        "def f(x: array) -> None:\n"
+        "    return take(x, 1)\n"
+        "unused_store = chain\n"
+    )
+    assert unused_imports(tree) == {"os", "codec"}
 
 
 def test_reason_checks_reject_what_they_cannot_confirm():

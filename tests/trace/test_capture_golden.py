@@ -11,10 +11,16 @@ through ``ArchState.read_mem``) must give the same digests.
 """
 
 import hashlib
+from array import array
 
 import pytest
 
+import repro.isa.emulator as emulator_module
+import repro.trace.capture as capture_module
+import repro.trace.encoding as encoding_module
+from repro.isa.emulator import Emulator
 from repro.trace.capture import capture_budget, capture_workload_trace, reference_trace
+from repro.trace.encoding import ReplayView
 from repro.workloads.suite import SUITE_ORDER, workload
 
 #: ``capture_budget(2000)`` µ-ops of each workload from a fresh arch state.
@@ -51,14 +57,32 @@ def test_trace_blob_matches_golden(name):
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_SHA256[name]
 
 
+def _no_dyninst(*args, **kwargs):
+    raise AssertionError("the capture built a DynInst")
+
+
 @pytest.mark.parametrize("name", SUITE_ORDER)
-def test_columnar_blob_matches_golden_and_replay_capture(name):
+def test_columnar_blob_matches_golden_and_replay_capture(name, monkeypatch):
+    """The capture builds no ``DynInst``, and the replay view built on it holds
+    the step-wise stream's fields, position by position."""
+    wl = workload(name)
     budget = capture_budget(2000)
-    columnar = capture_workload_trace(workload(name), budget, columnar=True)
-    assert columnar._insts is None, "the columnar capture built DynInst objects"
-    blob = columnar.to_bytes()
+    with monkeypatch.context() as patched:
+        for module in (emulator_module, encoding_module, capture_module):
+            patched.setattr(module, "DynInst", _no_dyninst, raising=False)
+        trace = capture_workload_trace(wl, budget)
+        blob = trace.to_bytes()
+        view = trace.replay_view()
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_SHA256[name]
-    assert blob == capture_workload_trace(workload(name), budget).to_bytes()
+    expected = list(Emulator(wl.program, state=wl.make_state()).run(budget))
+    assert view == ReplayView(
+        array("i", [inst.pc for inst in expected]),
+        bytearray(inst.taken for inst in expected),
+        array("i", [inst.next_pc for inst in expected]),
+        [inst.result for inst in expected],
+        [inst.flags_result for inst in expected],
+        [inst.addr for inst in expected],
+    )
 
 
 @pytest.mark.parametrize("name", SUITE_ORDER)

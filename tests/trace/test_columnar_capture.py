@@ -3,8 +3,8 @@
 ``Emulator.run_batch`` with columns appends each µ-op's pc, taken bit, source
 values and present optional values, and expands the next pcs, source offsets
 and presence bits from per-pc tables after the loop.  A mistake in either half
-shows here as a blob that differs from the ``DynInst`` capture's, or as a
-decoded stream that differs from ``Emulator.run``.
+shows here as a blob that differs from the encoded ``Emulator.run`` stream's,
+or as a decoded stream that differs from ``Emulator.run``.
 """
 
 import pytest
@@ -27,7 +27,7 @@ def _records(insts):
 
 
 def _replay_blob(program, budget, state=None):
-    """The blob of the ``DynInst`` capture of ``program``, the reference."""
+    """The blob of ``program``'s step-wise ``DynInst`` stream, the reference."""
     emulator = Emulator(program, state=state)
     instructions = list(emulator.run(budget))
     return CapturedTrace.from_instructions(
@@ -59,13 +59,13 @@ def _columns_trace(program, batches, budget):
     emulator = Emulator(program)
     columns = empty_columns()
     for size in batches:
-        assert emulator.run_batch(size, columns) == []
+        assert emulator.run_batch(size, columns) is None
     return emulator, CapturedTrace(program, *columns, halted=emulator.halted, budget=budget)
 
 
 def test_halting_program_matches_replay_capture():
     program = _loop_then_halt()
-    trace = capture_trace(program, 10_000, columnar=True)
+    trace = capture_trace(program, 10_000)
     assert trace.halted and 0 < trace.length < 10_000
     assert trace.to_bytes() == _replay_blob(program, 10_000)
     assert _records(trace.instructions()) == _records(Emulator(program).run(10_000))
@@ -96,7 +96,7 @@ def test_resumed_capture_matches_one_batch(batches):
 @pytest.mark.parametrize("name", ["gcc", "mcf", "wupwise", "hmmer"])
 def test_decoded_columns_equal_the_step_wise_stream(name):
     wl = workload(name)
-    trace = capture_workload_trace(wl, 3000, columnar=True)
+    trace = capture_workload_trace(wl, 3000)
     expected = list(Emulator(wl.program, state=wl.make_state()).run(3000))
     assert _records(trace.instructions()) == _records(expected)
 
@@ -105,6 +105,6 @@ def test_decoded_columns_equal_the_step_wise_stream(name):
 @given(st.integers(min_value=0, max_value=2**32))
 def test_random_programs_match_the_step_wise_stream(seed):
     program = RandomProgramGenerator(seed).generate(body_ops=20)
-    trace = capture_trace(program, 400, columnar=True)
+    trace = capture_trace(program, 400)
     assert trace.to_bytes() == _replay_blob(program, 400)
     assert _records(trace.instructions()) == _records(Emulator(program).run(400))

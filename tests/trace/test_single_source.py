@@ -37,7 +37,7 @@ def test_the_disabled_cache_hands_out_the_step_wise_reference(monkeypatch, tmp_p
     monkeypatch.setenv(TRACE_STORE_ENV_VAR, str(store_dir))
     monkeypatch.setenv(TRACE_CACHE_ENV_VAR, "0")
     replay_length = required_length(MAX_UOPS, config)
-    # Both trace forms serialise to the same blob, so equal blobs are equal streams.
+    # A blob holds every column, so equal blobs are equal streams.
     expected_replay = capture_trace(wl.program, replay_length, wl.make_state()).to_bytes()
     expected_study = capture_trace(wl.program, MAX_UOPS, wl.make_state()).to_bytes()
     monkeypatch.setattr(Emulator, "run_batch", _no_run_batch)

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.isa.emulator import Emulator
 from repro.isa.trace import characterize
-from repro.trace.capture import capture_budget
+from repro.trace.capture import capture_budget, capture_trace
 from repro.workloads.suite import (
     FAST_SUBSET,
     SUITE_ORDER,
@@ -86,8 +86,8 @@ class TestMemoryImage:
     def test_capture_stores_only_the_words_it_touches(self):
         wl = workload("mcf")
         state = wl.make_state()
-        insts = Emulator(wl.program, state=state).run_batch(capture_budget(2000))
-        touched = {inst.addr for inst in insts if inst.addr is not None}
+        trace = capture_trace(wl.program, capture_budget(2000), state)
+        touched = {addr for addr in trace.replay_view().addr if addr is not None}
         assert set(state.memory) == touched
 
 
