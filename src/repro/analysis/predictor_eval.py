@@ -14,9 +14,11 @@ yields one list of ``(branch outcomes, pc, result)`` items
 last list it built, keyed by the trace object and ``max_uops``, so a sweep that
 evaluates every predictor family on one workload before moving to the next builds
 each workload's list once, and only one list is alive at a time.  The trace comes
-from the shared trace cache (:mod:`repro.trace`): a predictor sweep emulates each
-workload once, and with ``REPRO_TRACE_STORE`` set, repeated study sessions skip
-emulation entirely.
+from the shared trace cache (:mod:`repro.trace.cache`), so a predictor sweep emulates
+each workload once.  With ``REPRO_TRACE_STORE`` set, repeated study sessions skip
+emulation entirely, and the sweep holds one trace at a time as well: acquiring the
+next workload drops the previous one's trace, which the store holds.  Without a
+store every trace the sweep captured stays cached until the cache is cleared.
 With ``REPRO_TRACE_CACHE=0`` the cache hands out the step-wise reference trace
 (:func:`~repro.trace.capture.reference_trace`), walked by the same loop.
 """

@@ -18,13 +18,21 @@ capture covers the requested replay length (:meth:`CapturedTrace.covers`), so a
 configuration with an unusually deep fetch-ahead window transparently triggers a longer
 re-capture.
 
-An entry lives until its grid's schedule says no cell will replay it again:
-:func:`~repro.campaign.executor.run_campaign` runs its serial cells workload-major and
-releases each workload (:meth:`TraceCache.release`) after its last cell, and a fleet worker
-(:func:`~repro.campaign.coordinator.work_loop`) releases a lease's workload when it
-claims a lease for another one.  Direct :func:`~repro.pipeline.simulator.simulate`
-callers and trace-level studies release nothing: their entries live until
-:meth:`TraceCache.clear`.
+How long an entry lives depends on whether the trace store holds it, that is whether
+the entry was loaded from the store or saved to it:
+
+- a held entry lives until another workload is acquired, since bringing it back costs
+  one blob read and checksum.  A sweep that finishes one workload before the next (the
+  trace-level predictor study, a serial grid, a fleet worker's leases) thus holds one
+  workload's traces at a time;
+- an entry the store does not hold (no store, a store that persists nothing, a failed
+  save) would cost a re-capture, so it lives until its grid's schedule says no cell
+  will replay it again: :func:`~repro.campaign.executor.run_campaign` runs its serial
+  cells workload-major and releases each workload (:meth:`TraceCache.release`) after
+  its last cell, and a fleet worker (:func:`~repro.campaign.coordinator.work_loop`)
+  releases a lease's workload when it claims a lease for another one.  Other callers
+  (direct :func:`~repro.pipeline.simulator.simulate` calls, a config-major replay of
+  pre-captured traces) keep it until :meth:`TraceCache.clear`.
 
 ``REPRO_TRACE_CACHE=0`` disables the cache globally: every request then returns a
 fresh step-wise reference trace (:func:`~repro.trace.capture.reference_trace`),
@@ -59,6 +67,8 @@ class TraceCache:
 
     def __init__(self, store: TraceStore | None = None) -> None:
         self._traces: dict[tuple[str, int], CapturedTrace] = {}
+        #: Keys of the entries the trace store holds (loaded from it or saved to it).
+        self._stored: set[tuple[str, int]] = set()
         self._store = store
         self.captures = 0
         self.hits = 0
@@ -105,6 +115,10 @@ class TraceCache:
         With ``REPRO_TRACE_CACHE=0`` it returns a fresh step-wise reference trace of
         ``needed`` µ-ops instead, touching no entry, store or counter.
 
+        Acquiring a workload first drops every other workload's entry that the store
+        holds (see the module docstring); a store whose ``save`` returns ``None``
+        persisted nothing, so the capture it was offered stays an entry it does not hold.
+
         Entries are keyed by the *program object*, not the workload name: an ad-hoc
         workload sharing a registry name (a different program) must never replay the
         registry twin's trace.  The trace holds its program alive, so the id cannot
@@ -113,7 +127,11 @@ class TraceCache:
         program = workload.program
         if not trace_cache_enabled():
             return reference_trace(program, needed, workload.make_state())
-        key = (workload.name, id(program))
+        name = workload.name
+        for key in [key for key in self._stored if key[0] != name]:
+            self._stored.discard(key)
+            del self._traces[key]
+        key = (name, id(program))
         trace = self._traces.get(key)
         if trace is not None and trace.program is program and trace.covers(needed):
             self.hits += 1
@@ -124,22 +142,26 @@ class TraceCache:
             if stored is not None and stored.covers(needed):
                 self.store_hits += 1
                 self._traces[key] = stored
+                self._stored.add(key)
                 return stored
         trace = capture_workload_trace(workload, capture_budget(max_uops, needed))
         self.captures += 1
         self._traces[key] = trace
-        if store is not None:
-            store.save(trace)
+        self._stored.discard(key)
+        if store is not None and store.save(trace) is not None:
+            self._stored.add(key)
         return trace
 
     def release(self, name: str) -> None:
         """Drop every cached trace of the workload called ``name`` (the counters survive)."""
         for key in [key for key in self._traces if key[0] == name]:
+            self._stored.discard(key)
             del self._traces[key]
 
     def clear(self) -> None:
         """Drop every cached trace (the counters survive)."""
         self._traces.clear()
+        self._stored.clear()
 
     def __len__(self) -> int:
         return len(self._traces)

@@ -57,10 +57,10 @@ _VP_ELIGIBLE = 2
 StudyEvent = tuple[tuple[int, ...], int, int]
 
 
-def _expand(presence: bytearray, values: array) -> Iterator[int | None]:
-    """A sparse column, expanded lazily: the next dense value where present, else None."""
+def _expand(presence: bytearray, values: array) -> list[int | None]:
+    """A sparse column, one entry per µ-op: the next dense value where present, else None."""
     next_value = iter(values).__next__
-    return (next_value() if present else None for present in presence)
+    return [next_value() if present else None for present in presence]
 
 
 class ReplayView(NamedTuple):
@@ -270,7 +270,7 @@ class CapturedTrace:
                 self._taken,
                 self._next_pcs,
                 *(
-                    list(_expand(presence[name], values[name]))
+                    _expand(presence[name], values[name])
                     for name in ("result", "flags_result", "addr")
                 ),
             )
@@ -282,7 +282,7 @@ class CapturedTrace:
             return tuple(self._decode())
 
     def replay(self) -> Iterator[DynInst]:
-        """The committed stream as ``DynInst`` records, decoded lazily."""
+        """The committed stream as ``DynInst`` records, each built as it is read."""
         return self._decode()
 
     def _decode(self) -> Iterator[DynInst]:

@@ -11,7 +11,8 @@ Each trace source the study can walk is covered: a trace loaded from the on-disk
 store, an in-process capture passed in explicitly, the shared trace cache's own
 capture (columns written by the emulator, no ``DynInst`` at all), and
 ``REPRO_TRACE_CACHE=0`` (the step-wise emulator's records, encoded as columns:
-the oracle).
+the oracle), and a trace store backing a whole family sweep, where each workload
+drops the previous one's trace from the cache.
 """
 
 import hashlib
@@ -30,7 +31,7 @@ from repro.pipeline.config import PREDICTOR_FACTORIES
 from repro.trace import encoding as encoding_module
 from repro.trace.cache import TRACE_CACHE_ENV_VAR, shared_trace_cache
 from repro.trace.capture import capture_budget, capture_trace, capture_workload_trace
-from repro.trace.store import TraceStore
+from repro.trace.store import TRACE_STORE_ENV_VAR, TraceStore
 from repro.vp.confidence import SCALED_FPC_VECTOR
 from repro.workloads.suite import workload
 
@@ -126,6 +127,34 @@ def test_a_family_sweep_builds_each_workloads_events_once(golden, monkeypatch):
         shared_trace_cache.clear()
     assert built == list(WORKLOADS)
     assert digests == {cell_id: golden[cell_id] for cell_id in digests}
+
+
+def test_a_store_backed_sweep_holds_one_trace_and_matches_the_golden(
+    golden, tmp_path, monkeypatch
+):
+    """A fresh store backs two sweeps: the first captures and saves every workload,
+    the second loads each one; either way the next workload evicts the previous."""
+    monkeypatch.delenv(TRACE_CACHE_ENV_VAR, raising=False)
+    monkeypatch.setenv(TRACE_STORE_ENV_VAR, str(tmp_path))
+    shared_trace_cache.clear()
+    before = (shared_trace_cache.captures, shared_trace_cache.store_hits)
+    held = []
+    try:
+        for _ in range(2):
+            digests = {}
+            for name in WORKLOADS:
+                for family in FAMILIES:
+                    evaluation = evaluate_predictor(
+                        _predictor(family, name), workload(name), MAX_UOPS
+                    )
+                    digests[f"{family}/{name}"] = _digest(evaluation)
+                    held.append(len(shared_trace_cache))
+            assert digests == {cell_id: golden[cell_id] for cell_id in digests}
+        after = (shared_trace_cache.captures, shared_trace_cache.store_hits)
+    finally:
+        shared_trace_cache.clear()
+    assert set(held) == {1}
+    assert (after[0] - before[0], after[1] - before[1]) == (3, 3)
 
 
 def _reference_walk(predictor, wl, max_uops, trace) -> PredictorEvaluation:

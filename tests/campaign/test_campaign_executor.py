@@ -166,7 +166,10 @@ class TestRunCampaign:
 class TestTraceWorkingSet:
     """A serial grid holds one workload's traces at a time."""
 
-    def test_a_cold_serial_grid_holds_one_workload_at_a_time(self, monkeypatch):
+    @staticmethod
+    def _run_grid(monkeypatch):
+        """Run a cold 3 x 3 serial grid and check it held at most one entry at every
+        cell, captured each workload once, loaded nothing and left no entry."""
         import repro.campaign.executor as executor
         from repro.trace.cache import TRACE_CACHE_ENV_VAR, shared_trace_cache
 
@@ -193,7 +196,7 @@ class TestTraceWorkingSet:
 
         monkeypatch.setattr(executor, "simulate_cell", counting)
         shared_trace_cache.clear()
-        captures = shared_trace_cache.captures
+        captures, store_hits = shared_trace_cache.captures, shared_trace_cache.store_hits
         try:
             outcome = run_campaign(campaign, store=ResultStore(None), workers=1)
             remaining = len(shared_trace_cache)
@@ -202,13 +205,26 @@ class TestTraceWorkingSet:
         assert outcome.simulated == 9 and not outcome.failed
         assert len(held) == 18 and max(held) <= 1
         assert shared_trace_cache.captures - captures == 3
+        assert shared_trace_cache.store_hits == store_hits
         assert remaining == 0
+        return campaign, outcome
+
+    def test_a_cold_serial_grid_holds_one_workload_at_a_time(self, monkeypatch):
+        campaign, outcome = self._run_grid(monkeypatch)
         grid = outcome.by_config()
         assert list(grid) == ["CfgA", "CfgB", "CfgC"]
         assert all(list(row) == ["gcc", "mcf", "namd"] for row in grid.values())
         assert list(outcome.ipcs()) == [
             (cell.config.name, cell.workload_name) for cell in campaign.cells()
         ]
+
+    def test_a_store_backed_serial_grid_holds_one_workload_at_a_time(
+        self, monkeypatch, tmp_path
+    ):
+        from repro.trace.store import TRACE_STORE_ENV_VAR
+
+        monkeypatch.setenv(TRACE_STORE_ENV_VAR, str(tmp_path / "traces"))
+        self._run_grid(monkeypatch)
 
 
 class TestWorkers:

@@ -141,6 +141,27 @@ class TestTraceStore:
         assert cold.captures == 0
         assert cold.store_hits == 1
 
+    def test_acquiring_a_workload_drops_the_entries_the_store_holds(self, tmp_path):
+        cache = TraceCache(store=TraceStore(tmp_path / "traces"))
+        first = cache.trace_for_length(workload("gcc"), 600)
+        for name in ("mcf", "namd"):
+            cache.trace_for_length(workload(name), 600)
+        assert len(cache) == 1
+        assert cache.captures == 3 and cache.store_hits == 0
+        again = cache.trace_for_length(workload("gcc"), 600)
+        assert again is not first
+        assert cache.captures == 3 and cache.store_hits == 1
+        assert again.to_bytes() == first.to_bytes()
+        assert cache.trace_for_length(workload("gcc"), 600) is again
+        assert len(cache) == 1 and cache.hits == 1
+
+    def test_entries_a_store_does_not_hold_stay(self):
+        cache = TraceCache(store=_NO_STORE)
+        traces = [cache.trace_for_length(workload(name), 600) for name in ("gcc", "mcf", "namd")]
+        assert len(cache) == 3 and cache.captures == 3
+        assert cache.trace_for_length(workload("gcc"), 600) is traces[0]
+        assert cache.hits == 1 and cache.store_hits == 0
+
     def test_default_store_follows_environment(self, monkeypatch, tmp_path):
         monkeypatch.delenv(TRACE_STORE_ENV_VAR, raising=False)
         assert default_trace_store() is None
