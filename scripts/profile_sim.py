@@ -11,7 +11,6 @@ Examples::
     PYTHONPATH=src python scripts/profile_sim.py
     PYTHONPATH=src python scripts/profile_sim.py --config Baseline_VP_6_64 \\
         --workload mcf --max-uops 20000 --sort cumulative --limit 40
-    PYTHONPATH=src python scripts/profile_sim.py --mode step   # cycle-stepping loop
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from __future__ import annotations
 import argparse
 import cProfile
 import json
-import os
 import pstats
 import sys
 import time
@@ -28,7 +26,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.pipeline.config import NAMED_CONFIGS, named_config  # noqa: E402
-from repro.pipeline.simulator import EVENT_DRIVEN_ENV_VAR, Simulator, simulate  # noqa: E402
+from repro.pipeline.simulator import Simulator, simulate  # noqa: E402
 from repro.trace.cache import shared_trace_cache  # noqa: E402
 from repro.workloads.suite import SUITE_ORDER, workload  # noqa: E402
 
@@ -141,11 +139,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--limit", type=int, default=30, help="rows to print")
     parser.add_argument(
-        "--mode", default="event", choices=["event", "step"],
-        help="main-loop flavour: the event-wheel scheduler (default) or the "
-        "cycle-stepping reference (REPRO_EVENT_DRIVEN=0)",
-    )
-    parser.add_argument(
         "--include-capture", action="store_true",
         help="profile the architectural trace capture too (cold-cell cost)",
     )
@@ -163,7 +156,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.format == "json" and not args.stage_times:
         parser.error("--format=json requires --stage-times")
-    os.environ[EVENT_DRIVEN_ENV_VAR] = "0" if args.mode == "step" else "1"
 
     config = named_config(args.config)
     wl = workload(args.workload)
@@ -183,7 +175,6 @@ def main(argv: list[str] | None = None) -> int:
                 "workload": args.workload,
                 "max_uops": args.max_uops,
                 "warmup_uops": args.warmup_uops,
-                "mode": args.mode,
                 "ipc": result.ipc,
                 **simulator.report_dict(),
             }

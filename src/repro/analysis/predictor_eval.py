@@ -19,8 +19,6 @@ each workload once.  With ``REPRO_TRACE_STORE`` set, repeated study sessions ski
 emulation entirely, and the sweep holds one trace at a time as well: acquiring the
 next workload drops the previous one's trace, which the store holds.  Without a
 store every trace the sweep captured stays cached until the cache is cleared.
-With ``REPRO_TRACE_CACHE=0`` the cache hands out the step-wise reference trace
-(:func:`~repro.trace.capture.reference_trace`), walked by the same loop.
 """
 
 from __future__ import annotations
@@ -76,10 +74,9 @@ def evaluate_predictor(
     architectural result, which is equivalent to commit-time training on a machine with
     no in-flight aliasing — an optimistic but standard trace-level approximation.
 
-    The committed stream comes from the shared trace cache (the step-wise reference
-    trace with ``REPRO_TRACE_CACHE=0``), or from ``trace`` when given, which must
-    cover ``max_uops`` (:meth:`CapturedTrace.covers`) or a :class:`ValueError` is
-    raised.
+    The committed stream comes from the shared trace cache, or from ``trace`` when
+    given, which must cover ``max_uops`` (:meth:`CapturedTrace.covers`) or a
+    :class:`ValueError` is raised.
     """
     if trace is not None:
         if not trace.covers(max_uops):

@@ -29,8 +29,8 @@ and the rule decides from its own hit counter.  Counters are per-process (each
 fleet worker parses its own ``REPRO_FAULTS`` and counts its own hits).
 
 With ``REPRO_FAULTS`` unset, :func:`active_faults` returns ``None`` and every hook
-site reduces to one global read plus a ``None`` check — the same zero-overhead
-kill-switch discipline as ``REPRO_EVENT_DRIVEN``/``REPRO_WAKEUP_LISTS``.
+site reduces to one global read plus a ``None`` check, so injection off costs
+nothing measurable.
 """
 
 from __future__ import annotations

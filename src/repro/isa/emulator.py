@@ -1,10 +1,10 @@
 """Architectural (functional) emulator.
 
 The emulator executes a resolved :class:`~repro.isa.program.Program` at the
-architectural level and produces the committed µ-op stream: step by step as
-:class:`~repro.isa.trace.DynInst` records (:meth:`Emulator.step`/:meth:`Emulator.run`,
-the reference), or in one batch as trace columns (:meth:`Emulator.run_batch`, the
-capture path).  All values are 64-bit unsigned integers with
+architectural level and writes the committed µ-op stream as trace columns, in one
+batch (:meth:`Emulator.run_batch`).  Its reference, ``StepEmulator`` in
+``tests/oracles.py``, executes one µ-op per call and returns
+:class:`~repro.isa.trace.DynInst` records.  All values are 64-bit unsigned integers with
 wrap-around semantics; "floating-point" µ-ops operate on the same value domain but use
 distinct arithmetic so that FP-heavy kernels exhibit their own value locality patterns.
 
@@ -18,7 +18,7 @@ kernel dictates.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from itertools import accumulate, chain, islice
 
 from repro.errors import EmulationError
@@ -37,7 +37,7 @@ from repro.isa.flags import (
 )
 from repro.isa.opcode import Opcode
 from repro.isa.program import Program
-from repro.isa.trace import OPTIONAL_FIELDS, DynInst
+from repro.isa.trace import OPTIONAL_FIELDS
 
 #: Multiplier used to synthesise the contents of untouched memory locations.
 _UNINITIALISED_MEMORY_MIX = 0x9E3779B97F4A7C15
@@ -66,8 +66,8 @@ def _tabulate_condition(taken_if) -> tuple[bool, ...]:
 
 
 #: Direction of each conditional branch, indexed by ``flags & ALL_FLAGS``.
-#: Written independently of :meth:`Emulator._branch_condition`, which ``step``
-#: keeps as the reference.
+#: Written independently of ``StepEmulator._branch_condition`` in
+#: ``tests/oracles.py``, the reference a unit test compares it with.
 _BRANCH_TAKEN: dict[Opcode, tuple[bool, ...]] = {
     Opcode.BEQ: _tabulate_condition(lambda zf, sf, cf, of: zf),
     Opcode.BNE: _tabulate_condition(lambda zf, sf, cf, of: not zf),
@@ -80,8 +80,8 @@ _BRANCH_TAKEN: dict[Opcode, tuple[bool, ...]] = {
 }
 
 
-#: Loop arm of every opcode.  An FP opcode whose ``step`` semantics equal an
-#: integer opcode's (never setting flags) shares that opcode's arm.
+#: Loop arm of every opcode.  An FP opcode whose semantics equal an integer
+#: opcode's (never setting flags) shares that opcode's arm.
 _DISPATCH_KIND: dict[Opcode, int] = {
     Opcode.ADD: _ADD,
     Opcode.FADD: _ADD,
@@ -193,17 +193,6 @@ class ArchState:
         self.call_stack: list[int] = []
         self.regions: tuple[tuple[int, int, Callable[[int], int]], ...] = ()
 
-    def read_mem(self, address: int) -> int:
-        """Word-granular memory read (the written value, else the initial image)."""
-        value = self.memory.get(address)
-        if value is None:
-            return self.initial_value(address)
-        return value
-
-    def write_mem(self, address: int, value: int) -> None:
-        """Word-granular memory write."""
-        self.memory[address] = value & MASK64
-
     def initial_value(self, address: int) -> int:
         """Content of ``address`` before any write to it, memoised in ``memory``.
 
@@ -222,7 +211,7 @@ class ArchState:
 
 
 class Emulator:
-    """Step-wise architectural emulator producing the committed µ-op trace."""
+    """Architectural emulator writing the committed µ-op trace as columns."""
 
     def __init__(self, program: Program, state: ArchState | None = None) -> None:
         if not program.resolved:
@@ -239,222 +228,12 @@ class Emulator:
         self._imms = program._imm_values
         self._length = len(program.uops)
         # Batched-decode table for run_batch, built on first use: one tuple per
-        # PC of the µ-op's loop arm and the static fields step() reads, so the
-        # capture loop performs a single list index + tuple unpack per µ-op.
+        # PC of the µ-op's loop arm and its static fields, so the capture loop
+        # performs a single list index + tuple unpack per µ-op.
         self._decode_table: list[tuple] | None = None
         # Per-pc signature codes and column translation tables for columnar
         # capture, built on first use (see _build_column_tables).
         self._column_tables: tuple[list[int], list[bytes]] | None = None
-
-    # ------------------------------------------------------------------ helpers
-    def _branch_condition(self, opcode: Opcode, flags: int) -> bool:
-        if opcode is Opcode.BEQ:
-            return bool(flags & ZF)
-        if opcode is Opcode.BNE:
-            return not flags & ZF
-        if opcode is Opcode.BLT:
-            return bool(flags & SF) != bool(flags & OF)
-        if opcode is Opcode.BGE:
-            return bool(flags & SF) == bool(flags & OF)
-        if opcode is Opcode.BGT:
-            return not flags & ZF and bool(flags & SF) == bool(flags & OF)
-        if opcode is Opcode.BLE:
-            return bool(flags & ZF) or bool(flags & SF) != bool(flags & OF)
-        if opcode is Opcode.BCS:
-            return bool(flags & CF)
-        if opcode is Opcode.BVS:
-            return bool(flags & OF)
-        raise EmulationError(f"not a conditional branch: {opcode}")
-
-    # ------------------------------------------------------------------ stepping
-    def step(self) -> DynInst | None:
-        """Execute one µ-op and return its dynamic record, or ``None`` once halted."""
-        if self.halted:
-            return None
-        pc = self.pc
-        if not 0 <= pc < self._length:
-            self.halted = True
-            return None
-
-        program = self.program
-        state = self.state
-        arch_regs = state.regs
-        uop = self._uops[pc]
-        opcode = uop.opcode
-        imm = self._imms[pc]
-
-        srcs = uop.srcs
-        src_values = tuple(arch_regs[s] for s in srcs)
-        result: int | None = None
-        flags_result: int | None = None
-        flags_in: int | None = None
-        addr: int | None = None
-        store_value: int | None = None
-        taken = False
-        next_pc = pc + 1
-
-        a = src_values[0] if src_values else 0
-        b = src_values[1] if len(src_values) > 1 else (imm if imm is not None else 0)
-
-        if opcode is Opcode.ADD:
-            result = (a + b) & MASK64
-            if uop.sets_flags:
-                flags_result = add_flags(a, b)
-        elif opcode is Opcode.SUB:
-            result = (a - b) & MASK64
-            if uop.sets_flags:
-                flags_result = sub_flags(a, b)
-        elif opcode is Opcode.AND:
-            result = a & b
-            if uop.sets_flags:
-                flags_result = logic_flags(result)
-        elif opcode is Opcode.OR:
-            result = (a | b) & MASK64
-            if uop.sets_flags:
-                flags_result = logic_flags(result)
-        elif opcode is Opcode.XOR:
-            result = (a ^ b) & MASK64
-            if uop.sets_flags:
-                flags_result = logic_flags(result)
-        elif opcode is Opcode.SHL:
-            result = (a << (b & 63)) & MASK64
-            if uop.sets_flags:
-                flags_result = logic_flags(result)
-        elif opcode is Opcode.SHR:
-            result = (a & MASK64) >> (b & 63)
-            if uop.sets_flags:
-                flags_result = logic_flags(result)
-        elif opcode is Opcode.MOV:
-            result = a
-            if uop.sets_flags:
-                flags_result = flags_from_result(result)
-        elif opcode is Opcode.MOVI:
-            result = (imm if imm is not None else 0) & MASK64
-            if uop.sets_flags:
-                flags_result = flags_from_result(result)
-        elif opcode is Opcode.CMP:
-            flags_result = sub_flags(a, b)
-        elif opcode is Opcode.NOT:
-            result = (~a) & MASK64
-            if uop.sets_flags:
-                flags_result = logic_flags(result)
-        elif opcode is Opcode.NEG:
-            result = (-a) & MASK64
-            if uop.sets_flags:
-                flags_result = sub_flags(0, a)
-        elif opcode is Opcode.MIN:
-            result = min(a, b) & MASK64
-            if uop.sets_flags:
-                flags_result = flags_from_result(result)
-        elif opcode is Opcode.MAX:
-            result = max(a, b)
-            if uop.sets_flags:
-                flags_result = flags_from_result(result)
-        elif opcode is Opcode.MUL:
-            result = (a * b) & MASK64
-            if uop.sets_flags:
-                flags_result = flags_from_result(result)
-        elif opcode is Opcode.DIV:
-            result = (a // b) & MASK64 if b else MASK64
-            if uop.sets_flags:
-                flags_result = flags_from_result(result)
-        elif opcode is Opcode.MOD:
-            result = (a % b) & MASK64 if b else 0
-            if uop.sets_flags:
-                flags_result = flags_from_result(result)
-        elif opcode is Opcode.FADD:
-            result = (a + b) & MASK64
-        elif opcode is Opcode.FSUB:
-            result = (a - b) & MASK64
-        elif opcode in (Opcode.FMOV, Opcode.FCVT):
-            result = a
-        elif opcode is Opcode.FMUL:
-            result = (a * b) & MASK64
-        elif opcode is Opcode.FMA:
-            c = src_values[2] if len(src_values) > 2 else 0
-            result = (a * b + c) & MASK64
-        elif opcode is Opcode.FDIV:
-            result = (a // b) & MASK64 if b else MASK64
-        elif opcode is Opcode.FSQRT:
-            result = int((a & MASK64) ** 0.5) & MASK64
-        elif opcode in (Opcode.LD, Opcode.FLD):
-            addr = (a + (imm if imm is not None else 0)) & MASK64
-            result = state.read_mem(addr)
-        elif opcode in (Opcode.ST, Opcode.FST):
-            addr = (a + (imm if imm is not None else 0)) & MASK64
-            store_value = src_values[1] if len(src_values) > 1 else 0
-            state.write_mem(addr, store_value)
-        elif uop.is_conditional_branch:
-            flags_in = arch_regs[regs.FLAGS_REG]
-            taken = self._branch_condition(opcode, flags_in)
-            target = program.target_of(pc)
-            if target is None:
-                raise EmulationError(f"conditional branch at pc={pc} has no target")
-            next_pc = target if taken else pc + 1
-        elif opcode is Opcode.JMP:
-            target = program.target_of(pc)
-            if target is None:
-                raise EmulationError(f"jump at pc={pc} has no target")
-            taken = True
-            next_pc = target
-        elif opcode is Opcode.JMPI:
-            taken = True
-            next_pc = a & MASK64
-            if not 0 <= next_pc < len(program):
-                raise _invalid_indirect_target(pc, next_pc)
-        elif opcode is Opcode.CALL:
-            target = program.target_of(pc)
-            if target is None:
-                raise EmulationError(f"call at pc={pc} has no target")
-            state.call_stack.append(pc + 1)
-            taken = True
-            next_pc = target
-        elif opcode is Opcode.RET:
-            taken = True
-            if state.call_stack:
-                next_pc = state.call_stack.pop()
-            else:
-                next_pc = HALT_PC
-        elif opcode is Opcode.NOP:
-            pass
-        else:  # pragma: no cover - defensive, all opcodes are handled above
-            raise EmulationError(f"unimplemented opcode {opcode}")
-
-        if result is not None and uop.dst is not None:
-            arch_regs[uop.dst] = result & MASK64
-        if flags_result is not None:
-            arch_regs[regs.FLAGS_REG] = flags_result & MASK64
-
-        inst = DynInst(
-            self.seq,
-            pc,
-            uop,
-            src_values,
-            result,
-            flags_result,
-            flags_in,
-            addr,
-            store_value,
-            taken,
-            next_pc,
-        )
-        self.seq += 1
-        if next_pc == HALT_PC or not 0 <= next_pc < self._length:
-            self.halted = True
-            self.pc = HALT_PC
-        else:
-            self.pc = next_pc
-        return inst
-
-    def run(self, max_uops: int) -> Iterator[DynInst]:
-        """Yield up to ``max_uops`` dynamic µ-ops (stops early if the program halts)."""
-        produced = 0
-        while produced < max_uops:
-            inst = self.step()
-            if inst is None:
-                break
-            produced += 1
-            yield inst
 
     # ------------------------------------------------------------------ batched capture
     def _build_decode_table(self) -> list[tuple]:
@@ -464,7 +243,7 @@ class Emulator:
         imm_or_zero, target, taken_by_flags)``: ``kind`` is the µ-op's arm of the
         batched loop (:data:`_DISPATCH_KIND`) and ``taken_by_flags`` a conditional
         branch's direction for every value of the flag bits (``None`` for any
-        other µ-op).  The rest is what ``step`` re-reads through the µ-op.
+        other µ-op).  The rest are the µ-op's static fields.
         """
         program = self.program
         kinds = _DISPATCH_KIND
@@ -522,10 +301,10 @@ class Emulator:
 
         The capture fast path: one specialised loop over the batched-decode
         table with the hot machine state (pc, seq, registers, memory) in locals,
-        bit-identical to ``self.run(max_uops)`` (``step`` remains the reference
-        implementation and the unit suite compares the two).  The arms test the
-        pre-resolved integer ``kind`` in the order of the measured dynamic mix,
-        so no µ-op pays an enum member load.
+        bit-identical to the step-wise reference (``StepEmulator.run`` in
+        ``tests/oracles.py``, which the unit suite compares it with).  The arms
+        test the pre-resolved integer ``kind`` in the order of the measured
+        dynamic mix, so no µ-op pays an enum member load.
 
         ``columns`` are the ``(pcs, next_pcs, taken, src_offsets, src_values,
         presence, values)`` arrays a :class:`~repro.trace.encoding.CapturedTrace`

@@ -79,7 +79,6 @@ class FunctionalUnitPool:
             )
             for opclass, name in _CLASS_GROUP.items()
         }
-        self.structural_rejects = 0
 
     def try_issue(self, opclass: OpClass, cycle: int, latency: int) -> bool:
         """Try to claim a unit of the right kind at ``cycle``; returns success."""
@@ -88,7 +87,6 @@ class FunctionalUnitPool:
             group.used_cycle = cycle
             group.used_count = 0
         if group.used_count >= group.units:
-            self.structural_rejects += 1
             return False
         if unpipelined:
             # Find an unpipelined unit that is free; occupy it for the full latency.
@@ -97,7 +95,6 @@ class FunctionalUnitPool:
                     group.busy_until[index] = cycle + latency
                     break
             else:
-                self.structural_rejects += 1
                 return False
         group.used_count += 1
         return True

@@ -48,15 +48,8 @@ class InflightOp:
         # Wake-up shortcut: the cycle from which dependents may consume this µ-op's
         # result (the dispatch cycle for a used prediction or an early-executed
         # µ-op, else the completion cycle), maintained eagerly at dispatch/issue so
-        # the issue scan reads one field per producer.
+        # the issue queue reads one field per producer.
         "avail_cycle",
-        # Issue-scan skip cache: the earliest cycle a known-unavailable producer
-        # becomes readable; scans before it skip this entry with one compare.
-        "wait_until",
-        # Number of issue-queue entries renamed against this µ-op that are still
-        # waiting to issue — a completion only needs to re-arm the issue scan when
-        # the completing producer actually has waiters.
-        "iq_waiters",
         # Dataflow.
         "producers",
         "mem_dependence",
@@ -110,7 +103,6 @@ class InflightOp:
         # the invariant note at the end of ``_init``).
         self.dispatch_cycle = UNKNOWN_CYCLE
         self.complete_cycle = UNKNOWN_CYCLE
-        self.wait_until = 0
         self.unknown_producers = 0
         self.mem_blocked = False
         self.producers: tuple[InflightOp | None, ...] = ()
@@ -139,7 +131,6 @@ class InflightOp:
         self.wake_consumers = None
         self.mem_waiters = None
         self.avail_cycle = UNKNOWN_CYCLE
-        self.iq_waiters = 0
         # Fetch only assigns predictions to VP-eligible µ-ops: clear here so a
         # recycled record never pins (or leaks) another µ-op's prediction.
         self.prediction: VPrediction | None = None
@@ -163,8 +154,8 @@ class InflightOp:
         #   guarded by ``uop.is_load``;
         # * ``branch_outcome`` — assigned at fetch for every branch; reads are
         #   guarded by ``uop.is_branch``/``is_conditional_branch``;
-        # * ``wait_until``/``unknown_producers``/``mem_blocked`` — assigned by
-        #   the (reference / wake-up) issue-queue insert before any read.
+        # * ``unknown_producers``/``mem_blocked`` — assigned by the issue-queue
+        #   insert before any read.
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

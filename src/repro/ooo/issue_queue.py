@@ -2,246 +2,40 @@
 
 The baseline uses a unified, centralised 64-entry IQ (Table 1); entries are released at
 issue.  Selection is age-ordered (oldest ready first), which is the behaviour the
-paper's gem5 baseline models.  Wakeup is modelled by evaluating operand readiness
-against producer completion times.
+paper's gem5 baseline models.
 
-The queue owns every issue decision of the pipeline.  The simulator makes the
-same calls whichever flavour it built:
+The queue owns every issue decision of the pipeline; the simulator calls it at:
 
-* dispatch: :meth:`IssueQueue.insert`, then the next scan cycle is lowered to
-  :attr:`IssueQueue.wake_min`;
-* issue: :meth:`IssueQueue.select_ready` picks and removes the µ-ops, and
-  :meth:`IssueQueue.next_scan_cycle` gives the earliest cycle a later select
-  could find work;
+* dispatch: :meth:`WakeupIssueQueue.insert`, then the next scan cycle is lowered
+  to :attr:`WakeupIssueQueue.wake_min`;
+* issue: :meth:`WakeupIssueQueue.select_ready` picks and removes the µ-ops, and
+  :meth:`WakeupIssueQueue.next_scan_cycle` gives the earliest cycle a later
+  select could find work;
 * wake-up: a started producer with registered consumers calls
-  :meth:`WakeupIssueQueue.producer_available` (only that flavour registers any).
+  :meth:`WakeupIssueQueue.producer_available`.
 
-:class:`WakeupIssueQueue` is the default; the scan-based :class:`IssueQueue` is
-its byte-identical differential oracle (``REPRO_WAKEUP_LISTS=0``).
+Its reference, a queue that re-walks every entry on every cycle, is
+``ScanIssueQueue`` in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-import os
 from bisect import insort
 
 from repro.errors import ConfigurationError
 from repro.ooo.functional_units import FunctionalUnitPool
 from repro.ooo.inflight import InflightOp, UNKNOWN_CYCLE
 
-#: Environment variable: ``0`` selects the scan-based reference :class:`IssueQueue`
-#: instead of the dependency-driven :class:`WakeupIssueQueue` (both byte-identical).
-WAKEUP_ENV_VAR = "REPRO_WAKEUP_LISTS"
-
 #: Sentinel for "no known future cycle" (mirrors the simulator's ``_NEVER``).
 _NEVER = 1 << 62
 
 
-def wakeup_lists_enabled() -> bool:
-    """True unless ``REPRO_WAKEUP_LISTS=0`` selects the scan-based reference IQ."""
-    return os.environ.get(WAKEUP_ENV_VAR, "1") != "0"
-
-
-class IssueQueue:
-    """Bounded, age-ordered instruction queue with issue-width-limited select.
-
-    The scan-based reference: every select walks the whole queue and re-derives
-    each entry's readiness from its producers, and the next scan cycle comes from
-    conservative re-arm heuristics (:meth:`next_scan_cycle`).
-    """
-
-    #: The scan re-arms on completions of producers with waiting consumers
-    #: (``InflightOp.iq_waiters``, counted at insert), so every completion must
-    #: reach the simulator's completion wheel.
-    needs_completions = True
-
-    def __init__(self, capacity: int = 64, dispatch_to_issue_latency: int = 1) -> None:
-        if capacity <= 0:
-            raise ConfigurationError("IQ capacity must be positive")
-        self.capacity = capacity
-        self._d2i = dispatch_to_issue_latency
-        self._entries: list[InflightOp] = []
-        #: Current number of waiting µ-ops (maintained, read once per dispatched µ-op).
-        self.occupancy = 0
-        self.peak_occupancy = 0
-        #: Optional pipeline event tracer (repro.obs); the simulator attaches it
-        #: when ``REPRO_PIPE_TRACE`` is enabled, otherwise every hook site is one
-        #: ``is not None`` check.
-        self.tracer = None
-        #: Earliest cycle at which an entry inserted since the last select could
-        #: issue (its dispatch-maturity deadline); dispatch lowers the next scan
-        #: cycle to it.
-        self.wake_min = _NEVER
-        # Byproduct of the last walk: the earliest future dispatch-maturity
-        # deadline it saw (only complete when the walk covered the whole queue).
-        self._next_immature = _NEVER
-
-    # ------------------------------------------------------------------ capacity
-    def __iter__(self):
-        return iter(self._entries)
-
-    # ------------------------------------------------------------------ mutation
-    def insert(self, op: InflightOp) -> None:
-        """Dispatch ``op`` into the queue."""
-        # Recycled records skip the ``wait_until`` reset in ``_init``; the insert
-        # is the last writer before the scan reads it.
-        op.wait_until = 0
-        self._entries.append(op)
-        occupancy = self.occupancy + 1
-        self.occupancy = occupancy
-        if occupancy > self.peak_occupancy:
-            self.peak_occupancy = occupancy
-        for producer in op.producers:
-            if producer is not None:
-                producer.iq_waiters += 1
-        deadline = op.dispatch_cycle + self._d2i
-        if deadline < self.wake_min:
-            self.wake_min = deadline
-
-    def _release_waiters(self, op: InflightOp) -> None:
-        """Undo the producer waiter accounting of an entry leaving the queue."""
-        for producer in op.producers:
-            if producer is not None:
-                producer.iq_waiters -= 1
-
-    def remove_squashed(self) -> None:
-        """Drop entries that have been squashed by a pipeline flush."""
-        kept = []
-        for op in self._entries:
-            if op.squashed:
-                self._release_waiters(op)
-            else:
-                kept.append(op)
-        self._entries = kept
-        self.occupancy = len(kept)
-
-    # ------------------------------------------------------------------ select
-    def select_ready(
-        self, cycle: int, issue_width: int, fu_pool: FunctionalUnitPool
-    ) -> list[InflightOp]:
-        """Select up to ``issue_width`` ready µ-ops, oldest first.
-
-        An entry is ready once it is past the dispatch-to-issue latency, every
-        producer's result is available and, for a load, its store-set dependence
-        has issued or been squashed; it then issues if ``fu_pool`` grants its
-        opclass a unit for its own latency.  Selected entries are removed from the
-        queue (entries are released at issue, as in the baseline machine);
-        squashed entries met by the walk are dropped.
-        """
-        entries = self._entries
-        self.wake_min = _NEVER
-        self._next_immature = _NEVER
-        if not entries or issue_width <= 0:
-            return []
-        selected: list[InflightOp] = []
-        # ``remaining`` is created lazily at the first *removed* entry (a selection
-        # or a squashed drop): the common nothing-issues scan then touches no lists
-        # at all, and the queue object is left as-is.
-        remaining: list[InflightOp] | None = None
-        try_issue = fu_pool.try_issue
-        d2i = self._d2i
-        width_left = issue_width
-        for position, op in enumerate(entries):
-            if width_left == 0:
-                # Width exhausted: the untouched tail (squashed entries included)
-                # stays in dispatch order.
-                remaining.extend(entries[position:])
-                break
-            if op.squashed:
-                self._release_waiters(op)
-                if remaining is None:
-                    remaining = entries[:position]
-                continue
-            if cycle < op.dispatch_cycle + d2i:
-                # Entries are in dispatch order, so the first immature entry
-                # carries the earliest maturity deadline — and everything after it
-                # is immature too: stop the walk wholesale.
-                self._next_immature = op.dispatch_cycle + d2i
-                if remaining is not None:
-                    remaining.extend(entries[position:])
-                break
-            if cycle < op.wait_until:
-                # A previous scan saw a producer with a known future availability;
-                # re-walking the producers before that cycle cannot succeed.
-                if remaining is not None:
-                    remaining.append(op)
-                continue
-            ready = True
-            for producer in op.producers:
-                if producer is None:
-                    continue
-                # ``avail_cycle`` is maintained eagerly (dispatch for predicted /
-                # early-executed results, issue for everything else), so operand
-                # wake-up is a single field read per producer.
-                available = producer.avail_cycle
-                if available == UNKNOWN_CYCLE:
-                    ready = False
-                    break
-                if available > cycle:
-                    op.wait_until = available
-                    ready = False
-                    break
-            if not ready:
-                if remaining is not None:
-                    remaining.append(op)
-                continue
-            uop = op.uop
-            if uop.is_load:
-                dependence = op.mem_dependence
-                if dependence is not None and not dependence.squashed and not dependence.issued:
-                    if remaining is not None:
-                        remaining.append(op)
-                    continue
-            if not try_issue(uop.opclass, cycle, uop.latency):
-                if remaining is not None:
-                    remaining.append(op)
-                continue
-            op.issued = True
-            op.issue_cycle = cycle
-            if self.tracer is not None:
-                self.tracer.emit(cycle, "wakeup", op, "scan")
-            for producer in op.producers:
-                if producer is not None:
-                    producer.iq_waiters -= 1
-            if remaining is None:
-                remaining = entries[:position]
-            selected.append(op)
-            width_left -= 1
-        if remaining is not None:
-            self._entries = remaining
-            self.occupancy = len(remaining)
-        return selected
-
-    def next_scan_cycle(
-        self, cycle: int, selected: list[InflightOp], issue_width: int, rejected: bool
-    ) -> int:
-        """The earliest cycle after ``cycle``'s select that could find new work.
-
-        ``rejected`` says a ready µ-op lost its functional unit during that
-        select.  A rescan next cycle is needed when the select could have left
-        newly-issuable work behind: the width ran out (unexamined entries may be
-        ready), a unit was refused (retry when the pool resets), or an issued
-        store released a store-set dependence (dependent loads become ready at
-        once).  Otherwise nothing can issue until an event the simulator
-        announces (a completion of a producer with waiters, a dispatch, a squash)
-        — except entries still inside the dispatch-to-issue latency, whose
-        maturity is a known deadline no event announces: the walk's byproduct.
-        """
-        if rejected or len(selected) == issue_width:
-            return cycle + 1
-        for op in selected:
-            if op.uop.is_store:
-                return cycle + 1
-        return self._next_immature
-
-
-class WakeupIssueQueue(IssueQueue):
+class WakeupIssueQueue:
     """Dependency-driven wake-up IQ: O(woken) wake-up, O(ready) select.
 
-    The reference :class:`IssueQueue` re-evaluates every waiting entry on every
-    scan, making ``select_ready`` O(occupancy).  This subclass maintains the
-    readiness state machine explicitly so a scan only touches entries that can
-    actually issue:
+    A scan-based queue re-evaluates every waiting entry on every select, making
+    it O(occupancy).  This queue maintains the readiness state machine
+    explicitly so a scan only touches entries that can actually issue:
 
     * each entry counts its producers with unknown availability
       (``unknown_producers``) and registers itself in their ``wake_consumers``
@@ -249,39 +43,48 @@ class WakeupIssueQueue(IssueQueue):
       (:meth:`producer_available`);
     * a load blocked on a store-set dependence (``mem_blocked``) registers in the
       store's ``mem_waiters`` list; the **store's issue** releases them — within
-      the same selection pass, exactly like the reference walk, where a younger
-      ready load issues in the same cycle its blocking store does;
+      the same selection pass, exactly like a full walk, where a younger ready
+      load issues in the same cycle its blocking store does;
     * once every gate is open, the entry's readiness cycle is exact —
       ``max(dispatch maturity, producer availabilities)`` — and the entry is
       parked on a time wheel (``_wake_buckets``) keyed by that cycle;
     * ``select_ready`` surfaces ripe buckets onto an age-ordered ready list and
       walks only that list, so selection is O(ready entries + woken entries).
 
-    Scan scheduling uses exact deadlines rather than the reference's re-arm
-    heuristics (:meth:`next_scan_cycle`): a scan before :attr:`wake_min` with an
-    empty ready list is provably empty, and an empty scan is observably a no-op,
-    so skipping it is invisible even where the reference would have walked.  For
-    the same reason no completion needs to re-arm the scan
-    (:attr:`needs_completions` is false) and no insert counts ``iq_waiters``.
+    Scan scheduling uses exact deadlines (:meth:`next_scan_cycle`): a scan before
+    :attr:`wake_min` with an empty ready list is provably empty, and an empty
+    scan is observably a no-op, so skipping it is invisible.  For the same
+    reason no completion needs to re-arm the scan.
 
     Squash safety: registrations carry the consumer's ``wake_gen`` token, bumped
     whenever a (possibly pooled and recycled) record is reinitialised, so a stale
     registration can never wake a record's next incarnation; squash additionally
-    rebuilds the ready/wheel structures (:meth:`remove_squashed` was O(occupancy)
-    already).
+    rebuilds the ready/wheel structures (:meth:`remove_squashed`, O(occupancy)).
 
-    Byte-identity with the reference is structural: the ready list reproduces, in
-    age order, exactly the set of entries the reference walk would have found
+    Byte-identity with a full walk is structural: the ready list reproduces, in
+    age order, exactly the set of entries a walk of the whole queue would find
     ready, so the ``fu_pool.try_issue`` call sequence, the selected µ-ops and
     every issue cycle are identical (``tests/ooo/test_wakeup_issue_queue.py``
-    drives randomized dependence graphs with squashes/replays against the
-    reference, and the determinism suite compares full-grid simulations).
+    drives randomized dependence graphs with squashes/replays against
+    ``tests/oracles.py``'s ``ScanIssueQueue``, and the determinism suite compares
+    full-grid simulations).
     """
 
-    needs_completions = False
-
     def __init__(self, capacity: int = 64, dispatch_to_issue_latency: int = 1) -> None:
-        super().__init__(capacity, dispatch_to_issue_latency)
+        if capacity <= 0:
+            raise ConfigurationError("IQ capacity must be positive")
+        self.capacity = capacity
+        self._d2i = dispatch_to_issue_latency
+        #: Current number of waiting µ-ops (maintained, read once per dispatched µ-op).
+        self.occupancy = 0
+        self.peak_occupancy = 0
+        #: Optional pipeline event tracer (repro.obs); the simulator attaches it
+        #: when ``REPRO_PIPE_TRACE`` is enabled, otherwise every hook site is one
+        #: ``is not None`` check.
+        self.tracer = None
+        #: Earliest wheel deadline: the first cycle a parked entry becomes ready
+        #: (dispatch lowers the next scan cycle to it).
+        self.wake_min = _NEVER
         # Authoritative membership: seq -> entry, in dispatch (insertion) order.
         self._members: dict[int, InflightOp] = {}
         # Age-ordered ``(seq, op)`` pairs whose every issue gate is open now.
@@ -437,7 +240,7 @@ class WakeupIssueQueue(IssueQueue):
             if uop.is_store:
                 # Store-set release: dependent loads (always younger, hence later
                 # in age order) become selectable within this very pass, exactly
-                # like the reference walk observing ``dependence.issued``.
+                # like a full walk observing ``dependence.issued``.
                 waiters = op.mem_waiters
                 if waiters:
                     op.mem_waiters = None
@@ -477,13 +280,11 @@ class WakeupIssueQueue(IssueQueue):
         if added:
             ready.sort()
 
-    def next_scan_cycle(
-        self, cycle: int, selected: list[InflightOp], issue_width: int, rejected: bool
-    ) -> int:
+    def next_scan_cycle(self, cycle: int) -> int:
         """Exact re-arm: leftovers retry next cycle, else the earliest wheel deadline.
 
-        Leftover ready entries mean a refused unit or an exhausted width, exactly
-        when the reference rescans.  Parks made by the select and by the wake-ups
-        of the selected µ-ops' consumers are already in :attr:`wake_min`.
+        Leftover ready entries mean a refused unit or an exhausted width.  Parks
+        made by the select and by the wake-ups of the selected µ-ops' consumers
+        are already in :attr:`wake_min`.
         """
         return cycle + 1 if self._ready else self.wake_min

@@ -26,8 +26,8 @@ the front-end head's dispatch-maturity deadline, the fetch resume point) and jum
 ``cycle`` directly there, crediting the skipped span in bulk to the per-cycle counters
 (``stats.cycles``, plus the recurring dispatch structural-stall counter when the
 front-end is blocked on a full ROB/LSQ/PRF bank).  The result is byte-identical to
-stepping every cycle — ``REPRO_EVENT_DRIVEN=0`` retains the cycle-stepping loop as the
-reference, and ``tests/trace/test_simulation_determinism.py`` compares the two across a
+stepping every cycle: ``SteppedSimulator`` in ``tests/oracles.py`` is that reference,
+and ``tests/trace/test_simulation_determinism.py`` compares the two across a
 configuration × workload grid.
 
 See DESIGN.md §5 for the modelling assumptions (wrong-path effects, speculative
@@ -37,7 +37,6 @@ design and its dead-cycle/stat-crediting rules.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 
 from repro.bpu.btb import BranchTargetBuffer, ReturnAddressStack
@@ -54,12 +53,7 @@ from repro.obs.metrics import drain_simulator_metrics, maybe_sim_metrics
 from repro.obs.tracer import maybe_tracer
 from repro.ooo.functional_units import FunctionalUnitPool
 from repro.ooo.inflight import InflightOp, InflightOpPool, UNKNOWN_CYCLE
-from repro.ooo.issue_queue import (
-    _NEVER as _SHARED_NEVER,
-    IssueQueue,
-    WakeupIssueQueue,
-    wakeup_lists_enabled,
-)
+from repro.ooo.issue_queue import _NEVER as _SHARED_NEVER, WakeupIssueQueue
 from repro.ooo.lsq import LoadStoreQueue
 from repro.ooo.registers import BankedRegisterFile, PRFPortBudget
 from repro.ooo.rob import ReorderBuffer
@@ -71,22 +65,15 @@ from repro.trace.capture import required_length
 from repro.trace.encoding import CapturedTrace
 from repro.workloads.suite import Workload
 
-#: Environment variable: ``0`` selects the cycle-stepping reference loop instead of
-#: the event-driven scheduler (both produce byte-identical results).
-EVENT_DRIVEN_ENV_VAR = "REPRO_EVENT_DRIVEN"
-
-
-def event_driven_enabled() -> bool:
-    """True unless ``REPRO_EVENT_DRIVEN=0`` selects the cycle-stepping reference."""
-    return os.environ.get(EVENT_DRIVEN_ENV_VAR, "1") != "0"
-
-
 class Simulator:
     """Cycle-level simulator of one machine configuration running one workload."""
 
     #: Safety factor: a run is aborted if it exceeds this many cycles per committed µ-op.
     _DEADLOCK_CYCLES_PER_UOP = 400
     _DEADLOCK_SLACK_CYCLES = 200_000
+
+    #: The issue queue class; a test swaps in its reference queue here.
+    queue_class = WakeupIssueQueue
 
     def __init__(
         self,
@@ -145,13 +132,10 @@ class Simulator:
         self.predictor = config.make_predictor() if config.value_prediction else None
         self.hierarchy = MemoryHierarchy(config.memory)
         self.rob = ReorderBuffer(config.rob_size)
-        # Dependency-driven wake-up (REPRO_WAKEUP_LISTS, default on): producers keep
-        # explicit consumer lists and the IQ maintains an age-ordered ready list, so
-        # wake-up is O(woken) and select O(ready) instead of O(occupancy) walks.
-        # The scan-based IssueQueue remains the byte-identical reference.  This is
-        # the only place the flavour is chosen: the issue stage calls the queue.
-        queue_class = WakeupIssueQueue if wakeup_lists_enabled() else IssueQueue
-        self.iq = queue_class(config.iq_size, config.dispatch_to_issue_latency)
+        # Dependency-driven wake-up: producers keep explicit consumer lists and the
+        # IQ maintains an age-ordered ready list, so wake-up is O(woken) and select
+        # O(ready) instead of O(occupancy) walks.  The issue stage calls the queue.
+        self.iq = self.queue_class(config.iq_size, config.dispatch_to_issue_latency)
         self.lsq = LoadStoreQueue(config.lq_size, config.sq_size)
         self.store_sets = StoreSets(config.store_sets_ssit, config.store_sets_lfst)
         self.fu_pool = FunctionalUnitPool(config.functional_units)
@@ -175,21 +159,12 @@ class Simulator:
         )
         self._ee_enabled = config.eole.early.enabled
         self._multi_bank = config.prf_banks > 1
-        # Completion-wheel diet (wake-up IQ): a completion's only effect for
-        # µ-ops that are neither stores nor blocking fetch is ``executed = True``,
-        # and every reader of that flag also compares against the commit deadline
-        # ``complete_cycle + _commit_extra`` — so those µ-ops set the flag at
-        # issue and skip the wheel entirely.  The reference scan IQ *does* need
-        # every completion on the wheel (its issue-scan re-arm listens to them).
-        self._wheel_all = self.iq.needs_completions
 
-        # Issue-scan gating: IQ readiness only changes on discrete events — a
-        # completion firing, a dispatched entry maturing past dispatch_to_issue
-        # latency, a squash flipping dependence flags, or functional-unit/width
-        # pressure from a previous scan.  ``_iq_scan_from`` is the earliest cycle at
-        # which a select could find new work; scans before it are provably empty and
-        # are skipped (bit-identical: a skipped scan mutates no state and counts no
-        # statistics, exactly like an empty walk).
+        # Issue-scan gating: ``_iq_scan_from`` is the earliest cycle at which a
+        # select could find new work — the queue's next wheel deadline, lowered by
+        # each dispatch group and by a squash.  Scans before it are provably empty
+        # and are skipped (bit-identical: a skipped scan mutates no state and
+        # counts no statistics).
         self._iq_scan_from = 0
 
         # Pipeline state.
@@ -221,7 +196,6 @@ class Simulator:
         # overshoot: ``_iq_stall_blocked`` is the structural stall that ended it
         # and ``_iq_stall_ee_counts`` the EE planner's per-call counter increments.
         # It parks only where it repeats identically (see _park_on_full_iq).
-        self._event_driven = event_driven_enabled()
         self._dispatch_stall_reason: str | None = None
         self._iq_stall_blocked: str | None = None
         self._iq_stall_ee_counts: tuple[int, int, int] | None = None
@@ -257,13 +231,7 @@ class Simulator:
         # The simulation allocates no reference cycles on its hot paths (records are
         # pooled, prediction/outcome objects are acyclic).
         with gc_paused():
-            if self._event_driven:
-                self._run_event_driven(deadlock_limit)
-            else:
-                while not self._finished:
-                    self._step()
-                    if self.cycle > deadlock_limit:
-                        self._raise_deadlock(deadlock_limit)
+            self._run_event_driven(deadlock_limit)
         return self._build_result()
 
     def _raise_deadlock(self, deadlock_limit: int) -> None:
@@ -286,10 +254,10 @@ class Simulator:
         :meth:`_issue`), the front-end head's dispatch deadline and the fetch
         resume point (docs/performance.md, "The event-wheel scheduler").
         Any cycle that could mutate other state is therefore stepped normally.
-        The per-cycle stage guards of :meth:`_step` are inlined here with the
-        stable pipeline structures hoisted into locals; :meth:`_step` remains the
-        cycle-stepping reference (``REPRO_EVENT_DRIVEN=0``), and the determinism
-        suite compares the two.
+        Each stage call is preceded by an inline guard replicating that stage's
+        own no-work early-exit, with the stable pipeline structures hoisted into
+        locals.  ``SteppedSimulator`` in ``tests/oracles.py`` steps every cycle
+        instead, and the determinism suite compares the two.
         """
         stats = self.stats
         completions = self._completions
@@ -305,7 +273,7 @@ class Simulator:
         dispatch = self._dispatch
         fetch = self._fetch
         while not self._finished:
-            # ---- one stepped cycle (the _step reference, guards inlined) ----
+            # ---- one stepped cycle (stage guards inlined) ----
             cycle = self.cycle + 1
             self.cycle = cycle
             stats.cycles += 1
@@ -391,7 +359,7 @@ class Simulator:
                     nxt = candidate
             if nxt > deadlock_limit + 1:
                 # No event before the deadlock horizon: step once at the horizon so
-                # the reference loop's failure mode (and cycle accounting) is kept.
+                # a stepped loop's failure mode (and cycle accounting) is kept.
                 nxt = deadlock_limit + 1
             gap = nxt - cycle - 1
             if gap > 0:
@@ -406,10 +374,10 @@ class Simulator:
     def _skip_dead_cycles(self, gap: int) -> None:
         """Jump over ``gap`` provably-dead cycles, crediting per-cycle counters.
 
-        A dead cycle, stepped by the reference loop, would increment
-        ``stats.cycles`` and clear the previous-dispatch bypass group.  When
-        dispatch is parked (the front-end head is dispatch-ready but blocked with
-        zero progress) it would also run the stalled dispatch once:
+        A dead cycle, if stepped, would increment ``stats.cycles`` and clear the
+        previous-dispatch bypass group.  When dispatch is parked (the front-end
+        head is dispatch-ready but blocked with zero progress) it would also run
+        the stalled dispatch once:
 
         * a structural stall counts one stall against the blocking resource;
         * a full IQ counts one ``iq_full_stalls``, and its rename overshoot the
@@ -451,50 +419,6 @@ class Simulator:
         if self._m_skip_distance is not None:
             self._m_skip_distance.record(gap)
 
-    def _step(self) -> None:
-        """Advance the machine by one cycle.
-
-        Each stage call is preceded by an inline guard replicating that stage's own
-        no-work early-exit, so a cycle in which a stage provably does nothing pays
-        one comparison instead of a call (the stages keep their early-exits and
-        remain callable on their own — the guards are pure short-circuits).
-        """
-        cycle = self.cycle + 1
-        self.cycle = cycle
-        self.stats.cycles += 1
-        if self._completions and cycle in self._completions:
-            self._process_completions()
-            if self._finished:
-                return
-        rob_entries = self.rob._entries
-        if rob_entries:
-            head = rob_entries[0]
-            if head.executed and cycle >= head.complete_cycle + self._commit_extra:
-                self._commit()
-                if self._finished:
-                    return
-        if cycle >= self._iq_scan_from:
-            self._issue()
-        frontend = self._frontend
-        if frontend and frontend[0].dispatch_ready_cycle <= cycle:
-            self._dispatch()
-        else:
-            self._previous_dispatch_group = []
-            self._dispatch_stall_reason = None
-        if (
-            self._fetch_blocked_on is None
-            and cycle >= self._fetch_resume_cycle
-            and len(frontend) < self.config.frontend_capacity
-        ):
-            self._fetch()
-        if (
-            self._trace_exhausted
-            and not self._replay
-            and not frontend
-            and not rob_entries
-        ):
-            self._finished = True
-
     # ================================================================== completion
     def _process_completions(self) -> None:
         ops = self._completions.pop(self.cycle, None)
@@ -503,14 +427,6 @@ class Simulator:
         tracer = self.tracer
         for op in ops:
             op.in_completion_wheel = False
-            if op.iq_waiters and not op.squashed and self.cycle < self._iq_scan_from:
-                # The completed producer has waiting scan-IQ consumers: they may
-                # wake this very cycle.  (Completions nobody renamed against —
-                # stores, branches, dead values — never need to re-arm the scan:
-                # store-set dependences release at store *issue*, not completion.
-                # The wake-up IQ counts no waiters: a waking consumer's exact
-                # deadline is already on its wheel.)
-                self._iq_scan_from = self.cycle
             if op.squashed:
                 # A squashed µ-op's stale wheel entry was its last reference; its
                 # record is recyclable the moment the entry pops.
@@ -719,17 +635,12 @@ class Simulator:
         if cycle < self._iq_scan_from:
             return
         iq = self.iq
-        fu_pool = self.fu_pool
-        rejects_before = fu_pool.structural_rejects
-        issue_width = self.config.issue_width
-        selected = iq.select_ready(cycle, issue_width, fu_pool)
+        selected = iq.select_ready(cycle, self.config.issue_width, self.fu_pool)
         if selected:
             start_execution = self._start_execution
             for op in selected:
                 start_execution(op)
-        self._iq_scan_from = iq.next_scan_cycle(
-            cycle, selected, issue_width, fu_pool.structural_rejects != rejects_before
-        )
+        self._iq_scan_from = iq.next_scan_cycle(cycle)
 
     def _start_execution(self, op: InflightOp) -> None:
         uop = op.uop
@@ -755,12 +666,14 @@ class Simulator:
             op.avail_cycle = complete
             consumers = op.wake_consumers
             if consumers is not None:
-                # Consumers registered on this producer (only the wake-up IQ
-                # registers any) resolve now that its availability is known.
+                # Consumers registered on this producer resolve now that its
+                # availability is known.
                 if self._m_wakeup_depth is not None:
                     self._m_wakeup_depth.record(len(consumers))
                 self.iq.producer_available(op)
-        if uop.is_store or self._wheel_all or op is self._fetch_blocked_on:
+        if uop.is_store or op is self._fetch_blocked_on:
+            # Only these completions act: a store checks memory order, a
+            # mispredicted branch resumes fetch.
             op.in_completion_wheel = True
             completions = self._completions
             wheel_slot = completions.get(complete)
@@ -769,9 +682,10 @@ class Simulator:
             else:
                 wheel_slot.append(op)
         else:
-            # Wheel diet (wake-up IQ): the completion would only have set this
-            # flag; every reader also checks the commit deadline, so setting it
-            # at issue is invisible.  The traced event keeps the wheel timestamp.
+            # Wheel diet: the completion would only have set this flag, and every
+            # reader of it also compares against the commit deadline
+            # ``complete_cycle + _commit_extra``, so setting it at issue is
+            # invisible.  The traced event keeps the completion timestamp.
             op.executed = True
             if self.tracer is not None:
                 self.tracer.emit(complete, "complete", op)
@@ -1060,7 +974,6 @@ class Simulator:
             op.dispatch_cycle = UNKNOWN_CYCLE
             op.complete_cycle = UNKNOWN_CYCLE
             op.avail_cycle = UNKNOWN_CYCLE
-            op.wait_until = 0
             self._frontend.appendleft(op)
 
     def _rebuild_rename_map(self) -> None:
@@ -1174,7 +1087,6 @@ class Simulator:
                 op.wake_consumers = None
                 op.mem_waiters = None
                 op.avail_cycle = unknown_cycle
-                op.iq_waiters = 0
                 op.prediction = None
                 op.pred_used = False
                 op.early_executed = False

@@ -33,33 +33,13 @@ the entry was loaded from the store or saved to it:
   releases a lease's workload when it claims a lease for another one.  Other callers
   (direct :func:`~repro.pipeline.simulator.simulate` calls, a config-major replay of
   pre-captured traces) keep it until :meth:`TraceCache.clear`.
-
-``REPRO_TRACE_CACHE=0`` disables the cache globally: every request then returns a
-fresh step-wise reference trace (:func:`~repro.trace.capture.reference_trace`),
-nothing cached or stored — the oracle the determinism tests compare against.  This
-module is the only reader of the switch.
 """
 
 from __future__ import annotations
 
-import os
-
-from repro.trace.capture import (
-    capture_budget,
-    capture_workload_trace,
-    reference_trace,
-    required_length,
-)
+from repro.trace.capture import capture_budget, capture_workload_trace, required_length
 from repro.trace.encoding import CapturedTrace
 from repro.trace.store import TraceStore, default_trace_store
-
-#: Environment variable disabling the trace cache when set to ``0``/``off``/``false``.
-TRACE_CACHE_ENV_VAR = "REPRO_TRACE_CACHE"
-
-
-def trace_cache_enabled() -> bool:
-    """True unless ``REPRO_TRACE_CACHE`` explicitly disables trace reuse."""
-    return os.environ.get(TRACE_CACHE_ENV_VAR, "1").lower() not in ("0", "off", "false")
 
 
 class TraceCache:
@@ -112,9 +92,6 @@ class TraceCache:
     def _acquire(self, workload, needed: int, max_uops: int) -> CapturedTrace:
         """Memory → disk → capture, re-capturing when a cached trace is too short.
 
-        With ``REPRO_TRACE_CACHE=0`` it returns a fresh step-wise reference trace of
-        ``needed`` µ-ops instead, touching no entry, store or counter.
-
         Acquiring a workload first drops every other workload's entry that the store
         holds (see the module docstring); a store whose ``save`` returns ``None``
         persisted nothing, so the capture it was offered stays an entry it does not hold.
@@ -125,8 +102,6 @@ class TraceCache:
         be recycled while the entry exists; the identity check makes that explicit.
         """
         program = workload.program
-        if not trace_cache_enabled():
-            return reference_trace(program, needed, workload.make_state())
         name = workload.name
         for key in [key for key in self._stored if key[0] != name]:
             self._stored.discard(key)

@@ -7,10 +7,9 @@ slack over the committed-µ-op target because the pipeline fetches ahead of comm
 at most the ROB plus the front-end, :func:`required_length`); replay is bit-exact as
 long as the captured trace covers that window.
 
-This module holds both of the stream's sources: :func:`capture_trace` runs the
-emulator's batched fast path, :func:`reference_trace` its step-wise reference (the
-oracle behind ``REPRO_TRACE_CACHE=0``).  :class:`~repro.trace.cache.TraceCache` is
-the one place that picks between them.
+:func:`capture_trace` runs the emulator's batched capture, the stream's one source
+in ``src/``; ``reference_trace`` in ``tests/oracles.py`` builds the same trace from
+the step-wise reference emulator.
 """
 
 from __future__ import annotations
@@ -47,32 +46,15 @@ def capture_trace(
 ) -> CapturedTrace:
     """Emulate ``program`` for up to ``budget`` µ-ops and keep the committed stream.
 
-    Uses the emulator's batched fast path (:meth:`Emulator.run_batch`, bit-identical
-    to the step-wise reference), which writes the trace columns directly — capture is
-    the one place that materialises a whole stream at once, and it builds no
-    ``DynInst``.
+    Uses the emulator's batched loop (:meth:`Emulator.run_batch`), which writes the
+    trace columns directly — capture is the one place that materialises a whole
+    stream at once, and it builds no ``DynInst``.
     """
     emulator = Emulator(program, state=state)
     columns = empty_columns()
     with gc_paused():
         emulator.run_batch(budget, columns)
     return CapturedTrace(program, *columns, halted=emulator.halted, budget=budget)
-
-
-def reference_trace(
-    program: Program, budget: int, state: ArchState | None = None
-) -> CapturedTrace:
-    """The step-wise oracle: :meth:`Emulator.run` for up to ``budget`` µ-ops, as a trace.
-
-    :meth:`CapturedTrace.from_instructions` encodes the records as columns, the one
-    form every trace holds; the trace is never cached or stored.
-    """
-    emulator = Emulator(program, state=state)
-    with gc_paused():
-        instructions = tuple(emulator.run(budget))
-    return CapturedTrace.from_instructions(
-        program, instructions, halted=emulator.halted, budget=budget
-    )
 
 
 def capture_workload_trace(workload, budget: int) -> CapturedTrace:

@@ -9,9 +9,8 @@ per µ-op plus a dense value array holding only the present entries.
 
 Every trace holds this one form, whatever made it: the emulator's batched capture
 writes the columns directly (:meth:`Emulator.run_batch
-<repro.isa.emulator.Emulator.run_batch>` with :func:`empty_columns`), a store load
-reads them from a blob, and :meth:`CapturedTrace.from_instructions` encodes the
-step-wise oracle's :class:`~repro.isa.trace.DynInst` records at construction.
+<repro.isa.emulator.Emulator.run_batch>` with :func:`empty_columns`), and a store
+load reads them from a blob.
 
 Neither consumer decodes a record:
 
@@ -36,7 +35,7 @@ import json
 import sys
 import zlib
 from array import array
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from itertools import islice
 from typing import NamedTuple
 
@@ -216,43 +215,6 @@ class CapturedTrace:
         self._presence = presence
         self._values = values
         self._view: ReplayView | None = None
-
-    # ------------------------------------------------------------------ construction
-    @classmethod
-    def from_instructions(
-        cls,
-        program: Program,
-        instructions: Iterable[DynInst],
-        halted: bool,
-        budget: int,
-    ) -> "CapturedTrace":
-        """Encode a committed ``DynInst`` stream (the step-wise oracle's records)."""
-        columns = empty_columns()
-        pcs, next_pcs, taken, src_offsets, src_values, presence, values = columns
-        # One bound-method tuple per column, hoisted out of the per-µ-op loop.
-        pcs_append = pcs.append
-        next_pcs_append = next_pcs.append
-        taken_append = taken.append
-        src_values_extend = src_values.extend
-        src_offsets_append = src_offsets.append
-        optional = [
-            (name, presence[name].append, values[name].append)
-            for name in OPTIONAL_FIELDS
-        ]
-        for inst in instructions:
-            pcs_append(inst.pc)
-            next_pcs_append(inst.next_pc)
-            taken_append(1 if inst.taken else 0)
-            src_values_extend(inst.src_values)
-            src_offsets_append(len(src_values))
-            for name, presence_append, values_append in optional:
-                value = getattr(inst, name)
-                if value is None:
-                    presence_append(0)
-                else:
-                    presence_append(1)
-                    values_append(value)
-        return cls(program, *columns, halted=halted, budget=budget)
 
     # ------------------------------------------------------------------ replay
     def replay_view(self) -> ReplayView:

@@ -9,9 +9,9 @@ goldens (see perfbench/README.md).
 
 Each trace source the study can walk is covered: a trace loaded from the on-disk
 store, an in-process capture passed in explicitly, the shared trace cache's own
-capture (columns written by the emulator, no ``DynInst`` at all), and
-``REPRO_TRACE_CACHE=0`` (the step-wise emulator's records, encoded as columns:
-the oracle), and a trace store backing a whole family sweep, where each workload
+capture (columns written by the emulator, no ``DynInst`` at all), the step-wise
+reference trace of ``tests/oracles.py`` (the emulator's records, encoded as
+columns), and a trace store backing a whole family sweep, where each workload
 drops the previous one's trace from the cache.
 """
 
@@ -25,15 +25,15 @@ import pytest
 from repro.analysis.predictor_eval import PredictorEvaluation, evaluate_predictor
 from repro.bpu.history import GlobalHistory
 from repro.campaign.spec import derive_seed
-from repro.isa import emulator as emulator_module
 from repro.isa.builder import ProgramBuilder
 from repro.pipeline.config import PREDICTOR_FACTORIES
 from repro.trace import encoding as encoding_module
-from repro.trace.cache import TRACE_CACHE_ENV_VAR, shared_trace_cache
+from repro.trace.cache import shared_trace_cache
 from repro.trace.capture import capture_budget, capture_trace, capture_workload_trace
 from repro.trace.store import TRACE_STORE_ENV_VAR, TraceStore
 from repro.vp.confidence import SCALED_FPC_VECTOR
 from repro.workloads.suite import workload
+from tests.oracles import use_oracles
 
 GOLDEN = Path(__file__).resolve().parents[2] / "perfbench" / "golden" / "seed-0.json"
 
@@ -81,12 +81,10 @@ def test_study_matches_the_committed_golden(golden, tmp_path, monkeypatch, sourc
     wl = workload(name)
     trace = _trace(source, tmp_path, wl)
     if source == "emulated":
-        monkeypatch.setenv(TRACE_CACHE_ENV_VAR, "0")
+        use_oracles(monkeypatch, trace=True)
     if source == "column-captured":
-        # The cache's own capture, whatever the environment says.
-        monkeypatch.delenv(TRACE_CACHE_ENV_VAR, raising=False)
+        # The cache's own capture.
         shared_trace_cache.clear()
-        monkeypatch.setattr(emulator_module, "DynInst", _no_dyninst)
     if source in ("stored", "column-captured"):
         monkeypatch.setattr(encoding_module, "DynInst", _no_dyninst)
     digests = {
@@ -105,7 +103,6 @@ def test_study_matches_the_committed_golden(golden, tmp_path, monkeypatch, sourc
 
 def test_a_family_sweep_builds_each_workloads_events_once(golden, monkeypatch):
     """Every family on one workload before the next: one events list per workload."""
-    monkeypatch.delenv(TRACE_CACHE_ENV_VAR, raising=False)
     real = encoding_module.CapturedTrace.study_events
     built = []
 
@@ -134,7 +131,6 @@ def test_a_store_backed_sweep_holds_one_trace_and_matches_the_golden(
 ):
     """A fresh store backs two sweeps: the first captures and saves every workload,
     the second loads each one; either way the next workload evicts the previous."""
-    monkeypatch.delenv(TRACE_CACHE_ENV_VAR, raising=False)
     monkeypatch.setenv(TRACE_STORE_ENV_VAR, str(tmp_path))
     shared_trace_cache.clear()
     before = (shared_trace_cache.captures, shared_trace_cache.store_hits)

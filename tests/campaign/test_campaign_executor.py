@@ -171,9 +171,8 @@ class TestTraceWorkingSet:
         """Run a cold 3 x 3 serial grid and check it held at most one entry at every
         cell, captured each workload once, loaded nothing and left no entry."""
         import repro.campaign.executor as executor
-        from repro.trace.cache import TRACE_CACHE_ENV_VAR, shared_trace_cache
+        from repro.trace.cache import shared_trace_cache
 
-        monkeypatch.delenv(TRACE_CACHE_ENV_VAR, raising=False)
         campaign = Campaign(
             name="working-set",
             configs=(

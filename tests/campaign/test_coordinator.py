@@ -267,10 +267,9 @@ class TestWorkLoop:
         self, tmp_path, monkeypatch
     ):
         import repro.campaign.executor as executor
-        from repro.trace.cache import TRACE_CACHE_ENV_VAR, shared_trace_cache
+        from repro.trace.cache import shared_trace_cache
         from repro.trace.store import TRACE_STORE_ENV_VAR
 
-        monkeypatch.delenv(TRACE_CACHE_ENV_VAR, raising=False)
         # No trace store: a second acquisition of a workload would be a capture.
         monkeypatch.setenv(TRACE_STORE_ENV_VAR, "")
         service = _service(tmp_path, _campaign("gcc,mcf"), lease_width=1)

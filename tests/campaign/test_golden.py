@@ -22,11 +22,11 @@ import repro.trace.encoding as encoding_module
 from repro.campaign.executor import run_campaign
 from repro.campaign.spec import Campaign
 from repro.campaign.store import ResultStore
-from repro.ooo.issue_queue import WAKEUP_ENV_VAR
-from repro.pipeline.simulator import EVENT_DRIVEN_ENV_VAR, Simulator
-from repro.trace.cache import TRACE_CACHE_ENV_VAR, shared_trace_cache
+from repro.pipeline.simulator import Simulator
+from repro.trace.cache import shared_trace_cache
 from repro.trace.store import TRACE_STORE_ENV_VAR
 from repro.workloads.suite import workload
+from tests.oracles import use_oracles
 
 GOLDEN = Path(__file__).resolve().parents[2] / "perfbench" / "golden" / "seed-0.json"
 HEADLINE_CONFIGS = ("Baseline_6_64", "Baseline_VP_6_64", "EOLE_4_64", "EOLE_4_64_4ports_4banks")
@@ -54,37 +54,33 @@ def _assert_matches_golden(campaign, outcome) -> None:
 
 
 @pytest.mark.parametrize(
-    "workers, env",
+    "workers, oracles",
     [
         (1, {}),
         (2, {}),
-        (1, {TRACE_CACHE_ENV_VAR: "0"}),
-        (1, {EVENT_DRIVEN_ENV_VAR: "0"}),
-        (1, {WAKEUP_ENV_VAR: "0"}),
+        (1, {"trace": True}),
+        (1, {"loop": True}),
+        (1, {"queue": True}),
     ],
     ids=["serial", "fleet", "serial-stepwise", "serial-cycle-stepping", "serial-scan-iq"],
 )
-def test_campaign_matches_the_committed_golden(tmp_path, monkeypatch, workers, env):
-    """The last three ids run the oracles: ``serial-stepwise`` replays the
-    step-wise emulator's reference trace (the batched capture's oracle),
-    ``serial-cycle-stepping`` steps every cycle (the event wheel's) and
-    ``serial-scan-iq`` walks the scan issue queue (the wake-up lists')."""
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
+def test_campaign_matches_the_committed_golden(tmp_path, monkeypatch, workers, oracles):
+    """The last three ids run the references of ``tests/oracles.py``:
+    ``serial-stepwise`` replays the step-wise emulator's trace (the batched
+    capture's), ``serial-cycle-stepping`` steps every cycle (the event wheel's)
+    and ``serial-scan-iq`` walks the scan issue queue (the wake-up lists')."""
+    use_oracles(monkeypatch, **oracles)
     campaign = _figure_grid_campaign()
     outcome = run_campaign(campaign, store=ResultStore(tmp_path / "s.jsonl"), workers=workers)
     _assert_matches_golden(campaign, outcome)
 
 
-def test_replaying_study_captures_matches_the_committed_golden(tmp_path, monkeypatch):
+def test_replaying_study_captures_matches_the_committed_golden(tmp_path):
     """Cells replaying traces first captured for a trace-level study.
 
     ``trace_for_length`` and ``trace_for`` share one capture form, so the
-    cells replay the study's captures as they are.  The test is about the
-    cache, so it runs with the cache on whatever the environment says
-    (``REPRO_TRACE_CACHE=0`` has its own case above).
+    cells replay the study's captures as they are.
     """
-    monkeypatch.delenv(TRACE_CACHE_ENV_VAR, raising=False)
     campaign = _figure_grid_campaign()
     shared_trace_cache.clear()
     try:
@@ -111,7 +107,6 @@ def test_replay_builds_no_dyninst(tmp_path, monkeypatch):
     them to a trace store, and a second, on a cold cache, loads them.  Both
     must match the golden.
     """
-    monkeypatch.delenv(TRACE_CACHE_ENV_VAR, raising=False)
     monkeypatch.setenv(TRACE_STORE_ENV_VAR, str(tmp_path / "traces"))
     for module in (simulator_module, encoding_module, capture_module, emulator_module):
         monkeypatch.setattr(module, "DynInst", _no_dyninst, raising=False)

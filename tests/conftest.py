@@ -36,8 +36,9 @@ from repro.isa.program import Program
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.simulator import Simulator
 from repro.pipeline.stats import SimulationResult
-from repro.trace.capture import reference_trace, required_length
+from repro.trace.capture import required_length
 from repro.trace.encoding import CapturedTrace
+from tests.oracles import reference_trace
 
 
 def build_counted_loop(

@@ -15,11 +15,12 @@ from repro.isa.microop import MicroOp
 from repro.isa.opcode import Opcode, is_conditional_branch
 from repro.isa.trace import OPTIONAL_FIELDS
 from repro.trace.encoding import CapturedTrace, empty_columns
+from tests.oracles import StepEmulator, read_mem, trace_from_instructions
 from tests.random_programs import RandomProgramGenerator
 
 
 def _run(builder: ProgramBuilder, max_uops: int = 1000):
-    return list(Emulator(builder.build()).run(max_uops))
+    return list(StepEmulator(builder.build()).run(max_uops))
 
 
 class TestArithmetic:
@@ -99,7 +100,7 @@ class TestArithmetic:
         b = ProgramBuilder()
         b.movi("r1", 0b1100)
         b.emit(MicroOp(opcode, dst=_reg("r2"), srcs=(_reg("r1"),), imm=-3, sets_flags=True))
-        emulator = Emulator(b.build())
+        emulator = StepEmulator(b.build())
         emulator.step()
         inst = emulator.step()
         assert inst.result == expected & MASK64
@@ -131,9 +132,9 @@ class TestMemory:
     def test_region_words_read_their_image_and_nothing_else(self):
         state = ArchState()
         state.regions = ((0x100, 0x118, lambda index: MASK64 + 1 + index),)
-        assert [state.read_mem(0x100 + 8 * index) for index in range(3)] == [0, 1, 2]
+        assert [read_mem(state, 0x100 + 8 * index) for index in range(3)] == [0, 1, 2]
         for outside in (0xF8, 0x118, 0x104):  # either side, and misaligned inside
-            assert state.read_mem(outside) == _default_memory_value(outside)
+            assert read_mem(state, outside) == _default_memory_value(outside)
 
     def test_store_to_a_region_word_overrides_the_image(self):
         b = ProgramBuilder()
@@ -144,7 +145,7 @@ class TestMemory:
         b.ld("r4", "r1", 16)
         state = ArchState()
         state.regions = ((0x100, 0x120, lambda index: 10 + index),)
-        trace = list(Emulator(b.build(), state=state).run(100))
+        trace = list(StepEmulator(b.build(), state=state).run(100))
         assert trace[3].result == 777
         assert trace[4].result == 12
 
@@ -157,9 +158,9 @@ class TestMemory:
 
         state = ArchState()
         state.regions = ((0x100, 0x140, value_of_index),)
-        assert state.read_mem(0x108) == state.read_mem(0x108) == 41
+        assert read_mem(state, 0x108) == read_mem(state, 0x108) == 41
         assert calls == [1]
-        assert state.read_mem(0x200) == _default_memory_value(0x200)
+        assert read_mem(state, 0x200) == _default_memory_value(0x200)
         assert state.memory == {0x108: 41, 0x200: _default_memory_value(0x200)}
 
     def test_step_and_run_batch_end_with_equal_memory_on_a_chase_program(self):
@@ -179,7 +180,7 @@ class TestMemory:
             )
             return fresh
 
-        stepped = Emulator(program, state=state())
+        stepped = StepEmulator(program, state=state())
         expected = [inst.result for inst in stepped.run(200)]
         batched = Emulator(program, state=state())
         columns = empty_columns()
@@ -196,7 +197,7 @@ class TestControlFlow:
         from repro.workloads.suite import workload
 
         # gcc's switch jumps through a jump table an empty state does not hold.
-        emulator = Emulator(workload("gcc").program)
+        emulator = StepEmulator(workload("gcc").program)
         with pytest.raises(EmulationError, match=r"invalid pc .*workload\.make_state\(\)"):
             if loop == "run_batch":
                 emulator.run_batch(1000, empty_columns())
@@ -211,7 +212,7 @@ class TestControlFlow:
         b.cmp("r1", imm=3)
         b.bne("loop")
         b.movi("r2", 99)
-        trace = list(Emulator(b.build()).run(100))
+        trace = list(StepEmulator(b.build()).run(100))
         # 3 iterations of (add, cmp, bne) plus movi r1 and the trailing movi.
         assert len(trace) == 1 + 3 * 3 + 1
         assert trace[-1].result == 99
@@ -224,7 +225,7 @@ class TestControlFlow:
         b.movi("r2", 123)
         b.label("skip")
         b.movi("r3", 5)
-        trace = list(Emulator(b.build()).run(10))
+        trace = list(StepEmulator(b.build()).run(10))
         branch = trace[2]
         assert branch.taken
         assert branch.next_pc == 4
@@ -239,7 +240,7 @@ class TestControlFlow:
         b.label("main")
         b.call("func")
         b.movi("r6", 2)
-        trace = list(Emulator(b.build()).run(20))
+        trace = list(StepEmulator(b.build()).run(20))
         opcodes = [t.uop.opcode.value for t in trace]
         assert opcodes == ["jmp", "call", "movi", "ret", "movi"]
         assert trace[3].next_pc == 4  # returns to the µ-op after the call
@@ -249,7 +250,7 @@ class TestControlFlow:
         b.movi("r1", 1)
         b.ret()
         b.movi("r2", 2)
-        trace = list(Emulator(b.build()).run(10))
+        trace = list(StepEmulator(b.build()).run(10))
         assert len(trace) == 2
 
     def test_indirect_jump(self):
@@ -259,7 +260,7 @@ class TestControlFlow:
         b.movi("r2", 1)
         b.label("target")
         b.movi("r3", 2)
-        trace = list(Emulator(b.build()).run(10))
+        trace = list(StepEmulator(b.build()).run(10))
         assert trace[1].next_pc == 3
         assert trace[2].result == 2
 
@@ -271,7 +272,7 @@ class TestControlFlow:
         b.movi("r2", 0)
         b.label("less")
         b.movi("r3", 1)
-        trace = list(Emulator(b.build()).run(10))
+        trace = list(StepEmulator(b.build()).run(10))
         assert trace[2].taken
         assert trace[2].flags_in is not None
 
@@ -279,7 +280,7 @@ class TestControlFlow:
         b = ProgramBuilder()
         b.movi("r1", 1)
         b.movi("r2", 2)
-        trace = list(Emulator(b.build()).run(100))
+        trace = list(StepEmulator(b.build()).run(100))
         assert len(trace) == 2
 
 
@@ -290,13 +291,13 @@ class TestRunControl:
         b.label("loop")
         b.addi("r1", "r1", 1)
         b.jmp("loop")
-        trace = list(Emulator(b.build()).run(50))
+        trace = list(StepEmulator(b.build()).run(50))
         assert len(trace) == 50
 
     def test_step_returns_none_after_halt(self):
         b = ProgramBuilder()
         b.movi("r1", 1)
-        emulator = Emulator(b.build())
+        emulator = StepEmulator(b.build())
         assert emulator.step() is not None
         assert emulator.step() is None
         assert emulator.halted
@@ -307,14 +308,14 @@ class TestRunControl:
         b.label("loop")
         b.addi("r1", "r1", 1)
         b.jmp("loop")
-        trace = list(Emulator(b.build()).run(30))
+        trace = list(StepEmulator(b.build()).run(30))
         assert [t.seq for t in trace] == list(range(30))
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32))
     def test_random_programs_always_execute(self, seed):
         program = RandomProgramGenerator(seed).generate(body_ops=20)
-        trace = list(Emulator(program).run(300))
+        trace = list(StepEmulator(program).run(300))
         assert len(trace) == 300
         for inst in trace:
             if inst.result is not None:
@@ -335,7 +336,7 @@ class TestRunBatch:
         ]
 
     def _assert_equivalent(self, program, state_a, state_b, budget):
-        reference = Emulator(program, state=state_a)
+        reference = StepEmulator(program, state=state_a)
         batched = Emulator(program, state=state_b)
         expected = list(reference.run(budget))
         columns = empty_columns()
@@ -350,7 +351,7 @@ class TestRunBatch:
         # The reference's records encode to the same blob, which decodes to the
         # same records again.
         blob = trace.to_bytes()
-        encoded = CapturedTrace.from_instructions(program, expected, reference.halted, budget)
+        encoded = trace_from_instructions(program, expected, reference.halted, budget)
         assert encoded.to_bytes() == blob
         decoded = CapturedTrace.from_bytes(blob, program)
         assert self._records(decoded.instructions()) == self._records(expected)
@@ -382,7 +383,7 @@ class TestRunBatch:
     def test_branch_tables_agree_with_step(self):
         b = ProgramBuilder()
         b.nop()
-        reference = Emulator(b.build())
+        reference = StepEmulator(b.build())
         for opcode, taken_by_flags in emulator_module._BRANCH_TAKEN.items():
             assert len(taken_by_flags) == ALL_FLAGS + 1
             for flags in range(ALL_FLAGS + 1):
@@ -405,7 +406,7 @@ class TestRunBatch:
         b.addi("r1", "r1", 1)
         b.jmp("loop")
         program = b.build()
-        reference = Emulator(program)
+        reference = StepEmulator(program)
         expected = list(reference.run(50))
         split = Emulator(program)
         columns = empty_columns()
@@ -459,7 +460,7 @@ class TestColumnTables:
         b.emit(uop)
         b.label("end")
         b.nop()
-        emulator = Emulator(b.build())
+        emulator = StepEmulator(b.build())
         codes, (arities, *presence) = emulator._build_column_tables()
         code = codes[tested_pc]
         insts = [emulator.step() for _ in range(tested_pc + 1)]

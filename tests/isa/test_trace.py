@@ -5,9 +5,9 @@ import gc
 import pytest
 
 from repro.isa.builder import ProgramBuilder
-from repro.isa.emulator import Emulator
 from repro.isa.opcode import OpClass
 from repro.isa.trace import characterize, gc_paused
+from tests.oracles import StepEmulator
 
 
 def _mixed_program():
@@ -26,7 +26,7 @@ def _mixed_program():
 
 class TestCharacterize:
     def test_counts_and_ratios(self):
-        stats = characterize(Emulator(_mixed_program()).run(602))
+        stats = characterize(StepEmulator(_mixed_program()).run(602))
         assert stats.total == 602
         assert stats.loads == 100
         assert stats.stores == 100
@@ -35,21 +35,21 @@ class TestCharacterize:
         assert abs(stats.memory_ratio - 200 / 602) < 1e-9
 
     def test_vp_eligible_excludes_stores_and_branches(self):
-        stats = characterize(Emulator(_mixed_program()).run(602))
+        stats = characterize(StepEmulator(_mixed_program()).run(602))
         # movi, addi, ld, fadd and cmp-less ops produce results; stores/branches/cmp not.
         assert stats.vp_eligible == stats.total - stats.stores - stats.branches - 100
 
     def test_distinct_pcs_bounded_by_program_size(self):
         program = _mixed_program()
-        stats = characterize(Emulator(program).run(500))
+        stats = characterize(StepEmulator(program).run(500))
         assert stats.distinct_pcs <= len(program)
 
     def test_per_class_totals_sum_to_total(self):
-        stats = characterize(Emulator(_mixed_program()).run(300))
+        stats = characterize(StepEmulator(_mixed_program()).run(300))
         assert sum(stats.per_class.values()) == stats.total
 
     def test_class_ratio(self):
-        stats = characterize(Emulator(_mixed_program()).run(300))
+        stats = characterize(StepEmulator(_mixed_program()).run(300))
         assert stats.class_ratio(OpClass.LOAD) > 0
         assert stats.class_ratio(OpClass.INT_DIV) == 0
 

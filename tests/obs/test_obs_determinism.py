@@ -1,6 +1,7 @@
 """Observability kill-switches are invisible: the full throughput grid stays
 byte-identical with tracing on, and with metrics on once the opt-in payload is
-removed — the same bar the event-driven and wake-up-list switches meet."""
+removed — the same bar the event wheel and the wake-up lists meet against their
+references."""
 
 import json
 
@@ -11,8 +12,8 @@ from repro.campaign.spec import CampaignCell
 from repro.obs.metrics import METRICS_ENV_VAR
 from repro.obs.tracer import PIPE_TRACE_ENV_VAR
 from repro.pipeline.config import named_config
-from repro.pipeline.simulator import EVENT_DRIVEN_ENV_VAR
 from repro.trace.cache import shared_trace_cache
+from tests.oracles import use_oracles
 
 GRID_CONFIGS = (
     "Baseline_6_64",
@@ -83,9 +84,8 @@ def test_metrics_payload_is_the_same_under_both_loops(monkeypatch):
     """Every metric but the event wheel's own skip distances is loop-independent:
     ``iq.occupancy`` samples each dispatch cycle, skipped stall spans included."""
     monkeypatch.setenv(METRICS_ENV_VAR, "1")
-    monkeypatch.delenv(EVENT_DRIVEN_ENV_VAR, raising=False)
     event = _metrics_payloads(("milc", "mcf"))
-    monkeypatch.setenv(EVENT_DRIVEN_ENV_VAR, "0")
+    use_oracles(monkeypatch, loop=True)
     stepped = _metrics_payloads(("milc", "mcf"))
     for payload in (*event.values(), *stepped.values()):
         payload["histograms"].pop("scheduler.skip_distance")

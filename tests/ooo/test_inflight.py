@@ -50,8 +50,6 @@ class TestInflightOpPool:
         op = pool.acquire(*self._fields(0))
         # Dirty every mutable field a pipeline stage touches.
         op.dispatch_cycle = op.complete_cycle = op.avail_cycle = 9
-        op.wait_until = 5
-        op.iq_waiters = 3
         op.pred_used = op.early_executed = op.late_executed = True
         op.issued = op.executed = op.squashed = True
         op.dest_bank = 2
@@ -66,9 +64,8 @@ class TestInflightOpPool:
         for name in InflightOp.__slots__:
             if name in ("slot", "dispatch_ready_cycle", "history_snapshot", "issue_cycle"):
                 continue  # pool-owned / fetch-assigned before any read
-            if name in ("dispatch_cycle", "complete_cycle", "wait_until",
-                        "unknown_producers", "mem_blocked", "producers",
-                        "mem_dependence", "branch_outcome"):
+            if name in ("dispatch_cycle", "complete_cycle", "unknown_producers",
+                        "mem_blocked", "producers", "mem_dependence", "branch_outcome"):
                 # Deliberately stale on recycling: a later stage overwrites each
                 # of these before any read (see the invariant note in _init).
                 continue

@@ -7,7 +7,7 @@ from repro.isa.microop import MicroOp
 from repro.isa.opcode import Opcode
 from repro.ooo.functional_units import FunctionalUnitConfig, FunctionalUnitPool
 from repro.ooo.inflight import InflightOp
-from repro.ooo.issue_queue import IssueQueue
+from repro.ooo.issue_queue import WakeupIssueQueue
 
 
 def _op(seq: int, opcode: Opcode = Opcode.ADD) -> InflightOp:
@@ -27,10 +27,10 @@ def _blocked(op: InflightOp) -> InflightOp:
 class TestCapacity:
     def test_capacity_validation(self):
         with pytest.raises(ConfigurationError):
-            IssueQueue(capacity=0)
+            WakeupIssueQueue(capacity=0)
 
     def test_has_space_and_occupancy(self):
-        iq = IssueQueue(capacity=2)
+        iq = WakeupIssueQueue(capacity=2)
         iq.insert(_op(0))
         assert iq.occupancy == 1 < iq.capacity  # dispatch's space check
         iq.insert(_op(1))
@@ -40,7 +40,7 @@ class TestCapacity:
 
 class TestSelect:
     def test_issue_width_respected(self):
-        iq = IssueQueue(capacity=16)
+        iq = WakeupIssueQueue(capacity=16)
         for seq in range(10):
             iq.insert(_op(seq))
         pool = FunctionalUnitPool()
@@ -49,7 +49,7 @@ class TestSelect:
         assert iq.occupancy == 6  # entries released at issue
 
     def test_oldest_first_selection(self):
-        iq = IssueQueue(capacity=16)
+        iq = WakeupIssueQueue(capacity=16)
         ops = [_op(seq) for seq in range(6)]
         for op in ops:
             iq.insert(op)
@@ -57,7 +57,7 @@ class TestSelect:
         assert [op.seq for op in selected] == [0, 1, 2]
 
     def test_not_ready_entries_are_skipped_but_kept(self):
-        iq = IssueQueue(capacity=16)
+        iq = WakeupIssueQueue(capacity=16)
         ops = [_blocked(_op(seq)) if seq % 2 == 0 else _op(seq) for seq in range(4)]
         for op in ops:
             iq.insert(op)
@@ -66,7 +66,7 @@ class TestSelect:
         assert [op.seq for op in iq] == [0, 2]
 
     def test_functional_unit_limit_blocks_issue(self):
-        iq = IssueQueue(capacity=16)
+        iq = WakeupIssueQueue(capacity=16)
         for seq in range(6):
             iq.insert(_op(seq, Opcode.MUL))
         pool = FunctionalUnitPool(FunctionalUnitConfig(mul_div=2))
@@ -74,7 +74,7 @@ class TestSelect:
         assert len(selected) == 2
 
     def test_issue_marks_timing_fields(self):
-        iq = IssueQueue(capacity=4)
+        iq = WakeupIssueQueue(capacity=4)
         op = _op(0)
         iq.insert(op)
         iq.select_ready(7, 1, FunctionalUnitPool())
@@ -83,17 +83,20 @@ class TestSelect:
         assert list(iq) == []
 
     def test_squashed_entries_dropped_during_select(self):
-        iq = IssueQueue(capacity=8)
+        iq = WakeupIssueQueue(capacity=8)
         keep, squash = _op(0), _op(1)
         squash.squashed = True
         iq.insert(keep)
         iq.insert(squash)
         selected = iq.select_ready(1, 4, FunctionalUnitPool())
         assert selected == [keep]
+        # The select skipped the squashed entry; the squash's own cleanup
+        # releases its slot.
+        iq.remove_squashed()
         assert iq.occupancy == 0
 
     def test_remove_squashed(self):
-        iq = IssueQueue(capacity=8)
+        iq = WakeupIssueQueue(capacity=8)
         ops = [_op(seq) for seq in range(4)]
         for op in ops:
             iq.insert(op)
@@ -103,5 +106,5 @@ class TestSelect:
         assert [op.seq for op in iq] == [0, 2]
 
     def test_empty_select(self):
-        iq = IssueQueue(capacity=8)
+        iq = WakeupIssueQueue(capacity=8)
         assert iq.select_ready(1, 4, FunctionalUnitPool()) == []

@@ -1,7 +1,7 @@
 """Property test: dependency-driven wake-up selection ≡ the reference full scan.
 
 The :class:`WakeupIssueQueue` must be observably indistinguishable from the
-scan-based :class:`IssueQueue` — same selections, in the same order, at the same
+full-walk ``ScanIssueQueue`` of ``tests/oracles.py`` — same selections, in the same order, at the same
 cycles, with the same functional-unit interactions — over arbitrary dependence
 graphs, including store-set memory dependences, pipeline squashes and replays
 with **recycled records** (the pool reuses a squashed µ-op's record for its
@@ -23,11 +23,25 @@ from repro.isa.microop import MicroOp
 from repro.isa.opcode import Opcode
 from repro.ooo.functional_units import FunctionalUnitPool
 from repro.ooo.inflight import InflightOp
-from repro.ooo.issue_queue import IssueQueue, WakeupIssueQueue
+from repro.ooo.issue_queue import WakeupIssueQueue
+from tests.oracles import ScanIssueQueue
 
 #: Opcodes used by generated µ-ops: plain ALU, an unpipelined one (exercises the
 #: functional-unit busy model), loads and stores (exercise store-set release).
 _OPCODES = (Opcode.ADD, Opcode.DIV, Opcode.LD, Opcode.ST)
+
+
+class _LoggingPool(FunctionalUnitPool):
+    """Logs every ``try_issue`` call: both queues must make the same ones."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls: list[tuple] = []
+
+    def try_issue(self, opclass, cycle: int, latency: int) -> bool:
+        granted = super().try_issue(opclass, cycle, latency)
+        self.calls.append((opclass, cycle, granted))
+        return granted
 
 
 def _uop_for(opcode: Opcode) -> MicroOp:
@@ -97,7 +111,7 @@ def _replay(queue, issue_width: int, events) -> list[tuple[int, int, int]]:
     select nothing.
     """
     wake = isinstance(queue, WakeupIssueQueue)
-    fu_pool = FunctionalUnitPool()
+    fu_pool = _LoggingPool()
     records: dict[int, InflightOp] = {}
     free: list[InflightOp] = []
     pending: list[tuple[int, Opcode, tuple, int | None, bool]] = []
@@ -106,7 +120,6 @@ def _replay(queue, issue_width: int, events) -> list[tuple[int, int, int]]:
 
     def issue(cycle: int) -> None:
         nonlocal scan_from
-        rejects_before = fu_pool.structural_rejects
         selected = queue.select_ready(cycle, issue_width, fu_pool)
         skipped = wake and cycle < scan_from
         assert not (skipped and selected), (
@@ -122,9 +135,7 @@ def _replay(queue, issue_width: int, events) -> list[tuple[int, int, int]]:
                     scan_from = min(scan_from, queue.wake_min)
             trace.append((op.seq, op.issue_cycle, op.complete_cycle))
         if wake and not skipped:
-            scan_from = queue.next_scan_cycle(
-                cycle, selected, issue_width, fu_pool.structural_rejects != rejects_before
-            )
+            scan_from = queue.next_scan_cycle(cycle)
 
     cycle = 0
     for group, squash_from in events:
@@ -198,7 +209,7 @@ def _replay(queue, issue_width: int, events) -> list[tuple[int, int, int]]:
         cycle += 1
         issue(cycle)
     trace.append(("peak", queue.peak_occupancy, queue.occupancy))
-    trace.append(("rejects", fu_pool.structural_rejects, 0))
+    trace.append(("try_issue", fu_pool.calls, 0))
     return trace
 
 
@@ -206,24 +217,12 @@ def _replay(queue, issue_width: int, events) -> list[tuple[int, int, int]]:
 @settings(max_examples=120, deadline=None)
 def test_wakeup_selection_equals_reference_scan(scenario):
     d2i, capacity, issue_width, events = scenario
-    reference = _replay(IssueQueue(capacity, d2i), issue_width, events)
+    reference = _replay(ScanIssueQueue(capacity, d2i), issue_width, events)
     wakeup = _replay(WakeupIssueQueue(capacity, d2i), issue_width, events)
     assert wakeup == reference
 
 
-def test_wakeup_env_switch(monkeypatch):
-    from repro.ooo.issue_queue import WAKEUP_ENV_VAR, wakeup_lists_enabled
-
-    monkeypatch.delenv(WAKEUP_ENV_VAR, raising=False)
-    assert wakeup_lists_enabled()
-    monkeypatch.setenv(WAKEUP_ENV_VAR, "0")
-    assert not wakeup_lists_enabled()
-    monkeypatch.setenv(WAKEUP_ENV_VAR, "1")
-    assert wakeup_lists_enabled()
-
-
 def test_simulator_constructs_requested_queue(monkeypatch):
-    from repro.ooo.issue_queue import WAKEUP_ENV_VAR
     from repro.pipeline.config import named_config
     from repro.pipeline.simulator import Simulator
     from repro.workloads.suite import workload
@@ -231,9 +230,8 @@ def test_simulator_constructs_requested_queue(monkeypatch):
 
     config, wl = named_config("Baseline_6_64"), workload("gcc")
     trace = replay_trace(config, wl.program, 10, wl.make_state())
-    monkeypatch.setenv(WAKEUP_ENV_VAR, "0")
-    sim = Simulator(config, trace, max_uops=10)
-    assert type(sim.iq) is IssueQueue
-    monkeypatch.delenv(WAKEUP_ENV_VAR, raising=False)
     sim = Simulator(config, trace, max_uops=10)
     assert type(sim.iq) is WakeupIssueQueue
+    monkeypatch.setattr(Simulator, "queue_class", ScanIssueQueue)
+    sim = Simulator(config, trace, max_uops=10)
+    assert type(sim.iq) is ScanIssueQueue

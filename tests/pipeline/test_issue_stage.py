@@ -1,13 +1,13 @@
 """The issue stage the simulator runs is the issue queue the tests check.
 
-``tests/ooo`` proves each queue flavour right in isolation (and the wake-up queue
-equal to the scan reference); that only covers production if the simulator
+``tests/ooo`` proves the wake-up queue right in isolation (and equal to the scan
+reference of ``tests/oracles.py``); that only covers production if the simulator
 drives the same methods rather than an inlined copy.  Two guards keep it so:
 
-* a short cell per flavour counts calls to the queue class's issue-stage
-  methods, and every insertion the pipeline counts must be an ``insert`` call;
+* a short cell per queue counts calls to the queue class's issue-stage methods,
+  and every insertion the pipeline counts must be an ``insert`` call;
 * ``pipeline/simulator.py`` reads no private attribute of the queue, and names
-  the queue classes only where it builds the queue.
+  the queue class only where it builds the queue.
 """
 
 import ast
@@ -16,24 +16,27 @@ from pathlib import Path
 import pytest
 
 import repro.pipeline.simulator as simulator_module
-from repro.ooo.issue_queue import WAKEUP_ENV_VAR, IssueQueue, WakeupIssueQueue
+from repro.ooo.issue_queue import WakeupIssueQueue
 from repro.pipeline.config import named_config
 from repro.pipeline.simulator import Simulator
 from repro.workloads.suite import workload
 from tests.conftest import replay_trace
+from tests.oracles import ScanIssueQueue, use_oracles
 
-#: REPRO_WAKEUP_LISTS value -> (queue class, methods the issue stage must call).
-FLAVOURS = {
-    "1": (WakeupIssueQueue, ("insert", "select_ready", "next_scan_cycle", "producer_available")),
-    "0": (IssueQueue, ("insert", "select_ready", "next_scan_cycle")),
+#: Queue -> (queue class, methods the issue stage must call).
+QUEUES = {
+    "wakeup": (
+        WakeupIssueQueue, ("insert", "select_ready", "next_scan_cycle", "producer_available")
+    ),
+    "scan": (ScanIssueQueue, ("insert", "select_ready", "next_scan_cycle")),
 }
 
 
-@pytest.mark.parametrize("wakeup", list(FLAVOURS), ids=["wakeup", "scan"])
+@pytest.mark.parametrize("queue", list(QUEUES))
 @pytest.mark.parametrize("config_name", ["EOLE_4_64", "Baseline_6_64"])
-def test_simulator_drives_the_queue_it_builds(config_name, wakeup, monkeypatch):
-    monkeypatch.setenv(WAKEUP_ENV_VAR, wakeup)
-    queue_class, methods = FLAVOURS[wakeup]
+def test_simulator_drives_the_queue_it_builds(config_name, queue, monkeypatch):
+    use_oracles(monkeypatch, queue=queue == "scan")
+    queue_class, methods = QUEUES[queue]
     calls = dict.fromkeys(methods, 0)
     for name in methods:
         original = getattr(queue_class, name)
@@ -85,9 +88,9 @@ def test_simulator_reads_no_private_queue_attribute():
 
 
 def test_queue_flavour_is_decided_only_where_the_queue_is_built():
-    """The queue classes and the flavour switch appear only in ``__init__``, and
-    no attribute it derives from them (a flavour flag) is read anywhere else."""
-    flavour_names = {"IssueQueue", "WakeupIssueQueue", "wakeup_lists_enabled"}
+    """``queue_class`` is read only in ``__init__``, which builds the queue from
+    it, and no function names a queue class or stores an attribute derived from
+    it (a flavour flag) other than ``iq``."""
     functions = [
         node
         for node in ast.walk(_simulator_tree())
@@ -97,26 +100,20 @@ def test_queue_flavour_is_decided_only_where_the_queue_is_built():
         function.name
         for function in functions
         for node in ast.walk(function)
-        if isinstance(node, ast.Name) and node.id in flavour_names
+        if (isinstance(node, ast.Attribute) and node.attr == "queue_class")
+        or (isinstance(node, ast.Name) and node.id.endswith("IssueQueue"))
     }
     assert uses == {"__init__"}, uses
     init = next(function for function in functions if function.name == "__init__")
-    flags = {
+    derived = {
         target.attr
         for node in ast.walk(init)
         if isinstance(node, ast.Assign)
         and any(
-            isinstance(name, ast.Name) and name.id in flavour_names
+            isinstance(name, ast.Attribute) and name.attr == "queue_class"
             for name in ast.walk(node.value)
         )
         for target in node.targets
-        if isinstance(target, ast.Attribute) and target.attr != "iq"
+        if isinstance(target, ast.Attribute)
     }
-    reads = sorted(
-        (function.name, node.attr)
-        for function in functions
-        if function is not init
-        for node in ast.walk(function)
-        if isinstance(node, ast.Attribute) and node.attr in flags
-    )
-    assert reads == []
+    assert derived == {"iq"}, derived

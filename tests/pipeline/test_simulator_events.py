@@ -2,27 +2,36 @@
 
 The byte-identity of whole-grid results is enforced by
 ``tests/trace/test_simulation_determinism.py``; these tests pin down the mechanism:
-dead cycles are actually skipped (the scheduler is not a no-op), bulk stall
-crediting matches per-cycle counting on stall-heavy machines, and the
-``REPRO_EVENT_DRIVEN`` switch selects the loop.
+dead cycles are actually skipped (the scheduler is not a no-op), and bulk stall
+crediting matches per-cycle counting (``SteppedSimulator`` of ``tests/oracles.py``)
+on stall-heavy machines.
 """
 
 import pytest
 
 from repro.pipeline.config import named_config
-from repro.pipeline.simulator import (
-    EVENT_DRIVEN_ENV_VAR,
-    Simulator,
-    event_driven_enabled,
-)
+from repro.pipeline.simulator import Simulator
 from repro.workloads.suite import workload
 from tests.conftest import replay_trace
+from tests.oracles import SteppedSimulator
 
 MAX_UOPS, WARMUP = 1500, 300
 
 
-class _CountingSimulator(Simulator):
-    """Counts how many cycles were actually stepped (vs. jumped over)."""
+class _SkipCountingSimulator(Simulator):
+    """Counts the cycles the event wheel jumped over instead of stepping."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.skipped_cycles = 0
+
+    def _skip_dead_cycles(self, gap):
+        self.skipped_cycles += gap
+        super()._skip_dead_cycles(gap)
+
+
+class _CountingSteppedSimulator(SteppedSimulator):
+    """Counts the cycles the reference loop stepped."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -39,41 +48,27 @@ def _run(config, wl, simulator_cls=Simulator):
     return simulator, simulator.run()
 
 
-def test_event_driven_enabled_env_switch(monkeypatch):
-    monkeypatch.delenv(EVENT_DRIVEN_ENV_VAR, raising=False)
-    assert event_driven_enabled()
-    monkeypatch.setenv(EVENT_DRIVEN_ENV_VAR, "0")
-    assert not event_driven_enabled()
-    monkeypatch.setenv(EVENT_DRIVEN_ENV_VAR, "1")
-    assert event_driven_enabled()
-
-
 @pytest.mark.parametrize("workload_name", ["milc", "gcc"])
-def test_event_wheel_skips_dead_cycles(monkeypatch, workload_name):
+def test_event_wheel_skips_dead_cycles(workload_name):
     """Stall-heavy runs must step strictly fewer cycles than they simulate."""
-    monkeypatch.delenv(EVENT_DRIVEN_ENV_VAR, raising=False)
     simulator, result = _run(named_config("EOLE_4_64"), workload(workload_name),
-                             simulator_cls=_CountingSimulator)
-    assert simulator.stepped_cycles < result.full_stats.cycles
-    assert result.full_stats.cycles > 0
+                             simulator_cls=_SkipCountingSimulator)
+    assert 0 < simulator.skipped_cycles < result.full_stats.cycles
 
 
-def test_cycle_stepping_reference_steps_every_cycle(monkeypatch):
-    monkeypatch.setenv(EVENT_DRIVEN_ENV_VAR, "0")
+def test_cycle_stepping_reference_steps_every_cycle():
     simulator, result = _run(named_config("EOLE_4_64"), workload("milc"),
-                             simulator_cls=_CountingSimulator)
+                             simulator_cls=_CountingSteppedSimulator)
     assert simulator.stepped_cycles == result.full_stats.cycles
 
 
 @pytest.mark.parametrize("config_name", ["Baseline_6_64", "Baseline_VP_6_64", "EOLE_4_64"])
 @pytest.mark.parametrize("workload_name", ["gcc", "mcf", "milc"])
-def test_event_driven_matches_stepping(monkeypatch, config_name, workload_name):
+def test_event_driven_matches_stepping(config_name, workload_name):
     config = named_config(config_name)
     wl = workload(workload_name)
-    monkeypatch.delenv(EVENT_DRIVEN_ENV_VAR, raising=False)
     _, event = _run(config, wl)
-    monkeypatch.setenv(EVENT_DRIVEN_ENV_VAR, "0")
-    _, stepped = _run(config, wl)
+    _, stepped = _run(config, wl, SteppedSimulator)
     assert event.to_dict() == stepped.to_dict()
 
 
@@ -90,15 +85,13 @@ class _DispatchCountingSimulator(Simulator):
         super()._dispatch()
 
 
-def test_bulk_stall_crediting_on_tiny_rob(monkeypatch):
+def test_bulk_stall_crediting_on_tiny_rob():
     """A machine whose ROB fills constantly exercises the skipped-span crediting:
     per-cycle dispatch-stall counters must match the reference loop exactly."""
     config = named_config("Baseline_VP_6_64").derive(rob_size=12, iq_size=8)
     wl = workload("milc")
-    monkeypatch.delenv(EVENT_DRIVEN_ENV_VAR, raising=False)
     _, event = _run(config, wl)
-    monkeypatch.setenv(EVENT_DRIVEN_ENV_VAR, "0")
-    _, stepped = _run(config, wl)
+    _, stepped = _run(config, wl, SteppedSimulator)
     assert event.full_stats.rob_full_stalls == stepped.full_stats.rob_full_stalls
     assert event.full_stats.rob_full_stalls > 0
     assert event.to_dict() == stepped.to_dict()
@@ -115,6 +108,10 @@ class _RollbackCheckingSimulator(_DispatchCountingSimulator):
             for dst in op.uop.dst_regs:
                 rebuilt[dst] = op
         assert self._rename_map == rebuilt
+
+
+class _SteppedRollbackCheckingSimulator(_RollbackCheckingSimulator, SteppedSimulator):
+    """The rollback check on the reference loop."""
 
 
 def _ee_counters(simulator):
@@ -134,7 +131,7 @@ def _ee_counters(simulator):
     ],
     ids=["no-ee", "ee", "no-ee-lsq", "ee-lsq", "no-ee-rob", "ee-short-group"],
 )
-def test_bulk_stall_crediting_on_tiny_iq(monkeypatch, config_name, overrides, workload_name):
+def test_bulk_stall_crediting_on_tiny_iq(config_name, overrides, workload_name):
     """A machine whose IQ fills constantly parks dispatch on the full IQ, with
     and without Early Execution (EE).  The skipped spans must credit
     ``iq_full_stalls``, the ROB/LSQ stalls the rename overshoot hits and the EE
@@ -143,23 +140,20 @@ def test_bulk_stall_crediting_on_tiny_iq(monkeypatch, config_name, overrides, wo
     where dispatch must not park."""
     config = named_config(config_name).derive(**overrides)
     wl = workload(workload_name)
-    monkeypatch.delenv(EVENT_DRIVEN_ENV_VAR, raising=False)
     event_sim, event = _run(config, wl, simulator_cls=_RollbackCheckingSimulator)
-    monkeypatch.setenv(EVENT_DRIVEN_ENV_VAR, "0")
-    stepped_sim, stepped = _run(config, wl, simulator_cls=_RollbackCheckingSimulator)
+    stepped_sim, stepped = _run(config, wl, simulator_cls=_SteppedRollbackCheckingSimulator)
     assert event.full_stats.iq_full_stalls == stepped.full_stats.iq_full_stalls
     assert event.full_stats.iq_full_stalls > event_sim.dispatch_calls
     assert event.to_dict() == stepped.to_dict()
     assert _ee_counters(event_sim) == _ee_counters(stepped_sim)
 
 
-def test_full_iq_parks_dispatch(monkeypatch):
+def test_full_iq_parks_dispatch():
     """``Baseline_6_64`` × mcf keeps its IQ full for most of the run; the
     cycle-stepping loop dispatches on ~16,000 of its ~16,500 cycles, the event
     wheel skips the stalled ones.  Without EE there is no previous-group bypass,
     so dispatch parks on the first IQ-full cycle after progress too (748 calls;
     waiting one stalled cycle more before parking makes 814)."""
-    monkeypatch.delenv(EVENT_DRIVEN_ENV_VAR, raising=False)
     simulator, result = _run(named_config("Baseline_6_64"), workload("mcf"),
                              simulator_cls=_DispatchCountingSimulator)
     assert simulator.dispatch_calls < 800

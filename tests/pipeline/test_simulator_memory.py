@@ -3,6 +3,7 @@
 from repro.isa.builder import ProgramBuilder
 from repro.isa.emulator import ArchState
 from tests.conftest import build_counted_loop, run_simulation, small_config
+from tests.oracles import write_mem
 
 
 def _l1_resident_load_loop():
@@ -29,7 +30,7 @@ def _dram_pointer_chase(words: int = 1 << 16):
     step = (words // 2) + 1
     for index in range(words):
         successor = (index * 5 + step) % words
-        state.write_mem(0x100000 + 8 * index, 0x100000 + 8 * successor)
+        write_mem(state, 0x100000 + 8 * index, 0x100000 + 8 * successor)
     return program, state
 
 

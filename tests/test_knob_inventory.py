@@ -1,9 +1,10 @@
 """Every ``REPRO_*`` switch read under ``src/`` is declared in docs/campaign.md.
 
 The knob table in docs/campaign.md is the single inventory of environment
-switches, each tagged with its role (deployment setting, differential oracle,
-opt-in observability).  A switch added to the source without a table row — or a
-row left behind after its switch is deleted — fails here.
+switches, each tagged with its role (deployment setting, opt-in observability).
+A switch added to the source without a table row — or a row left behind after
+its switch is deleted — fails here, and so does a switch that selects a
+reference path: those references live in ``tests/oracles.py``.
 """
 
 import re
@@ -14,7 +15,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 _LITERAL = re.compile(r"""["'](REPRO_[A-Z0-9_]+)["']""")
 _TABLE_ROW = re.compile(r"^\|\s*`(REPRO_[A-Z0-9_]+)`\s*\|\s*([^|]+?)\s*\|", re.MULTILINE)
 
-ROLES = {"deployment setting", "differential oracle", "opt-in observability"}
+ROLES = {"deployment setting", "opt-in observability"}
 
 
 def _source_switches() -> set[str]:

@@ -91,6 +91,7 @@ ALLOWED = {
         "test_fused_commit_matches_reference_methods"
     ),
     "trace.cache.TraceCache.trace_for_many": "perfbench",
+    "trace.encoding.CapturedTrace.instructions": "perfbench",
     "vp.base.PredictorStatistics.record_lookup": _TRAINING,
     "vp.base.PredictorStatistics.record_outcome": _TRAINING,
     "vp.base.ValuePredictor.train_commit_group_columns": "perfbench",

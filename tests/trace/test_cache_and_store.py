@@ -3,7 +3,7 @@
 import pytest
 
 from repro.pipeline.config import baseline_6_64
-from repro.trace.cache import TRACE_CACHE_ENV_VAR, TraceCache, trace_cache_enabled
+from repro.trace.cache import TraceCache
 from repro.trace.capture import capture_workload_trace
 from repro.trace.store import TRACE_STORE_ENV_VAR, TraceStore, default_trace_store
 from repro.workloads.spec import WorkloadSpec
@@ -21,13 +21,6 @@ class _NoStore:
 
 
 _NO_STORE = _NoStore()
-
-
-@pytest.fixture(autouse=True)
-def _cache_enabled(monkeypatch):
-    """These tests are about the cache, so it is on whatever the environment says
-    (``REPRO_TRACE_CACHE=0`` returns the uncached reference trace instead)."""
-    monkeypatch.delenv(TRACE_CACHE_ENV_VAR, raising=False)
 
 
 class TestTraceCache:
@@ -92,16 +85,6 @@ class TestTraceCache:
         other = cache.trace_for(impostor, 500, config)
         assert other is not registry
         assert other.program is impostor.program
-
-    def test_env_toggle(self, monkeypatch):
-        monkeypatch.delenv(TRACE_CACHE_ENV_VAR, raising=False)
-        assert trace_cache_enabled()
-        monkeypatch.setenv(TRACE_CACHE_ENV_VAR, "0")
-        assert not trace_cache_enabled()
-        monkeypatch.setenv(TRACE_CACHE_ENV_VAR, "off")
-        assert not trace_cache_enabled()
-        monkeypatch.setenv(TRACE_CACHE_ENV_VAR, "1")
-        assert trace_cache_enabled()
 
 
 class TestTraceStore:

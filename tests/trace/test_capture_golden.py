@@ -6,8 +6,9 @@ set-up, the blob encoding) moves them together and passes.  These digests were
 recorded before the batched loop dispatched on pre-resolved arms and before
 memory arrays were written in bulk or computed on read; a change to them is a
 change to every trace.  A columnar capture (the emulator writing the columns, no
-``DynInst``) and the step-wise reference (``Emulator.run``, whose loads go
-through ``ArchState.read_mem``) must give the same digests.
+``DynInst``) and the step-wise reference (``StepEmulator.run`` of
+``tests/oracles.py``, whose loads go through ``ArchState.read_mem``) must give the
+same digests.
 """
 
 import hashlib
@@ -18,10 +19,10 @@ import pytest
 import repro.isa.emulator as emulator_module
 import repro.trace.capture as capture_module
 import repro.trace.encoding as encoding_module
-from repro.isa.emulator import Emulator
-from repro.trace.capture import capture_budget, capture_workload_trace, reference_trace
+from repro.trace.capture import capture_budget, capture_workload_trace
 from repro.trace.encoding import ReplayView
 from repro.workloads.suite import SUITE_ORDER, workload
+from tests.oracles import StepEmulator, reference_trace
 
 #: ``capture_budget(2000)`` µ-ops of each workload from a fresh arch state.
 GOLDEN_SHA256 = {
@@ -74,7 +75,7 @@ def test_columnar_blob_matches_golden_and_replay_capture(name, monkeypatch):
         blob = trace.to_bytes()
         view = trace.replay_view()
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_SHA256[name]
-    expected = list(Emulator(wl.program, state=wl.make_state()).run(budget))
+    expected = list(StepEmulator(wl.program, state=wl.make_state()).run(budget))
     assert view == ReplayView(
         array("i", [inst.pc for inst in expected]),
         bytearray(inst.taken for inst in expected),

@@ -5,10 +5,10 @@ import tracemalloc
 
 import pytest
 
-from repro.isa.emulator import Emulator
 from repro.trace.capture import capture_trace, capture_workload_trace, required_length
 from repro.trace.encoding import CapturedTrace, program_fingerprint
 from repro.workloads.suite import workload
+from tests.oracles import StepEmulator
 
 _DYN_FIELDS = (
     "seq",
@@ -40,7 +40,7 @@ def test_capture_replay_matches_direct_emulation(name):
     wl = workload(name)
     budget = 3000
     trace = capture_workload_trace(wl, budget)
-    emulated = list(Emulator(wl.program, state=wl.make_state()).run(budget))
+    emulated = list(StepEmulator(wl.program, state=wl.make_state()).run(budget))
     _assert_streams_equal(list(trace.replay()), emulated)
 
 
@@ -52,7 +52,7 @@ def test_columnar_roundtrip_through_bytes():
     assert decoded.length == trace.length
     assert decoded.halted == trace.halted
     assert decoded.budget == trace.budget
-    emulated = list(Emulator(wl.program, state=wl.make_state()).run(2000))
+    emulated = list(StepEmulator(wl.program, state=wl.make_state()).run(2000))
     _assert_streams_equal(list(decoded.replay()), emulated)
 
 

@@ -3,8 +3,8 @@
 ``Emulator.run_batch`` with columns appends each µ-op's pc, taken bit, source
 values and present optional values, and expands the next pcs, source offsets
 and presence bits from per-pc tables after the loop.  A mistake in either half
-shows here as a blob that differs from the encoded ``Emulator.run`` stream's,
-or as a decoded stream that differs from ``Emulator.run``.
+shows here as a blob that differs from the encoded ``StepEmulator.run`` stream's
+(``tests/oracles.py``), or as a decoded stream that differs from that stream.
 """
 
 import pytest
@@ -17,6 +17,7 @@ from repro.isa.trace import OPTIONAL_FIELDS
 from repro.trace.capture import capture_trace, capture_workload_trace
 from repro.trace.encoding import CapturedTrace, empty_columns
 from repro.workloads.suite import workload
+from tests.oracles import StepEmulator, reference_trace
 from tests.random_programs import RandomProgramGenerator
 
 FIELDS = ("seq", "pc", "uop", "src_values", *OPTIONAL_FIELDS, "taken", "next_pc")
@@ -28,11 +29,7 @@ def _records(insts):
 
 def _replay_blob(program, budget, state=None):
     """The blob of ``program``'s step-wise ``DynInst`` stream, the reference."""
-    emulator = Emulator(program, state=state)
-    instructions = list(emulator.run(budget))
-    return CapturedTrace.from_instructions(
-        program, instructions, halted=emulator.halted, budget=budget
-    ).to_bytes()
+    return reference_trace(program, budget, state).to_bytes()
 
 
 def _loop_then_halt(iterations: int = 40):
@@ -68,7 +65,7 @@ def test_halting_program_matches_replay_capture():
     trace = capture_trace(program, 10_000)
     assert trace.halted and 0 < trace.length < 10_000
     assert trace.to_bytes() == _replay_blob(program, 10_000)
-    assert _records(trace.instructions()) == _records(Emulator(program).run(10_000))
+    assert _records(trace.instructions()) == _records(StepEmulator(program).run(10_000))
 
 
 def test_zero_budget_writes_nothing():
@@ -85,7 +82,7 @@ def test_resumed_capture_matches_one_batch(batches):
     program = _loop_then_halt(12)
     budget = sum(batches)
     emulator, trace = _columns_trace(program, batches, budget)
-    reference = Emulator(program)
+    reference = StepEmulator(program)
     expected = list(reference.run(budget))
     assert emulator.halted == reference.halted
     assert (emulator.pc, emulator.seq) == (reference.pc, reference.seq)
@@ -97,7 +94,7 @@ def test_resumed_capture_matches_one_batch(batches):
 def test_decoded_columns_equal_the_step_wise_stream(name):
     wl = workload(name)
     trace = capture_workload_trace(wl, 3000)
-    expected = list(Emulator(wl.program, state=wl.make_state()).run(3000))
+    expected = list(StepEmulator(wl.program, state=wl.make_state()).run(3000))
     assert _records(trace.instructions()) == _records(expected)
 
 
@@ -107,4 +104,4 @@ def test_random_programs_match_the_step_wise_stream(seed):
     program = RandomProgramGenerator(seed).generate(body_ops=20)
     trace = capture_trace(program, 400)
     assert trace.to_bytes() == _replay_blob(program, 400)
-    assert _records(trace.instructions()) == _records(Emulator(program).run(400))
+    assert _records(trace.instructions()) == _records(StepEmulator(program).run(400))

@@ -1,18 +1,17 @@
 """Bit-identity of simulation results across execution strategies.
 
-Three hard invariants are enforced here:
+Three hard invariants are enforced here, each against a reference of
+``tests/oracles.py``:
 
 * **trace subsystem** — every ``SimulationResult`` must be *byte identical* whether
-  the simulator replays the step-wise reference trace (``REPRO_TRACE_CACHE=0``), a
-  shared in-process capture, or a capture decoded from the on-disk store;
-* **event-driven scheduler** — the cycle-skipping event wheel
-  (``REPRO_EVENT_DRIVEN``, default on) must produce results byte-identical to the
-  retained cycle-stepping reference loop (``REPRO_EVENT_DRIVEN=0``) across the
-  throughput harness's 4-configuration × 4-workload grid, plus ``mcf`` (whose IQ
-  stays full) and ``OLE_4_64`` (the banked machine without Early Execution);
-* **dependency-driven wake-up** — the consumer-list issue-queue
-  (``REPRO_WAKEUP_LISTS``, default on) must produce results byte-identical to the
-  scan-based reference IQ (``REPRO_WAKEUP_LISTS=0``) across the same full grid.
+  the simulator replays the step-wise reference trace, a shared in-process capture,
+  or a capture decoded from the on-disk store;
+* **event-driven scheduler** — the cycle-skipping event wheel must produce results
+  byte-identical to the cycle-stepping ``SteppedSimulator`` across the throughput
+  harness's 4-configuration × 4-workload grid, plus ``mcf`` (whose IQ stays full)
+  and ``OLE_4_64`` (the banked machine without Early Execution);
+* **dependency-driven wake-up** — the consumer-list issue queue must produce
+  results byte-identical to the ``ScanIssueQueue`` across the same full grid.
 """
 
 import json
@@ -21,14 +20,14 @@ import pytest
 
 from repro.campaign.executor import simulate_cell
 from repro.campaign.spec import CampaignCell
-from repro.ooo.issue_queue import WAKEUP_ENV_VAR
 from repro.pipeline.config import named_config
-from repro.pipeline.simulator import EVENT_DRIVEN_ENV_VAR, simulate
-from repro.trace.cache import TRACE_CACHE_ENV_VAR, shared_trace_cache
+from repro.pipeline.simulator import simulate
+from repro.trace.cache import shared_trace_cache
 from repro.trace.capture import capture_workload_trace, required_length
 from repro.trace.encoding import CapturedTrace
 from repro.trace.store import TRACE_STORE_ENV_VAR
 from repro.workloads.suite import workload
+from tests.oracles import use_oracles
 
 GRID_CONFIGS = ("Baseline_6_64", "Baseline_VP_6_64", "EOLE_4_64")
 GRID_WORKLOADS = ("gcc", "mcf")
@@ -47,15 +46,10 @@ EVENT_GRID_CONFIGS = (
 EVENT_GRID_WORKLOADS = ("wupwise", "bzip2", "gcc", "milc", "mcf")
 
 
-def _grid_dicts(monkeypatch, *, cache_enabled: bool) -> dict[str, dict]:
-    if cache_enabled:
-        monkeypatch.delenv(TRACE_CACHE_ENV_VAR, raising=False)
-    else:
-        monkeypatch.setenv(TRACE_CACHE_ENV_VAR, "0")
-    shared_trace_cache.clear()
+def _grid_dicts(configs, workloads) -> dict[str, dict]:
     out = {}
-    for config_name in GRID_CONFIGS:
-        for workload_name in GRID_WORKLOADS:
+    for config_name in configs:
+        for workload_name in workloads:
             cell = CampaignCell(
                 config=named_config(config_name),
                 workload_name=workload_name,
@@ -68,8 +62,10 @@ def _grid_dicts(monkeypatch, *, cache_enabled: bool) -> dict[str, dict]:
 
 def test_grid_with_trace_cache_is_byte_identical_to_cold_run(monkeypatch):
     monkeypatch.delenv(TRACE_STORE_ENV_VAR, raising=False)
-    cached = _grid_dicts(monkeypatch, cache_enabled=True)
-    cold = _grid_dicts(monkeypatch, cache_enabled=False)
+    shared_trace_cache.clear()
+    cached = _grid_dicts(GRID_CONFIGS, GRID_WORKLOADS)
+    use_oracles(monkeypatch, trace=True)
+    cold = _grid_dicts(GRID_CONFIGS, GRID_WORKLOADS)
     assert json.dumps(cached, sort_keys=True) == json.dumps(cold, sort_keys=True)
 
 
@@ -103,8 +99,7 @@ def test_disk_store_replay_is_byte_identical(monkeypatch, tmp_path):
     assert from_disk == in_memory
 
 
-def test_shared_cache_counts_replays(monkeypatch):
-    monkeypatch.delenv(TRACE_CACHE_ENV_VAR, raising=False)
+def test_shared_cache_counts_replays():
     shared_trace_cache.clear()
     before = shared_trace_cache.captures
     for config_name in ("Baseline_6_64", "EOLE_4_64"):
@@ -118,24 +113,6 @@ def test_shared_cache_counts_replays(monkeypatch):
     assert shared_trace_cache.captures == before + 1  # one emulation, two configs
 
 
-def _event_grid_dicts(monkeypatch, *, event_driven: bool) -> dict[str, dict]:
-    if event_driven:
-        monkeypatch.delenv(EVENT_DRIVEN_ENV_VAR, raising=False)
-    else:
-        monkeypatch.setenv(EVENT_DRIVEN_ENV_VAR, "0")
-    out = {}
-    for config_name in EVENT_GRID_CONFIGS:
-        for workload_name in EVENT_GRID_WORKLOADS:
-            cell = CampaignCell(
-                config=named_config(config_name),
-                workload_name=workload_name,
-                max_uops=MAX_UOPS,
-                warmup_uops=WARMUP_UOPS,
-            )
-            out[cell.describe()] = simulate_cell(cell).to_dict()
-    return out
-
-
 def test_event_driven_grid_is_byte_identical_to_cycle_stepping(monkeypatch):
     """The cycle-skipping event wheel is invisible across the full 5 × 5 grid.
 
@@ -144,44 +121,28 @@ def test_event_driven_grid_is_byte_identical_to_cycle_stepping(monkeypatch):
     reference loop exactly.
     """
     monkeypatch.delenv(TRACE_STORE_ENV_VAR, raising=False)
-    event = _event_grid_dicts(monkeypatch, event_driven=True)
-    stepped = _event_grid_dicts(monkeypatch, event_driven=False)
+    event = _grid_dicts(EVENT_GRID_CONFIGS, EVENT_GRID_WORKLOADS)
+    use_oracles(monkeypatch, loop=True)
+    stepped = _grid_dicts(EVENT_GRID_CONFIGS, EVENT_GRID_WORKLOADS)
     assert json.dumps(event, sort_keys=True) == json.dumps(stepped, sort_keys=True)
-
-
-def _wakeup_grid_dicts(monkeypatch, *, wakeup: bool) -> dict[str, dict]:
-    if wakeup:
-        monkeypatch.delenv(WAKEUP_ENV_VAR, raising=False)
-    else:
-        monkeypatch.setenv(WAKEUP_ENV_VAR, "0")
-    out = {}
-    for config_name in EVENT_GRID_CONFIGS:
-        for workload_name in EVENT_GRID_WORKLOADS:
-            cell = CampaignCell(
-                config=named_config(config_name),
-                workload_name=workload_name,
-                max_uops=MAX_UOPS,
-                warmup_uops=WARMUP_UOPS,
-            )
-            out[cell.describe()] = simulate_cell(cell).to_dict()
-    return out
 
 
 def test_wakeup_lists_grid_is_byte_identical_to_scan_reference(monkeypatch):
     """The dependency-driven wake-up IQ is invisible across the full 5 × 5 grid.
 
     Selection order, issue cycles, functional-unit interactions, squash/replay
-    recovery and every derived statistic must match the scan-based reference
-    (``REPRO_WAKEUP_LISTS=0``) exactly.
+    recovery and every derived statistic must match the ``ScanIssueQueue``
+    exactly.
     """
     monkeypatch.delenv(TRACE_STORE_ENV_VAR, raising=False)
-    wake = _wakeup_grid_dicts(monkeypatch, wakeup=True)
-    scan = _wakeup_grid_dicts(monkeypatch, wakeup=False)
+    wake = _grid_dicts(EVENT_GRID_CONFIGS, EVENT_GRID_WORKLOADS)
+    use_oracles(monkeypatch, queue=True)
+    scan = _grid_dicts(EVENT_GRID_CONFIGS, EVENT_GRID_WORKLOADS)
     assert json.dumps(wake, sort_keys=True) == json.dumps(scan, sort_keys=True)
 
 
 def test_wakeup_lists_off_under_cycle_stepping_matches_default(monkeypatch):
-    """Both kill-switches together (scan IQ + stepping loop) still agree with the
+    """Both references together (scan IQ + stepping loop) still agree with the
     default fast paths — the four execution strategies form one equivalence class."""
     monkeypatch.delenv(TRACE_STORE_ENV_VAR, raising=False)
     cell = CampaignCell(
@@ -190,11 +151,8 @@ def test_wakeup_lists_off_under_cycle_stepping_matches_default(monkeypatch):
         max_uops=MAX_UOPS,
         warmup_uops=WARMUP_UOPS,
     )
-    monkeypatch.delenv(WAKEUP_ENV_VAR, raising=False)
-    monkeypatch.delenv(EVENT_DRIVEN_ENV_VAR, raising=False)
     fast = simulate_cell(cell).to_dict()
-    monkeypatch.setenv(WAKEUP_ENV_VAR, "0")
-    monkeypatch.setenv(EVENT_DRIVEN_ENV_VAR, "0")
+    use_oracles(monkeypatch, loop=True, queue=True)
     reference = simulate_cell(cell).to_dict()
     assert fast == reference
 

@@ -1,8 +1,8 @@
-"""One trace source: the step-wise reference trace and the one place it is chosen.
+"""One trace source: the step-wise reference trace is really the step-wise one.
 
-The trace cache with ``REPRO_TRACE_CACHE=0`` hands out the step-wise reference
-(:func:`~repro.trace.capture.reference_trace`): ``Emulator.step`` records, never
-the batched capture that reference is the oracle for.  The test makes
+With the trace oracle of ``tests/oracles.py`` in place, the trace cache hands out
+the step-wise reference (``reference_trace``): ``StepEmulator.step`` records,
+never the batched capture that reference is the oracle for.  The test makes
 ``Emulator.run_batch`` raise once its expected stream is captured, so a reference
 path that slipped onto the batched loop fails here.
 """
@@ -11,10 +11,11 @@ import pytest
 
 from repro.isa.emulator import Emulator
 from repro.pipeline.config import named_config
-from repro.trace.cache import TRACE_CACHE_ENV_VAR, shared_trace_cache
+from repro.trace.cache import shared_trace_cache
 from repro.trace.capture import capture_trace, required_length
 from repro.trace.store import TRACE_STORE_ENV_VAR
 from repro.workloads.suite import workload
+from tests.oracles import use_oracles
 
 MAX_UOPS = 1500
 
@@ -35,7 +36,7 @@ def test_the_disabled_cache_hands_out_the_step_wise_reference(monkeypatch, tmp_p
     wl = workload("mcf")
     store_dir = tmp_path / "traces"
     monkeypatch.setenv(TRACE_STORE_ENV_VAR, str(store_dir))
-    monkeypatch.setenv(TRACE_CACHE_ENV_VAR, "0")
+    use_oracles(monkeypatch, trace=True)
     replay_length = required_length(MAX_UOPS, config)
     # A blob holds every column, so equal blobs are equal streams.
     expected_replay = capture_trace(wl.program, replay_length, wl.make_state()).to_bytes()

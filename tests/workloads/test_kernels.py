@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.isa.emulator import ArchState, Emulator, _default_memory_value
+from repro.isa.emulator import ArchState, _default_memory_value
 from repro.isa.trace import characterize
 from repro.workloads.kernels import (
     CHAIN_BASE,
@@ -15,6 +15,7 @@ from repro.workloads.kernels import (
 )
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.suite import SUITE_ORDER, workload
+from tests.oracles import StepEmulator, read_mem, write_mem
 
 
 def _build(spec):
@@ -27,47 +28,47 @@ class TestGeneratedPrograms:
     def test_minimal_spec_builds_and_runs(self):
         spec = WorkloadSpec(name="tiny")
         program, state = _build(spec)
-        trace = list(Emulator(program, state=state).run(500))
+        trace = list(StepEmulator(program, state=state).run(500))
         assert len(trace) == 500  # the outer loop is effectively infinite
 
     def test_memory_blocks_emit_loads_and_stores(self):
         spec = WorkloadSpec(name="memory", strided_loads=2, random_loads=1, stores=2)
         program, state = _build(spec)
-        stats = characterize(Emulator(program, state=state).run(2000))
+        stats = characterize(StepEmulator(program, state=state).run(2000))
         assert stats.loads > 0
         assert stats.stores > 0
 
     def test_branchy_spec_has_branches(self):
         spec = WorkloadSpec(name="branchy", data_dep_branches=2, pred_branches=2)
         program, state = _build(spec)
-        stats = characterize(Emulator(program, state=state).run(2000))
+        stats = characterize(StepEmulator(program, state=state).run(2000))
         assert stats.branch_ratio > 0.1
 
     def test_inner_loop_increases_dynamic_branch_count(self):
         flat = WorkloadSpec(name="flat", inner_loop_trip=0)
         nested = WorkloadSpec(name="nested", inner_loop_trip=4)
-        flat_stats = characterize(Emulator(_build(flat)[0]).run(2000))
+        flat_stats = characterize(StepEmulator(_build(flat)[0]).run(2000))
         nested_program, nested_state = _build(nested)
-        nested_stats = characterize(Emulator(nested_program, state=nested_state).run(2000))
+        nested_stats = characterize(StepEmulator(nested_program, state=nested_state).run(2000))
         assert nested_stats.branches > flat_stats.branches * 0.8
 
     def test_calls_and_indirect_jumps_present_when_requested(self):
         spec = WorkloadSpec(name="cfgy", calls=2, indirect_jump_targets=4)
         program, state = _build(spec)
-        trace = list(Emulator(program, state=state).run(3000))
+        trace = list(StepEmulator(program, state=state).run(3000))
         opcodes = {inst.uop.opcode.value for inst in trace}
         assert "call" in opcodes and "ret" in opcodes and "jmpi" in opcodes
 
     def test_chain_array_initialised_when_predictable(self):
         spec = WorkloadSpec(name="chainy", chain_loads=2, chain_values_predictable=True)
         _, state = _build(spec)
-        assert state.read_mem(CHAIN_BASE) == CHAIN_CONSTANT_VALUE
+        assert read_mem(state, CHAIN_BASE) == CHAIN_CONSTANT_VALUE
 
     def test_chase_array_is_a_permutation(self):
         spec = WorkloadSpec(name="chase", pointer_chase_loads=1, chase_footprint_words=1 << 8)
         _, state = _build(spec)
         words = 1 << 8
-        successors = {state.read_mem(CHASE_BASE + 8 * index) for index in range(words)}
+        successors = {read_mem(state, CHASE_BASE + 8 * index) for index in range(words)}
         assert len(successors) == words  # bijective walk
 
     def test_jump_table_holds_valid_case_targets(self):
@@ -75,13 +76,13 @@ class TestGeneratedPrograms:
         program, case_labels = build_program(spec)
         state = make_arch_state(spec, program, case_labels)
         for slot in range(4):
-            target = state.read_mem(JUMP_TABLE_BASE + 8 * slot)
+            target = read_mem(state, JUMP_TABLE_BASE + 8 * slot)
             assert 0 <= target < len(program)
 
     def test_fp_blocks_emit_fp_ops(self):
         spec = WorkloadSpec(name="fp", fp_chains=2, fp_chain_ops=2, fp_mul_ops=1, chain_fp_ops=2)
         program, state = _build(spec)
-        stats = characterize(Emulator(program, state=state).run(1500))
+        stats = characterize(StepEmulator(program, state=state).run(1500))
         from repro.isa.opcode import OpClass
 
         assert stats.class_ratio(OpClass.FP_ALU) > 0
@@ -90,7 +91,7 @@ class TestGeneratedPrograms:
     def test_long_runs_do_not_halt(self):
         spec = WorkloadSpec(name="long", calls=1, indirect_jump_targets=2, inner_loop_trip=3)
         program, state = _build(spec)
-        emulator = Emulator(program, state=state)
+        emulator = StepEmulator(program, state=state)
         count = sum(1 for _ in emulator.run(20_000))
         assert count == 20_000
 
@@ -100,18 +101,18 @@ def _memory_word_by_word(spec, program, case_labels):
     state = ArchState()
     if spec.strided_loads and spec.strided_values_predictable:
         for index in range(spec.strided_footprint_words):
-            state.write_mem(STRIDED_BASE + 8 * index, 1000 + 7 * index)
+            write_mem(state, STRIDED_BASE + 8 * index, 1000 + 7 * index)
     if spec.chain_loads and spec.chain_values_predictable:
         for index in range(spec.chain_footprint_words):
-            state.write_mem(CHAIN_BASE + 8 * index, CHAIN_CONSTANT_VALUE)
+            write_mem(state, CHAIN_BASE + 8 * index, CHAIN_CONSTANT_VALUE)
     if spec.pointer_chase_loads:
         words = spec.chase_footprint_words
         increment = (words // 3) | 1
         for index in range(words):
             successor = (5 * index + increment) % words
-            state.write_mem(CHASE_BASE + 8 * index, CHASE_BASE + 8 * successor)
+            write_mem(state, CHASE_BASE + 8 * index, CHASE_BASE + 8 * successor)
     for slot, label in enumerate(case_labels[: spec.indirect_jump_targets]):
-        state.write_mem(JUMP_TABLE_BASE + 8 * slot, program.pc_of(label))
+        write_mem(state, JUMP_TABLE_BASE + 8 * slot, program.pc_of(label))
     return state.memory
 
 
@@ -132,7 +133,7 @@ def _assert_image_matches_word_by_word_writes(spec):
     for start, end in zip(starts, ends):
         for address in [start - 8, start + 4, *range(start, end + 8, 8), end + 8]:
             expected = oracle.get(address, _default_memory_value(address))
-            assert state.read_mem(address) == expected, hex(address)
+            assert read_mem(state, address) == expected, hex(address)
 
 
 @pytest.mark.parametrize("name", SUITE_ORDER)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.isa.emulator import Emulator
 from repro.isa.trace import characterize
 from repro.trace.capture import capture_budget, capture_trace
 from repro.workloads.suite import (
@@ -13,6 +12,7 @@ from repro.workloads.suite import (
     fast_workloads,
     workload,
 )
+from tests.oracles import StepEmulator, read_mem, write_mem
 
 
 class TestSuiteStructure:
@@ -70,10 +70,10 @@ class TestSuiteStructure:
         wl = workload("mcf")
         first, second = wl.make_state(), wl.make_state()
         address = first.regions[0][0]  # a word of the pointer-chase array
-        original = second.read_mem(address)
-        first.write_mem(address, original + 12345)
-        assert first.read_mem(address) == original + 12345
-        assert second.read_mem(address) == original
+        original = read_mem(second, address)
+        write_mem(first, address, original + 12345)
+        assert read_mem(first, address) == original + 12345
+        assert read_mem(second, address) == original
 
 
 class TestMemoryImage:
@@ -94,18 +94,18 @@ class TestMemoryImage:
 class TestSuiteBehaviouralDiversity:
     def test_all_programs_build_and_execute(self):
         for wl in all_workloads():
-            trace = list(Emulator(wl.program, state=wl.make_state()).run(300))
+            trace = list(StepEmulator(wl.program, state=wl.make_state()).run(300))
             assert len(trace) == 300, wl.name
 
     def test_memory_bound_workloads_chase_pointers(self):
         wl = workload("mcf")
-        stats = characterize(Emulator(wl.program, state=wl.make_state()).run(1500))
+        stats = characterize(StepEmulator(wl.program, state=wl.make_state()).run(1500))
         assert stats.memory_ratio > 0.05
 
     def test_branchy_workloads_have_more_branches_than_streaming_ones(self):
         def branch_ratio(name):
             wl = workload(name)
-            return characterize(Emulator(wl.program, state=wl.make_state()).run(2000)).branch_ratio
+            return characterize(StepEmulator(wl.program, state=wl.make_state()).run(2000)).branch_ratio
 
         assert branch_ratio("gobmk") > branch_ratio("lbm")
 
@@ -113,7 +113,7 @@ class TestSuiteBehaviouralDiversity:
         from repro.isa.opcode import OpClass
 
         wl = workload("wupwise")
-        stats = characterize(Emulator(wl.program, state=wl.make_state()).run(2000))
+        stats = characterize(StepEmulator(wl.program, state=wl.make_state()).run(2000))
         assert stats.class_ratio(OpClass.FP_ALU) > 0.03
 
     def test_footprints_differ_between_cache_and_dram_bound_workloads(self):
