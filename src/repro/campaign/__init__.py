@@ -25,7 +25,7 @@ Quickstart::
     campaign = Campaign.from_names(["Baseline_6_64", "EOLE_4_64"], "subset",
                                    max_uops=8000, warmup_uops=2000)
     outcome = run_campaign(campaign, store=ResultStore("results.jsonl"), workers=4)
-    print(outcome.ipcs())          # every cell, freshly simulated
+    print(outcome.simulated)       # every cell, freshly simulated
     outcome = run_campaign(campaign, store=ResultStore("results.jsonl"))
     print(outcome.simulated)       # 0 — everything came from the store
 """

@@ -216,10 +216,6 @@ class CampaignOutcome:
             grid.setdefault(config_name, {})[workload_name] = result
         return grid
 
-    def ipcs(self) -> dict[tuple[str, str], float]:
-        """Per-cell IPC map (the paper's primary metric)."""
-        return {key: result.ipc for key, result in self.results.items()}
-
 
 def run_campaign(
     campaign: Campaign,

@@ -19,7 +19,6 @@ kernel dictates.
 from __future__ import annotations
 
 from collections.abc import Callable
-from itertools import accumulate, chain, islice
 
 from repro.errors import EmulationError
 from repro.isa import registers as regs
@@ -147,9 +146,7 @@ def _present_fields(kind: int, sets_flags: bool) -> tuple[bool, ...]:
     return (
         kind in _RESULT_ARMS,
         kind == _CMP or (sets_flags and kind in _FLAG_SETTING_ARMS),
-        kind == _COND_BRANCH,
         kind == _LOAD or kind == _STORE,
-        kind == _STORE,
     )
 
 
@@ -269,20 +266,18 @@ class Emulator:
         return table
 
     def _build_column_tables(self) -> tuple[list[int], list[bytes]]:
-        """Per-pc signature codes and, per column, a code → byte translation.
+        """Per-pc signature codes and, per presence column, a code → byte translation.
 
-        A µ-op's source count and optional-field presence are static: the
-        distinct ``(arity, *present)`` signatures are numbered, each pc maps to
-        its signature's number, and one 256-byte ``bytes.translate`` table per
-        column (arity first, then :data:`OPTIONAL_FIELDS`) turns a batch's codes
-        into that column.
+        A µ-op's optional-field presence is static: the distinct presence
+        signatures are numbered, each pc maps to its signature's number, and one
+        256-byte ``bytes.translate`` table per :data:`OPTIONAL_FIELDS` column
+        turns a batch's codes into that column.
         """
         decode = self._decode_table
         if decode is None:
             decode = self._build_decode_table()
         signatures = [
-            (arity, *_present_fields(kind, sets_flags))
-            for _, kind, _, arity, _, sets_flags, *_ in decode
+            _present_fields(kind, sets_flags) for _, kind, _, _, _, sets_flags, *_ in decode
         ]
         distinct = sorted(set(signatures))
         number = {signature: code for code, signature in enumerate(distinct)}
@@ -290,7 +285,7 @@ class Emulator:
             [number[signature] for signature in signatures],
             [
                 bytes(signature[column] for signature in distinct).ljust(256, b"\0")
-                for column in range(1 + len(OPTIONAL_FIELDS))
+                for column in range(len(OPTIONAL_FIELDS))
             ],
         )
         self._column_tables = tables
@@ -306,14 +301,13 @@ class Emulator:
         test the pre-resolved integer ``kind`` in the order of the measured
         dynamic mix, so no µ-op pays an enum member load.
 
-        ``columns`` are the ``(pcs, next_pcs, taken, src_offsets, src_values,
-        presence, values)`` arrays a :class:`~repro.trace.encoding.CapturedTrace`
-        is built from (:func:`~repro.trace.encoding.empty_columns`), ``presence``
-        and ``values`` keyed by :data:`~repro.isa.trace.OPTIONAL_FIELDS`.  The
-        loop's tail appends each µ-op's pc, taken bit, source values and present
-        optional values.  After the loop, the next pcs are the pcs shifted by
-        one, and the source offsets and presence bits, static per pc, are
-        expanded from the pcs.
+        ``columns`` are the ``(pcs, next_pcs, taken, presence, values)`` arrays a
+        :class:`~repro.trace.encoding.CapturedTrace` is built from
+        (:func:`~repro.trace.encoding.empty_columns`), ``presence`` and
+        ``values`` keyed by :data:`~repro.isa.trace.OPTIONAL_FIELDS`.  The loop's
+        tail appends each µ-op's pc, taken bit and present optional values.
+        After the loop, the next pcs are the pcs shifted by one, and the
+        presence bits, static per pc, are expanded from the pcs.
         """
         if self.halted or max_uops <= 0:
             return
@@ -325,23 +319,13 @@ class Emulator:
         decode = self._decode_table
         if decode is None:
             decode = self._build_decode_table()
-        pcs, next_pcs, taken_column, src_offsets, src_values_column, presence, values = (
-            columns
-        )
+        pcs, next_pcs, taken_column, presence, values = columns
         start = len(pcs)
         append_pc = pcs.append
         append_taken = taken_column.append
-        # Flattened into src_values after the loop: a list append per µ-op
-        # costs a sixth of an array extend by a tuple.
-        operand_tuples: list[tuple[int, ...]] = []
-        append_operands = operand_tuples.append
-        (
-            append_result,
-            append_flags_result,
-            append_flags_in,
-            append_addr,
-            append_store_value,
-        ) = [values[name].append for name in OPTIONAL_FIELDS]
+        append_result, append_flags_result, append_addr = [
+            values[name].append for name in OPTIONAL_FIELDS
+        ]
         state = self.state
         arch_regs = state.regs
         memory = state.memory
@@ -367,28 +351,19 @@ class Emulator:
 
             result: int | None = None
             flags_result: int | None = None
-            flags_in: int | None = None
             addr: int | None = None
-            store_value: int | None = None
             taken = False
             next_pc = pc + 1
 
             if arity == 0:
-                src_values: tuple[int, ...] = ()
                 a = 0
                 b = imm_or_zero
             elif arity == 1:
                 a = arch_regs[sources[0]]
-                src_values = (a,)
                 b = imm_or_zero
-            elif arity == 2:
+            else:
                 a = arch_regs[sources[0]]
                 b = arch_regs[sources[1]]
-                src_values = (a, b)
-            else:
-                src_values = tuple(arch_regs[source] for source in sources)
-                a = src_values[0]
-                b = src_values[1]
 
             # MicroOp rejects sets_flags on FP µ-ops, so an FP opcode sharing an
             # integer arm never reaches that arm's flags computation.
@@ -406,8 +381,7 @@ class Emulator:
                 if result is None:
                     result = initial_value(addr)
             elif kind == _COND_BRANCH:
-                flags_in = arch_regs[flags_index]
-                taken = taken_by_flags[flags_in & flag_bits]
+                taken = taken_by_flags[arch_regs[flags_index] & flag_bits]
                 if target is None:
                     raise EmulationError(f"conditional branch at pc={pc} has no target")
                 if taken:
@@ -424,8 +398,7 @@ class Emulator:
                     flags_result = flags_from_result(result)
             elif kind == _STORE:
                 addr = (a + imm_or_zero) & mask64
-                store_value = b if arity > 1 else 0
-                memory[addr] = store_value & mask64
+                memory[addr] = b & mask64 if arity > 1 else 0
             elif kind == _SHL:
                 result = (a << (b & 63)) & mask64
                 if sets_flags:
@@ -497,7 +470,7 @@ class Emulator:
                 if sets_flags:
                     flags_result = flags_from_result(result)
             elif kind == _FMA:
-                c = src_values[2] if arity > 2 else 0
+                c = arch_regs[sources[2]] if arity > 2 else 0
                 result = (a * b + c) & mask64
             elif kind == _FSQRT:
                 result = int((a & mask64) ** 0.5) & mask64
@@ -513,17 +486,12 @@ class Emulator:
 
             append_pc(pc)
             append_taken(taken)
-            append_operands(src_values)
             if result is not None:
                 append_result(result)
             if flags_result is not None:
                 append_flags_result(flags_result)
-            if flags_in is not None:
-                append_flags_in(flags_in)
             if addr is not None:
                 append_addr(addr)
-            if store_value is not None:
-                append_store_value(store_value)
             seq += 1
             if not 0 <= next_pc < length:  # HALT_PC is negative
                 self.halted = True
@@ -532,15 +500,10 @@ class Emulator:
             pc = next_pc
         self.pc = pc
         self.seq = seq
-        signature_codes, (arity_table, *presence_tables) = (
-            self._column_tables or self._build_column_tables()
-        )
+        signature_codes, presence_tables = self._column_tables or self._build_column_tables()
         batch_pcs = pcs[start:]
         next_pcs.extend(batch_pcs[1:])
         next_pcs.append(next_pc)
-        src_values_column.extend(chain.from_iterable(operand_tuples))
         codes = bytes(map(signature_codes.__getitem__, batch_pcs))
-        offsets = accumulate(codes.translate(arity_table), initial=src_offsets[-1])
-        src_offsets.extend(islice(offsets, 1, None))
         for name, table in zip(OPTIONAL_FIELDS, presence_tables):
             presence[name] += codes.translate(table)

@@ -20,7 +20,7 @@ from repro.isa.opcode import OpClass
 
 #: The ``DynInst`` fields that are ``None`` unless the µ-op's kind produces them,
 #: in the column order of a serialised trace (:mod:`repro.trace.encoding`).
-OPTIONAL_FIELDS = ("result", "flags_result", "flags_in", "addr", "store_value")
+OPTIONAL_FIELDS = ("result", "flags_result", "addr")
 
 
 class DynInst:
@@ -34,18 +34,12 @@ class DynInst:
         Static PC (index into the program) of the µ-op.
     uop:
         The static µ-op.
-    src_values:
-        Architectural values of the explicit source registers, in operand order.
     result:
         Architectural result value (``None`` for µ-ops without a destination register).
     flags_result:
         Value written to the flags register (``None`` if the µ-op does not set flags).
-    flags_in:
-        Value of the flags register read by conditional branches (``None`` otherwise).
     addr:
         Effective memory address for loads/stores (``None`` otherwise).
-    store_value:
-        Value written to memory by stores (``None`` otherwise).
     taken:
         Branch outcome (``False`` for non-branches).
     next_pc:
@@ -56,12 +50,9 @@ class DynInst:
         "seq",
         "pc",
         "uop",
-        "src_values",
         "result",
         "flags_result",
-        "flags_in",
         "addr",
-        "store_value",
         "taken",
         "next_pc",
     )
@@ -71,24 +62,18 @@ class DynInst:
         seq: int,
         pc: int,
         uop: MicroOp,
-        src_values: tuple[int, ...] = (),
         result: int | None = None,
         flags_result: int | None = None,
-        flags_in: int | None = None,
         addr: int | None = None,
-        store_value: int | None = None,
         taken: bool = False,
         next_pc: int = 0,
     ) -> None:
         self.seq = seq
         self.pc = pc
         self.uop = uop
-        self.src_values = src_values
         self.result = result
         self.flags_result = flags_result
-        self.flags_in = flags_in
         self.addr = addr
-        self.store_value = store_value
         self.taken = taken
         self.next_pc = next_pc
 
@@ -103,7 +88,7 @@ class DynInst:
 def gc_paused() -> Iterator[None]:
     """Pause the cyclic garbage collector for a block of acyclic bulk allocation.
 
-    Capture and decode allocate one ``DynInst`` per µ-op, and the simulator's hot
+    Decoding a trace allocates one ``DynInst`` per µ-op, and the simulator's hot
     paths allocate records and predictions; none of them form reference cycles, so
     the generational collector's periodic heap walks are pure overhead there.  The
     caller's prior state is restored on exit, normal or not: a collector the

@@ -46,7 +46,6 @@ class BankedRegisterFile:
         if total_registers <= architectural_registers:
             raise ConfigurationError("PRF must be larger than the architectural register set")
         self.num_banks = num_banks
-        self.total_registers = total_registers
         self.registers_per_bank = total_registers // num_banks
         self.budget = budget if budget is not None else PRFPortBudget()
         # Architectural state is spread across the banks; those registers are never free.

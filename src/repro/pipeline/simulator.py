@@ -162,9 +162,10 @@ class Simulator:
 
         # Issue-scan gating: ``_iq_scan_from`` is the earliest cycle at which a
         # select could find new work — the queue's next wheel deadline, lowered by
-        # each dispatch group and by a squash.  Scans before it are provably empty
-        # and are skipped (bit-identical: a skipped scan mutates no state and
-        # counts no statistics).
+        # each dispatch group.  A squash leaves it alone: the squashed µ-ops are
+        # younger than every survivor, so none of them held a survivor back.
+        # Scans before it are provably empty and are skipped (bit-identical: a
+        # skipped scan mutates no state and counts no statistics).
         self._iq_scan_from = 0
 
         # Pipeline state.
@@ -1172,9 +1173,6 @@ class Simulator:
         self.store_sets.flush_lfst()
         self._rebuild_rename_map()
         self._previous_dispatch_group = []
-        # Squashing flips dependence flags: surviving loads may now be ready.
-        if self.cycle < self._iq_scan_from:
-            self._iq_scan_from = self.cycle
 
         # Re-feed the squashed positions to fetch, oldest first.
         for op in reversed(squashed):

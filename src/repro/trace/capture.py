@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from repro.isa.emulator import ArchState, Emulator
 from repro.isa.program import Program
-from repro.isa.trace import gc_paused
 from repro.trace.encoding import CapturedTrace, empty_columns
 
 #: Default fetch-ahead slack added to the committed-µ-op target at capture time.
@@ -48,13 +47,13 @@ def capture_trace(
 
     Uses the emulator's batched loop (:meth:`Emulator.run_batch`), which writes the
     trace columns directly — capture is the one place that materialises a whole
-    stream at once, and it builds no ``DynInst``.
+    stream at once.  It builds no ``DynInst`` and no other container per µ-op, so
+    the cyclic collector has nothing to walk and is left running.
     """
     emulator = Emulator(program, state=state)
     columns = empty_columns()
-    with gc_paused():
-        emulator.run_batch(budget, columns)
-    return CapturedTrace(program, *columns, halted=emulator.halted, budget=budget)
+    emulator.run_batch(budget, columns)
+    return CapturedTrace(program, *columns, halted=emulator.halted)
 
 
 def capture_workload_trace(workload, budget: int) -> CapturedTrace:

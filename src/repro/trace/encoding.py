@@ -4,7 +4,7 @@ A :class:`CapturedTrace` stores the dynamic fields of a committed µ-op stream a
 parallel typed arrays (one column per field) instead of one Python object per µ-op.
 Static fields are *interned*: a position stores only its static PC, and the µ-op itself
 is recovered from the owning :class:`~repro.isa.program.Program`.  Optional columns
-(result, flags, address, store value) are stored sparsely — a one-byte presence flag
+(result, flags, address) are stored sparsely — a one-byte presence flag
 per µ-op plus a dense value array holding only the present entries.
 
 Every trace holds this one form, whatever made it: the emulator's batched capture
@@ -36,7 +36,7 @@ import sys
 import zlib
 from array import array
 from collections.abc import Iterator
-from itertools import islice
+from itertools import accumulate, islice
 from typing import NamedTuple
 
 from repro.errors import ReproError
@@ -45,7 +45,11 @@ from repro.isa.trace import OPTIONAL_FIELDS, DynInst, gc_paused
 
 #: Bump whenever the binary layout (or the semantics of a column) changes; stored
 #: traces with a different version are ignored by the store.
-TRACE_FORMAT_VERSION = 1
+TRACE_FORMAT_VERSION = 2
+
+#: Item size in bytes of each column of a blob, in order: pcs, next pcs, taken,
+#: then a presence and a value column per optional field.
+COLUMN_ITEM_BYTES = (4, 4, 1) + (1, 8) * len(OPTIONAL_FIELDS)
 
 #: Bits of the per-program static flag table behind :meth:`CapturedTrace.study_events`.
 _CONDITIONAL_BRANCH = 1
@@ -79,8 +83,8 @@ class ReplayView(NamedTuple):
     addr: list[int | None]
 
 
-def empty_columns() -> tuple[array, array, bytearray, array, array, dict, dict]:
-    """Empty ``(pcs, next_pcs, taken, src_offsets, src_values, presence, values)``.
+def empty_columns() -> tuple[array, array, bytearray, dict, dict]:
+    """Empty ``(pcs, next_pcs, taken, presence, values)``.
 
     The columns in :class:`CapturedTrace`'s constructor order, ready to be
     appended to µ-op by µ-op.
@@ -89,8 +93,6 @@ def empty_columns() -> tuple[array, array, bytearray, array, array, dict, dict]:
         array("i"),
         array("i"),
         bytearray(),
-        array("I", [0]),
-        array("Q"),
         {name: bytearray() for name in OPTIONAL_FIELDS},
         {name: array("Q") for name in OPTIONAL_FIELDS},
     )
@@ -120,12 +122,14 @@ def validate_blob(blob: bytes) -> tuple[dict, memoryview]:
     """Structurally validate a trace blob without a program: header + payload.
 
     Checks everything that can be checked from the bytes alone — header syntax,
-    format version, byte order, column-length/payload-length consistency, and the
+    format version, byte order, the column table (the format's column count, each
+    column a whole number of items, the sizes summing to the payload length), the
     payload checksum when the header carries one (pre-CRC legacy blobs pass
-    unverified).  Raises :class:`TraceEncodingError` on any violation; the program
-    fingerprint is *not* checked (that needs the program — see
-    :meth:`CapturedTrace.from_bytes`).  This is the audit primitive behind
-    ``repro-campaign fsck``.
+    unverified), and the item counts (one per µ-op in the pc, next-pc, taken and
+    presence columns, one per present byte in each value column).  Raises
+    :class:`TraceEncodingError` on any violation; the program fingerprint is
+    *not* checked (that needs the program — see :meth:`CapturedTrace.from_bytes`).
+    This is the audit primitive behind ``repro-campaign fsck``.
     """
     newline = blob.find(b"\n")
     if newline < 0:
@@ -146,11 +150,26 @@ def validate_blob(blob: bytes) -> tuple[dict, memoryview]:
         isinstance(size, int) and size >= 0 for size in column_bytes
     ):
         raise TraceEncodingError("trace header has no valid column table")
+    if len(column_bytes) != len(COLUMN_ITEM_BYTES):
+        raise TraceEncodingError(
+            f"trace header lists {len(column_bytes)} columns, "
+            f"the format has {len(COLUMN_ITEM_BYTES)}"
+        )
+    if any(size % item for size, item in zip(column_bytes, COLUMN_ITEM_BYTES)):
+        raise TraceEncodingError("trace column is not a whole number of items")
     if sum(column_bytes) != len(payload):
         raise TraceEncodingError("trace blob is truncated")
     expected_crc = header.get("payload_crc32")
     if expected_crc is not None and zlib.crc32(payload) != expected_crc:
         raise TraceEncodingError("trace payload checksum mismatch (corrupt blob)")
+    items = [size // item for size, item in zip(column_bytes, COLUMN_ITEM_BYTES)]
+    ends = list(accumulate(column_bytes))
+    present = [
+        items[i] - payload[ends[i - 1] : ends[i]].tobytes().count(0)
+        for i in range(3, len(items), 2)
+    ]
+    if set(items[:3] + items[3::2]) - {header.get("length")} or present != items[4::2]:
+        raise TraceEncodingError("trace columns disagree with its length or presence bytes")
     return header, payload
 
 
@@ -166,21 +185,16 @@ class CapturedTrace:
     halted:
         True when the program ran to completion within the capture budget — the trace
         is the *entire* committed stream and satisfies any replay length requirement.
-    budget:
-        The capture budget (µ-ops) the emulator ran with.
     """
 
     __slots__ = (
         "program",
         "length",
         "halted",
-        "budget",
         "fingerprint",
         "_pcs",
         "_next_pcs",
         "_taken",
-        "_src_offsets",
-        "_src_values",
         "_presence",
         "_values",
         "_view",
@@ -192,26 +206,20 @@ class CapturedTrace:
         pcs: array,
         next_pcs: array,
         taken: bytearray,
-        src_offsets: array,
-        src_values: array,
         presence: dict[str, bytearray],
         values: dict[str, array],
         halted: bool,
-        budget: int,
         fingerprint: str | None = None,
     ) -> None:
         self.program = program
         self.length = len(pcs)
         self.halted = halted
-        self.budget = budget
         self.fingerprint = (
             fingerprint if fingerprint is not None else program_fingerprint(program)
         )
         self._pcs = pcs
         self._next_pcs = next_pcs
         self._taken = taken
-        self._src_offsets = src_offsets
-        self._src_values = src_values
         self._presence = presence
         self._values = values
         self._view: ReplayView | None = None
@@ -250,20 +258,11 @@ class CapturedTrace:
     def _decode(self) -> Iterator[DynInst]:
         """The ``DynInst`` stream, built column by column by one ``map``."""
         pcs = self._pcs
-        offsets = self._src_offsets
-        sources = map(
-            tuple,
-            map(
-                self._src_values.tolist().__getitem__,
-                map(slice, offsets, islice(offsets, 1, None)),
-            ),
-        )
         return map(
             DynInst,
             range(self.length),
             pcs,
             map(self.program.uops.__getitem__, pcs),
-            sources,
             *(_expand(self._presence[name], self._values[name]) for name in OPTIONAL_FIELDS),
             map(bool, self._taken),
             self._next_pcs,
@@ -323,8 +322,6 @@ class CapturedTrace:
             self._pcs.tobytes(),
             self._next_pcs.tobytes(),
             bytes(self._taken),
-            self._src_offsets.tobytes(),
-            self._src_values.tobytes(),
         ]
         for name in OPTIONAL_FIELDS:
             columns.append(bytes(self._presence[name]))
@@ -338,7 +335,6 @@ class CapturedTrace:
                 "program_name": self.program.name,
                 "length": self.length,
                 "halted": self.halted,
-                "budget": self.budget,
                 "column_bytes": [len(column) for column in columns],
                 # Header keys are additive (readers use .get), so stamping the
                 # checksum does not bump the format version: pre-CRC readers
@@ -378,15 +374,12 @@ class CapturedTrace:
         pcs = as_array("i", chunks[0])
         next_pcs = as_array("i", chunks[1])
         taken = bytearray(chunks[2])
-        src_offsets = as_array("I", chunks[3])
-        src_values = as_array("Q", chunks[4])
         presence: dict[str, bytearray] = {}
         values: dict[str, array] = {}
         for index, name in enumerate(OPTIONAL_FIELDS):
-            presence[name] = bytearray(chunks[5 + 2 * index])
-            values[name] = as_array("Q", chunks[6 + 2 * index])
+            presence[name] = bytearray(chunks[3 + 2 * index])
+            values[name] = as_array("Q", chunks[4 + 2 * index])
         return cls(
-            program, pcs, next_pcs, taken, src_offsets, src_values, presence, values,
-            halted=bool(header["halted"]), budget=int(header["budget"]),
-            fingerprint=fingerprint,
+            program, pcs, next_pcs, taken, presence, values,
+            halted=bool(header["halted"]), fingerprint=fingerprint,
         )

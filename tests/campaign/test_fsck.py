@@ -4,12 +4,18 @@ import json
 import os
 import time
 
+import pytest
+
 from repro.campaign.cli import main as campaign_cli
 from repro.campaign.coordinator import CampaignService
 from repro.campaign.executor import simulate_cell
 from repro.campaign.fsck import fsck_service, fsck_store, render_table
 from repro.campaign.spec import Campaign
 from repro.campaign.store import ResultStore
+from repro.trace.capture import capture_workload_trace
+from repro.trace.store import TraceStore
+from repro.workloads.suite import workload
+from tests.trace.test_trace_integrity import BAD_BLOBS
 
 UOPS, WARMUP = 400, 100
 
@@ -96,6 +102,22 @@ class TestTraceAudit:
         assert repaired.clean
         assert not bad.exists()
         assert bad.with_suffix(".trace.corrupt").exists()
+
+    @pytest.mark.parametrize("case", sorted(BAD_BLOBS))
+    def test_blob_of_another_layout_fails_the_audit_and_is_renamed(self, tmp_path, case):
+        service = _service(tmp_path)
+        wl = workload("gcc")
+        path = TraceStore(service.trace_dir).save(capture_workload_trace(wl, 600))
+        assert campaign_cli(["fsck", "--service", str(service.root)]) == 0
+        forge, reason = BAD_BLOBS[case]
+        path.write_bytes(forge(path.read_bytes()))
+        [finding] = [f for f in fsck_service(service.root).unresolved if f.check == "trace-blob"]
+        assert finding.path == str(path) and reason in finding.detail
+        assert campaign_cli(["fsck", "--service", str(service.root)]) == 1
+        assert campaign_cli(["fsck", "--service", str(service.root), "--repair"]) == 0
+        assert not path.exists()
+        assert path.with_suffix(".trace.corrupt").exists()
+        assert TraceStore(service.trace_dir).load(wl.program) is None
 
 
 class TestTmpOrphans:

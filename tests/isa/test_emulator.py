@@ -116,9 +116,10 @@ class TestMemory:
         b.movi("r2", 777)
         b.st("r1", "r2", 8)
         b.ld("r3", "r1", 8)
-        trace = _run(b)
+        emulator = StepEmulator(b.build())
+        trace = list(emulator.run(1000))
         assert trace[2].addr == 0x1008
-        assert trace[2].store_value == 777
+        assert emulator.state.memory[0x1008] == 777
         assert trace[3].result == 777
 
     def test_uninitialised_memory_is_deterministic(self):
@@ -185,7 +186,7 @@ class TestMemory:
         batched = Emulator(program, state=state())
         columns = empty_columns()
         batched.run_batch(200, columns)
-        trace = CapturedTrace(program, *columns, halted=batched.halted, budget=200)
+        trace = CapturedTrace(program, *columns, halted=batched.halted)
         assert [inst.result for inst in trace.replay()] == expected
         assert batched.state.memory == stepped.state.memory
         assert stepped.state.memory[0x1000] == 0x1000 + 8 * 3  # read, never written
@@ -274,7 +275,6 @@ class TestControlFlow:
         b.movi("r3", 1)
         trace = list(StepEmulator(b.build()).run(10))
         assert trace[2].taken
-        assert trace[2].flags_in is not None
 
     def test_program_falls_off_end_and_halts(self):
         b = ProgramBuilder()
@@ -329,8 +329,8 @@ class TestRunBatch:
     def _records(insts):
         return [
             (
-                i.seq, i.pc, i.uop, i.src_values, i.result, i.flags_result,
-                i.flags_in, i.addr, i.store_value, i.taken, i.next_pc,
+                i.seq, i.pc, i.uop, i.result, i.flags_result, i.addr, i.taken,
+                i.next_pc,
             )
             for i in insts
         ]
@@ -341,7 +341,7 @@ class TestRunBatch:
         expected = list(reference.run(budget))
         columns = empty_columns()
         assert batched.run_batch(budget, columns) is None
-        trace = CapturedTrace(program, *columns, halted=batched.halted, budget=budget)
+        trace = CapturedTrace(program, *columns, halted=batched.halted)
         assert self._records(trace.instructions()) == self._records(expected)
         assert batched.halted == reference.halted
         assert batched.pc == reference.pc
@@ -351,7 +351,7 @@ class TestRunBatch:
         # The reference's records encode to the same blob, which decodes to the
         # same records again.
         blob = trace.to_bytes()
-        encoded = trace_from_instructions(program, expected, reference.halted, budget)
+        encoded = trace_from_instructions(program, expected, reference.halted)
         assert encoded.to_bytes() == blob
         decoded = CapturedTrace.from_bytes(blob, program)
         assert self._records(decoded.instructions()) == self._records(expected)
@@ -412,7 +412,7 @@ class TestRunBatch:
         columns = empty_columns()
         split.run_batch(20, columns)
         split.run_batch(30, columns)
-        trace = CapturedTrace(program, *columns, halted=split.halted, budget=50)
+        trace = CapturedTrace(program, *columns, halted=split.halted)
         assert self._records(trace.instructions()) == self._records(expected)
 
 
@@ -461,7 +461,7 @@ class TestColumnTables:
         b.label("end")
         b.nop()
         emulator = StepEmulator(b.build())
-        codes, (arities, *presence) = emulator._build_column_tables()
+        codes, presence = emulator._build_column_tables()
         code = codes[tested_pc]
         insts = [emulator.step() for _ in range(tested_pc + 1)]
         inst = insts[tested_pc]
@@ -469,7 +469,6 @@ class TestColumnTables:
         assert tuple(bool(table[code]) for table in presence) == tuple(
             getattr(inst, name) is not None for name in OPTIONAL_FIELDS
         )
-        assert arities[code] == len(inst.src_values)
 
 
 _INT_OPS = (

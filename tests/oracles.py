@@ -102,9 +102,7 @@ class StepEmulator(Emulator):
         src_values = tuple(arch_regs[s] for s in srcs)
         result: int | None = None
         flags_result: int | None = None
-        flags_in: int | None = None
         addr: int | None = None
-        store_value: int | None = None
         taken = False
         next_pc = pc + 1
 
@@ -197,11 +195,9 @@ class StepEmulator(Emulator):
             result = read_mem(state, addr)
         elif opcode in (Opcode.ST, Opcode.FST):
             addr = (a + (imm if imm is not None else 0)) & MASK64
-            store_value = src_values[1] if len(src_values) > 1 else 0
-            write_mem(state, addr, store_value)
+            write_mem(state, addr, src_values[1] if len(src_values) > 1 else 0)
         elif uop.is_conditional_branch:
-            flags_in = arch_regs[regs.FLAGS_REG]
-            taken = self._branch_condition(opcode, flags_in)
+            taken = self._branch_condition(opcode, arch_regs[regs.FLAGS_REG])
             target = program.target_of(pc)
             if target is None:
                 raise EmulationError(f"conditional branch at pc={pc} has no target")
@@ -240,19 +236,7 @@ class StepEmulator(Emulator):
         if flags_result is not None:
             arch_regs[regs.FLAGS_REG] = flags_result & MASK64
 
-        inst = DynInst(
-            self.seq,
-            pc,
-            uop,
-            src_values,
-            result,
-            flags_result,
-            flags_in,
-            addr,
-            store_value,
-            taken,
-            next_pc,
-        )
+        inst = DynInst(self.seq, pc, uop, result, flags_result, addr, taken, next_pc)
         self.seq += 1
         if next_pc == HALT_PC or not 0 <= next_pc < self._length:
             self.halted = True
@@ -273,23 +257,21 @@ class StepEmulator(Emulator):
 
 
 def trace_from_instructions(
-    program: Program, instructions: Iterable[DynInst], halted: bool, budget: int
+    program: Program, instructions: Iterable[DynInst], halted: bool
 ) -> CapturedTrace:
     """Encode a committed ``DynInst`` stream as the columns every trace holds."""
     columns = empty_columns()
-    pcs, next_pcs, taken, src_offsets, src_values, presence, values = columns
+    pcs, next_pcs, taken, presence, values = columns
     for inst in instructions:
         pcs.append(inst.pc)
         next_pcs.append(inst.next_pc)
         taken.append(1 if inst.taken else 0)
-        src_values.extend(inst.src_values)
-        src_offsets.append(len(src_values))
         for name in OPTIONAL_FIELDS:
             value = getattr(inst, name)
             presence[name].append(value is not None)
             if value is not None:
                 values[name].append(value)
-    return CapturedTrace(program, *columns, halted=halted, budget=budget)
+    return CapturedTrace(program, *columns, halted=halted)
 
 
 def reference_trace(
@@ -299,7 +281,7 @@ def reference_trace(
     emulator = StepEmulator(program, state=state)
     with gc_paused():
         instructions = tuple(emulator.run(budget))
-    return trace_from_instructions(program, instructions, emulator.halted, budget)
+    return trace_from_instructions(program, instructions, emulator.halted)
 
 
 def _reference_acquire(cache, workload, needed: int, max_uops: int) -> CapturedTrace:

@@ -2,12 +2,14 @@
 
 Each fast path may keep one reference, and a test must compare the two; code that
 only its own unit tests call, and state that nothing reads, leaves ``src/``.  This
-test walks the AST of every ``src/repro`` module.  A *reference* to a name is an
-attribute read (``x.name``), a name load (``name``) or an identifier-shaped string
-constant (``getattr(x, "name")``); docstrings, comments, ``__slots__`` entries and
-``__all__`` entries are not.  Each name has one import path, its defining module:
-every package ``__init__.py`` holds only its docstring, so no re-export can stand
-in for a reader.  Two checks:
+test walks the AST of every ``src/repro`` module.  A *reference* to a method or
+attribute is an attribute read (``x.name``) or an identifier-shaped string
+constant (``getattr(x, "name")``); a module-level function is also referenced by
+a name load (``name``).  A local variable therefore never stands in for a method
+or attribute of the same name.  Docstrings, comments, ``__slots__`` entries and
+``__all__`` entries reference nothing.  Each name has one import path, its
+defining module: every package ``__init__.py`` holds only its docstring, so no
+re-export can stand in for a reader.  Two checks:
 
 1. every function and method is referenced somewhere in ``src/`` outside its own
    body (dunders, ``@abstractmethod``s and the ``EXEMPT_CLASSES`` are exempt);
@@ -29,10 +31,10 @@ checks the reason:
 
 An entry whose name is gone, or that now has a reader in ``src/``, fails.
 
-The search is by name, so any same-named reader masks a definition: a
-``ReorderBuffer.push`` with no caller would pass because ``GlobalHistory.push`` is
-called.  The masked copies that existed when this guard was written were removed
-by hand; new ones can only be found by reading the code.
+The search is by name, so any same-named reader of the same kind masks a
+definition: a ``ReorderBuffer.push`` with no caller would pass because
+``GlobalHistory.push`` is called.  The masked copies that existed when this guard
+was written were removed by hand; new ones can only be found by reading the code.
 """
 
 from __future__ import annotations
@@ -92,6 +94,7 @@ ALLOWED = {
     ),
     "trace.cache.TraceCache.trace_for_many": "perfbench",
     "trace.encoding.CapturedTrace.instructions": "perfbench",
+    "trace.encoding.CapturedTrace.replay": _GALLERY,
     "vp.base.PredictorStatistics.record_lookup": _TRAINING,
     "vp.base.PredictorStatistics.record_outcome": _TRAINING,
     "vp.base.ValuePredictor.train_commit_group_columns": "perfbench",
@@ -141,8 +144,11 @@ class Index:
     classes: set[str] = field(default_factory=set)
     functions: dict[str, ast.FunctionDef | ast.AsyncFunctionDef] = field(default_factory=dict)
     attributes: dict[str, str] = field(default_factory=dict)
-    #: name → qualified names of the outermost functions reading it ("" outside any).
+    #: name → qualified names of the outermost functions reading it ("" outside
+    #: any), through an attribute read or an identifier string.
     readers: dict[str, set[str]] = field(default_factory=dict)
+    #: The same for name loads, which only module-level functions count.
+    name_readers: dict[str, set[str]] = field(default_factory=dict)
 
     def add_module(self, module: str, tree: ast.Module) -> None:
         self._visit(tree, module, None, "", _docstrings(tree))
@@ -170,6 +176,7 @@ class Index:
                 self._visit(child, qual, cls, function or qual, docstrings)
                 continue
             name = None
+            readers = self.readers
             if isinstance(child, ast.Attribute):
                 if isinstance(child.ctx, ast.Load):
                     name = child.attr
@@ -177,11 +184,18 @@ class Index:
                     self.attributes.setdefault(f"{cls}.{child.attr}", child.attr)
             elif isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
                 name = child.id
+                readers = self.name_readers
             elif _is_str(child) and id(child) not in docstrings and _IDENTIFIER.match(child.value):
                 name = child.value
             if name is not None:
-                self.readers.setdefault(name, set()).add(function)
+                readers.setdefault(name, set()).add(function)
             self._visit(child, scope, cls, function, docstrings)
+
+    def _function_readers(self, qual: str, name: str) -> set[str]:
+        readers = self.readers.get(name, set())
+        if qual.rsplit(".", 1)[0] in self.classes:
+            return readers
+        return readers | self.name_readers.get(name, set())
 
     def unreferenced_functions(self) -> set[str]:
         return {
@@ -190,7 +204,7 @@ class Index:
             if not (node.name.startswith("__") and node.name.endswith("__"))
             and not _is_abstract(node)
             and qual.rsplit(".", 1)[0] not in EXEMPT_CLASSES
-            and not self.readers.get(node.name, set()) - {qual}
+            and not self._function_readers(qual, node.name) - {qual}
         }
 
     def unread_attributes(self) -> set[str]:
@@ -354,22 +368,30 @@ def test_detector_sees_unread_code():
             "def recursive(n):\n"
             "    '''recursive'''\n"
             "    return recursive(n - 1)\n"
+            "def helper(): pass\n"
             "class C:\n"
             "    __slots__ = ('kept', 'slot_only')\n"
-            "    def __init__(self):\n"
+            "    def __init__(self, total):\n"
             "        self.kept = 0\n"
             "        self.count = 0\n"
+            "        self.total = total\n"
             "        self.read = getattr(self, 'kept')\n"
             "    def bump(self):\n"
             "        self.count += 1\n"
             "    @abstractmethod\n"
             "    def hook(self): ...\n"
+            "    def masked(self): pass\n"
             "    def uses(self):\n"
-            "        return self.bump(), self.read\n"
+            "        masked = helper()\n"
+            "        return self.bump(), self.read, masked\n"
         ),
     )
-    assert index.unreferenced_functions() == {"m.exported", "m.recursive", "m.C.uses"}
-    assert index.unread_attributes() == {"m.C.slot_only", "m.C.count"}
+    # A local variable or parameter named like a method or attribute reads
+    # neither; a name load does read a module-level function.
+    assert index.unreferenced_functions() == {
+        "m.exported", "m.recursive", "m.C.masked", "m.C.uses"
+    }
+    assert index.unread_attributes() == {"m.C.slot_only", "m.C.count", "m.C.total"}
 
 
 def test_detector_sees_unused_imports():

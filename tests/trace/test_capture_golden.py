@@ -2,9 +2,13 @@
 
 The step-vs-batch tests compare two emulator loops with each other, so a change
 to what both share (the flags helpers, the workload programs, the arch-state
-set-up, the blob encoding) moves them together and passes.  These digests were
+set-up, the blob encoding) moves them together and passes.  These digests are of
+the format-2 layout (pcs, next pcs, taken and the sparse result, flags and
+address columns).  They were derived from the format-1 capture, before its
+source, flags-in and store-value columns were dropped, by re-serialising each
+format-1 trace with only the kept columns; the format-1 digests themselves were
 recorded before the batched loop dispatched on pre-resolved arms and before
-memory arrays were written in bulk or computed on read; a change to them is a
+memory arrays were written in bulk or computed on read.  A change to them is a
 change to every trace.  A columnar capture (the emulator writing the columns, no
 ``DynInst``) and the step-wise reference (``StepEmulator.run`` of
 ``tests/oracles.py``, whose loads go through ``ArchState.read_mem``) must give the
@@ -26,25 +30,25 @@ from tests.oracles import StepEmulator, reference_trace
 
 #: ``capture_budget(2000)`` µ-ops of each workload from a fresh arch state.
 GOLDEN_SHA256 = {
-    "gzip": "8cfb037c64476092e16f393fac7ad1a707008a83046e12729dae8e2cd6f8a908",
-    "wupwise": "ad07abd9c7ceaec3728b72aa8e80814c19362b05280e7a56433cad573f843f2b",
-    "applu": "48d227394401941f310198ad9b21c7e9e738dbab29eeeed05dda13e2a3d122de",
-    "vpr": "7d6f26d0f417566e99d8611888ad99938d4519bb174b48f2b0abe54cfe3468bb",
-    "art": "1dc3c4e1052e0344be2b8934f61cb03f9c0f30b1d89ca0f636ac24b95a440f9a",
-    "crafty": "558df125d779dff55e7e5c408c2a31b6f0f2cc541eaa0335359975abf9073d28",
-    "parser": "31cd87f4c57103b696d8cf7a7c1b94c1cbd6fff1a4794cf2d74dce00f9f7e575",
-    "vortex": "1db6cc163edfa079b1083cce8f99c6222938aa65f0013f4bda63f41932f3babe",
-    "bzip2": "b4621204400c5fab5d156b70acf3588986b3ffcc7bb8a144218f5c25b57810d4",
-    "gcc": "999790866949b3b08029e344b2c50647ba8ad78aaccb9c2dd13911dddd33fce2",
-    "gamess": "e2ab9736aa306b0570527cfe7a43cd41979ac0c39052d2816941c4faf70aff0c",
-    "mcf": "36118721f9f23a8164805e04dd1883ab7796386d908c2814e03d7f354ff96767",
-    "milc": "d472d05509c7592492b55bfcd511f2afd747fc366e74768d9f7ef76146fe977c",
-    "namd": "dac405940142aa229dcff9eb3a5cfa90799b71796309e532485348248c0673a9",
-    "gobmk": "0bff1f4552ea13e7e0bda74c8da75e9d62381ae7742b301ccfbc7f1b1366c0d0",
-    "hmmer": "968d5fe520da9d848cb3ea2340774826dba075ed6edad5f6928736a1aafe9f27",
-    "sjeng": "c26615aeb86289402534a7ca190085ab2c03ba706430a89e6c0707786c5c4575",
-    "h264ref": "06c27afaafd1478d9a3e00ade726a868293c70bf4a90348f992279a618551fab",
-    "lbm": "e37dbce5dacffff28551becabfc4c8559bd59bd5a17a472badcddcdefaa020ed",
+    "gzip": "301a8bb5ca55e1b0bd56a85ac3eb8255edda1edb25ab909b3a9db9bf2fd05db6",
+    "wupwise": "151e6c9cf67a1753575494b59bdc5109a8e907f8bb27dccf12cc0f7358314c2a",
+    "applu": "66b052d54d341fbe99aa1231d9d1b24001a8fa482f0f745d84f56f06f50b82d0",
+    "vpr": "3bd5c4387e819adedd718d96c20b2d9272a235c345e00c972d41be4da945b2ed",
+    "art": "cead4282d00d3346cd0dfc93a341dc2049b1ecd5e49f955f4d181e9073991d65",
+    "crafty": "2574f0ebbb84e1ea545f42bf84aae3e7e890da0d156e8da98239b60284927721",
+    "parser": "7eedba244124b0a976eb1e5fe4db32b63d80f5c9e4536bfe0aafab1158141dae",
+    "vortex": "3b4e490ea654d269c7d2fa96e5119d91c7288ac61a0c60fee38790ec2398a6ba",
+    "bzip2": "33eef64d380690427a7636c3c0aed04990b2b64ba2e62eb0fff28431088b7ab5",
+    "gcc": "e89b2f809457529127cda995ef8b6755a90aee9dc9cc2aafcc249909fc33e5b3",
+    "gamess": "0f1c1125b431a5f6a4d21e4e30278b9ac94935f2a6ef9353ac4fb1f6ebba7bf0",
+    "mcf": "df88a90ffc776b8f441f3022aa168a12839b76f96a12d9fb3c383b581d8f2dc6",
+    "milc": "59b5836865665d7bd7474bb0984b65e0712c79e8fe1befbfe4210bb3125ee144",
+    "namd": "8dd2d3ea577fff090b28cddd31d981b3f7279dbf72643e62fcafb2011fe9507a",
+    "gobmk": "18abb897e50db365805210ec1775f3495684dd282b2128ef7a257d8e3b58292e",
+    "hmmer": "3e795571568ead4e7f93523672714b508e8c8ea0d299bdadd2251b6e3eb67c46",
+    "sjeng": "6d311d8ef293f4e845d5ae18e3e130fd4786fb33065a3d933205a97e189a8282",
+    "h264ref": "ec1b684010ef987c45395322ce3e30689a9d9415f32fb71f874d902a308c8ecc",
+    "lbm": "844837fa5e03730652dc15dffec9fbd4c6dc18e6b2963d6bc198e9da09893406",
 }
 
 

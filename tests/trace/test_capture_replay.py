@@ -13,12 +13,9 @@ from tests.oracles import StepEmulator
 _DYN_FIELDS = (
     "seq",
     "pc",
-    "src_values",
     "result",
     "flags_result",
-    "flags_in",
     "addr",
-    "store_value",
     "taken",
     "next_pc",
 )
@@ -51,7 +48,6 @@ def test_columnar_roundtrip_through_bytes():
     decoded = CapturedTrace.from_bytes(blob, wl.program)
     assert decoded.length == trace.length
     assert decoded.halted == trace.halted
-    assert decoded.budget == trace.budget
     emulated = list(StepEmulator(wl.program, state=wl.make_state()).run(2000))
     _assert_streams_equal(list(decoded.replay()), emulated)
 
@@ -105,7 +101,8 @@ def test_program_fingerprint_distinguishes_programs():
 
 
 #: Bytes per µ-op a replayed gcc trace keeps: its columns plus the replay view.
-#: Measured at 81.5; a trace that also kept one ``DynInst`` per µ-op kept 237.5.
+#: Measured at 65.4 (81.5 while the trace also kept source values, flags-in and
+#: store values); a trace that also kept one ``DynInst`` per µ-op kept 237.5.
 REPLAY_READY_BYTES_PER_UOP = 100
 
 

@@ -1,8 +1,8 @@
 """Columnar capture against the step-wise emulator, the oracle.
 
-``Emulator.run_batch`` with columns appends each µ-op's pc, taken bit, source
-values and present optional values, and expands the next pcs, source offsets
-and presence bits from per-pc tables after the loop.  A mistake in either half
+``Emulator.run_batch`` with columns appends each µ-op's pc, taken bit and
+present optional values, and expands the next pcs and presence bits from per-pc
+tables after the loop.  A mistake in either half
 shows here as a blob that differs from the encoded ``StepEmulator.run`` stream's
 (``tests/oracles.py``), or as a decoded stream that differs from that stream.
 """
@@ -20,7 +20,7 @@ from repro.workloads.suite import workload
 from tests.oracles import StepEmulator, reference_trace
 from tests.random_programs import RandomProgramGenerator
 
-FIELDS = ("seq", "pc", "uop", "src_values", *OPTIONAL_FIELDS, "taken", "next_pc")
+FIELDS = ("seq", "pc", "uop", *OPTIONAL_FIELDS, "taken", "next_pc")
 
 
 def _records(insts):
@@ -51,13 +51,13 @@ def _loop_then_halt(iterations: int = 40):
     return b.build()
 
 
-def _columns_trace(program, batches, budget):
+def _columns_trace(program, batches):
     """A columnar capture of ``program`` run as the given successive batches."""
     emulator = Emulator(program)
     columns = empty_columns()
     for size in batches:
         assert emulator.run_batch(size, columns) is None
-    return emulator, CapturedTrace(program, *columns, halted=emulator.halted, budget=budget)
+    return emulator, CapturedTrace(program, *columns, halted=emulator.halted)
 
 
 def test_halting_program_matches_replay_capture():
@@ -70,7 +70,7 @@ def test_halting_program_matches_replay_capture():
 
 def test_zero_budget_writes_nothing():
     program = _loop_then_halt()
-    emulator, trace = _columns_trace(program, [0], 0)
+    emulator, trace = _columns_trace(program, [0])
     assert trace.length == 0 and not trace.halted
     assert emulator.pc == 0 and emulator.seq == 0
     assert trace.to_bytes() == _replay_blob(program, 0)
@@ -81,7 +81,7 @@ def test_zero_budget_writes_nothing():
 def test_resumed_capture_matches_one_batch(batches):
     program = _loop_then_halt(12)
     budget = sum(batches)
-    emulator, trace = _columns_trace(program, batches, budget)
+    emulator, trace = _columns_trace(program, batches)
     reference = StepEmulator(program)
     expected = list(reference.run(budget))
     assert emulator.halted == reference.halted

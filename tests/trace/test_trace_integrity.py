@@ -11,6 +11,7 @@ from repro.faults.sites import (
     TRACE_SAVE_CRASH,
     TRACE_SAVE_TRUNCATED,
 )
+from repro.trace.cache import TraceCache
 from repro.trace.capture import capture_workload_trace
 from repro.trace.encoding import (
     CapturedTrace,
@@ -92,3 +93,84 @@ class TestInjectedTraceFaults:
         # A clean retry publishes normally over the residue.
         store.save(gcc_trace)
         assert store.load(workload("gcc").program) is not None
+
+
+def _with_header(blob: bytes, **changes) -> bytes:
+    """``blob`` with header keys replaced and its payload untouched."""
+    newline = blob.find(b"\n")
+    header = json.loads(blob[:newline])
+    header.update(changes)
+    return json.dumps(header, sort_keys=True).encode() + blob[newline:]
+
+
+def _column_bytes(blob: bytes) -> list[int]:
+    return list(json.loads(blob[: blob.find(b"\n")])["column_bytes"])
+
+
+def _one_column(blob: bytes) -> bytes:
+    """A header listing one column of the whole payload's size."""
+    return _with_header(blob, column_bytes=[sum(_column_bytes(blob))])
+
+
+def _split_item(blob: bytes) -> bytes:
+    """A header moving one byte of the pcs column into the taken column."""
+    sizes = _column_bytes(blob)
+    sizes[0] -= 1
+    sizes[2] += 1
+    return _with_header(blob, column_bytes=sizes)
+
+
+def _shifted_pc(blob: bytes) -> bytes:
+    """A header moving the last pc into the next-pc column."""
+    sizes = _column_bytes(blob)
+    sizes[0] -= 4
+    sizes[1] += 4
+    return _with_header(blob, column_bytes=sizes)
+
+
+def _short_values(blob: bytes) -> bytes:
+    """A header moving the last result value into the flags presence column."""
+    sizes = _column_bytes(blob)
+    sizes[4] -= 8
+    sizes[5] += 8
+    return _with_header(blob, column_bytes=sizes)
+
+
+def _format_1(blob: bytes) -> bytes:
+    """A blob stamped with the format before this one."""
+    return _with_header(blob, format=1)
+
+
+#: Blobs the current format must reject, each with the reason it names.
+BAD_BLOBS = {
+    "one-column": (_one_column, "lists 1 columns"),
+    "split-item": (_split_item, "whole number of items"),
+    "shifted-pc": (_shifted_pc, "disagree with its length"),
+    "short-values": (_short_values, "presence bytes"),
+    "format-1": (_format_1, "unsupported trace format 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_BLOBS))
+class TestBlobsOfAnotherLayout:
+    def test_from_bytes_rejects_it(self, gcc_trace, case):
+        forge, reason = BAD_BLOBS[case]
+        blob = forge(gcc_trace.to_bytes())
+        with pytest.raises(TraceEncodingError, match=reason):
+            validate_blob(blob)
+        with pytest.raises(TraceEncodingError, match=reason):
+            CapturedTrace.from_bytes(blob, workload("gcc").program)
+
+    def test_store_load_returns_none_and_the_next_capture_replaces_it(
+        self, tmp_path, gcc_trace, case
+    ):
+        forge, _ = BAD_BLOBS[case]
+        store = TraceStore(tmp_path)
+        path = store.save(gcc_trace)
+        path.write_bytes(forge(path.read_bytes()))
+        assert store.load(workload("gcc").program) is None
+        cache = TraceCache(store=store)
+        recaptured = cache.trace_for_length(workload("gcc"), gcc_trace.length)
+        assert (cache.store_hits, cache.captures) == (0, 1)
+        assert path.read_bytes() == recaptured.to_bytes()
+        assert store.load(workload("gcc").program).to_bytes() == recaptured.to_bytes()
