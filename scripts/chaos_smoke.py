@@ -5,7 +5,7 @@ submit the standard 4-configuration × 4-workload grid to a fresh service
 directory and run three workers against it, two of them armed with
 ``REPRO_FAULTS``:
 
-* **victim** — a trace-store crash between ``mkstemp`` and rename (leaves a
+* **victim** — a trace-store crash between staging and rename (leaves a
   ``.tmp`` orphan), then ``os._exit`` right after its first cell lands in the
   shared store (a SIGKILL-faithful death: no cleanup, no more heartbeats, lease
   left ``running`` until it lapses).

@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     fsck_parser.add_argument(
         "--repair",
         action="store_true",
-        help="fix what can be fixed: compact quarantined/legacy store rows, "
+        help="fix what can be fixed: compact quarantined store rows, "
         "quarantine corrupt trace blobs and lease records, sweep orphaned temp "
         "files, requeue wedged leases, re-cover orphaned grid cells",
     )

@@ -14,7 +14,7 @@ Service directory layout::
 
     <service>/
       campaign.json      # the submitted grid (Campaign.to_spec_dict + queue params)
-      results.jsonl      # the shared ResultStore (fcntl-locked, see store.py)
+      results.jsonl      # the shared ResultStore (flock-guarded, see store.py)
       traces/            # shared content-addressed TraceStore: one capture per
                          # workload per fleet — the lease holder captures, every
                          # later worker loads
@@ -83,15 +83,11 @@ from repro.faults.sites import (
 from repro.campaign.progress import ProgressReporter
 from repro.campaign.spec import Campaign, CampaignCell
 from repro.campaign.store import ResultStore
+from repro.durable import locked, publish
 from repro.errors import ReproError
 from repro.pipeline.stats import SimulationResult
 from repro.trace.cache import shared_trace_cache
 from repro.trace.store import TRACE_STORE_ENV_VAR
-
-try:  # POSIX-only; the queue degrades to lock-free on other platforms.
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None  # type: ignore[assignment]
 
 #: Default lease duration: a worker must heartbeat within this window or its lease
 #: is considered abandoned.  Must comfortably exceed the heartbeat interval
@@ -107,6 +103,9 @@ DEFAULT_BACKOFF_SECONDS = 1.0
 
 #: Default interval between a worker's claim polls and the server's store polls.
 DEFAULT_POLL_SECONDS = 0.5
+
+#: The states a lease record can be in.
+LEASE_STATES = ("pending", "running", "done", "failed")
 
 #: Lease duration of a local fleet (:func:`run_local_fleet`): its workers share one
 #: host, so a dead worker's lease should lapse in seconds, not a minute.
@@ -129,7 +128,7 @@ class Lease:
     lease_id: str
     workload: str
     fingerprints: list[str]
-    state: str = "pending"  # pending | running | done | failed
+    state: str = "pending"  # one of LEASE_STATES
     owner: str | None = None
     deadline_unix: float = 0.0
     not_before_unix: float = 0.0
@@ -139,19 +138,32 @@ class Lease:
     def to_dict(self) -> dict:
         return asdict(self) | {"errors": list(self.errors or [])}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Lease":
-        return cls(
-            lease_id=data["lease_id"],
-            workload=data["workload"],
-            fingerprints=list(data["fingerprints"]),
-            state=data["state"],
-            owner=data.get("owner"),
-            deadline_unix=data.get("deadline_unix", 0.0),
-            not_before_unix=data.get("not_before_unix", 0.0),
-            attempts=data.get("attempts", 0),
-            errors=list(data.get("errors") or []),
-        )
+
+def read_lease(path: Path) -> Lease | None:
+    """The lease record at ``path``, or ``None`` when the file holds none.
+
+    A missing file, text that is not JSON and JSON that is not a lease record
+    (``[]``, ``null``, a field of the wrong type) all read as ``None``: a scan
+    that races a replace on a non-atomic filesystem sees the record on its next
+    pass, and ``fsck`` reports a file that stays unreadable.
+    """
+    try:
+        lease = Lease(**json.loads(path.read_text(encoding="utf-8")))
+    except (OSError, ValueError, TypeError):
+        return None
+    numbers = (lease.deadline_unix, lease.not_before_unix, lease.attempts)
+    well_formed = (
+        isinstance(lease.lease_id, str)
+        and isinstance(lease.workload, str)
+        and isinstance(lease.fingerprints, list)
+        and all(isinstance(fingerprint, str) for fingerprint in lease.fingerprints)
+        and lease.state in LEASE_STATES
+        and isinstance(lease.owner, (str, type(None)))
+        and all(isinstance(number, (int, float)) for number in numbers)
+        and isinstance(lease.errors, list)
+        and all(isinstance(error, dict) for error in lease.errors)
+    )
+    return lease if well_formed else None
 
 
 class CampaignService:
@@ -170,16 +182,9 @@ class CampaignService:
         self.stored_at_submit: set[str] | None = None
 
     # ------------------------------------------------------------------ locking
-    @contextmanager
     def _queue_locked(self):
-        """Hold the queue-wide advisory lock (every lease transition runs inside)."""
-        if fcntl is None:  # pragma: no cover - non-POSIX fallback
-            yield
-            return
-        self.root.mkdir(parents=True, exist_ok=True)
-        with (self.root / "queue.lock").open("a+", encoding="utf-8") as lock_file:
-            fcntl.flock(lock_file.fileno(), fcntl.LOCK_EX)
-            yield
+        """Hold the queue-wide lock, ``queue.lock`` (every lease transition runs inside)."""
+        return locked(self.queue_dir)
 
     # ------------------------------------------------------------------ submission
     def submit(
@@ -278,13 +283,8 @@ class CampaignService:
         """Every lease record, sorted by id (point-in-time snapshot)."""
         if not self.queue_dir.exists():
             return []
-        leases = []
-        for path in sorted(self.queue_dir.glob("*.json")):
-            try:
-                leases.append(Lease.from_dict(json.loads(path.read_text(encoding="utf-8"))))
-            except (json.JSONDecodeError, KeyError, OSError):
-                continue  # mid-replace read on a non-atomic filesystem; next scan sees it
-        return leases
+        leases = map(read_lease, sorted(self.queue_dir.glob("*.json")))
+        return [lease for lease in leases if lease is not None]
 
     def queue_complete(self) -> bool:
         """True when every lease is terminal (``done`` or ``failed``)."""
@@ -315,34 +315,13 @@ class CampaignService:
         return self.queue_dir / f"{lease_id}.json"
 
     def _write_json(self, path: Path, payload: dict) -> None:
-        """Atomic JSON publish: unique temp name + rename, safe under concurrency."""
-        path.parent.mkdir(parents=True, exist_ok=True)
-        handle, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{path.name}-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(handle, "w", encoding="utf-8") as stream:
-                json.dump(payload, stream, sort_keys=True)
-                stream.flush()
-                os.fsync(stream.fileno())
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        publish(path, json.dumps(payload, sort_keys=True).encode("utf-8"))
 
     def _write_lease(self, lease: Lease) -> None:
         self._write_json(self._lease_path(lease.lease_id), lease.to_dict())
 
     def _read_lease(self, lease_id: str) -> Lease | None:
-        try:
-            return Lease.from_dict(
-                json.loads(self._lease_path(lease_id).read_text(encoding="utf-8"))
-            )
-        except (OSError, json.JSONDecodeError, KeyError):
-            return None
+        return read_lease(self._lease_path(lease_id))
 
     # ------------------------------------------------------------------ transitions
     def claim(self, worker_id: str) -> Lease | None:

@@ -7,17 +7,17 @@ sidecars, and staging temp files.  Crashes (real or injected via
 layer; ``fsck`` walks all of them, reports what it finds, and with ``--repair``
 restores the directory to a state a fleet can safely resume from:
 
-* **store rows** — quarantined lines (unparseable, bad CRC, unknown schema
-  version) and pre-CRC legacy rows.  Repair compacts the store: quarantined
-  raw lines move to the ``<store>.quarantine`` sidecar and legacy rows are
-  rewritten with version + CRC stamps.
+* **store rows** — quarantined lines: unparseable, a bad or missing CRC, a
+  missing or unknown schema version.  Repair compacts the store: quarantined
+  raw lines move to the ``<store>.quarantine`` sidecar.
 * **trace blobs** — every ``*.trace`` file is structurally validated (header
-  syntax, column table vs payload length, payload checksum).  Repair renames a
-  corrupt blob to ``*.trace.corrupt`` so loaders recapture instead of
-  re-reading rot.
-* **orphan temp files** — ``.*.tmp`` staging files older than ``--tmp-age``
-  (a crash between ``mkstemp`` and ``os.replace``).  Repair unlinks them.
-* **lease records** — unparseable lease JSON (repair: quarantine-rename, then
+  syntax, format version, column table vs payload length, payload checksum).
+  Repair renames a corrupt blob to ``*.trace.corrupt`` so loaders recapture
+  instead of re-reading rot.
+* **orphan temp files** — staging files of :func:`repro.durable.publish`
+  older than ``--tmp-age`` (a crash before the rename).  Repair unlinks them.
+* **lease records** — files that do not read as a lease (not JSON, or JSON
+  of the wrong shape; repair: quarantine-rename, then
   re-cover any cells of the grid left without a lease, a stored result, or a
   failure row via fresh ``<workload>-fsckN`` pending leases) and running
   leases whose deadline lapsed more than a full lease period ago (the owner is
@@ -34,12 +34,17 @@ is not auditable (missing directory, no submitted campaign).
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
-from repro.campaign.coordinator import CampaignService, CoordinationError, Lease
+from repro.campaign.coordinator import (
+    CampaignService,
+    CoordinationError,
+    Lease,
+    read_lease,
+)
 from repro.campaign.store import ResultStore
+from repro.durable import STAGING_GLOB, lock_path
 from repro.trace.encoding import TraceEncodingError, validate_blob
 
 #: Default minimum age (seconds) before a ``.*.tmp`` staging file counts as an
@@ -108,29 +113,19 @@ def _audit_store(
     if not store_path.exists():
         return None
     store = ResultStore(store_path)
-    quarantined = store.quarantined()
-    unstamped = store.unstamped_lines
-    for entry in quarantined:
+    findings = [
         report.add(
             "store-row",
             str(store_path),
             f"line {entry['line']} quarantined ({entry['reason']})",
         )
-    if unstamped:
-        report.add(
-            "store-legacy",
-            str(store_path),
-            f"{unstamped} pre-CRC legacy rows (accepted, unverifiable)",
-        )
-    if repair and (quarantined or unstamped):
-        # One compaction settles both: quarantined raw lines spill to the
-        # sidecar, legacy rows come back out stamped with version + CRC.
+        for entry in store.quarantined()
+    ]
+    if repair and findings:
+        # Compaction spills the quarantined raw lines to the sidecar.
         store.compact()
-        for finding in report.findings:
-            if finding.check in ("store-row", "store-legacy") and finding.path == str(
-                store_path
-            ):
-                finding.repaired = True
+        for finding in findings:
+            finding.repaired = True
     return store
 
 
@@ -163,7 +158,7 @@ def _audit_tmp_orphans(
         if directory is None or not directory.exists() or directory in seen:
             continue
         seen.add(directory)
-        for path in sorted(directory.glob(".*.tmp")):
+        for path in sorted(directory.glob(STAGING_GLOB)):
             try:
                 age = now - path.stat().st_mtime
             except OSError:
@@ -196,13 +191,14 @@ def _audit_leases(
     valid: list[Lease] = []
     corrupt_paths: list[Path] = []
     for path in sorted(service.queue_dir.glob("*.json")):
-        try:
-            valid.append(Lease.from_dict(json.loads(path.read_text(encoding="utf-8"))))
-        except (json.JSONDecodeError, KeyError, OSError, TypeError):
+        lease = read_lease(path)
+        if lease is None:
             corrupt_paths.append(path)
+        else:
+            valid.append(lease)
 
     for path in corrupt_paths:
-        finding = report.add("lease-corrupt", str(path), "unparseable lease record")
+        finding = report.add("lease-corrupt", str(path), "unreadable lease record")
         if repair:
             try:
                 path.rename(path.with_suffix(".json.corrupt"))
@@ -283,10 +279,7 @@ def _audit_leases(
 def _audit_locks(
     report: FsckReport, service: CampaignService, repair: bool
 ) -> None:
-    sidecars = [
-        service.root / "queue.lock",
-        service.store_path.with_suffix(service.store_path.suffix + ".lock"),
-    ]
+    sidecars = [lock_path(service.queue_dir), lock_path(service.store_path)]
     terminal = service.queue_complete()
     for path in sidecars:
         if not path.exists():

@@ -21,9 +21,9 @@ bug-fix, a retired workload).
 once (the worker fleets of :mod:`repro.campaign.coordinator`).  Two
 mechanisms keep that safe:
 
-* every mutation — append, compaction, invalidate, merge — runs under an advisory
-  ``fcntl`` lock on a ``<store>.lock`` sidecar, so a compaction can never interleave
-  with another writer's append;
+* every mutation — append, compaction, invalidate, merge — runs under the advisory
+  lock of :func:`repro.durable.locked` (a ``<store>.lock`` sidecar), so a compaction
+  can never interleave with another writer's append;
 * any rewrite first *reloads* the on-disk rows, so lines appended by other
   processes since this instance's last load are folded in rather than silently
   discarded (the pre-fix behaviour lost finished cells whenever the
@@ -34,11 +34,11 @@ of ``"result"`` — recording cells whose simulation raised.  Failure rows never
 satisfy :meth:`ResultStore.get`/``in`` (a resumed campaign retries them); they are
 reported via :meth:`ResultStore.failures` and a newer success row supersedes them.
 
-**Integrity.** Every row written since schema version 2 carries ``"v"`` (the row
-schema version) and ``"crc"`` (CRC32 of the canonical sorted-JSON row with the
-``crc`` key removed), so silent corruption — bit rot, a torn write that happens to
-stay valid JSON — is detected on load, not just syntax errors.  Unstamped legacy
-rows are still read (and upgraded in place by the next :meth:`ResultStore.compact`).
+**Integrity.** Every row carries ``"v"`` (the row schema version) and ``"crc"``
+(CRC32 of the canonical sorted-JSON row with the ``crc`` key removed), so silent
+corruption — bit rot, a torn write that happens to stay valid JSON — is detected on
+load, not just syntax errors.  A row the load cannot verify is never served, and
+that includes a row without the two stamps.
 Rows that fail to parse or verify are *quarantined*, never a hard failure: the load
 skips them, keeps their raw bytes for inspection (:meth:`ResultStore.quarantined`),
 and compaction moves them to a ``<store>.quarantine`` sidecar before dropping them
@@ -51,18 +51,13 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 import zlib
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
-try:  # POSIX-only; the store degrades to lock-free on other platforms.
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None  # type: ignore[assignment]
-
 from repro.campaign.spec import CampaignCell
+from repro.durable import locked, publish
 from repro.faults.plan import InjectedFault, active_faults
 from repro.faults.sites import (
     STORE_APPEND_CORRUPT,
@@ -75,7 +70,7 @@ from repro.pipeline.stats import SimulationResult
 STORE_ENV_VAR = "REPRO_RESULT_STORE"
 
 #: Row schema version stamped into every written row (``"v"``).  Version 2 added
-#: the per-row CRC; rows without ``v``/``crc`` are read as version-1 legacy rows.
+#: the per-row CRC; a row of any other version is quarantined.
 ROW_VERSION = 2
 
 
@@ -133,7 +128,6 @@ class ResultStore:
         self._failures: dict[str, dict] = {}
         self._skipped_lines = 0
         self._superseded_lines = 0
-        self._unstamped_lines = 0
         self._quarantined: list[dict] = []
         self._lock_depth = 0
         self._load()
@@ -141,29 +135,13 @@ class ResultStore:
     # ------------------------------------------------------------------ locking
     @contextmanager
     def _locked(self):
-        """Hold the advisory inter-process lock (reentrant within this instance).
-
-        The lock lives on a ``<store>.lock`` sidecar rather than the data file
-        itself because rewrites *replace* the data file's inode — a lock taken on
-        the old inode would silently stop excluding writers that open the new one.
-        """
-        if self._lock_depth > 0 or fcntl is None:
+        """Hold the store's inter-process lock (reentrant within this instance)."""
+        with nullcontext() if self._lock_depth else locked(self.path):
             self._lock_depth += 1
             try:
                 yield
             finally:
                 self._lock_depth -= 1
-            return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        lock_path = self.path.with_suffix(self.path.suffix + ".lock")
-        with lock_path.open("a+", encoding="utf-8") as lock_file:
-            fcntl.flock(lock_file.fileno(), fcntl.LOCK_EX)
-            self._lock_depth = 1
-            try:
-                yield
-            finally:
-                self._lock_depth = 0
-                # flock drops with the file handle on context exit.
 
     # ------------------------------------------------------------------ loading
     def _ingest_row(self, record: dict) -> None:
@@ -194,7 +172,6 @@ class ResultStore:
         self._failures.clear()
         self._skipped_lines = 0
         self._superseded_lines = 0
-        self._unstamped_lines = 0
         self._quarantined = []
         if self.path is None or not self.path.exists():
             return
@@ -211,15 +188,12 @@ class ResultStore:
                 except (json.JSONDecodeError, KeyError, TypeError):
                     self._quarantine_line(line_no, line, "parse")
                     continue
-                if "crc" in record:
-                    if not isinstance(record.get("v"), int) or record["v"] > ROW_VERSION:
-                        self._quarantine_line(line_no, line, "version")
-                        continue
-                    if record["crc"] != row_crc(record):
-                        self._quarantine_line(line_no, line, "crc")
-                        continue
-                else:
-                    self._unstamped_lines += 1  # pre-CRC legacy row: accepted as-is
+                if record.get("v") != ROW_VERSION:
+                    self._quarantine_line(line_no, line, "version")
+                    continue
+                if record.get("crc") != row_crc(record):
+                    self._quarantine_line(line_no, line, "crc")
+                    continue
                 self._ingest_row(record)
 
     def reload(self) -> None:
@@ -244,17 +218,13 @@ class ResultStore:
         """Duplicate-fingerprint rows shadowed by newer ones since the last load."""
         return self._superseded_lines
 
-    @property
-    def unstamped_lines(self) -> int:
-        """Legacy (pre-CRC) rows read by the last load; upgraded on compaction."""
-        return self._unstamped_lines
-
     def quarantined(self) -> list[dict]:
         """The bad lines set aside by the last load: ``{"line", "reason", "raw"}``.
 
         Reasons: ``parse`` (not JSON / missing fields — the torn-append artefact),
-        ``crc`` (stamped row whose checksum does not match — silent corruption),
-        ``version`` (row from a future schema this reader cannot verify).
+        ``crc`` (a checksum that does not match — silent corruption),
+        ``version`` (a row without the current schema stamp, which this reader
+        cannot verify).
         """
         return list(self._quarantined)
 
@@ -301,21 +271,10 @@ class ResultStore:
         µops/s, trace-cache deltas — see :func:`repro.obs.telemetry.cell_telemetry`);
         it is stored alongside, never inside, the result dict.
         """
-        record = {
-            "fingerprint": cell.fingerprint,
-            "config": cell.config.name,
-            "workload": cell.workload_name,
-            "max_uops": cell.max_uops,
-            "warmup_uops": cell.warmup_uops,
-            "saved_unix": time.time(),
-            "result": result.to_dict(),
-        }
+        outcome = {"result": result.to_dict()}
         if telemetry is not None:
-            record["telemetry"] = telemetry
-        stamp_row(record)
-        self._ingest_row(record)
-        self._append(record)
-        return record
+            outcome["telemetry"] = telemetry
+        return self._put(cell, outcome)
 
     def put_failure(self, cell: CampaignCell, error: dict) -> dict:
         """Persist a structured *failure* row for ``cell`` (simulation raised).
@@ -327,6 +286,10 @@ class ResultStore:
         so a resumed campaign retries the cell; a later success row supersedes the
         failure automatically.
         """
+        return self._put(cell, {"error": error})
+
+    def _put(self, cell: CampaignCell, outcome: dict) -> dict:
+        """Stamp, index and append the row recording ``outcome`` for ``cell``."""
         record = {
             "fingerprint": cell.fingerprint,
             "config": cell.config.name,
@@ -334,7 +297,7 @@ class ResultStore:
             "max_uops": cell.max_uops,
             "warmup_uops": cell.warmup_uops,
             "saved_unix": time.time(),
-            "error": error,
+            **outcome,
         }
         stamp_row(record)
         self._ingest_row(record)
@@ -397,35 +360,12 @@ class ResultStore:
         (:meth:`_load`): a rewrite from a stale snapshot silently discards rows
         appended by other processes since this instance last read the file.
         """
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        handle_fd, tmp_name = tempfile.mkstemp(
-            dir=self.path.parent, prefix=f".{self.path.name}-", suffix=".tmp"
+        rows = "".join(
+            json.dumps(record, sort_keys=True) + "\n" for record in self._all_rows()
         )
-        faults = active_faults()
-        try:
-            with os.fdopen(handle_fd, "w", encoding="utf-8") as handle:
-                for record in self._all_rows():
-                    if "crc" not in record:
-                        stamp_row(record)  # rewrite upgrades legacy rows in place
-                    handle.write(json.dumps(record, sort_keys=True) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            if faults is not None:
-                # Simulated SIGKILL between mkstemp and rename: no cleanup runs,
-                # the data file survives untouched, the tmp orphan stays for fsck.
-                faults.crash_if(STORE_REWRITE_CRASH)
-            os.replace(tmp_name, self.path)
-        except InjectedFault:
-            raise
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        publish(self.path, rows.encode("utf-8"), crash_site=STORE_REWRITE_CRASH)
         self._skipped_lines = 0
         self._superseded_lines = 0
-        self._unstamped_lines = 0
         self._quarantined = []
 
     def compact(self, max_bytes: int | None = None) -> dict:
@@ -575,7 +515,6 @@ class ResultStore:
             "failures": len(self._failures),
             "skipped_lines": self._skipped_lines,
             "superseded_lines": self._superseded_lines,
-            "unstamped_lines": self._unstamped_lines,
             "size_bytes": self.size_bytes(),
             "configs": by_config,
             "workloads": by_workload,

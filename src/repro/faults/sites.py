@@ -1,7 +1,7 @@
 """The injection-site catalog: every named place a fault can fire.
 
 A *site* is a stable dotted name compiled into a durability-critical code path
-(``store.py``, ``trace/store.py``, ``coordinator.py``).  The catalog is closed:
+(``store.py``, ``trace/store.py``, ``coordinator.py``, ``durable.py``).  The catalog is closed:
 :func:`repro.faults.plan.FaultPlan.parse` rejects a ``REPRO_FAULTS`` clause naming a
 site that is not listed here, so a typo in a chaos schedule fails loudly at startup
 instead of silently injecting nothing.
@@ -22,14 +22,15 @@ STORE_APPEND_TORN = "store.append.torn"
 #: the writer believes the append succeeded; only the per-row CRC catches it.
 STORE_APPEND_CORRUPT = "store.append.corrupt"
 
-#: ``ResultStore._rewrite``: crash after the temp file is written and fsynced but
-#: before the atomic rename — the data file survives untouched, the temp file
-#: becomes an orphan for ``fsck`` to sweep.
+#: ``ResultStore._rewrite`` (through :func:`repro.durable.publish`): crash after the
+#: temp file is written and fsynced but before the atomic rename — the data file
+#: survives untouched, the temp file becomes an orphan for ``fsck`` to sweep.
 STORE_REWRITE_CRASH = "store.rewrite.crash"
 
 # -------------------------------------------------------------- trace-store sites
-#: ``TraceStore.save``: crash between ``mkstemp`` and the atomic rename — no blob
-#: is published, a ``.tmp`` orphan is left behind.
+#: ``TraceStore.save`` (through :func:`repro.durable.publish`): crash after the
+#: blob is staged and before the atomic rename — no blob is published, a ``.tmp``
+#: orphan is left behind.
 TRACE_SAVE_CRASH = "trace.save.crash"
 
 #: ``TraceStore.save``: publish a blob with payload bytes flipped (length intact) —
@@ -76,8 +77,8 @@ WORKER_DIE_BEFORE_COMPLETE = "worker.die.before_complete"
 SITE_CATALOG: dict[str, str] = {
     STORE_APPEND_TORN: "torn JSONL append: partial row, then crash",
     STORE_APPEND_CORRUPT: "silent bit-rot of one appended JSONL row",
-    STORE_REWRITE_CRASH: "crash between store-rewrite mkstemp and rename",
-    TRACE_SAVE_CRASH: "crash between trace-save mkstemp and rename",
+    STORE_REWRITE_CRASH: "crash between store-rewrite staging and rename",
+    TRACE_SAVE_CRASH: "crash between trace-save staging and rename",
     TRACE_SAVE_CORRUPT: "publish a trace blob with flipped payload bytes",
     TRACE_SAVE_TRUNCATED: "publish a truncated trace blob",
     COORD_HEARTBEAT_DROP: "drop a heartbeat (deadline not extended)",

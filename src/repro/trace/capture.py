@@ -53,7 +53,7 @@ def capture_trace(
     emulator = Emulator(program, state=state)
     columns = empty_columns()
     emulator.run_batch(budget, columns)
-    return CapturedTrace(program, *columns, halted=emulator.halted)
+    return CapturedTrace(program, *columns)
 
 
 def capture_workload_trace(workload, budget: int) -> CapturedTrace:

@@ -25,7 +25,10 @@ characterisation, profiling, tests).
 
 The same columns serialise to a flat binary blob (:meth:`CapturedTrace.to_bytes` /
 :meth:`CapturedTrace.from_bytes`) for the on-disk trace store
-(:mod:`repro.trace.store`).
+(:mod:`repro.trace.store`): one JSON header line, then the columns back to back.
+The header names the format, byte order and program, lists each column's size and
+carries the payload's CRC32, which every load verifies.  It holds nothing the
+columns determine: a trace's length and whether it halted are read from them.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from repro.isa.trace import OPTIONAL_FIELDS, DynInst, gc_paused
 
 #: Bump whenever the binary layout (or the semantics of a column) changes; stored
 #: traces with a different version are ignored by the store.
-TRACE_FORMAT_VERSION = 2
+TRACE_FORMAT_VERSION = 3
 
 #: Item size in bytes of each column of a blob, in order: pcs, next pcs, taken,
 #: then a presence and a value column per optional field.
@@ -124,9 +127,8 @@ def validate_blob(blob: bytes) -> tuple[dict, memoryview]:
     Checks everything that can be checked from the bytes alone — header syntax,
     format version, byte order, the column table (the format's column count, each
     column a whole number of items, the sizes summing to the payload length), the
-    payload checksum when the header carries one (pre-CRC legacy blobs pass
-    unverified), and the item counts (one per µ-op in the pc, next-pc, taken and
-    presence columns, one per present byte in each value column).  Raises
+    payload checksum, and the item counts (one per µ-op in the pc, next-pc, taken
+    and presence columns, one per present byte in each value column).  Raises
     :class:`TraceEncodingError` on any violation; the program fingerprint is
     *not* checked (that needs the program — see :meth:`CapturedTrace.from_bytes`).
     This is the audit primitive behind ``repro-campaign fsck``.
@@ -136,7 +138,7 @@ def validate_blob(blob: bytes) -> tuple[dict, memoryview]:
         raise TraceEncodingError("trace blob has no header")
     try:
         header = json.loads(blob[:newline])
-    except (json.JSONDecodeError, UnicodeDecodeError) as error:
+    except (ValueError, RecursionError) as error:
         raise TraceEncodingError(f"corrupt trace header: {error}") from error
     if not isinstance(header, dict):
         raise TraceEncodingError("trace header is not an object")
@@ -159,8 +161,9 @@ def validate_blob(blob: bytes) -> tuple[dict, memoryview]:
         raise TraceEncodingError("trace column is not a whole number of items")
     if sum(column_bytes) != len(payload):
         raise TraceEncodingError("trace blob is truncated")
-    expected_crc = header.get("payload_crc32")
-    if expected_crc is not None and zlib.crc32(payload) != expected_crc:
+    if "payload_crc32" not in header:
+        raise TraceEncodingError("trace header has no payload checksum")
+    if zlib.crc32(payload) != header["payload_crc32"]:
         raise TraceEncodingError("trace payload checksum mismatch (corrupt blob)")
     items = [size // item for size, item in zip(column_bytes, COLUMN_ITEM_BYTES)]
     ends = list(accumulate(column_bytes))
@@ -168,7 +171,7 @@ def validate_blob(blob: bytes) -> tuple[dict, memoryview]:
         items[i] - payload[ends[i - 1] : ends[i]].tobytes().count(0)
         for i in range(3, len(items), 2)
     ]
-    if set(items[:3] + items[3::2]) - {header.get("length")} or present != items[4::2]:
+    if len(set(items[:3] + items[3::2])) != 1 or present != items[4::2]:
         raise TraceEncodingError("trace columns disagree with its length or presence bytes")
     return header, payload
 
@@ -185,6 +188,8 @@ class CapturedTrace:
     halted:
         True when the program ran to completion within the capture budget — the trace
         is the *entire* committed stream and satisfies any replay length requirement.
+        It holds exactly when the pc after the last µ-op (the entry pc, 0, for an
+        empty trace) lies outside the program.
     """
 
     __slots__ = (
@@ -208,12 +213,11 @@ class CapturedTrace:
         taken: bytearray,
         presence: dict[str, bytearray],
         values: dict[str, array],
-        halted: bool,
         fingerprint: str | None = None,
     ) -> None:
         self.program = program
         self.length = len(pcs)
-        self.halted = halted
+        self.halted = not 0 <= (next_pcs[-1] if next_pcs else 0) < len(program.uops)
         self.fingerprint = (
             fingerprint if fingerprint is not None else program_fingerprint(program)
         )
@@ -333,12 +337,7 @@ class CapturedTrace:
                 "byteorder": sys.byteorder,
                 "program": self.fingerprint,
                 "program_name": self.program.name,
-                "length": self.length,
-                "halted": self.halted,
                 "column_bytes": [len(column) for column in columns],
-                # Header keys are additive (readers use .get), so stamping the
-                # checksum does not bump the format version: pre-CRC readers
-                # ignore it, and pre-CRC blobs are accepted without verification.
                 "payload_crc32": zlib.crc32(payload),
             },
             sort_keys=True,
@@ -379,7 +378,4 @@ class CapturedTrace:
         for index, name in enumerate(OPTIONAL_FIELDS):
             presence[name] = bytearray(chunks[3 + 2 * index])
             values[name] = as_array("Q", chunks[4 + 2 * index])
-        return cls(
-            program, pcs, next_pcs, taken, presence, values,
-            halted=bool(header["halted"]), fingerprint=fingerprint,
-        )
+        return cls(program, pcs, next_pcs, taken, presence, values, fingerprint)

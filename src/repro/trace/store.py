@@ -17,10 +17,10 @@ exactly one file per program.
 from __future__ import annotations
 
 import os
-import tempfile
 from pathlib import Path
 
-from repro.faults.plan import InjectedFault, active_faults
+from repro.durable import publish
+from repro.faults.plan import active_faults
 from repro.faults.sites import (
     TRACE_SAVE_CORRUPT,
     TRACE_SAVE_CRASH,
@@ -56,14 +56,12 @@ class TraceStore:
         """Persist ``trace`` (atomically) and return its path.
 
         Concurrent writers of the same fingerprint (two campaign workers capturing
-        one workload) must never share a temp file: each save stages through its own
-        ``mkstemp`` name in the store directory and publishes with an atomic
-        ``os.replace``, so readers observe either the old complete file or the new
-        complete file — never interleaved bytes.  The payload is fsynced before the
-        rename; a crash mid-save leaves only a ``*.tmp`` orphan, which
-        :meth:`load`/:meth:`__len__` never look at (they match ``*.trace`` only).
+        one workload) each stage through their own file and publish with
+        :func:`repro.durable.publish`, so readers observe either the old complete
+        file or the new complete file — never interleaved bytes.  A crash mid-save
+        leaves only a ``*.tmp`` orphan, which :meth:`load`/:meth:`__len__` never
+        look at (they match ``*.trace`` only).
         """
-        self.directory.mkdir(parents=True, exist_ok=True)
         path = self._path_for(trace.fingerprint)
         blob = trace.to_bytes()
         faults = active_faults()
@@ -80,27 +78,7 @@ class TraceStore:
                 mutable = bytearray(blob)
                 mutable[flip_at] ^= 0xFF
                 blob = bytes(mutable)
-        handle, tmp_name = tempfile.mkstemp(
-            dir=self.directory, prefix=f".{trace.fingerprint[:16]}-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(handle, "wb") as stream:
-                stream.write(blob)
-                stream.flush()
-                os.fsync(stream.fileno())
-            if faults is not None:
-                # Simulated SIGKILL between mkstemp and rename: nothing is
-                # published, the tmp orphan stays for fsck to sweep.
-                faults.crash_if(TRACE_SAVE_CRASH)
-            os.replace(tmp_name, path)
-        except InjectedFault:
-            raise
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        publish(path, blob, crash_site=TRACE_SAVE_CRASH)
         return path
 
     def __len__(self) -> int:

@@ -8,7 +8,7 @@ from repro.campaign.cli import main
 from repro.campaign.executor import run_campaign
 from repro.campaign.progress import HEARTBEAT_ENV_VAR
 from repro.campaign.spec import Campaign
-from repro.campaign.store import ResultStore
+from repro.campaign.store import ResultStore, stamp_row
 from repro.obs.telemetry import TraceCacheSnapshot, cell_telemetry
 from repro.pipeline.config import PipelineConfig
 from repro.trace.cache import shared_trace_cache
@@ -119,15 +119,13 @@ class TestReportMetrics:
         store = ResultStore(tmp_path / "s.jsonl")
         campaign = _campaign(workloads=("gcc",))
         run_campaign(campaign, store=store, workers=1)
-        # Strip the telemetry key, emulating a store written before this feature
-        # existed — which also predates row stamping, so drop the version/CRC
-        # keys too (keeping a stale CRC would make this bit rot, not legacy).
+        # Strip the telemetry key, emulating a row written without it, and
+        # stamp the row again (a stale CRC would make this bit rot).
         stripped = []
         for line in store.path.read_text().splitlines():
             record = json.loads(line)
-            for key in ("telemetry", "v", "crc"):
-                record.pop(key, None)
-            stripped.append(json.dumps(record))
+            record.pop("telemetry", None)
+            stripped.append(json.dumps(stamp_row(record), sort_keys=True))
         store.path.write_text("\n".join(stripped) + "\n")
         assert main(["report", "--store", str(store.path), "--metrics"]) == 0
         out = capsys.readouterr().out

@@ -12,6 +12,9 @@ from repro.campaign.executor import simulate_cell
 from repro.campaign.fsck import fsck_service, fsck_store, render_table
 from repro.campaign.spec import Campaign
 from repro.campaign.store import ResultStore
+from repro.durable import STAGING_GLOB
+from repro.faults.plan import FAULTS_ENV_VAR, InjectedFault
+from repro.faults.sites import STORE_REWRITE_CRASH, TRACE_SAVE_CRASH
 from repro.trace.capture import capture_workload_trace
 from repro.trace.store import TraceStore
 from repro.workloads.suite import workload
@@ -135,6 +138,31 @@ class TestTmpOrphans:
         assert not old.exists()
         assert young.exists()  # a live writer's file: not fsck's to delete
 
+    @pytest.mark.parametrize("site", [STORE_REWRITE_CRASH, TRACE_SAVE_CRASH])
+    def test_crash_before_the_rename_leaves_one_orphan_and_the_target(
+        self, tmp_path, monkeypatch, site
+    ):
+        service = _service(tmp_path)
+        _complete(service)
+        traces = TraceStore(service.trace_dir)
+        trace = capture_workload_trace(workload("gcc"), 600)
+        saved = traces.save(trace)
+        target = service.store_path if site == STORE_REWRITE_CRASH else saved
+        before = target.read_bytes()
+        monkeypatch.setenv(FAULTS_ENV_VAR, site)
+        with pytest.raises(InjectedFault):
+            if site == STORE_REWRITE_CRASH:
+                ResultStore(target).compact()
+            else:
+                traces.save(trace)
+        monkeypatch.delenv(FAULTS_ENV_VAR)
+        assert target.read_bytes() == before
+        (orphan,) = target.parent.glob(f".{target.name}-*.tmp")
+        assert list(target.parent.glob(STAGING_GLOB)) == [orphan]
+        report = fsck_service(service.root, tmp_age=0)
+        assert [f.path for f in report.unresolved] == [str(orphan)]
+        assert report.unresolved[0].check == "tmp-orphan"
+
 
 class TestLeaseAudit:
     def test_corrupt_lease_is_quarantined_and_cells_recovered(self, tmp_path):
@@ -157,6 +185,31 @@ class TestLeaseAudit:
         ]
         assert recovered and recovered[0].state == "pending"
         assert recovered[0].lease_id.endswith("-fsck0")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[]",
+            "null",
+            '{"fingerprints": 5, "lease_id": "gcc-0", "workload": "gcc", "state": "pending"}',
+        ],
+        ids=["list", "null", "int-fingerprints"],
+    )
+    def test_lease_file_that_is_not_a_lease_is_skipped_and_quarantined(
+        self, tmp_path, text
+    ):
+        service = _service(tmp_path, lease_width=1)
+        bad = sorted(service.queue_dir.glob("*.json"))[0]
+        bad.write_text(text)
+        _complete(service)  # claims every readable lease, skipping this file
+        assert service.claim("late-worker") is None
+        assert service.queue_complete()
+        assert bad.stem not in {lease.lease_id for lease in service.leases()}
+        [finding] = [f for f in fsck_service(service.root).unresolved if f.check == "lease-corrupt"]
+        assert finding.path == str(bad)
+        assert campaign_cli(["fsck", "--service", str(service.root), "--repair"]) == 0
+        assert not bad.exists()
+        assert bad.with_suffix(".json.corrupt").read_text() == text
 
     def test_wedged_running_lease_is_requeued_without_attempt_charge(self, tmp_path):
         service = _service(tmp_path, lease_seconds=5.0)

@@ -75,32 +75,36 @@ class TestRowStamping:
         (entry,) = store.quarantined()
         assert entry["reason"] == "version"
 
-    def test_legacy_unstamped_rows_still_load(self, tmp_path):
+    @pytest.mark.parametrize(
+        "dropped", [("v", "crc"), ("crc",), ("v",)], ids=["both", "crc", "v"]
+    )
+    def test_row_without_its_stamps_is_quarantined(self, tmp_path, dropped):
         path = tmp_path / "s.jsonl"
         cell = _cell()
-        store = _filled_store(path, [cell])
+        _filled_store(path, [cell])
         record = json.loads(path.read_text())
-        for key in ("v", "crc"):
+        for key in dropped:
             record.pop(key)
         path.write_text(json.dumps(record, sort_keys=True) + "\n")
         reopened = ResultStore(path)
-        assert cell.fingerprint in reopened
-        assert reopened.unstamped_lines == 1
-        assert reopened.get(cell.fingerprint) == store.get(cell.fingerprint)
+        assert cell.fingerprint not in reopened
+        (entry,) = reopened.quarantined()
+        assert entry["reason"] == ("crc" if dropped == ("crc",) else "version")
 
-    def test_compaction_upgrades_legacy_rows(self, tmp_path):
+    def test_compaction_spills_a_row_without_stamps(self, tmp_path):
         path = tmp_path / "s.jsonl"
         _filled_store(path, [_cell()])
         record = json.loads(path.read_text())
         for key in ("v", "crc"):
             record.pop(key)
-        path.write_text(json.dumps(record, sort_keys=True) + "\n")
+        line = json.dumps(record, sort_keys=True)
+        path.write_text(line + "\n")
         store = ResultStore(path)
-        store.compact()
-        upgraded = json.loads(path.read_text())
-        assert upgraded["v"] == ROW_VERSION
-        assert upgraded["crc"] == row_crc(upgraded)
-        assert ResultStore(path).unstamped_lines == 0
+        assert store.compact()["corrupt_dropped"] == 1
+        assert path.read_text() == ""
+        (spilled,) = [json.loads(row) for row in store.quarantine_path.read_text().splitlines()]
+        assert spilled["reason"] == "version"
+        assert spilled["raw"] == line
 
 
 class TestTornTail:

@@ -186,7 +186,8 @@ class TestMemory:
         batched = Emulator(program, state=state())
         columns = empty_columns()
         batched.run_batch(200, columns)
-        trace = CapturedTrace(program, *columns, halted=batched.halted)
+        trace = CapturedTrace(program, *columns)
+        assert trace.halted == batched.halted
         assert [inst.result for inst in trace.replay()] == expected
         assert batched.state.memory == stepped.state.memory
         assert stepped.state.memory[0x1000] == 0x1000 + 8 * 3  # read, never written
@@ -341,9 +342,9 @@ class TestRunBatch:
         expected = list(reference.run(budget))
         columns = empty_columns()
         assert batched.run_batch(budget, columns) is None
-        trace = CapturedTrace(program, *columns, halted=batched.halted)
+        trace = CapturedTrace(program, *columns)
         assert self._records(trace.instructions()) == self._records(expected)
-        assert batched.halted == reference.halted
+        assert trace.halted == batched.halted == reference.halted
         assert batched.pc == reference.pc
         assert batched.seq == reference.seq
         assert batched.state.regs == reference.state.regs
@@ -351,7 +352,7 @@ class TestRunBatch:
         # The reference's records encode to the same blob, which decodes to the
         # same records again.
         blob = trace.to_bytes()
-        encoded = trace_from_instructions(program, expected, reference.halted)
+        encoded = trace_from_instructions(program, expected)
         assert encoded.to_bytes() == blob
         decoded = CapturedTrace.from_bytes(blob, program)
         assert self._records(decoded.instructions()) == self._records(expected)
@@ -412,7 +413,8 @@ class TestRunBatch:
         columns = empty_columns()
         split.run_batch(20, columns)
         split.run_batch(30, columns)
-        trace = CapturedTrace(program, *columns, halted=split.halted)
+        trace = CapturedTrace(program, *columns)
+        assert trace.halted == split.halted
         assert self._records(trace.instructions()) == self._records(expected)
 
 

@@ -257,7 +257,7 @@ class StepEmulator(Emulator):
 
 
 def trace_from_instructions(
-    program: Program, instructions: Iterable[DynInst], halted: bool
+    program: Program, instructions: Iterable[DynInst]
 ) -> CapturedTrace:
     """Encode a committed ``DynInst`` stream as the columns every trace holds."""
     columns = empty_columns()
@@ -271,7 +271,7 @@ def trace_from_instructions(
             presence[name].append(value is not None)
             if value is not None:
                 values[name].append(value)
-    return CapturedTrace(program, *columns, halted=halted)
+    return CapturedTrace(program, *columns)
 
 
 def reference_trace(
@@ -281,7 +281,9 @@ def reference_trace(
     emulator = StepEmulator(program, state=state)
     with gc_paused():
         instructions = tuple(emulator.run(budget))
-    return trace_from_instructions(program, instructions, emulator.halted)
+    trace = trace_from_instructions(program, instructions)
+    assert trace.halted == emulator.halted
+    return trace
 
 
 def _reference_acquire(cache, workload, needed: int, max_uops: int) -> CapturedTrace:

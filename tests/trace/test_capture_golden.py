@@ -3,13 +3,15 @@
 The step-vs-batch tests compare two emulator loops with each other, so a change
 to what both share (the flags helpers, the workload programs, the arch-state
 set-up, the blob encoding) moves them together and passes.  These digests are of
-the format-2 layout (pcs, next pcs, taken and the sparse result, flags and
-address columns).  They were derived from the format-1 capture, before its
-source, flags-in and store-value columns were dropped, by re-serialising each
-format-1 trace with only the kept columns; the format-1 digests themselves were
-recorded before the batched loop dispatched on pre-resolved arms and before
-memory arrays were written in bulk or computed on read.  A change to them is a
-change to every trace.  A columnar capture (the emulator writing the columns, no
+the format-3 layout (pcs, next pcs, taken and the sparse result, flags and
+address columns; a header without ``length`` or ``halted``).  They were
+re-recorded from format 2 after checking that all 19 payloads, the bytes after
+the header line, are unchanged; format 2 in turn was derived from the format-1
+capture, before its source, flags-in and store-value columns were dropped, by
+re-serialising each format-1 trace with only the kept columns; the format-1
+digests themselves were recorded before the batched loop dispatched on
+pre-resolved arms and before memory arrays were written in bulk or computed on
+read.  A change to them is a change to every trace.  A columnar capture (the emulator writing the columns, no
 ``DynInst``) and the step-wise reference (``StepEmulator.run`` of
 ``tests/oracles.py``, whose loads go through ``ArchState.read_mem``) must give the
 same digests.
@@ -30,25 +32,25 @@ from tests.oracles import StepEmulator, reference_trace
 
 #: ``capture_budget(2000)`` µ-ops of each workload from a fresh arch state.
 GOLDEN_SHA256 = {
-    "gzip": "301a8bb5ca55e1b0bd56a85ac3eb8255edda1edb25ab909b3a9db9bf2fd05db6",
-    "wupwise": "151e6c9cf67a1753575494b59bdc5109a8e907f8bb27dccf12cc0f7358314c2a",
-    "applu": "66b052d54d341fbe99aa1231d9d1b24001a8fa482f0f745d84f56f06f50b82d0",
-    "vpr": "3bd5c4387e819adedd718d96c20b2d9272a235c345e00c972d41be4da945b2ed",
-    "art": "cead4282d00d3346cd0dfc93a341dc2049b1ecd5e49f955f4d181e9073991d65",
-    "crafty": "2574f0ebbb84e1ea545f42bf84aae3e7e890da0d156e8da98239b60284927721",
-    "parser": "7eedba244124b0a976eb1e5fe4db32b63d80f5c9e4536bfe0aafab1158141dae",
-    "vortex": "3b4e490ea654d269c7d2fa96e5119d91c7288ac61a0c60fee38790ec2398a6ba",
-    "bzip2": "33eef64d380690427a7636c3c0aed04990b2b64ba2e62eb0fff28431088b7ab5",
-    "gcc": "e89b2f809457529127cda995ef8b6755a90aee9dc9cc2aafcc249909fc33e5b3",
-    "gamess": "0f1c1125b431a5f6a4d21e4e30278b9ac94935f2a6ef9353ac4fb1f6ebba7bf0",
-    "mcf": "df88a90ffc776b8f441f3022aa168a12839b76f96a12d9fb3c383b581d8f2dc6",
-    "milc": "59b5836865665d7bd7474bb0984b65e0712c79e8fe1befbfe4210bb3125ee144",
-    "namd": "8dd2d3ea577fff090b28cddd31d981b3f7279dbf72643e62fcafb2011fe9507a",
-    "gobmk": "18abb897e50db365805210ec1775f3495684dd282b2128ef7a257d8e3b58292e",
-    "hmmer": "3e795571568ead4e7f93523672714b508e8c8ea0d299bdadd2251b6e3eb67c46",
-    "sjeng": "6d311d8ef293f4e845d5ae18e3e130fd4786fb33065a3d933205a97e189a8282",
-    "h264ref": "ec1b684010ef987c45395322ce3e30689a9d9415f32fb71f874d902a308c8ecc",
-    "lbm": "844837fa5e03730652dc15dffec9fbd4c6dc18e6b2963d6bc198e9da09893406",
+    "gzip": "6e6f28c5930086f8c524020f1e39122978a3328dcc115b265598651e269758a9",
+    "wupwise": "f0222c22fbfe15be74c46d4fc448efbc9ce89aec6857dd9355d23aa1c8b252d9",
+    "applu": "77545e8ed3754e7a13f2e7dc57de6fdc0c4076aa532f5863b7dcbd43b9025bcd",
+    "vpr": "87755b20decf92432faf78b56467395b7690b6ed3f8cc9f9614555c140659b26",
+    "art": "96f7bf1572e64f4c16a7738007481a782530d103d1c41f23fd2974065ac6db7a",
+    "crafty": "24fa09d48c21a09baf1d634fd2e349bc225dfa678f2f1aa3e3bd86b25b51dd17",
+    "parser": "5cb3565b5ea9e602aea6daa66ee00500463bd35c29a7809ef5c2c0b9915402e6",
+    "vortex": "f01fb22a00ce6c8ae683ee452d071e17a8a649b915bf2c11760d4b67d7afbfa2",
+    "bzip2": "80319094d8981c9b6743ee29c81a3a4da86876fb70322b3ea19eac7eb97d6e2b",
+    "gcc": "988a952180cdd7c8338215d4862b0765d31aef084a2620c0bbb8e5450447d7ef",
+    "gamess": "5ede99638dd0e4d65f4f350145128c2b5bc8116d4c2b619fee454eaa4378db8a",
+    "mcf": "d9581190c496e8d37b23a3198a79012a75f82777b273d3425ade9ba5d765e305",
+    "milc": "1152f41b88de907fe6c41f1ecf8d6f91ac0e3771ce2cb723e2a31dedf876b6e1",
+    "namd": "791e7c96ab203ffd517b34f2addc678bd4880c48fdf32fd7503be34440caf22c",
+    "gobmk": "238ed1a145ce91a7ce8e1f5f54c3b25c6ee4af23091cf119d2837ce2595a4d9c",
+    "hmmer": "32b4f44dbfcb0af692f1c13f643d9769d675fa1daba072677727c3662f49d223",
+    "sjeng": "1da1512c414188b4c7c7c28b967d028f567628163f7c2f34e216969529ac5018",
+    "h264ref": "5ca1f7e1acc9f8ae81e7782d8b54f794beef943efbb9c3a32aeea2670d35c384",
+    "lbm": "f39d24339621b9ef6e3be6cc918fb0df52868c73a81673f3a75136f84531924d",
 }
 
 

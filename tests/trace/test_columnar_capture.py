@@ -57,7 +57,9 @@ def _columns_trace(program, batches):
     columns = empty_columns()
     for size in batches:
         assert emulator.run_batch(size, columns) is None
-    return emulator, CapturedTrace(program, *columns, halted=emulator.halted)
+    trace = CapturedTrace(program, *columns)
+    assert trace.halted == emulator.halted
+    return emulator, trace
 
 
 def test_halting_program_matches_replay_capture():

@@ -47,16 +47,21 @@ class TestPayloadChecksum:
         with pytest.raises(TraceEncodingError, match="truncated"):
             validate_blob(blob[: len(blob) // 2])
 
-    def test_legacy_blob_without_crc_still_loads(self, gcc_trace):
-        blob = gcc_trace.to_bytes()
-        newline = blob.find(b"\n")
-        header = json.loads(blob[:newline])
-        header.pop("payload_crc32")
-        legacy = json.dumps(header, sort_keys=True).encode() + blob[newline:]
-        validated, _ = validate_blob(legacy)
-        assert "payload_crc32" not in validated
-        restored = CapturedTrace.from_bytes(legacy, workload("gcc").program)
+    def test_header_holds_nothing_the_columns_determine(self, gcc_trace):
+        header, _ = validate_blob(gcc_trace.to_bytes())
+        assert not {"length", "halted"} & set(header)
+        # Keys written into the header are not read: a budget-truncated trace
+        # stays truncated and covers no longer run.
+        forged = _with_header(gcc_trace.to_bytes(), halted=True, length=10**6)
+        restored = CapturedTrace.from_bytes(forged, workload("gcc").program)
+        assert not gcc_trace.halted and not restored.halted
         assert restored.length == gcc_trace.length
+        assert not restored.covers(gcc_trace.length + 1)
+
+    def test_deeply_nested_header_is_rejected_not_raised(self):
+        blob = b"[" * 100_000 + b"]" * 100_000 + b"\n"
+        with pytest.raises(TraceEncodingError, match="corrupt trace header"):
+            validate_blob(blob)
 
     def test_garbage_is_rejected_with_a_reason(self):
         with pytest.raises(TraceEncodingError):
@@ -137,8 +142,22 @@ def _short_values(blob: bytes) -> bytes:
 
 
 def _format_1(blob: bytes) -> bytes:
-    """A blob stamped with the format before this one."""
+    """A blob stamped with the first format."""
     return _with_header(blob, format=1)
+
+
+def _format_2(blob: bytes) -> bytes:
+    """A blob stamped with the format before this one, which kept ``halted`` and
+    ``length`` in the header."""
+    return _with_header(blob, format=2, halted=True, length=len(blob))
+
+
+def _without_crc(blob: bytes) -> bytes:
+    """A header without its ``payload_crc32`` key."""
+    newline = blob.find(b"\n")
+    header = json.loads(blob[:newline])
+    del header["payload_crc32"]
+    return json.dumps(header, sort_keys=True).encode() + blob[newline:]
 
 
 #: Blobs the current format must reject, each with the reason it names.
@@ -148,6 +167,8 @@ BAD_BLOBS = {
     "shifted-pc": (_shifted_pc, "disagree with its length"),
     "short-values": (_short_values, "presence bytes"),
     "format-1": (_format_1, "unsupported trace format 1"),
+    "format-2": (_format_2, "unsupported trace format 2"),
+    "no-crc": (_without_crc, "no payload checksum"),
 }
 
 
