@@ -66,7 +66,7 @@ import threading
 import time
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from repro.campaign.executor import CellRun, failure_payload, run_cell
@@ -139,18 +139,26 @@ class Lease:
         return asdict(self) | {"errors": list(self.errors or [])}
 
 
+#: The keys of a lease record: :meth:`Lease.to_dict` writes exactly these.
+LEASE_FIELDS = frozenset(field.name for field in fields(Lease))
+
+
 def read_lease(path: Path) -> Lease | None:
     """The lease record at ``path``, or ``None`` when the file holds none.
 
-    A missing file, text that is not JSON and JSON that is not a lease record
-    (``[]``, ``null``, a field of the wrong type) all read as ``None``: a scan
-    that races a replace on a non-atomic filesystem sees the record on its next
-    pass, and ``fsck`` reports a file that stays unreadable.
+    A missing file, text that is not JSON and JSON that is not exactly a lease
+    record (``[]``, ``null``, a missing or extra key, a field of the wrong type)
+    all read as ``None``: a scan that races a replace on a non-atomic filesystem
+    sees the record on its next pass, and ``fsck`` reports a file that stays
+    unreadable.
     """
     try:
-        lease = Lease(**json.loads(path.read_text(encoding="utf-8")))
-    except (OSError, ValueError, TypeError):
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError):
         return None
+    if not isinstance(data, dict) or data.keys() != LEASE_FIELDS:
+        return None
+    lease = Lease(**data)
     numbers = (lease.deadline_unix, lease.not_before_unix, lease.attempts)
     well_formed = (
         isinstance(lease.lease_id, str)
@@ -315,7 +323,7 @@ class CampaignService:
         return self.queue_dir / f"{lease_id}.json"
 
     def _write_json(self, path: Path, payload: dict) -> None:
-        publish(path, json.dumps(payload, sort_keys=True).encode("utf-8"))
+        publish(path, [json.dumps(payload, sort_keys=True).encode("utf-8")])
 
     def _write_lease(self, lease: Lease) -> None:
         self._write_json(self._lease_path(lease.lease_id), lease.to_dict())

@@ -360,10 +360,11 @@ class ResultStore:
         (:meth:`_load`): a rewrite from a stale snapshot silently discards rows
         appended by other processes since this instance last read the file.
         """
-        rows = "".join(
-            json.dumps(record, sort_keys=True) + "\n" for record in self._all_rows()
+        rows = (
+            (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
+            for record in self._all_rows()
         )
-        publish(self.path, rows.encode("utf-8"), crash_site=STORE_REWRITE_CRASH)
+        publish(self.path, rows, crash_site=STORE_REWRITE_CRASH)
         self._skipped_lines = 0
         self._superseded_lines = 0
         self._quarantined = []

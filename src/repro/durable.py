@@ -2,7 +2,7 @@
 
 Every file the campaign fleet shares is written through this module:
 
-* :func:`publish` replaces a file atomically.  The bytes are staged in a
+* :func:`publish` replaces a file atomically.  The bytes are streamed into a
   ``.<target name>-*.tmp`` file beside the target, fsynced and moved over the
   target with ``os.replace``, so a reader sees the old file or the new one,
   never a mix.  A crash before the rename leaves the target untouched and the
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+from collections.abc import Iterable
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -56,8 +57,11 @@ def locked(path: Path):
         yield
 
 
-def publish(path: Path, data: bytes, crash_site: str | None = None) -> None:
-    """Atomically replace ``path`` with ``data``.
+def publish(path: Path, chunks: Iterable[bytes], crash_site: str | None = None) -> None:
+    """Atomically replace ``path`` with the concatenated byte ``chunks``.
+
+    The chunks are written as they are produced, so a caller can stream a large
+    file (the result store's rows) without first joining it in memory.
 
     ``crash_site`` names a fault-injection site that fires after the staged
     bytes are fsynced and before the rename.  Its :class:`InjectedFault` stands
@@ -70,7 +74,7 @@ def publish(path: Path, data: bytes, crash_site: str | None = None) -> None:
     )
     try:
         with os.fdopen(handle, "wb") as stream:
-            stream.write(data)
+            stream.writelines(chunks)
             stream.flush()
             os.fsync(stream.fileno())
         faults = active_faults() if crash_site is not None else None

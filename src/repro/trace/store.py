@@ -78,7 +78,7 @@ class TraceStore:
                 mutable = bytearray(blob)
                 mutable[flip_at] ^= 0xFF
                 blob = bytes(mutable)
-        publish(path, blob, crash_site=TRACE_SAVE_CRASH)
+        publish(path, [blob], crash_site=TRACE_SAVE_CRASH)
         return path
 
     def __len__(self) -> int:

@@ -187,19 +187,22 @@ class TestLeaseAudit:
         assert recovered[0].lease_id.endswith("-fsck0")
 
     @pytest.mark.parametrize(
-        "text",
+        "mangle",
         [
-            "[]",
-            "null",
-            '{"fingerprints": 5, "lease_id": "gcc-0", "workload": "gcc", "state": "pending"}',
+            lambda record: [],
+            lambda record: None,
+            lambda record: record | {"fingerprints": 5},
+            lambda record: {k: v for k, v in record.items() if k != "state"},
+            lambda record: record | {"priority": 1},
         ],
-        ids=["list", "null", "int-fingerprints"],
+        ids=["list", "null", "int-fingerprints", "missing-state", "extra-key"],
     )
     def test_lease_file_that_is_not_a_lease_is_skipped_and_quarantined(
-        self, tmp_path, text
+        self, tmp_path, mangle
     ):
         service = _service(tmp_path, lease_width=1)
         bad = sorted(service.queue_dir.glob("*.json"))[0]
+        text = json.dumps(mangle(json.loads(bad.read_text())))
         bad.write_text(text)
         _complete(service)  # claims every readable lease, skipping this file
         assert service.claim("late-worker") is None

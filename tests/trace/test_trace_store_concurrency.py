@@ -4,7 +4,8 @@ Regression tests for the shared-temp-path race in :meth:`TraceStore.save`: every
 save used to stage through the *same* ``<fingerprint>.trace.tmp`` name, so two
 workers capturing one workload (exactly what the distributed coordinator's
 one-trace-per-fleet sync produces) could interleave writes and publish a torn
-blob.  Saves now stage through per-writer ``mkstemp`` names and publish with an
+blob.  Saves now go through :func:`repro.durable.publish`, which stages each
+writer's bytes in its own ``.<target name>-*.tmp`` file and publishes with an
 atomic rename, so a reader observes a complete file or nothing.
 """
 
@@ -28,7 +29,7 @@ def _save_repeatedly(directory: str, saves: int, barrier) -> None:
 
 
 def _tmp_orphans(directory):
-    """Temp-staging leftovers (named ``.{fp}-XXXX.tmp``, hidden from globs)."""
+    """Temp-staging leftovers (named ``.<target name>-*.tmp``, hidden from globs)."""
     return [path for path in directory.iterdir() if path.suffix == ".tmp"]
 
 
@@ -65,7 +66,7 @@ class TestCrashDurability:
         store = TraceStore(tmp_path)
         store.save(trace)
         # A SIGKILL mid-save leaves a partial temp behind; it must be invisible.
-        orphan = tmp_path / f".{trace.fingerprint[:16]}-crashed.tmp"
+        orphan = tmp_path / f".{trace.fingerprint[:32]}.trace-crashed.tmp"
         orphan.write_bytes(trace.to_bytes()[:16])
         assert len(store) == 1
         assert store.load(wl.program).to_bytes() == trace.to_bytes()
