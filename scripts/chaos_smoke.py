@@ -8,7 +8,8 @@ directory and run three workers against it, two of them armed with
 * **victim** — a trace-store crash between staging and rename (leaves a
   ``.tmp`` orphan), then ``os._exit`` right after its first cell lands in the
   shared store (a SIGKILL-faithful death: no cleanup, no more heartbeats, lease
-  left ``running`` until it lapses).
+  left ``running`` until it lapses).  It runs alone until it dies, so its first
+  lease captures (and saves) a trace no other worker can have saved first.
 * **flaky** — a torn store append (half a JSONL row, then the "crash"), a
   silently corrupted store append (row written with mangled bytes, worker
   believes it succeeded), a corrupted trace blob on disk, and three dropped
@@ -19,7 +20,8 @@ The script then asserts the full crash-recovery story:
 
 1. the queue completes within the budget (takeover + bounded retries absorb
    every injected failure),
-2. ``fsck`` *finds* the residue (quarantined rows, the tmp orphan, …),
+2. ``fsck`` *finds* the residue, the victim's ``tmp-orphan`` among it (so the
+   crash site provably fired),
 3. ``fsck --repair`` plus one faults-off in-process resume pass restores a
    complete store (the resume re-simulates exactly the cells the silent
    corruption ate),
@@ -121,9 +123,17 @@ def main() -> int:
         )
         print(f"submitted {leases} leases for {len(campaign.cells())} cells")
 
-        workers = {name: spawn_worker(service.root, name) for name in FAULT_SPECS}
+        deadline = time.time() + args.timeout_seconds
+        workers = {"victim": spawn_worker(service.root, "victim")}
         try:
-            deadline = time.time() + args.timeout_seconds
+            # The victim alone until it dies, then the rest of the fleet.
+            try:
+                workers["victim"].wait(timeout=args.timeout_seconds)
+            except subprocess.TimeoutExpired:
+                pass
+            for name in FAULT_SPECS:
+                if name not in workers:
+                    workers[name] = spawn_worker(service.root, name)
             while time.time() < deadline and not service.queue_complete():
                 time.sleep(0.2)
             if not service.queue_complete():
@@ -157,6 +167,13 @@ def main() -> int:
             print(
                 "FAIL: fsck found no residue — the fault schedule injected "
                 "nothing observable",
+                file=sys.stderr,
+            )
+            return 1
+        if not any(finding.check == "tmp-orphan" for finding in audit.findings):
+            print(
+                "FAIL: fsck found no tmp-orphan — the victim's trace.save.crash "
+                "did not fire",
                 file=sys.stderr,
             )
             return 1

@@ -139,8 +139,8 @@ def unified_metrics(sim) -> dict:
         out["vp.unused_correct"] = vp.unused_correct
         out["vp.coverage"] = vp.coverage
         out["vp.accuracy"] = vp.accuracy
-        for source in sorted(vp.per_source):
-            out[f"vp.component.{source}"] = vp.per_source[source]
+        if vp.confident_predictions:
+            out[f"vp.component.{predictor.name}"] = vp.confident_predictions
 
     bpu = getattr(sim, "bpu", None)
     if bpu is not None:

@@ -24,7 +24,6 @@ from collections import deque
 
 from repro.bpu.unit import BranchOutcome
 from repro.isa.microop import MicroOp
-from repro.vp.base import VPrediction
 
 #: Sentinel used for "not yet known" cycle fields.
 UNKNOWN_CYCLE = -1
@@ -132,8 +131,9 @@ class InflightOp:
         self.mem_waiters = None
         self.avail_cycle = UNKNOWN_CYCLE
         # Fetch only assigns predictions to VP-eligible µ-ops: clear here so a
-        # recycled record never pins (or leaks) another µ-op's prediction.
-        self.prediction: VPrediction | None = None
+        # recycled record never pins (or leaks) another µ-op's prediction, the
+        # value predictor's lookup record (``(value, confident, ...)``).
+        self.prediction: tuple | None = None
         self.pred_used = False
         self.early_executed = False
         self.late_executed = False

@@ -594,15 +594,15 @@ class Simulator:
                 and kind & 32
                 and (actual := results[op.seq]) is not None
             ):
-                prediction = op.prediction
-                vp_group.append((op.pc, actual, prediction))
+                record = op.prediction
+                vp_group.append((op.pc, actual, record))
                 if op.pred_used:
-                    value_correct = prediction.value == actual
+                    value_correct = record[0] == actual
                     flags_ok = True
                     flags_result = self._trace_flags[op.seq] if kind & 128 else None
                     if flags_result is not None:
                         flags_ok = flags_match_for_validation(
-                            flags_result, approximate_flags(prediction.value)
+                            flags_result, approximate_flags(record[0])
                         )
                         if value_correct and not flags_ok:
                             stats.flag_only_mispredictions += 1
@@ -1106,9 +1106,9 @@ class Simulator:
             op.history_snapshot = snapshot if snapshot is not None else history.snapshot()
 
             if predictor is not None and kind & 32:  # vp-eligible
-                prediction = predictor.lookup(pc, history)
-                op.prediction = prediction
-                op.pred_used = prediction is not None and prediction.confident
+                record = predictor.lookup(pc, history)
+                op.prediction = record
+                op.pred_used = record is not None and record[1]
 
             stop_fetching = False
             if is_branch:
@@ -1129,10 +1129,9 @@ class Simulator:
             if tracer is not None:
                 tracer.emit(cycle, "fetch", op, uop.opcode.name)
                 if predictor is not None and kind & 32:
-                    prediction = op.prediction
                     if op.pred_used:
-                        tracer.emit(cycle, "vp_lookup", op, prediction.source)
-                    elif prediction is not None:
+                        tracer.emit(cycle, "vp_lookup", op, predictor.name)
+                    elif op.prediction is not None:
                         tracer.emit(cycle, "vp_lookup", op, "low_confidence")
                     else:
                         tracer.emit(cycle, "vp_lookup", op, "miss")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from repro.bpu.history import GlobalHistory
 from repro.errors import ConfigurationError
-from repro.vp.base import ValuePredictor, VPrediction
+from repro.vp.base import ValuePredictor
 from repro.vp.confidence import FPCPolicy, PAPER_FPC_VECTOR
 
 _MASK64 = (1 << 64) - 1
@@ -70,7 +70,8 @@ class FCMPredictor(ValuePredictor):
         self._saturation = self._policy.saturation
 
     # ------------------------------------------------------------------ interface
-    def lookup(self, pc: int, history: GlobalHistory) -> VPrediction | None:
+    def lookup(self, pc: int, history: GlobalHistory) -> tuple[int, bool, int] | None:
+        """The record ``(value, confident, l2)`` on a valid second-level entry."""
         stats = self.stats
         stats.lookups += 1
         l1 = self._l1_cache.get(pc)
@@ -82,18 +83,26 @@ class FCMPredictor(ValuePredictor):
         confident = self._confidence[l2] >= self._saturation
         if confident:
             stats.confident_predictions += 1
-            stats.per_source[self.name] = stats.per_source.get(self.name, 0) + 1
-        return VPrediction(self._values[l2], confident, self.name, meta=l2)
+        return self._values[l2], confident, l2
 
-    def train(self, pc: int, actual: int, prediction: VPrediction | None) -> None:
-        actual &= _MASK64
+    def train(self, pc: int, actual: int, record: tuple[int, bool, int] | None) -> bool:
+        correct = True
         l1 = self._l1_cache.get(pc)
         if l1 is None:
             l1 = self._l1_cache[pc] = _mix(pc) & self._l1_mask
-        if prediction is not None and prediction.meta is not None:
-            l2 = prediction.meta
-        else:
+        if record is None:
             l2 = self._l2_indices[l1]
+        else:
+            value, confident, l2 = record
+            if confident:
+                if value == actual:
+                    self.stats.correct_used += 1
+                else:
+                    self.stats.incorrect_used += 1
+                    correct = False
+            elif value == actual:
+                self.stats.unused_correct += 1
+        actual &= _MASK64
         if l2 is not None:
             if self._valid[l2]:
                 if self._values[l2] == actual:
@@ -120,6 +129,9 @@ class FCMPredictor(ValuePredictor):
                 value = (value * 0xFF51AFD7ED558CCD) & _MASK64
                 digest = value ^ (value >> 29)
             self._l2_indices[l1] = digest & self._l2_mask
+        return correct
+
+    validate_and_train = train
 
     def storage_bits(self) -> int:
         first_level = self.first_level_entries * 16  # folded history hash per PC

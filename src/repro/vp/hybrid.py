@@ -14,7 +14,7 @@ component (VTAGE), following Table 2 and Section 4.2:
 from __future__ import annotations
 
 from repro.bpu.history import GlobalHistory
-from repro.vp.base import ValuePredictor, VPrediction
+from repro.vp.base import ValuePredictor
 from repro.vp.confidence import PAPER_FPC_VECTOR
 from repro.vp.stride import TwoDeltaStridePredictor
 from repro.vp.vtage import VTAGEPredictor
@@ -39,79 +39,59 @@ class VTAGE2DStrideHybrid(ValuePredictor):
         self.stride = stride if stride is not None else TwoDeltaStridePredictor(
             fpc_vector=fpc_vector, seed=seed ^ 0x2
         )
+        # The hybrid accounts each µ-op once; its components' walks count nothing.
+        self.vtage.stats = self.stride.stats = None
 
     # ------------------------------------------------------------------ interface
-    def lookup(self, pc: int, history: GlobalHistory) -> VPrediction | None:
-        """Both component lookups, the arbitration and the lookup accounting.
+    def lookup(self, pc: int, history: GlobalHistory) -> tuple:
+        """Both component walks, the arbitration and the lookup accounting.
 
-        The prediction's ``meta`` is the record ``(chosen, vtage_record,
-        stride_value)``: the arbitration winner (``"vtage"`` or ``"stride"``), the
-        VTAGE lookup record, and the 2D-Stride value (``None`` on a stride miss).
+        Returns the record ``(value, confident, vtage_record, stride_record)``:
+        the arbitrated prediction, then the two component records (the stride
+        one is ``None`` on a 2D-Stride miss).
         """
-        vtage_record = self.vtage.lookup_parts(pc, history)
-        stride_parts = self.stride.lookup_parts(pc)
-        vtage_value = vtage_record[0]
+        vtage_record = self.vtage.lookup(pc, history)
+        stride_record = self.stride.lookup(pc, history)
         vtage_tagged_hit = vtage_record[2] >= 0
-        if stride_parts is None:
-            stride_value = None
-            stride_confident = False
-        else:
-            stride_value, stride_confident = stride_parts
+        stride_confident = stride_record is not None and stride_record[1]
         # Arbitration: a confident context-based (VTAGE) prediction wins when it comes
         # from a tagged hit or the stride is not confident; then a confident
         # computational (2D-Stride) one.  With no confident component the VTAGE tagged
         # hit is preferred for training purposes, then the stride entry.
         if vtage_record[1] and (vtage_tagged_hit or not stride_confident):
-            chosen, value, confident = "vtage", vtage_value, True
+            value, confident = vtage_record[0], True
         elif stride_confident:
-            chosen, value, confident = "stride", stride_value, True
-        elif vtage_tagged_hit or stride_value is None:
-            chosen, value, confident = "vtage", vtage_value, False
+            value, confident = stride_record[0], True
+        elif vtage_tagged_hit or stride_record is None:
+            value, confident = vtage_record[0], False
         else:
-            chosen, value, confident = "stride", stride_value, False
+            value, confident = stride_record[0], False
         stats = self.stats
         stats.lookups += 1
         if confident:
             stats.confident_predictions += 1
-            stats.per_source[self.name] = stats.per_source.get(self.name, 0) + 1
-        return VPrediction(value, confident, self.name, (chosen, vtage_record, stride_value))
+        return value, confident, vtage_record, stride_record
 
-    def train(self, pc: int, actual: int, prediction: VPrediction | None) -> None:
-        record = None if prediction is None else prediction.meta
+    def train(self, pc: int, actual: int, record: tuple | None) -> bool:
+        """Account the arbitrated outcome, then train both components."""
+        correct = True
         if record is None:
-            self.vtage.train_parts(pc, actual, None)
-            self.stride.train_parts(pc, actual, None)
+            vtage_record = stride_record = None
         else:
-            self.vtage.train_parts(pc, actual, record[1])
-            self.stride.train_parts(pc, actual, record[2])
-
-    def train_commit_group(
-        self, group: list[tuple[int, int, VPrediction | None]]
-    ) -> None:
-        """Per-commit-group training calling the component walks directly.
-
-        Same per-item order, outcome accounting and component calls as
-        :meth:`validate_and_train` without its :meth:`train` frame (FPC draw
-        sequences are unchanged).
-        """
-        stats = self.stats
-        vtage_train = self.vtage.train_parts
-        stride_train = self.stride.train_parts
-        for pc, actual, prediction in group:
-            if prediction is None:
-                vtage_train(pc, actual, None)
-                stride_train(pc, actual, None)
-                continue
-            if prediction.confident:
-                if prediction.value == actual:
-                    stats.correct_used += 1
+            value, confident, vtage_record, stride_record = record
+            if confident:
+                if value == actual:
+                    self.stats.correct_used += 1
                 else:
-                    stats.incorrect_used += 1
-            elif prediction.value == actual:
-                stats.unused_correct += 1
-            _, vtage_record, stride_value = prediction.meta
-            vtage_train(pc, actual, vtage_record)
-            stride_train(pc, actual, stride_value)
+                    self.stats.incorrect_used += 1
+                    correct = False
+            elif value == actual:
+                self.stats.unused_correct += 1
+        self.vtage.train(pc, actual, vtage_record)
+        self.stride.train(pc, actual, stride_record)
+        return correct
+
+    validate_and_train = train
 
     def recover(self) -> None:
         self.vtage.recover()

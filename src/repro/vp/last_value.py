@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from repro.bpu.history import GlobalHistory
 from repro.errors import ConfigurationError
-from repro.vp.base import ValuePredictor, VPrediction
+from repro.vp.base import ValuePredictor
 from repro.vp.confidence import FPCPolicy, PAPER_FPC_VECTOR
 
 _MASK64 = (1 << 64) - 1
@@ -64,7 +64,8 @@ class LastValuePredictor(ValuePredictor):
         return cached
 
     # ------------------------------------------------------------------ interface
-    def lookup(self, pc: int, history: GlobalHistory) -> VPrediction | None:
+    def lookup(self, pc: int, history: GlobalHistory) -> tuple[int, bool] | None:
+        """The record ``(value, confident)`` on a tag hit, else ``None``."""
         stats = self.stats
         stats.lookups += 1
         cached = self._pc_cache.get(pc)
@@ -76,10 +77,19 @@ class LastValuePredictor(ValuePredictor):
         confident = self._confidence[index] >= self._saturation
         if confident:
             stats.confident_predictions += 1
-            stats.per_source[self.name] = stats.per_source.get(self.name, 0) + 1
-        return VPrediction(self._values[index], confident, self.name)
+        return self._values[index], confident
 
-    def train(self, pc: int, actual: int, prediction: VPrediction | None) -> None:
+    def train(self, pc: int, actual: int, record: tuple[int, bool] | None) -> bool:
+        correct = True
+        if record is not None:
+            if record[1]:
+                if record[0] == actual:
+                    self.stats.correct_used += 1
+                else:
+                    self.stats.incorrect_used += 1
+                    correct = False
+            elif record[0] == actual:
+                self.stats.unused_correct += 1
         cached = self._pc_cache.get(pc)
         if cached is None:
             cached = self._index_and_tag(pc)
@@ -100,6 +110,9 @@ class LastValuePredictor(ValuePredictor):
             self._tags[index] = tag
             self._values[index] = actual
             self._confidence[index] = 0
+        return correct
+
+    validate_and_train = train
 
     def storage_bits(self) -> int:
         per_entry = self.tag_bits + self.value_bits + 3 + 1

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from repro.bpu.history import GlobalHistory
 from repro.errors import ConfigurationError
-from repro.vp.base import ValuePredictor, VPrediction
+from repro.vp.base import ValuePredictor
 from repro.vp.confidence import FPCPolicy, PAPER_FPC_VECTOR
 
 _MASK64 = (1 << 64) - 1
@@ -96,24 +96,15 @@ class StridePredictor(ValuePredictor):
         return cached
 
     # ------------------------------------------------------------------ interface
-    def lookup(self, pc: int, history: GlobalHistory) -> VPrediction | None:
-        stats = self.stats
-        stats.lookups += 1
-        parts = self.lookup_parts(pc)
-        if parts is None:
-            return None
-        value, confident = parts
-        if confident:
-            stats.confident_predictions += 1
-            stats.per_source[self.name] = stats.per_source.get(self.name, 0) + 1
-        return VPrediction(value, confident, self.name)
+    def lookup(self, pc: int, history: GlobalHistory) -> tuple[int, bool] | None:
+        """The record ``(value, confident)`` on a table hit, else ``None``.
 
-    def lookup_parts(self, pc: int) -> tuple[int, bool] | None:
-        """The fetch-side table walk, shared by :meth:`lookup` and the hybrid.
-
-        Returns ``(value, confident)`` on a table hit, advancing the speculative
-        chain, and ``None`` on a miss.  No statistics are accounted.
+        A hit advances the speculative chain.  A hybrid's component (``stats`` is
+        ``None``) accounts nothing.
         """
+        stats = self.stats
+        if stats is not None:
+            stats.lookups += 1
         cached = self._pc_cache.get(pc)
         if cached is None:
             cached = self._index_and_tag(pc)
@@ -128,13 +119,32 @@ class StridePredictor(ValuePredictor):
             entry.spec_dirty = True
             self._spec_dirty.append(entry)
         entry.inflight += 1
-        return predicted, entry.confidence >= self._saturation
+        confident = entry.confidence >= self._saturation
+        if confident and stats is not None:
+            stats.confident_predictions += 1
+        return predicted, confident
 
-    def train(self, pc: int, actual: int, prediction: VPrediction | None) -> None:
-        self.train_parts(pc, actual, None if prediction is None else prediction.value)
+    def train(self, pc: int, actual: int, record: tuple[int, bool] | None) -> bool:
+        """The commit-side walk; a ``None`` record (a fetch-time miss) predicts nothing.
 
-    def train_parts(self, pc: int, actual: int, predicted: int | None) -> None:
-        """The commit-side table walk; ``predicted`` is the fetched value, ``None`` on a miss."""
+        A hybrid's component (``stats`` is ``None``) neither accounts nor
+        validates: it returns True, and the hybrid validates its own record.
+        """
+        correct = True
+        if record is None:
+            predicted = None
+        else:
+            predicted, confident = record
+            stats = self.stats
+            if stats is not None:
+                if confident:
+                    if predicted == actual:
+                        stats.correct_used += 1
+                    else:
+                        stats.incorrect_used += 1
+                        correct = False
+                elif predicted == actual:
+                    stats.unused_correct += 1
         actual &= _MASK64
         cached = self._pc_cache.get(pc)
         if cached is None:
@@ -145,8 +155,8 @@ class StridePredictor(ValuePredictor):
             delta = (actual - entry.last_value) & _MASK64
             if predicted is None:
                 predicted = (entry.last_value + entry.stride2) & _MASK64
-            correct = predicted == actual
-            if correct:
+            hit = predicted == actual
+            if hit:
                 if entry.confidence < self._saturation and self._policy.allows_increment(
                     entry.confidence
                 ):
@@ -165,7 +175,7 @@ class StridePredictor(ValuePredictor):
                 entry.inflight -= 1
             if entry.inflight == 0:
                 entry.spec_last = actual
-            elif not correct:
+            elif not hit:
                 # Repair the speculative chain: the in-flight predictions made from the
                 # stale chain are already known wrong, so re-extrapolate the speculative
                 # last value from the architectural value for the instances still in
@@ -183,6 +193,9 @@ class StridePredictor(ValuePredictor):
             entry.stride2 = 0
             entry.confidence = 0
             entry.inflight = 0
+        return correct
+
+    validate_and_train = train
 
     def recover(self) -> None:
         """Collapse every speculative chain back onto the committed last value.

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from repro.bpu.history import FoldedRegisterFile, GlobalHistory, fold_bits
 from repro.errors import ConfigurationError
-from repro.vp.base import ValuePredictor, VPrediction
+from repro.vp.base import ValuePredictor
 from repro.vp.confidence import DeterministicRandom, FPCPolicy, PAPER_FPC_VECTOR
 
 _MASK64 = (1 << 64) - 1
@@ -149,20 +149,10 @@ class VTAGEPredictor(ValuePredictor):
         return cached
 
     # ------------------------------------------------------------------ interface
-    def lookup(self, pc: int, history: GlobalHistory) -> VPrediction | None:
-        stats = self.stats
-        stats.lookups += 1
-        record = self.lookup_parts(pc, history)
-        confident = record[1]
-        if confident:
-            stats.confident_predictions += 1
-            stats.per_source[self.name] = stats.per_source.get(self.name, 0) + 1
-        return VPrediction(record[0], confident, self.name, meta=record)
+    def lookup(self, pc: int, history: GlobalHistory) -> tuple:
+        """The fetch-side table walk.
 
-    def lookup_parts(self, pc: int, history: GlobalHistory) -> tuple:
-        """The fetch-side table walk, shared by :meth:`lookup` and the hybrid.
-
-        Returns the lookup record carried to :meth:`train_parts`, a plain tuple
+        Returns the lookup record carried to :meth:`train`, a plain tuple
         ``(value, confident, provider, provider_index, provider_tag, mixes,
         folds, bits)``: ``provider`` is ``-1`` for the base component, otherwise
         the providing tagged rank (0-based), whose index and tag follow.  The
@@ -171,8 +161,8 @@ class VTAGEPredictor(ValuePredictor):
         of the folded-history registers, index folds first, tag folds second —
         the live registers advance with every branch) re-derive them at
         allocation.  A ``None`` fold belongs to a lazily-dormant register and is
-        re-folded from ``bits``, the raw history at lookup time.  No statistics
-        are accounted.
+        re-folded from ``bits``, the raw history at lookup time.  A hybrid's
+        component (``stats`` is ``None``) accounts nothing.
         """
         mixes = self._pc_mix_cache.get(pc)
         if mixes is None:
@@ -204,17 +194,26 @@ class VTAGEPredictor(ValuePredictor):
             if entry is not None:
                 tag = (tag_mixes[rank] ^ folds[num_components + rank]) & tag_masks[rank]
                 if entry.tag == tag:
-                    return (
+                    record = (
                         entry.value, entry.confidence >= self._saturation,
                         rank, index, tag, mixes, folds, history._bits,
                     )
-        if self._base_valid[base_index]:
-            return (
-                self._base_values[base_index],
-                self._base_confidence[base_index] >= self._saturation,
-                -1, 0, 0, mixes, folds, history._bits,
-            )
-        return 0, False, -1, 0, 0, mixes, folds, history._bits
+                    break
+        else:
+            if self._base_valid[base_index]:
+                record = (
+                    self._base_values[base_index],
+                    self._base_confidence[base_index] >= self._saturation,
+                    -1, 0, 0, mixes, folds, history._bits,
+                )
+            else:
+                record = (0, False, -1, 0, 0, mixes, folds, history._bits)
+        stats = self.stats
+        if stats is not None:
+            stats.lookups += 1
+            if record[1]:
+                stats.confident_predictions += 1
+        return record
 
     # ------------------------------------------------------------------ training
     def _record_tag(self, record: tuple, rank: int) -> int:
@@ -288,23 +287,34 @@ class VTAGEPredictor(ValuePredictor):
         choice_entry.confidence = 0
         choice_entry.useful = 0
 
-    def train(self, pc: int, actual: int, prediction: VPrediction | None) -> None:
-        self.train_parts(pc, actual, None if prediction is None else prediction.meta)
-
-    def train_parts(self, pc: int, actual: int, record: tuple | None) -> None:
-        """The commit-side table walk for a :meth:`lookup_parts` record.
+    def train(self, pc: int, actual: int, record: tuple | None) -> bool:
+        """The commit-side table walk for a :meth:`lookup` record.
 
         A correct provider bumps its confidence (below saturation, when the
         forward-probabilistic counter policy allows it); a wrong one allocates on
         a longer history.  The base component always trains.  Without a record
         (not looked up — never the case in the pipeline) only the base trains.
+        A hybrid's component (``stats`` is ``None``) neither accounts nor
+        validates: it returns True, and the hybrid validates its own record.
         """
-        actual &= _MASK64
+        correct = True
         base_valid = self._base_valid
         if record is None:
+            actual &= _MASK64
             base_index = _mix(pc) & self._base_mask
         else:
-            value, _, provider, provider_index, provider_tag, mixes, _, _ = record
+            value, confident, provider, provider_index, provider_tag, mixes, _, _ = record
+            stats = self.stats
+            if stats is not None:
+                if confident:
+                    if value == actual:
+                        stats.correct_used += 1
+                    else:
+                        stats.incorrect_used += 1
+                        correct = False
+                elif value == actual:
+                    stats.unused_correct += 1
+            actual &= _MASK64
             base_index = mixes[2]
             if provider >= 0:
                 entry = self._components[provider][provider_index]
@@ -347,6 +357,9 @@ class VTAGEPredictor(ValuePredictor):
             base_valid[base_index] = True
             self._base_values[base_index] = actual
             self._base_confidence[base_index] = 0
+        return correct
+
+    validate_and_train = train
 
     def storage_bits(self) -> int:
         base = self.base_entries * (self.value_bits + 3)

@@ -7,7 +7,6 @@ from repro.errors import ConfigurationError
 from repro.isa.microop import MicroOp
 from repro.isa.opcode import Opcode
 from repro.ooo.inflight import InflightOp
-from repro.vp.base import VPrediction
 
 
 def _op(opcode=Opcode.ADD, dst=1, srcs=(), imm=None, seq=0):
@@ -16,7 +15,7 @@ def _op(opcode=Opcode.ADD, dst=1, srcs=(), imm=None, seq=0):
 
 def _predicted(op: InflightOp) -> InflightOp:
     op.pred_used = True
-    op.prediction = VPrediction(1, True, "test")
+    op.prediction = (1, True)
     return op
 
 

@@ -9,7 +9,6 @@ from repro.isa.microop import MicroOp
 from repro.isa.opcode import Opcode
 from repro.isa.registers import FLAGS_REG
 from repro.ooo.inflight import InflightOp
-from repro.vp.base import VPrediction
 
 
 def _op(opcode=Opcode.ADD, dst=1, srcs=(), target=None, seq=0):
@@ -19,7 +18,7 @@ def _op(opcode=Opcode.ADD, dst=1, srcs=(), target=None, seq=0):
 
 def _predicted(op):
     op.pred_used = True
-    op.prediction = VPrediction(3, True, "test")
+    op.prediction = (3, True)
     return op
 
 

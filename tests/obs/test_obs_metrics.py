@@ -109,6 +109,28 @@ class TestSimulatorDrain:
         )
         assert "metrics" not in simulate_cell(cell).extra
 
+    def test_value_predictor_scalars_are_pinned(self, monkeypatch):
+        # Every ``vp.*`` scalar of one VP cell, the per-predictor component key
+        # included: predictor refactors must leave this payload byte-identical.
+        monkeypatch.setenv(METRICS_ENV_VAR, "1")
+        cell = CampaignCell(
+            config=named_config("EOLE_4_64"),
+            workload_name="gcc",
+            max_uops=2000,
+            warmup_uops=500,
+        )
+        scalars = simulate_cell(cell).extra["metrics"]["scalars"]
+        assert {k: v for k, v in scalars.items() if k.startswith("vp.")} == {
+            "vp.lookups": 1581,
+            "vp.confident_predictions": 94,
+            "vp.correct_used": 75,
+            "vp.incorrect_used": 0,
+            "vp.unused_correct": 455,
+            "vp.coverage": 94 / 1581,
+            "vp.accuracy": 1.0,
+            "vp.component.vtage-2dstride": 94,
+        }
+
     def test_round_trips_through_result_dict(self, monkeypatch):
         result = _metered_result(monkeypatch)
         rebuilt = SimulationResult.from_dict(result.to_dict())

@@ -147,7 +147,7 @@ class _ReferenceCommitSimulator(Simulator):
         flags_result = self._trace_flags[op.seq]
         if op.uop.sets_flags and flags_result is not None and op.prediction is not None:
             flags_ok = flags_match_for_validation(
-                flags_result, approximate_flags(op.prediction.value)
+                flags_result, approximate_flags(op.prediction[0])
             )
             if value_correct and not flags_ok:
                 self.stats.flag_only_mispredictions += 1

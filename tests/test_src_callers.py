@@ -70,7 +70,7 @@ _TAGE = (
     "reference: tests/bpu/test_tage.py::TestHashReferences::"
     "test_prediction_folds_rederive_the_reference_hashes"
 )
-_VTAGE = "reference: tests/vp/test_vtage.py::TestVTAGE::test_meta_carries_provider_information"
+_VTAGE = "reference: tests/vp/test_vtage.py::TestVTAGE::test_record_carries_provider_information"
 
 #: Qualified name (module path under ``repro``, then class and member) → why it stays.
 ALLOWED = {
@@ -409,7 +409,7 @@ def test_detector_sees_unused_imports():
 
 
 def test_reason_checks_reject_what_they_cannot_confirm():
-    reference = "reference: tests/vp/test_vtage.py::TestVTAGE::test_meta_carries_provider_information"
+    reference = "reference: tests/vp/test_vtage.py::TestVTAGE::test_record_carries_provider_information"
     assert reason_problem("vp.vtage.VTAGEPredictor._tagged_tag", reference) is None
     assert reason_problem("vp.vtage.VTAGEPredictor.missing", reference) is not None
     assert reason_problem("x.C.merge", "documented: docs/campaign.md") is None

@@ -36,12 +36,12 @@ class TestFCM:
         total_late = 0
         for index in range(600):
             value = pattern[index % len(pattern)]
-            prediction = predictor.lookup(PC, history)
+            record = predictor.lookup(PC, history)
             if index >= 400:
                 total_late += 1
-                if prediction is not None and prediction.value == value:
+                if record is not None and record[0] == value:
                     correct_late += 1
-            predictor.train(PC, value, prediction)
+            predictor.train(PC, value, record)
         assert correct_late / total_late > 0.9
 
     def test_constant_value_learned(self):
@@ -49,8 +49,8 @@ class TestFCM:
         history = GlobalHistory()
         for _ in range(30):
             predictor.train(PC, 7, predictor.lookup(PC, history))
-        prediction = predictor.lookup(PC, history)
-        assert prediction is not None and prediction.value == 7
+        record = predictor.lookup(PC, history)
+        assert record is not None and record[0] == 7
 
     def test_storage_accounting(self):
         assert _make().storage_bits() > 0

@@ -1,7 +1,7 @@
 """Tests for the VTAGE-2DStride hybrid predictor."""
 
 from repro.bpu.history import GlobalHistory
-from repro.vp.base import PredictorStatistics, VPrediction
+from repro.vp.base import PredictorStatistics
 from repro.vp.confidence import DETERMINISTIC_3BIT_VECTOR
 from repro.vp.hybrid import VTAGE2DStrideHybrid, default_paper_predictor
 from repro.vp.stride import TwoDeltaStridePredictor
@@ -28,21 +28,23 @@ class TestArbitration:
         history = GlobalHistory()
         value = 0
         for _ in range(40):
-            prediction = predictor.lookup(PC, history)
-            predictor.train(PC, value, prediction)
+            record = predictor.lookup(PC, history)
+            predictor.train(PC, value, record)
             value += 9
-        prediction = predictor.lookup(PC, history)
-        assert prediction.confident
-        assert prediction.value == value
-        assert prediction.meta[0] == "stride"  # the record's arbitration winner
+        record = predictor.lookup(PC, history)
+        assert record[1]
+        assert record[0] == value
+        # The arbitration winner is the 2D-Stride component: VTAGE is not confident.
+        _, _, vtage_record, stride_record = record
+        assert stride_record == (value, True) and not vtage_record[1]
 
     def test_constant_values_predicted_confidently(self):
         predictor = _make()
         history = GlobalHistory()
         for _ in range(20):
             predictor.train(PC, 1234, predictor.lookup(PC, history))
-        prediction = predictor.lookup(PC, history)
-        assert prediction.confident and prediction.value == 1234
+        record = predictor.lookup(PC, history)
+        assert record[1] and record[0] == 1234
 
     def test_history_correlated_values_use_vtage(self):
         predictor = _make()
@@ -54,14 +56,16 @@ class TestArbitration:
             predictor.train(PC, value, predictor.lookup(PC, history))
         taken, value = patterns[0]
         history.push(taken)
-        prediction = predictor.lookup(PC, history)
-        assert prediction.value == value
-        assert prediction.meta[0] == "vtage"
+        record = predictor.lookup(PC, history)
+        assert record[0] == value
+        # The arbitration winner is a VTAGE tagged component.
+        vtage_record = record[2]
+        assert vtage_record[2] >= 0 and vtage_record[0] == value
 
     def test_cold_prediction_is_not_confident(self):
-        prediction = _make().lookup(PC, GlobalHistory())
-        assert prediction is not None
-        assert not prediction.confident
+        record = _make().lookup(PC, GlobalHistory())
+        assert record is not None
+        assert not record[1]
 
 
 class TestTrainingAndRecovery:
@@ -70,7 +74,7 @@ class TestTrainingAndRecovery:
         history = GlobalHistory()
         for _ in range(20):
             predictor.train(PC, 5, None)
-        assert predictor.lookup(PC, history).value == 5
+        assert predictor.lookup(PC, history)[0] == 5
 
     def test_recover_delegates_to_stride_component(self):
         predictor = _make()
@@ -80,7 +84,7 @@ class TestTrainingAndRecovery:
         predictor.lookup(PC, history)
         predictor.lookup(PC, history)
         predictor.recover()
-        assert predictor.lookup(PC, history).value == 200
+        assert predictor.lookup(PC, history)[0] == 200
 
     def test_storage_is_sum_of_components(self):
         predictor = _make()
@@ -110,10 +114,20 @@ class TestDefaults:
     def test_statistics_object_present(self):
         assert isinstance(_make().stats, PredictorStatistics)
 
+    def test_each_uop_is_accounted_once(self):
+        predictor = _make()
+        history = GlobalHistory()
+        for _ in range(20):
+            predictor.validate_and_train(PC, 7, predictor.lookup(PC, history))
+        assert predictor.stats.lookups == 20
+        assert predictor.stats.correct_used + predictor.stats.unused_correct == 19
+        # The components' walks count nothing: the hybrid accounts for them.
+        assert predictor.vtage.stats is None and predictor.stride.stats is None
+
     def test_prediction_statistics_accounting(self):
         stats = PredictorStatistics()
-        confident = VPrediction(5, True, "x")
-        unused = VPrediction(7, False, "x")
+        confident = (5, True)
+        unused = (7, False)
         stats.record_lookup(confident)
         stats.record_lookup(unused)
         stats.record_lookup(None)

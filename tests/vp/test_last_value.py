@@ -28,11 +28,11 @@ class TestLastValue:
         predictor = _make()
         history = GlobalHistory()
         for _ in range(10):
-            prediction = predictor.lookup(PC, history)
-            predictor.train(PC, 42, prediction)
-        prediction = predictor.lookup(PC, history)
-        assert prediction.value == 42
-        assert prediction.confident
+            record = predictor.lookup(PC, history)
+            predictor.train(PC, 42, record)
+        record = predictor.lookup(PC, history)
+        assert record[0] == 42
+        assert record[1]
 
     def test_changing_value_resets_confidence(self):
         predictor = _make()
@@ -40,17 +40,17 @@ class TestLastValue:
         for _ in range(10):
             predictor.train(PC, 42, predictor.lookup(PC, history))
         predictor.train(PC, 43, predictor.lookup(PC, history))
-        prediction = predictor.lookup(PC, history)
-        assert not prediction.confident
-        assert prediction.value == 43
+        record = predictor.lookup(PC, history)
+        assert not record[1]
+        assert record[0] == 43
 
     def test_strided_values_never_become_confident(self):
         predictor = _make()
         history = GlobalHistory()
         for value in range(0, 500, 7):
             predictor.train(PC, value, predictor.lookup(PC, history))
-        prediction = predictor.lookup(PC, history)
-        assert prediction is None or not prediction.confident
+        record = predictor.lookup(PC, history)
+        assert record is None or not record[1]
 
     def test_distinct_pcs_do_not_interfere(self):
         predictor = _make()
@@ -58,8 +58,8 @@ class TestLastValue:
         for _ in range(10):
             predictor.train(0x10, 1, predictor.lookup(0x10, history))
             predictor.train(0x11, 2, predictor.lookup(0x11, history))
-        assert predictor.lookup(0x10, history).value == 1
-        assert predictor.lookup(0x11, history).value == 2
+        assert predictor.lookup(0x10, history)[0] == 1
+        assert predictor.lookup(0x11, history)[0] == 2
 
     def test_storage_accounting(self):
         predictor = _make(entries=256, tag_bits=12)

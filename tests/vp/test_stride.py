@@ -20,11 +20,11 @@ def _make(two_delta: bool = True, **kwargs):
 def _train_sequence(predictor, values, pc=PC):
     """Feed a committed value sequence, predicting before each training update."""
     history = GlobalHistory()
-    predictions = []
+    records = []
     for value in values:
-        predictions.append(predictor.lookup(pc, history))
-        predictor.train(pc, value, predictions[-1])
-    return predictions
+        records.append(predictor.lookup(pc, history))
+        predictor.train(pc, value, records[-1])
+    return records
 
 
 class TestBasics:
@@ -39,17 +39,17 @@ class TestBasics:
     def test_constant_sequence_predicted_with_confidence(self):
         predictor = _make()
         _train_sequence(predictor, [7] * 20)
-        prediction = predictor.lookup(PC, GlobalHistory())
-        assert prediction is not None
-        assert prediction.value == 7
-        assert prediction.confident
+        record = predictor.lookup(PC, GlobalHistory())
+        assert record is not None
+        assert record[0] == 7
+        assert record[1]
 
     def test_strided_sequence_predicted(self):
         predictor = _make()
         _train_sequence(predictor, list(range(0, 200, 5)))
-        prediction = predictor.lookup(PC, GlobalHistory())
-        assert prediction.value == 200
-        assert prediction.confident
+        record = predictor.lookup(PC, GlobalHistory())
+        assert record[0] == 200
+        assert record[1]
 
     def test_storage_accounting_positive(self):
         assert _make().storage_bits() > 0
@@ -89,8 +89,8 @@ class TestSpeculativeChain:
         history = GlobalHistory()
         first = predictor.lookup(PC, history)
         second = predictor.lookup(PC, history)
-        assert first.value == 120
-        assert second.value == 123
+        assert first[0] == 120
+        assert second[0] == 123
 
     def test_recover_collapses_speculative_state(self):
         predictor = _make()
@@ -99,7 +99,7 @@ class TestSpeculativeChain:
         predictor.lookup(PC, history)
         predictor.lookup(PC, history)
         predictor.recover()
-        assert predictor.lookup(PC, history).value == 120
+        assert predictor.lookup(PC, history)[0] == 120
 
     def test_misprediction_repairs_speculative_chain(self):
         predictor = _make()
@@ -107,16 +107,16 @@ class TestSpeculativeChain:
         # Build up several stale in-flight predictions before any training.
         stale = [predictor.lookup(PC, history) for _ in range(4)]
         actuals = [10, 20, 30, 40, 50, 60, 70, 80, 90, 100]
-        for actual, prediction in zip(actuals[:4], stale):
-            predictor.train(PC, actual, prediction)
+        for actual, record in zip(actuals[:4], stale):
+            predictor.train(PC, actual, record)
         # Continue with a normal predict/train rhythm: the chain must resynchronise and
         # eventually produce correct, confident predictions.
         correct = 0
         for actual in actuals[4:]:
-            prediction = predictor.lookup(PC, history)
-            if prediction is not None and prediction.value == actual:
+            record = predictor.lookup(PC, history)
+            if record is not None and record[0] == actual:
                 correct += 1
-            predictor.train(PC, actual, prediction)
+            predictor.train(PC, actual, record)
         assert correct >= 4
 
     def test_inflight_counter_never_negative(self):
@@ -135,8 +135,8 @@ class TestStatistics:
         predictor = _make()
         history = GlobalHistory()
         for value in range(0, 300, 5):
-            prediction = predictor.lookup(PC, history)
-            predictor.validate_and_train(PC, value, prediction)
+            record = predictor.lookup(PC, history)
+            predictor.validate_and_train(PC, value, record)
         stats = predictor.stats
         assert stats.lookups == 60
         assert stats.confident_predictions > 0

@@ -1,12 +1,13 @@
 """The two commit-side entry points train every predictor family identically.
 
 The trace-level study trains through ``validate_and_train`` (one µ-op per call) and
-the pipeline through ``train_commit_group`` (one commit group per call).  Both
-inline the outcome accounting before the table update, so they are pinned here
-against each other and against the reference accounting of
-:class:`PredictorStatistics`, on a seeded stream that keeps several instances of a
-static µ-op in flight, pushes branch outcomes between lookups and squashes
-(``recover()``) while 2D-Stride chains are in flight.
+the pipeline through ``train_commit_group`` (one commit group per call).  Each
+family's ``lookup`` and ``train`` account inline, so the lookup records and the
+statistics are pinned here for both entry points, against each other and against
+the reference accounting of :class:`PredictorStatistics`, on a seeded stream
+that keeps several instances of a static µ-op in flight, pushes branch outcomes
+between lookups and squashes (``recover()``) while 2D-Stride chains are in
+flight.
 """
 
 import random
@@ -60,22 +61,20 @@ def _drive(family: str, mode: str):
         for outcomes, pc, value in events[position : position + rng.randint(1, 8)]:
             for taken in outcomes:
                 history.push(taken)
-            prediction = predictor.lookup(pc, history)
-            reference.record_lookup(prediction)
-            seen.append(
-                None if prediction is None
-                else (prediction.value, prediction.confident, prediction.source)
-            )
-            group.append((pc, value, prediction))
+            record = predictor.lookup(pc, history)
+            reference.record_lookup(record)
+            seen.append(record)
+            group.append((pc, value, record))
         # A squash retires a prefix of the group and re-fetches the rest.
         squash = len(group) > 1 and rng.random() < 0.15
         if squash:
             group = group[: rng.randint(1, len(group) - 1)]
-        for pc, value, prediction in group:
-            reference.record_outcome(prediction, value)
+        for pc, value, record in group:
+            reference.record_outcome(record, value)
         if mode == "validate_and_train":
-            for pc, value, prediction in group:
-                predictor.validate_and_train(pc, value, prediction)
+            for pc, value, record in group:
+                correct = record is None or not record[1] or record[0] == value
+                assert predictor.validate_and_train(pc, value, record) is correct
         elif mode == "train_commit_group":
             predictor.train_commit_group(group)
         else:

@@ -47,11 +47,11 @@ class TestVTAGE:
         predictor = _make()
         history = GlobalHistory()
         for _ in range(12):
-            prediction = predictor.lookup(PC, history)
-            predictor.train(PC, 99, prediction)
-        prediction = predictor.lookup(PC, history)
-        assert prediction.value == 99
-        assert prediction.confident
+            record = predictor.lookup(PC, history)
+            predictor.train(PC, 99, record)
+        record = predictor.lookup(PC, history)
+        assert record[0] == 99
+        assert record[1]
 
     def test_history_correlated_values_learned_by_tagged_components(self):
         """A value alternating with the branch history is exactly VTAGE's target case."""
@@ -63,10 +63,10 @@ class TestVTAGE:
         for index in range(rounds):
             taken, value = patterns[index % 2]
             history.push(taken)
-            prediction = predictor.lookup(PC, history)
-            if index > rounds - 40 and prediction is not None and prediction.value == value:
+            record = predictor.lookup(PC, history)
+            if index > rounds - 40 and record is not None and record[0] == value:
                 correct_late += 1
-            predictor.train(PC, value, prediction)
+            predictor.train(PC, value, record)
         assert correct_late >= 30
 
     def test_strided_values_are_not_confidently_predicted(self):
@@ -75,10 +75,10 @@ class TestVTAGE:
         confident_wrong = 0
         value = 0
         for _ in range(200):
-            prediction = predictor.lookup(PC, history)
-            if prediction is not None and prediction.confident and prediction.value != value:
+            record = predictor.lookup(PC, history)
+            if record is not None and record[1] and record[0] != value:
                 confident_wrong += 1
-            predictor.train(PC, value, prediction)
+            predictor.train(PC, value, record)
             value += 17
         assert confident_wrong == 0
 
@@ -87,9 +87,9 @@ class TestVTAGE:
         history = GlobalHistory()
         for _ in range(5):
             predictor.train(PC, 5, predictor.lookup(PC, history))
-        before = predictor.lookup(PC, history).value
+        before = predictor.lookup(PC, history)[0]
         predictor.recover()
-        assert predictor.lookup(PC, history).value == before
+        assert predictor.lookup(PC, history)[0] == before
 
     def test_storage_accounting_scales_with_components(self):
         small = _make(num_components=2)
@@ -103,13 +103,13 @@ class TestVTAGE:
         # in the same order of magnitude (tens of KB).
         assert 50 < kilobytes < 200
 
-    def test_meta_carries_provider_information(self):
+    def test_record_carries_provider_information(self):
         predictor = _make()
         history = GlobalHistory()
-        prediction = predictor.lookup(PC, history)
-        assert prediction.meta is not None
-        value, confident, provider, _, _, mixes, folds, bits = prediction.meta
-        assert (value, confident) == (prediction.value, prediction.confident)
+        record = predictor.lookup(PC, history)
+        assert record is not None
+        value, confident, provider, _, _, mixes, folds, bits = record
+        assert (value, confident) == (0, False)  # cold: invalid base entry
         assert provider == -1  # cold: base component provides
         # The record's fold snapshot re-derives exactly the lookup's indices/tags.
         # Folds are lazily activated: a dormant register snapshots as None and the
@@ -124,6 +124,6 @@ class TestVTAGE:
             if fold is None:
                 fold = fold_bits(bits, predictor.history_lengths[rank], predictor._index_width)
             index = (mixes[0][rank] ^ fold) & predictor._tagged_mask
-            tag = predictor._record_tag(prediction.meta, rank)
+            tag = predictor._record_tag(record, rank)
             assert index == predictor._tagged_index(PC, history, rank)
             assert tag == predictor._tagged_tag(PC, history, rank)
