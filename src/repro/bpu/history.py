@@ -38,13 +38,14 @@ def fold_bits(value: int, length: int, width: int) -> int:
 class FoldedRegisterFile:
     """Circular-shifted folded-history registers for one set of (length, width) pairs.
 
-    One register per pair, each holding ``fold_bits(history.slice(length), length,
-    width)`` at all times.  On :meth:`push`, every register is updated in O(1): the
-    register rotates left by one within its width, the incoming outcome lands in bit
-    0, and the outgoing history bit (bit ``length - 1`` of the *pre-push* raw history)
-    is cancelled at bit ``length % width`` — exactly where the rotation moved its
-    contribution.  Restoring a snapshot reinstates the register values directly; no
-    path ever re-folds the raw history once the file is attached.
+    One register per pair; an active register holds ``fold_bits(history.slice(length),
+    length, width)`` at all times, a dormant one ``None``.  On :meth:`push`, every
+    active register is updated in O(1): the register rotates left by one within its
+    width, the incoming outcome lands in bit 0, and the outgoing history bit (bit
+    ``length - 1`` of the *pre-push* raw history) is cancelled at bit ``length %
+    width`` — exactly where the rotation moved its contribution.  Restoring a
+    snapshot reinstates the register values directly; only activation (and a restore
+    to a snapshot older than it) re-folds the raw history.
     """
 
     __slots__ = (
@@ -54,6 +55,7 @@ class FoldedRegisterFile:
         "folds",
         "_params",
         "_active",
+        "_live",
         "_activations",
         "_tuple_cache",
     )
@@ -77,12 +79,14 @@ class FoldedRegisterFile:
                 self._params.append(
                     (length - 1, length % width, width - 1, (1 << width) - 1)
                 )
-        # Every register starts dormant: pushes skip it (``_push`` iterates
-        # ``_active``) and its fold reads as ``None`` until :meth:`activate`
-        # back-fills it from the raw history.  Consumers of possibly-dormant folds
-        # must fall back to ``fold_bits`` on ``None`` (TAGE/VTAGE carry the raw
-        # lookup-time bits for exactly that).
+        # Every register starts dormant: pushes skip it and its fold reads as
+        # ``None`` until :meth:`activate` back-fills it from the raw history.
+        # Consumers of possibly-dormant folds must fall back to ``fold_bits`` on
+        # ``None`` (TAGE/VTAGE carry the raw lookup-time bits for exactly that).
+        # ``_active`` is the activation record; ``_live`` lists the active
+        # registers' ``(index, *params)`` in activation order, for ``_push``.
         self._active: list = [None] * len(self._params)
+        self._live: list = []
         self._activations = 0
         self.folds: list = []
         self._refold(history._bits)
@@ -110,6 +114,7 @@ class FoldedRegisterFile:
         if params is None:
             return
         self._active[index] = params
+        self._live.append((index, *params))
         history = self.history
         self.folds[index] = fold_bits(
             history._bits, min(self.lengths[index], history.capacity), self.widths[index]
@@ -148,19 +153,18 @@ class FoldedRegisterFile:
         return cached
 
     def _push(self, old_bits: int, bit: int) -> None:
-        """O(1) update of every register for one pushed outcome ``bit``."""
+        """O(1) update of every live register for one pushed outcome ``bit``.
+
+        Each XOR term is narrower than the register (``bit`` lands in bit 0, the
+        outgoing bit at ``length % width``), so only the rotation needs a mask.
+        """
         self._tuple_cache = None
         folds = self.folds
-        index = 0
-        for params in self._active:
-            if params is not None:
-                out_shift, out_point, top_shift, mask = params
-                fold = folds[index]
-                fold = ((fold << 1) | (fold >> top_shift)) & mask
-                fold ^= bit
-                fold ^= ((old_bits >> out_shift) & 1) << out_point
-                folds[index] = fold & mask
-            index += 1
+        for index, out_shift, out_point, top_shift, mask in self._live:
+            fold = folds[index]
+            folds[index] = (
+                ((fold << 1) | (fold >> top_shift)) & mask
+            ) ^ bit ^ (((old_bits >> out_shift) & 1) << out_point)
 
 
 class HistorySnapshot(int):

@@ -108,12 +108,17 @@ class TAGEBranchPredictor:
         self._fold_registers: FoldedRegisterFile | None = None
         self._bimodal = [2] * bimodal_entries  # 2-bit counters, 0..3, weakly not-taken=1
         # Entries are allocated lazily on first allocation: a ``None`` slot is the
-        # only invalid entry (and reads as ``useful`` 0).  The
-        # per-component entry counts let lookups skip entirely-empty components.
+        # only invalid entry (and reads as ``useful`` 0).
         self._components: list[list[_TageEntry | None]] = [
             [None] * tagged_entries for _ in range(num_components)
         ]
         self._component_sizes = [0] * num_components
+        #: The lookup walk: ``(rank, tag-fold position, component)`` of every
+        #: non-empty component, longest history first (the first hit is the
+        #: provider, the second the alternate).  Empty components cannot hit, so
+        #: they are never hashed; the walk is rebuilt when a component receives
+        #: its first entry.
+        self._live: tuple = ()
         self._random = DeterministicRandom(seed)
         self._use_alt_on_na = 8  # 4-bit counter, >=8 means "use alt for new entries"
         self._branches_seen = 0
@@ -134,24 +139,26 @@ class TAGEBranchPredictor:
 
     # ------------------------------------------------------------------ memoisation
     def _pc_mixes(self, pc: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-        """The PC-dependent halves of every index/tag hash, plus the bimodal index."""
+        """The PC-dependent halves of every index/tag hash, plus the bimodal index.
+
+        Each half is pre-masked to its index or tag width; a fold is never wider,
+        so ``mix ^ fold`` is the masked hash.
+        """
         cached = self._pc_mix_cache.get(pc)
         if cached is None:
-            index_mixes = tuple(
-                _mix(pc + rank * 0x9E37) for rank in range(self.num_components)
-            )
-            tag_mixes = tuple(
-                _mix(pc * 3 + rank * 7 + 5) for rank in range(self.num_components)
-            )
+            ranks = range(self.num_components)
+            index_mixes = tuple(_mix(pc + rank * 0x9E37) & self._tagged_mask for rank in ranks)
+            tag_mixes = tuple(_mix(pc * 3 + rank * 7 + 5) & self._tag_mask for rank in ranks)
             cached = (index_mixes, tag_mixes, _mix(pc) & self._bimodal_mask)
             self._pc_mix_cache[pc] = cached
         return cached
 
-    def _folds(self, history: GlobalHistory) -> list[int]:
-        """The incremental folded registers for ``history`` (attached on first use).
+    def _folds(self, history: GlobalHistory) -> tuple:
+        """Snapshot of the incremental folded registers for ``history``.
 
-        Index folds occupy ``[0, num_components)``, tag folds occupy
-        ``[num_components, 2 * num_components)``.
+        The register file is attached on first use.  Index folds occupy
+        ``[0, num_components)``, tag folds occupy ``[num_components,
+        2 * num_components)``.
         """
         registers = self._fold_registers
         if registers is None or registers.history is not history:
@@ -159,7 +166,7 @@ class TAGEBranchPredictor:
                 self.history_lengths + self.history_lengths, self._fold_widths
             )
             self._fold_registers = registers
-        return registers.folds
+        return registers.folds_tuple()
 
     # ------------------------------------------------------------------ prediction
     def predict(self, pc: int, history: GlobalHistory) -> TAGEPrediction:
@@ -167,30 +174,21 @@ class TAGEBranchPredictor:
         self.lookups += 1
         index_mixes, tag_mixes, bimodal_index = self._pc_mixes(pc)
         folds = self._folds(history)
-        num_components = self.num_components
-        tagged_mask = self._tagged_mask
-        tag_mask = self._tag_mask
-        components = self._components
-        sizes = self._component_sizes
         provider = -1
         provider_index = 0
         provider_entry: _TageEntry | None = None
         alt_entry: _TageEntry | None = None
-        for rank in range(num_components):
-            # Empty components cannot hit; the hash is skipped entirely (allocation
-            # re-derives it from the prediction's fold snapshot when needed).  Tags
-            # are only hashed for slots that actually hold an entry.
-            if not sizes[rank]:
-                continue
-            index = (index_mixes[rank] ^ folds[rank]) & tagged_mask
-            entry = components[rank][index]
-            if entry is not None:
-                tag = (tag_mixes[rank] ^ folds[num_components + rank]) & tag_mask
-                if entry.tag == tag:
-                    alt_entry = provider_entry
-                    provider = rank
-                    provider_index = index
-                    provider_entry = entry
+        for rank, tag_position, component in self._live:
+            # Tags are only hashed for slots that actually hold an entry.
+            index = index_mixes[rank] ^ folds[rank]
+            entry = component[index]
+            if entry is not None and entry.tag == tag_mixes[rank] ^ folds[tag_position]:
+                if provider_entry is not None:
+                    alt_entry = entry
+                    break
+                provider = rank
+                provider_index = index
+                provider_entry = entry
 
         bimodal_taken = self._bimodal[bimodal_index] >= 2
 
@@ -220,7 +218,7 @@ class TAGEBranchPredictor:
             provider_index=provider_index,
             alt_taken=alt_taken,
             pc=pc,
-            folds=self._fold_registers.folds_tuple(),
+            folds=folds,
             bimodal_index=bimodal_index,
             bits=history._bits,
         )
@@ -271,56 +269,63 @@ class TAGEBranchPredictor:
         if self._branches_seen % self.useful_reset_period == 0:
             self._age_useful_bits()
 
-    def _prediction_tag(self, prediction: TAGEPrediction, rank: int) -> int:
-        """Re-derive the component tag the lookup for ``prediction`` used."""
-        _, tag_mixes, _ = self._pc_mixes(prediction.pc)
-        fold = prediction.folds[self.num_components + rank]
-        if fold is None:  # register was dormant at lookup — re-fold from raw bits
-            fold = fold_bits(prediction.bits, self.history_lengths[rank], self.tag_bits)
-        return (tag_mixes[rank] ^ fold) & self._tag_mask
-
     def _allocate(self, taken: bool, prediction: TAGEPrediction) -> None:
         start = prediction.provider + 1
+        num_components = self.num_components
         components = self._components
-        index_mixes, _, _ = self._pc_mixes(prediction.pc)
+        index_mixes, tag_mixes, _ = self._pc_mixes(prediction.pc)
         folds = prediction.folds
-        tagged_mask = self._tagged_mask
-        bits = prediction.bits
-        lengths = self.history_lengths
-        index_width = self._index_width
-        # One fused probe pass over the longer-history components only, re-deriving
-        # each index from the prediction's fold snapshot (identical to the lookup's).
-        probed: list[tuple[int, int, _TageEntry | None]] = []
-        candidates: list[tuple[int, int, _TageEntry | None]] = []
-        for rank in range(start, self.num_components):
+        # One probe pass over the longer-history components only, re-deriving each
+        # index from the prediction's fold snapshot (identical to the lookup's; a
+        # register dormant at lookup is re-folded from the raw bits).  The
+        # shortest eligible history wins, with a random tie-break against the
+        # second, so the probe stops at the second candidate.
+        choice = None
+        for rank in range(start, num_components):
             fold = folds[rank]
-            if fold is None:  # dormant register at lookup time
-                fold = fold_bits(bits, lengths[rank], index_width)
-            index = (index_mixes[rank] ^ fold) & tagged_mask
+            if fold is None:
+                fold = fold_bits(prediction.bits, self.history_lengths[rank], self._index_width)
+            index = index_mixes[rank] ^ fold
             entry = components[rank][index]
-            probed.append((rank, index, entry))
             if entry is None or entry.useful == 0:
-                candidates.append((rank, index, entry))
-        if not candidates:
-            for _, _, entry in probed:
-                if entry is not None:
-                    entry.useful = max(0, entry.useful - 1)
+                if choice is None:
+                    choice = (rank, index, entry)
+                else:
+                    if self._random.chance_half():
+                        choice = (rank, index, entry)
+                    break
+        if choice is None:
+            # Every longer-history victim is useful: age them all (rare path:
+            # re-probe the same indices).
+            for rank in range(start, num_components):
+                fold = folds[rank]
+                if fold is None:
+                    fold = fold_bits(prediction.bits, self.history_lengths[rank], self._index_width)
+                components[rank][index_mixes[rank] ^ fold].useful -= 1
             return
-        choice, choice_index, choice_entry = candidates[0]
-        if len(candidates) > 1 and self._random.chance_half():
-            choice, choice_index, choice_entry = candidates[1]
+        choice, choice_index, choice_entry = choice
         if choice_entry is None:
             choice_entry = _TageEntry()
             components[choice][choice_index] = choice_entry
             self._component_sizes[choice] += 1
             if self._component_sizes[choice] == 1:
                 # First entry in this component: wake its lazily-dormant folded
-                # registers so subsequent lookups read live folds.
+                # registers so subsequent lookups read live folds, and add it to
+                # the lookup walk.
                 registers = self._fold_registers
                 if registers is not None:
                     registers.activate(choice)
-                    registers.activate(self.num_components + choice)
-        choice_entry.tag = self._prediction_tag(prediction, choice)
+                    registers.activate(num_components + choice)
+                self._live = tuple(
+                    (rank, num_components + rank, components[rank])
+                    for rank in range(num_components - 1, -1, -1)
+                    if self._component_sizes[rank]
+                )
+        # The tag the lookup would have used for this component.
+        fold = folds[num_components + choice]
+        if fold is None:
+            fold = fold_bits(prediction.bits, self.history_lengths[choice], self.tag_bits)
+        choice_entry.tag = tag_mixes[choice] ^ fold
         choice_entry.counter = 4 if taken else 3
         choice_entry.useful = 0
 

@@ -454,6 +454,19 @@ class Simulator:
             self._fetch_resume_cycle, self.cycle + self.config.branch_resolution_extra
         )
 
+    def _count_late_resolution(self, op: InflightOp, outcome) -> None:
+        """``REPRO_METRICS``: a mispredicted branch whose fetch block commit lifts.
+
+        Counted by TAGE provider (a tagged component, or the bimodal table), with
+        the cycles fetch stood blocked on it: from its fetch to the resume cycle.
+        """
+        provider = "tagged" if outcome.tage.provider >= 0 else "bimodal"
+        fetch_cycle = op.dispatch_ready_cycle - self.config.fetch_to_dispatch_latency
+        self.metrics.counter(f"branch.late_resolved.{provider}").inc()
+        self.metrics.counter(f"branch.late_blocked_cycles.{provider}").inc(
+            self._fetch_resume_cycle - fetch_cycle
+        )
+
     # ================================================================== commit / LE-VT
     def _commit(self) -> None:
         """In-order retirement of up to ``commit_width`` µ-ops (the LE/VT stage).
@@ -572,6 +585,8 @@ class Simulator:
                         # A late-resolved (LE/VT) mispredicted branch unblocks
                         # fetch at commit.
                         self._resume_fetch_after_resolution()
+                        if self.metrics is not None:
+                            self._count_late_resolution(op, outcome)
                 elif outcome is not None and outcome.mispredicted:
                     stats.branch_mispredictions += 1
 

@@ -103,10 +103,6 @@ class VTAGEPredictor(ValuePredictor):
         self._pc_mix_cache: dict[int, tuple[tuple[int, ...], tuple[int, ...], int]] = {}
         self._fold_widths = [self._index_width] * num_components + self._tag_widths
         self._fold_registers: FoldedRegisterFile | None = None
-        #: Longest-history-first probe order: the provider is the longest match,
-        #: so the descending walk can stop at the first hit (identical outcome to
-        #: the ascending keep-the-last-match walk, fewer probes on hits).
-        self._ranks_desc = tuple(range(num_components - 1, -1, -1))
         self._saturation = self._policy.saturation
         # Base component (tagless last-value table).
         self._base_values = [0] * base_entries
@@ -114,13 +110,16 @@ class VTAGEPredictor(ValuePredictor):
         self._base_valid = [False] * base_entries
         # Tagged components.  Entries are allocated lazily on first use: a ``None``
         # slot is the only invalid entry (the valid bit ``storage_bits`` counts), and
-        # only a small fraction of each 1K-entry component is ever touched.  The
-        # per-component entry counts let lookups skip probing (and hashing into)
-        # entirely-empty components.
+        # only a small fraction of each 1K-entry component is ever touched.
         self._components: list[list[_TaggedEntry | None]] = [
             [None] * tagged_entries for _ in range(num_components)
         ]
         self._component_sizes = [0] * num_components
+        #: The lookup walk: ``(rank, tag-fold position, component)`` of every
+        #: non-empty component, longest history first (the first hit is the
+        #: provider).  Empty components cannot hit, so they are never hashed; the
+        #: walk is rebuilt when a component receives its first entry.
+        self._live: tuple = ()
 
     # ------------------------------------------------------------------ indexing
     # Reference formulas; lookups read the same hashes through ``_pc_mix_cache``
@@ -139,11 +138,14 @@ class VTAGEPredictor(ValuePredictor):
     def _pc_mixes(self, pc: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
         """The PC-dependent halves of every index/tag hash, plus the base index.
 
-        Memoised in ``_pc_mix_cache`` (callers read the cache first).
+        Each half is pre-masked to its index or tag width; a fold is never wider,
+        so ``mix ^ fold`` is the masked hash.  Memoised in ``_pc_mix_cache``
+        (callers read the cache first).
         """
+        ranks = range(self.num_components)
         cached = self._pc_mix_cache[pc] = (
-            tuple(_mix(pc * 2 + rank) for rank in range(self.num_components)),
-            tuple(_mix(pc * 7 + rank * 3 + 1) for rank in range(self.num_components)),
+            tuple(_mix(pc * 2 + rank) & self._tagged_mask for rank in ranks),
+            tuple(_mix(pc * 7 + rank * 3 + 1) & self._tag_masks[rank] for rank in ranks),
             _mix(pc) & self._base_mask,
         )
         return cached
@@ -177,28 +179,16 @@ class VTAGEPredictor(ValuePredictor):
         folds = registers._tuple_cache
         if folds is None:
             folds = registers.folds_tuple()
-        num_components = self.num_components
-        tagged_mask = self._tagged_mask
-        tag_masks = self._tag_masks
-        components = self._components
-        sizes = self._component_sizes
-        for rank in self._ranks_desc:
-            # Longest history first: the first hit *is* the provider.  Empty
-            # components cannot hit; the hash is skipped entirely (allocation
-            # re-derives it from the record's fold snapshot when needed).  Tags are
-            # only hashed for slots that actually hold an entry.
-            if not sizes[rank]:
-                continue
-            index = (index_mixes[rank] ^ folds[rank]) & tagged_mask
-            entry = components[rank][index]
-            if entry is not None:
-                tag = (tag_mixes[rank] ^ folds[num_components + rank]) & tag_masks[rank]
-                if entry.tag == tag:
-                    record = (
-                        entry.value, entry.confidence >= self._saturation,
-                        rank, index, tag, mixes, folds, history._bits,
-                    )
-                    break
+        for rank, tag_position, component in self._live:
+            # Tags are only hashed for slots that actually hold an entry.
+            index = index_mixes[rank] ^ folds[rank]
+            entry = component[index]
+            if entry is not None and entry.tag == tag_mixes[rank] ^ folds[tag_position]:
+                record = (
+                    entry.value, entry.confidence >= self._saturation,
+                    rank, index, entry.tag, mixes, folds, history._bits,
+                )
+                break
         else:
             if self._base_valid[base_index]:
                 record = (
@@ -216,73 +206,64 @@ class VTAGEPredictor(ValuePredictor):
         return record
 
     # ------------------------------------------------------------------ training
-    def _record_tag(self, record: tuple, rank: int) -> int:
-        """Re-derive the component-``rank`` tag the lookup for ``record`` would have used."""
-        fold = record[6][self.num_components + rank]
-        if fold is None:  # register was dormant at lookup — re-fold from raw bits
-            fold = fold_bits(record[7], self.history_lengths[rank], self._tag_widths[rank])
-        return (record[5][1][rank] ^ fold) & self._tag_masks[rank]
-
     def _allocate(self, record: tuple, actual: int) -> None:
         """Allocate a new tagged entry on a component with a longer history."""
         start = record[2] + 1
         num_components = self.num_components
         index_mixes = record[5][0]
         folds = record[6]
-        tagged_mask = self._tagged_mask
         components = self._components
-        bits = record[7]
-        lengths = self.history_lengths
-        index_width = self._index_width
-        # One fused probe pass over the longer-history components only, re-deriving
-        # each index from the record's fold snapshot (identical to the lookup's).
-        # Only the first two candidates matter (the tie-break picks between them,
-        # and the aging path needs only "were there any"), so the probe stops at
-        # the second hit.
-        candidate_count = 0
-        first = second = None
+        # One probe pass over the longer-history components only, re-deriving each
+        # index from the record's fold snapshot (identical to the lookup's; a
+        # register dormant at lookup is re-folded from the raw bits).  The
+        # shortest eligible history wins, with a random tie-break against the
+        # second to avoid ping-pong, so the probe stops at the second candidate.
+        choice = None
         for rank in range(start, num_components):
             fold = folds[rank]
-            if fold is None:  # dormant register at lookup time
-                fold = fold_bits(bits, lengths[rank], index_width)
-            index = (index_mixes[rank] ^ fold) & tagged_mask
+            if fold is None:
+                fold = fold_bits(record[7], self.history_lengths[rank], self._index_width)
+            index = index_mixes[rank] ^ fold
             entry = components[rank][index]
             if entry is None or entry.useful == 0:
-                if candidate_count == 0:
-                    candidate_count = 1
-                    first = (rank, index, entry)
+                if choice is None:
+                    choice = (rank, index, entry)
                 else:
-                    candidate_count = 2
-                    second = (rank, index, entry)
+                    if self._random.chance_half():
+                        choice = (rank, index, entry)
                     break
-        if not candidate_count:
-            # Age the useful bits of all longer-history victims, TAGE-style
+        if choice is None:
+            # Every longer-history victim is useful: age them all, TAGE-style
             # (rare path: re-probe the same indices).
             for rank in range(start, num_components):
                 fold = folds[rank]
                 if fold is None:
-                    fold = fold_bits(bits, lengths[rank], index_width)
-                index = (index_mixes[rank] ^ fold) & tagged_mask
-                entry = components[rank][index]
-                if entry is not None and entry.useful > 0:
-                    entry.useful -= 1
+                    fold = fold_bits(record[7], self.history_lengths[rank], self._index_width)
+                components[rank][index_mixes[rank] ^ fold].useful -= 1
             return
-        # Prefer the shortest eligible history, with a random tie-break to avoid ping-pong.
-        choice, choice_index, choice_entry = first
-        if candidate_count > 1 and self._random.chance_half():
-            choice, choice_index, choice_entry = second
+        choice, choice_index, choice_entry = choice
         if choice_entry is None:
             choice_entry = _TaggedEntry()
             components[choice][choice_index] = choice_entry
             self._component_sizes[choice] += 1
             if self._component_sizes[choice] == 1:
                 # First entry in this component: wake its lazily-dormant folded
-                # registers so subsequent lookups read live folds.
+                # registers so subsequent lookups read live folds, and add it to
+                # the lookup walk.
                 registers = self._fold_registers
                 if registers is not None:
                     registers.activate(choice)
                     registers.activate(num_components + choice)
-        choice_entry.tag = self._record_tag(record, choice)
+                self._live = tuple(
+                    (rank, num_components + rank, components[rank])
+                    for rank in range(num_components - 1, -1, -1)
+                    if self._component_sizes[rank]
+                )
+        # The tag the lookup would have used for this component.
+        fold = folds[num_components + choice]
+        if fold is None:
+            fold = fold_bits(record[7], self.history_lengths[choice], self._tag_widths[choice])
+        choice_entry.tag = record[5][1][choice] ^ fold
         choice_entry.value = actual
         choice_entry.confidence = 0
         choice_entry.useful = 0
@@ -317,6 +298,8 @@ class VTAGEPredictor(ValuePredictor):
             actual &= _MASK64
             base_index = mixes[2]
             if provider >= 0:
+                # A longest-history provider has no longer history to allocate
+                # into or age, so its misses skip ``_allocate``.
                 entry = self._components[provider][provider_index]
                 if entry is not None and entry.tag == provider_tag:
                     if entry.value == actual:
@@ -335,8 +318,9 @@ class VTAGEPredictor(ValuePredictor):
                             entry.useful = 0
                         else:
                             entry.confidence = 0
-                        self._allocate(record, actual)
-                else:
+                        if provider + 1 < self.num_components:
+                            self._allocate(record, actual)
+                elif provider + 1 < self.num_components:
                     # The entry was replaced between fetch and commit; treat as a miss.
                     self._allocate(record, actual)
             elif not (base_valid[base_index] and value == actual):

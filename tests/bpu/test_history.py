@@ -138,28 +138,48 @@ class TestIncrementalFoldedRegisters:
         self._check(history, registers)
 
     @given(
+        st.booleans(),
         st.lists(
             st.one_of(
                 st.tuples(st.just("push"), st.booleans()),
                 st.tuples(st.just("snapshot"), st.booleans()),
                 st.tuples(st.just("restore"), st.integers(min_value=0, max_value=7)),
+                st.tuples(st.just("activate"), st.integers(min_value=0, max_value=23)),
             ),
             min_size=1,
             max_size=120,
-        )
+        ),
     )
-    def test_random_squash_restore_sequences_match_reference(self, operations):
-        """Property (ISSUE 3): any interleaving of pushes, snapshots and restores
-        leaves every incremental register equal to recomputing fold_bits from the
-        raw history bits."""
+    def test_random_squash_restore_sequences_match_reference(self, all_active, operations):
+        """Property: any interleaving of pushes, snapshots, restores and
+        register activations (in any order, before or after the snapshots a
+        restore returns to) leaves every active register equal to recomputing
+        fold_bits from the raw history bits, and every dormant one reading None.
+        The live list ``_push`` walks holds exactly the active registers."""
         history = GlobalHistory()
-        registers = self._attach(history)
+        if all_active:
+            files = self._attach(history)
+        else:
+            files = (
+                history.folded_registers(self.TAGE_LENGTHS * 2, self.TAGE_WIDTHS),
+                history.folded_registers(self.VTAGE_LENGTHS * 2, self.VTAGE_WIDTHS),
+            )
         snapshots = [history.snapshot()]
         for action, argument in operations:
             if action == "push":
                 history.push(argument)
             elif action == "snapshot":
                 snapshots.append(history.snapshot())
-            else:
+            elif action == "restore":
                 history.restore(snapshots[argument % len(snapshots)])
-        self._check(history, registers)
+            else:
+                for file in files:
+                    file.activate(argument % len(file.lengths))
+            for file in files:
+                active = [index for index, params in enumerate(file._active) if params]
+                assert sorted(entry[0] for entry in file._live) == active
+                for index, (length, width) in enumerate(zip(file.lengths, file.widths)):
+                    if index in active:
+                        assert file.folds[index] == fold_bits(history.slice(length), length, width)
+                    else:
+                        assert file.folds[index] is None

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.bpu.history import GlobalHistory, fold_bits
-from repro.bpu.tage import TAGEBranchPredictor
+from repro.bpu.tage import TAGEBranchPredictor, _TageEntry
 from repro.errors import ConfigurationError
+from repro.vp.confidence import DeterministicRandom
 
 
 def _make(**kwargs):
@@ -114,11 +115,28 @@ class TestConfidence:
         assert _make().storage_bits() > 0
 
 
+def _rederive(predictor, prediction, rank):
+    """Component ``rank``'s index and tag from a prediction's fold snapshot.
+
+    A dormant register snapshots as ``None``; its fold comes from the raw bits.
+    """
+    index_mixes, tag_mixes, _ = predictor._pc_mixes(prediction.pc)
+    length = predictor.history_lengths[rank]
+    index_fold = prediction.folds[rank]
+    if index_fold is None:
+        index_fold = fold_bits(prediction.bits, length, predictor._index_width)
+    tag_fold = prediction.folds[predictor.num_components + rank]
+    if tag_fold is None:
+        tag_fold = fold_bits(prediction.bits, length, predictor.tag_bits)
+    return index_mixes[rank] ^ index_fold, tag_mixes[rank] ^ tag_fold
+
+
 class TestHashReferences:
     def test_prediction_folds_rederive_the_reference_hashes(self):
-        """Lookup and allocation hash from incremental fold registers (or, for a
-        dormant register, from the snapshot's raw bits); ``_tagged_index`` and
-        ``_tagged_tag`` fold the whole history at once and are their reference."""
+        """Lookup and allocation hash pre-masked PC mixes with incremental fold
+        registers (or, for a dormant register, the snapshot's raw bits);
+        ``_tagged_index`` and ``_tagged_tag`` fold the whole history at once and
+        are their reference."""
         predictor = _make()
         history = GlobalHistory()
         pattern = [True, True, False, True, False, False, True]
@@ -126,20 +144,119 @@ class TestHashReferences:
         folds_seen = set()
         for pc in (0x400, 0x404, 0x1234):
             prediction = predictor.predict(pc, history)
-            index_mixes, _, _ = predictor._pc_mixes(pc)
             for rank in range(predictor.num_components):
-                fold = prediction.folds[rank]
-                folds_seen.add(fold is None)
-                if fold is None:
-                    fold = fold_bits(
-                        prediction.bits, predictor.history_lengths[rank], predictor._index_width
-                    )
-                index = (index_mixes[rank] ^ fold) & predictor._tagged_mask
+                folds_seen.add(prediction.folds[rank] is None)
+                index, tag = _rederive(predictor, prediction, rank)
                 assert index == predictor._tagged_index(pc, history, rank)
-                tag = predictor._prediction_tag(prediction, rank)
                 assert tag == predictor._tagged_tag(pc, history, rank)
             if prediction.provider >= 0:
                 assert prediction.provider_index == predictor._tagged_index(
                     pc, history, prediction.provider
                 )
         assert folds_seen == {True, False}  # live and dormant registers both checked
+
+
+class _FullProbeTAGE(TAGEBranchPredictor):
+    """Reference allocation: probes every longer-history component.
+
+    Hashes with the reference ``_tagged_index``/``_tagged_tag`` over the
+    lookup-time history, collects every candidate, and ages every probed entry
+    when there is none.
+    """
+
+    def _allocate(self, taken, prediction):
+        history = GlobalHistory()
+        history.restore(prediction.bits)
+        probed = []
+        candidates = []
+        for rank in range(prediction.provider + 1, self.num_components):
+            index = self._tagged_index(prediction.pc, history, rank)
+            entry = self._components[rank][index]
+            probed.append(entry)
+            if entry is None or entry.useful == 0:
+                candidates.append((rank, index, entry))
+        if not candidates:
+            for entry in probed:
+                if entry is not None:
+                    entry.useful = max(0, entry.useful - 1)
+            return
+        choice, index, entry = candidates[0]
+        if len(candidates) > 1 and self._random.chance_half():
+            choice, index, entry = candidates[1]
+        if entry is None:
+            entry = self._components[choice][index] = _TageEntry()
+            self._component_sizes[choice] += 1
+            if self._component_sizes[choice] == 1:
+                self._fold_registers.activate(choice)
+                self._fold_registers.activate(self.num_components + choice)
+                self._live = tuple(
+                    (rank, self.num_components + rank, self._components[rank])
+                    for rank in reversed(range(self.num_components))
+                    if self._component_sizes[rank]
+                )
+        entry.tag = self._tagged_tag(prediction.pc, history, choice)
+        entry.counter = 4 if taken else 3
+        entry.useful = 0
+
+
+def _tage_state(predictor):
+    tables = [
+        [None if entry is None else (entry.tag, entry.counter, entry.useful) for entry in component]
+        for component in predictor._components
+    ]
+    return (
+        tables,
+        list(predictor._component_sizes),
+        predictor._bimodal,
+        predictor._random._state,
+        predictor._use_alt_on_na,
+        predictor.lookups,
+        predictor.mispredictions,
+        predictor.high_confidence_lookups,
+        predictor.high_confidence_mispredictions,
+    )
+
+
+class TestAllocationProbe:
+    def test_two_candidate_probe_matches_the_full_probe(self):
+        """Stopping the allocation probe at the second candidate leaves the
+        tables, the tie-break draws and the statistics equal to probing every
+        longer-history component, over a seeded stream that also exercises the
+        aging path (small tables, many branches)."""
+        kwargs = dict(bimodal_entries=256, tagged_entries=16, num_components=8, tag_bits=6)
+        fast = TAGEBranchPredictor(**kwargs)
+        reference = _FullProbeTAGE(**kwargs)
+        fast_history = GlobalHistory()
+        reference_history = GlobalHistory()
+        rng = DeterministicRandom(0x5EED)
+        pcs = [0x400 + 4 * index for index in range(24)]
+        aged = 0
+        for step in range(1, 6001):
+            draw = rng.next_u64()
+            pc = pcs[draw % len(pcs)]
+            # Biased per-branch outcomes with noise: some branches stay
+            # predictable (useful entries pile up), others keep mispredicting.
+            taken = (draw >> 8) % 7 < (pc >> 2) % 7 or (draw >> 16) % 11 == 0
+            fast_prediction = fast.predict(pc, fast_history)
+            reference_prediction = reference.predict(pc, reference_history)
+            assert fast_prediction == reference_prediction
+            if (
+                fast_prediction.taken != taken
+                and fast_prediction.provider < fast.num_components - 1
+            ):
+                history = GlobalHistory()
+                history.restore(fast_prediction.bits)
+                if all(
+                    (entry := fast._components[rank][fast._tagged_index(pc, history, rank)])
+                    is not None and entry.useful > 0
+                    for rank in range(fast_prediction.provider + 1, fast.num_components)
+                ):
+                    aged += 1
+            fast.update(pc, taken, fast_prediction)
+            reference.update(pc, taken, reference_prediction)
+            fast_history.push(taken)
+            reference_history.push(taken)
+            if step % 100 == 0:
+                assert _tage_state(fast) == _tage_state(reference), step
+        assert all(fast._component_sizes)
+        assert aged > 0

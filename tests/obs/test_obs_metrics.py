@@ -131,6 +131,31 @@ class TestSimulatorDrain:
             "vp.component.vtage-2dstride": 94,
         }
 
+    def test_late_branch_resolution_counters_are_pinned(self, monkeypatch):
+        # Mispredicted branches whose fetch block commit lifts (EOLE's late
+        # resolution of high-confidence branches), by TAGE provider, and the
+        # cycles fetch stood blocked on them.  A machine without an LE/VT stage
+        # resolves every branch at execution and counts none.
+        monkeypatch.setenv(METRICS_ENV_VAR, "1")
+
+        def late_counters(config):
+            cell = CampaignCell(
+                config=named_config(config),
+                workload_name="crafty",
+                max_uops=3000,
+                warmup_uops=800,
+            )
+            counters = simulate_cell(cell).extra["metrics"]["counters"]
+            return {k: v for k, v in counters.items() if k.startswith("branch.")}
+
+        assert late_counters("EOLE_6_64") == {
+            "branch.late_resolved.bimodal": 12,
+            "branch.late_resolved.tagged": 2,
+            "branch.late_blocked_cycles.bimodal": 1205,
+            "branch.late_blocked_cycles.tagged": 105,
+        }
+        assert late_counters("Baseline_VP_6_64") == {}
+
     def test_round_trips_through_result_dict(self, monkeypatch):
         result = _metered_result(monkeypatch)
         rebuilt = SimulationResult.from_dict(result.to_dict())

@@ -4,8 +4,8 @@ import pytest
 
 from repro.bpu.history import GlobalHistory, fold_bits
 from repro.errors import ConfigurationError
-from repro.vp.confidence import DETERMINISTIC_3BIT_VECTOR
-from repro.vp.vtage import VTAGEPredictor, geometric_history_lengths
+from repro.vp.confidence import DETERMINISTIC_3BIT_VECTOR, DeterministicRandom
+from repro.vp.vtage import _MASK64, VTAGEPredictor, geometric_history_lengths
 
 PC = 0x200
 
@@ -120,10 +120,119 @@ class TestVTAGE:
                 None,
                 history.fold(predictor.history_lengths[rank], predictor._index_width),
             )
-            fold = folds[rank]
-            if fold is None:
-                fold = fold_bits(bits, predictor.history_lengths[rank], predictor._index_width)
-            index = (mixes[0][rank] ^ fold) & predictor._tagged_mask
-            tag = predictor._record_tag(record, rank)
-            assert index == predictor._tagged_index(PC, history, rank)
-            assert tag == predictor._tagged_tag(PC, history, rank)
+            assert _rederive(predictor, record, rank) == (
+                predictor._tagged_index(PC, history, rank),
+                predictor._tagged_tag(PC, history, rank),
+            )
+
+
+def _rederive(predictor, record, rank):
+    """Component ``rank``'s index and tag from a lookup record.
+
+    The record's PC mixes are pre-masked; its fold snapshot holds ``None`` for a
+    register that was dormant at lookup, re-folded here from the raw bits.
+    """
+    _, _, _, _, _, (index_mixes, tag_mixes, _), folds, bits = record
+    length = predictor.history_lengths[rank]
+    index_fold = folds[rank]
+    if index_fold is None:
+        index_fold = fold_bits(bits, length, predictor._index_width)
+    tag_fold = folds[predictor.num_components + rank]
+    if tag_fold is None:
+        tag_fold = fold_bits(bits, length, predictor._tag_widths[rank])
+    return index_mixes[rank] ^ index_fold, tag_mixes[rank] ^ tag_fold
+
+
+def _drive(predictor, history, rng, steps, pcs=range(0x200, 0x240, 4)):
+    """Train ``predictor`` on a seeded stream of branch outcomes and values."""
+    pcs = list(pcs)
+    for _ in range(steps):
+        draw = rng.next_u64()
+        if draw & 1:
+            history.push(bool(draw & 2))
+        pc = pcs[(draw >> 8) % len(pcs)]
+        # Values that follow the history for some PCs, noise for others.
+        value = (history.bits & 7) * pc if (pc >> 2) & 1 else (draw >> 16) % 5
+        predictor.train(pc, value, predictor.lookup(pc, history))
+
+
+def _vtage_state(predictor):
+    tables = [
+        [
+            None if entry is None
+            else (entry.tag, entry.value, entry.confidence, entry.useful)
+            for entry in component
+        ]
+        for component in predictor._components
+    ]
+    return (
+        tables,
+        list(predictor._component_sizes),
+        predictor._base_values,
+        predictor._base_confidence,
+        predictor._base_valid,
+        predictor._random._state,
+        predictor._policy._random._state,
+    )
+
+
+class _AlwaysAllocateVTAGE(VTAGEPredictor):
+    """Reference: calls ``_allocate`` on a longest-history provider's miss too.
+
+    ``train`` skips that call, since no longer history exists to allocate into
+    or age; the reference makes it, with the entry state the skip tested.
+    """
+
+    calls = 0
+
+    def train(self, pc, actual, record):
+        if record is not None and record[2] == self.num_components - 1:
+            entry = self._components[record[2]][record[3]]
+            if entry is None or entry.tag != record[4] or entry.value != actual & _MASK64:
+                self._allocate(record, actual)
+                self.calls += 1
+        return super().train(pc, actual, record)
+
+
+class TestLiveWalk:
+    @pytest.mark.parametrize("steps, all_live", [(3000, True), (6, False)])
+    def test_records_rederive_the_reference_hashes(self, steps, all_live):
+        """Every lookup record re-derives ``_tagged_index`` and ``_tagged_tag``
+        for every rank, whether its component is live (walked by lookup) or
+        still empty (its registers dormant)."""
+        predictor = _make(tagged_entries=32)
+        history = GlobalHistory()
+        rng = DeterministicRandom(0xC0FFEE)
+        _drive(predictor, history, rng, steps)
+        live = [bool(size) for size in predictor._component_sizes]
+        assert all(live) == all_live and any(live)
+        assert [rank for rank, _, _ in predictor._live] == [
+            rank for rank in reversed(range(predictor.num_components)) if live[rank]
+        ]
+        for pc in range(0x200, 0x240, 4):
+            record = predictor.lookup(pc, history)
+            for rank in range(predictor.num_components):
+                assert _rederive(predictor, record, rank) == (
+                    predictor._tagged_index(pc, history, rank),
+                    predictor._tagged_tag(pc, history, rank),
+                )
+            if record[2] >= 0:
+                assert record[3:5] == _rederive(predictor, record, record[2])
+
+    def test_single_component_skips_allocation_with_equal_tables(self):
+        """With one tagged component every tagged miss has no longer history:
+        skipping ``_allocate`` leaves every table equal to calling it."""
+        fast = _make(num_components=1, tagged_entries=16)
+        reference = _AlwaysAllocateVTAGE(
+            base_entries=512, tagged_entries=16, num_components=1,
+            fpc_vector=DETERMINISTIC_3BIT_VECTOR,
+        )
+        fast_history = GlobalHistory()
+        reference_history = GlobalHistory()
+        fast_rng = DeterministicRandom(0xFACE)
+        reference_rng = DeterministicRandom(0xFACE)
+        for _ in range(30):
+            _drive(fast, fast_history, fast_rng, 100)
+            _drive(reference, reference_history, reference_rng, 100)
+            assert _vtage_state(fast) == _vtage_state(reference)
+        assert reference.calls > 0
